@@ -12,12 +12,12 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 import sympy as sp
 
-from .expressions import compile_fn, draw_points
+from .expressions import _eval_rows, compile_fn, draw_points
 from .mechanics import LagrangianSystem
 from .noether import FirstIntegral, _as_expr
 
@@ -194,11 +194,9 @@ def monitor_drift(
         name = N.name
     fn = compile_fn([expr], sys.alphabet, sys.bindings)
     names = [s.name for s in sys.alphabet.variables()]
-    values = np.empty(len(traj.t))
-    for i in range(len(traj.t)):
-        point = dict(zip(names, [traj.t[i], *traj.q[i], *traj.qdot[i]]))
-        point.update(sys.param_values)
-        values[i] = float(fn(point)[0])
+    columns = dict(zip(names, [traj.t, *traj.q.T, *traj.qdot.T]))
+    columns.update({k: np.float64(v) for k, v in sys.param_values.items()})
+    values = _eval_rows(fn, columns, len(traj.t))[0]
     if not np.all(np.isfinite(values)):
         raise ValueError(f"integral {name or expr} not evaluable along trajectory")
     drift = np.abs(values - values[0])
@@ -232,11 +230,9 @@ def functional_independence_rank(
     jac_entries = [sp.diff(e, s) for e in exprs for s in state]
     fn = compile_fn(jac_entries, ab, sys.bindings)
     pts = draw_points(ab, sys.domain(), sys.param_values, sys.bindings, points, seed)
-    ranks = []
-    for point in pts:
-        J = np.asarray(fn(point), dtype=float).reshape(len(exprs), len(state))
-        sv = np.linalg.svd(J, compute_uv=False)
-        ranks.append(int(np.sum(sv > svd_rtol * sv[0])))
+    J = _eval_rows(fn, pts.columns, points).T.reshape(points, len(exprs), len(state))
+    sv = np.linalg.svd(J, compute_uv=False)
+    ranks = [int(n) for n in np.sum(sv > svd_rtol * sv[:, :1], axis=1)]
     majority = max(set(ranks), key=ranks.count)
     return majority, ranks
 

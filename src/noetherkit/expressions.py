@@ -8,13 +8,19 @@ symbolically, bound to concrete expressions only for numeric work).
 Identity between expressions is decided by a randomized numeric oracle
 (:func:`equal_numeric`), never by symbolic zero-testing: a FAIL comes with a
 concrete witness point and is conclusive, a PASS is probabilistic evidence.
+
+The oracle compiles each distinct input once (:func:`compile_fn` keeps a
+bounded memo) and evaluates all k sample points in one numpy array call.
+Rejection sampling draws candidates in blocks from the same random stream as
+one-at-a-time draws, so a seed gives the same points either way.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 import sympy as sp
@@ -24,6 +30,7 @@ __all__ = [
     "Alphabet",
     "Exclusion",
     "SampleDomain",
+    "SamplePoints",
     "IdentityReport",
     "UndeclaredSymbolError",
     "DomainViolation",
@@ -50,6 +57,11 @@ STANDARD_FUNCTIONS = {
 
 _RESERVED = {"t"} | set(STANDARD_FUNCTIONS)
 
+# distinct compile_fn inputs kept; a verification touches a few dozen
+COMPILE_MEMO_SIZE = 256
+# largest block of candidates draw_points tests in one array call
+MAX_BLOCK = 1 << 16
+
 
 class UndeclaredSymbolError(ValueError):
     """An expression uses a symbol outside the declared alphabet."""
@@ -61,7 +73,7 @@ class DomainViolation(ValueError):
 
     def __init__(self, expr, point):
         self.expr = expr
-        self.point = dict(point)
+        self.point = {name: float(v) for name, v in point.items()}
         super().__init__(f"domain violation evaluating {expr} at {self.point}")
 
 
@@ -243,10 +255,27 @@ def compile_fn(
     bindings: Mapping[str, sp.Lambda] | None = None,
     include_acc: bool = False,
 ):
-    """Compile expressions into a fast numeric function of a point dict."""
+    """Compile expressions into a numeric function of a point mapping.
+
+    The mapping's values may be floats or equal-length numpy arrays, one
+    entry per point.  Structurally equal inputs return the same function
+    object from a memo of the last ``COMPILE_MEMO_SIZE`` distinct inputs.
+    """
+    return _compile(
+        tuple(sp.sympify(e) for e in exprs),
+        alphabet,
+        tuple(sorted(bindings.items())) if bindings else (),
+        bool(include_acc),
+    )
+
+
+@functools.lru_cache(maxsize=COMPILE_MEMO_SIZE)
+def _compile(exprs, alphabet, bindings, include_acc):
     syms = alphabet.variables(include_acc) + alphabet.param_symbols
-    bound = [bind_opaque(e, bindings) for e in exprs]
-    raw = sp.lambdify(syms, bound, modules=["numpy", {"math": math}])
+    bound = [bind_opaque(e, dict(bindings)) for e in exprs]
+    raw = sp.lambdify(
+        syms, bound, modules=["numpy", {"math": math}], docstring_limit=0
+    )
     names = [s.name for s in syms]
 
     def fn(point: Mapping[str, float]):
@@ -256,6 +285,13 @@ def compile_fn(
 
     fn.arg_names = names
     return fn
+
+
+def _eval_rows(fn, columns: Mapping[str, np.ndarray], m: int) -> np.ndarray:
+    """A compiled function's values at m points given as numpy columns, one
+    row per expression.  Numpy inputs make singular points read inf or NaN
+    where Python floats would raise."""
+    return np.array([np.broadcast_to(v, (m,)) for v in fn(columns)], dtype=float)
 
 
 def evaluate(
@@ -301,15 +337,6 @@ class SampleDomain:
     var_ranges: Mapping[str, tuple[float, float]] = field(default_factory=dict)
     exclusions: tuple[Exclusion, ...] = ()
 
-    def with_exclusions(self, extra: Iterable[Exclusion]) -> "SampleDomain":
-        return SampleDomain(
-            t_range=self.t_range,
-            default_range=self.default_range,
-            acc_range=self.acc_range,
-            var_ranges=dict(self.var_ranges),
-            exclusions=self.exclusions + tuple(extra),
-        )
-
 
 def _range_for(name: str, alphabet: Alphabet, domain: SampleDomain):
     if name in domain.var_ranges:
@@ -321,6 +348,46 @@ def _range_for(name: str, alphabet: Alphabet, domain: SampleDomain):
     return domain.default_range
 
 
+class SamplePoints(Sequence):
+    """Read-only sequence of sample points backed by one array per name.
+
+    Indexing and iteration yield point dicts of Python floats; ``columns``
+    maps each name to its read-only array of k values.
+    """
+
+    def __init__(self, columns: Mapping[str, np.ndarray]):
+        self.columns = dict(columns)
+        for col in self.columns.values():
+            col.flags.writeable = False
+        self._k = len(next(iter(self.columns.values())))
+
+    def __len__(self) -> int:
+        return self._k
+
+    def __getitem__(self, i: int) -> dict[str, float]:
+        i = range(self._k)[i]  # negative indices, IndexError past the end
+        return {name: float(col[i]) for name, col in self.columns.items()}
+
+    def __eq__(self, other):
+        if not isinstance(other, Sequence):
+            return NotImplemented
+        return list(self) == list(other)
+
+    __hash__ = None
+
+
+def _next_block(need: int, drawn: int, accepted: int) -> int:
+    # size the block from the acceptance seen so far, with a margin so that
+    # one more block usually finishes the draw
+    if drawn == 0:
+        m = need
+    elif accepted == 0:
+        m = 2 * drawn
+    else:
+        m = need * drawn // accepted
+    return min(m + m // 8 + 16, MAX_BLOCK)
+
+
 def draw_points(
     alphabet: Alphabet,
     domain: SampleDomain,
@@ -330,41 +397,57 @@ def draw_points(
     seed: int,
     include_acc: bool = False,
     max_tries: int = 1000,
-) -> list[dict[str, float]]:
-    """Draw k points from the box, rejecting those near declared singular sets."""
+) -> SamplePoints:
+    """Draw k points from the box, rejecting those near declared singular sets.
+
+    Candidates are drawn in blocks and all exclusions are tested on a block
+    with one array call.  A point is drawn as a row of one uniform per
+    variable, in order, so the accepted points are those that drawing one
+    candidate at a time from the same seed gives.  ``max_tries`` consecutive
+    rejections raise SamplingError.
+    """
     rng = np.random.default_rng(seed)
     var_names = [s.name for s in alphabet.variables(include_acc)]
-    ranges = [_range_for(name, alphabet, domain) for name in var_names]
-    excl = [
-        (compile_fn([ex.expr], alphabet, bindings, include_acc), ex.threshold)
-        for ex in domain.exclusions
-    ]
-    points = []
-    for _ in range(k):
-        for _ in range(max_tries):
-            point = {
-                name: float(rng.uniform(lo, hi))
-                for name, (lo, hi) in zip(var_names, ranges)
-            }
-            point.update({name: float(v) for name, v in param_values.items()})
-            ok = True
-            for fn, threshold in excl:
-                try:
-                    val = float(fn(point)[0])
-                except (ZeroDivisionError, ValueError, OverflowError):
-                    ok = False
-                    break
-                if not math.isfinite(val) or abs(val) < threshold:
-                    ok = False
-                    break
-            if ok:
-                points.append(point)
-                break
+    lo, hi = np.array(
+        [_range_for(name, alphabet, domain) for name in var_names], dtype=float
+    ).T
+    params = {name: np.float64(v) for name, v in param_values.items()}
+    if domain.exclusions:
+        excl = compile_fn(
+            [ex.expr for ex in domain.exclusions], alphabet, bindings, include_acc
+        )
+        thresholds = np.array([[ex.threshold] for ex in domain.exclusions])
+    kept = [np.empty((len(var_names), 0))]
+    accepted = drawn = run = 0
+    while accepted < k:
+        need = k - accepted
+        m = _next_block(need, drawn, accepted)
+        block = np.ascontiguousarray(rng.uniform(lo, hi, size=(m, len(lo))).T)
+        drawn += m
+        if domain.exclusions:
+            cols = dict(zip(var_names, block))
+            cols.update(params)
+            vals = np.abs(_eval_rows(excl, cols, m))
+            ok = np.all((vals >= thresholds) & np.isfinite(vals), axis=0)
         else:
+            ok = np.ones(m, dtype=bool)
+        # length of the rejection run ending at each candidate
+        pos = np.arange(m)
+        last = np.maximum.accumulate(np.where(ok, pos, -1))
+        runs = np.where(last < 0, run + pos + 1, pos - last)
+        idx = np.flatnonzero(ok)[:need]
+        used = idx[-1] + 1 if len(idx) == need else m
+        if np.any(runs[:used] >= max_tries):
             raise SamplingError(
                 f"could not draw a point outside exclusions in {max_tries} tries"
             )
-    return points
+        run = int(runs[-1])
+        kept.append(block[:, idx])
+        accepted += len(idx)
+    values = np.concatenate(kept, axis=1)
+    columns = dict(zip(var_names, values))
+    columns.update({name: np.full(k, v) for name, v in params.items()})
+    return SamplePoints(columns)
 
 
 @dataclass(frozen=True)
@@ -424,24 +507,17 @@ def equal_numeric(
     points = draw_points(
         alphabet, domain, param_values, bindings, k, seed, include_acc
     )
-    worst = (-1.0, points[0])
-    passed = True
-    for point in points:
-        try:
-            va, vb = (float(v) for v in fn(point))
-        except (ZeroDivisionError, ValueError, OverflowError) as err:
-            raise DomainViolation(sp.Eq(a, b, evaluate=False), point) from err
-        if not (math.isfinite(va) and math.isfinite(vb)):
-            raise DomainViolation(sp.Eq(a, b, evaluate=False), point)
-        resid = abs(va - vb) / (1.0 + max(abs(va), abs(vb)))
-        if resid > worst[0]:
-            worst = (resid, point)
-        if resid > tol:
-            passed = False
+    va, vb = _eval_rows(fn, points.columns, k)
+    finite = np.isfinite(va) & np.isfinite(vb)
+    if not finite.all():
+        bad = points[int(np.argmin(finite))]
+        raise DomainViolation(sp.Eq(a, b, evaluate=False), bad)
+    resid = np.abs(va - vb) / (1.0 + np.maximum(np.abs(va), np.abs(vb)))
+    worst = int(np.argmax(resid))
     return IdentityReport(
-        passed=passed,
-        max_residual=worst[0],
-        worst_point=dict(worst[1]),
+        passed=bool(resid[worst] <= tol),
+        max_residual=float(resid[worst]),
+        worst_point=points[worst],
         k=k,
         tol=tol,
         seed=seed,

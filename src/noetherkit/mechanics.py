@@ -18,6 +18,7 @@ from .expressions import (
     Alphabet,
     Exclusion,
     SampleDomain,
+    _eval_rows,
     compile_fn,
     diff,
     draw_points,
@@ -144,10 +145,11 @@ def _check_regularity(sys: LagrangianSystem, seed: int = 0) -> None:
         sys.alphabet, sys.domain(), sys.param_values, sys.bindings,
         REGULARITY_SAMPLES, seed,
     )
-    for point in points:
-        det = float(det_fn(point)[0])
-        if not np.isfinite(det) or abs(det) < REGULARITY_MIN_DET:
-            raise RegularityError(point, det)
+    det = _eval_rows(det_fn, points.columns, REGULARITY_SAMPLES)[0]
+    bad = ~np.isfinite(det) | (np.abs(det) < REGULARITY_MIN_DET)
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise RegularityError(points[i], float(det[i]))
 
 
 def el_residual(sys: LagrangianSystem, point: Mapping[str, float]) -> np.ndarray:

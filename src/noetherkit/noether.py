@@ -21,18 +21,15 @@ Noether integral is N; every emitted triple is re-verified numerically.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import Mapping, Sequence
+from dataclasses import dataclass, replace
+from typing import Sequence
 
-import numpy as np
 import sympy as sp
 
 from .expressions import (
     Exclusion,
     IdentityReport,
-    compile_fn,
     diff,
-    draw_points,
     tidy,
     total_dt,
 )

@@ -1,8 +1,11 @@
+import math
 import random
 
+import numpy as np
 import pytest
 import sympy as sp
 
+from noetherkit import expressions
 from noetherkit.expressions import (
     Alphabet,
     DomainViolation,
@@ -10,6 +13,7 @@ from noetherkit.expressions import (
     SampleDomain,
     SamplingError,
     UndeclaredSymbolError,
+    compile_fn,
     diff,
     draw_points,
     equal_numeric,
@@ -151,6 +155,92 @@ def test_draw_points_exhaustion_raises():
         draw_points(AB, dom, {}, None, 1, seed=0)
 
 
+def _reference_draw(alphabet, domain, param_values, k, seed, include_acc=False,
+                    max_tries=1000):
+    """One candidate at a time, one exclusion at a time: the sampler that
+    draw_points must reproduce."""
+    rng = np.random.default_rng(seed)
+    ranges = {}
+    for s in alphabet.variables(include_acc):
+        if s.name in domain.var_ranges:
+            ranges[s.name] = domain.var_ranges[s.name]
+        elif s.name == "t":
+            ranges[s.name] = domain.t_range
+        elif s in alphabet.acceleration_symbols:
+            ranges[s.name] = domain.acc_range
+        else:
+            ranges[s.name] = domain.default_range
+    excl = [(compile_fn([ex.expr], alphabet, None, include_acc), ex.threshold)
+            for ex in domain.exclusions]
+    points = []
+    for _ in range(k):
+        for _ in range(max_tries):
+            point = {name: float(rng.uniform(lo, hi)) for name, (lo, hi) in ranges.items()}
+            point.update({name: float(v) for name, v in param_values.items()})
+            vals = [float(fn(point)[0]) for fn, _ in excl]
+            if all(math.isfinite(v) and abs(v) >= th
+                   for v, (_, th) in zip(vals, excl)):
+                points.append(point)
+                break
+        else:
+            raise SamplingError("reference sampler exhausted")
+    return points
+
+
+def test_draw_points_matches_one_at_a_time_reference():
+    ab = Alphabet(coords=("x", "y"), params=("a",))
+    x, y = ab.coord_symbols
+    # |x| >= 1 rejects about half of the box; the product adds a second test
+    dom = SampleDomain(var_ranges={"y": (0.5, 3.0)},
+                       exclusions=(Exclusion(x, 1.0), Exclusion(x * y - 1, 0.2)))
+    for seed in range(6):
+        for include_acc in (False, True):
+            ref = _reference_draw(ab, dom, {"a": 0.7}, 40, seed, include_acc)
+            pts = draw_points(ab, dom, {"a": 0.7}, None, 40, seed, include_acc)
+            assert len(pts) == 40
+            assert list(pts) == ref
+            assert list(pts.columns) == list(ref[0])
+
+
+def test_draw_points_rejection_run_across_blocks():
+    # only x > 1.9 is accepted (sqrt is NaN below), one candidate in forty,
+    # so rejection runs are long
+    dom = SampleDomain(exclusions=(Exclusion(sp.sqrt(X - 1.9), 1e-12),))
+    first_block = expressions._next_block(2, 0, 0)
+    seed = 5
+    ref = _reference_draw(AB, dom, {}, 2, seed)
+    assert list(draw_points(AB, dom, {}, None, 2, seed)) == ref
+    # replay the stream to find the rejection run before each accepted point
+    rng = np.random.default_rng(seed)
+    runs, run = [], 0
+    while len(runs) < 2:
+        rng.uniform(0.0, 2.0)  # t
+        x = rng.uniform(-2.0, 2.0)
+        for _ in range(3):  # y, xdot, ydot
+            rng.uniform(-2.0, 2.0)
+        if x > 1.9:
+            runs.append(run)
+            run = 0
+        else:
+            run += 1
+    longest = max(runs)
+    assert runs[0] + 1 + runs[1] > first_block  # the draw needs a second block
+    with pytest.raises(SamplingError):
+        draw_points(AB, dom, {}, None, 2, seed, max_tries=longest)
+    assert list(draw_points(AB, dom, {}, None, 2, seed, max_tries=longest + 1)) == ref
+
+
+def test_compile_fn_memo_returns_shared_function():
+    ab = Alphabet(coords=("x",), opaque=("G",))
+    x = ab.coord_symbols[0]
+    G = sp.Function("G")
+    square = {"G": sp.Lambda(x, x**2)}
+    f = compile_fn([G(x) * ab.velocity_symbols[0]], ab, square)
+    assert compile_fn([ab.velocity_symbols[0] * G(x)], ab, dict(square)) is f
+    assert compile_fn([G(x) * ab.velocity_symbols[0]], ab, {"G": sp.Lambda(x, x**3)}) is not f
+    assert compile_fn([G(x) * ab.velocity_symbols[0]], ab, square, include_acc=True) is not f
+
+
 def test_equal_numeric_pass_and_conclusive_fail():
     rep = equal_numeric((X + Y) ** 2, X**2 + 2 * X * Y + Y**2, AB)
     assert rep.passed and rep.verdict == "PASS"
@@ -161,6 +251,9 @@ def test_equal_numeric_pass_and_conclusive_fail():
     resid = abs(w["x"] ** 2 - w["x"]) / (1 + max(abs(w["x"] ** 2), abs(w["x"])))
     assert resid == pytest.approx(rep.max_residual)
     assert rep.label == "x^2 vs x"
+    # witnesses are Python floats, so their repr is plain and JSON-stable
+    assert type(rep.max_residual) is float
+    assert all(type(v) is float for v in w.values())
 
 
 def test_equal_numeric_seed_determinism():
@@ -173,8 +266,12 @@ def test_equal_numeric_seed_determinism():
 
 def test_equal_numeric_raises_on_singular_point():
     # sqrt goes non-finite on the negative half of the sampling box
-    with pytest.raises(DomainViolation):
+    with pytest.raises(DomainViolation) as err:
         equal_numeric(sp.sqrt(X), sp.sqrt(X), AB, k=50)
+    first_bad = next(p for p in draw_points(AB, SampleDomain(), {}, None, 50, 0)
+                     if p["x"] < 0)
+    assert err.value.point == first_bad
+    assert all(type(v) is float for v in err.value.point.values())
 
 
 def test_tidy_is_cosmetic_only():

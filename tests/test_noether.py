@@ -1,3 +1,5 @@
+import ast
+
 import pytest
 import sympy as sp
 
@@ -134,6 +136,11 @@ def test_solvers_reject_non_integrals(fp):
     with pytest.raises(NotConservedError) as err:
         solve_strong(fp.system, q)
     assert err.value.report.max_residual > 1e-9
+    # the message carries the witness as a Python literal
+    msg = str(err.value)
+    witness = ast.literal_eval(msg[msg.index("{"):msg.rindex("}") + 1])
+    assert witness == err.value.report.worst_point
+    assert all(type(v) is float for v in witness.values())
     with pytest.raises(NotConservedError):
         solve_onflow_simplest(fp.system, q)
 
