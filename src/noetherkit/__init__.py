@@ -9,6 +9,7 @@ from .expressions import (
     IdentityReport,
     SampleDomain,
     SamplingError,
+    TotalDerivative,
     UndeclaredSymbolError,
     diff,
     equal_numeric,

@@ -4,22 +4,25 @@ Subcommands: ``describe``, ``solve``, ``verify``, ``integrate``, and
 ``corpus {list, export}``.  Reports are JSON with the seed recorded, so a
 repeated invocation with the same seed is byte-identical.
 
-Exit codes: 0 success / PASS, 1 verification FAIL, 2 parse error,
-3 regularity failure, 4 conservation precheck failure, 5 singularity during
-a solve, 6 trajectory truncated at a singular zone.
+Exit codes: 0 success / PASS, 1 verification FAIL, 2 parse error or invalid
+option, 3 regularity failure, 4 conservation precheck failure, 5 singularity
+during a solve or verification, or an integration starting in a singular
+zone, 6 trajectory truncated at a singular zone.  Errors print one line on
+stderr.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys as _sys
 from pathlib import Path
 
 from . import corpus as corpus_mod
 from .dsl import ExprSyntaxError, parse, print_expr
-from .dynamics import integrate, monitor_drift, write_trajectory_csv
-from .expressions import SamplingError, UndeclaredSymbolError
+from .dynamics import SingularStartError, integrate, monitor_drift, write_trajectory_csv
+from .expressions import DomainViolation, SamplingError, UndeclaredSymbolError
 from .mechanics import RegularityError
 from .noether import (
     FORMS,
@@ -109,17 +112,17 @@ def cmd_solve(args) -> int:
             tr = solve_strong(sysdef, N, tau if tau is not None else 0, seed=args.seed)
         else:  # alt-strong
             tr = solve_alt_strong_trivial_gauge(sysdef, N, c=args.c, seed=args.seed)
+        tr = tr.simplified()
+        rep = verify_triple(sysdef, tr, N, k=args.k, tol=args.tol, seed=args.seed)
     except (ExprSyntaxError, UndeclaredSymbolError) as err:
         print(f"error: {err}", file=_sys.stderr)
         return EXIT_PARSE
     except NotConservedError as err:
         print(f"error: {err}", file=_sys.stderr)
         return EXIT_NOT_CONSERVED
-    except (RegularityError, SamplingError, ZeroDivisionError) as err:
+    except (RegularityError, SamplingError, DomainViolation, ZeroDivisionError) as err:
         print(f"error: {err}", file=_sys.stderr)
         return EXIT_SINGULAR
-    tr = tr.simplified()
-    rep = verify_triple(sysdef, tr, N, k=args.k, tol=args.tol, seed=args.seed)
     report = {
         "solver": args.mode,
         "triple": {
@@ -160,7 +163,7 @@ def cmd_verify(args) -> int:
                     f"at witness {rep.worst_point}",
                     file=_sys.stderr,
                 )
-    except SamplingError as err:
+    except (SamplingError, DomainViolation) as err:
         print(f"error: {err}", file=_sys.stderr)
         return EXIT_SINGULAR
     _emit({"reports": reports}, args.out)
@@ -170,23 +173,35 @@ def cmd_verify(args) -> int:
 def cmd_integrate(args) -> int:
     sf = _load_system(args.system)
     sysdef = sf.system
-    state = [float(x) for x in args.state.split(",")]
-    if len(state) != 1 + 2 * sysdef.n:
+    try:
+        state = [float(x) for x in args.state.split(",")]
+    except ValueError:
+        state = []
+    if len(state) != 1 + 2 * sysdef.n or not all(map(math.isfinite, state)):
         print(
-            f"error: state needs t0 and {2 * sysdef.n} components",
+            f"error: state needs t0 and {2 * sysdef.n} finite components",
             file=_sys.stderr,
         )
         return EXIT_PARSE
     t0, q0, qd0 = state[0], state[1:1 + sysdef.n], state[1 + sysdef.n:]
-    traj = integrate(sysdef, (t0, q0, qd0), args.t1, dt=args.dt)
-    if args.csv:
-        write_trajectory_csv(traj, args.csv, sysdef.alphabet.coords)
-    drifts = []
+    if not (math.isfinite(args.t1) and args.t1 >= t0):
+        print(f"error: --t1 must be finite and not before t0 = {t0}", file=_sys.stderr)
+        return EXIT_PARSE
     for name in args.monitor or []:
         if name not in sf.integrals:
             print(f"error: unknown integral {name!r}", file=_sys.stderr)
             return EXIT_PARSE
-        drifts.append(monitor_drift(sysdef, traj, sf.integrals[name], name).to_dict())
+    try:
+        traj = integrate(sysdef, (t0, q0, qd0), args.t1, dt=args.dt)
+    except SingularStartError as err:
+        print(f"error: {err}", file=_sys.stderr)
+        return EXIT_SINGULAR
+    if args.csv:
+        write_trajectory_csv(traj, args.csv, sysdef.alphabet.coords)
+    drifts = [
+        monitor_drift(sysdef, traj, sf.integrals[name], name).to_dict()
+        for name in args.monitor or []
+    ]
     _emit(
         {
             "system": sysdef.name,
@@ -219,6 +234,17 @@ def cmd_corpus(args) -> int:
     return EXIT_OK
 
 
+def _positive(kind):
+    def convert(text):
+        value = kind(text)
+        if not value > 0:
+            raise argparse.ArgumentTypeError(f"must be positive, got {text}")
+        return value
+
+    convert.__name__ = kind.__name__  # argparse names the type in its messages
+    return convert
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="noetherkit",
@@ -228,7 +254,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
 
     def common(p):
-        p.add_argument("--k", type=int, default=100, help="sample count")
+        p.add_argument("--k", type=_positive(int), default=100, help="sample count")
         p.add_argument("--tol", type=float, default=1e-9, help="relative tolerance")
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--out", help="write the JSON report here")
@@ -266,7 +292,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("system")
     p.add_argument("state", help="t0,q...,qdot... comma-separated")
     p.add_argument("--t1", type=float, required=True)
-    p.add_argument("--dt", type=float, default=1e-3)
+    p.add_argument("--dt", type=_positive(float), default=1e-3)
     p.add_argument("--monitor", nargs="*", help="integral names to monitor")
     p.add_argument("--csv", help="trajectory CSV output path")
     p.add_argument("--out", help="write the JSON report here")
@@ -281,11 +307,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    if args.command == "corpus" and args.action == "export" and not args.name:
-        print("error: corpus export needs a name", file=_sys.stderr)
-        return EXIT_PARSE
     try:
+        # argparse exits with code 2 on invalid arguments
+        args = build_parser().parse_args(argv)
+        if args.command == "corpus" and args.action == "export" and not args.name:
+            print("error: corpus export needs a name", file=_sys.stderr)
+            return EXIT_PARSE
         return args.fn(args)
     except SystemExit as err:
         return int(err.code or 0)

@@ -22,6 +22,7 @@ from .mechanics import LagrangianSystem
 from .noether import FirstIntegral, _as_expr
 
 __all__ = [
+    "SingularStartError",
     "Trajectory",
     "DriftReport",
     "integrate",
@@ -31,6 +32,10 @@ __all__ = [
 ]
 
 SINGULAR_ABORT = 1e-3
+
+
+class SingularStartError(ValueError):
+    """The initial state lies inside a declared singular exclusion zone."""
 
 
 @dataclass(frozen=True)
@@ -71,15 +76,8 @@ class DriftReport:
 def _acceleration_solver(sys: LagrangianSystem):
     ab = sys.alphabet
     n = sys.n
-    rhs = [
-        sp.diff(sys.L, q)
-        - sp.diff(sys.p[i], ab.t)
-        - sum(sp.diff(sys.p[i], qj) * vj
-              for qj, vj in zip(ab.coord_symbols, ab.velocity_symbols))
-        for i, q in enumerate(ab.coord_symbols)
-    ]
     g_entries = [sys.g[i, j] for i in range(n) for j in range(n)]
-    fn = compile_fn(g_entries + rhs, ab, sys.bindings)
+    fn = compile_fn(g_entries + list(sys.rhs), ab, sys.bindings)
     names = [s.name for s in ab.variables()]
 
     def accel(t: float, q: np.ndarray, qdot: np.ndarray) -> np.ndarray:
@@ -135,7 +133,7 @@ def integrate(
     accel = _acceleration_solver(sys)
     near_singular = _singular_guard(sys)
     if near_singular(t0, q0, qd0):
-        raise ValueError("initial state is inside the singular exclusion zone")
+        raise SingularStartError("initial state is inside the singular exclusion zone")
 
     # cross-check the per-point solve against the symbolic normal form
     lam_fn = compile_fn(list(sys.lam), sys.alphabet, sys.bindings)

@@ -9,6 +9,12 @@ Identity between expressions is decided by a randomized numeric oracle
 (:func:`equal_numeric`), never by symbolic zero-testing: a FAIL comes with a
 concrete witness point and is conclusive, a PASS is probabilistic evidence.
 
+Total time derivatives are lazy: :func:`total_dt` returns an unevaluated
+:class:`TotalDerivative` node, ``.doit()`` expands it symbolically, and the
+oracle evaluates it by complex step, D_t e = Im e(x + i*h*d)/h along the
+direction d = (1, qdot, acc), which is exact to round-off (Squire & Trapp,
+SIAM Rev. 40 (1998) 110-112).
+
 The oracle compiles each distinct input once (:func:`compile_fn` keeps a
 bounded memo) and evaluates all k sample points in one numpy array call.
 Rejection sampling draws candidates in blocks from the same random stream as
@@ -35,6 +41,7 @@ __all__ = [
     "UndeclaredSymbolError",
     "DomainViolation",
     "SamplingError",
+    "TotalDerivative",
     "STANDARD_FUNCTIONS",
     "bind_opaque",
     "diff",
@@ -61,6 +68,18 @@ _RESERVED = {"t"} | set(STANDARD_FUNCTIONS)
 COMPILE_MEMO_SIZE = 256
 # largest block of candidates draw_points tests in one array call
 MAX_BLOCK = 1 << 16
+# complex-step size: far below the scale of any sampled quantity, so the
+# O(h^2) truncation error vanishes in float64
+COMPLEX_STEP = 1e-30
+
+_MODULES = ["numpy", {"math": math}]
+# sympy turns sqrt(x^2) into Abs(x) on real symbols and differentiates it to
+# sign(x); the complex abs and sign would lose the imaginary part that
+# carries the derivative.  lambdify prints Abs as the builtin abs.
+_COMPLEX_STEP_FUNCS = {
+    "abs": lambda z: np.where(np.real(z) < 0, -z, z),
+    "sign": lambda z: np.sign(np.real(z)),
+}
 
 
 class UndeclaredSymbolError(ValueError):
@@ -185,14 +204,67 @@ def diff(e, var, alphabet: Alphabet) -> sp.Expr:
     return sp.diff(sp.sympify(e), var)
 
 
+class TotalDerivative(sp.Expr):
+    """Unevaluated total time derivative of ``expr`` along the direction
+    (1, qdot, acc):  D_t e = d_t e + d_q e . qdot + d_qdot e . acc.
+
+    ``acc`` holds the acceleration symbols (generic) or a normal form
+    (on-flow).  :func:`compile_fn` evaluates the node by complex step;
+    ``doit()`` returns the symbolic expansion.
+    """
+
+    is_commutative = True
+
+    def __new__(cls, expr, t, coords, velocities, acc):
+        return super().__new__(
+            cls, sp.sympify(expr), t,
+            sp.Tuple(*coords), sp.Tuple(*velocities), sp.Tuple(*acc),
+        )
+
+    @property
+    def expr(self) -> sp.Expr:
+        return self.args[0]
+
+    @property
+    def acc(self) -> sp.Tuple:
+        return self.args[4]
+
+    def doit(self, **hints):
+        e, t, qs, vs, accs = self.args
+        out = sp.diff(e, t)
+        for q, qd, qdd in zip(qs, vs, accs):
+            out = out + sp.diff(e, q) * qd + sp.diff(e, qd) * qdd
+        return out
+
+    def _eval_derivative(self, s):
+        return sp.diff(self.doit(), s)
+
+    def _eval_subs(self, old, new):
+        # substituting for t, q or qdot does not commute with D_t
+        variables = set().union(*(a.free_symbols for a in self.args[1:4]))
+        if isinstance(old, sp.Basic) and old.free_symbols & variables:
+            return self.doit()._subs(old, new)
+        return None
+
+    def _sympystr(self, printer):
+        return f"Dt({printer._print(self.expr)})"
+
+
 def total_dt(e, alphabet: Alphabet, lam: Sequence[sp.Expr] | None = None) -> sp.Expr:
     """Total time derivative of an expression in (t, q, qdot).
 
-    Generic mode (``lam is None``) introduces acceleration symbols; on-flow
-    mode replaces them with the supplied acceleration field ``lam`` so the
-    result is free of accelerations.
+    Generic mode (``lam is None``) differentiates along free acceleration
+    symbols; on-flow mode along the supplied acceleration field ``lam``, so
+    the result is free of accelerations.  Returns a lazy
+    :class:`TotalDerivative` (``.doit()`` expands it), or 0 when ``e`` is
+    free of t, q and qdot.
     """
     e = sp.sympify(e)
+    if e.has(TotalDerivative):
+        raise ValueError(
+            "total_dt input must be free of total derivatives; expand them "
+            "with .doit() first"
+        )
     for a in alphabet.acceleration_symbols:
         if e.has(a):
             raise ValueError(f"total_dt input must be free of {a}")
@@ -200,13 +272,12 @@ def total_dt(e, alphabet: Alphabet, lam: Sequence[sp.Expr] | None = None) -> sp.
         raise ValueError(
             f"acceleration field has length {len(lam)}, expected {alphabet.n}"
         )
-    out = sp.diff(e, alphabet.t)
-    accs = alphabet.acceleration_symbols if lam is None else tuple(lam)
-    for q, qd, qdd in zip(
-        alphabet.coord_symbols, alphabet.velocity_symbols, accs
-    ):
-        out = out + sp.diff(e, q) * qd + sp.diff(e, qd) * qdd
-    return out
+    if not e.free_symbols & set(alphabet.variables()):
+        return sp.Integer(0)
+    accs = alphabet.acceleration_symbols if lam is None else lam
+    return TotalDerivative(
+        e, alphabet.t, alphabet.coord_symbols, alphabet.velocity_symbols, accs
+    )
 
 
 def substitute(e, bindings: Mapping, alphabet: Alphabet) -> sp.Expr:
@@ -272,16 +343,79 @@ def compile_fn(
 @functools.lru_cache(maxsize=COMPILE_MEMO_SIZE)
 def _compile(exprs, alphabet, bindings, include_acc):
     syms = alphabet.variables(include_acc) + alphabet.param_symbols
+    nodes = set().union(*(e.atoms(TotalDerivative) for e in exprs))
+    if nodes:
+        # the slot order sets the order of sums in the compiled code, so it
+        # must not follow the per-process order of a set
+        return _compile_with_nodes(
+            exprs, sorted(nodes, key=sp.default_sort_key), syms, alphabet,
+            bindings, include_acc,
+        )
     bound = [bind_opaque(e, dict(bindings)) for e in exprs]
-    raw = sp.lambdify(
-        syms, bound, modules=["numpy", {"math": math}], docstring_limit=0
-    )
+    raw = sp.lambdify(syms, bound, modules=_MODULES, docstring_limit=0)
     names = [s.name for s in syms]
 
     def fn(point: Mapping[str, float]):
         args = [point[name] for name in names]
         with np.errstate(all="ignore"):
             return raw(*args)
+
+    fn.arg_names = names
+    return fn
+
+
+def _compile_with_nodes(exprs, nodes, syms, alphabet, bindings, include_acc):
+    """One lambdified function of (variables, one slot per node) returning
+    the expressions, with the nodes replaced by their slots, then the node
+    bodies.  It is called once at the complex-shifted point of each
+    direction, which gives the node values, then once at the real point with
+    the slots bound to them.  Where a body is not finite at the real point
+    every value is NaN, so branch cuts of sqrt and log cannot hide a domain
+    violation behind a finite complex-step value."""
+    # valid identifiers outside the DSL's ASCII names; Dummy arguments would
+    # make lambdify rewrite the whole expression
+    slots = [sp.Symbol(f"Dt·{i}") for i in range(len(nodes))]
+    bind = dict(bindings)
+    outs = [bind_opaque(e.xreplace(dict(zip(nodes, slots))), bind) for e in exprs]
+    bodies = [bind_opaque(node.expr, bind) for node in nodes]
+    raw = sp.lambdify(
+        syms + tuple(slots), outs + bodies,
+        modules=[_COMPLEX_STEP_FUNCS, *_MODULES], docstring_limit=0,
+    )
+    groups = {}
+    for i, node in enumerate(nodes):
+        groups.setdefault(tuple(node.acc), []).append(i)
+    # each system compiles its normal form once, through the memo
+    directions = [
+        (_compile(acc, alphabet, bindings, include_acc), members)
+        for acc, members in groups.items()
+    ]
+    names = [s.name for s in syms]
+    n, m = alphabet.n, len(exprs)
+    h = COMPLEX_STEP
+    no_slots = [0.0] * len(nodes)
+
+    def fn(point: Mapping[str, float]):
+        real = [np.asarray(point[name], dtype=float) for name in names]
+        t, qs, vs = real[0], real[1:1 + n], real[1 + n:1 + 2 * n]
+        rates = [None] * len(nodes)
+        with np.errstate(all="ignore"):
+            for direction, members in directions:
+                accs = direction(point)
+                shifted = (
+                    [t + 1j * h]
+                    + [q + 1j * h * v for q, v in zip(qs, vs)]
+                    + [v + 1j * h * a for v, a in zip(vs, accs)]
+                    + real[1 + 2 * n:]
+                )
+                vals = raw(*shifted, *no_slots)
+                for i in members:
+                    rates[i] = np.imag(vals[m + i]) / h
+            vals = raw(*real, *rates)
+            finite = True
+            for body in vals[m:]:
+                finite = finite & np.isfinite(body)
+            return [np.where(finite, v, np.nan) for v in vals[:m]]
 
     fn.arg_names = names
     return fn

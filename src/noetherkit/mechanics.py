@@ -1,8 +1,9 @@
 """Euler-Lagrange structure of a Lagrangian system.
 
 From L(t, q, qdot) we derive the momentum gradient p, the velocity Hessian
-g, and the acceleration field Lam of the normal form qddot = Lam(t, q, qdot)
-obtained by solving  g * Lam = d_q L - d2_{qdot,t} L - d2_{qdot,q} L * qdot.
+g, the Euler-Lagrange right-hand side rhs = d_q L - d2_{qdot,t} L -
+d2_{qdot,q} L * qdot, and the acceleration field Lam of the normal form
+qddot = Lam(t, q, qdot) obtained by solving  g * Lam = rhs.
 Regularity (det g != 0) is checked by sampling, not proven.
 """
 
@@ -20,7 +21,6 @@ from .expressions import (
     SampleDomain,
     _eval_rows,
     compile_fn,
-    diff,
     draw_points,
     equal_numeric,
     tidy,
@@ -55,6 +55,7 @@ class LagrangianSystem:
     p: tuple[sp.Expr, ...] = ()
     g: sp.Matrix = None
     lam: tuple[sp.Expr, ...] = ()
+    rhs: tuple[sp.Expr, ...] = ()
 
     @property
     def n(self) -> int:
@@ -113,15 +114,13 @@ def build_system(
     vs = alphabet.velocity_symbols
     p = tuple(sp.diff(L, v) for v in vs)
     g = sp.Matrix(alphabet.n, alphabet.n, lambda i, j: sp.diff(p[i], vs[j]))
-    rhs = sp.Matrix(
-        [
-            sp.diff(L, qs[i])
-            - sp.diff(p[i], alphabet.t)
-            - sum(sp.diff(p[i], qs[j]) * vs[j] for j in range(alphabet.n))
-            for i in range(alphabet.n)
-        ]
+    rhs = tuple(
+        sp.diff(L, qs[i])
+        - sp.diff(p[i], alphabet.t)
+        - sum(sp.diff(p[i], qs[j]) * vs[j] for j in range(alphabet.n))
+        for i in range(alphabet.n)
     )
-    lam = tuple(_solve_linear(g, rhs, alphabet.n))
+    lam = tuple(_solve_linear(g, sp.Matrix(rhs), alphabet.n))
 
     sys = LagrangianSystem(
         name=name,
@@ -134,6 +133,7 @@ def build_system(
         p=p,
         g=g,
         lam=lam,
+        rhs=rhs,
     )
     _check_regularity(sys, seed=seed)
     return sys
@@ -154,12 +154,11 @@ def _check_regularity(sys: LagrangianSystem, seed: int = 0) -> None:
 
 def el_residual(sys: LagrangianSystem, point: Mapping[str, float]) -> np.ndarray:
     """Euler-Lagrange residual d_q L - (d/dt) d_qdot L at a point that also
-    binds the accelerations.  Equals g*(Lam - qddot) there."""
-    from .expressions import total_dt  # local import to avoid cycle noise
-
+    binds the accelerations: rhs - g*qddot, which equals g*(Lam - qddot)."""
+    accs = sys.alphabet.acceleration_symbols
     exprs = [
-        diff(sys.L, q, sys.alphabet) - total_dt(pi, sys.alphabet)
-        for q, pi in zip(sys.alphabet.coord_symbols, sys.p)
+        r - sum(sys.g[i, j] * a for j, a in enumerate(accs))
+        for i, r in enumerate(sys.rhs)
     ]
     fn = compile_fn(exprs, sys.alphabet, sys.bindings, include_acc=True)
     full = dict(point)

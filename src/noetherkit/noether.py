@@ -17,6 +17,10 @@ The associated first integral is
 
 Given L and a verified first integral N, the solvers construct triples whose
 Noether integral is N; every emitted triple is re-verified numerically.
+
+The total derivatives in these equations (tau_dot, xi_dot, f_dot and N_dot)
+are lazy :class:`~noetherkit.expressions.TotalDerivative` nodes: the oracle
+evaluates them by complex step, and ``.doit()`` expands them symbolically.
 """
 
 from __future__ import annotations

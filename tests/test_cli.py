@@ -1,6 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+
+import noetherkit
 
 from noetherkit import cli
 from noetherkit.corpus import load
@@ -142,3 +148,54 @@ def test_reports_are_seed_deterministic(fp_sys, tmp_path):
         cli.main(["solve", fp_sys, "momentum", "--mode", "strong",
                   "--seed", "4", "--out", str(out)])
     assert out1.read_bytes() == out2.read_bytes()
+
+
+KEPLER_ORBIT = "0,1,0,0,0,1,0"
+
+# (argv with {fp}/{kepler} for the system files, exit code)
+EXIT_TABLE = [
+    (["solve", "{fp}", "sqrt(q)", "--mode", "strong"], cli.EXIT_SINGULAR),
+    (["solve", "{fp}", "log(q)", "--mode", "onflow-simplest"], cli.EXIT_SINGULAR),
+    (["solve", "{fp}", "energy", "--mode", "strong", "--k", "0"], cli.EXIT_PARSE),
+    (["verify", "{fp}", "any.tri", "--k", "-3"], cli.EXIT_PARSE),
+    (["verify", "{fp}", "no-such.tri"], cli.EXIT_PARSE),
+    (["integrate", "{kepler}", KEPLER_ORBIT, "--t1", "1", "--dt", "0"], cli.EXIT_PARSE),
+    (["integrate", "{kepler}", KEPLER_ORBIT, "--t1", "1", "--dt", "-0.1"], cli.EXIT_PARSE),
+    (["integrate", "{kepler}", "2,1,0,0,0,1,0", "--t1", "1"], cli.EXIT_PARSE),
+    (["integrate", "{kepler}", "0,a,0,0,0,1,0", "--t1", "1"], cli.EXIT_PARSE),
+    (["integrate", "{kepler}", "0,0.1,0,0,0,1,0", "--t1", "1"], cli.EXIT_SINGULAR),
+    (["integrate", "{kepler}", KEPLER_ORBIT, "--t1", "0"], cli.EXIT_OK),
+]
+
+
+@pytest.mark.parametrize("argv, code", EXIT_TABLE, ids=lambda v: " ".join(v)
+                         if isinstance(v, list) else str(v))
+def test_exit_code_table(argv, code, fp_sys, kepler_sys, capsys):
+    argv = [a.format(fp=fp_sys, kepler=kepler_sys) for a in argv]
+    assert cli.main(argv) == code
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    if code != cli.EXIT_OK:
+        assert "error" in err.splitlines()[-1]
+
+
+def _run_cli(argv, **env):
+    env = dict(os.environ, PYTHONPATH=str(Path(noetherkit.__file__).parents[1]), **env)
+    return subprocess.run([sys.executable, "-m", "noetherkit.cli", *argv],
+                          capture_output=True, text=True, env=env, timeout=120)
+
+
+def test_reports_are_identical_across_hash_seeds(kepler_sys):
+    # string hashing differs per process; the compiled oracle must not
+    # depend on it, or the last bits of a residual change between runs
+    argv = ["solve", kepler_sys, "lrl_u", "--mode", "strong", "--seed", "577547"]
+    outs = {_run_cli(argv, PYTHONHASHSEED=str(h)).stdout for h in (1, 2, 3)}
+    assert len(outs) == 1 and '"verdict": "PASS"' in outs.pop()
+
+
+def test_oracle_error_is_one_line_without_traceback(fp_sys):
+    proc = _run_cli(["solve", fp_sys, "sqrt(q)", "--mode", "strong"])
+    assert proc.returncode == cli.EXIT_SINGULAR
+    assert proc.stderr.startswith("error: domain violation evaluating")
+    assert "Dt(sqrt(q))" in proc.stderr
+    assert len(proc.stderr.splitlines()) == 1

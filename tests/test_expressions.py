@@ -12,6 +12,7 @@ from noetherkit.expressions import (
     Exclusion,
     SampleDomain,
     SamplingError,
+    TotalDerivative,
     UndeclaredSymbolError,
     compile_fn,
     diff,
@@ -110,6 +111,101 @@ def test_total_dt_rejects_acceleration_input():
         total_dt(AB.acceleration_symbols[0], AB)
     with pytest.raises(ValueError):
         total_dt(X, AB, lam=(X,))  # wrong length
+
+
+def _expand(e):
+    return e.xreplace({n: n.doit() for n in e.atoms(TotalDerivative)})
+
+
+def _node_residual(e, alphabet, domain=SampleDomain(), k=200, include_acc=False,
+                   bindings=None, param_values=None):
+    """Largest oracle residual |a - b| / (1 + max(|a|, |b|)) between the
+    complex-step value of e and its symbolic expansion at k points."""
+    pts = draw_points(alphabet, domain, param_values or {}, bindings, k, 5, include_acc)
+    a, b = (expressions._eval_rows(compile_fn([x], alphabet, bindings, include_acc),
+                                   pts.columns, k)[0]
+            for x in (e, _expand(e)))
+    assert np.isfinite(a).all() and np.isfinite(b).all()
+    return float(np.max(np.abs(a - b) / (1 + np.maximum(np.abs(a), np.abs(b)))))
+
+
+def test_total_dt_is_a_lazy_node():
+    e = X * XD + sp.sin(T) * Y
+    node = total_dt(e, AB, (-X, -Y))
+    assert isinstance(node, TotalDerivative)
+    assert str(node) == "Dt(x*xdot + y*sin(t))"
+    expansion = sp.diff(e, T) + XD * XD + X * -X + sp.sin(T) * YD
+    assert sp.expand(node.doit() - expansion) == 0
+    # nothing to differentiate: a plain zero, as before
+    ab = Alphabet(coords=("x",), params=("m",))
+    assert total_dt(ab.param_symbols[0] ** 2, ab) == 0
+
+
+def test_total_dt_subs_and_diff_act_on_the_expansion():
+    node = total_dt(X**2 * YD, AB)
+    assert sp.expand(node.subs(X, 3) - node.doit().subs(X, 3)) == 0
+    assert sp.expand(sp.diff(node, X) - sp.diff(node.doit(), X)) == 0
+    # substituting only the direction keeps the node
+    xdd, ydd = AB.acceleration_symbols
+    assert node.subs({xdd: -X, ydd: -Y}) == total_dt(X**2 * YD, AB, (-X, -Y))
+
+
+def test_generic_node_matches_expansion_with_sampled_accelerations():
+    e = sp.exp(T * X) * sp.cos(YD) + sp.sqrt(XD**2 + Y**2 + 1) / (2 + sp.sin(X))
+    assert _node_residual(total_dt(e, AB), AB, include_acc=True) < 1e-12
+
+
+def test_complex_step_through_abs_and_sign():
+    # sympy writes sqrt(x^2) as Abs(x) on real symbols
+    e = sp.sqrt(X**2) * Y + sp.sign(X) * YD**2
+    assert e.has(sp.Abs)
+    ydd = AB.acceleration_symbols[1]
+    # away from x = 0, where the expansion's DiracDelta(x) term vanishes
+    expected = sp.sign(X) * XD * Y + sp.Abs(X) * YD + 2 * sp.sign(X) * YD * ydd
+    dom = SampleDomain(exclusions=(Exclusion(X, 0.1),))
+    pts = draw_points(AB, dom, {}, None, 200, 5, include_acc=True)
+    got, want = expressions._eval_rows(
+        compile_fn([total_dt(e, AB), expected], AB, include_acc=True), pts.columns, 200)
+    assert np.max(np.abs(got - want) / (1 + np.abs(want))) < 1e-12
+
+
+def test_node_domain_violation_survives_complex_step():
+    # sqrt(x + i*h*xdot) is finite for x < 0; the real evaluation is not
+    ab = Alphabet(coords=("q",))
+    q, = ab.coord_symbols
+    dom = SampleDomain(var_ranges={"q": (-2.0, -0.1)})
+    for lam in (None, (-q,)):
+        node = total_dt(sp.sqrt(q), ab, lam)
+        with pytest.raises(DomainViolation) as err:
+            equal_numeric(node, 0, ab, domain=dom, include_acc=lam is None)
+        assert "Dt(sqrt(q))" in str(err.value)
+        with pytest.raises(DomainViolation):
+            evaluate(node, {"t": 0.0, "q": -1.0, "qdot": 1.0, "qddot": 0.5}, ab)
+
+
+def test_nested_total_dt_is_refused():
+    inner = total_dt(X * XD, AB, (-X, -Y))
+    for lam in (None, (-X, -Y)):
+        with pytest.raises(ValueError, match="total derivatives"):
+            total_dt(inner, AB, lam)
+        with pytest.raises(ValueError, match="total derivatives"):
+            total_dt(X + total_dt(X * XD, AB), AB, lam)
+
+
+def test_several_nodes_cost_one_lambdify(monkeypatch):
+    ab = Alphabet(coords=("u", "w"))
+    u, w = ab.coord_symbols
+    ud, wd = ab.velocity_symbols
+    lam = (-u * w, sp.sin(u))
+    compile_fn(list(lam), ab)  # the direction is compiled once per system
+    calls = []
+    real = sp.lambdify
+    monkeypatch.setattr(sp, "lambdify", lambda *a, **kw: calls.append(1) or real(*a, **kw))
+    e = ud * total_dt(u**2 * wd, ab, lam) + total_dt(sp.cos(w) * ud, ab, lam) ** 2
+    fn = compile_fn([e, total_dt(u * w, ab, lam)], ab)
+    assert len(calls) == 1
+    assert compile_fn([e, total_dt(u * w, ab, lam)], ab) is fn
+    assert len(calls) == 1
 
 
 def test_substitute_is_simultaneous():

@@ -1,7 +1,19 @@
 import ast
 
+import numpy as np
 import pytest
 import sympy as sp
+
+from noetherkit.expressions import (
+    Alphabet,
+    Exclusion,
+    TotalDerivative,
+    _eval_rows,
+    compile_fn,
+    draw_points,
+    total_dt,
+)
+from noetherkit.mechanics import build_system
 
 from noetherkit.noether import (
     FORMS,
@@ -51,6 +63,76 @@ def test_killing_lhs_strong_vs_onflow(fp):
     assert not onflow.has(qdd)
     # the free flow has zero acceleration, so they agree after substitution
     assert sp.simplify(strong.subs(qdd, 0) - onflow) == 0
+
+
+CORPUS_FIXTURES = ("fp", "iso", "iso_steep", "kepler")
+
+
+@pytest.fixture(scope="module")
+def iso_opaque():
+    """The isochrony system with G left opaque and bound to 1/x^3 (c = 0)."""
+    ab = Alphabet(coords=("x", "y"), params=("c",), opaque=("G",))
+    x, y = ab.coord_symbols
+    xd, yd = ab.velocity_symbols
+    c = ab.param_symbols[0]
+    G = sp.Function("G")(x)
+    Gp = sp.Derivative(G, x)
+    sysdef = build_system(
+        xd * yd - G * y, ab, name="isochrony[G opaque]", param_values={"c": 0.0},
+        bindings={"G": sp.Lambda(x, x**-3)}, exclusions=(Exclusion(x, 0.5),),
+    )
+    integrals = {
+        "N1": xd * yd + G * y,
+        "N3": (c + x**2) * Gp * xd * y - (c + x**2) * G * yd - x * xd**2 * yd + xd**3 * y,
+    }
+    return sysdef, integrals
+
+
+def _expand(e):
+    return e.xreplace({n: n.doit() for n in e.atoms(TotalDerivative)})
+
+
+def _assert_nodes_match_expansion(sysdef, e, include_acc, exclusions=(), k=200):
+    """Complex-step nodes agree with their symbolic expansion within 1e-12
+    in the oracle's residual |a - b| / (1 + max(|a|, |b|)) at k points."""
+    ab = sysdef.alphabet
+    pts = draw_points(ab, sysdef.domain(exclusions), sysdef.param_values,
+                      sysdef.bindings, k, 7, include_acc)
+    a, b = (_eval_rows(compile_fn([x], ab, sysdef.bindings, include_acc), pts.columns, k)[0]
+            for x in (e, _expand(e)))
+    assert np.isfinite(a).all() and np.isfinite(b).all()
+    resid = np.abs(a - b) / (1 + np.maximum(np.abs(a), np.abs(b)))
+    assert resid.max() < 1e-12, f"{e}: {resid.max():.3e}"
+
+
+@pytest.mark.parametrize("name", CORPUS_FIXTURES)
+def test_onflow_integral_nodes_match_expansion(name, request):
+    entry = request.getfixturevalue(name)
+    sysdef = entry.system
+    for N in entry.integrals.values():
+        node = total_dt(N, sysdef.alphabet, sysdef.lam)
+        assert isinstance(node, TotalDerivative)
+        _assert_nodes_match_expansion(sysdef, node, include_acc=False)
+
+
+def test_opaque_onflow_integral_nodes_match_expansion(iso_opaque):
+    sysdef, integrals = iso_opaque
+    for N in integrals.values():
+        node = total_dt(N, sysdef.alphabet, sysdef.lam)
+        assert node.has(sp.Function("G"))
+        _assert_nodes_match_expansion(sysdef, node, include_acc=False)
+        assert check_conserved(sysdef, N).verified
+
+
+@pytest.mark.parametrize("name", CORPUS_FIXTURES)
+def test_killing_lhs_nodes_match_expansion(name, request):
+    entry = request.getfixturevalue(name)
+    sysdef = entry.system
+    for tr in entry.triples.values():
+        for form in FORMS:
+            lhs = killing_lhs(sysdef, tr, form)
+            _assert_nodes_match_expansion(sysdef, lhs, form.endswith("strong"),
+                                          tr.exclusions)
 
 
 def test_verify_triple_pass_and_fail(fp):
