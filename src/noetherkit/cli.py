@@ -5,10 +5,12 @@ Subcommands: ``describe``, ``solve``, ``verify``, ``integrate``, and
 repeated invocation with the same seed is byte-identical.
 
 Exit codes: 0 success / PASS, 1 verification FAIL, 2 parse error or invalid
-option, 3 regularity failure, 4 conservation precheck failure, 5 singularity
-during a solve or verification, or an integration starting in a singular
-zone, 6 trajectory truncated at a singular zone.  Errors print one line on
-stderr.
+option (including an integration of more than ``dynamics.MAX_STEPS`` steps),
+3 regularity failure, 4 conservation precheck failure, 5 singularity during a
+solve or verification, an integration starting in a singular zone, or a
+monitored integral not evaluable along the trajectory, 6 trajectory truncated
+at a singular zone or where its state stops being finite.  Errors print one
+line on stderr.
 """
 
 from __future__ import annotations
@@ -27,9 +29,7 @@ from .mechanics import RegularityError
 from .noether import (
     FORMS,
     NotConservedError,
-    noether_integral,
     solve_alt_strong_trivial_gauge,
-    solve_onflow_simplest,
     solve_onflow_with_R,
     solve_strong,
     verify_triple,
@@ -58,15 +58,18 @@ def _emit(report: dict, out: str | None) -> None:
         print(text)
 
 
+def _error(message, code: int) -> int:
+    print(f"error: {message}", file=_sys.stderr)
+    return code
+
+
 def _load_system(path: str):
     try:
         return read_system_file(path)
     except (OSError, SystemFileError, ExprSyntaxError, UndeclaredSymbolError) as err:
-        print(f"error: {err}", file=_sys.stderr)
-        raise SystemExit(EXIT_PARSE)
+        raise SystemExit(_error(err, EXIT_PARSE))
     except RegularityError as err:
-        print(f"error: {err}", file=_sys.stderr)
-        raise SystemExit(EXIT_REGULARITY)
+        raise SystemExit(_error(err, EXIT_REGULARITY))
 
 
 def cmd_describe(args) -> int:
@@ -97,32 +100,28 @@ def cmd_solve(args) -> int:
         try:
             N = parse(args.integral, sysdef.alphabet)
         except (ExprSyntaxError, UndeclaredSymbolError) as err:
-            print(f"error: {err}", file=_sys.stderr)
-            return EXIT_PARSE
+            return _error(err, EXIT_PARSE)
     try:
-        tau = parse(args.tau, sysdef.alphabet) if args.tau else None
+        tau = parse(args.tau, sysdef.alphabet) if args.tau else 0
         R = [parse(r, sysdef.alphabet) for r in args.R.split(";")] if args.R else None
-        if args.mode == "onflow-simplest":
-            tr = solve_onflow_simplest(sysdef, N, c=args.c, seed=args.seed)
-        elif args.mode == "onflow-R":
-            if R is None:
+        if args.mode.startswith("onflow"):
+            if R is None or args.mode == "onflow-simplest":
                 R = [0] * sysdef.n
+            if len(R) != sysdef.n:
+                return _error(f"--R needs {sysdef.n} components, got {len(R)}", EXIT_PARSE)
             tr = solve_onflow_with_R(sysdef, N, R, c=args.c, seed=args.seed)
         elif args.mode == "strong":
-            tr = solve_strong(sysdef, N, tau if tau is not None else 0, seed=args.seed)
+            tr = solve_strong(sysdef, N, tau, seed=args.seed)
         else:  # alt-strong
             tr = solve_alt_strong_trivial_gauge(sysdef, N, c=args.c, seed=args.seed)
         tr = tr.simplified()
         rep = verify_triple(sysdef, tr, N, k=args.k, tol=args.tol, seed=args.seed)
     except (ExprSyntaxError, UndeclaredSymbolError) as err:
-        print(f"error: {err}", file=_sys.stderr)
-        return EXIT_PARSE
+        return _error(err, EXIT_PARSE)
     except NotConservedError as err:
-        print(f"error: {err}", file=_sys.stderr)
-        return EXIT_NOT_CONSERVED
+        return _error(err, EXIT_NOT_CONSERVED)
     except (RegularityError, SamplingError, DomainViolation, ZeroDivisionError) as err:
-        print(f"error: {err}", file=_sys.stderr)
-        return EXIT_SINGULAR
+        return _error(err, EXIT_SINGULAR)
     report = {
         "solver": args.mode,
         "triple": {
@@ -145,8 +144,7 @@ def cmd_verify(args) -> int:
     try:
         triples = read_triple_file(args.triple, sysdef.alphabet)
     except (OSError, SystemFileError, ExprSyntaxError, UndeclaredSymbolError) as err:
-        print(f"error: {err}", file=_sys.stderr)
-        return EXIT_PARSE
+        return _error(err, EXIT_PARSE)
     form = args.form.replace("-", "_") if args.form else None
     all_passed = True
     reports = []
@@ -164,8 +162,7 @@ def cmd_verify(args) -> int:
                     file=_sys.stderr,
                 )
     except (SamplingError, DomainViolation) as err:
-        print(f"error: {err}", file=_sys.stderr)
-        return EXIT_SINGULAR
+        return _error(err, EXIT_SINGULAR)
     _emit({"reports": reports}, args.out)
     return EXIT_OK if all_passed else EXIT_FAIL
 
@@ -178,30 +175,28 @@ def cmd_integrate(args) -> int:
     except ValueError:
         state = []
     if len(state) != 1 + 2 * sysdef.n or not all(map(math.isfinite, state)):
-        print(
-            f"error: state needs t0 and {2 * sysdef.n} finite components",
-            file=_sys.stderr,
-        )
-        return EXIT_PARSE
+        return _error(f"state needs t0 and {2 * sysdef.n} finite components", EXIT_PARSE)
     t0, q0, qd0 = state[0], state[1:1 + sysdef.n], state[1 + sysdef.n:]
     if not (math.isfinite(args.t1) and args.t1 >= t0):
-        print(f"error: --t1 must be finite and not before t0 = {t0}", file=_sys.stderr)
-        return EXIT_PARSE
+        return _error(f"--t1 must be finite and not before t0 = {t0}", EXIT_PARSE)
     for name in args.monitor or []:
         if name not in sf.integrals:
-            print(f"error: unknown integral {name!r}", file=_sys.stderr)
-            return EXIT_PARSE
+            return _error(f"unknown integral {name!r}", EXIT_PARSE)
     try:
         traj = integrate(sysdef, (t0, q0, qd0), args.t1, dt=args.dt)
     except SingularStartError as err:
-        print(f"error: {err}", file=_sys.stderr)
-        return EXIT_SINGULAR
+        return _error(err, EXIT_SINGULAR)
+    except ValueError as err:  # the options ask for more than MAX_STEPS steps
+        return _error(err, EXIT_PARSE)
     if args.csv:
         write_trajectory_csv(traj, args.csv, sysdef.alphabet.coords)
-    drifts = [
-        monitor_drift(sysdef, traj, sf.integrals[name], name).to_dict()
-        for name in args.monitor or []
-    ]
+    try:
+        drifts = [
+            monitor_drift(sysdef, traj, sf.integrals[name], name).to_dict()
+            for name in args.monitor or []
+        ]
+    except ValueError as err:  # integral not evaluable along the trajectory
+        return _error(err, EXIT_SINGULAR)
     _emit(
         {
             "system": sysdef.name,
@@ -311,8 +306,7 @@ def main(argv=None) -> int:
         # argparse exits with code 2 on invalid arguments
         args = build_parser().parse_args(argv)
         if args.command == "corpus" and args.action == "export" and not args.name:
-            print("error: corpus export needs a name", file=_sys.stderr)
-            return EXIT_PARSE
+            return _error("corpus export needs a name", EXIT_PARSE)
         return args.fn(args)
     except SystemExit as err:
         return int(err.code or 0)

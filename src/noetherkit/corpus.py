@@ -19,7 +19,7 @@ import sympy as sp
 
 from .expressions import Alphabet, Exclusion, SampleDomain, equal_numeric, IdentityReport
 from .mechanics import LagrangianSystem, build_system
-from .noether import ALT_STRONG, ONFLOW, STRONG, Triple
+from .noether import ONFLOW, STRONG, Triple
 
 __all__ = [
     "CorpusEntry",

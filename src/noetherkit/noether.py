@@ -15,8 +15,10 @@ The associated first integral is
 ``N = f - L*tau - d_qdot L . (xi - qdot*tau)`` in the standard convention and
 ``N = f - L*tau - d_qdot L . xi`` in the alternative one.
 
-Given L and a verified first integral N, the solvers construct triples whose
-Noether integral is N; every emitted triple is re-verified numerically.
+Given L and a verified first integral N, ``solve_onflow`` and ``solve_strong``
+construct triples whose Noether integral is N.  The zero-gauge solvers are
+compositions of these two with the transforms ``trivialize`` (through
+``multiplicity_transform``) and ``convert_standard_alternative``.
 
 The total derivatives in these equations (tau_dot, xi_dot, f_dot and N_dot)
 are lazy :class:`~noetherkit.expressions.TotalDerivative` nodes: the oracle
@@ -270,13 +272,19 @@ def check_conserved(
     return FirstIntegral(expr=expr, name=name, conservation=rep)
 
 
-def _require_conserved(sys, N, seed, extra_exclusions=()) -> sp.Expr:
+def _require_conserved(sys, N, seed, extra_exclusions=()) -> FirstIntegral:
     if isinstance(N, FirstIntegral) and N.verified:
-        return N.expr
+        return N
     fi = check_conserved(sys, N, seed=seed, extra_exclusions=extra_exclusions)
     if not fi.verified:
         raise NotConservedError(fi.conservation)
-    return fi.expr
+    return fi
+
+
+def _g_inv_grad(sys: LagrangianSystem, Nexpr: sp.Expr, seed: int) -> tuple[sp.Expr, ...]:
+    """w = g^{-1} d_qdot N, symbolic and spot-checked."""
+    grad = [diff(Nexpr, v, sys.alphabet) for v in sys.alphabet.velocity_symbols]
+    return invert_g_apply(sys, grad, seed=seed)
 
 
 def _integral_expr(sys: LagrangianSystem, tr: Triple, convention: str) -> sp.Expr:
@@ -313,10 +321,13 @@ def noether_integral(
 
 
 def solve_onflow(sys: LagrangianSystem, N, tau, xi: Sequence, *, seed: int = 0) -> Triple:
-    """Complete an arbitrary (tau, xi) to an on-flow triple for integral N."""
-    Nexpr = _require_conserved(sys, N, seed)
-    tau = sp.sympify(tau)
+    """Complete an arbitrary (tau, xi) to an on-flow triple for integral N:
+    f = tau*L + N + d_qdot L . (xi - qdot*tau)."""
     xi = tuple(sp.sympify(x) for x in xi)
+    if len(xi) != sys.n:
+        raise ValueError(f"xi has length {len(xi)}, expected {sys.n}")
+    Nexpr = _require_conserved(sys, N, seed).expr
+    tau = sp.sympify(tau)
     vs = sys.alphabet.velocity_symbols
     f = tau * sys.L + Nexpr
     for i in range(sys.n):
@@ -327,47 +338,34 @@ def solve_onflow(sys: LagrangianSystem, N, tau, xi: Sequence, *, seed: int = 0) 
 def solve_onflow_simplest(
     sys: LagrangianSystem, N, c: float = 0.0, *, seed: int = 0
 ) -> Triple:
-    """On-flow triple with zero boundary term: tau = -N/(L+c), xi = tau*qdot.
+    """``solve_onflow_with_R`` with R = 0, that is
+    ``trivialize(solve_onflow(N, 0, 0), "gauge", c)``: tau = -N/(L+c),
+    xi = tau*qdot, f = 0.
 
     The shift constant c moves the working domain off the zero set of L.
     """
-    denom_excl = Exclusion(sys.L + c, DENOM_MARGIN)
-    Nexpr = _require_conserved(sys, N, seed, extra_exclusions=(denom_excl,))
-    tau = -Nexpr / (sys.L + c)
-    xi = tuple(tau * v for v in sys.alphabet.velocity_symbols)
-    return Triple(tau=tau, xi=xi, f=sp.Integer(0), form=ONFLOW,
-                  exclusions=(denom_excl,))
+    return solve_onflow_with_R(sys, N, [0] * sys.n, c=c, seed=seed)
 
 
 def solve_onflow_with_R(
     sys: LagrangianSystem, N, R: Sequence, *, c: float = 0.0, seed: int = 0
 ) -> Triple:
-    """On-flow triple with zero boundary term and free vector shape R."""
-    denom_excl = Exclusion(sys.L + c, DENOM_MARGIN)
-    Nexpr = _require_conserved(sys, N, seed, extra_exclusions=(denom_excl,))
-    R = [sp.sympify(r) for r in R]
-    if len(R) != sys.n:
-        raise ValueError(f"R has length {len(R)}, expected {sys.n}")
-    top = Nexpr + sum(pi * ri for pi, ri in zip(sys.p, R))
-    tau = -top / (sys.L + c)
-    xi = tuple(
-        r - v * top / (sys.L + c)
-        for r, v in zip(R, sys.alphabet.velocity_symbols)
-    )
-    return Triple(tau=tau, xi=xi, f=sp.Integer(0), form=ONFLOW,
-                  exclusions=(denom_excl,))
+    """On-flow triple with zero boundary term and free vector shape R:
+    ``trivialize(solve_onflow(N, 0, R), "gauge", c)``."""
+    # check conservation away from L + c = 0, where the result divides by it
+    denom = Exclusion(sys.L + c, DENOM_MARGIN)
+    fi = _require_conserved(sys, N, seed, extra_exclusions=(denom,))
+    return trivialize(sys, solve_onflow(sys, fi, 0, R, seed=seed), "gauge", c=c)
 
 
 def solve_strong(sys: LagrangianSystem, N, tau=sp.Integer(0), *, seed: int = 0) -> Triple:
     """Strong-sense triple for integral N and free time change tau:
     xi = tau*qdot - g^{-1} d_qdot N, f = tau*L + N - d_qdot L . g^{-1} d_qdot N.
     """
-    Nexpr = _require_conserved(sys, N, seed)
+    Nexpr = _require_conserved(sys, N, seed).expr
     tau = sp.sympify(tau)
-    vs = sys.alphabet.velocity_symbols
-    grad = [diff(Nexpr, v, sys.alphabet) for v in vs]
-    w = invert_g_apply(sys, grad, seed=seed)
-    xi = tuple(tau * v - wi for v, wi in zip(vs, w))
+    w = _g_inv_grad(sys, Nexpr, seed)
+    xi = tuple(tau * v - wi for v, wi in zip(sys.alphabet.velocity_symbols, w))
     f = tau * sys.L + Nexpr - sum(pi * wi for pi, wi in zip(sys.p, w))
     return Triple(tau=tau, xi=xi, f=f, form=STRONG)
 
@@ -375,16 +373,12 @@ def solve_strong(sys: LagrangianSystem, N, tau=sp.Integer(0), *, seed: int = 0) 
 def solve_alt_strong_trivial_gauge(
     sys: LagrangianSystem, N, *, c: float = 0.0, seed: int = 0
 ) -> Triple:
-    """Alternative-convention strong triple with zero boundary term."""
-    denom_excl = Exclusion(sys.L + c, DENOM_MARGIN)
-    Nexpr = _require_conserved(sys, N, seed, extra_exclusions=(denom_excl,))
-    vs = sys.alphabet.velocity_symbols
-    grad = [diff(Nexpr, v, sys.alphabet) for v in vs]
-    w = invert_g_apply(sys, grad, seed=seed)
-    tau = -(Nexpr - sum(pi * wi for pi, wi in zip(sys.p, w))) / (sys.L + c)
-    xi = tuple(-wi for wi in w)
-    return Triple(tau=tau, xi=xi, f=sp.Integer(0), form=ALT_STRONG,
-                  exclusions=(denom_excl,))
+    """Alternative-convention strong triple with zero boundary term:
+    ``convert_standard_alternative(trivialize(solve_strong(N, 0), "gauge", c))``."""
+    denom = Exclusion(sys.L + c, DENOM_MARGIN)
+    fi = _require_conserved(sys, N, seed, extra_exclusions=(denom,))
+    gauged = trivialize(sys, solve_strong(sys, fi, seed=seed), "gauge", c=c)
+    return convert_standard_alternative(sys, gauged)
 
 
 def multiplicity_transform(
@@ -393,12 +387,11 @@ def multiplicity_transform(
     """Trade the boundary term for h, preserving form and first integral:
     tau += (h-f)/L, xi += qdot*(h-f)/L, f = h."""
     h = sp.sympify(h)
-    denom_excl = Exclusion(sys.L + c, DENOM_MARGIN)
     shift = (h - tr.f) / (sys.L + c)
     xi = tuple(x + v * shift for x, v in zip(tr.xi, sys.alphabet.velocity_symbols))
     return Triple(
         tau=tr.tau + shift, xi=xi, f=h, form=tr.form,
-        exclusions=tr.exclusions + (denom_excl,),
+        exclusions=tr.exclusions + (Exclusion(sys.L + c, DENOM_MARGIN),),
     )
 
 
@@ -456,10 +449,8 @@ def velocity_independence_check(
     """Test affineness of w = g^{-1} d_qdot N in the velocities and that its
     velocity Jacobian is a scalar multiple of the identity; extract (a, b)
     on success."""
-    Nexpr = _as_expr(N)
     vs = sys.alphabet.velocity_symbols
-    grad = [diff(Nexpr, v, sys.alphabet) for v in vs]
-    w = invert_g_apply(sys, grad, seed=seed)
+    w = _g_inv_grad(sys, _as_expr(N), seed)
 
     second = [
         sp.diff(w[i], vs[j], vs[l])

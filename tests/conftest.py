@@ -1,6 +1,9 @@
 import pytest
+import sympy as sp
 
 from noetherkit import corpus
+from noetherkit.expressions import Alphabet, Exclusion
+from noetherkit.mechanics import build_system
 
 
 @pytest.fixture(scope="session")
@@ -21,3 +24,23 @@ def iso():
 @pytest.fixture(scope="session")
 def iso_steep():
     return corpus.load("isochrony", G="1/x^3", c=0.0)
+
+
+@pytest.fixture(scope="session")
+def iso_opaque():
+    """The isochrony system with G left opaque and bound to 1/x^3 (c = 0)."""
+    ab = Alphabet(coords=("x", "y"), params=("c",), opaque=("G",))
+    x, y = ab.coord_symbols
+    xd, yd = ab.velocity_symbols
+    c = ab.param_symbols[0]
+    G = sp.Function("G")(x)
+    Gp = sp.Derivative(G, x)
+    sysdef = build_system(
+        xd * yd - G * y, ab, name="isochrony[G opaque]", param_values={"c": 0.0},
+        bindings={"G": sp.Lambda(x, x**-3)}, exclusions=(Exclusion(x, 0.5),),
+    )
+    integrals = {
+        "N1": xd * yd + G * y,
+        "N3": (c + x**2) * Gp * xd * y - (c + x**2) * G * yd - x * xd**2 * yd + xd**3 * y,
+    }
+    return sysdef, integrals

@@ -5,11 +5,11 @@ import sys
 from pathlib import Path
 
 import pytest
+import sympy as sp
 
 import noetherkit
 
 from noetherkit import cli
-from noetherkit.corpus import load
 from noetherkit.sysfile import write_system_file, write_triple_file
 
 
@@ -24,6 +24,24 @@ def fp_sys(fp, tmp_path):
 def kepler_sys(kepler, tmp_path):
     path = tmp_path / "kepler.sys"
     write_system_file(path, kepler.system, integrals=kepler.integrals)
+    return str(path)
+
+
+@pytest.fixture()
+def fp_log_sys(fp, tmp_path):
+    """Free particle with log(q) declared, which q = 1 - t carries below 0."""
+    path = tmp_path / "fp_log.sys"
+    q = fp.system.alphabet.coord_symbols[0]
+    write_system_file(path, fp.system, integrals={"log_q": sp.log(q)})
+    return str(path)
+
+
+@pytest.fixture()
+def blow_sys(tmp_path):
+    """qddot = q^3, whose solutions leave the floats in finite time."""
+    path = tmp_path / "blow.sys"
+    path.write_text("[system]\nname = blow\ndim = 1\ncoords = q\n"
+                    "lagrangian = qdot^2/2 + q^4/4\n")
     return str(path)
 
 
@@ -165,17 +183,26 @@ EXIT_TABLE = [
     (["integrate", "{kepler}", "0,a,0,0,0,1,0", "--t1", "1"], cli.EXIT_PARSE),
     (["integrate", "{kepler}", "0,0.1,0,0,0,1,0", "--t1", "1"], cli.EXIT_SINGULAR),
     (["integrate", "{kepler}", KEPLER_ORBIT, "--t1", "0"], cli.EXIT_OK),
+    (["integrate", "{kepler}", KEPLER_ORBIT, "--t1", "1", "--dt", "1e-300"], cli.EXIT_PARSE),
+    (["integrate", "{kepler}", KEPLER_ORBIT, "--t1", "1e12"], cli.EXIT_PARSE),
+    (["integrate", "{blow}", "0,10,0", "--t1", "1"], cli.EXIT_TRUNCATED),
+    (["integrate", "{fp_log}", "0,1,-1", "--t1", "2", "--monitor", "log_q"],
+     cli.EXIT_SINGULAR),
+    (["solve", "{fp}", "energy", "--mode", "onflow-R", "--R", "1;2"], cli.EXIT_PARSE),
 ]
 
 
 @pytest.mark.parametrize("argv, code", EXIT_TABLE, ids=lambda v: " ".join(v)
                          if isinstance(v, list) else str(v))
-def test_exit_code_table(argv, code, fp_sys, kepler_sys, capsys):
-    argv = [a.format(fp=fp_sys, kepler=kepler_sys) for a in argv]
+def test_exit_code_table(argv, code, fp_sys, kepler_sys, blow_sys, fp_log_sys, capsys):
+    argv = [a.format(fp=fp_sys, kepler=kepler_sys, blow=blow_sys, fp_log=fp_log_sys)
+            for a in argv]
     assert cli.main(argv) == code
-    err = capsys.readouterr().err
+    out, err = capsys.readouterr()
     assert "Traceback" not in err
-    if code != cli.EXIT_OK:
+    if code == cli.EXIT_TRUNCATED:  # a report, not an error
+        assert json.loads(out)["truncated"] is True
+    elif code != cli.EXIT_OK:
         assert "error" in err.splitlines()[-1]
 
 

@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
 
+from noetherkit.expressions import Alphabet
+from noetherkit.mechanics import build_system
 from noetherkit.dynamics import (
+    MAX_STEPS,
     functional_independence_rank,
     integrate,
     monitor_drift,
@@ -56,6 +59,27 @@ def test_radial_plunge_truncates(kepler):
 def test_integrate_rejects_singular_start(kepler):
     with pytest.raises(ValueError):
         integrate(kepler.system, (0.0, [0.1, 0.0, 0.0], [0.0, 1.0, 0.0]), 1.0)
+
+
+def test_blow_up_truncates_at_the_last_finite_state():
+    # qddot = q^3 from q = 10 leaves the floats long before t = 1
+    ab = Alphabet(coords=("q",))
+    (q,), (qd,) = ab.coord_symbols, ab.velocity_symbols
+    sysdef = build_system(qd**2 / 2 + q**4 / 4, ab, name="blow")
+    traj = integrate(sysdef, (0.0, [10.0], [0.0]), 1.0, dt=1e-3)
+    assert traj.truncated
+    assert 1 < len(traj.t) < 1001
+    assert np.isfinite(traj.q).all() and np.isfinite(traj.qdot).all()
+
+
+def test_step_count_is_bounded(fp):
+    start = (0.0, [1.0], [0.5])
+    with pytest.raises(ValueError, match="limit"):
+        integrate(fp.system, start, 1.0, dt=1e-300)
+    with pytest.raises(ValueError, match="limit"):
+        integrate(fp.system, start, 1.0, dt=1e-320)  # step count overflows to inf
+    with pytest.raises(ValueError, match="limit"):
+        integrate(fp.system, start, (MAX_STEPS + 1) * 1e-3, dt=1e-3)
 
 
 def test_rank_of_duplicated_integral(iso):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 import sympy as sp
 
-from noetherkit.expressions import Alphabet, equal_numeric
+from noetherkit.expressions import Alphabet
 from noetherkit.mechanics import (
     RegularityError,
     build_system,
@@ -84,6 +84,19 @@ def test_el_residual_matches_g_times_lam_minus_acc(kepler):
     acc = np.array([point["r1ddot"], point["r2ddot"], point["r3ddot"]])
     # g is the identity here
     assert np.allclose(res, lam - acc)
+
+
+@pytest.mark.parametrize("name", ["fp", "iso", "iso_steep", "iso_opaque", "kepler"])
+def test_normal_form_solves_g_lam_equals_rhs(name, request):
+    # the integrator evaluates the compiled Lam directly; this is the check
+    # that it solves the Euler-Lagrange equations g * Lam = rhs
+    entry = request.getfixturevalue(name)
+    sysdef = entry[0] if name == "iso_opaque" else entry.system
+    n = sysdef.n
+    for i in range(n):
+        g_lam = sum(sysdef.g[i, j] * sysdef.lam[j] for j in range(n))
+        rep = sysdef.check(g_lam, sysdef.rhs[i], k=100, seed=3, label=f"g*Lam={i}")
+        assert rep.passed, rep.to_dict()
 
 
 def test_invert_g_apply_swaps_for_offdiagonal_hessian(iso):

@@ -5,17 +5,14 @@ import pytest
 import sympy as sp
 
 from noetherkit.expressions import (
-    Alphabet,
-    Exclusion,
     TotalDerivative,
     _eval_rows,
     compile_fn,
     draw_points,
     total_dt,
 )
-from noetherkit.mechanics import build_system
-
 from noetherkit.noether import (
+    DENOM_MARGIN,
     FORMS,
     NotConservedError,
     Triple,
@@ -66,26 +63,6 @@ def test_killing_lhs_strong_vs_onflow(fp):
 
 
 CORPUS_FIXTURES = ("fp", "iso", "iso_steep", "kepler")
-
-
-@pytest.fixture(scope="module")
-def iso_opaque():
-    """The isochrony system with G left opaque and bound to 1/x^3 (c = 0)."""
-    ab = Alphabet(coords=("x", "y"), params=("c",), opaque=("G",))
-    x, y = ab.coord_symbols
-    xd, yd = ab.velocity_symbols
-    c = ab.param_symbols[0]
-    G = sp.Function("G")(x)
-    Gp = sp.Derivative(G, x)
-    sysdef = build_system(
-        xd * yd - G * y, ab, name="isochrony[G opaque]", param_values={"c": 0.0},
-        bindings={"G": sp.Lambda(x, x**-3)}, exclusions=(Exclusion(x, 0.5),),
-    )
-    integrals = {
-        "N1": xd * yd + G * y,
-        "N3": (c + x**2) * Gp * xd * y - (c + x**2) * G * yd - x * xd**2 * yd + xd**3 * y,
-    }
-    return sysdef, integrals
 
 
 def _expand(e):
@@ -206,6 +183,12 @@ def test_solve_onflow_with_R(fp):
         solve_onflow_with_R(sysdef, fp.integrals["boost"], R=(1, 2))
 
 
+@pytest.mark.parametrize("xi", [(1, 2), ()])
+def test_solve_onflow_checks_xi_length(fp, xi):
+    with pytest.raises(ValueError, match="xi has length"):
+        solve_onflow(fp.system, fp.integrals["energy"], 0, xi)
+
+
 def test_solve_strong_round_trip(kepler):
     sysdef = kepler.system
     tr = solve_strong(sysdef, kepler.integrals["angmom3"])
@@ -225,6 +208,20 @@ def test_solvers_reject_non_integrals(fp):
     assert all(type(v) is float for v in witness.values())
     with pytest.raises(NotConservedError):
         solve_onflow_simplest(fp.system, q)
+
+
+@pytest.mark.parametrize("solver", [
+    solve_onflow_simplest,
+    lambda sysdef, N: solve_onflow_with_R(sysdef, N, [0]),
+    solve_alt_strong_trivial_gauge,
+], ids=["simplest", "with_R", "alt_strong"])
+def test_zero_gauge_solvers_check_conservation_off_their_denominator(fp, solver):
+    # d/dt (q/qdot^3) peaks where qdot, and so L, is near 0; these solvers
+    # divide by L + c, so their witness must keep |L + c| >= DENOM_MARGIN
+    q, qd = fp.system.alphabet.coord_symbols[0], fp.system.alphabet.velocity_symbols[0]
+    with pytest.raises(NotConservedError) as err:
+        solver(fp.system, q / qd**3)
+    assert err.value.report.worst_point["qdot"] ** 2 / 2 >= DENOM_MARGIN
 
 
 def test_alt_strong_solver(kepler):

@@ -1,6 +1,6 @@
 import pytest
 
-from noetherkit.noether import Triple, verify_triple
+from noetherkit.noether import verify_triple
 from noetherkit.sysfile import (
     SystemFileError,
     read_system_file,
