@@ -49,7 +49,6 @@ class Trajectory:
     q: np.ndarray  # shape (m, n)
     qdot: np.ndarray  # shape (m, n)
     dt: float
-    method: str = "rk4"
     truncated: bool = False
 
 
@@ -79,10 +78,12 @@ def _state_fn(sys: LagrangianSystem, exprs: Sequence[sp.Expr]):
     """Compile exprs into a function of (t, q, qdot) returning a float array."""
     fn = compile_fn(exprs, sys.alphabet, sys.bindings)
     names = [s.name for s in sys.alphabet.variables()]
+    # numpy floats make a pole read inf where Python floats raise
+    params = {name: np.float64(v) for name, v in sys.param_values.items()}
 
     def at(t: float, q: np.ndarray, qdot: np.ndarray) -> np.ndarray:
-        point = dict(zip(names, [t, *q, *qdot]))
-        point.update(sys.param_values)
+        point = dict(zip(names, [np.float64(t), *q, *qdot]))
+        point.update(params)
         return np.atleast_1d(np.asarray(fn(point), dtype=float))
 
     return at
@@ -111,14 +112,11 @@ def integrate(
     initial: tuple[float, Sequence[float], Sequence[float]],
     t1: float,
     dt: float = 1e-3,
-    method: str = "rk4",
 ) -> Trajectory:
     """Integrate qddot = Lam(t, q, qdot) from (t0, q0, qdot0) up to t1.
 
     Raises ValueError when the run would take more than ``MAX_STEPS`` steps.
     """
-    if method != "rk4":
-        raise ValueError(f"unknown method {method!r}")
     if dt <= 0:
         raise ValueError("dt must be positive")
     t0, q0, qd0 = initial

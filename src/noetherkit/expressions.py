@@ -16,7 +16,8 @@ direction d = (1, qdot, acc), which is exact to round-off (Squire & Trapp,
 SIAM Rev. 40 (1998) 110-112).
 
 The oracle compiles each distinct input once (:func:`compile_fn` keeps a
-bounded memo) and evaluates all k sample points in one numpy array call.
+bounded memo) and evaluates all k sample points, and every component of a
+componentwise check, in one numpy array call.
 Rejection sampling draws candidates in blocks from the same random stream as
 one-at-a-time draws, so a seed gives the same points either way.
 """
@@ -342,44 +343,27 @@ def compile_fn(
 
 @functools.lru_cache(maxsize=COMPILE_MEMO_SIZE)
 def _compile(exprs, alphabet, bindings, include_acc):
-    syms = alphabet.variables(include_acc) + alphabet.param_symbols
-    nodes = set().union(*(e.atoms(TotalDerivative) for e in exprs))
-    if nodes:
-        # the slot order sets the order of sums in the compiled code, so it
-        # must not follow the per-process order of a set
-        return _compile_with_nodes(
-            exprs, sorted(nodes, key=sp.default_sort_key), syms, alphabet,
-            bindings, include_acc,
-        )
-    bound = [bind_opaque(e, dict(bindings)) for e in exprs]
-    raw = sp.lambdify(syms, bound, modules=_MODULES, docstring_limit=0)
-    names = [s.name for s in syms]
-
-    def fn(point: Mapping[str, float]):
-        args = [point[name] for name in names]
-        with np.errstate(all="ignore"):
-            return raw(*args)
-
-    fn.arg_names = names
-    return fn
-
-
-def _compile_with_nodes(exprs, nodes, syms, alphabet, bindings, include_acc):
-    """One lambdified function of (variables, one slot per node) returning
-    the expressions, with the nodes replaced by their slots, then the node
-    bodies.  It is called once at the complex-shifted point of each
+    """One lambdified function of (variables, one slot per total-derivative
+    node) returning the expressions, with the nodes replaced by their slots,
+    then the node bodies.  Without nodes it is called once at the point.
+    With nodes it is called once at the complex-shifted point of each
     direction, which gives the node values, then once at the real point with
-    the slots bound to them.  Where a body is not finite at the real point
-    every value is NaN, so branch cuts of sqrt and log cannot hide a domain
-    violation behind a finite complex-step value."""
+    the slots bound to them.  An expression is NaN where the body of one of
+    its nodes is not finite at the real point, so branch cuts of sqrt and log
+    cannot hide a domain violation behind a finite complex-step value."""
+    syms = alphabet.variables(include_acc) + alphabet.param_symbols
+    # the slot order sets the order of sums in the compiled code, so it
+    # must not follow the per-process order of a set
+    held = [e.atoms(TotalDerivative) for e in exprs]
+    nodes = sorted(set().union(*held), key=sp.default_sort_key)
+    owners = [[i for i, node in enumerate(nodes) if node in own] for own in held]
     # valid identifiers outside the DSL's ASCII names; Dummy arguments would
     # make lambdify rewrite the whole expression
     slots = [sp.Symbol(f"Dt·{i}") for i in range(len(nodes))]
-    bind = dict(bindings)
-    outs = [bind_opaque(e.xreplace(dict(zip(nodes, slots))), bind) for e in exprs]
-    bodies = [bind_opaque(node.expr, bind) for node in nodes]
+    outs = [e.xreplace(dict(zip(nodes, slots))) for e in exprs]
     raw = sp.lambdify(
-        syms + tuple(slots), outs + bodies,
+        syms + tuple(slots),
+        [bind_opaque(e, dict(bindings)) for e in outs + [node.expr for node in nodes]],
         modules=[_COMPLEX_STEP_FUNCS, *_MODULES], docstring_limit=0,
     )
     groups = {}
@@ -396,10 +380,13 @@ def _compile_with_nodes(exprs, nodes, syms, alphabet, bindings, include_acc):
     no_slots = [0.0] * len(nodes)
 
     def fn(point: Mapping[str, float]):
-        real = [np.asarray(point[name], dtype=float) for name in names]
-        t, qs, vs = real[0], real[1:1 + n], real[1 + n:1 + 2 * n]
-        rates = [None] * len(nodes)
+        args = [point[name] for name in names]
         with np.errstate(all="ignore"):
+            if not nodes:
+                return raw(*args)
+            real = [np.asarray(v, dtype=float) for v in args]
+            t, qs, vs = real[0], real[1:1 + n], real[1 + n:1 + 2 * n]
+            rates = [None] * len(nodes)
             for direction, members in directions:
                 accs = direction(point)
                 shifted = (
@@ -412,10 +399,9 @@ def _compile_with_nodes(exprs, nodes, syms, alphabet, bindings, include_acc):
                 for i in members:
                     rates[i] = np.imag(vals[m + i]) / h
             vals = raw(*real, *rates)
-            finite = True
-            for body in vals[m:]:
-                finite = finite & np.isfinite(body)
-            return [np.where(finite, v, np.nan) for v in vals[:m]]
+            finite = [np.isfinite(body) for body in vals[m:]]
+            return [np.where(np.all([finite[i] for i in own], axis=0), v, np.nan)
+                    for v, own in zip(vals[:m], owners)]
 
     fn.arg_names = names
     return fn
@@ -434,11 +420,20 @@ def evaluate(
     alphabet: Alphabet,
     bindings: Mapping[str, sp.Lambda] | None = None,
 ) -> float:
-    """IEEE double evaluation at a fully bound sample point."""
-    fn = compile_fn([sp.sympify(e)], alphabet, bindings, include_acc=True)
-    full = dict(point)
-    for s in alphabet.variables(include_acc=True) + alphabet.param_symbols:
-        full.setdefault(s.name, 0.0)
+    """IEEE double evaluation at a sample point.
+
+    The point must bind every variable and parameter the value depends on
+    (ValueError names the missing ones); the others may be left out.
+    """
+    e = sp.sympify(e)
+    fn = compile_fn([e], alphabet, bindings, include_acc=True)
+    expanded = e.xreplace({node: node.doit() for node in e.atoms(TotalDerivative)})
+    needed = {s.name for s in bind_opaque(expanded, bindings).free_symbols}
+    missing = sorted(needed - set(point))
+    if missing:
+        raise ValueError(f"evaluating {e} needs values for {missing}")
+    # numpy floats give inf or NaN where Python floats raise or go complex
+    full = {name: np.float64(point.get(name, 0.0)) for name in fn.arg_names}
     try:
         val = float(fn(full)[0])
     except (ZeroDivisionError, ValueError, OverflowError) as err:
@@ -629,29 +624,46 @@ def equal_numeric(
     """Randomized identity oracle: PASS iff |a-b| <= tol*(1+max(|a|,|b|)) at
     all k sample points.
 
+    ``a`` and ``b`` may be equal-length lists or tuples, checked
+    componentwise with one compilation, one draw and one array call.  In
+    component order, the first with a non-finite value raises
+    DomainViolation and the first that fails gives the report, as checking
+    the pairs one at a time would; a PASS reports the largest residual.
+
     FAIL carries the worst point as a conclusive witness; PASS is strong
     probabilistic evidence only.  Deterministic for a fixed seed.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    a = sp.sympify(a)
-    b = sp.sympify(b)
-    param_values = dict(param_values or {})
-    fn = compile_fn([a, b], alphabet, bindings, include_acc)
-    points = draw_points(
-        alphabet, domain, param_values, bindings, k, seed, include_acc
+    lhs, rhs = (
+        [sp.sympify(x) for x in (v if isinstance(v, (list, tuple)) else [v])]
+        for v in (a, b)
     )
-    va, vb = _eval_rows(fn, points.columns, k)
+    if not lhs or len(lhs) != len(rhs):
+        raise ValueError(f"{len(lhs)} left sides against {len(rhs)} right sides")
+    exprs = [e for pair in zip(lhs, rhs) for e in pair]
+    fn = compile_fn(exprs, alphabet, bindings, include_acc)
+    points = draw_points(
+        alphabet, domain, param_values or {}, bindings, k, seed, include_acc
+    )
+    vals = _eval_rows(fn, points.columns, k)
+    va, vb = vals[0::2], vals[1::2]
     finite = np.isfinite(va) & np.isfinite(vb)
-    if not finite.all():
-        bad = points[int(np.argmin(finite))]
-        raise DomainViolation(sp.Eq(a, b, evaluate=False), bad)
-    resid = np.abs(va - vb) / (1.0 + np.maximum(np.abs(va), np.abs(vb)))
-    worst = int(np.argmax(resid))
+    with np.errstate(invalid="ignore"):
+        resid = np.abs(va - vb) / (1.0 + np.maximum(np.abs(va), np.abs(vb)))
+    peak = resid.max(axis=1)
+    for i in range(len(lhs)):
+        if not finite[i].all():
+            bad = points[int(np.argmin(finite[i]))]
+            raise DomainViolation(sp.Eq(lhs[i], rhs[i], evaluate=False), bad)
+        if peak[i] > tol:
+            break
+    else:
+        i = int(np.argmax(peak))
     return IdentityReport(
-        passed=bool(resid[worst] <= tol),
-        max_residual=float(resid[worst]),
-        worst_point=points[worst],
+        passed=bool(peak[i] <= tol),
+        max_residual=float(peak[i]),
+        worst_point=points[int(np.argmax(resid[i]))],
         k=k,
         tol=tol,
         seed=seed,

@@ -28,6 +28,7 @@ evaluates them by complex step, and ``.doit()`` expands them symbolically.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import partial
 from typing import Sequence
 
 import sympy as sp
@@ -428,6 +429,13 @@ def convert_standard_alternative(sys: LagrangianSystem, tr: Triple) -> Triple:
     return Triple(tau=tr.tau, xi=xi, f=tr.f, form=form, exclusions=tr.exclusions)
 
 
+_VI_REASONS = {
+    "affine-in-velocity": "second velocity derivative does not vanish",
+    "jacobian-scalar-multiple": "velocity Jacobian is not a scalar multiple of the identity",
+    "affine-extraction": "extracted affine form does not reproduce g^{-1} d_qdot N",
+}
+
+
 @dataclass(frozen=True)
 class VelocityIndependenceVerdict:
     """Whether N can come from a triple independent of the velocities.
@@ -451,41 +459,21 @@ def velocity_independence_check(
     on success."""
     vs = sys.alphabet.velocity_symbols
     w = _g_inv_grad(sys, _as_expr(N), seed)
-
-    second = [
-        sp.diff(w[i], vs[j], vs[l])
-        for i in range(sys.n)
-        for j in range(sys.n)
-        for l in range(j, sys.n)
-    ]
-    for expr in second:
-        rep = sys.check(expr, 0, k=k, tol=tol, seed=seed, label="affine-in-velocity")
-        if not rep.passed:
-            return VelocityIndependenceVerdict(
-                admissible=False, witness=rep.worst_point,
-                reason="second velocity derivative does not vanish",
-            )
-    jac = [[sp.diff(w[i], vs[j]) for j in range(sys.n)] for i in range(sys.n)]
-    for i in range(sys.n):
-        for j in range(sys.n):
-            target = jac[0][0] if i == j else sp.Integer(0)
-            rep = sys.check(jac[i][j], target, k=k, tol=tol, seed=seed,
-                            label="jacobian-scalar-multiple")
-            if not rep.passed:
-                return VelocityIndependenceVerdict(
-                    admissible=False, witness=rep.worst_point,
-                    reason="velocity Jacobian is not a scalar multiple of the identity",
-                )
-    b = tidy(jac[0][0])
-    zero_vel = {v: 0 for v in vs}
-    a = tuple(tidy(sp.sympify(wi).subs(zero_vel)) for wi in w)
-    # cross-check the extraction against w itself
-    for i in range(sys.n):
-        rep = sys.check(w[i], a[i] + b * vs[i], k=k, tol=tol, seed=seed,
-                        label="affine-extraction")
-        if not rep.passed:
-            return VelocityIndependenceVerdict(
-                admissible=False, witness=rep.worst_point,
-                reason="extracted affine form does not reproduce g^{-1} d_qdot N",
-            )
-    return VelocityIndependenceVerdict(admissible=True, a=a, b=b)
+    n = sys.n
+    check = partial(sys.check, k=k, tol=tol, seed=seed)
+    second = [sp.diff(w[i], vs[j], vs[l]) for i in range(n) for j in range(n) for l in range(j, n)]
+    rep = check(second, [0] * len(second), label="affine-in-velocity")
+    if rep.passed:
+        jac = [sp.diff(w[i], vs[j]) for i in range(n) for j in range(n)]
+        scalar = [jac[0] if i == j else 0 for i in range(n) for j in range(n)]
+        rep = check(jac, scalar, label="jacobian-scalar-multiple")
+    if rep.passed:
+        b = tidy(jac[0])
+        a = tuple(tidy(sp.sympify(wi).subs({v: 0 for v in vs})) for wi in w)
+        # cross-check the extraction against w itself
+        rep = check(list(w), [ai + b * v for ai, v in zip(a, vs)], label="affine-extraction")
+    if rep.passed:
+        return VelocityIndependenceVerdict(admissible=True, a=a, b=b)
+    return VelocityIndependenceVerdict(
+        admissible=False, witness=rep.worst_point, reason=_VI_REASONS[rep.label]
+    )

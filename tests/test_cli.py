@@ -45,6 +45,15 @@ def blow_sys(tmp_path):
     return str(path)
 
 
+@pytest.fixture()
+def pole_sys(tmp_path):
+    """qddot = 1/t, whose normal form has a pole at the start t = 0."""
+    path = tmp_path / "pole.sys"
+    path.write_text("[system]\nname = pole\ndim = 1\ncoords = q\n"
+                    "lagrangian = qdot^2/2 + q/t\n")
+    return str(path)
+
+
 def test_corpus_list(capsys):
     assert cli.main(["corpus", "list"]) == cli.EXIT_OK
     out = capsys.readouterr().out.split()
@@ -186,6 +195,7 @@ EXIT_TABLE = [
     (["integrate", "{kepler}", KEPLER_ORBIT, "--t1", "1", "--dt", "1e-300"], cli.EXIT_PARSE),
     (["integrate", "{kepler}", KEPLER_ORBIT, "--t1", "1e12"], cli.EXIT_PARSE),
     (["integrate", "{blow}", "0,10,0", "--t1", "1"], cli.EXIT_TRUNCATED),
+    (["integrate", "{pole}", "0,1,0", "--t1", "1"], cli.EXIT_TRUNCATED),
     (["integrate", "{fp_log}", "0,1,-1", "--t1", "2", "--monitor", "log_q"],
      cli.EXIT_SINGULAR),
     (["solve", "{fp}", "energy", "--mode", "onflow-R", "--R", "1;2"], cli.EXIT_PARSE),
@@ -194,8 +204,10 @@ EXIT_TABLE = [
 
 @pytest.mark.parametrize("argv, code", EXIT_TABLE, ids=lambda v: " ".join(v)
                          if isinstance(v, list) else str(v))
-def test_exit_code_table(argv, code, fp_sys, kepler_sys, blow_sys, fp_log_sys, capsys):
-    argv = [a.format(fp=fp_sys, kepler=kepler_sys, blow=blow_sys, fp_log=fp_log_sys)
+def test_exit_code_table(argv, code, fp_sys, kepler_sys, blow_sys, fp_log_sys, pole_sys,
+                         capsys):
+    argv = [a.format(fp=fp_sys, kepler=kepler_sys, blow=blow_sys, fp_log=fp_log_sys,
+                     pole=pole_sys)
             for a in argv]
     assert cli.main(argv) == code
     out, err = capsys.readouterr()

@@ -24,8 +24,6 @@ def test_free_particle_is_exact(fp):
 
 def test_integrate_argument_validation(fp):
     with pytest.raises(ValueError):
-        integrate(fp.system, (0.0, [1.0], [0.5]), 1.0, method="euler")
-    with pytest.raises(ValueError):
         integrate(fp.system, (0.0, [1.0], [0.5]), 1.0, dt=-0.1)
     with pytest.raises(ValueError):
         integrate(fp.system, (0.0, [1.0, 2.0], [0.5]), 1.0)

@@ -223,11 +223,23 @@ def test_substitute_binds_opaque_functions():
 
 def test_evaluate_and_domain_violation():
     assert evaluate(X * XD, {"x": 2.0, "xdot": 3.0}, AB) == pytest.approx(6.0)
+    # a name the value depends on is never filled in
+    with pytest.raises(ValueError, match=r"\['xdot', 'y'\]"):
+        evaluate(X * XD + Y, {"x": 2.0}, AB)
+    ab = Alphabet(coords=("q",), params=("m",), opaque=("G",))
+    (q,), (m,) = ab.coord_symbols, ab.param_symbols
+    with pytest.raises(ValueError, match="qdot"):
+        evaluate(total_dt(q**2, ab, [0]), {"t": 0.0, "q": 2.0}, ab)
+    with pytest.raises(ValueError, match="'m'"):
+        evaluate(sp.Function("G")(q), {"q": 2.0}, ab, {"G": sp.Lambda(q, m * q)})
+    assert evaluate(total_dt(q**2, ab, [0]), {"q": 2.0, "qdot": 3.0}, ab) == pytest.approx(12.0)
     with pytest.raises(DomainViolation) as err:
         evaluate(1 / X, {"x": 0.0}, AB)
     assert err.value.point["x"] == 0.0
     with pytest.raises(DomainViolation):
         evaluate(sp.sqrt(X), {"x": -1.0}, AB)
+    with pytest.raises(DomainViolation):
+        evaluate(X ** sp.Rational(3, 2), {"x": -1.0}, AB)
 
 
 def test_draw_points_deterministic_and_respects_exclusions():
@@ -368,6 +380,54 @@ def test_equal_numeric_raises_on_singular_point():
                      if p["x"] < 0)
     assert err.value.point == first_bad
     assert all(type(v) is float for v in err.value.point.values())
+
+
+def _sequential_reference(pairs):
+    """One equal_numeric call per pair at k = 50, stopping at the first FAIL."""
+    reports = []
+    for a, b in pairs:
+        rep = equal_numeric(a, b, AB, k=50)
+        if not rep.passed:
+            return rep
+        reports.append(rep)
+    return max(reports, key=lambda r: r.max_residual)
+
+
+COMPONENTWISE_CASES = {
+    "pass": [((X + Y) ** 2, X**2 + 2 * X * Y + Y**2), (sp.sin(X) ** 2, 1 - sp.cos(X) ** 2),
+             (X * XD, XD * X + sp.Float(1e-12))],
+    "second fails": [(X, X), (X**2, X), (Y**2, Y)],
+    "last fails": [(X, X), (Y, Y), (sp.exp(X), 1 + X)],
+    "fail before singular": [(X**2, X), (sp.sqrt(X), sp.sqrt(X))],
+    # a node that is singular at x < 0 must not mask the components before it
+    "nodes": [(total_dt(X * Y, AB, [0, 0]), XD * Y + X * YD),
+              (total_dt(X**2, AB, [0, 0]), XD),
+              (total_dt(sp.sqrt(X), AB, [0, 0]), XD)],
+}
+
+
+@pytest.mark.parametrize("name", COMPONENTWISE_CASES)
+def test_componentwise_oracle_matches_sequential_calls(name):
+    pairs = COMPONENTWISE_CASES[name]
+    want = _sequential_reference(pairs)
+    got = equal_numeric(*zip(*pairs), AB, k=50)
+    assert (got.passed, got.max_residual, got.worst_point) == (
+        want.passed, want.max_residual, want.worst_point)
+    assert got.passed == (name == "pass")
+
+
+def test_componentwise_oracle_raises_at_first_singular_component():
+    pairs = [(X, X), (sp.sqrt(X), sp.sqrt(X)), (X**2, X)]
+    with pytest.raises(DomainViolation) as want:
+        _sequential_reference(pairs)
+    with pytest.raises(DomainViolation) as got:
+        equal_numeric([a for a, _ in pairs], [b for _, b in pairs], AB, k=50)
+    assert str(got.value) == str(want.value)
+    assert got.value.point == want.value.point
+    with pytest.raises(ValueError):
+        equal_numeric([X, Y], [X], AB)
+    with pytest.raises(ValueError):
+        equal_numeric([], [], AB)
 
 
 def test_tidy_is_cosmetic_only():

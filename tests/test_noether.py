@@ -16,6 +16,7 @@ from noetherkit.noether import (
     FORMS,
     NotConservedError,
     Triple,
+    _integral_expr,
     check_conserved,
     convert_standard_alternative,
     killing_lhs,
@@ -110,6 +111,30 @@ def test_killing_lhs_nodes_match_expansion(name, request):
             lhs = killing_lhs(sysdef, tr, form)
             _assert_nodes_match_expansion(sysdef, lhs, form.endswith("strong"),
                                           tr.exclusions)
+
+
+@pytest.mark.parametrize("name", CORPUS_FIXTURES)
+def test_noether_identity_for_corpus_triples(name, request):
+    # killing_lhs - Dt(f) = -Dt(N) - eta.E, with E = g.qddot - rhs the
+    # Euler-Lagrange expression, which vanishes on the flow
+    entry = request.getfixturevalue(name)
+    sysdef, ab = entry.system, entry.system.alphabet
+    for tr in entry.triples.values():
+        for form in FORMS:
+            strong = form.endswith("strong")
+            lam = None if strong else sysdef.lam
+            convention = "alternative" if form.startswith("alt") else "standard"
+            N = _integral_expr(sysdef, tr, convention)
+            rhs = -total_dt(N, ab, lam)
+            if strong:
+                eta = [x - v * tr.tau if convention == "standard" else x
+                       for x, v in zip(tr.xi, ab.velocity_symbols)]
+                E = sysdef.g * sp.Matrix(ab.acceleration_symbols) - sp.Matrix(sysdef.rhs)
+                rhs -= sum(e * Ei for e, Ei in zip(eta, E))
+            lhs = killing_lhs(sysdef, tr, form) - total_dt(tr.f, ab, lam)
+            rep = sysdef.check(lhs, rhs, k=50, include_acc=strong,
+                               extra_exclusions=tr.exclusions)
+            assert rep.passed, (form, tr, rep.max_residual)
 
 
 def test_verify_triple_pass_and_fail(fp):
