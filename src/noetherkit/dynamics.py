@@ -1,7 +1,8 @@
 """Numerical integration of the normal form and first-integral drift checks.
 
 Fixed-step classical RK4 on the first-order system (q, qdot)' = (qdot, Lam).
-Each stage evaluates the system's normal form Lam, compiled once.  A
+The normal form Lam and the declared singular sets are compiled into one
+function, so each stage is one call that also gives the guard's values.  A
 trajectory is truncated with a flag when it approaches a declared singular
 set or its state stops being finite.  The step count is bounded by
 ``MAX_STEPS``.
@@ -10,6 +11,7 @@ set or its state stops being finite.  The step count is bounded by
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -74,39 +76,6 @@ class DriftReport:
         }
 
 
-def _state_fn(sys: LagrangianSystem, exprs: Sequence[sp.Expr]):
-    """Compile exprs into a function of (t, q, qdot) returning a float array."""
-    fn = compile_fn(exprs, sys.alphabet, sys.bindings)
-    names = [s.name for s in sys.alphabet.variables()]
-    # numpy floats make a pole read inf where Python floats raise
-    params = {name: np.float64(v) for name, v in sys.param_values.items()}
-
-    def at(t: float, q: np.ndarray, qdot: np.ndarray) -> np.ndarray:
-        point = dict(zip(names, [np.float64(t), *q, *qdot]))
-        point.update(params)
-        return np.atleast_1d(np.asarray(fn(point), dtype=float))
-
-    return at
-
-
-def _singular_guard(sys: LagrangianSystem):
-    if not sys.exclusions:
-        return lambda t, q, qdot: False
-    values = _state_fn(sys, [ex.expr for ex in sys.exclusions])
-    # steep singular sets can be crossed within a single step, so the abort
-    # distance follows each declared exclusion margin, never less than the
-    # baseline
-    thresholds = np.array(
-        [max(ex.threshold, SINGULAR_ABORT) for ex in sys.exclusions]
-    )
-
-    def near_singular(t: float, q: np.ndarray, qdot: np.ndarray) -> bool:
-        vals = values(t, q, qdot)
-        return bool(np.any(~np.isfinite(vals)) or np.any(np.abs(vals) < thresholds))
-
-    return near_singular
-
-
 def integrate(
     sys: LagrangianSystem,
     initial: tuple[float, Sequence[float], Sequence[float]],
@@ -115,7 +84,13 @@ def integrate(
 ) -> Trajectory:
     """Integrate qddot = Lam(t, q, qdot) from (t0, q0, qdot0) up to t1.
 
-    Raises ValueError when the run would take more than ``MAX_STEPS`` steps.
+    Each RK4 stage is one call of Lam compiled with the exclusion values,
+    on the state held as Python floats.  Each node is guarded by its own
+    call, which is the next step's first stage; the run is truncated at the
+    last node before a state that is not finite or within an exclusion
+    margin.  Raises SingularStartError for a start in an exclusion zone, and
+    ValueError when t1 is before t0 or the run needs more than ``MAX_STEPS``
+    steps.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
@@ -124,6 +99,8 @@ def integrate(
     qd0 = np.asarray(qd0, dtype=float)
     if q0.shape != (sys.n,) or qd0.shape != (sys.n,):
         raise ValueError(f"initial state must have dimension {sys.n}")
+    if t1 < t0:
+        raise ValueError(f"t1 = {t1:g} is before t0 = {t0:g}")
 
     span = (t1 - t0) / dt
     if not span <= MAX_STEPS:
@@ -133,41 +110,57 @@ def integrate(
         )
     steps = int(round(span))
 
-    accel = _state_fn(sys, list(sys.lam))
-    near_singular = _singular_guard(sys)
-    if near_singular(t0, q0, qd0):
-        raise SingularStartError("initial state is inside the singular exclusion zone")
-
-    ts = [t0]
-    qs = [q0]
-    qds = [qd0]
-    truncated = False
+    n = sys.n
+    exprs = list(sys.lam) + [ex.expr for ex in sys.exclusions]
+    stage = compile_fn(exprs, sys.alphabet, sys.bindings).positional
+    # numpy floats make a pole read inf where Python floats raise
+    params = [np.float64(sys.param_values[p]) for p in sys.alphabet.params]
+    # steep singular sets can be crossed within a single step, so the abort
+    # distance follows each declared exclusion margin, never less than the
+    # baseline
+    thresholds = [max(ex.threshold, SINGULAR_ABORT) for ex in sys.exclusions]
 
     def rhs(t, y):
-        q, qd = y[: sys.n], y[sys.n:]
-        return np.concatenate([qd, accel(t, q, qd)])
+        """(qdot, Lam) at (t, y), and the exclusion values there."""
+        vals = stage(np.float64(t), *map(np.float64, y), *params)
+        return y[n:] + [float(a) for a in vals[:n]], vals[n:]
 
-    y = np.concatenate([q0, qd0])
-    t = t0
-    for _ in range(steps):
-        k1 = rhs(t, y)
-        k2 = rhs(t + dt / 2, y + dt / 2 * k1)
-        k3 = rhs(t + dt / 2, y + dt / 2 * k2)
-        k4 = rhs(t + dt, y + dt * k3)
-        y = y + dt / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
-        t = t + dt
-        q, qd = y[: sys.n], y[sys.n:]
-        if not np.all(np.isfinite(y)) or near_singular(t, q, qd):
-            truncated = True
-            break
-        ts.append(t)
-        qs.append(q.copy())
-        qds.append(qd.copy())
+    def near_singular(excluded) -> bool:
+        return any(not math.isfinite(v) or abs(v) < th
+                   for v, th in zip(excluded, thresholds))
+
+    t = float(t0)
+    y = [*map(float, q0), *map(float, qd0)]
+    ts, ys = [t], [y]
+    truncated = False
+    h2, h6 = dt / 2, dt / 6
+    with np.errstate(all="ignore"):
+        k1, excluded = rhs(t, y)
+        if near_singular(excluded):
+            raise SingularStartError("initial state is inside the singular exclusion zone")
+        for _ in range(steps):
+            k2, _ = rhs(t + h2, [a + h2 * b for a, b in zip(y, k1)])
+            k3, _ = rhs(t + h2, [a + h2 * b for a, b in zip(y, k2)])
+            k4, _ = rhs(t + dt, [a + dt * b for a, b in zip(y, k3)])
+            y = [a + h6 * (b + 2 * c + 2 * d + e)
+                 for a, b, c, d, e in zip(y, k1, k2, k3, k4)]
+            t = t + dt
+            if not all(map(math.isfinite, y)):
+                truncated = True
+                break
+            # the next step's first stage, and the guard at this node
+            k1, excluded = rhs(t, y)
+            if near_singular(excluded):
+                truncated = True
+                break
+            ts.append(t)
+            ys.append(y)
+    states = np.array(ys)
     return Trajectory(
         system=sys.name,
         t=np.asarray(ts),
-        q=np.asarray(qs),
-        qdot=np.asarray(qds),
+        q=np.ascontiguousarray(states[:, :n]),
+        qdot=np.ascontiguousarray(states[:, n:]),
         dt=dt,
         truncated=truncated,
     )

@@ -404,6 +404,9 @@ def _compile(exprs, alphabet, bindings, include_acc):
                     for v, own in zip(vals[:m], owners)]
 
     fn.arg_names = names
+    # fn on arguments in arg_names order; without nodes the lambdified function
+    # itself, which skips the mapping and the errstate (callers hold their own)
+    fn.positional = raw if not nodes else lambda *args: fn(dict(zip(names, args)))
     return fn
 
 

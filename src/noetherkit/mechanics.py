@@ -163,9 +163,10 @@ def el_residual(sys: LagrangianSystem, point: Mapping[str, float]) -> np.ndarray
         for i, r in enumerate(sys.rhs)
     ]
     fn = compile_fn(exprs, sys.alphabet, sys.bindings, include_acc=True)
-    full = dict(point)
+    # numpy floats make a pole read inf where Python floats raise
+    full = {name: np.float64(v) for name, v in point.items()}
     for name, v in sys.param_values.items():
-        full.setdefault(name, float(v))
+        full.setdefault(name, np.float64(v))
     return np.asarray(fn(full), dtype=float)
 
 

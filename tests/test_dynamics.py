@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
 
-from noetherkit.expressions import Alphabet
+from noetherkit.expressions import Alphabet, compile_fn
 from noetherkit.mechanics import build_system
 from noetherkit.dynamics import (
     MAX_STEPS,
+    SINGULAR_ABORT,
+    SingularStartError,
     functional_independence_rank,
     integrate,
     monitor_drift,
@@ -27,6 +29,8 @@ def test_integrate_argument_validation(fp):
         integrate(fp.system, (0.0, [1.0], [0.5]), 1.0, dt=-0.1)
     with pytest.raises(ValueError):
         integrate(fp.system, (0.0, [1.0, 2.0], [0.5]), 1.0)
+    with pytest.raises(ValueError, match="before"):
+        integrate(fp.system, (0.0, [1.0], [0.5]), -1.0)
 
 
 def test_harmonic_coordinate_of_linear_G(iso):
@@ -59,12 +63,21 @@ def test_integrate_rejects_singular_start(kepler):
         integrate(kepler.system, (0.0, [0.1, 0.0, 0.0], [0.0, 1.0, 0.0]), 1.0)
 
 
-def test_blow_up_truncates_at_the_last_finite_state():
-    # qddot = q^3 from q = 10 leaves the floats long before t = 1
+def _blow_up_system():
     ab = Alphabet(coords=("q",))
     (q,), (qd,) = ab.coord_symbols, ab.velocity_symbols
-    sysdef = build_system(qd**2 / 2 + q**4 / 4, ab, name="blow")
-    traj = integrate(sysdef, (0.0, [10.0], [0.0]), 1.0, dt=1e-3)
+    return build_system(qd**2 / 2 + q**4 / 4, ab, name="blow")
+
+
+def _pole_system():
+    ab = Alphabet(coords=("q",))
+    (q,), (qd,) = ab.coord_symbols, ab.velocity_symbols
+    return build_system(qd**2 / 2 + q / ab.t, ab, name="pole")
+
+
+def test_blow_up_truncates_at_the_last_finite_state():
+    # qddot = q^3 from q = 10 leaves the floats long before t = 1
+    traj = integrate(_blow_up_system(), (0.0, [10.0], [0.0]), 1.0, dt=1e-3)
     assert traj.truncated
     assert 1 < len(traj.t) < 1001
     assert np.isfinite(traj.q).all() and np.isfinite(traj.qdot).all()
@@ -103,3 +116,86 @@ def test_write_trajectory_csv(fp, tmp_path):
     lines = path.read_text().strip().splitlines()
     assert lines[0] == "t,q,qdot"
     assert len(lines) == len(traj.t) + 1
+
+
+def _reference_integrate(sysdef, initial, t1, dt):
+    """RK4 as written before its stages were fused: a numpy state, one
+    dict-point call of the compiled Lam per stage, and a separate call of the
+    compiled exclusions to guard each node."""
+    n = sysdef.n
+    names = [s.name for s in sysdef.alphabet.variables()]
+    params = {k: np.float64(v) for k, v in sysdef.param_values.items()}
+
+    def state_fn(exprs):
+        fn = compile_fn(exprs, sysdef.alphabet, sysdef.bindings)
+
+        def at(t, y):
+            point = dict(zip(names, [np.float64(t), *y]), **params)
+            return np.atleast_1d(np.asarray(fn(point), dtype=float))
+
+        return at
+
+    accel = state_fn(list(sysdef.lam))
+    excluded = state_fn([ex.expr for ex in sysdef.exclusions])
+    thresholds = np.array([max(ex.threshold, SINGULAR_ABORT) for ex in sysdef.exclusions])
+
+    def near_singular(t, y):
+        if not sysdef.exclusions:
+            return False
+        vals = excluded(t, y)
+        return bool(np.any(~np.isfinite(vals)) or np.any(np.abs(vals) < thresholds))
+
+    def rhs(t, y):
+        return np.concatenate([y[n:], accel(t, y)])
+
+    t0, q0, qd0 = initial
+    y = np.concatenate([np.asarray(q0, dtype=float), np.asarray(qd0, dtype=float)])
+    if near_singular(t0, y):
+        raise SingularStartError("initial state is inside the singular exclusion zone")
+    t, ts, ys, truncated = t0, [t0], [y], False
+    for _ in range(int(round((t1 - t0) / dt))):
+        k1 = rhs(t, y)
+        k2 = rhs(t + dt / 2, y + dt / 2 * k1)
+        k3 = rhs(t + dt / 2, y + dt / 2 * k2)
+        k4 = rhs(t + dt, y + dt * k3)
+        y = y + dt / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
+        t = t + dt
+        if not np.all(np.isfinite(y)) or near_singular(t, y):
+            truncated = True
+            break
+        ts.append(t)
+        ys.append(y)
+    states = np.array(ys)
+    return np.asarray(ts), states[:, :n], states[:, n:], truncated
+
+
+@pytest.mark.parametrize("case", [
+    "kepler_orbit", "radial_plunge", "plunge_to_zone", "iso_steep_fall", "blow_up",
+    "pole", "iso_opaque_fall",
+])
+def test_integrate_matches_reference_loop(case, kepler, iso_steep, iso_opaque):
+    plunge = (kepler.system, (0.0, [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]), 3.0)
+    fall = ((0.0, [1.0, 1.0], [0.3, 0.0]), 2.0)
+    sysdef, initial, t1 = {
+        "kepler_orbit": (kepler.system, (0.0, [1.2, 0.1, -0.3], [0.1, 0.8, 0.2]), 2.0),
+        "radial_plunge": plunge,
+        "plunge_to_zone": plunge,
+        "iso_steep_fall": (iso_steep.system, *fall),
+        "blow_up": (_blow_up_system(), (0.0, [10.0], [0.0]), 1.0),
+        "pole": (_pole_system(), (0.0, [1.0], [0.0]), 1.0),
+        "iso_opaque_fall": (iso_opaque[0], *fall),
+    }[case]
+    dt = 1e-3
+    if case == "plunge_to_zone":
+        # end on the step whose new node lies in the exclusion zone, so the
+        # guard must run at the last node too
+        nodes = len(_reference_integrate(sysdef, initial, t1, dt)[0])
+        t1 = nodes * dt
+    t, q, qdot, truncated = _reference_integrate(sysdef, initial, t1, dt)
+    traj = integrate(sysdef, initial, t1, dt=dt)
+    assert truncated == (case != "kepler_orbit")
+    assert (len(t) == 1) == (case == "pole")
+    assert traj.truncated == truncated
+    assert np.array_equal(traj.t, t)
+    assert np.array_equal(traj.q, q)
+    assert np.array_equal(traj.qdot, qdot)

@@ -67,6 +67,16 @@ def test_el_residual_vanishes_on_the_flow(fp):
     assert np.allclose(el_residual(sysdef, point), [-2.5])
 
 
+def test_el_residual_at_a_pole_is_not_finite():
+    # Lam = 1/t: numpy floats give inf at t = 0 where Python floats raise
+    ab = Alphabet(coords=("q",))
+    (q,), (qd,) = ab.coord_symbols, ab.velocity_symbols
+    sysdef = build_system(qd**2 / 2 + q / ab.t, ab, name="pole")
+    res = el_residual(sysdef, {"t": 0.0, "q": 1.0, "qdot": 0.0, "qddot": 0.0})
+    assert res.shape == (1,)
+    assert not np.isfinite(res).any()
+
+
 def test_el_residual_matches_g_times_lam_minus_acc(kepler):
     sysdef = kepler.system
     point = {
