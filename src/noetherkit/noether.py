@@ -11,17 +11,20 @@ the alternative invariance convention, whose equation reads
 
     tau*d_t L + d_q L . (xi + tau*qdot) + d_qdot L . (xi_dot + tau*qddot) + L*tau_dot = f_dot
 
-The associated first integral is
-``N = f - L*tau - d_qdot L . (xi - qdot*tau)`` in the standard convention and
-``N = f - L*tau - d_qdot L . xi`` in the alternative one.
+With the characteristic eta = xi - qdot*tau (standard) or xi (alternative),
+the first integral N = f - L*tau - d_qdot L . eta and the Euler-Lagrange
+expression E = g*qddot - rhs, both left-hand sides equal
+``f_dot - N_dot - eta . E`` (the Noether identity), and ``killing_lhs``
+builds them so.  E vanishes on the flow, so a triple's on-flow verdict is
+the conservation verdict of its integral.
 
-Given L and a verified first integral N, ``solve_onflow`` and ``solve_strong``
-construct triples whose Noether integral is N.  The zero-gauge solvers are
-compositions of these two with the transforms ``trivialize`` (through
-``multiplicity_transform``) and ``convert_standard_alternative``.
+``solve_onflow`` and ``solve_strong`` invert N for a verified integral:
+f = N + L*tau + d_qdot L . eta.  The zero-gauge solvers compose them with
+``trivialize`` (through ``multiplicity_transform``) and
+``convert_standard_alternative``, which all keep eta.
 
-The total derivatives in these equations (tau_dot, xi_dot, f_dot and N_dot)
-are lazy :class:`~noetherkit.expressions.TotalDerivative` nodes: the oracle
+The total derivatives (tau_dot, xi_dot, f_dot and N_dot) are lazy
+:class:`~noetherkit.expressions.TotalDerivative` nodes: the oracle
 evaluates them by complex step, and ``.doit()`` expands them symbolically.
 """
 
@@ -65,9 +68,7 @@ __all__ = [
 
 ONFLOW = "onflow"
 STRONG = "strong"
-ALT_ONFLOW = "alt_onflow"
-ALT_STRONG = "alt_strong"
-FORMS = (ONFLOW, STRONG, ALT_ONFLOW, ALT_STRONG)
+FORMS = (ONFLOW, STRONG, "alt_onflow", "alt_strong")
 
 # Sampling keeps |L+c| above this margin wherever a solver divides by L+c;
 # wide enough that float64 cancellation stays below the 1e-9 check tolerance.
@@ -104,12 +105,7 @@ class Triple:
             raise ValueError(f"unknown form {self.form!r}")
 
     def simplified(self) -> "Triple":
-        return replace(
-            self,
-            tau=tidy(self.tau),
-            xi=tuple(tidy(x) for x in self.xi),
-            f=tidy(self.f),
-        )
+        return replace(self, tau=tidy(self.tau), xi=tuple(map(tidy, self.xi)), f=tidy(self.f))
 
 
 @dataclass(frozen=True)
@@ -160,45 +156,58 @@ class VerificationReport:
 
 
 def _as_expr(N) -> sp.Expr:
-    if isinstance(N, FirstIntegral):
-        return N.expr
-    return sp.sympify(N)
+    return N.expr if isinstance(N, FirstIntegral) else sp.sympify(N)
 
 
 def _check_triple_shape(sys: LagrangianSystem, tr: Triple) -> None:
     if len(tr.xi) != sys.n:
         raise ValueError(f"xi has length {len(tr.xi)}, expected {sys.n}")
-    for e in (tr.tau, *tr.xi, tr.f):
-        for a in sys.alphabet.acceleration_symbols:
-            if sp.sympify(e).has(a):
-                raise ValueError("triple components must be free of accelerations")
+    accs = sys.alphabet.acceleration_symbols
+    if any(sp.sympify(e).has(*accs) for e in (tr.tau, *tr.xi, tr.f)):
+        raise ValueError("triple components must be free of accelerations")
+
+
+def _decode(form: str) -> tuple[bool, str]:
+    """(strong?, convention) of one of the four forms."""
+    if form not in FORMS:
+        raise ValueError(f"unknown form {form!r}")
+    return form.endswith(STRONG), "alternative" if form.startswith("alt") else "standard"
+
+
+def _eta(sys: LagrangianSystem, tau, xi: Sequence, convention: str) -> tuple:
+    """The characteristic: xi - qdot*tau (standard) or xi (alternative)."""
+    if convention == "alternative":
+        return tuple(xi)
+    return tuple(x - v * tau for x, v in zip(xi, sys.alphabet.velocity_symbols))
+
+
+def _xi(sys: LagrangianSystem, tau, eta: Sequence, convention: str) -> tuple:
+    """Inverse of ``_eta``: xi from the characteristic and the time change."""
+    if convention == "alternative":
+        return tuple(eta)
+    return tuple(e + v * tau for e, v in zip(eta, sys.alphabet.velocity_symbols))
+
+
+def _complete(sys: LagrangianSystem, N, tau, eta: Sequence) -> sp.Expr:
+    """Boundary term of the triple with integral N: f = N + L*tau + p . eta."""
+    return N + sys.L * tau + sum(pi * e for pi, e in zip(sys.p, eta))
 
 
 def killing_lhs(sys: LagrangianSystem, tr: Triple, form: str) -> sp.Expr:
-    """Left-hand side of the Killing-type equation in the requested sense.
+    """Left-hand side of the Killing-type equation in the requested sense,
+    from the Noether identity ``Dt(f) - Dt(N) - eta . E`` (module docstring).
 
-    Strong senses keep accelerations symbolic inside the total derivatives;
-    on-flow senses substitute the system's normal form.
+    Strong senses keep the accelerations symbolic, in the total derivatives
+    and in E; on-flow senses substitute the normal form, where E = 0.
     """
     _check_triple_shape(sys, tr)
+    strong, convention = _decode(form)
     ab = sys.alphabet
-    lam = None if form in (STRONG, ALT_STRONG) else sys.lam
-    tau_dot = total_dt(tr.tau, ab, lam)
-    xi_dot = [total_dt(x, ab, lam) for x in tr.xi]
-    L, t = sys.L, ab.t
-    vs = ab.velocity_symbols
-    qs = ab.coord_symbols
-    if form in (ONFLOW, STRONG):
-        lhs = tr.tau * sp.diff(L, t) + L * tau_dot
-        for i in range(sys.n):
-            lhs += sp.diff(L, qs[i]) * tr.xi[i]
-            lhs += sp.diff(L, vs[i]) * (xi_dot[i] - vs[i] * tau_dot)
-        return lhs
-    accs = ab.acceleration_symbols if form == ALT_STRONG else sys.lam
-    lhs = tr.tau * sp.diff(L, t) + L * tau_dot
-    for i in range(sys.n):
-        lhs += sp.diff(L, qs[i]) * (tr.xi[i] + tr.tau * vs[i])
-        lhs += sp.diff(L, vs[i]) * (xi_dot[i] + tr.tau * accs[i])
+    lam = None if strong else sys.lam
+    lhs = total_dt(tr.f, ab, lam) - total_dt(_integral_expr(sys, tr, convention), ab, lam)
+    if strong:
+        E = sys.g * sp.Matrix(ab.acceleration_symbols) - sp.Matrix(sys.rhs)
+        lhs -= sum(e * Ei for e, Ei in zip(_eta(sys, tr.tau, tr.xi, convention), E))
     return lhs
 
 
@@ -221,25 +230,20 @@ def verify_triple(
     at the same tolerance.
     """
     form = form or tr.form
-    if form not in FORMS:
-        raise ValueError(f"unknown form {form!r}")
-    lam = None if form in (STRONG, ALT_STRONG) else sys.lam
+    strong, convention = _decode(form)
     lhs = killing_lhs(sys, tr, form)
-    rhs = total_dt(tr.f, sys.alphabet, lam)
-    include_acc = form in (STRONG, ALT_STRONG)
+    rhs = total_dt(tr.f, sys.alphabet, None if strong else sys.lam)
     extras = tuple(extra_exclusions) + tr.exclusions
     rep = sys.check(
         lhs, rhs,
-        k=k, tol=tol, seed=seed, include_acc=include_acc,
+        k=k, tol=tol, seed=seed, include_acc=strong,
         extra_exclusions=extras,
         label=label or f"killing:{form}",
     )
     integral_check = None
     if integral is not None:
-        convention = "alternative" if form.startswith("alt") else "standard"
-        candidate = _integral_expr(sys, tr, convention)
         integral_check = sys.check(
-            candidate, _as_expr(integral),
+            _integral_expr(sys, tr, convention), _as_expr(integral),
             k=k, tol=tol, seed=seed + 1,
             extra_exclusions=extras,
             label=f"noether-integral:{convention}",
@@ -289,12 +293,9 @@ def _g_inv_grad(sys: LagrangianSystem, Nexpr: sp.Expr, seed: int) -> tuple[sp.Ex
 
 
 def _integral_expr(sys: LagrangianSystem, tr: Triple, convention: str) -> sp.Expr:
-    vs = sys.alphabet.velocity_symbols
-    N = tr.f - sys.L * tr.tau
-    for i in range(sys.n):
-        shift = tr.xi[i] - vs[i] * tr.tau if convention == "standard" else tr.xi[i]
-        N -= sys.p[i] * shift
-    return N
+    """N = f - L*tau - p . eta."""
+    eta = _eta(sys, tr.tau, tr.xi, convention)
+    return tr.f - sys.L * tr.tau - sum(pi * e for pi, e in zip(sys.p, eta))
 
 
 def noether_integral(
@@ -323,16 +324,13 @@ def noether_integral(
 
 def solve_onflow(sys: LagrangianSystem, N, tau, xi: Sequence, *, seed: int = 0) -> Triple:
     """Complete an arbitrary (tau, xi) to an on-flow triple for integral N:
-    f = tau*L + N + d_qdot L . (xi - qdot*tau)."""
+    f = N + L*tau + d_qdot L . eta with eta = xi - qdot*tau."""
     xi = tuple(sp.sympify(x) for x in xi)
     if len(xi) != sys.n:
         raise ValueError(f"xi has length {len(xi)}, expected {sys.n}")
     Nexpr = _require_conserved(sys, N, seed).expr
     tau = sp.sympify(tau)
-    vs = sys.alphabet.velocity_symbols
-    f = tau * sys.L + Nexpr
-    for i in range(sys.n):
-        f += sys.p[i] * (xi[i] - tau * vs[i])
+    f = _complete(sys, Nexpr, tau, _eta(sys, tau, xi, "standard"))
     return Triple(tau=tau, xi=xi, f=f, form=ONFLOW)
 
 
@@ -360,15 +358,13 @@ def solve_onflow_with_R(
 
 
 def solve_strong(sys: LagrangianSystem, N, tau=sp.Integer(0), *, seed: int = 0) -> Triple:
-    """Strong-sense triple for integral N and free time change tau:
-    xi = tau*qdot - g^{-1} d_qdot N, f = tau*L + N - d_qdot L . g^{-1} d_qdot N.
-    """
+    """Strong-sense triple for integral N and free time change tau: eta =
+    -g^{-1} d_qdot N, xi = tau*qdot + eta, f = N + L*tau + d_qdot L . eta."""
     Nexpr = _require_conserved(sys, N, seed).expr
     tau = sp.sympify(tau)
-    w = _g_inv_grad(sys, Nexpr, seed)
-    xi = tuple(tau * v - wi for v, wi in zip(sys.alphabet.velocity_symbols, w))
-    f = tau * sys.L + Nexpr - sum(pi * wi for pi, wi in zip(sys.p, w))
-    return Triple(tau=tau, xi=xi, f=f, form=STRONG)
+    eta = tuple(-wi for wi in _g_inv_grad(sys, Nexpr, seed))
+    return Triple(tau=tau, xi=_xi(sys, tau, eta, "standard"),
+                  f=_complete(sys, Nexpr, tau, eta), form=STRONG)
 
 
 def solve_alt_strong_trivial_gauge(
@@ -385,25 +381,27 @@ def solve_alt_strong_trivial_gauge(
 def multiplicity_transform(
     sys: LagrangianSystem, tr: Triple, h, *, c: float = 0.0
 ) -> Triple:
-    """Trade the boundary term for h, preserving form and first integral:
-    tau += (h-f)/L, xi += qdot*(h-f)/L, f = h."""
+    """Trade the boundary term for h, preserving form and eta: tau += s and
+    f = h with s = (h-f)/(L+c), so that xi += qdot*s in the standard
+    convention.  With c = 0 the first integral is preserved."""
     h = sp.sympify(h)
     shift = (h - tr.f) / (sys.L + c)
-    xi = tuple(x + v * shift for x, v in zip(tr.xi, sys.alphabet.velocity_symbols))
+    _, convention = _decode(tr.form)
     return Triple(
-        tau=tr.tau + shift, xi=xi, f=h, form=tr.form,
+        tau=tr.tau + shift, xi=_xi(sys, shift, tr.xi, convention), f=h, form=tr.form,
         exclusions=tr.exclusions + (Exclusion(sys.L + c, DENOM_MARGIN),),
     )
 
 
 def trivialize(sys: LagrangianSystem, tr: Triple, which: str, *, c: float = 0.0) -> Triple:
-    """Equivalent triple with zero time change (``which='time'``) or zero
-    boundary term (``which='gauge'``); the first integral is unchanged."""
-    vs = sys.alphabet.velocity_symbols
+    """Equivalent triple with zero time change (``which='time'``: xi = eta,
+    f -= L*tau) or zero boundary term (``which='gauge'``); the first
+    integral is unchanged."""
     if which == "time":
+        _, convention = _decode(tr.form)
         return Triple(
             tau=sp.Integer(0),
-            xi=tuple(x - v * tr.tau for x, v in zip(tr.xi, vs)),
+            xi=_eta(sys, tr.tau, tr.xi, convention),
             f=tr.f - sys.L * tr.tau,
             form=tr.form,
             exclusions=tr.exclusions,
@@ -414,18 +412,16 @@ def trivialize(sys: LagrangianSystem, tr: Triple, which: str, *, c: float = 0.0)
 
 
 def convert_standard_alternative(sys: LagrangianSystem, tr: Triple) -> Triple:
-    """Map between the standard and alternative conventions.
-
-    Standard -> alternative replaces xi by xi - tau*qdot; the reverse adds
+    """Map between the standard and alternative conventions, keeping eta:
+    standard -> alternative replaces xi by xi - tau*qdot; the reverse adds
     tau*qdot back.  Round trips are the identity.
     """
-    vs = sys.alphabet.velocity_symbols
-    if tr.form.startswith("alt"):
-        xi = tuple(x + tr.tau * v for x, v in zip(tr.xi, vs))
-        form = tr.form.removeprefix("alt_")
+    _, convention = _decode(tr.form)
+    if convention == "alternative":
+        other, form = "standard", tr.form.removeprefix("alt_")
     else:
-        xi = tuple(x - tr.tau * v for x, v in zip(tr.xi, vs))
-        form = "alt_" + tr.form
+        other, form = "alternative", "alt_" + tr.form
+    xi = _xi(sys, tr.tau, _eta(sys, tr.tau, tr.xi, convention), other)
     return Triple(tau=tr.tau, xi=xi, f=tr.f, form=form, exclusions=tr.exclusions)
 
 

@@ -13,10 +13,13 @@ System file layout (key = value within ``[section]`` headers)::
     name = lrl_u
     expr = ...
 
-Optional keys: ``opaque`` (function names), ``singular_threshold``, and
-``range_<var> = lo, hi`` sampling overrides.  Triple files use a ``[triple]``
-section with ``tau``, ``xi`` (comma-separated components), ``f``, ``form``.
-All expressions use the grammar of :mod:`noetherkit.dsl`.
+Each ``singular`` entry is ``expr @ threshold`` (sampling rejects
+|expr| < threshold); one without ``@`` takes ``singular_threshold``
+(default 1e-3), as in older files.  ``range_<var> = lo, hi`` overrides the
+sampling box.  Triple files use a ``[triple]`` section with ``tau``, ``xi``
+(comma-separated components), ``f``, ``form`` and the ``singular`` entries
+of the margins its solver declared.  All expressions use the grammar of
+:mod:`noetherkit.dsl`.  Files cannot bind opaque functions, nor declare them.
 """
 
 from __future__ import annotations
@@ -100,6 +103,30 @@ def _require(body: dict, key: str, section: str):
     return body[key][0]
 
 
+def _number(kind, text: str, lineno: int | None = None):
+    try:
+        return kind(text)
+    except ValueError as err:
+        raise SystemFileError(f"not a number: {text.strip()!r}", lineno) from err
+
+
+def _read_exclusions(body: dict, alphabet: Alphabet) -> tuple[Exclusion, ...]:
+    """The ``singular`` entries of a [system] or [triple] section."""
+    text, lineno = body.get("singular", ("", None))
+    default = _number(float, *body.get("singular_threshold", ("1e-3", None)))
+    exclusions = []
+    for item in filter(None, _split_top_level(text)):
+        expr, at, threshold = item.partition("@")
+        threshold = _number(float, threshold, lineno) if at else default
+        exclusions.append(Exclusion(parse(expr, alphabet), threshold))
+    return tuple(exclusions)
+
+
+def _exclusion_lines(exclusions) -> list[str]:
+    entries = ", ".join(f"{print_expr(ex.expr)} @ {ex.threshold!r}" for ex in exclusions)
+    return [f"singular = {entries}"] if entries else []
+
+
 def _parse_params(text: str) -> dict[str, float]:
     values = {}
     if not text:
@@ -109,10 +136,7 @@ def _parse_params(text: str) -> dict[str, float]:
         name = name.strip()
         if not name or not val.strip():
             raise SystemFileError(f"malformed parameter entry {item!r}")
-        try:
-            values[name] = float(val)
-        except ValueError as err:
-            raise SystemFileError(f"non-numeric parameter value in {item!r}") from err
+        values[name] = _number(float, val)
     return values
 
 
@@ -125,37 +149,31 @@ def read_system_file(path) -> SystemFile:
     alphabet = None
     for section, body in _sections(text):
         if section == "system":
+            if "opaque" in body:
+                raise SystemFileError("a system file cannot declare opaque functions",
+                                      body["opaque"][1])
             name = _get(body, "name", Path(path).stem)
-            dim = int(_require(body, "dim", section))
+            dim = _number(int, _require(body, "dim", section), body["dim"][1])
             coords = tuple(_split_top_level(_require(body, "coords", section)))
             if len(coords) != dim:
                 raise SystemFileError(
                     f"dim = {dim} but {len(coords)} coordinate name(s) given"
                 )
             params = _parse_params(_get(body, "params", ""))
-            opaque = tuple(
-                s for s in _split_top_level(_get(body, "opaque", "")) if s
-            )
-            alphabet = Alphabet(coords=coords, params=tuple(params), opaque=opaque)
+            alphabet = Alphabet(coords=coords, params=tuple(params))
             L = parse(_require(body, "lagrangian", section), alphabet)
-            threshold = float(_get(body, "singular_threshold", "1e-3"))
-            exclusions = tuple(
-                Exclusion(parse(s, alphabet), threshold)
-                for s in _split_top_level(_get(body, "singular", ""))
-                if s
-            )
             var_ranges = {}
             for key, (value, lineno) in body.items():
                 if key.startswith("range_"):
                     bounds = _split_top_level(value)
                     if len(bounds) != 2:
                         raise SystemFileError(f"range needs two bounds", lineno)
-                    var_ranges[key.removeprefix("range_")] = (
-                        float(bounds[0]), float(bounds[1]),
+                    var_ranges[key.removeprefix("range_")] = tuple(
+                        _number(float, b, lineno) for b in bounds
                     )
             system = build_system(
                 L, alphabet, name=name, param_values=params,
-                exclusions=exclusions, var_ranges=var_ranges,
+                exclusions=_read_exclusions(body, alphabet), var_ranges=var_ranges,
             )
         elif section == "integral":
             if alphabet is None:
@@ -181,7 +199,8 @@ def _triple_from_body(body: dict, alphabet: Alphabet) -> Triple:
     )
     f = parse(_require(body, "f", "triple"), alphabet)
     form = _get(body, "form", "onflow")
-    return Triple(tau=tau, xi=xi, f=f, form=form)
+    return Triple(tau=tau, xi=xi, f=f, form=form,
+                  exclusions=_read_exclusions(body, alphabet))
 
 
 def read_triple_file(path, alphabet: Alphabet) -> dict[str, Triple]:
@@ -203,7 +222,11 @@ def write_system_file(
     integrals: dict | None = None,
     triples: dict[str, Triple] | None = None,
 ) -> None:
-    """Emit a definition file that round-trips through read_system_file."""
+    """Emit a definition file that round-trips through read_system_file;
+    ValueError for a system with opaque functions, which a file cannot bind."""
+    if system.alphabet.opaque:
+        raise ValueError("a system file cannot declare opaque functions "
+                         f"({', '.join(system.alphabet.opaque)})")
     lines = ["[system]", f"name = {system.name or Path(path).stem}"]
     lines.append(f"dim = {system.n}")
     lines.append("coords = " + ", ".join(system.alphabet.coords))
@@ -212,14 +235,8 @@ def write_system_file(
             "params = "
             + ", ".join(f"{k} = {v!r}" for k, v in system.param_values.items())
         )
-    if system.alphabet.opaque:
-        lines.append("opaque = " + ", ".join(system.alphabet.opaque))
     lines.append(f"lagrangian = {print_expr(system.L)}")
-    if system.exclusions:
-        lines.append(
-            "singular = " + ", ".join(print_expr(ex.expr) for ex in system.exclusions)
-        )
-        lines.append(f"singular_threshold = {system.exclusions[0].threshold!r}")
+    lines += _exclusion_lines(system.exclusions)
     for var, (lo, hi) in system.var_ranges.items():
         lines.append(f"range_{var} = {lo!r}, {hi!r}")
     for name, expr in (integrals or {}).items():
@@ -237,6 +254,7 @@ def _triple_lines(name: str, tr: Triple) -> list[str]:
         "xi = " + ", ".join(print_expr(x) for x in tr.xi),
         f"f = {print_expr(tr.f)}",
         f"form = {tr.form}",
+        *_exclusion_lines(tr.exclusions),
     ]
 
 

@@ -1,9 +1,16 @@
 import pytest
 import sympy as sp
+from hypothesis import settings
 
 from noetherkit import corpus
 from noetherkit.expressions import Alphabet, Exclusion
 from noetherkit.mechanics import build_system
+
+# Property tests see the same examples on every run, and each example
+# compiles fresh expressions, so there is no per-example deadline.
+settings.register_profile("noetherkit", derandomize=True, deadline=None, database=None,
+                          max_examples=20)
+settings.load_profile("noetherkit")
 
 
 @pytest.fixture(scope="session")

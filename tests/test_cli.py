@@ -54,6 +54,24 @@ def pole_sys(tmp_path):
     return str(path)
 
 
+@pytest.fixture()
+def opaque_sys(tmp_path):
+    """A file that declares an opaque function, which a file cannot bind."""
+    path = tmp_path / "opaque.sys"
+    path.write_text("[system]\nname = iso\ndim = 2\ncoords = x, y\nopaque = G\n"
+                    "lagrangian = xdot*ydot - G(x)*y\n"
+                    "[integral]\nname = N1\nexpr = xdot*ydot + G(x)*y\n")
+    return str(path)
+
+
+@pytest.fixture()
+def bad_number_sys(tmp_path):
+    path = tmp_path / "bad_number.sys"
+    path.write_text("[system]\ndim = 1\ncoords = q\nlagrangian = qdot^2/2\n"
+                    "singular = q\nsingular_threshold = small\n")
+    return str(path)
+
+
 def test_corpus_list(capsys):
     assert cli.main(["corpus", "list"]) == cli.EXIT_OK
     out = capsys.readouterr().out.split()
@@ -89,6 +107,17 @@ def test_solve_strong_and_verify(fp_sys, tmp_path, capsys):
     assert report["verification"]["verdict"] == "PASS"
     assert report["verification"]["integral_check"]["verdict"] == "PASS"
     assert cli.main(["verify", fp_sys, str(tri)]) == cli.EXIT_OK
+
+
+def test_solved_triple_file_keeps_the_solver_margin(tmp_path, capsys):
+    # the isochrony L = xdot*ydot - x*y changes sign in the box; the triple
+    # divides by it, and its file keeps the margin the solver declared
+    iso, tri = str(tmp_path / "iso.sys"), str(tmp_path / "n1.tri")
+    assert cli.main(["corpus", "export", "isochrony", "--out", iso]) == cli.EXIT_OK
+    assert cli.main(["solve", iso, "N1", "--mode", "onflow-simplest", "--seed", "0",
+                     "--triple-out", tri]) == cli.EXIT_OK
+    assert cli.main(["verify", iso, tri, "--seed", "0", "--k", "5000"]) == cli.EXIT_OK
+    capsys.readouterr()
 
 
 def test_solve_accepts_inline_expression(fp_sys, capsys):
@@ -199,15 +228,17 @@ EXIT_TABLE = [
     (["integrate", "{fp_log}", "0,1,-1", "--t1", "2", "--monitor", "log_q"],
      cli.EXIT_SINGULAR),
     (["solve", "{fp}", "energy", "--mode", "onflow-R", "--R", "1;2"], cli.EXIT_PARSE),
+    (["solve", "{opaque}", "N1", "--mode", "strong"], cli.EXIT_PARSE),
+    (["describe", "{bad_number}"], cli.EXIT_PARSE),
 ]
 
 
 @pytest.mark.parametrize("argv, code", EXIT_TABLE, ids=lambda v: " ".join(v)
                          if isinstance(v, list) else str(v))
 def test_exit_code_table(argv, code, fp_sys, kepler_sys, blow_sys, fp_log_sys, pole_sys,
-                         capsys):
+                         opaque_sys, bad_number_sys, capsys):
     argv = [a.format(fp=fp_sys, kepler=kepler_sys, blow=blow_sys, fp_log=fp_log_sys,
-                     pole=pole_sys)
+                     pole=pole_sys, opaque=opaque_sys, bad_number=bad_number_sys)
             for a in argv]
     assert cli.main(argv) == code
     out, err = capsys.readouterr()

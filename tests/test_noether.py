@@ -1,13 +1,16 @@
 import ast
+from dataclasses import replace
 
 import numpy as np
 import pytest
 import sympy as sp
+from hypothesis import given, strategies as st
 
 from noetherkit.expressions import (
     TotalDerivative,
     _eval_rows,
     compile_fn,
+    diff,
     draw_points,
     total_dt,
 )
@@ -16,7 +19,6 @@ from noetherkit.noether import (
     FORMS,
     NotConservedError,
     Triple,
-    _integral_expr,
     check_conserved,
     convert_standard_alternative,
     killing_lhs,
@@ -113,26 +115,40 @@ def test_killing_lhs_nodes_match_expansion(name, request):
                                           tr.exclusions)
 
 
+def _reference_killing_lhs(sysdef, tr, form):
+    """The Killing-type left-hand sides written out term by term, as the
+    noether module docstring states them."""
+    ab = sysdef.alphabet
+    strong = form.endswith("strong")
+    lam = None if strong else sysdef.lam
+    tau_dot = total_dt(tr.tau, ab, lam)
+    xi_dot = [total_dt(x, ab, lam) for x in tr.xi]
+    L, t = sysdef.L, ab.t
+    vs, qs = ab.velocity_symbols, ab.coord_symbols
+    lhs = tr.tau * sp.diff(L, t) + L * tau_dot
+    if not form.startswith("alt"):
+        for i in range(sysdef.n):
+            lhs += sp.diff(L, qs[i]) * tr.xi[i]
+            lhs += sp.diff(L, vs[i]) * (xi_dot[i] - vs[i] * tau_dot)
+        return lhs
+    accs = ab.acceleration_symbols if strong else sysdef.lam
+    for i in range(sysdef.n):
+        lhs += sp.diff(L, qs[i]) * (tr.xi[i] + tr.tau * vs[i])
+        lhs += sp.diff(L, vs[i]) * (xi_dot[i] + tr.tau * accs[i])
+    return lhs
+
+
 @pytest.mark.parametrize("name", CORPUS_FIXTURES)
 def test_noether_identity_for_corpus_triples(name, request):
-    # killing_lhs - Dt(f) = -Dt(N) - eta.E, with E = g.qddot - rhs the
-    # Euler-Lagrange expression, which vanishes on the flow
+    # killing_lhs builds Dt(f) - Dt(N) - eta.E, with E = g.qddot - rhs the
+    # Euler-Lagrange expression; it must equal the Killing sums term by term
     entry = request.getfixturevalue(name)
-    sysdef, ab = entry.system, entry.system.alphabet
+    sysdef = entry.system
     for tr in entry.triples.values():
         for form in FORMS:
-            strong = form.endswith("strong")
-            lam = None if strong else sysdef.lam
-            convention = "alternative" if form.startswith("alt") else "standard"
-            N = _integral_expr(sysdef, tr, convention)
-            rhs = -total_dt(N, ab, lam)
-            if strong:
-                eta = [x - v * tr.tau if convention == "standard" else x
-                       for x, v in zip(tr.xi, ab.velocity_symbols)]
-                E = sysdef.g * sp.Matrix(ab.acceleration_symbols) - sp.Matrix(sysdef.rhs)
-                rhs -= sum(e * Ei for e, Ei in zip(eta, E))
-            lhs = killing_lhs(sysdef, tr, form) - total_dt(tr.f, ab, lam)
-            rep = sysdef.check(lhs, rhs, k=50, include_acc=strong,
+            rep = sysdef.check(killing_lhs(sysdef, tr, form),
+                               _reference_killing_lhs(sysdef, tr, form),
+                               k=50, include_acc=form.endswith("strong"),
                                extra_exclusions=tr.exclusions)
             assert rep.passed, (form, tr, rep.max_residual)
 
@@ -284,6 +300,19 @@ def test_trivialize_time_and_gauge(fp):
         trivialize(sysdef, tr, "both")
 
 
+def test_transforms_of_alternative_triples_keep_the_integral(fp):
+    # in the alternative convention eta is xi itself, so zeroing tau or
+    # trading the boundary term leaves xi alone
+    sysdef = fp.system
+    t = sysdef.alphabet.t
+    for name in ("gamma4", "gamma5", "gamma7"):
+        alt = convert_standard_alternative(sysdef, fp.triples[name])
+        timeless = trivialize(sysdef, alt, "time")
+        assert timeless.xi == alt.xi and timeless.form == alt.form
+        for tr in (timeless, multiplicity_transform(sysdef, alt, sp.sin(t))):
+            assert verify_triple(sysdef, tr, fp.triple_integrals[name]).passed
+
+
 def test_convert_standard_alternative_round_trip(fp):
     sysdef = fp.system
     for name in ("gamma4", "gamma7"):
@@ -323,3 +352,101 @@ def test_velocity_independence_cubic_fails(fp):
 
 def test_forms_constant():
     assert FORMS == ("onflow", "strong", "alt_onflow", "alt_strong")
+
+
+# Properties of the solution sets: the paper describes every on-flow and
+# strong solution through its first integral N.  The draws are small
+# polynomials in t, the first and last coordinate and velocity.
+
+def _monomials(ab):
+    qs, vs = ab.coord_symbols, ab.velocity_symbols
+    return (sp.Integer(1), ab.t, qs[0], qs[-1], vs[0], vs[-1], qs[0] * vs[-1])
+
+
+@st.composite
+def _polys(draw, ab, size=2):
+    terms = draw(st.lists(st.tuples(st.integers(-2, 2), st.sampled_from(_monomials(ab))),
+                          max_size=size))
+    return sum((c * m for c, m in terms), sp.Integer(0))
+
+
+@st.composite
+def _solved(draw, systems):
+    """A system with one of its integrals N, drawn from the corpus (the
+    isochrony family G = x at a drawn parameter c), and a triple for N:
+    solve_onflow or solve_strong at a drawn tau (and R), followed by drawn
+    multiplicity transforms to a boundary term h, trivializations, and a
+    conversion to the alternative convention."""
+    name = draw(st.sampled_from(sorted(systems)))
+    sysdef, integrals = systems[name]
+    if name == "iso":  # G = x solves the family's ODE for every c
+        sysdef = replace(sysdef, param_values={"c": draw(st.floats(-2, 2))})
+    ab = sysdef.alphabet
+    N = integrals[draw(st.sampled_from(sorted(integrals)))]
+    tau = draw(_polys(ab))
+    if draw(st.booleans()):
+        tr = solve_strong(sysdef, N, tau)
+    else:
+        tr = solve_onflow(sysdef, N, tau, [draw(_polys(ab)) for _ in range(sysdef.n)])
+    for step in draw(st.lists(st.sampled_from(("h", "time", "gauge")), max_size=2)):
+        if step == "h":
+            tr = multiplicity_transform(sysdef, tr, draw(_polys(ab)))
+        else:
+            tr = trivialize(sysdef, tr, step)
+    if draw(st.booleans()):
+        tr = convert_standard_alternative(sysdef, tr)
+    return sysdef, N, tr
+
+
+@pytest.fixture(scope="module")
+def systems(fp, iso, iso_steep, kepler):
+    entries = {"fp": fp, "iso": iso, "iso_steep": iso_steep, "kepler": kepler}
+    return {name: (e.system, e.integrals) for name, e in entries.items()}
+
+
+@given(data=st.data())
+def test_composed_solutions_verify_with_their_integral(systems, data):
+    sysdef, N, tr = data.draw(_solved(systems))
+    rep = verify_triple(sysdef, tr, N)
+    assert rep.passed, (tr, rep.to_dict())
+    assert rep.integral_check.passed
+
+
+@given(data=st.data())
+def test_strong_solutions_are_determined_by_their_integral(systems, data):
+    sysdef, N, tr = data.draw(_solved(systems))
+    if not tr.form.endswith("strong"):
+        tr = replace(solve_strong(sysdef, N, tr.tau), exclusions=tr.exclusions)
+    def check(a, b):
+        return sysdef.check(a, b, k=50, extra_exclusions=tr.exclusions)
+
+    ab = sysdef.alphabet
+    # eta = -g^{-1} d_qdot N: g.eta + d_qdot N = 0 componentwise
+    eta = [x - v * tr.tau if tr.form == "strong" else x
+           for x, v in zip(tr.xi, ab.velocity_symbols)]
+    g_eta = sysdef.g * sp.Matrix(eta)
+    assert check([g_eta[i] + diff(N, v, ab) for i, v in enumerate(ab.velocity_symbols)],
+                 [0] * sysdef.n).passed
+    # solve_strong recovers the triple from its integral and tau
+    convention = "alternative" if tr.form.startswith("alt") else "standard"
+    again = solve_strong(sysdef, noether_integral(sysdef, tr, convention), tr.tau)
+    if convention == "alternative":
+        again = convert_standard_alternative(sysdef, again)
+    assert check([*again.xi, again.f], [*tr.xi, tr.f]).passed
+
+
+@given(data=st.data(), eps=st.sampled_from((1e-3, 0.1, 1.0)))
+def test_perturbed_solutions_fail_with_a_witness(systems, data, eps):
+    sysdef, N, tr = data.draw(_solved(systems))
+    ab = sysdef.alphabet
+    bump = data.draw(st.sampled_from((ab.t, ab.coord_symbols[0], ab.t * ab.coord_symbols[-1])))
+    bad = replace(tr, f=tr.f + eps * bump)
+    rep = verify_triple(sysdef, bad)
+    assert not rep.passed
+    # the witness reproduces the FAIL through the term-by-term sums
+    strong = bad.form.endswith("strong")
+    fn = compile_fn([_reference_killing_lhs(sysdef, bad, bad.form),
+                     total_dt(bad.f, ab, None if strong else sysdef.lam)],
+                    ab, sysdef.bindings, include_acc=strong)
+    a, b = fn({name: np.float64(v) for name, v in rep.worst_point.items()})
+    assert abs(a - b) / (1 + max(abs(a), abs(b))) > rep.tol

@@ -1,6 +1,9 @@
+from dataclasses import replace
+
 import pytest
 
-from noetherkit.noether import verify_triple
+from noetherkit.expressions import Exclusion
+from noetherkit.noether import solve_onflow_simplest, verify_triple
 from noetherkit.sysfile import (
     SystemFileError,
     read_system_file,
@@ -26,7 +29,12 @@ def test_system_round_trip(kepler, tmp_path):
     assert rep.passed
 
 
-def test_round_trip_keeps_ranges_and_opaque(tmp_path):
+def _same_exclusions(sysdef, got, want):
+    assert [ex.threshold for ex in got] == [ex.threshold for ex in want]
+    assert sysdef.check([ex.expr for ex in got], [ex.expr for ex in want], k=20).passed
+
+
+def test_round_trip_keeps_ranges_and_exclusions(fp, tmp_path):
     from noetherkit.corpus import load
 
     entry = load("isochrony", G="sqrt_neg", c=-1.0)
@@ -34,8 +42,51 @@ def test_round_trip_keeps_ranges_and_opaque(tmp_path):
     write_system_file(path, entry.system)
     sf = read_system_file(path)
     assert sf.system.var_ranges == entry.system.var_ranges
-    assert len(sf.system.exclusions) == len(entry.system.exclusions)
+    _same_exclusions(sf.system, sf.system.exclusions, entry.system.exclusions)
     assert sf.system.check(sf.system.L, entry.system.L, k=20).passed
+    # each exclusion keeps its own threshold
+    q, qd = fp.system.alphabet.coord_symbols[0], fp.system.alphabet.velocity_symbols[0]
+    sysdef = replace(fp.system, exclusions=(Exclusion(q, 0.25), Exclusion(qd - 1, 1e-3)))
+    write_system_file(path, sysdef)
+    _same_exclusions(sysdef, read_system_file(path).system.exclusions, sysdef.exclusions)
+
+
+def test_exclusions_without_their_own_threshold_take_the_file_default(tmp_path):
+    # files that predate per-entry thresholds give all entries one threshold
+    text = "[system]\ndim = 1\ncoords = q\nlagrangian = qdot^2/2\nsingular = q, q - 1\n"
+    sf = _read(text + "singular_threshold = 0.2\n", tmp_path)
+    assert [ex.threshold for ex in sf.system.exclusions] == [0.2, 0.2]
+    sf = _read(text.replace("q, q - 1", "q @ 0.3, q - 1"), tmp_path)
+    assert [ex.threshold for ex in sf.system.exclusions] == [0.3, 1e-3]
+
+
+def test_triple_file_keeps_the_solver_margin(iso, tmp_path):
+    tr = solve_onflow_simplest(iso.system, iso.integrals["N1"]).simplified()
+    assert tr.exclusions
+    path = tmp_path / "n1.tri"
+    write_triple_file(path, {"N1": tr})
+    back = read_triple_file(path, iso.system.alphabet)["N1"]
+    _same_exclusions(iso.system, back.exclusions, tr.exclusions)
+    assert verify_triple(iso.system, back, iso.integrals["N1"], k=30).passed
+
+
+def test_opaque_functions_are_not_part_of_the_format(iso_opaque, tmp_path):
+    with pytest.raises(ValueError, match="opaque"):
+        write_system_file(tmp_path / "opaque.sys", iso_opaque[0])
+    with pytest.raises(SystemFileError, match="opaque") as err:
+        _read("[system]\ndim = 2\ncoords = x, y\nopaque = G\n"
+              "lagrangian = xdot*ydot - G(x)*y\n", tmp_path)
+    assert "(line 4)" in str(err.value)
+
+
+@pytest.mark.parametrize("entry", ["dim = x", "singular = q @ abc", "singular_threshold = abc",
+                                   "range_q = 0, z"])
+def test_malformed_number(entry, tmp_path):
+    text = "[system]\ndim = 1\ncoords = q\nlagrangian = qdot^2/2\nsingular = q\n"
+    key = entry.partition(" =")[0]
+    lines = [line for line in text.splitlines() if not line.startswith(key + " ")]
+    with pytest.raises(SystemFileError, match="not a number"):
+        _read("\n".join(lines + [entry]) + "\n", tmp_path)
 
 
 def test_triple_file_round_trip(fp, tmp_path):
