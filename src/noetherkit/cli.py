@@ -94,16 +94,21 @@ def cmd_describe(args) -> int:
 def cmd_solve(args) -> int:
     sf = _load_system(args.system)
     sysdef = sf.system
-    if args.integral in sf.integrals:
-        N = sf.integrals[args.integral]
-    else:
-        try:
-            N = parse(args.integral, sysdef.alphabet)
-        except (ExprSyntaxError, UndeclaredSymbolError) as err:
-            return _error(err, EXIT_PARSE)
+    ab = sysdef.alphabet
     try:
-        tau = parse(args.tau, sysdef.alphabet) if args.tau else 0
-        R = [parse(r, sysdef.alphabet) for r in args.R.split(";")] if args.R else None
+        if args.integral in sf.integrals:
+            N = sf.integrals[args.integral]
+        else:
+            N = parse(args.integral, ab)
+        tau = parse(args.tau or "0", ab)
+        R = [parse(r, ab) for r in args.R.split(";")] if args.R else None
+    except (ExprSyntaxError, UndeclaredSymbolError) as err:
+        return _error(err, EXIT_PARSE)
+    for option, e in [("the integral", N), ("--tau", tau), *(("--R", r) for r in R or ())]:
+        if e.has(*ab.acceleration_symbols):
+            return _error(f"{option} {print_expr(e)} must be free of accelerations",
+                          EXIT_PARSE)
+    try:
         if args.mode.startswith("onflow"):
             if R is None or args.mode == "onflow-simplest":
                 R = [0] * sysdef.n
@@ -116,8 +121,6 @@ def cmd_solve(args) -> int:
             tr = solve_alt_strong_trivial_gauge(sysdef, N, c=args.c, seed=args.seed)
         tr = tr.simplified()
         rep = verify_triple(sysdef, tr, N, k=args.k, tol=args.tol, seed=args.seed)
-    except (ExprSyntaxError, UndeclaredSymbolError) as err:
-        return _error(err, EXIT_PARSE)
     except NotConservedError as err:
         return _error(err, EXIT_NOT_CONSERVED)
     except (RegularityError, SamplingError, DomainViolation, ZeroDivisionError) as err:

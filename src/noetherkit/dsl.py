@@ -47,6 +47,7 @@ _BINARY = {
     "^": (30, 29),  # right-associative
 }
 _UNARY_BP = 25  # -x^2 parses as -(x^2); -x*y as (-x)*y
+_NON_FINITE = (sp.zoo, sp.oo, -sp.oo, sp.nan)
 
 
 def _tokenize(text: str):
@@ -108,10 +109,17 @@ class _Parser:
             elif val == "*":
                 left = left * right
             elif val == "/":
-                left = left / right
+                left = self.finite(left / right, right, pos)
             else:
-                left = left ** right
+                left = self.finite(left ** right, left, pos)
         return left
+
+    def finite(self, e: sp.Expr, operand: sp.Expr, pos: int) -> sp.Expr:
+        """``e``, unless a zero ``operand`` folded it to zoo, oo or nan, as
+        in 1/0, 0/0, 0^-1 or log(0); these are the only sources."""
+        if operand.is_Number and e.has(*_NON_FINITE):
+            raise ExprSyntaxError(f"not a finite expression: {e}", pos)
+        return e
 
     def prefix(self) -> sp.Expr:
         kind, val, pos = self.next()
@@ -149,7 +157,7 @@ class _Parser:
             if base in STANDARD_FUNCTIONS:
                 if len(args) != 1:
                     raise ExprSyntaxError(f"{base} takes one argument", pos)
-                return STANDARD_FUNCTIONS[base](args[0])
+                return self.finite(STANDARD_FUNCTIONS[base](args[0]), args[0], pos)
             if base in self.alphabet.opaque:
                 app = sp.Function(base)(*args)
                 if primes:

@@ -17,7 +17,10 @@ SIAM Rev. 40 (1998) 110-112).
 
 The oracle compiles each distinct input once (:func:`compile_fn` keeps a
 bounded memo) and evaluates all k sample points, and every component of a
-componentwise check, in one numpy array call.
+componentwise check, in one numpy array call.  ``lambdify`` gets one
+prebuilt namespace and a NumPy printer instead of ``modules="numpy"``: the
+generated code is the same, and a process does not import numpy's lazy
+submodules, which ``from numpy import *`` would load on its first compile.
 Rejection sampling draws candidates in blocks from the same random stream as
 one-at-a-time draws, so a seed gives the same points either way.
 """
@@ -32,6 +35,8 @@ from dataclasses import dataclass, field
 import numpy as np
 import sympy as sp
 from sympy.core.function import AppliedUndef
+from sympy.printing.numpy import NumPyPrinter
+from sympy.utilities.lambdify import NUMPY_DEFAULT, NUMPY_TRANSLATIONS
 
 __all__ = [
     "Alphabet",
@@ -73,13 +78,33 @@ MAX_BLOCK = 1 << 16
 # O(h^2) truncation error vanishes in float64
 COMPLEX_STEP = 1e-30
 
-_MODULES = ["numpy", {"math": math}]
 # sympy turns sqrt(x^2) into Abs(x) on real symbols and differentiates it to
 # sign(x); the complex abs and sign would lose the imaginary part that
 # carries the derivative.  lambdify prints Abs as the builtin abs.
 _COMPLEX_STEP_FUNCS = {
     "abs": lambda z: np.where(np.real(z) < 0, -z, z),
     "sign": lambda z: np.sign(np.real(z)),
+}
+# What lambdify(modules=[_COMPLEX_STEP_FUNCS, "numpy", {"math": math}]) would
+# bind, later entries taking priority, built once per process.  For "numpy"
+# sympy runs `from numpy import *`, which imports every lazy numpy submodule
+# (f2py, testing, ma, polynomial, random, fft ...); taking only the names
+# numpy has already bound costs nothing.  numpy.linalg goes on top of numpy:
+# in numpy 2, outer, cross, trace and diagonal exist in both and differ.
+_NAMESPACE = {"numpy": np}
+_NAMESPACE.update((name, vars(np)[name]) for name in np.__all__ if name in vars(np))
+_NAMESPACE.update((name, getattr(np.linalg, name)) for name in np.linalg.__all__)
+_NAMESPACE.update(NUMPY_DEFAULT)
+_NAMESPACE.update((name, _NAMESPACE[numpy_name])
+                  for name, numpy_name in NUMPY_TRANSLATIONS.items())
+_NAMESPACE.setdefault("Abs", abs)
+_NAMESPACE["math"] = math
+_NAMESPACE.update(_COMPLEX_STEP_FUNCS)
+# the settings lambdify gives the printer it picks for those modules; given a
+# printer class instead, it would print numpy-qualified names
+_PRINTER_SETTINGS = {
+    "fully_qualified_modules": False, "inline": True, "allow_unknown_functions": True,
+    "user_functions": {name: name for name in ("math", *_COMPLEX_STEP_FUNCS)},
 }
 
 
@@ -132,23 +157,23 @@ class Alphabet:
     def n(self) -> int:
         return len(self.coords)
 
-    @property
+    @functools.cached_property
     def t(self) -> sp.Symbol:
         return _sym("t")
 
-    @property
+    @functools.cached_property
     def coord_symbols(self) -> tuple[sp.Symbol, ...]:
         return tuple(_sym(c) for c in self.coords)
 
-    @property
+    @functools.cached_property
     def velocity_symbols(self) -> tuple[sp.Symbol, ...]:
         return tuple(_sym(c + "dot") for c in self.coords)
 
-    @property
+    @functools.cached_property
     def acceleration_symbols(self) -> tuple[sp.Symbol, ...]:
         return tuple(_sym(c + "ddot") for c in self.coords)
 
-    @property
+    @functools.cached_property
     def param_symbols(self) -> tuple[sp.Symbol, ...]:
         return tuple(_sym(p) for p in self.params)
 
@@ -162,24 +187,20 @@ class Alphabet:
             out += self.acceleration_symbols
         return out
 
+    @functools.cached_property
     def _name_table(self) -> dict[str, sp.Symbol]:
-        table = {"t": self.t}
-        for i, c in enumerate(self.coords, start=1):
-            table[c] = _sym(c)
-            table[c + "dot"] = _sym(c + "dot")
-            table[c + "ddot"] = _sym(c + "ddot")
+        table = {"t": self.t, **dict(zip(self.params, self.param_symbols))}
+        symbols = zip(self.coord_symbols, self.velocity_symbols, self.acceleration_symbols)
+        for i, (c, (q, qd, qdd)) in enumerate(zip(self.coords, symbols), start=1):
+            table.update({c: q, c + "dot": qd, c + "ddot": qdd})
             if c == f"q{i}":
-                table[f"qdot{i}"] = _sym(c + "dot")
-                table[f"qddot{i}"] = _sym(c + "ddot")
-        for p in self.params:
-            table[p] = _sym(p)
+                table.update({f"qdot{i}": qd, f"qddot{i}": qdd})
         return table
 
     def lookup(self, name: str) -> sp.Symbol:
-        table = self._name_table()
-        if name not in table:
+        if name not in self._name_table:
             raise UndeclaredSymbolError(f"undeclared symbol {name!r}")
-        return table[name]
+        return self._name_table[name]
 
     def check_declared(self, e: sp.Expr) -> None:
         """Raise UndeclaredSymbolError if ``e`` mentions anything foreign."""
@@ -364,7 +385,7 @@ def _compile(exprs, alphabet, bindings, include_acc):
     raw = sp.lambdify(
         syms + tuple(slots),
         [bind_opaque(e, dict(bindings)) for e in outs + [node.expr for node in nodes]],
-        modules=[_COMPLEX_STEP_FUNCS, *_MODULES], docstring_limit=0,
+        modules=_NAMESPACE, printer=NumPyPrinter(_PRINTER_SETTINGS), docstring_limit=0,
     )
     groups = {}
     for i, node in enumerate(nodes):

@@ -30,7 +30,7 @@ from pathlib import Path
 from .dsl import parse, print_expr
 from .expressions import Alphabet, Exclusion
 from .mechanics import LagrangianSystem, build_system
-from .noether import Triple
+from .noether import FORMS, Triple
 
 __all__ = ["SystemFileError", "SystemFile", "read_system_file", "write_system_file",
            "read_triple_file", "write_triple_file"]
@@ -197,8 +197,14 @@ def _triple_from_body(body: dict, alphabet: Alphabet) -> Triple:
     xi = tuple(
         parse(s, alphabet) for s in _split_top_level(_require(body, "xi", "triple"))
     )
+    if len(xi) != alphabet.n:
+        raise SystemFileError(f"xi has {len(xi)} component(s), the system has "
+                              f"dim = {alphabet.n}", body["xi"][1])
     f = parse(_require(body, "f", "triple"), alphabet)
     form = _get(body, "form", "onflow")
+    if form not in FORMS:
+        raise SystemFileError(f"unknown form {form!r}, expected one of "
+                              f"{', '.join(FORMS)}", body["form"][1])
     return Triple(tau=tau, xi=xi, f=f, form=form,
                   exclusions=_read_exclusions(body, alphabet))
 

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -69,6 +70,25 @@ def bad_number_sys(tmp_path):
     path = tmp_path / "bad_number.sys"
     path.write_text("[system]\ndim = 1\ncoords = q\nlagrangian = qdot^2/2\n"
                     "singular = q\nsingular_threshold = small\n")
+    return str(path)
+
+
+@pytest.fixture()
+def bad_xi_sys(tmp_path):
+    """A free particle file whose triple has two xi components for dim = 1."""
+    path = tmp_path / "bad_xi.sys"
+    path.write_text("[system]\ndim = 1\ncoords = q\nlagrangian = qdot^2/2\n"
+                    "[triple]\ntau = 0\nxi = 1, q\nf = 0\nform = strong\n")
+    return str(path)
+
+
+@pytest.fixture()
+def bad_form_sys(fp, tmp_path):
+    """A free particle file whose triple claims a form outside FORMS."""
+    path = tmp_path / "bad_form.sys"
+    write_system_file(path, fp.system, integrals=fp.integrals)
+    with path.open("a") as fh:
+        fh.write("[triple]\ntau = 0\nxi = 1\nf = 0\nform = weak\n")
     return str(path)
 
 
@@ -208,7 +228,7 @@ def test_reports_are_seed_deterministic(fp_sys, tmp_path):
 
 KEPLER_ORBIT = "0,1,0,0,0,1,0"
 
-# (argv with {fp}/{kepler} for the system files, exit code)
+# (argv with {name} for the path of the system file fixture name_sys, exit code)
 EXIT_TABLE = [
     (["solve", "{fp}", "sqrt(q)", "--mode", "strong"], cli.EXIT_SINGULAR),
     (["solve", "{fp}", "log(q)", "--mode", "onflow-simplest"], cli.EXIT_SINGULAR),
@@ -230,15 +250,21 @@ EXIT_TABLE = [
     (["solve", "{fp}", "energy", "--mode", "onflow-R", "--R", "1;2"], cli.EXIT_PARSE),
     (["solve", "{opaque}", "N1", "--mode", "strong"], cli.EXIT_PARSE),
     (["describe", "{bad_number}"], cli.EXIT_PARSE),
+    (["describe", "{bad_xi}"], cli.EXIT_PARSE),
+    (["solve", "{bad_form}", "energy", "--mode", "strong"], cli.EXIT_PARSE),
+    (["solve", "{kepler}", "lrl_u", "--mode", "strong", "--tau", "r1ddot"], cli.EXIT_PARSE),
+    (["solve", "{kepler}", "lrl_u", "--mode", "onflow-R", "--R", "r1ddot;0;0"],
+     cli.EXIT_PARSE),
+    (["solve", "{kepler}", "r1ddot", "--mode", "strong"], cli.EXIT_PARSE),
+    (["solve", "{kepler}", "lrl_u", "--mode", "strong", "--tau", "1/0"], cli.EXIT_PARSE),
+    (["solve", "{kepler}", "0/0", "--mode", "strong"], cli.EXIT_PARSE),
 ]
 
 
 @pytest.mark.parametrize("argv, code", EXIT_TABLE, ids=lambda v: " ".join(v)
                          if isinstance(v, list) else str(v))
-def test_exit_code_table(argv, code, fp_sys, kepler_sys, blow_sys, fp_log_sys, pole_sys,
-                         opaque_sys, bad_number_sys, capsys):
-    argv = [a.format(fp=fp_sys, kepler=kepler_sys, blow=blow_sys, fp_log=fp_log_sys,
-                     pole=pole_sys, opaque=opaque_sys, bad_number=bad_number_sys)
+def test_exit_code_table(argv, code, request, capsys):
+    argv = [re.sub(r"\{(\w+)\}", lambda m: request.getfixturevalue(m[1] + "_sys"), a)
             for a in argv]
     assert cli.main(argv) == code
     out, err = capsys.readouterr()

@@ -57,6 +57,16 @@ def test_syntax_errors_carry_positions():
         parse("x $ y", AB)
 
 
+@pytest.mark.parametrize("text, position", [
+    ("1/0", 1), ("0/0", 1), ("x + y/(x - x)", 5), ("0^-1", 1), ("2*log(0)", 2),
+    ("exp(x/0.0)", 5),
+])
+def test_non_finite_constants_are_syntax_errors(text, position):
+    with pytest.raises(ExprSyntaxError, match="not a finite expression") as err:
+        parse(text, AB)
+    assert err.value.position == position
+
+
 def test_undeclared_names_rejected():
     with pytest.raises(UndeclaredSymbolError):
         parse("x + z", AB)

@@ -1,11 +1,18 @@
+import builtins
+import inspect
 import math
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 import sympy as sp
 
-from noetherkit import expressions
+import noetherkit
+from noetherkit import corpus, expressions
 from noetherkit.expressions import (
     Alphabet,
     DomainViolation,
@@ -23,6 +30,7 @@ from noetherkit.expressions import (
     tidy,
     total_dt,
 )
+from noetherkit.noether import FORMS, killing_lhs
 
 AB = Alphabet(coords=("x", "y"))
 X, Y = AB.coord_symbols
@@ -206,6 +214,70 @@ def test_several_nodes_cost_one_lambdify(monkeypatch):
     assert len(calls) == 1
     assert compile_fn([e, total_dt(u * w, ab, lam)], ab) is fn
     assert len(calls) == 1
+
+
+def _resolve(fn, name):
+    return fn.__globals__.get(name, vars(builtins).get(name))
+
+
+def test_compiled_code_matches_stock_lambdify(monkeypatch):
+    # the stock call imports every lazy numpy submodule; the package's
+    # prebuilt namespace must print the same code and bind the same objects
+    calls = []
+    real = sp.lambdify
+
+    def spy(*args, **kwargs):
+        calls.append((args, real(*args, **kwargs)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(sp, "lambdify", spy)
+    expressions._compile.cache_clear()
+    distinct = set()
+    for name in corpus.CORPUS_NAMES:
+        entry = corpus.load(name)
+        sysdef = entry.system
+        exprs = [*sysdef.lam, *entry.integrals.values()]
+        exprs += [killing_lhs(sysdef, tr, form).doit()
+                  for tr in entry.triples.values() for form in FORMS]
+        for e in exprs:
+            compile_fn([e], sysdef.alphabet, include_acc=True)
+        distinct.update((sysdef.alphabet, e) for e in exprs)
+    # Abs and sign print as the complex-step functions
+    compile_fn([sp.diff(sp.sqrt(X**2), X) * sp.Abs(Y)], AB)
+    assert len(calls) > len(distinct) > 60
+    for args, fn in calls:
+        stock = real(*args, modules=[expressions._COMPLEX_STEP_FUNCS, "numpy", {"math": math}],
+                     docstring_limit=0)
+        assert inspect.getsource(fn) == inspect.getsource(stock)
+        for name in fn.__code__.co_names:
+            assert _resolve(fn, name) is _resolve(stock, name), name
+
+
+def test_compile_fn_leaves_lazy_numpy_submodules_unloaded():
+    script = (
+        "import sys\n"
+        "from noetherkit import corpus\n"
+        "from noetherkit.expressions import compile_fn\n"
+        "entry = corpus.load('kepler3d')\n"
+        "compile_fn([entry.integrals['lrl_u']], entry.system.alphabet)\n"
+        "print(*(m for m in ('numpy.f2py', 'numpy.testing', 'unittest') if m in sys.modules))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(noetherkit.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == ""
+
+
+def test_alphabet_builds_its_symbols_once_and_keys_the_memo_by_its_fields():
+    a, b = Alphabet(coords=("u", "v"), params=("k",)), Alphabet(coords=("u", "v"), params=("k",))
+    u, v = a.coord_symbols
+    assert a.coord_symbols is a.coord_symbols
+    assert a.lookup("udot") is a.velocity_symbols[0] and a.lookup("k") is a.param_symbols[0]
+    # a now holds its symbols and b does not; fields alone decide
+    assert a is not b and a == b and hash(a) == hash(b)
+    f = compile_fn([u * v + a.param_symbols[0]], a)
+    assert compile_fn([u * v + a.param_symbols[0]], b) is f
 
 
 def test_substitute_is_simultaneous():

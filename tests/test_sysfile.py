@@ -2,7 +2,7 @@ from dataclasses import replace
 
 import pytest
 
-from noetherkit.expressions import Exclusion
+from noetherkit.expressions import Alphabet, Exclusion
 from noetherkit.noether import solve_onflow_simplest, verify_triple
 from noetherkit.sysfile import (
     SystemFileError,
@@ -103,6 +103,27 @@ def _read(text, tmp_path):
     path = tmp_path / "bad.sys"
     path.write_text(text)
     return read_system_file(path)
+
+
+@pytest.mark.parametrize("entry, message", [
+    ("xi = q, q", "xi has 2 component"),
+    ("form = weak", "unknown form 'weak'"),
+])
+def test_malformed_triple_section(entry, message, tmp_path):
+    system = "[system]\ndim = 1\ncoords = q\nlagrangian = qdot^2/2\n"
+    key = entry.partition(" =")[0]
+    lines = ["[triple]", "tau = 0", "xi = q", "f = 0", "form = strong"]
+    triple = "".join((entry if line.startswith(key + " ") else line) + "\n"
+                     for line in lines)
+    lineno = [line.partition(" =")[0] for line in lines].index(key) + 1
+    path = tmp_path / "bad.tri"
+    path.write_text(triple)
+    with pytest.raises(SystemFileError, match=message) as err:
+        read_triple_file(path, Alphabet(coords=("q",)))
+    assert str(err.value).endswith(f"(line {lineno})")
+    with pytest.raises(SystemFileError, match=message) as err:
+        _read(system + triple, tmp_path)
+    assert str(err.value).endswith(f"(line {lineno + 4})")
 
 
 def test_missing_system_section(tmp_path):
