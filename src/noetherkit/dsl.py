@@ -10,6 +10,7 @@ written with primes: ``G'(x)``, ``G''(x)``.
 
 from __future__ import annotations
 
+import math
 import re
 
 import sympy as sp
@@ -112,6 +113,7 @@ class _Parser:
                 left = self.finite(left / right, right, pos)
             else:
                 left = self.finite(left ** right, left, pos)
+            left = self.in_range(left, pos)
         return left
 
     def finite(self, e: sp.Expr, operand: sp.Expr, pos: int) -> sp.Expr:
@@ -121,12 +123,22 @@ class _Parser:
             raise ExprSyntaxError(f"not a finite expression: {e}", pos)
         return e
 
+    def in_range(self, e: sp.Expr, pos: int) -> sp.Expr:
+        """``e``, unless a number in it overflows float64, as in 1e999,
+        1e308*10 or 10^400: sympy keeps such a number finite, NumPy reads it
+        as inf or cannot convert it.  Folding puts new numbers only in ``e``
+        itself, its coefficient or the coefficients of its terms."""
+        for term in e.args if e.is_Add else (e,):
+            coeff = term.as_coeff_Mul()[0]
+            if math.isinf(float(coeff)):
+                raise ExprSyntaxError(f"number beyond the float range: {sp.N(coeff, 3)}", pos)
+        return e
+
     def prefix(self) -> sp.Expr:
         kind, val, pos = self.next()
         if kind == "number":
-            if re.fullmatch(r"\d+", val):
-                return sp.Integer(int(val))
-            return sp.Float(val)
+            number = sp.Integer(int(val)) if re.fullmatch(r"\d+", val) else sp.Float(val)
+            return self.in_range(number, pos)
         if kind == "ident":
             return self.name_or_call(val, pos)
         if val == "(":
@@ -157,7 +169,8 @@ class _Parser:
             if base in STANDARD_FUNCTIONS:
                 if len(args) != 1:
                     raise ExprSyntaxError(f"{base} takes one argument", pos)
-                return self.finite(STANDARD_FUNCTIONS[base](args[0]), args[0], pos)
+                value = STANDARD_FUNCTIONS[base](args[0])
+                return self.in_range(self.finite(value, args[0], pos), pos)
             if base in self.alphabet.opaque:
                 app = sp.Function(base)(*args)
                 if primes:

@@ -21,6 +21,10 @@ componentwise check, in one numpy array call.  ``lambdify`` gets one
 prebuilt namespace and a NumPy printer instead of ``modules="numpy"``: the
 generated code is the same, and a process does not import numpy's lazy
 submodules, which ``from numpy import *`` would load on its first compile.
+The generated code computes each repeated subtree once: the kepler3d normal
+form takes sqrt(r1**2 + r2**2 + r3**2) once, not nine times.  Only exact
+repeats are shared (sympy's ``tree_cse``); ``sympy.cse`` would also
+re-associate sums and products, which costs more compile time than it saves.
 Rejection sampling draws candidates in blocks from the same random stream as
 one-at-a-time draws, so a seed gives the same points either way.
 """
@@ -36,6 +40,7 @@ import numpy as np
 import sympy as sp
 from sympy.core.function import AppliedUndef
 from sympy.printing.numpy import NumPyPrinter
+from sympy.simplify.cse_main import tree_cse
 from sympy.utilities.lambdify import NUMPY_DEFAULT, NUMPY_TRANSLATIONS
 
 __all__ = [
@@ -362,6 +367,12 @@ def compile_fn(
     )
 
 
+def _shared_subtrees(exprs):
+    # order="none" takes Add and Mul arguments in sympy's own order, which
+    # does not depend on the hash seed; the names are outside the DSL's
+    return tree_cse(list(exprs), sp.numbered_symbols("cse·"), order="none")
+
+
 @functools.lru_cache(maxsize=COMPILE_MEMO_SIZE)
 def _compile(exprs, alphabet, bindings, include_acc):
     """One lambdified function of (variables, one slot per total-derivative
@@ -371,7 +382,13 @@ def _compile(exprs, alphabet, bindings, include_acc):
     direction, which gives the node values, then once at the real point with
     the slots bound to them.  An expression is NaN where the body of one of
     its nodes is not finite at the real point, so branch cuts of sqrt and log
-    cannot hide a domain violation behind a finite complex-step value."""
+    cannot hide a domain violation behind a finite complex-step value.
+
+    The function assigns each repeated subtree to a local once.  It shares
+    exact repeats only (``tree_cse``, not ``sympy.cse``, whose ``opt_cse``
+    pass re-associates Add and Mul arguments and made compiles cost a third
+    more), so values change at most by the round-off of another evaluation
+    order."""
     syms = alphabet.variables(include_acc) + alphabet.param_symbols
     # the slot order sets the order of sums in the compiled code, so it
     # must not follow the per-process order of a set
@@ -386,6 +403,7 @@ def _compile(exprs, alphabet, bindings, include_acc):
         syms + tuple(slots),
         [bind_opaque(e, dict(bindings)) for e in outs + [node.expr for node in nodes]],
         modules=_NAMESPACE, printer=NumPyPrinter(_PRINTER_SETTINGS), docstring_limit=0,
+        cse=_shared_subtrees,
     )
     groups = {}
     for i, node in enumerate(nodes):

@@ -258,6 +258,10 @@ EXIT_TABLE = [
     (["solve", "{kepler}", "r1ddot", "--mode", "strong"], cli.EXIT_PARSE),
     (["solve", "{kepler}", "lrl_u", "--mode", "strong", "--tau", "1/0"], cli.EXIT_PARSE),
     (["solve", "{kepler}", "0/0", "--mode", "strong"], cli.EXIT_PARSE),
+    (["solve", "{kepler}", "lrl_u", "--mode", "strong", "--tau", "1e999"], cli.EXIT_PARSE),
+    (["solve", "{kepler}", "lrl_u", "--mode", "strong", "--tau", "1e308*10"], cli.EXIT_PARSE),
+    (["solve", "{kepler}", "lrl_u", "--mode", "strong", "--tau", "10^400"], cli.EXIT_PARSE),
+    (["solve", "{kepler}", "lrl_u", "--mode", "strong", "--tau", "r1*10^400"], cli.EXIT_PARSE),
 ]
 
 

@@ -67,6 +67,23 @@ def test_non_finite_constants_are_syntax_errors(text, position):
     assert err.value.position == position
 
 
+@pytest.mark.parametrize("text, position", [
+    ("1e999", 0), pytest.param("x + 1" + "0" * 400, 4, id="x + 10...0 (401 digits)"), ("1e308*10", 5), ("-1e308 - 1e308", 7),
+    ("10^400", 2), ("x*10^400", 4), ("x/1e-400", 1), ("10^200*(x + 10^200*y)", 6),
+    ("exp(1000.0)", 0),
+])
+def test_numbers_beyond_the_float_range_are_syntax_errors(text, position):
+    # sympy keeps these finite; NumPy reads them as inf or cannot convert them
+    with pytest.raises(ExprSyntaxError, match="beyond the float range") as err:
+        parse(text, AB)
+    assert err.value.position == position
+
+
+def test_numbers_below_the_float_range_stay_legal():
+    assert parse("x + 1e-400", AB) == X + sp.Float("1e-400")
+    assert parse("10^-400*y", AB) == sp.Rational(1, 10**400) * Y
+
+
 def test_undeclared_names_rejected():
     with pytest.raises(UndeclaredSymbolError):
         parse("x + z", AB)

@@ -30,7 +30,8 @@ from noetherkit.expressions import (
     tidy,
     total_dt,
 )
-from noetherkit.noether import FORMS, killing_lhs
+from noetherkit.mechanics import build_system
+from noetherkit.noether import FORMS, killing_lhs, solve_strong
 
 AB = Alphabet(coords=("x", "y"))
 X, Y = AB.coord_symbols
@@ -227,8 +228,8 @@ def test_compiled_code_matches_stock_lambdify(monkeypatch):
     real = sp.lambdify
 
     def spy(*args, **kwargs):
-        calls.append((args, real(*args, **kwargs)))
-        return calls[-1][1]
+        calls.append((args, kwargs, real(*args, **kwargs)))
+        return calls[-1][2]
 
     monkeypatch.setattr(sp, "lambdify", spy)
     expressions._compile.cache_clear()
@@ -245,9 +246,10 @@ def test_compiled_code_matches_stock_lambdify(monkeypatch):
     # Abs and sign print as the complex-step functions
     compile_fn([sp.diff(sp.sqrt(X**2), X) * sp.Abs(Y)], AB)
     assert len(calls) > len(distinct) > 60
-    for args, fn in calls:
+    for args, kwargs, fn in calls:
+        # the same subexpression sharing, so the code compared is the same
         stock = real(*args, modules=[expressions._COMPLEX_STEP_FUNCS, "numpy", {"math": math}],
-                     docstring_limit=0)
+                     docstring_limit=0, cse=kwargs["cse"])
         assert inspect.getsource(fn) == inspect.getsource(stock)
         for name in fn.__code__.co_names:
             assert _resolve(fn, name) is _resolve(stock, name), name
@@ -267,6 +269,74 @@ def test_compile_fn_leaves_lazy_numpy_submodules_unloaded():
                           env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == ""
+
+
+def test_compiled_code_shares_repeated_subtrees():
+    # the kepler3d RK4 stage computes |r| once, not once per occurrence
+    sysdef = corpus.load("kepler3d").system
+    exprs = [*sysdef.lam, *(ex.expr for ex in sysdef.exclusions)]
+    fn = compile_fn(exprs, sysdef.alphabet, sysdef.bindings)
+    assert inspect.getsource(fn.positional).count("sqrt(") == 1
+
+
+def test_shared_subtrees_do_not_capture_declared_names():
+    ab = Alphabet(coords=("x0", "x1"), params=("x2",))
+    (x0, x1), (x0d, x1d), (x2,) = ab.coord_symbols, ab.velocity_symbols, ab.param_symbols
+    r = sp.sqrt(x0**2 + x1**2)
+    sysdef = build_system((x0d**2 + x1d**2) / 2 + x2 / r, ab, param_values={"x2": 1.5},
+                          exclusions=(Exclusion(r, 0.3),))
+    energy = (x0d**2 + x1d**2) / 2 - x2 / r
+    exprs = [*sysdef.lam, energy, x0 * x1d - x1 * x0d]
+    exprs += [killing_lhs(sysdef, solve_strong(sysdef, energy, tau=x0), form).doit()
+              for form in FORMS]
+    pts = draw_points(ab, sysdef.domain(), sysdef.param_values, None, 8, seed=3,
+                      include_acc=True)
+    got = [np.broadcast_to(v, (8,)) for v in compile_fn(exprs, ab, include_acc=True)(pts.columns)]
+    for e, values in zip(exprs, got):
+        want = [evaluate(e, point, ab) for point in pts]
+        exact = [float(e.evalf(subs={ab.lookup(k): v for k, v in point.items()}))
+                 for point in pts]
+        np.testing.assert_allclose(values, want, rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(values, exact, rtol=1e-12, atol=1e-12)
+
+
+def test_compiled_code_is_the_same_under_every_hash_seed():
+    # sharing takes Add and Mul arguments in sympy's own order, never in
+    # the per-process order of a set
+    script = (
+        "import hashlib, inspect\n"
+        "import sympy as sp\n"
+        "from noetherkit import corpus\n"
+        "from noetherkit.expressions import compile_fn\n"
+        "from noetherkit.noether import FORMS, killing_lhs\n"
+        "real, sources = sp.lambdify, []\n"
+        "def spy(*args, **kwargs):\n"
+        "    fn = real(*args, **kwargs)\n"
+        "    sources.append(inspect.getsource(fn))\n"
+        "    return fn\n"
+        "sp.lambdify = spy\n"
+        "for name in corpus.CORPUS_NAMES:\n"
+        "    entry = corpus.load(name)\n"
+        "    sysdef = entry.system\n"
+        "    exprs = [*sysdef.lam, *entry.integrals.values()]\n"
+        "    exprs += [killing_lhs(sysdef, tr, form).doit()\n"
+        "              for tr in entry.triples.values() for form in FORMS]\n"
+        "    for e in exprs:\n"
+        "        compile_fn([e], sysdef.alphabet, include_acc=True)\n"
+        "print(len(sources), hashlib.sha256('\\n'.join(sources).encode()).hexdigest())\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(noetherkit.__file__).parents[1]))
+    procs = [subprocess.Popen([sys.executable, "-c", script], stdout=subprocess.PIPE,
+                              stderr=subprocess.PIPE, text=True,
+                              env=dict(env, PYTHONHASHSEED=str(h)))
+             for h in (0, 1, 2)]
+    outs = set()
+    for proc in procs:
+        out, err = proc.communicate(timeout=300)
+        assert proc.returncode == 0, err
+        outs.add(out)
+    assert len(outs) == 1
+    assert int(outs.pop().split()[0]) > 60
 
 
 def test_alphabet_builds_its_symbols_once_and_keys_the_memo_by_its_fields():

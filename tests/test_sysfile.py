@@ -1,9 +1,17 @@
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, strategies as st
 
+from noetherkit.corpus import load
 from noetherkit.expressions import Alphabet, Exclusion
-from noetherkit.noether import solve_onflow_simplest, verify_triple
+from noetherkit.noether import (
+    FORMS,
+    solve_onflow_simplest,
+    solve_onflow_with_R,
+    solve_strong,
+    verify_triple,
+)
 from noetherkit.sysfile import (
     SystemFileError,
     read_system_file,
@@ -31,12 +39,11 @@ def test_system_round_trip(kepler, tmp_path):
 
 def _same_exclusions(sysdef, got, want):
     assert [ex.threshold for ex in got] == [ex.threshold for ex in want]
-    assert sysdef.check([ex.expr for ex in got], [ex.expr for ex in want], k=20).passed
+    assert not want or sysdef.check([ex.expr for ex in got], [ex.expr for ex in want],
+                                    k=20).passed
 
 
 def test_round_trip_keeps_ranges_and_exclusions(fp, tmp_path):
-    from noetherkit.corpus import load
-
     entry = load("isochrony", G="sqrt_neg", c=-1.0)
     path = tmp_path / "iso.sys"
     write_system_file(path, entry.system)
@@ -49,6 +56,54 @@ def test_round_trip_keeps_ranges_and_exclusions(fp, tmp_path):
     sysdef = replace(fp.system, exclusions=(Exclusion(q, 0.25), Exclusion(qd - 1, 1e-3)))
     write_system_file(path, sysdef)
     _same_exclusions(sysdef, read_system_file(path).system.exclusions, sysdef.exclusions)
+
+
+@pytest.fixture(scope="module")
+def entries(fp, iso, iso_steep, kepler):
+    # sqrt_neg adds a sampling range and an exclusion with its own threshold
+    return {"fp": fp, "iso": iso, "iso_steep": iso_steep, "kepler": kepler,
+            "iso_sqrt_neg": load("isochrony", G="sqrt_neg", c=-1.0)}
+
+
+def _verdicts(rep):
+    """The Killing and integral verdicts of a report, each FAIL with its witness."""
+    checks = [(rep.max_residual <= rep.tol, rep.worst_point),
+              (rep.integral_check.passed, rep.integral_check.worst_point)]
+    return [(passed, None if passed else point) for passed, point in checks]
+
+
+@given(data=st.data())
+def test_round_trip_keeps_verdicts_witnesses_and_exclusions(entries, tmp_path_factory, data):
+    entry = entries[data.draw(st.sampled_from(sorted(entries)))]
+    sysdef = entry.system
+    ab = sysdef.alphabet
+    source = data.draw(st.sampled_from(("corpus", "strong", "onflow-simplest", "onflow-R")))
+    if source == "corpus":
+        name = data.draw(st.sampled_from(sorted(entry.triples)))
+        tr, N = entry.triples[name], entry.triple_integrals[name]
+    else:
+        N = entry.integrals[data.draw(st.sampled_from(sorted(entry.integrals)))]
+        terms = st.sampled_from((0, ab.t, *ab.coord_symbols, ab.t * ab.velocity_symbols[0]))
+        if source == "strong":
+            tr = solve_strong(sysdef, N, data.draw(terms))
+        elif source == "onflow-simplest":
+            tr = solve_onflow_simplest(sysdef, N)
+        else:
+            tr = solve_onflow_with_R(sysdef, N, [data.draw(terms) for _ in range(sysdef.n)])
+    form = data.draw(st.sampled_from(FORMS))
+
+    path = tmp_path_factory.mktemp("round_trip")
+    write_system_file(path / "s.sys", sysdef, integrals={"N": N}, triples={"T": tr})
+    write_triple_file(path / "t.tri", {"T": tr})
+    sf = read_system_file(path / "s.sys")
+    assert sf.system.param_values == sysdef.param_values
+    assert sf.system.var_ranges == sysdef.var_ranges
+    _same_exclusions(sysdef, sf.system.exclusions, sysdef.exclusions)
+    want = _verdicts(verify_triple(sysdef, tr, N, form, k=50))
+    for back in (sf.triples["T"], read_triple_file(path / "t.tri", sf.system.alphabet)["T"]):
+        assert back.form == tr.form
+        _same_exclusions(sysdef, back.exclusions, tr.exclusions)
+        assert _verdicts(verify_triple(sf.system, back, sf.integrals["N"], form, k=50)) == want
 
 
 def test_exclusions_without_their_own_threshold_take_the_file_default(tmp_path):
