@@ -1,11 +1,15 @@
 """Infix expression grammar: parsing and printing.
 
 Grammar: ``+ - * / ^`` with usual precedence (``^`` right-associative),
-parentheses, function application ``f(arg, ...)``, numbers, and declared
-names.  Velocity names carry the ``dot`` suffix (``xdot``), accelerations
-``ddot``; for coordinates named ``q1..qn`` the prefix aliases ``qdot1`` /
-``qddot1`` are accepted as well.  Derivatives of opaque unary functions are
-written with primes: ``G'(x)``, ``G''(x)``.
+parentheses, the standard functions ``sqrt sin cos exp log`` of one
+argument, numbers, and declared names.  Velocity names carry the ``dot``
+suffix (``xdot``), accelerations ``ddot``; for coordinates named ``q1..qn``
+the prefix aliases ``qdot1`` / ``qddot1`` are accepted as well.
+
+Constants fold as they are parsed.  A fold to a value that float64 cannot
+hold is a syntax error at its operator: a non-finite value (``1/0``), a
+number beyond the float range (``10^400``) or a non-real value
+(``sqrt(-1)``, ``(-8)^(1/3)``).
 """
 
 from __future__ import annotations
@@ -14,8 +18,6 @@ import math
 import re
 
 import sympy as sp
-from sympy.core.function import AppliedUndef
-from sympy.printing.str import StrPrinter
 
 from .expressions import Alphabet, STANDARD_FUNCTIONS, UndeclaredSymbolError
 
@@ -34,7 +36,7 @@ _TOKEN_RE = re.compile(
     r"""
     (?P<ws>\s+)
   | (?P<number>(\d+\.\d*|\.\d+|\d+)([eE][+-]?\d+)?)
-  | (?P<ident>[A-Za-z_][A-Za-z_0-9]*'*)
+  | (?P<ident>[A-Za-z_][A-Za-z_0-9]*)
   | (?P<op>[-+*/^(),])
     """,
     re.VERBOSE,
@@ -112,7 +114,7 @@ class _Parser:
             elif val == "/":
                 left = self.finite(left / right, right, pos)
             else:
-                left = self.finite(left ** right, left, pos)
+                left = self.real(self.finite(left ** right, left, pos), pos)
             left = self.in_range(left, pos)
         return left
 
@@ -121,6 +123,15 @@ class _Parser:
         in 1/0, 0/0, 0^-1 or log(0); these are the only sources."""
         if operand.is_Number and e.has(*_NON_FINITE):
             raise ExprSyntaxError(f"not a finite expression: {e}", pos)
+        return e
+
+    def real(self, e: sp.Expr, pos: int) -> sp.Expr:
+        """``e``, unless real operands folded it to a non-real value, as in
+        sqrt(-1), log(-1), sqrt(-x^2) = I*Abs(x) or (-8)^(1/3) = 2*(-1)^(1/3);
+        powers and function calls are the only sources.  Symbolic forms such
+        as sqrt(-x^2 - 1) stay: they evaluate to NaN."""
+        if e.has(sp.I) or (e.is_number and e.is_extended_real is False):
+            raise ExprSyntaxError(f"not a real expression: {e}", pos)
         return e
 
     def in_range(self, e: sp.Expr, pos: int) -> sp.Expr:
@@ -152,37 +163,20 @@ class _Parser:
         raise ExprSyntaxError(f"unexpected {val or 'end of input'!r}", pos)
 
     def name_or_call(self, name: str, pos: int) -> sp.Expr:
-        primes = len(name) - len(name.rstrip("'"))
-        base = name.rstrip("'")
-        is_call = self.peek()[1] == "("
-        if primes and base not in self.alphabet.opaque:
-            raise ExprSyntaxError(
-                f"prime notation only applies to opaque functions, not {base!r}", pos
-            )
-        if is_call:
+        if self.peek()[1] != "(":
+            return self.alphabet.lookup(name)
+        self.next()
+        args = [self.expression(0)]
+        while self.peek()[1] == ",":
             self.next()
-            args = [self.expression(0)]
-            while self.peek()[1] == ",":
-                self.next()
-                args.append(self.expression(0))
-            self.expect(")")
-            if base in STANDARD_FUNCTIONS:
-                if len(args) != 1:
-                    raise ExprSyntaxError(f"{base} takes one argument", pos)
-                value = STANDARD_FUNCTIONS[base](args[0])
-                return self.in_range(self.finite(value, args[0], pos), pos)
-            if base in self.alphabet.opaque:
-                app = sp.Function(base)(*args)
-                if primes:
-                    if len(args) != 1 or not args[0].is_Symbol:
-                        raise ExprSyntaxError(
-                            "primed opaque function needs a single variable argument",
-                            pos,
-                        )
-                    return sp.Derivative(app, (args[0], primes))
-                return app
-            raise UndeclaredSymbolError(f"undeclared function {base!r}")
-        return self.alphabet.lookup(name)
+            args.append(self.expression(0))
+        self.expect(")")
+        if name not in STANDARD_FUNCTIONS:
+            raise UndeclaredSymbolError(f"undeclared function {name!r}")
+        if len(args) != 1:
+            raise ExprSyntaxError(f"{name} takes one argument", pos)
+        value = self.finite(STANDARD_FUNCTIONS[name](args[0]), args[0], pos)
+        return self.in_range(self.real(value, pos), pos)
 
 
 def parse(text: str, alphabet: Alphabet) -> sp.Expr:
@@ -196,23 +190,6 @@ def parse(text: str, alphabet: Alphabet) -> sp.Expr:
     return e
 
 
-class _DslPrinter(StrPrinter):
-    def _print_Derivative(self, expr):
-        inner = expr.expr
-        if (
-            isinstance(inner, AppliedUndef)
-            and len(inner.args) == 1
-            and len(expr.variable_count) == 1
-        ):
-            var, order = expr.variable_count[0]
-            if var == inner.args[0]:
-                name = inner.func.__name__
-                primes = "'" * int(order)
-                return f"{name}{primes}({self._print(var)})"
-        return super()._print_Derivative(expr)
-
-
 def print_expr(e) -> str:
     """Print an expression in the same grammar the parser accepts."""
-    s = _DslPrinter().doprint(sp.sympify(e))
-    return s.replace("**", "^")
+    return sp.sstr(sp.sympify(e)).replace("**", "^")

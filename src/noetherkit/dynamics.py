@@ -112,7 +112,7 @@ def integrate(
 
     n = sys.n
     exprs = list(sys.lam) + [ex.expr for ex in sys.exclusions]
-    stage = compile_fn(exprs, sys.alphabet, sys.bindings).positional
+    stage = compile_fn(exprs, sys.alphabet).positional
     # numpy floats make a pole read inf where Python floats raise
     params = [np.float64(sys.param_values[p]) for p in sys.alphabet.params]
     # steep singular sets can be crossed within a single step, so the abort
@@ -173,7 +173,7 @@ def monitor_drift(
     expr = _as_expr(N)
     if isinstance(N, FirstIntegral) and not name:
         name = N.name
-    fn = compile_fn([expr], sys.alphabet, sys.bindings)
+    fn = compile_fn([expr], sys.alphabet)
     names = [s.name for s in sys.alphabet.variables()]
     columns = dict(zip(names, [traj.t, *traj.q.T, *traj.qdot.T]))
     columns.update({k: np.float64(v) for k, v in sys.param_values.items()})
@@ -209,8 +209,8 @@ def functional_independence_rank(
     ab = sys.alphabet
     state = ab.coord_symbols + ab.velocity_symbols
     jac_entries = [sp.diff(e, s) for e in exprs for s in state]
-    fn = compile_fn(jac_entries, ab, sys.bindings)
-    pts = draw_points(ab, sys.domain(), sys.param_values, sys.bindings, points, seed)
+    fn = compile_fn(jac_entries, ab)
+    pts = draw_points(ab, sys.domain(), sys.param_values, points, seed)
     J = _eval_rows(fn, pts.columns, points).T.reshape(points, len(exprs), len(state))
     sv = np.linalg.svd(J, compute_uv=False)
     ranks = [int(n) for n in np.sum(sv > svd_rtol * sv[:, :1], axis=1)]

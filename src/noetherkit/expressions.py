@@ -2,8 +2,8 @@
 
 Expressions are sympy trees restricted to the symbols of an :class:`Alphabet`:
 time ``t``, coordinates ``q_i``, velocities ``q_i dot``, accelerations
-``q_i ddot``, named parameters, and opaque function symbols (manipulated
-symbolically, bound to concrete expressions only for numeric work).
+``q_i ddot`` and named parameters, combined with the standard functions
+sqrt, sin, cos, exp and log.
 
 Identity between expressions is decided by a randomized numeric oracle
 (:func:`equal_numeric`), never by symbolic zero-testing: a FAIL comes with a
@@ -54,7 +54,6 @@ __all__ = [
     "SamplingError",
     "TotalDerivative",
     "STANDARD_FUNCTIONS",
-    "bind_opaque",
     "diff",
     "total_dt",
     "substitute",
@@ -146,10 +145,9 @@ class Alphabet:
 
     coords: tuple[str, ...]
     params: tuple[str, ...] = ()
-    opaque: tuple[str, ...] = ()
 
     def __post_init__(self):
-        names = list(self.coords) + list(self.params) + list(self.opaque)
+        names = list(self.coords) + list(self.params)
         seen = set()
         for name in names:
             if name in _RESERVED:
@@ -182,10 +180,6 @@ class Alphabet:
     def param_symbols(self) -> tuple[sp.Symbol, ...]:
         return tuple(_sym(p) for p in self.params)
 
-    @property
-    def functions(self) -> dict[str, sp.core.function.UndefinedFunction]:
-        return {name: sp.Function(name) for name in self.opaque}
-
     def variables(self, include_acc: bool = False) -> tuple[sp.Symbol, ...]:
         out = (self.t,) + self.coord_symbols + self.velocity_symbols
         if include_acc:
@@ -214,18 +208,11 @@ class Alphabet:
             if s not in known:
                 raise UndeclaredSymbolError(f"undeclared symbol {s!r} in {e}")
         for app in e.atoms(AppliedUndef):
-            if app.func.__name__ not in self.opaque:
-                raise UndeclaredSymbolError(
-                    f"undeclared function {app.func.__name__!r} in {e}"
-                )
+            raise UndeclaredSymbolError(f"undeclared function {app.func.__name__!r} in {e}")
 
 
 def diff(e, var, alphabet: Alphabet) -> sp.Expr:
-    """Exact partial derivative with respect to a declared variable.
-
-    Opaque function applications differentiate to sympy ``Derivative`` nodes,
-    so differentiation is closed over the expression type.
-    """
+    """Exact partial derivative with respect to a declared variable."""
     if isinstance(var, str):
         var = alphabet.lookup(var)
     return sp.diff(sp.sympify(e), var)
@@ -310,61 +297,21 @@ def total_dt(e, alphabet: Alphabet, lam: Sequence[sp.Expr] | None = None) -> sp.
 def substitute(e, bindings: Mapping, alphabet: Alphabet) -> sp.Expr:
     """Simultaneous capture-free substitution.
 
-    Keys may be declared symbol names or opaque function names; values are
-    expressions, or ``sympy.Lambda`` for function bindings.
+    Keys are declared symbols or their names; values are expressions.
     """
-    e = sp.sympify(e)
-    pairs = []
-    fn_pairs = []
-    for key, val in bindings.items():
-        if isinstance(key, str):
-            if key in alphabet.opaque:
-                # function heads are opaque names, never captured by the
-                # simultaneous symbol pass below
-                fn_pairs.append((sp.Function(key), sp.sympify(val)))
-                continue
-            key = alphabet.lookup(key)
-        if isinstance(key, sp.core.function.UndefinedFunction):
-            fn_pairs.append((key, sp.sympify(val)))
-        else:
-            pairs.append((key, sp.sympify(val)))
-    out = e.subs(pairs, simultaneous=True)
-    for head, val in fn_pairs:
-        out = out.subs(head, val)
-    return out.doit()
+    pairs = [(alphabet.lookup(key) if isinstance(key, str) else key, sp.sympify(val))
+             for key, val in bindings.items()]
+    return sp.sympify(e).subs(pairs, simultaneous=True).doit()
 
 
-def bind_opaque(e, bindings: Mapping[str, sp.Lambda] | None) -> sp.Expr:
-    """Replace opaque function symbols by concrete bindings and resolve the
-    pending derivatives."""
-    e = sp.sympify(e)
-    if bindings:
-        for name, lam in bindings.items():
-            e = e.subs(sp.Function(name), lam)
-    if e.atoms(AppliedUndef):
-        missing = sorted({a.func.__name__ for a in e.atoms(AppliedUndef)})
-        raise ValueError(f"no numeric binding for opaque function(s) {missing}")
-    return e.doit()
-
-
-def compile_fn(
-    exprs: Sequence,
-    alphabet: Alphabet,
-    bindings: Mapping[str, sp.Lambda] | None = None,
-    include_acc: bool = False,
-):
+def compile_fn(exprs: Sequence, alphabet: Alphabet, include_acc: bool = False):
     """Compile expressions into a numeric function of a point mapping.
 
     The mapping's values may be floats or equal-length numpy arrays, one
     entry per point.  Structurally equal inputs return the same function
     object from a memo of the last ``COMPILE_MEMO_SIZE`` distinct inputs.
     """
-    return _compile(
-        tuple(sp.sympify(e) for e in exprs),
-        alphabet,
-        tuple(sorted(bindings.items())) if bindings else (),
-        bool(include_acc),
-    )
+    return _compile(tuple(sp.sympify(e) for e in exprs), alphabet, bool(include_acc))
 
 
 def _shared_subtrees(exprs):
@@ -374,7 +321,7 @@ def _shared_subtrees(exprs):
 
 
 @functools.lru_cache(maxsize=COMPILE_MEMO_SIZE)
-def _compile(exprs, alphabet, bindings, include_acc):
+def _compile(exprs, alphabet, include_acc):
     """One lambdified function of (variables, one slot per total-derivative
     node) returning the expressions, with the nodes replaced by their slots,
     then the node bodies.  Without nodes it is called once at the point.
@@ -401,7 +348,7 @@ def _compile(exprs, alphabet, bindings, include_acc):
     outs = [e.xreplace(dict(zip(nodes, slots))) for e in exprs]
     raw = sp.lambdify(
         syms + tuple(slots),
-        [bind_opaque(e, dict(bindings)) for e in outs + [node.expr for node in nodes]],
+        outs + [node.expr for node in nodes],
         modules=_NAMESPACE, printer=NumPyPrinter(_PRINTER_SETTINGS), docstring_limit=0,
         cse=_shared_subtrees,
     )
@@ -410,7 +357,7 @@ def _compile(exprs, alphabet, bindings, include_acc):
         groups.setdefault(tuple(node.acc), []).append(i)
     # each system compiles its normal form once, through the memo
     directions = [
-        (_compile(acc, alphabet, bindings, include_acc), members)
+        (_compile(acc, alphabet, include_acc), members)
         for acc, members in groups.items()
     ]
     names = [s.name for s in syms]
@@ -456,21 +403,16 @@ def _eval_rows(fn, columns: Mapping[str, np.ndarray], m: int) -> np.ndarray:
     return np.array([np.broadcast_to(v, (m,)) for v in fn(columns)], dtype=float)
 
 
-def evaluate(
-    e,
-    point: Mapping[str, float],
-    alphabet: Alphabet,
-    bindings: Mapping[str, sp.Lambda] | None = None,
-) -> float:
+def evaluate(e, point: Mapping[str, float], alphabet: Alphabet) -> float:
     """IEEE double evaluation at a sample point.
 
     The point must bind every variable and parameter the value depends on
     (ValueError names the missing ones); the others may be left out.
     """
     e = sp.sympify(e)
-    fn = compile_fn([e], alphabet, bindings, include_acc=True)
+    fn = compile_fn([e], alphabet, include_acc=True)
     expanded = e.xreplace({node: node.doit() for node in e.atoms(TotalDerivative)})
-    needed = {s.name for s in bind_opaque(expanded, bindings).free_symbols}
+    needed = {s.name for s in expanded.free_symbols}
     missing = sorted(needed - set(point))
     if missing:
         raise ValueError(f"evaluating {e} needs values for {missing}")
@@ -563,7 +505,6 @@ def draw_points(
     alphabet: Alphabet,
     domain: SampleDomain,
     param_values: Mapping[str, float],
-    bindings: Mapping[str, sp.Lambda] | None,
     k: int,
     seed: int,
     include_acc: bool = False,
@@ -584,9 +525,7 @@ def draw_points(
     ).T
     params = {name: np.float64(v) for name, v in param_values.items()}
     if domain.exclusions:
-        excl = compile_fn(
-            [ex.expr for ex in domain.exclusions], alphabet, bindings, include_acc
-        )
+        excl = compile_fn([ex.expr for ex in domain.exclusions], alphabet, include_acc)
         thresholds = np.array([[ex.threshold] for ex in domain.exclusions])
     kept = [np.empty((len(var_names), 0))]
     accepted = drawn = run = 0
@@ -655,7 +594,6 @@ def equal_numeric(
     alphabet: Alphabet,
     *,
     param_values: Mapping[str, float] | None = None,
-    bindings: Mapping[str, sp.Lambda] | None = None,
     domain: SampleDomain = SampleDomain(),
     k: int = 100,
     tol: float = 1e-9,
@@ -684,10 +622,8 @@ def equal_numeric(
     if not lhs or len(lhs) != len(rhs):
         raise ValueError(f"{len(lhs)} left sides against {len(rhs)} right sides")
     exprs = [e for pair in zip(lhs, rhs) for e in pair]
-    fn = compile_fn(exprs, alphabet, bindings, include_acc)
-    points = draw_points(
-        alphabet, domain, param_values or {}, bindings, k, seed, include_acc
-    )
+    fn = compile_fn(exprs, alphabet, include_acc)
+    points = draw_points(alphabet, domain, param_values or {}, k, seed, include_acc)
     vals = _eval_rows(fn, points.columns, k)
     va, vb = vals[0::2], vals[1::2]
     finite = np.isfinite(va) & np.isfinite(vb)

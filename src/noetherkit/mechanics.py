@@ -49,7 +49,6 @@ class LagrangianSystem:
     alphabet: Alphabet
     L: sp.Expr
     param_values: dict[str, float] = field(default_factory=dict)
-    bindings: dict[str, sp.Lambda] = field(default_factory=dict)
     exclusions: tuple[Exclusion, ...] = ()
     var_ranges: dict[str, tuple[float, float]] = field(default_factory=dict)
     p: tuple[sp.Expr, ...] = ()
@@ -68,13 +67,12 @@ class LagrangianSystem:
         )
 
     def check(self, a, b, **kw) -> "IdentityReport":
-        """equal_numeric preconfigured with this system's parameters, opaque
-        bindings and singular-set exclusions.  ``a`` and ``b`` are two
-        expressions or two equal-length lists checked componentwise;
-        ``extra_exclusions`` adds to the system's exclusions."""
+        """equal_numeric preconfigured with this system's parameters and
+        singular-set exclusions.  ``a`` and ``b`` are two expressions or two
+        equal-length lists checked componentwise; ``extra_exclusions`` adds
+        to the system's exclusions."""
         extra = kw.pop("extra_exclusions", ())
         kw.setdefault("param_values", self.param_values)
-        kw.setdefault("bindings", self.bindings)
         kw.setdefault("domain", self.domain(extra))
         return equal_numeric(a, b, self.alphabet, **kw)
 
@@ -97,7 +95,6 @@ def build_system(
     *,
     name: str = "",
     param_values: Mapping[str, float] | None = None,
-    bindings: Mapping[str, sp.Lambda] | None = None,
     exclusions: Sequence[Exclusion] = (),
     var_ranges: Mapping[str, tuple[float, float]] | None = None,
     seed: int = 0,
@@ -129,7 +126,6 @@ def build_system(
         alphabet=alphabet,
         L=L,
         param_values=dict(param_values or {}),
-        bindings=dict(bindings or {}),
         exclusions=tuple(exclusions),
         var_ranges=dict(var_ranges or {}),
         p=p,
@@ -142,11 +138,8 @@ def build_system(
 
 
 def _check_regularity(sys: LagrangianSystem, seed: int = 0) -> None:
-    det_fn = compile_fn([sys.g.det()], sys.alphabet, sys.bindings)
-    points = draw_points(
-        sys.alphabet, sys.domain(), sys.param_values, sys.bindings,
-        REGULARITY_SAMPLES, seed,
-    )
+    det_fn = compile_fn([sys.g.det()], sys.alphabet)
+    points = draw_points(sys.alphabet, sys.domain(), sys.param_values, REGULARITY_SAMPLES, seed)
     det = _eval_rows(det_fn, points.columns, REGULARITY_SAMPLES)[0]
     bad = ~np.isfinite(det) | (np.abs(det) < REGULARITY_MIN_DET)
     if bad.any():
@@ -162,7 +155,7 @@ def el_residual(sys: LagrangianSystem, point: Mapping[str, float]) -> np.ndarray
         r - sum(sys.g[i, j] * a for j, a in enumerate(accs))
         for i, r in enumerate(sys.rhs)
     ]
-    fn = compile_fn(exprs, sys.alphabet, sys.bindings, include_acc=True)
+    fn = compile_fn(exprs, sys.alphabet, include_acc=True)
     # numpy floats make a pole read inf where Python floats raise
     full = {name: np.float64(v) for name, v in point.items()}
     for name, v in sys.param_values.items():

@@ -339,7 +339,7 @@ def solve_onflow_simplest(
 ) -> Triple:
     """``solve_onflow_with_R`` with R = 0, that is
     ``trivialize(solve_onflow(N, 0, 0), "gauge", c)``: tau = -N/(L+c),
-    xi = tau*qdot, f = 0.
+    xi = tau*qdot, f = c*N/(L+c), which is 0 at c = 0.
 
     The shift constant c moves the working domain off the zero set of L.
     """
@@ -349,8 +349,8 @@ def solve_onflow_simplest(
 def solve_onflow_with_R(
     sys: LagrangianSystem, N, R: Sequence, *, c: float = 0.0, seed: int = 0
 ) -> Triple:
-    """On-flow triple with zero boundary term and free vector shape R:
-    ``trivialize(solve_onflow(N, 0, R), "gauge", c)``."""
+    """On-flow triple with free vector shape R and boundary term zero at
+    c = 0: ``trivialize(solve_onflow(N, 0, R), "gauge", c)``."""
     # check conservation away from L + c = 0, where the result divides by it
     denom = Exclusion(sys.L + c, DENOM_MARGIN)
     fi = _require_conserved(sys, N, seed, extra_exclusions=(denom,))
@@ -370,7 +370,7 @@ def solve_strong(sys: LagrangianSystem, N, tau=sp.Integer(0), *, seed: int = 0) 
 def solve_alt_strong_trivial_gauge(
     sys: LagrangianSystem, N, *, c: float = 0.0, seed: int = 0
 ) -> Triple:
-    """Alternative-convention strong triple with zero boundary term:
+    """Alternative-convention strong triple with boundary term zero at c = 0:
     ``convert_standard_alternative(trivialize(solve_strong(N, 0), "gauge", c))``."""
     denom = Exclusion(sys.L + c, DENOM_MARGIN)
     fi = _require_conserved(sys, N, seed, extra_exclusions=(denom,))
@@ -381,22 +381,27 @@ def solve_alt_strong_trivial_gauge(
 def multiplicity_transform(
     sys: LagrangianSystem, tr: Triple, h, *, c: float = 0.0
 ) -> Triple:
-    """Trade the boundary term for h, preserving form and eta: tau += s and
-    f = h with s = (h-f)/(L+c), so that xi += qdot*s in the standard
-    convention.  With c = 0 the first integral is preserved."""
+    """Trade the boundary term for h, preserving form, eta and the first
+    integral: tau += s and f = h - c*s with s = (h-f)/(L+c), so that
+    xi += qdot*s in the standard convention.  The shift c keeps the
+    denominator off the zero set of L; f = h only at c = 0."""
     h = sp.sympify(h)
     shift = (h - tr.f) / (sys.L + c)
     _, convention = _decode(tr.form)
+    # 0.0*shift folds to 0 only after sympy has asked whether shift is finite,
+    # which costs milliseconds on a solver's expressions
+    f = h - c * shift if c else h
     return Triple(
-        tau=tr.tau + shift, xi=_xi(sys, shift, tr.xi, convention), f=h, form=tr.form,
+        tau=tr.tau + shift, xi=_xi(sys, shift, tr.xi, convention), f=f, form=tr.form,
         exclusions=tr.exclusions + (Exclusion(sys.L + c, DENOM_MARGIN),),
     )
 
 
 def trivialize(sys: LagrangianSystem, tr: Triple, which: str, *, c: float = 0.0) -> Triple:
     """Equivalent triple with zero time change (``which='time'``: xi = eta,
-    f -= L*tau) or zero boundary term (``which='gauge'``); the first
-    integral is unchanged."""
+    f -= L*tau) or zero boundary term (``which='gauge'``: the
+    multiplicity transform to h = 0, which leaves f*c/(L+c), zero only at
+    c = 0); the first integral is unchanged."""
     if which == "time":
         _, convention = _decode(tr.form)
         return Triple(

@@ -19,7 +19,8 @@ Each ``singular`` entry is ``expr @ threshold`` (sampling rejects
 sampling box.  Triple files use a ``[triple]`` section with ``tau``, ``xi``
 (comma-separated components), ``f``, ``form`` and the ``singular`` entries
 of the margins its solver declared.  All expressions use the grammar of
-:mod:`noetherkit.dsl`.  Files cannot bind opaque functions, nor declare them.
+:mod:`noetherkit.dsl`.  A key that its section does not read is an error,
+so a misspelt ``singualr`` or ``frm`` cannot drop what it was meant to say.
 """
 
 from __future__ import annotations
@@ -50,6 +51,15 @@ class SystemFile:
     system: LagrangianSystem
     integrals: dict[str, "sp.Expr"] = field(default_factory=dict)
     triples: dict[str, Triple] = field(default_factory=dict)
+
+
+# the keys each section reads; [system] also reads range_<var>
+_KEYS = {
+    "system": {"name", "dim", "coords", "params", "lagrangian", "singular",
+               "singular_threshold"},
+    "integral": {"name", "expr"},
+    "triple": {"name", "tau", "xi", "f", "form", "singular", "singular_threshold"},
+}
 
 
 def _split_top_level(text: str) -> list[str]:
@@ -87,7 +97,12 @@ def _sections(text: str) -> list[tuple[str, dict[str, tuple[str, int]]]]:
         if current is None:
             raise SystemFileError("key outside of any [section]", lineno)
         key, _, value = line.partition("=")
-        current[1][key.strip().lower()] = (value.strip(), lineno)
+        key = key.strip().lower()
+        section, body = current
+        if section in _KEYS and key not in _KEYS[section] and not (
+                section == "system" and key.startswith("range_")):
+            raise SystemFileError(f"unknown key {key!r} in [{section}] section", lineno)
+        body[key] = (value.strip(), lineno)
     return sections
 
 
@@ -149,9 +164,6 @@ def read_system_file(path) -> SystemFile:
     alphabet = None
     for section, body in _sections(text):
         if section == "system":
-            if "opaque" in body:
-                raise SystemFileError("a system file cannot declare opaque functions",
-                                      body["opaque"][1])
             name = _get(body, "name", Path(path).stem)
             dim = _number(int, _require(body, "dim", section), body["dim"][1])
             coords = tuple(_split_top_level(_require(body, "coords", section)))
@@ -228,11 +240,7 @@ def write_system_file(
     integrals: dict | None = None,
     triples: dict[str, Triple] | None = None,
 ) -> None:
-    """Emit a definition file that round-trips through read_system_file;
-    ValueError for a system with opaque functions, which a file cannot bind."""
-    if system.alphabet.opaque:
-        raise ValueError("a system file cannot declare opaque functions "
-                         f"({', '.join(system.alphabet.opaque)})")
+    """Emit a definition file that round-trips through read_system_file."""
     lines = ["[system]", f"name = {system.name or Path(path).stem}"]
     lines.append(f"dim = {system.n}")
     lines.append("coords = " + ", ".join(system.alphabet.coords))

@@ -35,16 +35,18 @@ def iso_steep():
 
 @pytest.fixture(scope="session")
 def iso_opaque():
-    """The isochrony system with G left opaque and bound to 1/x^3 (c = 0)."""
-    ab = Alphabet(coords=("x", "y"), params=("c",), opaque=("G",))
+    """The isochrony system with G = 1/x^3 (c = 0), built by hand through
+    build_system rather than the corpus, and its integrals N1, N3 written out
+    from their general-G formulas with G and G' substituted."""
+    ab = Alphabet(coords=("x", "y"), params=("c",))
     x, y = ab.coord_symbols
     xd, yd = ab.velocity_symbols
     c = ab.param_symbols[0]
-    G = sp.Function("G")(x)
-    Gp = sp.Derivative(G, x)
+    G = x**-3
+    Gp = sp.diff(G, x)
     sysdef = build_system(
-        xd * yd - G * y, ab, name="isochrony[G opaque]", param_values={"c": 0.0},
-        bindings={"G": sp.Lambda(x, x**-3)}, exclusions=(Exclusion(x, 0.5),),
+        xd * yd - G * y, ab, name="isochrony[G = 1/x^3, by hand]", param_values={"c": 0.0},
+        exclusions=(Exclusion(x, 0.5),),
     )
     integrals = {
         "N1": xd * yd + G * y,

@@ -66,6 +66,31 @@ def opaque_sys(tmp_path):
 
 
 @pytest.fixture()
+def frm_sys(tmp_path):
+    """A free-particle triple file whose form key is misspelt ``frm``."""
+    path = tmp_path / "frm.tri"
+    path.write_text("[triple]\nname = boost\ntau = 0\nxi = t\nf = q\nfrm = strong\n")
+    return str(path)
+
+
+@pytest.fixture()
+def singualr_sys(tmp_path):
+    """A free-particle file whose singular key is misspelt ``singualr``."""
+    path = tmp_path / "singualr.sys"
+    path.write_text("[system]\ndim = 1\ncoords = q\nlagrangian = qdot^2/2\nsingualr = q\n")
+    return str(path)
+
+
+@pytest.fixture()
+def complex_sys(tmp_path):
+    """An oscillator whose Lagrangian folds sqrt(-1) to the imaginary unit."""
+    path = tmp_path / "complex.sys"
+    path.write_text("[system]\ndim = 1\ncoords = q\n"
+                    "lagrangian = qdot^2/2 - sqrt(-1)*q^2/2\n")
+    return str(path)
+
+
+@pytest.fixture()
 def bad_number_sys(tmp_path):
     path = tmp_path / "bad_number.sys"
     path.write_text("[system]\ndim = 1\ncoords = q\nlagrangian = qdot^2/2\n"
@@ -262,6 +287,12 @@ EXIT_TABLE = [
     (["solve", "{kepler}", "lrl_u", "--mode", "strong", "--tau", "1e308*10"], cli.EXIT_PARSE),
     (["solve", "{kepler}", "lrl_u", "--mode", "strong", "--tau", "10^400"], cli.EXIT_PARSE),
     (["solve", "{kepler}", "lrl_u", "--mode", "strong", "--tau", "r1*10^400"], cli.EXIT_PARSE),
+    (["verify", "{fp}", "{frm}"], cli.EXIT_PARSE),
+    (["describe", "{singualr}"], cli.EXIT_PARSE),
+    (["solve", "{kepler}", "lrl_u", "--mode", "strong", "--tau", "sqrt(-1)"], cli.EXIT_PARSE),
+    (["solve", "{kepler}", "lrl_u", "--mode", "strong", "--tau", "log(-1)"], cli.EXIT_PARSE),
+    (["solve", "{kepler}", "lrl_u", "--mode", "strong", "--tau", "(-8)^(1/3)"], cli.EXIT_PARSE),
+    (["integrate", "{complex}", "0,1,0", "--t1", "1"], cli.EXIT_PARSE),
 ]
 
 

@@ -4,7 +4,7 @@ import sympy as sp
 from noetherkit.dsl import ExprSyntaxError, parse, print_expr
 from noetherkit.expressions import Alphabet, UndeclaredSymbolError, equal_numeric
 
-AB = Alphabet(coords=("x", "y"), params=("m",), opaque=("G",))
+AB = Alphabet(coords=("x", "y"), params=("m",))
 X, Y = AB.coord_symbols
 XD, YD = AB.velocity_symbols
 
@@ -32,15 +32,11 @@ def test_standard_functions():
         parse("sin(x, y)", AB)
 
 
-def test_opaque_functions_and_primes():
-    G = sp.Function("G")
-    assert parse("G(x)*y", AB) == G(X) * Y
-    assert parse("G'(x)", AB) == sp.Derivative(G(X), X)
-    assert parse("G''(x)", AB) == sp.Derivative(G(X), (X, 2))
-    with pytest.raises(ExprSyntaxError):
-        parse("x'(x)", AB)  # primes only on opaque functions
-    with pytest.raises(ExprSyntaxError):
-        parse("G'(x + y)", AB)  # primed form needs a plain variable
+def test_prime_notation_is_a_syntax_error():
+    for text in ("x'(x)", "G'(x)", "xdot'"):
+        with pytest.raises(ExprSyntaxError, match="unexpected character") as err:
+            parse(text, AB)
+        assert text[err.value.position] == "'"
 
 
 def test_syntax_errors_carry_positions():
@@ -99,8 +95,7 @@ def test_qdot_alias():
 @pytest.mark.parametrize(
     "text",
     [
-        "xdot*ydot - G(x)*y",
-        "G''(x)*3 + G'(x)^2",
+        "xdot*ydot - y/x^3",
         "m/sqrt(x^2 + y^2) + (xdot^2 + ydot^2)/2",
         "-x^2/2 + sin(t)*xdot",
         "(x - t*xdot)^3",

@@ -127,7 +127,7 @@ def _reference_integrate(sysdef, initial, t1, dt):
     params = {k: np.float64(v) for k, v in sysdef.param_values.items()}
 
     def state_fn(exprs):
-        fn = compile_fn(exprs, sysdef.alphabet, sysdef.bindings)
+        fn = compile_fn(exprs, sysdef.alphabet)
 
         def at(t, y):
             point = dict(zip(names, [np.float64(t), *y]), **params)

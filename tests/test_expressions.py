@@ -95,13 +95,6 @@ def test_diff_is_linear_and_leibniz_on_random_trees():
             assert equal_numeric(prod, leib, AB, k=20).passed
 
 
-def test_diff_of_opaque_function_stays_symbolic():
-    ab = Alphabet(coords=("x",), opaque=("G",))
-    x = ab.coord_symbols[0]
-    d = diff(sp.Function("G")(x), x, ab)
-    assert d.has(sp.Derivative)
-
-
 def test_total_dt_generic_vs_onflow():
     e = X * XD + sp.sin(T) * Y
     generic = total_dt(e, AB)
@@ -127,11 +120,11 @@ def _expand(e):
 
 
 def _node_residual(e, alphabet, domain=SampleDomain(), k=200, include_acc=False,
-                   bindings=None, param_values=None):
+                   param_values=None):
     """Largest oracle residual |a - b| / (1 + max(|a|, |b|)) between the
     complex-step value of e and its symbolic expansion at k points."""
-    pts = draw_points(alphabet, domain, param_values or {}, bindings, k, 5, include_acc)
-    a, b = (expressions._eval_rows(compile_fn([x], alphabet, bindings, include_acc),
+    pts = draw_points(alphabet, domain, param_values or {}, k, 5, include_acc)
+    a, b = (expressions._eval_rows(compile_fn([x], alphabet, include_acc),
                                    pts.columns, k)[0]
             for x in (e, _expand(e)))
     assert np.isfinite(a).all() and np.isfinite(b).all()
@@ -172,7 +165,7 @@ def test_complex_step_through_abs_and_sign():
     # away from x = 0, where the expansion's DiracDelta(x) term vanishes
     expected = sp.sign(X) * XD * Y + sp.Abs(X) * YD + 2 * sp.sign(X) * YD * ydd
     dom = SampleDomain(exclusions=(Exclusion(X, 0.1),))
-    pts = draw_points(AB, dom, {}, None, 200, 5, include_acc=True)
+    pts = draw_points(AB, dom, {}, 200, 5, include_acc=True)
     got, want = expressions._eval_rows(
         compile_fn([total_dt(e, AB), expected], AB, include_acc=True), pts.columns, 200)
     assert np.max(np.abs(got - want) / (1 + np.abs(want))) < 1e-12
@@ -275,7 +268,7 @@ def test_compiled_code_shares_repeated_subtrees():
     # the kepler3d RK4 stage computes |r| once, not once per occurrence
     sysdef = corpus.load("kepler3d").system
     exprs = [*sysdef.lam, *(ex.expr for ex in sysdef.exclusions)]
-    fn = compile_fn(exprs, sysdef.alphabet, sysdef.bindings)
+    fn = compile_fn(exprs, sysdef.alphabet)
     assert inspect.getsource(fn.positional).count("sqrt(") == 1
 
 
@@ -289,7 +282,7 @@ def test_shared_subtrees_do_not_capture_declared_names():
     exprs = [*sysdef.lam, energy, x0 * x1d - x1 * x0d]
     exprs += [killing_lhs(sysdef, solve_strong(sysdef, energy, tau=x0), form).doit()
               for form in FORMS]
-    pts = draw_points(ab, sysdef.domain(), sysdef.param_values, None, 8, seed=3,
+    pts = draw_points(ab, sysdef.domain(), sysdef.param_values, 8, seed=3,
                       include_acc=True)
     got = [np.broadcast_to(v, (8,)) for v in compile_fn(exprs, ab, include_acc=True)(pts.columns)]
     for e, values in zip(exprs, got):
@@ -355,25 +348,17 @@ def test_substitute_is_simultaneous():
     assert sp.simplify(out - (Y - X)) == 0
 
 
-def test_substitute_binds_opaque_functions():
-    ab = Alphabet(coords=("x",), opaque=("G",))
-    x = ab.coord_symbols[0]
-    e = sp.Function("G")(x) + sp.Derivative(sp.Function("G")(x), x)
-    out = substitute(e, {"G": sp.Lambda(x, x**2)}, ab)
-    assert sp.simplify(out - (x**2 + 2 * x)) == 0
-
-
 def test_evaluate_and_domain_violation():
     assert evaluate(X * XD, {"x": 2.0, "xdot": 3.0}, AB) == pytest.approx(6.0)
     # a name the value depends on is never filled in
     with pytest.raises(ValueError, match=r"\['xdot', 'y'\]"):
         evaluate(X * XD + Y, {"x": 2.0}, AB)
-    ab = Alphabet(coords=("q",), params=("m",), opaque=("G",))
+    ab = Alphabet(coords=("q",), params=("m",))
     (q,), (m,) = ab.coord_symbols, ab.param_symbols
     with pytest.raises(ValueError, match="qdot"):
         evaluate(total_dt(q**2, ab, [0]), {"t": 0.0, "q": 2.0}, ab)
     with pytest.raises(ValueError, match="'m'"):
-        evaluate(sp.Function("G")(q), {"q": 2.0}, ab, {"G": sp.Lambda(q, m * q)})
+        evaluate(m * q, {"q": 2.0}, ab)
     assert evaluate(total_dt(q**2, ab, [0]), {"q": 2.0, "qdot": 3.0}, ab) == pytest.approx(12.0)
     with pytest.raises(DomainViolation) as err:
         evaluate(1 / X, {"x": 0.0}, AB)
@@ -386,8 +371,8 @@ def test_evaluate_and_domain_violation():
 
 def test_draw_points_deterministic_and_respects_exclusions():
     dom = SampleDomain(exclusions=(Exclusion(X, 0.5),))
-    p1 = draw_points(AB, dom, {}, None, 25, seed=3)
-    p2 = draw_points(AB, dom, {}, None, 25, seed=3)
+    p1 = draw_points(AB, dom, {}, 25, seed=3)
+    p2 = draw_points(AB, dom, {}, 25, seed=3)
     assert p1 == p2
     assert all(abs(p["x"]) >= 0.5 for p in p1)
     assert all(0.0 <= p["t"] <= 2.0 for p in p1)
@@ -395,14 +380,14 @@ def test_draw_points_deterministic_and_respects_exclusions():
 
 def test_draw_points_var_range_override():
     dom = SampleDomain(var_ranges={"x": (5.0, 6.0)})
-    pts = draw_points(AB, dom, {}, None, 10, seed=0)
+    pts = draw_points(AB, dom, {}, 10, seed=0)
     assert all(5.0 <= p["x"] <= 6.0 for p in pts)
 
 
 def test_draw_points_exhaustion_raises():
     dom = SampleDomain(exclusions=(Exclusion(sp.Integer(0), 1.0),))
     with pytest.raises(SamplingError):
-        draw_points(AB, dom, {}, None, 1, seed=0)
+        draw_points(AB, dom, {}, 1, seed=0)
 
 
 def _reference_draw(alphabet, domain, param_values, k, seed, include_acc=False,
@@ -420,7 +405,7 @@ def _reference_draw(alphabet, domain, param_values, k, seed, include_acc=False,
             ranges[s.name] = domain.acc_range
         else:
             ranges[s.name] = domain.default_range
-    excl = [(compile_fn([ex.expr], alphabet, None, include_acc), ex.threshold)
+    excl = [(compile_fn([ex.expr], alphabet, include_acc), ex.threshold)
             for ex in domain.exclusions]
     points = []
     for _ in range(k):
@@ -446,7 +431,7 @@ def test_draw_points_matches_one_at_a_time_reference():
     for seed in range(6):
         for include_acc in (False, True):
             ref = _reference_draw(ab, dom, {"a": 0.7}, 40, seed, include_acc)
-            pts = draw_points(ab, dom, {"a": 0.7}, None, 40, seed, include_acc)
+            pts = draw_points(ab, dom, {"a": 0.7}, 40, seed, include_acc)
             assert len(pts) == 40
             assert list(pts) == ref
             assert list(pts.columns) == list(ref[0])
@@ -459,7 +444,7 @@ def test_draw_points_rejection_run_across_blocks():
     first_block = expressions._next_block(2, 0, 0)
     seed = 5
     ref = _reference_draw(AB, dom, {}, 2, seed)
-    assert list(draw_points(AB, dom, {}, None, 2, seed)) == ref
+    assert list(draw_points(AB, dom, {}, 2, seed)) == ref
     # replay the stream to find the rejection run before each accepted point
     rng = np.random.default_rng(seed)
     runs, run = [], 0
@@ -476,19 +461,17 @@ def test_draw_points_rejection_run_across_blocks():
     longest = max(runs)
     assert runs[0] + 1 + runs[1] > first_block  # the draw needs a second block
     with pytest.raises(SamplingError):
-        draw_points(AB, dom, {}, None, 2, seed, max_tries=longest)
-    assert list(draw_points(AB, dom, {}, None, 2, seed, max_tries=longest + 1)) == ref
+        draw_points(AB, dom, {}, 2, seed, max_tries=longest)
+    assert list(draw_points(AB, dom, {}, 2, seed, max_tries=longest + 1)) == ref
 
 
 def test_compile_fn_memo_returns_shared_function():
-    ab = Alphabet(coords=("x",), opaque=("G",))
-    x = ab.coord_symbols[0]
-    G = sp.Function("G")
-    square = {"G": sp.Lambda(x, x**2)}
-    f = compile_fn([G(x) * ab.velocity_symbols[0]], ab, square)
-    assert compile_fn([ab.velocity_symbols[0] * G(x)], ab, dict(square)) is f
-    assert compile_fn([G(x) * ab.velocity_symbols[0]], ab, {"G": sp.Lambda(x, x**3)}) is not f
-    assert compile_fn([G(x) * ab.velocity_symbols[0]], ab, square, include_acc=True) is not f
+    ab = Alphabet(coords=("x",))
+    (x,), (xd,) = ab.coord_symbols, ab.velocity_symbols
+    f = compile_fn([x**2 * xd], ab)
+    assert compile_fn([xd * x**2], ab) is f
+    assert compile_fn([x**3 * xd], ab) is not f
+    assert compile_fn([x**2 * xd], ab, include_acc=True) is not f
 
 
 def test_equal_numeric_pass_and_conclusive_fail():
@@ -518,7 +501,7 @@ def test_equal_numeric_raises_on_singular_point():
     # sqrt goes non-finite on the negative half of the sampling box
     with pytest.raises(DomainViolation) as err:
         equal_numeric(sp.sqrt(X), sp.sqrt(X), AB, k=50)
-    first_bad = next(p for p in draw_points(AB, SampleDomain(), {}, None, 50, 0)
+    first_bad = next(p for p in draw_points(AB, SampleDomain(), {}, 50, 0)
                      if p["x"] < 0)
     assert err.value.point == first_bad
     assert all(type(v) is float for v in err.value.point.values())

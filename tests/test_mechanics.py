@@ -87,7 +87,7 @@ def test_el_residual_matches_g_times_lam_minus_acc(kepler):
     res = el_residual(sysdef, point)
     from noetherkit.expressions import compile_fn
 
-    lam_fn = compile_fn(list(sysdef.lam), sysdef.alphabet, sysdef.bindings)
+    lam_fn = compile_fn(list(sysdef.lam), sysdef.alphabet)
     full = dict(point)
     full.update(sysdef.param_values)
     lam = np.asarray(lam_fn(full), dtype=float)

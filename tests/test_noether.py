@@ -76,9 +76,8 @@ def _assert_nodes_match_expansion(sysdef, e, include_acc, exclusions=(), k=200):
     """Complex-step nodes agree with their symbolic expansion within 1e-12
     in the oracle's residual |a - b| / (1 + max(|a|, |b|)) at k points."""
     ab = sysdef.alphabet
-    pts = draw_points(ab, sysdef.domain(exclusions), sysdef.param_values,
-                      sysdef.bindings, k, 7, include_acc)
-    a, b = (_eval_rows(compile_fn([x], ab, sysdef.bindings, include_acc), pts.columns, k)[0]
+    pts = draw_points(ab, sysdef.domain(exclusions), sysdef.param_values, k, 7, include_acc)
+    a, b = (_eval_rows(compile_fn([x], ab, include_acc), pts.columns, k)[0]
             for x in (e, _expand(e)))
     assert np.isfinite(a).all() and np.isfinite(b).all()
     resid = np.abs(a - b) / (1 + np.maximum(np.abs(a), np.abs(b)))
@@ -93,13 +92,14 @@ def test_onflow_integral_nodes_match_expansion(name, request):
         node = total_dt(N, sysdef.alphabet, sysdef.lam)
         assert isinstance(node, TotalDerivative)
         _assert_nodes_match_expansion(sysdef, node, include_acc=False)
+        assert check_conserved(sysdef, N).verified
 
 
 def test_opaque_onflow_integral_nodes_match_expansion(iso_opaque):
     sysdef, integrals = iso_opaque
     for N in integrals.values():
         node = total_dt(N, sysdef.alphabet, sysdef.lam)
-        assert node.has(sp.Function("G"))
+        assert isinstance(node, TotalDerivative)
         _assert_nodes_match_expansion(sysdef, node, include_acc=False)
         assert check_conserved(sysdef, N).verified
 
@@ -265,6 +265,21 @@ def test_zero_gauge_solvers_check_conservation_off_their_denominator(fp, solver)
     assert err.value.report.worst_point["qdot"] ** 2 / 2 >= DENOM_MARGIN
 
 
+@pytest.mark.parametrize("solver", [
+    solve_onflow_simplest,
+    lambda sysdef, N, c: solve_onflow_with_R(sysdef, N, [1, 0, 0], c=c),
+    solve_alt_strong_trivial_gauge,
+], ids=["simplest", "with_R", "alt_strong"])
+def test_zero_gauge_solvers_keep_the_integral_at_a_shift(kepler, solver):
+    # the shift c moves the denominator L + c; the boundary term then
+    # completes the triple, so the Noether integral is still N
+    energy = kepler.integrals["energy"]
+    tr = solver(kepler.system, energy, c=1.0)
+    assert tr.f != 0
+    rep = verify_triple(kepler.system, tr, energy)
+    assert rep.passed and rep.integral_check.passed, rep.to_dict()
+
+
 def test_alt_strong_solver(kepler):
     sysdef = kepler.system
     tr = solve_alt_strong_trivial_gauge(sysdef, kepler.integrals["energy"])
@@ -370,13 +385,17 @@ def _polys(draw, ab, size=2):
     return sum((c * m for c, m in terms), sp.Integer(0))
 
 
+_shifts = st.sampled_from((0.0, 1.0, 3.0))
+
+
 @st.composite
 def _solved(draw, systems):
     """A system with one of its integrals N, drawn from the corpus (the
     isochrony family G = x at a drawn parameter c), and a triple for N:
     solve_onflow or solve_strong at a drawn tau (and R), followed by drawn
     multiplicity transforms to a boundary term h, trivializations, and a
-    conversion to the alternative convention."""
+    conversion to the alternative convention.  The transforms that divide
+    by L + c draw that shift c too (0, 1 or 3), apart from the family's c."""
     name = draw(st.sampled_from(sorted(systems)))
     sysdef, integrals = systems[name]
     if name == "iso":  # G = x solves the family's ODE for every c
@@ -390,7 +409,9 @@ def _solved(draw, systems):
         tr = solve_onflow(sysdef, N, tau, [draw(_polys(ab)) for _ in range(sysdef.n)])
     for step in draw(st.lists(st.sampled_from(("h", "time", "gauge")), max_size=2)):
         if step == "h":
-            tr = multiplicity_transform(sysdef, tr, draw(_polys(ab)))
+            tr = multiplicity_transform(sysdef, tr, draw(_polys(ab)), c=draw(_shifts))
+        elif step == "gauge":
+            tr = trivialize(sysdef, tr, step, c=draw(_shifts))
         else:
             tr = trivialize(sysdef, tr, step)
     if draw(st.booleans()):
@@ -447,6 +468,6 @@ def test_perturbed_solutions_fail_with_a_witness(systems, data, eps):
     strong = bad.form.endswith("strong")
     fn = compile_fn([_reference_killing_lhs(sysdef, bad, bad.form),
                      total_dt(bad.f, ab, None if strong else sysdef.lam)],
-                    ab, sysdef.bindings, include_acc=strong)
+                    ab, include_acc=strong)
     a, b = fn({name: np.float64(v) for name, v in rep.worst_point.items()})
     assert abs(a - b) / (1 + max(abs(a), abs(b))) > rep.tol

@@ -125,13 +125,32 @@ def test_triple_file_keeps_the_solver_margin(iso, tmp_path):
     assert verify_triple(iso.system, back, iso.integrals["N1"], k=30).passed
 
 
-def test_opaque_functions_are_not_part_of_the_format(iso_opaque, tmp_path):
-    with pytest.raises(ValueError, match="opaque"):
-        write_system_file(tmp_path / "opaque.sys", iso_opaque[0])
+def test_opaque_functions_are_not_part_of_the_format(tmp_path):
     with pytest.raises(SystemFileError, match="opaque") as err:
         _read("[system]\ndim = 2\ncoords = x, y\nopaque = G\n"
               "lagrangian = xdot*ydot - G(x)*y\n", tmp_path)
     assert "(line 4)" in str(err.value)
+
+
+_FP = "[system]\ndim = 1\ncoords = q\nlagrangian = qdot^2/2\n"
+
+
+@pytest.mark.parametrize("text, key, line", [
+    (_FP + "singualr = q\n", "singualr", 5),
+    (_FP + "[integral]\nname = energy\nexpr = qdot^2/2\nsingular = q\n", "singular", 8),
+    (_FP + "[triple]\ntau = 0\nxi = t\nf = q\nfrm = strong\n", "frm", 9),
+    (_FP + "[triple]\ntau = 0\nxi = t\nf = q\nrange_q = 0, 1\n", "range_q", 9),
+], ids=["system", "integral", "triple", "triple_range"])
+def test_unknown_keys_are_refused(text, key, line, fp, tmp_path):
+    with pytest.raises(SystemFileError, match=rf"unknown key '{key}'.*\(line {line}\)"):
+        _read(text, tmp_path)
+    # a triple file is checked the same way
+    triple = text[text.index("[triple]"):] if "[triple]" in text else None
+    if triple:
+        path = tmp_path / "bad.tri"
+        path.write_text(triple)
+        with pytest.raises(SystemFileError, match=rf"unknown key '{key}'.*\(line {line - 4}\)"):
+            read_triple_file(path, fp.system.alphabet)
 
 
 @pytest.mark.parametrize("entry", ["dim = x", "singular = q @ abc", "singular_threshold = abc",
