@@ -9,6 +9,7 @@ with a suitable boundary term.
 
 from noetherkit import corpus
 from noetherkit.dsl import print_expr
+from noetherkit.expressions import tidy
 from noetherkit.noether import noether_integral, verify_triple
 
 entry = corpus.load("freeparticle")
@@ -30,7 +31,7 @@ for name in sorted(entry.triples):
         print(f"  on-flow: {onflow.verdict}")
     else:
         print()
-    fi = noether_integral(sysdef, tr, simplify=True)
-    print(f"  Noether integral: {print_expr(fi.expr)}"
+    fi = noether_integral(sysdef, tr)
+    print(f"  Noether integral: {print_expr(tidy(fi.expr))}"
           f"  (conserved: {fi.verified})")
     print()

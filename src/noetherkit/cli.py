@@ -25,7 +25,7 @@ from . import corpus as corpus_mod
 from .dsl import ExprSyntaxError, parse, print_expr
 from .dynamics import SingularStartError, integrate, monitor_drift, write_trajectory_csv
 from .expressions import DomainViolation, SamplingError, UndeclaredSymbolError
-from .mechanics import RegularityError
+from .mechanics import REGULARITY_SAMPLES, RegularityError
 from .noether import (
     FORMS,
     NotConservedError,
@@ -85,7 +85,7 @@ def cmd_describe(args) -> int:
         print(f"  g[{i}] = [{row}]")
     for i, li in enumerate(sysdef.lam):
         print(f"  Lambda[{i}] = {print_expr(li)}")
-    print(f"  regularity: sampled OK (|det g| above floor at 20 points)")
+    print(f"  regularity: sampled OK (|det g| above floor at {REGULARITY_SAMPLES} points)")
     for name, expr in sf.integrals.items():
         print(f"  integral {name} = {print_expr(expr)}")
     return EXIT_OK

@@ -18,7 +18,7 @@ from typing import Sequence
 import numpy as np
 import sympy as sp
 
-from .expressions import _eval_rows, compile_fn, draw_points
+from .expressions import _eval_rows, _real, compile_fn, draw_points
 from .mechanics import LagrangianSystem
 from .noether import FirstIntegral, _as_expr
 
@@ -36,6 +36,8 @@ SINGULAR_ABORT = 1e-3
 # a run stores every node, so the step count is bounded; 100x the 10k steps
 # of a long monitored orbit
 MAX_STEPS = 1_000_000
+# singular values below this fraction of the largest do not count to the rank
+SVD_RTOL = 1e-8
 
 
 class SingularStartError(ValueError):
@@ -135,6 +137,11 @@ def integrate(
     truncated = False
     h2, h6 = dt / 2, dt / 6
     with np.errstate(all="ignore"):
+        # arithmetic on float64 arguments gives complex values at every state
+        # or at none; where it does, each stage reads them as the oracle does
+        start = stage(np.float64(t), *map(np.float64, y), *params)
+        if any(isinstance(v, complex) for v in start):
+            stage = lambda *args, compiled=stage: _real(compiled(*args))
         k1, excluded = rhs(t, y)
         if near_singular(excluded):
             raise SingularStartError("initial state is inside the singular exclusion zone")
@@ -198,7 +205,6 @@ def functional_independence_rank(
     *,
     points: int = 10,
     seed: int = 0,
-    svd_rtol: float = 1e-8,
 ) -> tuple[int, list[int]]:
     """Numeric rank of the Jacobian of the integrals with respect to
     (q, qdot), majority-voted over sample points.
@@ -213,7 +219,7 @@ def functional_independence_rank(
     pts = draw_points(ab, sys.domain(), sys.param_values, points, seed)
     J = _eval_rows(fn, pts.columns, points).T.reshape(points, len(exprs), len(state))
     sv = np.linalg.svd(J, compute_uv=False)
-    ranks = [int(n) for n in np.sum(sv > svd_rtol * sv[:, :1], axis=1)]
+    ranks = [int(n) for n in np.sum(sv > SVD_RTOL * sv[:, :1], axis=1)]
     majority = max(set(ranks), key=ranks.count)
     return majority, ranks
 

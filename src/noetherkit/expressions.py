@@ -78,6 +78,10 @@ _RESERVED = {"t"} | set(STANDARD_FUNCTIONS)
 COMPILE_MEMO_SIZE = 256
 # largest block of candidates draw_points tests in one array call
 MAX_BLOCK = 1 << 16
+# sampling box of a variable that SampleDomain.var_ranges does not name
+T_RANGE = (0.0, 2.0)
+DEFAULT_RANGE = (-2.0, 2.0)  # coordinates and velocities
+ACC_RANGE = (-2.0, 2.0)  # accelerations, in strong-mode checks
 # complex-step size: far below the scale of any sampled quantity, so the
 # O(h^2) truncation error vanishes in float64
 COMPLEX_STEP = 1e-30
@@ -385,7 +389,7 @@ def _compile(exprs, alphabet, include_acc):
                 for i in members:
                     rates[i] = np.imag(vals[m + i]) / h
             vals = raw(*real, *rates)
-            finite = [np.isfinite(body) for body in vals[m:]]
+            finite = [np.isfinite(_real(body)) for body in vals[m:]]
             return [np.where(np.all([finite[i] for i in own], axis=0), v, np.nan)
                     for v, own in zip(vals[:m], owners)]
 
@@ -396,11 +400,20 @@ def _compile(exprs, alphabet, include_acc):
     return fn
 
 
+def _real(values) -> np.ndarray:
+    """Compiled values as a float array, where a value with a non-zero
+    imaginary part reads NaN (the oracle works over the reals)."""
+    values = np.asarray(values)
+    if np.iscomplexobj(values):
+        values = np.where(values.imag == 0, values.real, np.nan)
+    return values.astype(float, copy=False)
+
+
 def _eval_rows(fn, columns: Mapping[str, np.ndarray], m: int) -> np.ndarray:
     """A compiled function's values at m points given as numpy columns, one
-    row per expression.  Numpy inputs make singular points read inf or NaN
-    where Python floats would raise."""
-    return np.array([np.broadcast_to(v, (m,)) for v in fn(columns)], dtype=float)
+    row per expression, read through :func:`_real`.  Numpy inputs make
+    singular points read inf or NaN where Python floats would raise."""
+    return _real([np.broadcast_to(v, (m,)) for v in fn(columns)])
 
 
 def evaluate(e, point: Mapping[str, float], alphabet: Alphabet) -> float:
@@ -419,7 +432,7 @@ def evaluate(e, point: Mapping[str, float], alphabet: Alphabet) -> float:
     # numpy floats give inf or NaN where Python floats raise or go complex
     full = {name: np.float64(point.get(name, 0.0)) for name in fn.arg_names}
     try:
-        val = float(fn(full)[0])
+        val = float(_eval_rows(fn, full, 1)[0, 0])
     except (ZeroDivisionError, ValueError, OverflowError) as err:
         raise DomainViolation(e, point) from err
     if not math.isfinite(val):
@@ -439,14 +452,11 @@ class Exclusion:
 class SampleDomain:
     """Sampling box for the randomized identity oracle.
 
-    Every coordinate and velocity is drawn uniformly from ``default_range``
-    unless overridden in ``var_ranges``; time from ``t_range``; accelerations
-    (strong-mode checks) from ``acc_range``.
+    Every coordinate and velocity is drawn uniformly from ``DEFAULT_RANGE``,
+    time from ``T_RANGE`` and accelerations (strong-mode checks) from
+    ``ACC_RANGE``, unless ``var_ranges`` names the variable.
     """
 
-    t_range: tuple[float, float] = (0.0, 2.0)
-    default_range: tuple[float, float] = (-2.0, 2.0)
-    acc_range: tuple[float, float] = (-2.0, 2.0)
     var_ranges: Mapping[str, tuple[float, float]] = field(default_factory=dict)
     exclusions: tuple[Exclusion, ...] = ()
 
@@ -455,10 +465,10 @@ def _range_for(name: str, alphabet: Alphabet, domain: SampleDomain):
     if name in domain.var_ranges:
         return domain.var_ranges[name]
     if name == "t":
-        return domain.t_range
+        return T_RANGE
     if any(name == c + "ddot" for c in alphabet.coords):
-        return domain.acc_range
-    return domain.default_range
+        return ACC_RANGE
+    return DEFAULT_RANGE
 
 
 class SamplePoints(Sequence):
@@ -650,11 +660,9 @@ def equal_numeric(
 
 
 def tidy(e) -> sp.Expr:
-    """Bounded cleanup pass for emitted expressions.
-
-    Readability only: correctness decisions always go through the numeric
-    oracle, never through simplification.
-    """
+    """Readability pass for emitted expressions, run only by ``Triple.simplified``:
+    correctness decisions go through the numeric oracle, never through
+    simplification, which on kepler3d lengthens the normal form."""
     e = sp.sympify(e)
     try:
         return sp.cancel(sp.together(e))

@@ -23,7 +23,6 @@ from .expressions import (
     compile_fn,
     draw_points,
     equal_numeric,
-    tidy,
 )
 
 __all__ = ["LagrangianSystem", "RegularityError", "build_system", "el_residual", "invert_g_apply"]
@@ -77,16 +76,14 @@ class LagrangianSystem:
         return equal_numeric(a, b, self.alphabet, **kw)
 
 
-def _solve_linear(g: sp.Matrix, w: sp.Matrix, n: int) -> list[sp.Expr]:
+def _solve_linear(g: sp.Matrix, w: sp.Matrix, n: int) -> sp.Matrix:
     # adjugate keeps expressions bounded for the n <= 3 systems of interest
-    if n <= 3:
-        det = g.det()
-        if det == 0:
-            raise RegularityError({}, 0.0)
-        sol = (g.adjugate() * w) / det
-    else:
-        sol = g.LUsolve(w)
-    return [tidy(s) for s in sol]
+    if n > 3:
+        return g.LUsolve(w)
+    det = g.det()
+    if det == 0:
+        raise RegularityError({}, 0.0)
+    return g.adjugate() * w / det
 
 
 def build_system(
@@ -160,7 +157,7 @@ def el_residual(sys: LagrangianSystem, point: Mapping[str, float]) -> np.ndarray
     full = {name: np.float64(v) for name, v in point.items()}
     for name, v in sys.param_values.items():
         full.setdefault(name, np.float64(v))
-    return np.asarray(fn(full), dtype=float)
+    return _eval_rows(fn, full, 1)[:, 0]
 
 
 def invert_g_apply(sys: LagrangianSystem, w: Sequence, *, seed: int = 0) -> tuple[sp.Expr, ...]:
@@ -170,7 +167,7 @@ def invert_g_apply(sys: LagrangianSystem, w: Sequence, *, seed: int = 0) -> tupl
         raise ValueError(f"vector has length {w.shape[0]}, expected {sys.n}")
     sol = _solve_linear(sys.g, w, sys.n)
     # the residual often cancels symbolically, so its compilation is shared
-    rep = sys.check(list(sys.g * sp.Matrix(sol) - w), [0] * sys.n, k=REGULARITY_SAMPLES,
+    rep = sys.check(list(sys.g * sol - w), [0] * sys.n, k=REGULARITY_SAMPLES,
                     tol=1e-8, seed=seed, label="invert_g_apply")
     if not rep.passed:
         raise RegularityError(rep.worst_point, rep.max_residual)

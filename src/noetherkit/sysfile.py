@@ -25,6 +25,7 @@ so a misspelt ``singualr`` or ``frm`` cannot drop what it was meant to say.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -142,6 +143,26 @@ def _exclusion_lines(exclusions) -> list[str]:
     return [f"singular = {entries}"] if entries else []
 
 
+def _read_ranges(body: dict, alphabet: Alphabet) -> dict[str, tuple[float, float]]:
+    """The ``range_<var> = lo, hi`` entries of a [system] section: <var> is t,
+    a coordinate, a velocity or an acceleration, and lo <= hi are a finite
+    width apart, which numpy's uniform draw needs."""
+    names = {s.name for s in alphabet.variables(include_acc=True)}
+    ranges = {}
+    for key, (value, lineno) in body.items():
+        var = key.removeprefix("range_")
+        if var == key:
+            continue
+        if var not in names:
+            raise SystemFileError(f"{key}: {var!r} is not a variable of the system", lineno)
+        bounds = tuple(_number(float, b, lineno) for b in _split_top_level(value))
+        if len(bounds) != 2 or not 0 <= bounds[1] - bounds[0] < math.inf:
+            raise SystemFileError(f"{key} needs two bounds lo <= hi a finite width apart, "
+                                  f"got {value}", lineno)
+        ranges[var] = bounds
+    return ranges
+
+
 def _parse_params(text: str) -> dict[str, float]:
     values = {}
     if not text:
@@ -174,18 +195,10 @@ def read_system_file(path) -> SystemFile:
             params = _parse_params(_get(body, "params", ""))
             alphabet = Alphabet(coords=coords, params=tuple(params))
             L = parse(_require(body, "lagrangian", section), alphabet)
-            var_ranges = {}
-            for key, (value, lineno) in body.items():
-                if key.startswith("range_"):
-                    bounds = _split_top_level(value)
-                    if len(bounds) != 2:
-                        raise SystemFileError(f"range needs two bounds", lineno)
-                    var_ranges[key.removeprefix("range_")] = tuple(
-                        _number(float, b, lineno) for b in bounds
-                    )
             system = build_system(
                 L, alphabet, name=name, param_values=params,
-                exclusions=_read_exclusions(body, alphabet), var_ranges=var_ranges,
+                exclusions=_read_exclusions(body, alphabet),
+                var_ranges=_read_ranges(body, alphabet),
             )
         elif section == "integral":
             if alphabet is None:

@@ -90,6 +90,28 @@ def complex_sys(tmp_path):
     return str(path)
 
 
+def _free_particle_with(tmp_path, name, entry):
+    path = tmp_path / f"{name}.sys"
+    path.write_text(f"[system]\ndim = 1\ncoords = q\nlagrangian = qdot^2/2\n{entry}\n")
+    return str(path)
+
+
+@pytest.fixture()
+def range_reversed_sys(tmp_path):
+    return _free_particle_with(tmp_path, "range_reversed", "range_qdot = 5, 4")
+
+
+@pytest.fixture()
+def range_infinite_sys(tmp_path):
+    return _free_particle_with(tmp_path, "range_infinite", "range_q = 0, inf")
+
+
+@pytest.fixture()
+def range_unknown_sys(tmp_path):
+    """A range for a variable the system does not have."""
+    return _free_particle_with(tmp_path, "range_unknown", "range_z = 0, 1")
+
+
 @pytest.fixture()
 def bad_number_sys(tmp_path):
     path = tmp_path / "bad_number.sys"
@@ -136,6 +158,13 @@ def test_describe(fp_sys, capsys):
     assert "dim n = 1" in out
     assert "L = qdot^2/2" in out
     assert "Lambda[0] = 0" in out
+
+
+def test_describe_prints_the_normal_form_as_derived(kepler_sys, capsys):
+    assert cli.main(["describe", kepler_sys]) == cli.EXIT_OK
+    out = capsys.readouterr().out
+    assert "  Lambda[0] = -mu*r1/(r1^2 + r2^2 + r3^2)^(3/2)\n" in out
+    assert "(|det g| above floor at 20 points)" in out
 
 
 def test_describe_missing_file(capsys):
@@ -293,6 +322,9 @@ EXIT_TABLE = [
     (["solve", "{kepler}", "lrl_u", "--mode", "strong", "--tau", "log(-1)"], cli.EXIT_PARSE),
     (["solve", "{kepler}", "lrl_u", "--mode", "strong", "--tau", "(-8)^(1/3)"], cli.EXIT_PARSE),
     (["integrate", "{complex}", "0,1,0", "--t1", "1"], cli.EXIT_PARSE),
+    (["describe", "{range_reversed}"], cli.EXIT_PARSE),
+    (["describe", "{range_infinite}"], cli.EXIT_PARSE),
+    (["describe", "{range_unknown}"], cli.EXIT_PARSE),
 ]
 
 

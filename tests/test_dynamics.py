@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import sympy as sp
 
 from noetherkit.expressions import Alphabet, compile_fn
 from noetherkit.mechanics import build_system
@@ -81,6 +82,20 @@ def test_blow_up_truncates_at_the_last_finite_state():
     assert traj.truncated
     assert 1 < len(traj.t) < 1001
     assert np.isfinite(traj.q).all() and np.isfinite(traj.qdot).all()
+
+
+def test_complex_normal_form_truncates():
+    # Lam = I: the first step's state is not finite, so the run stops at the start
+    ab = Alphabet(coords=("x",))
+    (x,), (xd,) = ab.coord_symbols, ab.velocity_symbols
+    traj = integrate(build_system(xd**2 / 2 + sp.I * x, ab), (0.0, [1.0], [0.0]), 1.0, dt=0.01)
+    assert traj.truncated
+    assert len(traj.t) == 1
+    # complex arithmetic with a real result stays legal: Lam = -(1+I)*(1-I)*x/2 = -x
+    L = xd**2 / 2 - (1 + sp.I) * (1 - sp.I) * x**2 / 4
+    traj = integrate(build_system(L, ab), (0.0, [1.0], [0.0]), 1.0, dt=0.01)
+    assert not traj.truncated
+    assert np.allclose(traj.q[:, 0], np.cos(traj.t), atol=1e-9)
 
 
 def test_step_count_is_bounded(fp):

@@ -265,11 +265,11 @@ def test_compile_fn_leaves_lazy_numpy_submodules_unloaded():
 
 
 def test_compiled_code_shares_repeated_subtrees():
-    # the kepler3d RK4 stage computes |r| once, not once per occurrence
+    # the kepler3d RK4 stage computes r.r once, not once per occurrence
     sysdef = corpus.load("kepler3d").system
     exprs = [*sysdef.lam, *(ex.expr for ex in sysdef.exclusions)]
     fn = compile_fn(exprs, sysdef.alphabet)
-    assert inspect.getsource(fn.positional).count("sqrt(") == 1
+    assert inspect.getsource(fn.positional).count("r1**2 + r2**2 + r3**2") == 1
 
 
 def test_shared_subtrees_do_not_capture_declared_names():
@@ -369,6 +369,24 @@ def test_evaluate_and_domain_violation():
         evaluate(X ** sp.Rational(3, 2), {"x": -1.0}, AB)
 
 
+def test_complex_values_are_not_finite():
+    # the imaginary part is never dropped: I*x is a domain violation, also
+    # inside a total derivative, and an exclusion that is complex rejects
+    with pytest.raises(DomainViolation):
+        equal_numeric(sp.I * X, 0 * X, AB)
+    with pytest.raises(DomainViolation):
+        equal_numeric(X + sp.I, X, AB)
+    with pytest.raises(DomainViolation):
+        equal_numeric(total_dt(sp.I * X, AB), 0, AB, include_acc=True)
+    with pytest.raises(DomainViolation):
+        evaluate(sp.I * X, {"x": 1.0}, AB)
+    # complex arithmetic with a real result stays legal
+    assert evaluate((1 + sp.I) * (1 - sp.I) * X, {"x": 3.0}, AB) == pytest.approx(6.0)
+    dom = SampleDomain(exclusions=(Exclusion(sp.I * X),))
+    with pytest.raises(SamplingError):
+        draw_points(AB, dom, {}, 1, seed=0)
+
+
 def test_draw_points_deterministic_and_respects_exclusions():
     dom = SampleDomain(exclusions=(Exclusion(X, 0.5),))
     p1 = draw_points(AB, dom, {}, 25, seed=3)
@@ -400,11 +418,11 @@ def _reference_draw(alphabet, domain, param_values, k, seed, include_acc=False,
         if s.name in domain.var_ranges:
             ranges[s.name] = domain.var_ranges[s.name]
         elif s.name == "t":
-            ranges[s.name] = domain.t_range
+            ranges[s.name] = expressions.T_RANGE
         elif s in alphabet.acceleration_symbols:
-            ranges[s.name] = domain.acc_range
+            ranges[s.name] = expressions.ACC_RANGE
         else:
-            ranges[s.name] = domain.default_range
+            ranges[s.name] = expressions.DEFAULT_RANGE
     excl = [(compile_fn([ex.expr], alphabet, include_acc), ex.threshold)
             for ex in domain.exclusions]
     points = []

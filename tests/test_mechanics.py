@@ -77,6 +77,16 @@ def test_el_residual_at_a_pole_is_not_finite():
     assert not np.isfinite(res).any()
 
 
+def test_el_residual_of_a_complex_lagrangian_is_not_finite():
+    # Lam = I: the imaginary part reads NaN, never cast away
+    ab = Alphabet(coords=("x",))
+    (x,), (xd,) = ab.coord_symbols, ab.velocity_symbols
+    sysdef = build_system(xd**2 / 2 + sp.I * x, ab)
+    res = el_residual(sysdef, {"t": 0.0, "x": 1.0, "xdot": 0.0, "xddot": 0.0})
+    assert res.shape == (1,)
+    assert not np.isfinite(res).any()
+
+
 def test_el_residual_matches_g_times_lam_minus_acc(kepler):
     sysdef = kepler.system
     point = {

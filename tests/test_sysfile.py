@@ -245,3 +245,25 @@ def test_triple_file_requires_triples(fp, tmp_path):
     path.write_text("# nothing here\n")
     with pytest.raises(SystemFileError):
         read_triple_file(path, fp.system.alphabet)
+
+
+@pytest.mark.parametrize("entry, message", [
+    ("range_qdot = 5, 4", "lo <= hi"),
+    ("range_q = 0, inf", "lo <= hi"),
+    ("range_q = nan, 1", "lo <= hi"),
+    ("range_q = -1e308, 1e308", "finite width apart"),
+    ("range_z = 0, 1", "'z' is not a variable"),
+    ("range_qdot1 = 0, 1", "'qdot1' is not a variable"),
+    ("range_q = 0", "two bounds"),
+    ("range_q = 0, 1, 2", "two bounds"),
+])
+def test_bad_ranges_are_refused(entry, message, tmp_path):
+    with pytest.raises(SystemFileError, match=rf"{message}.*\(line 5\)"):
+        _read(_FP + entry + "\n", tmp_path)
+
+
+def test_ranges_of_every_variable_kind(tmp_path):
+    entries = "range_t = 1, 3\nrange_q = -1, 0.5\nrange_qdot = 2, 2\nrange_qddot = 0, 1\n"
+    ranges = _read(_FP + entries, tmp_path).system.var_ranges
+    assert ranges == {"t": (1.0, 3.0), "q": (-1.0, 0.5), "qdot": (2.0, 2.0),
+                      "qddot": (0.0, 1.0)}
