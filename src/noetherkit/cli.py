@@ -6,10 +6,11 @@ repeated invocation with the same seed is byte-identical.
 
 Exit codes: 0 success / PASS, 1 verification FAIL, 2 parse error or invalid
 option (including an integration of more than ``dynamics.MAX_STEPS`` steps),
-3 regularity failure, 4 conservation precheck failure, 5 singularity during a
-solve or verification, an integration starting in a singular zone, or a
-monitored integral not evaluable along the trajectory, 6 trajectory truncated
-at a singular zone or where its state stops being finite.  Errors print one
+3 regularity failure (or exclusions that reject every sample point), 4
+conservation precheck failure, 5 singularity during a solve or
+verification, an integration starting in a singular zone, or a monitored
+integral not evaluable along the trajectory, 6 trajectory truncated at a
+singular zone or where its state stops being finite.  Errors print one
 line on stderr.
 """
 
@@ -68,7 +69,7 @@ def _load_system(path: str):
         return read_system_file(path)
     except (OSError, SystemFileError, ExprSyntaxError, UndeclaredSymbolError) as err:
         raise SystemExit(_error(err, EXIT_PARSE))
-    except RegularityError as err:
+    except (RegularityError, SamplingError) as err:  # the exclusions may cover the box
         raise SystemExit(_error(err, EXIT_REGULARITY))
 
 
@@ -232,15 +233,19 @@ def cmd_corpus(args) -> int:
     return EXIT_OK
 
 
-def _positive(kind):
+def _above(kind, low, requirement):
     def convert(text):
         value = kind(text)
-        if not value > 0:
-            raise argparse.ArgumentTypeError(f"must be positive, got {text}")
+        if not low < value < math.inf:
+            raise argparse.ArgumentTypeError(f"must be {requirement}, got {text}")
         return value
 
     convert.__name__ = kind.__name__  # argparse names the type in its messages
     return convert
+
+
+def _positive(kind):
+    return _above(kind, 0, "positive and finite")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -253,8 +258,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p):
         p.add_argument("--k", type=_positive(int), default=100, help="sample count")
-        p.add_argument("--tol", type=float, default=1e-9, help="relative tolerance")
-        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--tol", type=_positive(float), default=1e-9, help="relative tolerance")
+        p.add_argument("--seed", type=_above(int, -1, "non-negative"), default=0)
         p.add_argument("--out", help="write the JSON report here")
 
     p = sub.add_parser("describe", help="print the derived structure of a system")
@@ -271,7 +276,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--tau", help="time-change expression (strong mode)")
     p.add_argument("--R", help="semicolon-separated vector (onflow-R mode)")
-    p.add_argument("--c", type=float, default=0.0, help="denominator shift L+c")
+    p.add_argument("--c", type=_above(float, -math.inf, "finite"), default=0.0,
+                   help="denominator shift L+c")
     p.add_argument("--triple-out", help="write the resulting triple file here")
     common(p)
     p.set_defaults(fn=cmd_solve)

@@ -2,10 +2,12 @@
 
 Fixed-step classical RK4 on the first-order system (q, qdot)' = (qdot, Lam).
 The normal form Lam and the declared singular sets are compiled into one
-function, so each stage is one call that also gives the guard's values.  A
-trajectory is truncated with a flag when it approaches a declared singular
-set or its state stops being finite.  The step count is bounded by
-``MAX_STEPS``.
+function, so each stage is one call that also gives the guard's values.
+Each step is one straight-line function of the state on Python floats; a
+step at which they raise or go complex runs again on numpy float64
+scalars, which read inf or NaN there.  A trajectory is truncated with a
+flag when it approaches a declared singular set or its state stops being
+finite.  The step count is bounded by ``MAX_STEPS``.
 """
 
 from __future__ import annotations
@@ -86,13 +88,17 @@ def integrate(
 ) -> Trajectory:
     """Integrate qddot = Lam(t, q, qdot) from (t0, q0, qdot0) up to t1.
 
-    Each RK4 stage is one call of Lam compiled with the exclusion values,
-    on the state held as Python floats.  Each node is guarded by its own
-    call, which is the next step's first stage; the run is truncated at the
-    last node before a state that is not finite or within an exclusion
-    margin.  Raises SingularStartError for a start in an exclusion zone, and
-    ValueError when t1 is before t0 or the run needs more than ``MAX_STEPS``
-    steps.
+    Each step is the RK4 tableau unrolled over the state components
+    (:func:`_rk4_step`) and run on Python floats.  Its four stages are each
+    one call of Lam compiled with the exclusion values; the last, at the new
+    node, guards that node and is the next step's first stage.  Python
+    floats give float64's value wherever they give a real float without
+    raising, so only a step that raises ZeroDivisionError or OverflowError,
+    or goes complex, runs again on float64 scalars, which read inf or NaN
+    there.  The run is truncated at the last node before a state that is not
+    finite or within an exclusion margin.  Raises SingularStartError for a
+    start in an exclusion zone, and ValueError when t1 is before t0 or the
+    run needs more than ``MAX_STEPS`` steps.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
@@ -115,52 +121,46 @@ def integrate(
     n = sys.n
     exprs = list(sys.lam) + [ex.expr for ex in sys.exclusions]
     stage = compile_fn(exprs, sys.alphabet).positional
-    # numpy floats make a pole read inf where Python floats raise
-    params = [np.float64(sys.param_values[p]) for p in sys.alphabet.params]
+    params = [float(sys.param_values[p]) for p in sys.alphabet.params]
     # steep singular sets can be crossed within a single step, so the abort
     # distance follows each declared exclusion margin, never less than the
     # baseline
     thresholds = [max(ex.threshold, SINGULAR_ABORT) for ex in sys.exclusions]
 
-    def rhs(t, y):
-        """(qdot, Lam) at (t, y), and the exclusion values there."""
-        vals = stage(np.float64(t), *map(np.float64, y), *params)
-        return y[n:] + [float(a) for a in vals[:n]], vals[n:]
-
     def near_singular(excluded) -> bool:
-        return any(not math.isfinite(v) or abs(v) < th
-                   for v, th in zip(excluded, thresholds))
+        return not all(map(_clear, excluded, thresholds))
 
     t = float(t0)
-    y = [*map(float, q0), *map(float, qd0)]
+    y = (*map(float, q0), *map(float, qd0))
     ts, ys = [t], [y]
     truncated = False
-    h2, h6 = dt / 2, dt / 6
     with np.errstate(all="ignore"):
         # arithmetic on float64 arguments gives complex values at every state
-        # or at none; where it does, each stage reads them as the oracle does
-        start = stage(np.float64(t), *map(np.float64, y), *params)
+        # or at none; where it does, each stage runs on float64 arguments, as
+        # this first call does, and reads its values as the oracle does
+        start = stage(np.float64(t), *map(np.float64, y), *map(np.float64, params))
         if any(isinstance(v, complex) for v in start):
-            stage = lambda *args, compiled=stage: _real(compiled(*args))
-        k1, excluded = rhs(t, y)
-        if near_singular(excluded):
+            stage = lambda *args, compiled=stage: _real(compiled(*map(np.float64, args)))
+            start = _real(start)
+        if near_singular(start[n:]):
             raise SingularStartError("initial state is inside the singular exclusion zone")
+        step = _rk4_step(stage, n, len(thresholds), len(params), dt)
+        node = (t, *y, *map(float, start[:n]))
         for _ in range(steps):
-            k2, _ = rhs(t + h2, [a + h2 * b for a, b in zip(y, k1)])
-            k3, _ = rhs(t + h2, [a + h2 * b for a, b in zip(y, k2)])
-            k4, _ = rhs(t + dt, [a + dt * b for a, b in zip(y, k3)])
-            y = [a + h6 * (b + 2 * c + 2 * d + e)
-                 for a, b, c, d, e in zip(y, k1, k2, k3, k4)]
-            t = t + dt
-            if not all(map(math.isfinite, y)):
+            try:
+                out = step(*node, *params)
+            except (ZeroDivisionError, OverflowError):
+                out = None
+            # a sum is complex-typed where any of its terms is
+            if out is None or isinstance(sum(out), complex):
+                out = tuple(map(float, step(*map(np.float64, node),
+                                            *map(np.float64, params))))
+            y = out[1:1 + 2 * n]
+            if not all(map(math.isfinite, y)) or near_singular(out[1 + 3 * n:]):
                 truncated = True
                 break
-            # the next step's first stage, and the guard at this node
-            k1, excluded = rhs(t, y)
-            if near_singular(excluded):
-                truncated = True
-                break
-            ts.append(t)
+            node = out[:1 + 3 * n]
+            ts.append(out[0])
             ys.append(y)
     states = np.array(ys)
     return Trajectory(
@@ -171,6 +171,39 @@ def integrate(
         dt=dt,
         truncated=truncated,
     )
+
+
+def _clear(value, threshold) -> bool:
+    """An exclusion value that is finite and at least threshold from zero."""
+    return threshold <= abs(value) < math.inf
+
+
+def _rk4_step(stage, n: int, m: int, p: int, dt: float):
+    """One classical RK4 step of (q, qdot)' = (qdot, Lam), unrolled over the
+    2n state components: from (t, y, Lam at (t, y), params) to (t + dt, y',
+    Lam and the m exclusion values at (t + dt, y')).  ``stage`` maps (t, y,
+    params) to Lam and the exclusion values.  Each stage state is
+    ``y + h*k`` and the new state ``y + dt/6*(k1 + 2*k2 + 2*k3 + k4)``, in
+    this order of operations."""
+    y = [f"y{i}" for i in range(2 * n)]
+    params = [f"p{i}" for i in range(p)]
+    ks = [y[n:] + [f"a{i}" for i in range(n)]]
+    body = []
+    for s, (h, at) in enumerate([("h2", "th"), ("h2", "th"), ("dt", "t1")], 2):
+        z = [f"z{s}_{i}" for i in range(2 * n)]
+        lam = [f"a{s}_{i}" for i in range(n)]
+        body += [f"{zi} = {yi} + {h} * {ki}" for zi, yi, ki in zip(z, y, ks[-1])]
+        body.append(f"{', '.join(lam + ['_'] * m)}, = stage({at}, {', '.join(z + params)})")
+        ks.append(z[n:] + lam)
+    new = [f"y{i}_1" for i in range(2 * n)]
+    body += [f"{yn} = {yi} + h6 * ({k1} + 2 * {k2} + 2 * {k3} + {k4})"
+             for yn, yi, k1, k2, k3, k4 in zip(new, y, *ks)]
+    body.append(f"return (t1, {', '.join(new)}, *stage(t1, {', '.join(new + params)}))")
+    source = (f"def step(t, {', '.join(y + ks[0][n:] + params)}):\n"
+              "    th, t1 = t + h2, t + dt\n" + "".join(f"    {line}\n" for line in body))
+    namespace = {"stage": stage, "dt": dt, "h2": dt / 2, "h6": dt / 6}
+    exec(source, namespace)
+    return namespace["step"]
 
 
 def monitor_drift(

@@ -14,11 +14,12 @@ System file layout (key = value within ``[section]`` headers)::
     expr = ...
 
 Each ``singular`` entry is ``expr @ threshold`` (sampling rejects
-|expr| < threshold); one without ``@`` takes ``singular_threshold``
-(default 1e-3), as in older files.  ``range_<var> = lo, hi`` overrides the
-sampling box.  Triple files use a ``[triple]`` section with ``tau``, ``xi``
-(comma-separated components), ``f``, ``form`` and the ``singular`` entries
-of the margins its solver declared.  All expressions use the grammar of
+|expr| < threshold), with a positive finite threshold; one without ``@``
+takes ``singular_threshold`` (default 1e-3), as in older files.
+``range_<var> = lo, hi`` overrides the sampling box.  Triple files use a
+``[triple]`` section with ``tau``, ``xi`` (comma-separated components),
+``f``, ``form`` and the ``singular`` entries of the margins its solver
+declared.  All expressions use the grammar of
 :mod:`noetherkit.dsl`.  A key that its section does not read is an error,
 so a misspelt ``singualr`` or ``frm`` cannot drop what it was meant to say.
 """
@@ -129,13 +130,21 @@ def _number(kind, text: str, lineno: int | None = None):
 def _read_exclusions(body: dict, alphabet: Alphabet) -> tuple[Exclusion, ...]:
     """The ``singular`` entries of a [system] or [triple] section."""
     text, lineno = body.get("singular", ("", None))
-    default = _number(float, *body.get("singular_threshold", ("1e-3", None)))
+    default = _threshold(*body.get("singular_threshold", ("1e-3", None)))
     exclusions = []
     for item in filter(None, _split_top_level(text)):
         expr, at, threshold = item.partition("@")
-        threshold = _number(float, threshold, lineno) if at else default
+        threshold = _threshold(threshold, lineno) if at else default
         exclusions.append(Exclusion(parse(expr, alphabet), threshold))
     return tuple(exclusions)
+
+
+def _threshold(text: str, lineno: int | None) -> float:
+    value = _number(float, text, lineno)
+    if not 0 < value < math.inf:
+        raise SystemFileError(f"exclusion threshold must be positive and finite, "
+                              f"got {text.strip()}", lineno)
+    return value
 
 
 def _exclusion_lines(exclusions) -> list[str]:

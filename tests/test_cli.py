@@ -113,6 +113,33 @@ def range_unknown_sys(tmp_path):
 
 
 @pytest.fixture()
+def threshold_inf_sys(tmp_path):
+    return _free_particle_with(tmp_path, "threshold_inf", "singular = q @ inf")
+
+
+@pytest.fixture()
+def threshold_nan_sys(tmp_path):
+    return _free_particle_with(tmp_path, "threshold_nan", "singular = q @ nan")
+
+
+@pytest.fixture()
+def threshold_negative_sys(tmp_path):
+    return _free_particle_with(tmp_path, "threshold_negative", "singular = q @ -1")
+
+
+@pytest.fixture()
+def default_threshold_inf_sys(tmp_path):
+    return _free_particle_with(tmp_path, "default_threshold_inf",
+                               "singular = q\nsingular_threshold = inf")
+
+
+@pytest.fixture()
+def threshold_huge_sys(tmp_path):
+    """|q| >= 1e300 holds nowhere in the sampling box."""
+    return _free_particle_with(tmp_path, "threshold_huge", "singular = q @ 1e300")
+
+
+@pytest.fixture()
 def bad_number_sys(tmp_path):
     path = tmp_path / "bad_number.sys"
     path.write_text("[system]\ndim = 1\ncoords = q\nlagrangian = qdot^2/2\n"
@@ -325,6 +352,20 @@ EXIT_TABLE = [
     (["describe", "{range_reversed}"], cli.EXIT_PARSE),
     (["describe", "{range_infinite}"], cli.EXIT_PARSE),
     (["describe", "{range_unknown}"], cli.EXIT_PARSE),
+    (["solve", "{fp}", "energy", "--mode", "strong", "--tol", "nan"], cli.EXIT_PARSE),
+    (["solve", "{fp}", "energy", "--mode", "strong", "--tol", "-1"], cli.EXIT_PARSE),
+    (["solve", "{fp}", "energy", "--mode", "strong", "--tol", "inf"], cli.EXIT_PARSE),
+    (["verify", "{fp}", "any.tri", "--tol", "0"], cli.EXIT_PARSE),
+    (["integrate", "{kepler}", KEPLER_ORBIT, "--t1", "1", "--dt", "inf"], cli.EXIT_PARSE),
+    (["integrate", "{kepler}", KEPLER_ORBIT, "--t1", "1", "--dt", "nan"], cli.EXIT_PARSE),
+    (["solve", "{fp}", "energy", "--mode", "alt-strong", "--c", "nan"], cli.EXIT_PARSE),
+    (["solve", "{fp}", "energy", "--mode", "onflow-simplest", "--c", "inf"], cli.EXIT_PARSE),
+    (["describe", "{threshold_inf}"], cli.EXIT_PARSE),
+    (["describe", "{threshold_nan}"], cli.EXIT_PARSE),
+    (["describe", "{threshold_negative}"], cli.EXIT_PARSE),
+    (["describe", "{default_threshold_inf}"], cli.EXIT_PARSE),
+    (["describe", "{threshold_huge}"], cli.EXIT_REGULARITY),
+    (["solve", "{fp}", "energy", "--mode", "strong", "--seed", "-1"], cli.EXIT_PARSE),
 ]
 
 

@@ -1,8 +1,11 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 import sympy as sp
 
 from noetherkit.expressions import Alphabet, compile_fn
+from noetherkit import dynamics
 from noetherkit.mechanics import build_system
 from noetherkit.dynamics import (
     MAX_STEPS,
@@ -74,6 +77,13 @@ def _pole_system():
     ab = Alphabet(coords=("q",))
     (q,), (qd,) = ab.coord_symbols, ab.velocity_symbols
     return build_system(qd**2 / 2 + q / ab.t, ab, name="pole")
+
+
+def _system_of(L):
+    """A one-coordinate system with L given as a function of (t, q, qdot)."""
+    ab = Alphabet(coords=("q",))
+    (q,), (qd,) = ab.coord_symbols, ab.velocity_symbols
+    return build_system(L(ab.t, q, qd), ab)
 
 
 def test_blow_up_truncates_at_the_last_finite_state():
@@ -186,7 +196,7 @@ def _reference_integrate(sysdef, initial, t1, dt):
 
 @pytest.mark.parametrize("case", [
     "kepler_orbit", "radial_plunge", "plunge_to_zone", "iso_steep_fall", "blow_up",
-    "pole", "iso_opaque_fall",
+    "pole", "iso_opaque_fall", "fractional_power", "abs_sign", "smooth_pole",
 ])
 def test_integrate_matches_reference_loop(case, kepler, iso_steep, iso_opaque):
     plunge = (kepler.system, (0.0, [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]), 3.0)
@@ -199,6 +209,17 @@ def test_integrate_matches_reference_loop(case, kepler, iso_steep, iso_opaque):
         "blow_up": (_blow_up_system(), (0.0, [10.0], [0.0]), 1.0),
         "pole": (_pole_system(), (0.0, [1.0], [0.0]), 1.0),
         "iso_opaque_fall": (iso_opaque[0], *fall),
+        # Lam = -q^(1/3): complex on Python floats once q < 0, NaN on float64
+        "fractional_power": (_system_of(lambda t, q, qd: qd**2 / 2
+                                        - sp.Rational(3, 4) * q**sp.Rational(4, 3)),
+                             (0.0, [1.0], [-3.0]), 1.0),
+        # Lam = -q*sign(q) - |q|, whose functions return numpy floats
+        "abs_sign": (_system_of(lambda t, q, qd: qd**2 / 2 - sp.sqrt(q**2) * q),
+                     (0.0, [1.0], [-3.0]), 1.0),
+        # Lam = exp(-1/t^2): 1/t^2 raises on Python floats at the midpoint
+        # stages of the first step, where float64 reads exp(-inf) = 0
+        "smooth_pole": (_system_of(lambda t, q, qd: qd**2 / 2 + q * sp.exp(-1 / t**2)),
+                        (-5e-4, [1.0], [0.0]), 1.0),
     }[case]
     dt = 1e-3
     if case == "plunge_to_zone":
@@ -208,9 +229,33 @@ def test_integrate_matches_reference_loop(case, kepler, iso_steep, iso_opaque):
         t1 = nodes * dt
     t, q, qdot, truncated = _reference_integrate(sysdef, initial, t1, dt)
     traj = integrate(sysdef, initial, t1, dt=dt)
-    assert truncated == (case != "kepler_orbit")
+    assert truncated == (case not in ("kepler_orbit", "abs_sign", "smooth_pole"))
     assert (len(t) == 1) == (case == "pole")
+    if case == "fractional_power":
+        assert len(t) == 319
     assert traj.truncated == truncated
     assert np.array_equal(traj.t, t)
     assert np.array_equal(traj.q, q)
     assert np.array_equal(traj.qdot, qdot)
+
+
+def test_steps_run_on_python_floats(kepler, monkeypatch):
+    # numpy scalars cost several times as much per operation; only the start,
+    # which tells whether the stage is complex-typed, runs on them
+    calls = []
+
+    def recording_compile(exprs, alphabet):
+        stage = compile_fn(exprs, alphabet).positional
+
+        def positional(*args):
+            calls.append({type(a) for a in args})
+            return stage(*args)
+
+        return SimpleNamespace(positional=positional)
+
+    monkeypatch.setattr(dynamics, "compile_fn", recording_compile)
+    traj = integrate(kepler.system, (0.0, [1.0, 0.0, 0.0], [0.0, 1.1, 0.2]), 1.0, dt=1e-2)
+    assert not traj.truncated
+    assert calls[0] == {np.float64}
+    assert all(types == {float} for types in calls[1:])
+    assert len(calls) == 1 + 4 * 100

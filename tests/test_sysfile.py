@@ -262,6 +262,15 @@ def test_bad_ranges_are_refused(entry, message, tmp_path):
         _read(_FP + entry + "\n", tmp_path)
 
 
+@pytest.mark.parametrize("entry", [
+    "singular = q @ inf", "singular = q @ nan", "singular = q @ -1", "singular = q @ 0",
+    "singular_threshold = inf\nsingular = q",
+])
+def test_bad_exclusion_thresholds_are_refused(entry, tmp_path):
+    with pytest.raises(SystemFileError, match=r"positive and finite.*\(line 5\)"):
+        _read(_FP + entry + "\n", tmp_path)
+
+
 def test_ranges_of_every_variable_kind(tmp_path):
     entries = "range_t = 1, 3\nrange_q = -1, 0.5\nrange_qdot = 2, 2\nrange_qddot = 0, 1\n"
     ranges = _read(_FP + entries, tmp_path).system.var_ranges
