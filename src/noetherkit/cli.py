@@ -5,8 +5,9 @@ Subcommands: ``describe``, ``solve``, ``verify``, ``integrate``, and
 repeated invocation with the same seed is byte-identical.
 
 Exit codes: 0 success / PASS, 1 verification FAIL, 2 parse error or invalid
-option (including an integration of more than ``dynamics.MAX_STEPS`` steps),
-3 regularity failure (or exclusions that reject every sample point), 4
+option (including an integration of more than ``dynamics.MAX_STEPS`` steps,
+and a system whose derived expressions hold a function outside the compiled
+grammar), 3 regularity failure (or exclusions that reject every sample point), 4
 conservation precheck failure, 5 singularity during a solve or
 verification, an integration starting in a singular zone, or a monitored
 integral not evaluable along the trajectory, 6 trajectory truncated at a

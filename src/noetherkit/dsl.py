@@ -18,6 +18,7 @@ import math
 import re
 
 import sympy as sp
+from sympy.printing.str import StrPrinter
 
 from .expressions import Alphabet, STANDARD_FUNCTIONS, UndeclaredSymbolError
 
@@ -190,6 +191,13 @@ def parse(text: str, alphabet: Alphabet) -> sp.Expr:
     return e
 
 
+class _Printer(StrPrinter):
+    def _print_Abs(self, e):
+        # sympy folds sqrt(x^2) into Abs(x) on real x, so the parser reads
+        # this back as Abs(x)
+        return f"sqrt(({self._print(e.args[0])})**2)"
+
+
 def print_expr(e) -> str:
     """Print an expression in the same grammar the parser accepts."""
-    return sp.sstr(sp.sympify(e)).replace("**", "^")
+    return _Printer().doprint(sp.sympify(e)).replace("**", "^")

@@ -17,14 +17,18 @@ SIAM Rev. 40 (1998) 110-112).
 
 The oracle compiles each distinct input once (:func:`compile_fn` keeps a
 bounded memo) and evaluates all k sample points, and every component of a
-componentwise check, in one numpy array call.  ``lambdify`` gets one
-prebuilt namespace and a NumPy printer instead of ``modules="numpy"``: the
-generated code is the same, and a process does not import numpy's lazy
-submodules, which ``from numpy import *`` would load on its first compile.
-The generated code computes each repeated subtree once: the kepler3d normal
-form takes sqrt(r1**2 + r2**2 + r3**2) once, not nine times.  Only exact
-repeats are shared (sympy's ``tree_cse``); ``sympy.cse`` would also
-re-associate sums and products, which costs more compile time than it saves.
+componentwise check, in one numpy array call.  Compiling prints NumPy
+source straight from the expression tree, whose grammar is closed: sums,
+products, powers, numbers, the alphabet's symbols, sqrt, sin, cos, exp,
+log, and the Abs and sign that their derivatives produce.  Any other
+function is a ValueError when it is compiled.  One walk over the tree finds
+the total-derivative nodes and the repeated subtrees, and the code computes
+each repeated subtree once: the kepler3d RK4 stage computes
+r1**2 + r2**2 + r3**2 once for its three components and its exclusion.
+Only exact repeats are shared; finding common parts of sums and products,
+as ``sympy.cse`` does, costs more compile time than it saves.  Float
+constants print at full precision, and the imaginary unit is a NumPy
+complex, so complex-typed values follow NumPy arithmetic.
 Rejection sampling draws candidates in blocks from the same random stream as
 one-at-a-time draws, so a seed gives the same points either way.
 """
@@ -32,16 +36,17 @@ one-at-a-time draws, so a seed gives the same points either way.
 from __future__ import annotations
 
 import functools
+import itertools
+import keyword
+import linecache
 import math
+import weakref
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
 import sympy as sp
 from sympy.core.function import AppliedUndef
-from sympy.printing.numpy import NumPyPrinter
-from sympy.simplify.cse_main import tree_cse
-from sympy.utilities.lambdify import NUMPY_DEFAULT, NUMPY_TRANSLATIONS
 
 __all__ = [
     "Alphabet",
@@ -88,32 +93,22 @@ COMPLEX_STEP = 1e-30
 
 # sympy turns sqrt(x^2) into Abs(x) on real symbols and differentiates it to
 # sign(x); the complex abs and sign would lose the imaginary part that
-# carries the derivative.  lambdify prints Abs as the builtin abs.
+# carries the derivative.
 _COMPLEX_STEP_FUNCS = {
     "abs": lambda z: np.where(np.real(z) < 0, -z, z),
     "sign": lambda z: np.sign(np.real(z)),
 }
-# What lambdify(modules=[_COMPLEX_STEP_FUNCS, "numpy", {"math": math}]) would
-# bind, later entries taking priority, built once per process.  For "numpy"
-# sympy runs `from numpy import *`, which imports every lazy numpy submodule
-# (f2py, testing, ma, polynomial, random, fft ...); taking only the names
-# numpy has already bound costs nothing.  numpy.linalg goes on top of numpy:
-# in numpy 2, outer, cross, trace and diagonal exist in both and differ.
-_NAMESPACE = {"numpy": np}
-_NAMESPACE.update((name, vars(np)[name]) for name in np.__all__ if name in vars(np))
-_NAMESPACE.update((name, getattr(np.linalg, name)) for name in np.linalg.__all__)
-_NAMESPACE.update(NUMPY_DEFAULT)
-_NAMESPACE.update((name, _NAMESPACE[numpy_name])
-                  for name, numpy_name in NUMPY_TRANSLATIONS.items())
-_NAMESPACE.setdefault("Abs", abs)
-_NAMESPACE["math"] = math
-_NAMESPACE.update(_COMPLEX_STEP_FUNCS)
-# the settings lambdify gives the printer it picks for those modules; given a
-# printer class instead, it would print numpy-qualified names
-_PRINTER_SETTINGS = {
-    "fully_qualified_modules": False, "inline": True, "allow_unknown_functions": True,
-    "user_functions": {name: name for name in ("math", *_COMPLEX_STEP_FUNCS)},
-}
+# the functions the compiled grammar holds, by the name compiled code calls
+_FUNCTION_NAMES = {sp.sin: "sin", sp.cos: "cos", sp.exp: "exp", sp.log: "log",
+                   sp.Abs: "abs", sp.sign: "sign"}
+# the globals of compiled code.  The imaginary unit is a NumPy complex, so
+# that a complex-typed value divides by zero in NumPy arithmetic (inf or
+# NaN), never in Python's, which raises; its name is outside the DSL's.
+_GLOBALS = {"sqrt": np.sqrt, "sin": np.sin, "cos": np.cos, "exp": np.exp, "log": np.log,
+            **_COMPLEX_STEP_FUNCS, "I·": np.complex128(1j)}
+# precedence of printed code, ranked as sympy's printers rank it
+_ADD, _MUL, _POW, _ATOM = 40, 50, 60, 1000
+_sources = itertools.count()
 
 
 class UndeclaredSymbolError(ValueError):
@@ -318,16 +313,10 @@ def compile_fn(exprs: Sequence, alphabet: Alphabet, include_acc: bool = False):
     return _compile(tuple(sp.sympify(e) for e in exprs), alphabet, bool(include_acc))
 
 
-def _shared_subtrees(exprs):
-    # order="none" takes Add and Mul arguments in sympy's own order, which
-    # does not depend on the hash seed; the names are outside the DSL's
-    return tree_cse(list(exprs), sp.numbered_symbols("cse·"), order="none")
-
-
 @functools.lru_cache(maxsize=COMPILE_MEMO_SIZE)
 def _compile(exprs, alphabet, include_acc):
-    """One lambdified function of (variables, one slot per total-derivative
-    node) returning the expressions, with the nodes replaced by their slots,
+    """One generated function of (variables, one slot per total-derivative
+    node) returning the expressions, with the nodes read from their slots,
     then the node bodies.  Without nodes it is called once at the point.
     With nodes it is called once at the complex-shifted point of each
     direction, which gives the node values, then once at the real point with
@@ -335,27 +324,10 @@ def _compile(exprs, alphabet, include_acc):
     its nodes is not finite at the real point, so branch cuts of sqrt and log
     cannot hide a domain violation behind a finite complex-step value.
 
-    The function assigns each repeated subtree to a local once.  It shares
-    exact repeats only (``tree_cse``, not ``sympy.cse``, whose ``opt_cse``
-    pass re-associates Add and Mul arguments and made compiles cost a third
-    more), so values change at most by the round-off of another evaluation
-    order."""
+    :func:`_generate` prints the function's source; it computes each
+    repeated subtree once."""
     syms = alphabet.variables(include_acc) + alphabet.param_symbols
-    # the slot order sets the order of sums in the compiled code, so it
-    # must not follow the per-process order of a set
-    held = [e.atoms(TotalDerivative) for e in exprs]
-    nodes = sorted(set().union(*held), key=sp.default_sort_key)
-    owners = [[i for i, node in enumerate(nodes) if node in own] for own in held]
-    # valid identifiers outside the DSL's ASCII names; Dummy arguments would
-    # make lambdify rewrite the whole expression
-    slots = [sp.Symbol(f"Dt·{i}") for i in range(len(nodes))]
-    outs = [e.xreplace(dict(zip(nodes, slots))) for e in exprs]
-    raw = sp.lambdify(
-        syms + tuple(slots),
-        outs + [node.expr for node in nodes],
-        modules=_NAMESPACE, printer=NumPyPrinter(_PRINTER_SETTINGS), docstring_limit=0,
-        cse=_shared_subtrees,
-    )
+    raw, nodes, owners = _generate(syms, exprs)
     groups = {}
     for i, node in enumerate(nodes):
         groups.setdefault(tuple(node.acc), []).append(i)
@@ -398,6 +370,163 @@ def _compile(exprs, alphabet, include_acc):
     # itself, which skips the mapping and the errstate (callers hold their own)
     fn.positional = raw if not nodes else lambda *args: fn(dict(zip(names, args)))
     return fn
+
+
+def _generate(syms, exprs):
+    """Print and run the NumPy source of a function of (syms, one slot per
+    total-derivative node) returning the expressions, then the node bodies.
+
+    A post-order walk gives each TotalDerivative node a slot, in
+    first-encounter order, without descending into it, and counts the uses
+    of every other subtree that is not an atom; a repeat is not descended
+    into, so what lies inside it counts once, as in sympy's ``tree_cse``.
+    The distinct subtrees then print in walk order, each one used twice
+    into a ``cse·k`` local.  Sums and products keep sympy's argument order,
+    which does not depend on the hash seed, with the signs, the numerator
+    and denominator split and the powers of sympy's NumPy printer.  The
+    split matters: 12*(c + x**2)/x**5 keeps the G-ode residual of x**-3
+    within 1e-9, 12*x**(-5)*(c + x**2) does not.
+
+    Returns the function, the nodes in slot order and the slots each
+    expression holds.  A function outside the grammar is an
+    UndeclaredSymbolError naming it.
+    """
+    # a name that is no parameter name, or would hide a global, becomes
+    # v·i; like cse·k and Dt·i, that is outside the DSL's ASCII names
+    args = {s.name: s.name if s.name.isidentifier() and not keyword.iskeyword(s.name)
+            and s.name not in _GLOBALS else f"v·{i}" for i, s in enumerate(syms)}
+    nodes, uses, slots_in, order = {}, {}, {}, []
+
+    def walk(e):
+        if e.is_Atom:
+            return ()
+        if e in uses:
+            uses[e] += 1
+            return slots_in[e]
+        if isinstance(e, TotalDerivative):
+            return (nodes.setdefault(e, len(nodes)),)
+        if not (e.is_Add or e.is_Mul or e.is_Pow or e.func in _FUNCTION_NAMES):
+            raise UndeclaredSymbolError(f"cannot compile the function {e.func.__name__!r} in {e}")
+        uses[e] = 1
+        held = ()
+        for a in e.args:
+            held += walk(a)
+        slots_in[e] = held
+        order.append(e)
+        return held
+
+    owners = [sorted(set(walk(e))) for e in exprs]
+    bodies = [node.expr for node in nodes]
+    for body in bodies:
+        walk(body)
+
+    shown = {node: (f"Dt·{i}", _ATOM) for node, i in nodes.items()}
+
+    def show(e):
+        got = shown.get(e)
+        if got is None:
+            got = shown[e] = _show_atom(e, args)
+        return got
+
+    lines = []
+    for e in order:
+        if e.is_Add:
+            got = _show_add(e, show)
+        elif e.is_Mul:
+            got = _show_mul(e, show, uses)
+        elif e.is_Pow:
+            got = _show_pow(show(e.base), e.exp, show)
+        else:
+            got = f"{_FUNCTION_NAMES[e.func]}({', '.join(show(a)[0] for a in e.args)})", _ATOM
+        if uses[e] > 1:
+            name = f"cse·{len(lines)}"
+            lines.append(f"    {name} = {got[0]}\n")
+            got = name, _ATOM
+        shown[e] = got
+    outs = ", ".join(show(e)[0] for e in (*exprs, *bodies))
+    filename = f"<noetherkit-compiled-{next(_sources)}>"
+    params = ", ".join([*args.values(), *(f"Dt·{i}" for i in range(len(nodes)))])
+    source = f"def _compiled({params}):\n{''.join(lines)}    return [{outs}]\n"
+    namespace = dict(_GLOBALS)
+    exec(compile(source, filename, "exec"), namespace)
+    fn = namespace["_compiled"]
+    # inspect.getsource reads the source from linecache while fn lives
+    linecache.cache[filename] = (len(source), None, source.splitlines(True), filename)
+    weakref.finalize(fn, linecache.cache.pop, filename, None)
+    return fn, list(nodes), owners
+
+
+def _paren(shown, level) -> str:
+    text, precedence = shown
+    return f"({text})" if precedence <= level else text
+
+
+def _show_atom(e, args):
+    """Source and precedence of a symbol or a number: a finite float prints
+    as its repr, which reads back exactly."""
+    if e.is_Symbol:
+        if e.name not in args:
+            raise UndeclaredSymbolError(f"cannot compile the undeclared symbol {e.name!r}")
+        return args[e.name], _ATOM
+    if e.is_Integer:
+        return str(e.p), _ADD if e.p < 0 else _ATOM
+    if e.is_Rational:
+        return f"{e.p}/{e.q}", _ADD if e.p < 0 else _MUL
+    if e is sp.I:
+        return "I·", _ATOM
+    value = float(e)
+    if not math.isfinite(value):
+        return f"float('{value}')", _ATOM
+    return repr(value), _ADD if value < 0 else _ATOM
+
+
+def _show_add(e, show):
+    parts = []
+    for a in e.args:
+        text = show(a)[0]
+        parts += [" - ", text[1:]] if text[0] == "-" else [" + ", text]
+    parts[0] = "-" if parts[0] == " - " else ""
+    return "".join(parts), _ADD
+
+
+def _show_mul(e, show, uses):
+    args, sign = e.args, ""
+    if args[0].is_Number and args[0].is_negative:
+        coeff, sign = -args[0], "-"
+        args = args[1:] if coeff is sp.S.One else (coeff, *args[1:])
+    num, den = [], []
+    for a in args:
+        # a shared power is a local, which multiplies
+        if a.is_Pow and a.exp.is_Rational and a.exp.is_negative and uses[a] == 1:
+            den.append(_paren(_show_pow(show(a.base), -a.exp, show), _MUL))
+        else:
+            num.append(show(a))
+    if len(num) == 1 and sign:
+        text = _paren(num[0], (_POW + _MUL) // 2)
+    else:
+        text = "*".join(_paren(a, _MUL) for a in num) or "1"
+    if len(den) == 1:
+        text += f"/{den[0]}"
+    elif den:
+        text += f"/({'*'.join(den)})"
+    return sign + text, _ADD if sign else _MUL
+
+
+def _show_pow(base, exp, show):
+    if exp is sp.S.Half:
+        return f"sqrt({base[0]})", _ATOM
+    if exp is sp.S.One:
+        return base
+    if exp.is_Rational and exp.q == 2 and exp.p == -1:
+        return f"1/sqrt({base[0]})", _MUL
+    if exp is sp.S.NegativeOne:
+        return f"1/{_paren(base, _POW)}", _MUL
+    if exp.is_Integer and exp.is_negative:
+        # a float exponent: NumPy refuses negative integer powers of integers
+        power = f"({float(exp.p)!r})"
+    else:
+        power = _paren(show(exp), _POW)
+    return f"{_paren(base, _POW)}**{power}", _POW
 
 
 def _real(values) -> np.ndarray:

@@ -56,6 +56,15 @@ def pole_sys(tmp_path):
 
 
 @pytest.fixture()
+def dirac_sys(tmp_path):
+    """L = qdot^2/2 + q*|qdot|, whose velocity Hessian holds DiracDelta(qdot)."""
+    path = tmp_path / "dirac.sys"
+    path.write_text("[system]\nname = dirac\ndim = 1\ncoords = q\n"
+                    "lagrangian = qdot^2/2 + q*sqrt(qdot^2)\n")
+    return str(path)
+
+
+@pytest.fixture()
 def opaque_sys(tmp_path):
     """A file that declares an opaque function, which a file cannot bind."""
     path = tmp_path / "opaque.sys"
@@ -208,6 +217,22 @@ def test_solve_strong_and_verify(fp_sys, tmp_path, capsys):
     assert report["verification"]["verdict"] == "PASS"
     assert report["verification"]["integral_check"]["verdict"] == "PASS"
     assert cli.main(["verify", fp_sys, str(tri)]) == cli.EXIT_OK
+
+
+@pytest.mark.parametrize("mode", ["strong", "onflow-simplest"])
+def test_triples_with_abs_round_trip(mode, tmp_path, capsys):
+    # sympy writes sqrt(q^2) as Abs(q); the onflow-simplest file also has
+    # Abs in its singular entry
+    path, tri = str(tmp_path / "abs.sys"), tmp_path / "energy.tri"
+    Path(path).write_text("[system]\nname = abs\ndim = 1\ncoords = q\n"
+                          "lagrangian = qdot^2/2 - sqrt(q^2)\nsingular = q @ 0.01\n"
+                          "[integral]\nname = energy\nexpr = qdot^2/2 + sqrt(q^2)\n")
+    assert cli.main(["solve", path, "energy", "--mode", mode,
+                     "--triple-out", str(tri)]) == cli.EXIT_OK
+    assert "Abs" not in tri.read_text()
+    assert "sqrt((q)^2)" in tri.read_text()
+    assert cli.main(["verify", path, str(tri)]) == cli.EXIT_OK
+    capsys.readouterr()
 
 
 def test_solved_triple_file_keeps_the_solver_margin(tmp_path, capsys):
@@ -366,6 +391,7 @@ EXIT_TABLE = [
     (["describe", "{default_threshold_inf}"], cli.EXIT_PARSE),
     (["describe", "{threshold_huge}"], cli.EXIT_REGULARITY),
     (["solve", "{fp}", "energy", "--mode", "strong", "--seed", "-1"], cli.EXIT_PARSE),
+    (["describe", "{dirac}"], cli.EXIT_PARSE),
 ]
 
 

@@ -106,6 +106,12 @@ def test_complex_normal_form_truncates():
     traj = integrate(build_system(L, ab), (0.0, [1.0], [0.0]), 1.0, dt=0.01)
     assert not traj.truncated
     assert np.allclose(traj.q[:, 0], np.cos(traj.t), atol=1e-9)
+    # a complex-typed Lam = -(1+I)*(1-I)/t divides by zero in NumPy
+    # arithmetic at the first step's midpoint stages, t = 0, and truncates
+    L = xd**2 / 2 - (1 + sp.I) * (1 - sp.I) * x / ab.t
+    traj = integrate(build_system(L, ab), (-5e-4, [1.0], [0.0]), 1.0, dt=1e-3)
+    assert traj.truncated
+    assert len(traj.t) == 1
 
 
 def test_step_count_is_bounded(fp):

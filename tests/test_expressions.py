@@ -1,4 +1,3 @@
-import builtins
 import inspect
 import math
 import os
@@ -6,6 +5,7 @@ import random
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -13,6 +13,7 @@ import sympy as sp
 
 import noetherkit
 from noetherkit import corpus, expressions
+from noetherkit.dsl import parse
 from noetherkit.expressions import (
     Alphabet,
     DomainViolation,
@@ -194,15 +195,16 @@ def test_nested_total_dt_is_refused():
             total_dt(X + total_dt(X * XD, AB), AB, lam)
 
 
-def test_several_nodes_cost_one_lambdify(monkeypatch):
+def test_several_nodes_cost_one_generated_function(monkeypatch):
     ab = Alphabet(coords=("u", "w"))
     u, w = ab.coord_symbols
     ud, wd = ab.velocity_symbols
     lam = (-u * w, sp.sin(u))
     compile_fn(list(lam), ab)  # the direction is compiled once per system
     calls = []
-    real = sp.lambdify
-    monkeypatch.setattr(sp, "lambdify", lambda *a, **kw: calls.append(1) or real(*a, **kw))
+    real = expressions._generate
+    monkeypatch.setattr(expressions, "_generate",
+                        lambda *a: calls.append(1) or real(*a))
     e = ud * total_dt(u**2 * wd, ab, lam) + total_dt(sp.cos(w) * ud, ab, lam) ** 2
     fn = compile_fn([e, total_dt(u * w, ab, lam)], ab)
     assert len(calls) == 1
@@ -210,42 +212,43 @@ def test_several_nodes_cost_one_lambdify(monkeypatch):
     assert len(calls) == 1
 
 
-def _resolve(fn, name):
-    return fn.__globals__.get(name, vars(builtins).get(name))
-
-
-def test_compiled_code_matches_stock_lambdify(monkeypatch):
-    # the stock call imports every lazy numpy submodule; the package's
-    # prebuilt namespace must print the same code and bind the same objects
-    calls = []
-    real = sp.lambdify
-
-    def spy(*args, **kwargs):
-        calls.append((args, kwargs, real(*args, **kwargs)))
-        return calls[-1][2]
-
-    monkeypatch.setattr(sp, "lambdify", spy)
-    expressions._compile.cache_clear()
-    distinct = set()
+def _corpus_compile_inputs():
+    """(alphabet, expression) for every normal form, integral and expanded
+    Killing identity of the corpus."""
     for name in corpus.CORPUS_NAMES:
         entry = corpus.load(name)
         sysdef = entry.system
         exprs = [*sysdef.lam, *entry.integrals.values()]
         exprs += [killing_lhs(sysdef, tr, form).doit()
                   for tr in entry.triples.values() for form in FORMS]
-        for e in exprs:
-            compile_fn([e], sysdef.alphabet, include_acc=True)
-        distinct.update((sysdef.alphabet, e) for e in exprs)
-    # Abs and sign print as the complex-step functions
-    compile_fn([sp.diff(sp.sqrt(X**2), X) * sp.Abs(Y)], AB)
-    assert len(calls) > len(distinct) > 60
-    for args, kwargs, fn in calls:
-        # the same subexpression sharing, so the code compared is the same
-        stock = real(*args, modules=[expressions._COMPLEX_STEP_FUNCS, "numpy", {"math": math}],
-                     docstring_limit=0, cse=kwargs["cse"])
-        assert inspect.getsource(fn) == inspect.getsource(stock)
-        for name in fn.__code__.co_names:
-            assert _resolve(fn, name) is _resolve(stock, name), name
+        yield from ((sysdef, e) for e in exprs)
+
+
+def test_compiled_code_matches_stock_lambdify():
+    # the generated code gives the values of sympy's own printer and of
+    # exact evaluation, at sample points of each system's domain
+    ab = Alphabet(coords=("x", "y"), params=("m",))
+    (x, y), (m,) = ab.coord_symbols, ab.param_symbols
+    # Abs and sign are the complex-step functions
+    abs_sign = SimpleNamespace(alphabet=ab, domain=lambda: SampleDomain(), param_values={"m": 0.5})
+    inputs = {(sysdef.alphabet, e): sysdef for sysdef, e in _corpus_compile_inputs()}
+    inputs[ab, sp.diff(sp.sqrt(x**2), x) * sp.Abs(y) * m] = abs_sign
+    assert len(inputs) > 60
+    for (alphabet, e), sysdef in inputs.items():
+        pts = draw_points(alphabet, sysdef.domain(), sysdef.param_values, 4, seed=1,
+                          include_acc=True)
+        fn = compile_fn([e], alphabet, include_acc=True)
+        got = expressions._eval_rows(fn, pts.columns, 4)[0]
+        stock = sp.lambdify([alphabet.lookup(name) for name in fn.arg_names], e,
+                            modules=[expressions._COMPLEX_STEP_FUNCS, "numpy", {"math": math}])
+        want = np.broadcast_to(stock(*(pts.columns[name] for name in fn.arg_names)), (4,))
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12, err_msg=str(e))
+        # 30 digits from the sampled doubles, which they hold exactly
+        # (evalf(subs=...) takes a minute on a kepler3d identity)
+        exact = [float(e.xreplace({alphabet.lookup(k): sp.Float(v, 30)
+                                   for k, v in point.items()}).evalf(30))
+                 for point in pts]
+        np.testing.assert_allclose(got, exact, rtol=1e-12, atol=1e-12, err_msg=str(e))
 
 
 def test_compile_fn_leaves_lazy_numpy_submodules_unloaded():
@@ -298,16 +301,16 @@ def test_compiled_code_is_the_same_under_every_hash_seed():
     # the per-process order of a set
     script = (
         "import hashlib, inspect\n"
-        "import sympy as sp\n"
         "from noetherkit import corpus\n"
         "from noetherkit.expressions import compile_fn\n"
         "from noetherkit.noether import FORMS, killing_lhs\n"
-        "real, sources = sp.lambdify, []\n"
-        "def spy(*args, **kwargs):\n"
-        "    fn = real(*args, **kwargs)\n"
-        "    sources.append(inspect.getsource(fn))\n"
-        "    return fn\n"
-        "sp.lambdify = spy\n"
+        "from noetherkit import expressions\n"
+        "real, sources = expressions._generate, []\n"
+        "def spy(*args):\n"
+        "    out = real(*args)\n"
+        "    sources.append(inspect.getsource(out[0]))\n"
+        "    return out\n"
+        "expressions._generate = spy\n"
         "for name in corpus.CORPUS_NAMES:\n"
         "    entry = corpus.load(name)\n"
         "    sysdef = entry.system\n"
@@ -367,6 +370,33 @@ def test_evaluate_and_domain_violation():
         evaluate(sp.sqrt(X), {"x": -1.0}, AB)
     with pytest.raises(DomainViolation):
         evaluate(X ** sp.Rational(3, 2), {"x": -1.0}, AB)
+
+
+def test_float_constants_compile_at_full_precision():
+    ab = Alphabet(coords=("q",))
+    assert evaluate(parse("(1/3.0)*q", ab), {"q": 1.0}, ab) == 1 / 3
+    assert evaluate(sp.pi * X + sp.E, {"x": 1.0}, AB) == math.pi + math.e
+
+
+def test_functions_outside_the_grammar_fail_at_compile_time():
+    # the second derivative of |q| holds DiracDelta(q)
+    ab = Alphabet(coords=("q",))
+    q, = ab.coord_symbols
+    e = sp.diff(sp.sqrt(q**2), q, 2)
+    assert e.has(sp.DiracDelta)
+    with pytest.raises(ValueError, match="DiracDelta"):
+        compile_fn([e], ab)
+    with pytest.raises(ValueError, match="DiracDelta"):
+        evaluate(e, {"q": 1.0}, ab)
+
+
+@pytest.mark.parametrize("name", ["sign", "abs", "lambda"])
+def test_declared_names_never_hide_compiled_functions(name):
+    # a coordinate may be named like a function the compiled code calls,
+    # or like a Python keyword
+    ab = Alphabet(coords=(name, "x"))
+    a, x = ab.coord_symbols
+    assert evaluate(a * sp.sign(x) + sp.Abs(x), {name: 2.0, "x": -3.0}, ab) == 1.0
 
 
 def test_complex_values_are_not_finite():
