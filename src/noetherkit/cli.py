@@ -6,18 +6,19 @@ repeated invocation with the same seed is byte-identical.
 
 Exit codes: 0 success / PASS, 1 verification FAIL, 2 parse error or invalid
 option (including an integration of more than ``dynamics.MAX_STEPS`` steps,
-and a system whose derived expressions hold a function outside the compiled
-grammar), 3 regularity failure (or exclusions that reject every sample point), 4
-conservation precheck failure, 5 singularity during a solve or
-verification, an integration starting in a singular zone, or a monitored
-integral not evaluable along the trajectory, 6 trajectory truncated at a
-singular zone or where its state stops being finite.  Errors print one
-line on stderr.
+a system whose derived expressions hold a function outside the compiled
+grammar, and an output path that cannot be written), 3 regularity failure
+(or exclusions that reject every sample point), 4 conservation precheck
+failure, 5 singularity during a solve or verification, an integration
+starting in a singular zone, or a monitored integral not evaluable along
+the trajectory, 6 trajectory truncated at a singular zone or where its
+state stops being finite.  Errors print one line on stderr.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import sys as _sys
@@ -55,7 +56,8 @@ EXIT_TRUNCATED = 6
 def _emit(report: dict, out: str | None) -> None:
     text = json.dumps(report, indent=2, sort_keys=True)
     if out:
-        Path(out).write_text(text + "\n")
+        with _writing():
+            Path(out).write_text(text + "\n")
     else:
         print(text)
 
@@ -63,6 +65,15 @@ def _emit(report: dict, out: str | None) -> None:
 def _error(message, code: int) -> int:
     print(f"error: {message}", file=_sys.stderr)
     return code
+
+
+@contextlib.contextmanager
+def _writing():
+    """An output path that cannot be written exits 2 with one line."""
+    try:
+        yield
+    except OSError as err:
+        raise SystemExit(_error(err, EXIT_PARSE))
 
 
 def _load_system(path: str):
@@ -138,7 +149,8 @@ def cmd_solve(args) -> int:
         "verification": rep.to_dict(),
     }
     if args.triple_out:
-        write_triple_file(args.triple_out, {args.integral: tr})
+        with _writing():
+            write_triple_file(args.triple_out, {args.integral: tr})
     _emit(report, args.out)
     return EXIT_OK if rep.passed else EXIT_FAIL
 
@@ -194,7 +206,8 @@ def cmd_integrate(args) -> int:
     except ValueError as err:  # the options ask for more than MAX_STEPS steps
         return _error(err, EXIT_PARSE)
     if args.csv:
-        write_trajectory_csv(traj, args.csv, sysdef.alphabet.coords)
+        with _writing():
+            write_trajectory_csv(traj, args.csv, sysdef.alphabet.coords)
     try:
         drifts = [
             monitor_drift(sysdef, traj, sf.integrals[name], name).to_dict()
@@ -224,12 +237,13 @@ def cmd_corpus(args) -> int:
     from .sysfile import write_system_file
 
     out = args.out or f"{args.name}.sys"
-    write_system_file(
-        out,
-        entry.system,
-        integrals=entry.integrals,
-        triples={k: tr.simplified() for k, tr in entry.triples.items()},
-    )
+    with _writing():
+        write_system_file(
+            out,
+            entry.system,
+            integrals=entry.integrals,
+            triples={k: tr.simplified() for k, tr in entry.triples.items()},
+        )
     print(f"wrote {out}")
     return EXIT_OK
 

@@ -197,6 +197,10 @@ class _Printer(StrPrinter):
         # this back as Abs(x)
         return f"sqrt(({self._print(e.args[0])})**2)"
 
+    def _print_Float(self, e):
+        # the shortest text that reads back as the same double
+        return repr(float(e))
+
 
 def print_expr(e) -> str:
     """Print an expression in the same grammar the parser accepts."""

@@ -1,13 +1,14 @@
 """Numerical integration of the normal form and first-integral drift checks.
 
 Fixed-step classical RK4 on the first-order system (q, qdot)' = (qdot, Lam).
-The normal form Lam and the declared singular sets are compiled into one
-function, so each stage is one call that also gives the guard's values.
-Each step is one straight-line function of the state on Python floats; a
-step at which they raise or go complex runs again on numpy float64
-scalars, which read inf or NaN there.  A trajectory is truncated with a
-flag when it approaches a declared singular set or its state stops being
-finite.  The step count is bounded by ``MAX_STEPS``.
+The whole run is one generated function per system: its loop takes the RK4
+steps on Python floats, with the printed statements of Lam inline at each
+stage and, at each new node, those of the declared singular sets, which
+guard the node.  A step at which Python floats raise or go complex runs
+again on numpy float64 scalars, which read inf or NaN there, and the loop
+resumes after it.  A trajectory is truncated with a flag when it approaches
+a declared singular set or its state stops being finite.  The step count is
+bounded by ``MAX_STEPS``.
 """
 
 from __future__ import annotations
@@ -20,7 +21,16 @@ from typing import Sequence
 import numpy as np
 import sympy as sp
 
-from .expressions import _eval_rows, _real, compile_fn, draw_points
+from .expressions import (
+    _GLOBALS,
+    TotalDerivative,
+    _define,
+    _eval_rows,
+    _print_code,
+    _real,
+    compile_fn,
+    draw_points,
+)
 from .mechanics import LagrangianSystem
 from .noether import FirstIntegral, _as_expr
 
@@ -88,14 +98,12 @@ def integrate(
 ) -> Trajectory:
     """Integrate qddot = Lam(t, q, qdot) from (t0, q0, qdot0) up to t1.
 
-    Each step is the RK4 tableau unrolled over the state components
-    (:func:`_rk4_step`) and run on Python floats.  Its four stages are each
-    one call of Lam compiled with the exclusion values; the last, at the new
-    node, guards that node and is the next step's first stage.  Python
-    floats give float64's value wherever they give a real float without
-    raising, so only a step that raises ZeroDivisionError or OverflowError,
-    or goes complex, runs again on float64 scalars, which read inf or NaN
-    there.  The run is truncated at the last node before a state that is not
+    The steps run in the generated loop of :func:`_rk4_loop` on Python
+    floats, which give float64's value wherever they give a real float
+    without raising.  So only a step that raises ZeroDivisionError or
+    OverflowError, or goes complex, runs again, through the same loop on
+    float64 scalars, which read inf or NaN there; the loop then resumes on
+    Python floats.  The run is truncated at the last node before a state that is not
     finite or within an exclusion margin.  Raises SingularStartError for a
     start in an exclusion zone, and ValueError when t1 is before t0 or the
     run needs more than ``MAX_STEPS`` steps.
@@ -118,92 +126,124 @@ def integrate(
         )
     steps = int(round(span))
 
-    n = sys.n
+    n, width = sys.n, 1 + 2 * sys.n
     exprs = list(sys.lam) + [ex.expr for ex in sys.exclusions]
-    stage = compile_fn(exprs, sys.alphabet).positional
-    params = [float(sys.param_values[p]) for p in sys.alphabet.params]
+    compiled = compile_fn(exprs, sys.alphabet)
+    params = tuple(float(sys.param_values[p]) for p in sys.alphabet.params)
     # steep singular sets can be crossed within a single step, so the abort
     # distance follows each declared exclusion margin, never less than the
     # baseline
     thresholds = [max(ex.threshold, SINGULAR_ABORT) for ex in sys.exclusions]
-
-    def near_singular(excluded) -> bool:
-        return not all(map(_clear, excluded, thresholds))
+    tail = (*thresholds, dt, dt / 2, dt / 6)
 
     t = float(t0)
     y = (*map(float, q0), *map(float, qd0))
-    ts, ys = [t], [y]
-    truncated = False
+    flat = [t, *y]
     with np.errstate(all="ignore"):
         # arithmetic on float64 arguments gives complex values at every state
         # or at none; where it does, each stage runs on float64 arguments, as
         # this first call does, and reads its values as the oracle does
-        start = stage(np.float64(t), *map(np.float64, y), *map(np.float64, params))
-        if any(isinstance(v, complex) for v in start):
-            stage = lambda *args, compiled=stage: _real(compiled(*map(np.float64, args)))
+        start = compiled.positional(np.float64(t), *map(np.float64, y + params))
+        complex_typed = any(isinstance(v, complex) for v in start)
+        if complex_typed:
             start = _real(start)
-        if near_singular(start[n:]):
+        if not all(c <= abs(v) < math.inf for c, v in zip(thresholds, start[n:])):
             raise SingularStartError("initial state is inside the singular exclusion zone")
-        step = _rk4_step(stage, n, len(thresholds), len(params), dt)
-        node = (t, *y, *map(float, start[:n]))
-        for _ in range(steps):
-            try:
-                out = step(*node, *params)
-            except (ZeroDivisionError, OverflowError):
-                out = None
-            # a sum is complex-typed where any of its terms is
-            if out is None or isinstance(sum(out), complex):
-                out = tuple(map(float, step(*map(np.float64, node),
-                                            *map(np.float64, params))))
-            y = out[1:1 + 2 * n]
-            if not all(map(math.isfinite, y)) or near_singular(out[1 + 3 * n:]):
-                truncated = True
-                break
-            node = out[:1 + 3 * n]
-            ts.append(out[0])
-            ys.append(y)
-    states = np.array(ys)
+        run = _rk4_loop(compiled, exprs, sys.alphabet, complex_typed)
+        node, taken = (t, *y, *map(float, start[:n])), 0
+        while node is not None and taken < steps:
+            node = run(*node, *params, *tail, steps - taken, flat)
+            taken = len(flat) // width - 1
+            if node is not None and taken < steps:
+                # the step from node raised or went complex on Python floats
+                node = run(*map(np.float64, node + params), *tail, 1, flat)
+                node = node and tuple(map(float, node))
+                taken += 1
+    rows = np.array(flat, dtype=float).reshape(-1, width)
     return Trajectory(
         system=sys.name,
-        t=np.asarray(ts),
-        q=np.ascontiguousarray(states[:, :n]),
-        qdot=np.ascontiguousarray(states[:, n:]),
+        t=np.ascontiguousarray(rows[:, 0]),
+        q=np.ascontiguousarray(rows[:, 1:1 + n]),
+        qdot=np.ascontiguousarray(rows[:, 1 + n:]),
         dt=dt,
-        truncated=truncated,
+        truncated=node is None,
     )
 
 
-def _clear(value, threshold) -> bool:
-    """An exclusion value that is finite and at least threshold from zero."""
-    return threshold <= abs(value) < math.inf
+def _rk4_loop(compiled, exprs, alphabet, complex_typed: bool):
+    """The generated RK4 run for the stage ``compiled`` of ``exprs``, Lam
+    and then the exclusion values; memoized on ``compiled``.
 
-
-def _rk4_step(stage, n: int, m: int, p: int, dt: float):
-    """One classical RK4 step of (q, qdot)' = (qdot, Lam), unrolled over the
-    2n state components: from (t, y, Lam at (t, y), params) to (t + dt, y',
-    Lam and the m exclusion values at (t + dt, y')).  ``stage`` maps (t, y,
-    params) to Lam and the exclusion values.  Each stage state is
+    run(t, y, Lam at (t, y), params, thresholds, dt, dt/2, dt/6, steps,
+    out) takes up to ``steps`` classical RK4 steps of (q, qdot)' = (qdot,
+    Lam), unrolled over the 2n state components.  Each stage state is
     ``y + h*k`` and the new state ``y + dt/6*(k1 + 2*k2 + 2*k3 + k4)``, in
-    this order of operations."""
-    y = [f"y{i}" for i in range(2 * n)]
-    params = [f"p{i}" for i in range(p)]
-    ks = [y[n:] + [f"a{i}" for i in range(n)]]
+    this order of operations.  Each stage runs the printed statements of
+    :func:`expressions._print_code` over its own locals.  At the new node
+    they give Lam, the next step's k1, and the exclusion values, which
+    guard the node: each state component must be finite and each exclusion
+    value finite and at least its threshold in magnitude.  A complex-typed
+    stage, or one with total-derivative nodes, is called on float64 scalars
+    and read through ``_real`` instead.  Each node taken appends t and y to
+    the list ``out``.  Returns the node after ``steps`` steps, the start
+    node of a step that raised or went complex, or None at a node the guard
+    refused.  Every local carries a ``·``, outside the DSL's names.
+    """
+    run = getattr(compiled, "rk4", None)
+    if run is not None:
+        return run
+    n, m = alphabet.n, len(exprs) - alphabet.n
+    names = [s.name for s in (*alphabet.variables(), *alphabet.param_symbols)]
+    params = [f"p·{j}" for j in range(len(alphabet.params))]
+    call = complex_typed or any(e.has(TotalDerivative) for e in exprs)
+
+    def stage(time, state, assigned):
+        args = [time, *state, *params]
+        if call:
+            return [f"{', '.join(assigned)}, *_· = stage·({', '.join(args)})"]
+        lines, outs, _, _ = _print_code(exprs, dict(zip(names, args)))
+        return lines + [f"{v} = {o}" for v, o in zip(assigned, outs)]
+
+    y = [f"y·{i}" for i in range(2 * n)]
+    ks = [y[n:] + [f"a·{i}" for i in range(n)]]
     body = []
-    for s, (h, at) in enumerate([("h2", "th"), ("h2", "th"), ("dt", "t1")], 2):
-        z = [f"z{s}_{i}" for i in range(2 * n)]
-        lam = [f"a{s}_{i}" for i in range(n)]
+    for s, (h, time) in enumerate([("h2·", "th·"), ("h2·", "th·"), ("dt·", "t1·")], 2):
+        z = [f"z{s}·{i}" for i in range(2 * n)]
         body += [f"{zi} = {yi} + {h} * {ki}" for zi, yi, ki in zip(z, y, ks[-1])]
-        body.append(f"{', '.join(lam + ['_'] * m)}, = stage({at}, {', '.join(z + params)})")
-        ks.append(z[n:] + lam)
-    new = [f"y{i}_1" for i in range(2 * n)]
-    body += [f"{yn} = {yi} + h6 * ({k1} + 2 * {k2} + 2 * {k3} + {k4})"
-             for yn, yi, k1, k2, k3, k4 in zip(new, y, *ks)]
-    body.append(f"return (t1, {', '.join(new)}, *stage(t1, {', '.join(new + params)}))")
-    source = (f"def step(t, {', '.join(y + ks[0][n:] + params)}):\n"
-              "    th, t1 = t + h2, t + dt\n" + "".join(f"    {line}\n" for line in body))
-    namespace = {"stage": stage, "dt": dt, "h2": dt / 2, "h6": dt / 6}
-    exec(source, namespace)
-    return namespace["step"]
+        ks.append(z[n:] + [f"k{s}·{i}" for i in range(n)])
+        body += stage(time, z, ks[-1][n:])
+    w = [f"w·{i}" for i in range(2 * n)]
+    body += [f"{wi} = {yi} + h6· * ({k1} + 2.0 * {k2} + 2.0 * {k3} + {k4})"
+             for wi, yi, k1, k2, k3, k4 in zip(w, y, *ks)]
+    lam, excl = [f"b·{i}" for i in range(n)], [f"e·{j}" for j in range(m)]
+    body += stage("t1·", w, lam + excl)
+    clear = [f"c·{j}" for j in range(m)]
+    start = ["t·", *y, *ks[0][n:]]
+    node = ", ".join(start)
+    guard = " and ".join([*(f"-inf· < {v} < inf·" for v in w),
+                          *(f"{c} <= abs·({e}) < inf·" for c, e in zip(clear, excl))])
+    signature = ", ".join([*start, *params, *clear, "dt·", "h2·", "h6·", "steps·", "out·"])
+    source = (
+        f"def run·({signature}):\n"
+        "    for _· in range(steps·):\n"
+        "        th·, t1· = t· + h2·, t· + dt·\n"
+        "        try:\n" + "".join(f"            {line}\n" for line in body) +
+        "        except (ZeroDivisionError, OverflowError):\n"
+        f"            return {node}\n"
+        "        # a sum is complex-typed where any of its terms is\n"
+        f"        if isinstance({' + '.join(w + lam + excl)}, complex):\n"
+        f"            return {node}\n"
+        f"        if not ({guard}):\n"
+        "            return None\n"
+        f"        out· += (t1·, {', '.join(w)})\n"
+        f"        {node} = t1·, {', '.join(w + lam)}\n"
+        f"    return {node}\n"
+    )
+    positional = compiled.positional
+    namespace = {**_GLOBALS, "abs·": abs, "inf·": math.inf,
+                 "stage·": lambda *args: _real(positional(*map(np.float64, args)))}
+    compiled.rk4 = run = _define(source, "run·", namespace)
+    return run
 
 
 def monitor_drift(

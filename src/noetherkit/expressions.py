@@ -376,7 +376,26 @@ def _generate(syms, exprs):
     """Print and run the NumPy source of a function of (syms, one slot per
     total-derivative node) returning the expressions, then the node bodies.
 
-    A post-order walk gives each TotalDerivative node a slot, in
+    Returns the function, the nodes in slot order and the slots each
+    expression holds (see :func:`_print_code`).
+    """
+    # a name that is no parameter name, or would hide a global, becomes
+    # v·i; like cse·k and Dt·i, that is outside the DSL's ASCII names
+    args = {s.name: s.name if s.name.isidentifier() and not keyword.iskeyword(s.name)
+            and s.name not in _GLOBALS else f"v·{i}" for i, s in enumerate(syms)}
+    lines, outs, nodes, owners = _print_code(exprs, args)
+    params = ", ".join([*args.values(), *(f"Dt·{i}" for i in range(len(nodes)))])
+    body = "".join(f"    {line}\n" for line in lines)
+    source = f"def _compiled({params}):\n{body}    return [{', '.join(outs)}]\n"
+    return _define(source, "_compiled", dict(_GLOBALS)), nodes, owners
+
+
+def _print_code(exprs, args):
+    """The statements and the output sources that compute the expressions,
+    then the bodies of their total-derivative nodes, over the argument names
+    ``args`` gives each symbol name; the statements assign ``cse·k`` locals.
+
+    A post-order walk gives each TotalDerivative node a slot ``Dt·i``, in
     first-encounter order, without descending into it, and counts the uses
     of every other subtree that is not an atom; a repeat is not descended
     into, so what lies inside it counts once, as in sympy's ``tree_cse``.
@@ -387,14 +406,10 @@ def _generate(syms, exprs):
     split matters: 12*(c + x**2)/x**5 keeps the G-ode residual of x**-3
     within 1e-9, 12*x**(-5)*(c + x**2) does not.
 
-    Returns the function, the nodes in slot order and the slots each
-    expression holds.  A function outside the grammar is an
+    Returns the statements, the output sources, the nodes in slot order and
+    the slots each expression holds.  A function outside the grammar is an
     UndeclaredSymbolError naming it.
     """
-    # a name that is no parameter name, or would hide a global, becomes
-    # v·i; like cse·k and Dt·i, that is outside the DSL's ASCII names
-    args = {s.name: s.name if s.name.isidentifier() and not keyword.iskeyword(s.name)
-            and s.name not in _GLOBALS else f"v·{i}" for i, s in enumerate(syms)}
     nodes, uses, slots_in, order = {}, {}, {}, []
 
     def walk(e):
@@ -440,20 +455,23 @@ def _generate(syms, exprs):
             got = f"{_FUNCTION_NAMES[e.func]}({', '.join(show(a)[0] for a in e.args)})", _ATOM
         if uses[e] > 1:
             name = f"cse·{len(lines)}"
-            lines.append(f"    {name} = {got[0]}\n")
+            lines.append(f"{name} = {got[0]}")
             got = name, _ATOM
         shown[e] = got
-    outs = ", ".join(show(e)[0] for e in (*exprs, *bodies))
+    outs = [show(e)[0] for e in (*exprs, *bodies)]
+    return lines, outs, list(nodes), owners
+
+
+def _define(source: str, name: str, namespace: dict):
+    """Run generated source in ``namespace`` and return the function it
+    defines as ``name``, whose source ``inspect.getsource`` reads while the
+    function lives."""
     filename = f"<noetherkit-compiled-{next(_sources)}>"
-    params = ", ".join([*args.values(), *(f"Dt·{i}" for i in range(len(nodes)))])
-    source = f"def _compiled({params}):\n{''.join(lines)}    return [{outs}]\n"
-    namespace = dict(_GLOBALS)
     exec(compile(source, filename, "exec"), namespace)
-    fn = namespace["_compiled"]
-    # inspect.getsource reads the source from linecache while fn lives
+    fn = namespace[name]
     linecache.cache[filename] = (len(source), None, source.splitlines(True), filename)
     weakref.finalize(fn, linecache.cache.pop, filename, None)
-    return fn, list(nodes), owners
+    return fn
 
 
 def _paren(shown, level) -> str:
@@ -662,6 +680,10 @@ def draw_points(
     lo, hi = np.array(
         [_range_for(name, alphabet, domain) for name in var_names], dtype=float
     ).T
+    # numpy's uniform(lo, hi) is lo + (hi - lo)*u, and refuses this span
+    span = (hi - lo)[:, None]
+    if not np.all(np.isfinite(span)):
+        raise OverflowError("Range exceeds valid bounds")
     params = {name: np.float64(v) for name, v in param_values.items()}
     if domain.exclusions:
         excl = compile_fn([ex.expr for ex in domain.exclusions], alphabet, include_acc)
@@ -671,7 +693,9 @@ def draw_points(
     while accepted < k:
         need = k - accepted
         m = _next_block(need, drawn, accepted)
-        block = np.ascontiguousarray(rng.uniform(lo, hi, size=(m, len(lo))).T)
+        block = np.empty((len(var_names), m))
+        np.multiply(span, rng.random((m, len(var_names))).T, out=block)
+        block += lo[:, None]
         drawn += m
         if domain.exclusions:
             cols = dict(zip(var_names, block))
@@ -680,22 +704,26 @@ def draw_points(
             ok = np.all((vals >= thresholds) & np.isfinite(vals), axis=0)
         else:
             ok = np.ones(m, dtype=bool)
-        # length of the rejection run ending at each candidate
-        pos = np.arange(m)
-        last = np.maximum.accumulate(np.where(ok, pos, -1))
-        runs = np.where(last < 0, run + pos + 1, pos - last)
-        idx = np.flatnonzero(ok)[:need]
-        used = idx[-1] + 1 if len(idx) == need else m
-        if np.any(runs[:used] >= max_tries):
-            raise SamplingError(
-                f"could not draw a point outside exclusions in {max_tries} tries"
-            )
-        run = int(runs[-1])
+        idx = np.flatnonzero(ok)
+        # a run of max_tries rejections, with the run carried in, needs
+        # that many in this block
+        if run + m - len(idx) >= max_tries:
+            # length of the rejection run ending at each candidate
+            pos = np.arange(m)
+            last = np.maximum.accumulate(np.where(ok, pos, -1))
+            runs = np.where(last < 0, run + pos + 1, pos - last)
+            used = idx[need - 1] + 1 if len(idx) >= need else m
+            if np.any(runs[:used] >= max_tries):
+                raise SamplingError(
+                    f"could not draw a point outside exclusions in {max_tries} tries"
+                )
+        run = m - 1 - int(idx[-1]) if len(idx) else run + m
+        idx = idx[:need]
         kept.append(block[:, idx])
         accepted += len(idx)
     values = np.concatenate(kept, axis=1)
     columns = dict(zip(var_names, values))
-    columns.update({name: np.full(k, v) for name, v in params.items()})
+    columns.update({name: np.broadcast_to(v, (k,)) for name, v in params.items()})
     return SamplePoints(columns)
 
 

@@ -29,6 +29,15 @@ def kepler_sys(kepler, tmp_path):
 
 
 @pytest.fixture()
+def fp_boost_tri_sys(fp_sys, tmp_path, capsys):
+    path = tmp_path / "boost.tri"
+    assert cli.main(["solve", fp_sys, "boost", "--mode", "strong",
+                     "--triple-out", str(path)]) == cli.EXIT_OK
+    capsys.readouterr()
+    return str(path)
+
+
+@pytest.fixture()
 def fp_log_sys(fp, tmp_path):
     """Free particle with log(q) declared, which q = 1 - t carries below 0."""
     path = tmp_path / "fp_log.sys"
@@ -392,6 +401,14 @@ EXIT_TABLE = [
     (["describe", "{threshold_huge}"], cli.EXIT_REGULARITY),
     (["solve", "{fp}", "energy", "--mode", "strong", "--seed", "-1"], cli.EXIT_PARSE),
     (["describe", "{dirac}"], cli.EXIT_PARSE),
+    (["integrate", "{fp}", "0,1,1", "--t1", "1", "--csv", "no-such-dir/x.csv"], cli.EXIT_PARSE),
+    (["integrate", "{fp}", "0,1,1", "--t1", "1", "--csv", "."], cli.EXIT_PARSE),
+    (["integrate", "{fp}", "0,1,1", "--t1", "1", "--out", "no-such-dir/r.json"], cli.EXIT_PARSE),
+    (["solve", "{fp}", "energy", "--mode", "strong", "--triple-out", "no-such-dir/e.tri"],
+     cli.EXIT_PARSE),
+    (["solve", "{fp}", "energy", "--mode", "strong", "--out", "."], cli.EXIT_PARSE),
+    (["verify", "{fp}", "{fp_boost_tri}", "--out", "no-such-dir/r.json"], cli.EXIT_PARSE),
+    (["corpus", "export", "freeparticle", "--out", "no-such-dir/fp.sys"], cli.EXIT_PARSE),
 ]
 
 

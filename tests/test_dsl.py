@@ -107,6 +107,16 @@ def test_print_parse_round_trip(text):
     assert sp.simplify(again - e) == 0
 
 
+@pytest.mark.parametrize("text", ["1/3.0", "0.1", "1e-20", "123456789.123456789"])
+def test_print_parse_round_trip_keeps_float_constants(text):
+    # each constant prints as the text of its double, not at 15 digits
+    e = parse(text, AB)
+    again = parse(print_expr(e), AB)
+    assert isinstance(again, sp.Float) and float(again) == float(e)
+    scaled = parse(f"x^2*{text}", AB)
+    assert float(parse(print_expr(scaled), AB).subs(X, 1)) == float(e)
+
+
 def test_round_trip_on_corpus_expressions(kepler):
     sysdef = kepler.system
     for expr in list(kepler.integrals.values()) + [sysdef.L, *sysdef.lam]:

@@ -1,4 +1,3 @@
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -124,6 +123,20 @@ def test_step_count_is_bounded(fp):
         integrate(fp.system, start, (MAX_STEPS + 1) * 1e-3, dt=1e-3)
 
 
+def test_rk4_loop_is_printed_once_per_system(monkeypatch):
+    # dt comes in as an argument, so another step size reuses the loop;
+    # Lam = -6q/7 is compiled by no other test
+    sysdef = _system_of(lambda t, q, qd: qd**2 / 2 - 3 * q**2 / 7)
+    printed = []
+    real = dynamics._print_code
+    monkeypatch.setattr(dynamics, "_print_code", lambda *a: printed.append(1) or real(*a))
+    first = integrate(sysdef, (0.0, [1.0], [0.0]), 0.1, dt=1e-2)
+    assert len(printed) == 4  # one print per stage
+    again = integrate(sysdef, (0.0, [1.0], [0.0]), 0.1, dt=1e-3)
+    assert len(printed) == 4
+    assert len(first.t) == 11 and len(again.t) == 101
+
+
 def test_rank_of_duplicated_integral(iso):
     N1 = iso.integrals["N1"]
     rank, per_point = functional_independence_rank(iso.system, [N1, N1])
@@ -147,6 +160,14 @@ def test_write_trajectory_csv(fp, tmp_path):
     lines = path.read_text().strip().splitlines()
     assert lines[0] == "t,q,qdot"
     assert len(lines) == len(traj.t) + 1
+
+
+def _overflow_window_system():
+    """Lam = -q/(1 + (100*t - 50)^-400): the power overflows on Python floats
+    within 0.0017 of t = 1/2, where float64 reads inf and Lam = 0, so a run
+    through t = 1/2 takes float64 steps mid-run and Python-float steps after
+    them."""
+    return _system_of(lambda t, q, qd: qd**2 / 2 - q**2 / 2 / (1 + (100 * t - 50)**-400))
 
 
 def _reference_integrate(sysdef, initial, t1, dt):
@@ -203,6 +224,7 @@ def _reference_integrate(sysdef, initial, t1, dt):
 @pytest.mark.parametrize("case", [
     "kepler_orbit", "radial_plunge", "plunge_to_zone", "iso_steep_fall", "blow_up",
     "pole", "iso_opaque_fall", "fractional_power", "abs_sign", "smooth_pole",
+    "overflow_window",
 ])
 def test_integrate_matches_reference_loop(case, kepler, iso_steep, iso_opaque):
     plunge = (kepler.system, (0.0, [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]), 3.0)
@@ -226,6 +248,7 @@ def test_integrate_matches_reference_loop(case, kepler, iso_steep, iso_opaque):
         # stages of the first step, where float64 reads exp(-inf) = 0
         "smooth_pole": (_system_of(lambda t, q, qd: qd**2 / 2 + q * sp.exp(-1 / t**2)),
                         (-5e-4, [1.0], [0.0]), 1.0),
+        "overflow_window": (_overflow_window_system(), (0.0, [1.0], [0.0]), 1.0),
     }[case]
     dt = 1e-3
     if case == "plunge_to_zone":
@@ -235,7 +258,8 @@ def test_integrate_matches_reference_loop(case, kepler, iso_steep, iso_opaque):
         t1 = nodes * dt
     t, q, qdot, truncated = _reference_integrate(sysdef, initial, t1, dt)
     traj = integrate(sysdef, initial, t1, dt=dt)
-    assert truncated == (case not in ("kepler_orbit", "abs_sign", "smooth_pole"))
+    assert truncated == (case not in ("kepler_orbit", "abs_sign", "smooth_pole",
+                                      "overflow_window"))
     assert (len(t) == 1) == (case == "pole")
     if case == "fractional_power":
         assert len(t) == 319
@@ -246,22 +270,29 @@ def test_integrate_matches_reference_loop(case, kepler, iso_steep, iso_opaque):
 
 
 def test_steps_run_on_python_floats(kepler, monkeypatch):
-    # numpy scalars cost several times as much per operation; only the start,
-    # which tells whether the stage is complex-typed, runs on them
+    # numpy scalars cost several times as much per operation; a step runs
+    # on them only where Python floats raise or go complex
     calls = []
+    real = dynamics._rk4_loop
 
-    def recording_compile(exprs, alphabet):
-        stage = compile_fn(exprs, alphabet).positional
+    def recording_loop(*args):
+        run = real(*args)
+        return lambda *node: calls.append(type(node[0])) or run(*node)
 
-        def positional(*args):
-            calls.append({type(a) for a in args})
-            return stage(*args)
-
-        return SimpleNamespace(positional=positional)
-
-    monkeypatch.setattr(dynamics, "compile_fn", recording_compile)
+    monkeypatch.setattr(dynamics, "_rk4_loop", recording_loop)
     traj = integrate(kepler.system, (0.0, [1.0, 0.0, 0.0], [0.0, 1.1, 0.2]), 1.0, dt=1e-2)
-    assert not traj.truncated
-    assert calls[0] == {np.float64}
-    assert all(types == {float} for types in calls[1:])
-    assert len(calls) == 1 + 4 * 100
+    assert not traj.truncated and len(traj.t) == 101
+    assert calls == [float]
+    for sysdef, start in [
+        (_system_of(lambda t, q, qd: qd**2 / 2 + q * sp.exp(-1 / t**2)), (-5e-4, [1.0], [0.0])),
+        (_system_of(lambda t, q, qd: qd**2 / 2 - sp.Rational(3, 4) * q**sp.Rational(4, 3)),
+         (0.0, [1.0], [-3.0])),
+    ]:
+        calls.clear()
+        integrate(sysdef, start, 1.0, dt=1e-3)
+        assert np.float64 in calls
+    # mid-run float64 steps hand back to Python floats
+    calls.clear()
+    traj = integrate(_overflow_window_system(), (0.0, [1.0], [0.0]), 1.0, dt=1e-3)
+    assert not traj.truncated and len(traj.t) == 1001
+    assert calls[0] is float and calls[-1] is float and np.float64 in calls

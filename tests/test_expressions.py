@@ -335,6 +335,36 @@ def test_compiled_code_is_the_same_under_every_hash_seed():
     assert int(outs.pop().split()[0]) > 60
 
 
+def test_rk4_loop_is_the_same_under_every_hash_seed():
+    # the generated RK4 loop prints each stage with the same printer
+    script = (
+        "import hashlib, inspect\n"
+        "from noetherkit import corpus, dynamics\n"
+        "from noetherkit.expressions import compile_fn\n"
+        "sources = []\n"
+        "for name, kw in [('kepler3d', {}), ('isochrony', {}),\n"
+        "                 ('isochrony', {'G': '1/x^3', 'c': 0.0})]:\n"
+        "    sysdef = corpus.load(name, **kw).system\n"
+        "    dynamics.integrate(sysdef, (0.0, [1.0] * sysdef.n, [0.5] * sysdef.n), 0.01)\n"
+        "    exprs = [*sysdef.lam, *(ex.expr for ex in sysdef.exclusions)]\n"
+        "    sources.append(inspect.getsource(compile_fn(exprs, sysdef.alphabet).rk4))\n"
+        "print(sources[0].count('**(-3/2)'), hashlib.sha256('\\n'.join(sources).encode()).hexdigest())\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(noetherkit.__file__).parents[1]))
+    procs = [subprocess.Popen([sys.executable, "-c", script], stdout=subprocess.PIPE,
+                              stderr=subprocess.PIPE, text=True,
+                              env=dict(env, PYTHONHASHSEED=str(h)))
+             for h in (0, 1, 2)]
+    outs = set()
+    for proc in procs:
+        out, err = proc.communicate(timeout=300)
+        assert proc.returncode == 0, err
+        outs.add(out)
+    assert len(outs) == 1
+    # kepler3d's four stages each compute |r|^-3 once
+    assert outs.pop().split()[0] == "4"
+
+
 def test_alphabet_builds_its_symbols_once_and_keys_the_memo_by_its_fields():
     a, b = Alphabet(coords=("u", "v"), params=("k",)), Alphabet(coords=("u", "v"), params=("k",))
     u, v = a.coord_symbols
@@ -485,6 +515,13 @@ def test_draw_points_matches_one_at_a_time_reference():
             assert list(pts.columns) == list(ref[0])
 
 
+def test_draw_points_refuses_a_non_finite_span():
+    # numpy's uniform(lo, hi) refuses these; the affine map keeps its error
+    for lo, hi in [(-1e308, 1e308), (0.0, math.inf), (math.nan, 1.0)]:
+        with pytest.raises(OverflowError, match="Range exceeds valid bounds"):
+            draw_points(AB, SampleDomain(var_ranges={"x": (lo, hi)}), {}, 5, 0)
+
+
 def test_draw_points_rejection_run_across_blocks():
     # only x > 1.9 is accepted (sqrt is NaN below), one candidate in forty,
     # so rejection runs are long
@@ -511,6 +548,26 @@ def test_draw_points_rejection_run_across_blocks():
     with pytest.raises(SamplingError):
         draw_points(AB, dom, {}, 2, seed, max_tries=longest)
     assert list(draw_points(AB, dom, {}, 2, seed, max_tries=longest + 1)) == ref
+
+
+def test_draw_points_refuses_a_run_of_exactly_max_tries():
+    # one candidate in twenty is rejected, so a block's rejections are
+    # often one run, which reaches max_tries exactly
+    dom = SampleDomain(exclusions=(Exclusion(X, 0.1),))
+    outcomes = set()
+    for seed in range(20):
+        for max_tries in (1, 2):
+            try:
+                ref = _reference_draw(AB, dom, {}, 5, seed, max_tries=max_tries)
+            except SamplingError:
+                ref = None
+            try:
+                got = list(draw_points(AB, dom, {}, 5, seed, max_tries=max_tries))
+            except SamplingError:
+                got = None
+            assert got == ref
+            outcomes.add(ref is None)
+    assert outcomes == {True, False}
 
 
 def test_compile_fn_memo_returns_shared_function():
