@@ -306,7 +306,7 @@ def write_trajectory_csv(traj: Trajectory, path, coord_names: Sequence[str]) -> 
         )
         for i in range(len(traj.t)):
             writer.writerow(
-                [f"{traj.t[i]:.12g}"]
+                [f"{traj.t[i]:.17g}"]
                 + [f"{v:.17g}" for v in traj.q[i]]
                 + [f"{v:.17g}" for v in traj.qdot[i]]
             )

@@ -270,7 +270,8 @@ def total_dt(e, alphabet: Alphabet, lam: Sequence[sp.Expr] | None = None) -> sp.
     symbols; on-flow mode along the supplied acceleration field ``lam``, so
     the result is free of accelerations.  Returns a lazy
     :class:`TotalDerivative` (``.doit()`` expands it), or 0 when ``e`` is
-    free of t, q and qdot.
+    free of t, q and qdot: ``e.has`` stops at the first variable it meets, and
+    agrees with ``free_symbols`` since the grammar binds no symbols.
     """
     e = sp.sympify(e)
     if e.has(TotalDerivative):
@@ -285,7 +286,7 @@ def total_dt(e, alphabet: Alphabet, lam: Sequence[sp.Expr] | None = None) -> sp.
         raise ValueError(
             f"acceleration field has length {len(lam)}, expected {alphabet.n}"
         )
-    if not e.free_symbols & set(alphabet.variables()):
+    if not e.has(*alphabet.variables()):
         return sp.Integer(0)
     accs = alphabet.acceleration_symbols if lam is None else lam
     return TotalDerivative(
@@ -681,7 +682,8 @@ def draw_points(
         [_range_for(name, alphabet, domain) for name in var_names], dtype=float
     ).T
     # numpy's uniform(lo, hi) is lo + (hi - lo)*u, and refuses this span
-    span = (hi - lo)[:, None]
+    with np.errstate(over="ignore", invalid="ignore"):
+        span = (hi - lo)[:, None]
     if not np.all(np.isfinite(span)):
         raise OverflowError("Range exceeds valid bounds")
     params = {name: np.float64(v) for name, v in param_values.items()}

@@ -3,7 +3,11 @@
 From L(t, q, qdot) we derive the momentum gradient p, the velocity Hessian
 g, the Euler-Lagrange right-hand side rhs = d_q L - d2_{qdot,t} L -
 d2_{qdot,q} L * qdot, and the acceleration field Lam of the normal form
-qddot = Lam(t, q, qdot) obtained by solving  g * Lam = rhs.
+qddot = Lam(t, q, qdot) obtained by solving  g * Lam = rhs.  The system
+also keeps what later steps would otherwise derive again: det g and, for
+n <= 3, adj g, so that every solve of g*v = w is adj(g)*w/det(g), and the
+Euler-Lagrange expression E = g*qddot - rhs that the strong Killing
+equations subtract.
 Regularity (det g != 0) is checked by sampling, not proven.
 """
 
@@ -54,6 +58,10 @@ class LagrangianSystem:
     g: sp.Matrix = None
     lam: tuple[sp.Expr, ...] = ()
     rhs: tuple[sp.Expr, ...] = ()
+    det_g: sp.Expr = None
+    # None for n > 3, where g*v = w is solved by LU decomposition
+    adj_g: sp.Matrix | None = None
+    E: tuple[sp.Expr, ...] = ()
 
     @property
     def n(self) -> int:
@@ -76,14 +84,12 @@ class LagrangianSystem:
         return equal_numeric(a, b, self.alphabet, **kw)
 
 
-def _solve_linear(g: sp.Matrix, w: sp.Matrix, n: int) -> sp.Matrix:
-    # adjugate keeps expressions bounded for the n <= 3 systems of interest
-    if n > 3:
+def _solve_linear(g: sp.Matrix, det: sp.Expr, adj: sp.Matrix | None, w: sp.Matrix) -> sp.Matrix:
+    if adj is None:
         return g.LUsolve(w)
-    det = g.det()
     if det == 0:
         raise RegularityError({}, 0.0)
-    return g.adjugate() * w / det
+    return adj * w / det
 
 
 def build_system(
@@ -96,7 +102,8 @@ def build_system(
     var_ranges: Mapping[str, tuple[float, float]] | None = None,
     seed: int = 0,
 ) -> LagrangianSystem:
-    """Derive p, g and the normal form Lam; sample-check regularity.
+    """Derive p, g, det g, adj g, the normal form Lam and E; sample-check
+    regularity.
 
     Raises RegularityError with the witness point when |det g| drops below
     the regularity floor at any of the sampled points.
@@ -116,7 +123,11 @@ def build_system(
         - sum(sp.diff(p[i], qs[j]) * vs[j] for j in range(alphabet.n))
         for i in range(alphabet.n)
     )
-    lam = tuple(_solve_linear(g, sp.Matrix(rhs), alphabet.n))
+    det = g.det()
+    # adjugate keeps expressions bounded for the n <= 3 systems of interest
+    adj = g.adjugate() if alphabet.n <= 3 else None
+    lam = tuple(_solve_linear(g, det, adj, sp.Matrix(rhs)))
+    E = tuple(g * sp.Matrix(alphabet.acceleration_symbols) - sp.Matrix(rhs))
 
     sys = LagrangianSystem(
         name=name,
@@ -129,13 +140,16 @@ def build_system(
         g=g,
         lam=lam,
         rhs=rhs,
+        det_g=det,
+        adj_g=adj,
+        E=E,
     )
     _check_regularity(sys, seed=seed)
     return sys
 
 
 def _check_regularity(sys: LagrangianSystem, seed: int = 0) -> None:
-    det_fn = compile_fn([sys.g.det()], sys.alphabet)
+    det_fn = compile_fn([sys.det_g], sys.alphabet)
     points = draw_points(sys.alphabet, sys.domain(), sys.param_values, REGULARITY_SAMPLES, seed)
     det = _eval_rows(det_fn, points.columns, REGULARITY_SAMPLES)[0]
     bad = ~np.isfinite(det) | (np.abs(det) < REGULARITY_MIN_DET)
@@ -146,13 +160,8 @@ def _check_regularity(sys: LagrangianSystem, seed: int = 0) -> None:
 
 def el_residual(sys: LagrangianSystem, point: Mapping[str, float]) -> np.ndarray:
     """Euler-Lagrange residual d_q L - (d/dt) d_qdot L at a point that also
-    binds the accelerations: rhs - g*qddot, which equals g*(Lam - qddot)."""
-    accs = sys.alphabet.acceleration_symbols
-    exprs = [
-        r - sum(sys.g[i, j] * a for j, a in enumerate(accs))
-        for i, r in enumerate(sys.rhs)
-    ]
-    fn = compile_fn(exprs, sys.alphabet, include_acc=True)
+    binds the accelerations: -E = rhs - g*qddot, which equals g*(Lam - qddot)."""
+    fn = compile_fn([-e for e in sys.E], sys.alphabet, include_acc=True)
     # numpy floats make a pole read inf where Python floats raise
     full = {name: np.float64(v) for name, v in point.items()}
     for name, v in sys.param_values.items():
@@ -165,7 +174,7 @@ def invert_g_apply(sys: LagrangianSystem, w: Sequence, *, seed: int = 0) -> tupl
     w = sp.Matrix([sp.sympify(wi) for wi in w])
     if w.shape[0] != sys.n:
         raise ValueError(f"vector has length {w.shape[0]}, expected {sys.n}")
-    sol = _solve_linear(sys.g, w, sys.n)
+    sol = _solve_linear(sys.g, sys.det_g, sys.adj_g, w)
     # the residual often cancels symbolically, so its compilation is shared
     rep = sys.check(list(sys.g * sol - w), [0] * sys.n, k=REGULARITY_SAMPLES,
                     tol=1e-8, seed=seed, label="invert_g_apply")

@@ -15,8 +15,9 @@ With the characteristic eta = xi - qdot*tau (standard) or xi (alternative),
 the first integral N = f - L*tau - d_qdot L . eta and the Euler-Lagrange
 expression E = g*qddot - rhs, both left-hand sides equal
 ``f_dot - N_dot - eta . E`` (the Noether identity), and ``killing_lhs``
-builds them so.  E vanishes on the flow, so a triple's on-flow verdict is
-the conservation verdict of its integral.
+builds them so, reading E from ``LagrangianSystem.E``, derived once per
+system by ``build_system``.  E vanishes on the flow, so a triple's on-flow
+verdict is the conservation verdict of its integral.
 
 ``solve_onflow`` and ``solve_strong`` invert N for a verified integral:
 f = N + L*tau + d_qdot L . eta.  The zero-gauge solvers compose them with
@@ -208,8 +209,8 @@ def killing_lhs(sys: LagrangianSystem, tr: Triple, form: str) -> sp.Expr:
     lam = None if strong else sys.lam
     lhs = total_dt(tr.f, ab, lam) - total_dt(_integral_expr(sys, tr, convention), ab, lam)
     if strong:
-        E = sys.g * sp.Matrix(ab.acceleration_symbols) - sp.Matrix(sys.rhs)
-        lhs -= sum(e * Ei for e, Ei in zip(_eta(sys, tr.tau, tr.xi, convention), E))
+        eta = _eta(sys, tr.tau, tr.xi, convention)
+        lhs -= sum(e * Ei for e, Ei in zip(eta, sys.E, strict=True))
     return lhs
 
 
@@ -274,7 +275,7 @@ def check_conserved(
         total_dt(expr, sys.alphabet, sys.lam), 0,
         k=k, tol=tol, seed=seed,
         extra_exclusions=extra_exclusions,
-        label=f"conserved:{name or expr}",
+        label=f"conserved:{name}" if name else "conserved",
     )
     return FirstIntegral(expr=expr, name=name, conservation=rep)
 
@@ -282,7 +283,8 @@ def check_conserved(
 def _require_conserved(sys, N, seed, extra_exclusions=()) -> FirstIntegral:
     if isinstance(N, FirstIntegral) and N.verified:
         return N
-    fi = check_conserved(sys, N, seed=seed, extra_exclusions=extra_exclusions)
+    name = N.name if isinstance(N, FirstIntegral) else ""
+    fi = check_conserved(sys, N, seed=seed, extra_exclusions=extra_exclusions, name=name)
     if not fi.verified:
         raise NotConservedError(fi.conservation)
     return fi

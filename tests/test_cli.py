@@ -318,6 +318,17 @@ def test_integrate_and_monitor(kepler_sys, tmp_path, capsys):
     assert csv.read_text().splitlines()[0] == "t,r1,r2,r3,r1dot,r2dot,r3dot"
 
 
+def test_integrate_csv_keeps_the_time_column_far_from_zero(fp_sys, tmp_path, capsys):
+    csv = tmp_path / "big.csv"
+    code = cli.main(["integrate", fp_sys, "1e9,1,1", "--t1", "1000000000.005",
+                     "--csv", str(csv)])
+    capsys.readouterr()
+    assert code == cli.EXIT_OK
+    ts = [line.split(",")[0] for line in csv.read_text().splitlines()[1:]]
+    assert len(ts) == 6 and len(set(map(float, ts))) == len(ts)
+    assert [f"{float(v):.17g}" for v in ts] == ts
+
+
 def test_integrate_truncation_exit(kepler_sys, capsys):
     code = cli.main(["integrate", kepler_sys, "0,1,0,0,0,0,0", "--t1", "3",
                      "--dt", "0.001"])

@@ -160,6 +160,9 @@ def test_write_trajectory_csv(fp, tmp_path):
     lines = path.read_text().strip().splitlines()
     assert lines[0] == "t,q,qdot"
     assert len(lines) == len(traj.t) + 1
+    # every column, t included, reads back to the stored float
+    rows = np.array([[float(v) for v in line.split(",")] for line in lines[1:]])
+    assert np.array_equal(rows, np.column_stack([traj.t, traj.q, traj.qdot]))
 
 
 def _overflow_window_system():

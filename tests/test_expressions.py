@@ -116,6 +116,30 @@ def test_total_dt_rejects_acceleration_input():
         total_dt(X, AB, lam=(X,))  # wrong length
 
 
+def test_total_dt_is_zero_only_without_variables():
+    ab = Alphabet(coords=("q",), params=("mu",))
+    (q,), (qd,), (mu,) = ab.coord_symbols, ab.velocity_symbols, ab.param_symbols
+    for e in (sp.Integer(3), sp.Rational(-1, 2), sp.pi, mu, sp.sin(mu) ** 2 + sp.exp(mu)):
+        assert total_dt(e, ab) == 0
+        assert total_dt(e, ab, (q,)) == 0
+    for e in (sp.sin(sp.exp(mu * q)), sp.log(1 + mu * ab.t ** 2), sp.sqrt(mu + qd ** 2)):
+        node = total_dt(e, ab)
+        assert isinstance(node, TotalDerivative) and node.args[0] == e
+
+
+@pytest.mark.parametrize("name", ["freeparticle", "kepler3d", "isochrony"])
+def test_total_dt_constant_test_agrees_with_free_symbols(name):
+    entry = corpus.load(name)
+    ab = entry.system.alphabet
+    exprs = list(entry.integrals.values())
+    for tr in entry.triples.values():
+        exprs += [tr.tau, *tr.xi, tr.f]
+    variables = set(ab.variables())
+    for e in exprs:
+        e = sp.sympify(e)
+        assert (total_dt(e, ab) == 0) == (not e.free_symbols & variables), e
+
+
 def _expand(e):
     return e.xreplace({n: n.doit() for n in e.atoms(TotalDerivative)})
 

@@ -127,6 +127,32 @@ def test_invert_g_apply_swaps_for_offdiagonal_hessian(iso):
     assert sp.simplify(sol[1] - xd) == 0
 
 
+@pytest.mark.parametrize("name", ["fp", "iso", "kepler"])
+def test_g_inverse_and_E_are_derived_once(name, request, monkeypatch):
+    entry = request.getfixturevalue(name)
+    sysdef = entry.system
+    g = sysdef.g
+    accs = sp.Matrix(sysdef.alphabet.acceleration_symbols)
+    assert sysdef.E == tuple(g * accs - sp.Matrix(sysdef.rhs))
+    vs = sysdef.alphabet.velocity_symbols
+    ws = [list(vs)] + [[sp.diff(N, v) for v in vs] for N in entry.integrals.values()]
+    expected = [tuple(g.adjugate() * sp.Matrix(w) / g.det()) for w in ws]
+    calls = []
+
+    def spy(method):
+        real = getattr(type(g), method)
+
+        def wrapper(self, *args, **kwargs):
+            calls.append(method)
+            return real(self, *args, **kwargs)
+        return wrapper
+
+    for method in ("adjugate", "det"):
+        monkeypatch.setattr(type(g), method, spy(method))
+    assert [invert_g_apply(sysdef, w) for w in ws] == expected
+    assert calls == []
+
+
 def test_invert_g_apply_shape_check(fp):
     with pytest.raises(ValueError):
         invert_g_apply(fp.system, (1, 2))

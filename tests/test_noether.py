@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 import sympy as sp
 from hypothesis import given, strategies as st
+from sympy.printing.str import StrPrinter
 
 from noetherkit.expressions import (
     TotalDerivative,
@@ -17,6 +18,7 @@ from noetherkit.expressions import (
 from noetherkit.noether import (
     DENOM_MARGIN,
     FORMS,
+    FirstIntegral,
     NotConservedError,
     Triple,
     check_conserved,
@@ -32,6 +34,7 @@ from noetherkit.noether import (
     trivialize,
     velocity_independence_check,
     verify_triple,
+    _require_conserved,
 )
 
 
@@ -181,6 +184,22 @@ def test_check_conserved(fp):
     fi = check_conserved(sysdef, q)
     assert not fi.verified
     assert fi.conservation.max_residual > 1e-9
+
+
+def test_conservation_labels_name_the_integral_without_printing_it(kepler, monkeypatch):
+    sysdef = kepler.system
+    N = kepler.integrals["lrl_u"] + sysdef.alphabet.coord_symbols[0]
+    with pytest.raises(NotConservedError) as err:
+        _require_conserved(sysdef, FirstIntegral(N, name="lrl_u + r1"), 0)
+    assert err.value.report.label == "conserved:lrl_u + r1"
+    printed = []
+    real = StrPrinter.doprint
+    monkeypatch.setattr(StrPrinter, "doprint", lambda self, e: printed.append(e) or real(self, e))
+    with pytest.raises(NotConservedError) as err:
+        _require_conserved(sysdef, N, 0)
+    assert err.value.report.label == "conserved"
+    assert check_conserved(sysdef, N).conservation.label == "conserved"
+    assert printed == []
 
 
 def test_noether_integral_matches_table(fp):
