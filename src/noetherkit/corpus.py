@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import sympy as sp
 
-from .expressions import Alphabet, Exclusion, SampleDomain, equal_numeric, IdentityReport
+from .expressions import Alphabet, Exclusion, SampleDomain, _diff, equal_numeric, IdentityReport
 from .mechanics import LagrangianSystem, build_system
 from .noether import ONFLOW, STRONG, Triple
 
@@ -169,14 +169,14 @@ def isochrony(G: str = "x", c: float = 0.0) -> CorpusEntry:
         var_ranges=var_ranges,
     )
 
-    Gp = sp.diff(Gx, x)
+    Gp = _diff(Gx, x)
     N1 = xd * yd + Gx * y
     N2 = xd**2 / 2 + sp.integrate(Gx, x)
     N3 = (cs + x**2) * Gp * xd * y - (cs + x**2) * Gx * yd - x * xd**2 * yd + xd**3 * y
 
     h = (cs + x**2) * Gx + x * xd**2
     # on-flow total derivative of h: xdot*d_x h - G*d_xdot h
-    h_dot = xd * sp.diff(h, x) - Gx * sp.diff(h, xd)
+    h_dot = xd * _diff(h, x) - Gx * _diff(h, xd)
     triples = {
         "strong_N1": Triple(sp.Integer(1), (sp.Integer(0), sp.Integer(0)),
                             sp.Integer(0), STRONG),
@@ -210,7 +210,7 @@ def isochrony_strong_triple(sys: LagrangianSystem, T) -> Triple:
     xd, yd = ab.velocity_symbols
     cs = ab.param_symbols[0]
     Gx = -sys.lam[0]  # L = xdot*ydot - G(x)*y has normal form (-G, -G'y)
-    Gp = sp.diff(Gx, x)
+    Gp = _diff(Gx, x)
     xi = (
         (cs + x**2) * Gx + (T + x * xd) * xd,
         -y * (cs + x**2) * Gp - 3 * xd**2 * y + 2 * x * xd * yd + T * yd,
@@ -233,7 +233,8 @@ def check_G_ode(
     x, = ab.coord_symbols
     cs = ab.param_symbols[0]
     G_expr = sp.sympify(G_expr)
-    residual = (cs + x**2) * sp.diff(G_expr, x, 2) + 3 * x * sp.diff(G_expr, x) - 3 * G_expr
+    Gp = _diff(G_expr, x)
+    residual = (cs + x**2) * _diff(Gp, x) + 3 * x * Gp - 3 * G_expr
     if exclusions is None:
         denom = sp.denom(sp.together(residual.subs(cs, c)))
         exclusions = () if denom.is_constant() else (Exclusion(denom, STEEP_SINGULAR_MARGIN),)

@@ -25,6 +25,7 @@ from .expressions import (
     _GLOBALS,
     TotalDerivative,
     _define,
+    _diff,
     _eval_rows,
     _print_code,
     _real,
@@ -287,7 +288,7 @@ def functional_independence_rank(
     exprs = [_as_expr(N) for N in integrals]
     ab = sys.alphabet
     state = ab.coord_symbols + ab.velocity_symbols
-    jac_entries = [sp.diff(e, s) for e in exprs for s in state]
+    jac_entries = [_diff(e, s) for e in exprs for s in state]
     fn = compile_fn(jac_entries, ab)
     pts = draw_points(ab, sys.domain(), sys.param_values, points, seed)
     J = _eval_rows(fn, pts.columns, points).T.reshape(points, len(exprs), len(state))

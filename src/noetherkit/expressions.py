@@ -5,6 +5,12 @@ time ``t``, coordinates ``q_i``, velocities ``q_i dot``, accelerations
 ``q_i ddot`` and named parameters, combined with the standard functions
 sqrt, sin, cos, exp and log.
 
+Partial derivatives (:func:`diff`) walk the grammar's nodes by the chain
+rule and build the tree ``sympy.diff`` builds, without its ``Derivative``
+object at every node and its assumption queries on products with a zero
+factor; only nodes outside sums, products, powers and the standard
+functions go to ``sympy.diff``.
+
 Identity between expressions is decided by a randomized numeric oracle
 (:func:`equal_numeric`), never by symbolic zero-testing: a FAIL comes with a
 concrete witness point and is conclusive, a PASS is probabilistic evidence.
@@ -211,10 +217,56 @@ class Alphabet:
 
 
 def diff(e, var, alphabet: Alphabet) -> sp.Expr:
-    """Exact partial derivative with respect to a declared variable."""
+    """Exact partial derivative with respect to a declared variable: the
+    tree ``sympy.diff`` gives, built by :func:`_diff`."""
     if isinstance(var, str):
         var = alphabet.lookup(var)
-    return sp.diff(sp.sympify(e), var)
+    if not isinstance(var, sp.Symbol):
+        raise ValueError(f"cannot differentiate with respect to {var}")
+    return _diff(sp.sympify(e), var)
+
+
+def _diff(e: sp.Expr, var: sp.Symbol) -> sp.Expr:
+    """d e / d var by the chain rule over the grammar's nodes, memoized on
+    the subtrees of e.
+
+    Each rule builds the tree that sympy's rule for the node builds, so the
+    result is the one ``sympy.diff`` gives.  But no ``Derivative`` is made
+    at each node, a product of m factors differentiates each factor once
+    rather than m times, and no term with a zero factor is formed, such as
+    ``0*log(base)`` at a constant power: it folds to 0 only after sympy has
+    asked whether the other factor is finite.  Abs, sign and TotalDerivative
+    nodes go to ``sympy.diff``.
+    """
+    memo = {}
+
+    def d(e):
+        got = memo.get(e)
+        if got is not None:
+            return got
+        if e.is_Atom:
+            got = sp.S.One if e == var else sp.S.Zero
+        elif e.is_Add:
+            got = sp.Add(*map(d, e.args))
+        elif e.is_Mul:
+            factors = e.args
+            got = sp.Add(*[sp.Mul(*factors[:i], da, *factors[i + 1:])
+                           for i, da in enumerate(map(d, factors)) if da])
+        elif e.is_Pow:
+            base, ex = e.args
+            dbase, dex = d(base), d(ex)
+            terms = ([dex * sp.log(base)] if dex else []) + ([dbase * ex / base] if dbase else [])
+            got = e * sp.Add(*terms) if terms else sp.S.Zero
+        elif (isinstance(e, sp.Function) and len(e.args) == 1
+              and type(e)._eval_derivative is sp.Function._eval_derivative):
+            da = d(e.args[0])
+            got = e.fdiff(1) * da if da else sp.S.Zero
+        else:
+            got = sp.diff(e, var)
+        memo[e] = got
+        return got
+
+    return d(e)
 
 
 class TotalDerivative(sp.Expr):
@@ -244,13 +296,13 @@ class TotalDerivative(sp.Expr):
 
     def doit(self, **hints):
         e, t, qs, vs, accs = self.args
-        out = sp.diff(e, t)
+        out = _diff(e, t)
         for q, qd, qdd in zip(qs, vs, accs):
-            out = out + sp.diff(e, q) * qd + sp.diff(e, qd) * qdd
+            out = out + _diff(e, q) * qd + _diff(e, qd) * qdd
         return out
 
     def _eval_derivative(self, s):
-        return sp.diff(self.doit(), s)
+        return _diff(self.doit(), s)
 
     def _eval_subs(self, old, new):
         # substituting for t, q or qdot does not commute with D_t
@@ -270,28 +322,49 @@ def total_dt(e, alphabet: Alphabet, lam: Sequence[sp.Expr] | None = None) -> sp.
     symbols; on-flow mode along the supplied acceleration field ``lam``, so
     the result is free of accelerations.  Returns a lazy
     :class:`TotalDerivative` (``.doit()`` expands it), or 0 when ``e`` is
-    free of t, q and qdot: ``e.has`` stops at the first variable it meets, and
-    agrees with ``free_symbols`` since the grammar binds no symbols.
+    free of t, q and qdot, which agrees with ``free_symbols`` since the
+    grammar binds no symbols.  One walk over ``e`` finds the nodes and
+    symbols that refuse it and the variables.
     """
     e = sp.sympify(e)
-    if e.has(TotalDerivative):
+    accs = alphabet.acceleration_symbols
+    found = _occurring(e, frozenset((TotalDerivative, *accs, *alphabet.variables())))
+    if TotalDerivative in found:
         raise ValueError(
             "total_dt input must be free of total derivatives; expand them "
             "with .doit() first"
         )
-    for a in alphabet.acceleration_symbols:
-        if e.has(a):
+    for a in accs:
+        if a in found:
             raise ValueError(f"total_dt input must be free of {a}")
     if lam is not None and len(lam) != alphabet.n:
         raise ValueError(
             f"acceleration field has length {len(lam)}, expected {alphabet.n}"
         )
-    if not e.has(*alphabet.variables()):
+    if not found:
         return sp.Integer(0)
-    accs = alphabet.acceleration_symbols if lam is None else lam
     return TotalDerivative(
-        e, alphabet.t, alphabet.coord_symbols, alphabet.velocity_symbols, accs
+        e, alphabet.t, alphabet.coord_symbols, alphabet.velocity_symbols,
+        accs if lam is None else lam,
     )
+
+
+@sp.cacheit
+def _occurring(e: sp.Basic, wanted: frozenset) -> frozenset:
+    """The members of ``wanted``, atoms or node types, that occur in e, in
+    one walk; ``e.has`` walks e once for its patterns and once more for each
+    pattern's matcher.  Cached in sympy's cache, as ``e.has`` is, since a
+    verification meets the same triple components again and again."""
+    found, stack = set(), [e]
+    while stack:
+        node = stack.pop()
+        if node.args:
+            if type(node) in wanted:
+                found.add(type(node))
+            stack.extend(node.args)
+        elif node in wanted:
+            found.add(node)
+    return frozenset(found)
 
 
 def substitute(e, bindings: Mapping, alphabet: Alphabet) -> sp.Expr:

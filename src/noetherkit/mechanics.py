@@ -7,7 +7,8 @@ qddot = Lam(t, q, qdot) obtained by solving  g * Lam = rhs.  The system
 also keeps what later steps would otherwise derive again: det g and, for
 n <= 3, adj g, so that every solve of g*v = w is adj(g)*w/det(g), and the
 Euler-Lagrange expression E = g*qddot - rhs that the strong Killing
-equations subtract.
+equations subtract.  Products with g and adj g sum each row over its
+nonzero entries only, since the DSL refuses infinities.
 Regularity (det g != 0) is checked by sampling, not proven.
 """
 
@@ -23,7 +24,9 @@ from .expressions import (
     Alphabet,
     Exclusion,
     SampleDomain,
+    _diff,
     _eval_rows,
+    _occurring,
     compile_fn,
     draw_points,
     equal_numeric,
@@ -84,12 +87,27 @@ class LagrangianSystem:
         return equal_numeric(a, b, self.alphabet, **kw)
 
 
-def _solve_linear(g: sp.Matrix, det: sp.Expr, adj: sp.Matrix | None, w: sp.Matrix) -> sp.Matrix:
+def _matvec(m: sp.Matrix, v: Sequence[sp.Expr]) -> list[sp.Expr]:
+    """m*v, each entry the sum over the nonzero entries of its row, with the
+    terms of sympy's Matrix product.  That product also multiplies the zero
+    entries out, to keep 0*oo = nan, and so asks whether each other factor is
+    finite; expressions here are finite, since the DSL refuses infinities."""
+    return [sp.Add(*[a * b for a, b in zip(row, v) if a and b]) for row in m.tolist()]
+
+
+def _minus(a: Sequence[sp.Expr], b: Sequence[sp.Expr]) -> list[sp.Expr]:
+    """a - b entry by entry, as sympy's Matrix difference forms it."""
+    return [ai + bi * -1 for ai, bi in zip(a, b, strict=True)]
+
+
+def _solve_linear(g: sp.Matrix, det: sp.Expr, adj: sp.Matrix | None,
+                  w: Sequence[sp.Expr]) -> tuple[sp.Expr, ...]:
     if adj is None:
-        return g.LUsolve(w)
+        return tuple(g.LUsolve(sp.Matrix(w)))
     if det == 0:
         raise RegularityError({}, 0.0)
-    return adj * w / det
+    inv = sp.S.One / det
+    return tuple(e * inv if e else e for e in _matvec(adj, w))
 
 
 def build_system(
@@ -110,24 +128,23 @@ def build_system(
     """
     L = sp.sympify(L)
     alphabet.check_declared(L)
-    for a in alphabet.acceleration_symbols:
-        if L.has(a):
-            raise ValueError("Lagrangian must be free of acceleration symbols")
+    if _occurring(L, frozenset(alphabet.acceleration_symbols)):
+        raise ValueError("Lagrangian must be free of acceleration symbols")
     qs = alphabet.coord_symbols
     vs = alphabet.velocity_symbols
-    p = tuple(sp.diff(L, v) for v in vs)
-    g = sp.Matrix(alphabet.n, alphabet.n, lambda i, j: sp.diff(p[i], vs[j]))
+    p = tuple(_diff(L, v) for v in vs)
+    g = sp.Matrix(alphabet.n, alphabet.n, lambda i, j: _diff(p[i], vs[j]))
     rhs = tuple(
-        sp.diff(L, qs[i])
-        - sp.diff(p[i], alphabet.t)
-        - sum(sp.diff(p[i], qs[j]) * vs[j] for j in range(alphabet.n))
+        _diff(L, qs[i])
+        - _diff(p[i], alphabet.t)
+        - sum(_diff(p[i], qs[j]) * vs[j] for j in range(alphabet.n))
         for i in range(alphabet.n)
     )
     det = g.det()
     # adjugate keeps expressions bounded for the n <= 3 systems of interest
     adj = g.adjugate() if alphabet.n <= 3 else None
-    lam = tuple(_solve_linear(g, det, adj, sp.Matrix(rhs)))
-    E = tuple(g * sp.Matrix(alphabet.acceleration_symbols) - sp.Matrix(rhs))
+    lam = _solve_linear(g, det, adj, rhs)
+    E = tuple(_minus(_matvec(g, alphabet.acceleration_symbols), rhs))
 
     sys = LagrangianSystem(
         name=name,
@@ -171,13 +188,13 @@ def el_residual(sys: LagrangianSystem, point: Mapping[str, float]) -> np.ndarray
 
 def invert_g_apply(sys: LagrangianSystem, w: Sequence, *, seed: int = 0) -> tuple[sp.Expr, ...]:
     """Symbolic solution v of g*v = w, numerically spot-checked at 20 points."""
-    w = sp.Matrix([sp.sympify(wi) for wi in w])
-    if w.shape[0] != sys.n:
-        raise ValueError(f"vector has length {w.shape[0]}, expected {sys.n}")
+    w = [sp.sympify(wi) for wi in w]
+    if len(w) != sys.n:
+        raise ValueError(f"vector has length {len(w)}, expected {sys.n}")
     sol = _solve_linear(sys.g, sys.det_g, sys.adj_g, w)
     # the residual often cancels symbolically, so its compilation is shared
-    rep = sys.check(list(sys.g * sol - w), [0] * sys.n, k=REGULARITY_SAMPLES,
+    rep = sys.check(_minus(_matvec(sys.g, sol), w), [0] * sys.n, k=REGULARITY_SAMPLES,
                     tol=1e-8, seed=seed, label="invert_g_apply")
     if not rep.passed:
         raise RegularityError(rep.worst_point, rep.max_residual)
-    return tuple(sol)
+    return sol

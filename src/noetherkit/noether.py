@@ -40,6 +40,8 @@ import sympy as sp
 from .expressions import (
     Exclusion,
     IdentityReport,
+    _diff,
+    _occurring,
     diff,
     tidy,
     total_dt,
@@ -165,8 +167,8 @@ def _as_expr(N) -> sp.Expr:
 def _check_triple_shape(sys: LagrangianSystem, tr: Triple) -> None:
     if len(tr.xi) != sys.n:
         raise ValueError(f"xi has length {len(tr.xi)}, expected {sys.n}")
-    accs = sys.alphabet.acceleration_symbols
-    if any(sp.sympify(e).has(*accs) for e in (tr.tau, *tr.xi, tr.f)):
+    accs = frozenset(sys.alphabet.acceleration_symbols)
+    if any(_occurring(sp.sympify(e), accs) for e in (tr.tau, *tr.xi, tr.f)):
         raise ValueError("triple components must be free of accelerations")
 
 
@@ -191,9 +193,15 @@ def _xi(sys: LagrangianSystem, tau, eta: Sequence, convention: str) -> tuple:
     return tuple(e + v * tau for e, v in zip(eta, sys.alphabet.velocity_symbols))
 
 
+def _L_times(sys: LagrangianSystem, tau) -> sp.Expr:
+    """L*tau, without forming L*0 at a structural zero tau: that product
+    folds to 0 only after sympy has asked whether L is finite."""
+    return sys.L * tau if tau else sp.S.Zero
+
+
 def _complete(sys: LagrangianSystem, N, tau, eta: Sequence) -> sp.Expr:
     """Boundary term of the triple with integral N: f = N + L*tau + p . eta."""
-    return N + sys.L * tau + sum(pi * e for pi, e in zip(sys.p, eta))
+    return N + _L_times(sys, tau) + sum(pi * e for pi, e in zip(sys.p, eta))
 
 
 def killing_lhs(sys: LagrangianSystem, tr: Triple, form: str) -> sp.Expr:
@@ -299,7 +307,7 @@ def _g_inv_grad(sys: LagrangianSystem, Nexpr: sp.Expr, seed: int) -> tuple[sp.Ex
 def _integral_expr(sys: LagrangianSystem, tr: Triple, convention: str) -> sp.Expr:
     """N = f - L*tau - p . eta."""
     eta = _eta(sys, tr.tau, tr.xi, convention)
-    return tr.f - sys.L * tr.tau - sum(pi * e for pi, e in zip(sys.p, eta))
+    return tr.f - _L_times(sys, tr.tau) - sum(pi * e for pi, e in zip(sys.p, eta))
 
 
 def noether_integral(
@@ -407,7 +415,7 @@ def trivialize(sys: LagrangianSystem, tr: Triple, which: str, *, c: float = 0.0)
         return Triple(
             tau=sp.Integer(0),
             xi=_eta(sys, tr.tau, tr.xi, convention),
-            f=tr.f - sys.L * tr.tau,
+            f=tr.f - _L_times(sys, tr.tau),
             form=tr.form,
             exclusions=tr.exclusions,
         )
@@ -465,7 +473,7 @@ def velocity_independence_check(
     second = [sp.diff(w[i], vs[j], vs[l]) for i in range(n) for j in range(n) for l in range(j, n)]
     rep = check(second, [0] * len(second), label="affine-in-velocity")
     if rep.passed:
-        jac = [sp.diff(w[i], vs[j]) for i in range(n) for j in range(n)]
+        jac = [_diff(w[i], vs[j]) for i in range(n) for j in range(n)]
         scalar = [jac[0] if i == j else 0 for i in range(n) for j in range(n)]
         rep = check(jac, scalar, label="jacobian-scalar-multiple")
     if rep.passed:

@@ -1,3 +1,4 @@
+import ast
 import inspect
 import math
 import os
@@ -10,11 +11,13 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 import sympy as sp
+from hypothesis import assume, given, strategies as st
 
 import noetherkit
 from noetherkit import corpus, expressions
-from noetherkit.dsl import parse
+from noetherkit.dsl import ExprSyntaxError, parse
 from noetherkit.expressions import (
+    STANDARD_FUNCTIONS,
     Alphabet,
     DomainViolation,
     Exclusion,
@@ -96,6 +99,107 @@ def test_diff_is_linear_and_leibniz_on_random_trees():
             assert equal_numeric(prod, leib, AB, k=20).passed
 
 
+PAB = Alphabet(coords=("x", "y"), params=("m",))
+_POWERS = ("3", "-2", "(2/3)", "(-1/2)", "2.5")
+
+
+def _dsl_text(max_leaves=4):
+    leaves = st.sampled_from(["x", "y", "xdot", "ydot", "t", "m", "2", "3", "0.5"])
+
+    def extend(inner):
+        return st.one_of(
+            st.tuples(inner, st.sampled_from("+-*/"), inner).map(lambda a: f"({a[0]} {a[1]} {a[2]})"),
+            st.tuples(st.sampled_from(sorted(STANDARD_FUNCTIONS)), inner).map(
+                lambda a: f"{a[0]}({a[1]})"),
+            st.tuples(inner, st.sampled_from(_POWERS)).map(lambda a: f"({a[0]})^{a[1]}"),
+        )
+    return st.recursive(leaves, extend, max_leaves=max_leaves)
+
+
+@st.composite
+def _dsl_expressions(draw):
+    """Drawn DSL expressions joined by sums and products, so that each one
+    holds every standard function, integer, negative, rational and Float
+    powers, a variable exponent, sqrt(e^2) (which sympy turns into Abs), and
+    a generic and an on-flow total-derivative node."""
+    def part(text):
+        try:
+            return parse(text, PAB)
+        except ExprSyntaxError:  # a constant folded to a non-finite or non-real value
+            assume(False)
+
+    texts = [f"{f}({draw(_dsl_text())})" for f in sorted(STANDARD_FUNCTIONS)]
+    texts += [f"({draw(_dsl_text())})^{p}" for p in _POWERS]
+    texts += [f"({draw(_dsl_text())})^({draw(_dsl_text(2))} + x)", f"sqrt(({draw(_dsl_text())})^2)"]
+    parts = [part(text) for text in draw(st.permutations(texts))]
+    x, y = PAB.coord_symbols
+    m, = PAB.param_symbols
+    parts += [y * total_dt(part(draw(_dsl_text())), PAB),
+              total_dt(part(draw(_dsl_text())), PAB, (-x, -m * y))]
+    e = parts[0]
+    for p, times in zip(parts[1:], draw(st.lists(st.booleans(), min_size=len(parts),
+                                                 max_size=len(parts)))):
+        e = e * p if times else e + p
+    return e
+
+
+@given(_dsl_expressions())
+def test_diff_builds_the_tree_sympy_diff_builds(e):
+    for var in PAB.variables() + PAB.param_symbols:
+        got, want = diff(e, var, PAB), sp.diff(e, var)
+        assert got == want and sp.srepr(got) == sp.srepr(want), (e, var)
+
+
+@pytest.mark.parametrize("name", ["fp", "iso", "iso_steep", "kepler"])
+def test_diff_builds_the_tree_sympy_diff_builds_on_the_corpus(name, request):
+    entry = request.getfixturevalue(name)
+    ab = entry.system.alphabet
+    exprs = [entry.system.L, *entry.integrals.values()]
+    for tr in entry.triples.values():
+        exprs += [tr.tau, *tr.xi, tr.f]
+    for e in map(sp.sympify, exprs):
+        for var in ab.variables(include_acc=True) + ab.param_symbols:
+            assert sp.srepr(diff(e, var, ab)) == sp.srepr(sp.diff(e, var)), (e, var)
+    with pytest.raises(ValueError, match="cannot differentiate"):
+        diff(exprs[0], ab.t ** 2, ab)
+
+
+def test_diff_builds_no_derivative_objects(kepler, monkeypatch):
+    # pins the structural route without a timing gate: sympy.diff builds a
+    # Derivative at every node it differentiates
+    calls = []
+    real = sp.Derivative.__new__
+
+    def spy(cls, *args, **kwargs):
+        calls.append(args)
+        return real(cls, *args, **kwargs)
+
+    monkeypatch.setattr(sp.Derivative, "__new__", staticmethod(spy))
+    ab = kepler.system.alphabet
+    N = sp.sympify(kepler.integrals["lrl_u"])
+    want = sp.diff(N, ab.lookup("r1dot"))
+    assert calls
+    calls.clear()
+    assert diff(N, "r1dot", ab) == want
+    assert calls == []
+
+
+def test_sympy_diff_is_called_only_where_the_grammar_ends():
+    """One differentiation route: sympy differentiates at the fallback of
+    the structural kernel, and the mixed second derivatives of the
+    velocity-independence check, which sympy simplifies, stay with it."""
+    sites = set()
+    for path in sorted(Path(noetherkit.__file__).parent.glob("*.py")):
+        for top in ast.parse(path.read_text()).body:
+            for node in ast.walk(top):
+                if isinstance(node, ast.ImportFrom) and node.module == "sympy":
+                    assert "diff" not in [a.name for a in node.names], path.name
+                if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                        and node.func.attr == "diff"):
+                    sites.add((path.name, getattr(top, "name", None)))
+    assert sites == {("expressions.py", "_diff"), ("noether.py", "velocity_independence_check")}
+
+
 def test_total_dt_generic_vs_onflow():
     e = X * XD + sp.sin(T) * Y
     generic = total_dt(e, AB)
@@ -110,8 +214,14 @@ def test_total_dt_generic_vs_onflow():
 
 
 def test_total_dt_rejects_acceleration_input():
-    with pytest.raises(ValueError):
-        total_dt(AB.acceleration_symbols[0], AB)
+    xdd, ydd = AB.acceleration_symbols
+    with pytest.raises(ValueError, match="must be free of xddot"):
+        total_dt(xdd, AB)
+    # the first acceleration of the alphabet is named, and a node outranks it
+    with pytest.raises(ValueError, match="must be free of xddot"):
+        total_dt(sp.sin(ydd) + X * xdd, AB)
+    with pytest.raises(ValueError, match="total derivatives"):
+        total_dt(ydd + total_dt(X * XD, AB), AB)
     with pytest.raises(ValueError):
         total_dt(X, AB, lam=(X,))  # wrong length
 

@@ -5,10 +5,23 @@ import sympy as sp
 from noetherkit.expressions import Alphabet
 from noetherkit.mechanics import (
     RegularityError,
+    _matvec,
+    _minus,
+    _solve_linear,
     build_system,
     el_residual,
     invert_g_apply,
 )
+
+
+@pytest.fixture(scope="module")
+def skew():
+    """Two coordinates whose Hessian g depends on the position and is not
+    diagonal; det g = 2 + 2x^2 + y^2."""
+    ab = Alphabet(coords=("x", "y"), params=("m",))
+    (x, y), (xd, yd), (m,) = ab.coord_symbols, ab.velocity_symbols, ab.param_symbols
+    L = (1 + x**2) * xd**2 / 2 + x * y * xd * yd + (2 + y**2) * yd**2 / 2 - m * x * y
+    return build_system(L, ab, name="skew", param_values={"m": 1.0})
 
 
 def test_free_particle_structure(fp):
@@ -151,6 +164,26 @@ def test_g_inverse_and_E_are_derived_once(name, request, monkeypatch):
         monkeypatch.setattr(type(g), method, spy(method))
     assert [invert_g_apply(sysdef, w) for w in ws] == expected
     assert calls == []
+
+
+@pytest.mark.parametrize("name", ["fp", "iso", "kepler", "skew"])
+def test_g_products_equal_the_matrix_products(name, request):
+    # the row sums over nonzero entries build the trees sympy's Matrix
+    # products build, so every derived expression is unchanged
+    sysdef = request.getfixturevalue(name)
+    sysdef = getattr(sysdef, "system", sysdef)
+    ab, g, det, adj = sysdef.alphabet, sysdef.g, sysdef.det_g, sysdef.adj_g
+    qs, vs = ab.coord_symbols, ab.velocity_symbols
+    rhs = sp.Matrix(sysdef.rhs)
+    assert sysdef.E == tuple(g * sp.Matrix(ab.acceleration_symbols) - rhs)
+    assert sysdef.lam == _solve_linear(g, det, adj, sysdef.rhs) == tuple(adj * rhs / det)
+    ws = [vs, sysdef.p, (0,) * (sysdef.n - 1) + (qs[0],),
+          [q * v + sp.sin(q) for q, v in zip(qs, reversed(vs))]]
+    for w in ws:
+        w = [sp.sympify(wi) for wi in w]
+        sol = invert_g_apply(sysdef, w)
+        assert sol == tuple(adj * sp.Matrix(w) / det)
+        assert _minus(_matvec(g, sol), w) == list(g * sp.Matrix(sol) - sp.Matrix(w))
 
 
 def test_invert_g_apply_shape_check(fp):

@@ -43,7 +43,7 @@ def test_triple_validation(fp):
         Triple(0, (1,), 0, "sideways")
     qdd = fp.system.alphabet.acceleration_symbols[0]
     bad = Triple(0, (qdd,), 0, "strong")
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="triple components must be free of accelerations"):
         killing_lhs(fp.system, bad, "strong")
     with pytest.raises(ValueError):
         killing_lhs(fp.system, Triple(0, (1, 1), 0, "strong"), "strong")
