@@ -41,6 +41,7 @@ from .sysfile import (
     SystemFileError,
     read_system_file,
     read_triple_file,
+    write_system_file,
     write_triple_file,
 )
 
@@ -234,8 +235,6 @@ def cmd_corpus(args) -> int:
             print(name)
         return EXIT_OK
     entry = corpus_mod.load(args.name)
-    from .sysfile import write_system_file
-
     out = args.out or f"{args.name}.sys"
     with _writing():
         write_system_file(

@@ -19,16 +19,13 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-import sympy as sp
 
 from .expressions import (
     _GLOBALS,
-    TotalDerivative,
     _define,
     _diff,
     _eval_rows,
     _print_code,
-    _real,
     compile_fn,
     draw_points,
 )
@@ -106,8 +103,10 @@ def integrate(
     float64 scalars, which read inf or NaN there; the loop then resumes on
     Python floats.  The run is truncated at the last node before a state that is not
     finite or within an exclusion margin.  Raises SingularStartError for a
-    start in an exclusion zone, and ValueError when t1 is before t0 or the
-    run needs more than ``MAX_STEPS`` steps.
+    start in an exclusion zone, and ValueError when t1 is before t0, the
+    run needs more than ``MAX_STEPS`` steps, Lam or an exclusion is
+    complex-typed at the start, or an exclusion holds a total-derivative
+    node.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
@@ -141,16 +140,15 @@ def integrate(
     y = (*map(float, q0), *map(float, qd0))
     flat = [t, *y]
     with np.errstate(all="ignore"):
-        # arithmetic on float64 arguments gives complex values at every state
-        # or at none; where it does, each stage runs on float64 arguments, as
-        # this first call does, and reads its values as the oracle does
         start = compiled.positional(np.float64(t), *map(np.float64, y + params))
-        complex_typed = any(isinstance(v, complex) for v in start)
-        if complex_typed:
-            start = _real(start)
+        # arithmetic on float64 arguments gives complex values at every state
+        # or at none, so the start decides; a complex-typed stage would send
+        # every step to the float64 rerun, which takes none
+        if any(isinstance(v, complex) for v in start):
+            raise ValueError("Lam or an exclusion is not real at the start")
         if not all(c <= abs(v) < math.inf for c, v in zip(thresholds, start[n:])):
             raise SingularStartError("initial state is inside the singular exclusion zone")
-        run = _rk4_loop(compiled, exprs, sys.alphabet, complex_typed)
+        run = _rk4_loop(compiled, exprs, sys.alphabet)
         node, taken = (t, *y, *map(float, start[:n])), 0
         while node is not None and taken < steps:
             node = run(*node, *params, *tail, steps - taken, flat)
@@ -171,7 +169,7 @@ def integrate(
     )
 
 
-def _rk4_loop(compiled, exprs, alphabet, complex_typed: bool):
+def _rk4_loop(compiled, exprs, alphabet):
     """The generated RK4 run for the stage ``compiled`` of ``exprs``, Lam
     and then the exclusion values; memoized on ``compiled``.
 
@@ -183,12 +181,12 @@ def _rk4_loop(compiled, exprs, alphabet, complex_typed: bool):
     :func:`expressions._print_code` over its own locals.  At the new node
     they give Lam, the next step's k1, and the exclusion values, which
     guard the node: each state component must be finite and each exclusion
-    value finite and at least its threshold in magnitude.  A complex-typed
-    stage, or one with total-derivative nodes, is called on float64 scalars
-    and read through ``_real`` instead.  Each node taken appends t and y to
-    the list ``out``.  Returns the node after ``steps`` steps, the start
-    node of a step that raised or went complex, or None at a node the guard
-    refused.  Every local carries a ``·``, outside the DSL's names.
+    value finite and at least its threshold in magnitude.  An exclusion
+    with total-derivative nodes, which need a complex step, is a
+    ValueError.  Each node taken appends t and y to the list ``out``.
+    Returns the node after ``steps`` steps, the start node of a step that
+    raised or went complex, or None at a node the guard refused.  Every
+    local carries a ``·``, outside the DSL's names.
     """
     run = getattr(compiled, "rk4", None)
     if run is not None:
@@ -196,13 +194,11 @@ def _rk4_loop(compiled, exprs, alphabet, complex_typed: bool):
     n, m = alphabet.n, len(exprs) - alphabet.n
     names = [s.name for s in (*alphabet.variables(), *alphabet.param_symbols)]
     params = [f"p·{j}" for j in range(len(alphabet.params))]
-    call = complex_typed or any(e.has(TotalDerivative) for e in exprs)
 
     def stage(time, state, assigned):
-        args = [time, *state, *params]
-        if call:
-            return [f"{', '.join(assigned)}, *_· = stage·({', '.join(args)})"]
-        lines, outs, _, _ = _print_code(exprs, dict(zip(names, args)))
+        lines, outs, nodes, _ = _print_code(exprs, dict(zip(names, [time, *state, *params])))
+        if nodes:
+            raise ValueError(f"the RK4 loop cannot run the total derivative {nodes[0]}")
         return lines + [f"{v} = {o}" for v, o in zip(assigned, outs)]
 
     y = [f"y·{i}" for i in range(2 * n)]
@@ -240,9 +236,7 @@ def _rk4_loop(compiled, exprs, alphabet, complex_typed: bool):
         f"        {node} = t1·, {', '.join(w + lam)}\n"
         f"    return {node}\n"
     )
-    positional = compiled.positional
-    namespace = {**_GLOBALS, "abs·": abs, "inf·": math.inf,
-                 "stage·": lambda *args: _real(positional(*map(np.float64, args)))}
+    namespace = {**_GLOBALS, "abs·": abs, "inf·": math.inf}
     compiled.rk4 = run = _define(source, "run·", namespace)
     return run
 

@@ -33,8 +33,8 @@ each repeated subtree once: the kepler3d RK4 stage computes
 r1**2 + r2**2 + r3**2 once for its three components and its exclusion.
 Only exact repeats are shared; finding common parts of sums and products,
 as ``sympy.cse`` does, costs more compile time than it saves.  Float
-constants print at full precision, and the imaginary unit is a NumPy
-complex, so complex-typed values follow NumPy arithmetic.
+constants print at full precision.  Compiled values are real: the imaginary
+unit is an UndeclaredSymbolError when it is compiled.
 Rejection sampling draws candidates in blocks from the same random stream as
 one-at-a-time draws, so a seed gives the same points either way.
 """
@@ -107,11 +107,8 @@ _COMPLEX_STEP_FUNCS = {
 # the functions the compiled grammar holds, by the name compiled code calls
 _FUNCTION_NAMES = {sp.sin: "sin", sp.cos: "cos", sp.exp: "exp", sp.log: "log",
                    sp.Abs: "abs", sp.sign: "sign"}
-# the globals of compiled code.  The imaginary unit is a NumPy complex, so
-# that a complex-typed value divides by zero in NumPy arithmetic (inf or
-# NaN), never in Python's, which raises; its name is outside the DSL's.
 _GLOBALS = {"sqrt": np.sqrt, "sin": np.sin, "cos": np.cos, "exp": np.exp, "log": np.log,
-            **_COMPLEX_STEP_FUNCS, "I·": np.complex128(1j)}
+            **_COMPLEX_STEP_FUNCS}
 # precedence of printed code, ranked as sympy's printers rank it
 _ADD, _MUL, _POW, _ATOM = 40, 50, 60, 1000
 _sources = itertools.count()
@@ -481,8 +478,8 @@ def _print_code(exprs, args):
     within 1e-9, 12*x**(-5)*(c + x**2) does not.
 
     Returns the statements, the output sources, the nodes in slot order and
-    the slots each expression holds.  A function outside the grammar is an
-    UndeclaredSymbolError naming it.
+    the slots each expression holds.  A function outside the grammar, or
+    the imaginary unit, is an UndeclaredSymbolError naming it.
     """
     nodes, uses, slots_in, order = {}, {}, {}, []
 
@@ -565,7 +562,7 @@ def _show_atom(e, args):
     if e.is_Rational:
         return f"{e.p}/{e.q}", _ADD if e.p < 0 else _MUL
     if e is sp.I:
-        return "I·", _ATOM
+        raise UndeclaredSymbolError("cannot compile the imaginary unit: compiled values are real")
     value = float(e)
     if not math.isfinite(value):
         return f"float('{value}')", _ATOM

@@ -15,8 +15,9 @@ System file layout (key = value within ``[section]`` headers)::
 
 Each ``singular`` entry is ``expr @ threshold`` (sampling rejects
 |expr| < threshold), with a positive finite threshold; one without ``@``
-takes ``singular_threshold`` (default 1e-3), as in older files.
-``range_<var> = lo, hi`` overrides the sampling box.  Triple files use a
+takes ``singular_threshold`` (default 1e-3), as in older files.  Each
+``params`` value is finite.  ``range_<var> = lo, hi`` overrides the
+sampling box.  Triple files use a
 ``[triple]`` section with ``tau``, ``xi`` (comma-separated components),
 ``f``, ``form`` and the ``singular`` entries of the margins its solver
 declared.  All expressions use the grammar of
@@ -172,7 +173,7 @@ def _read_ranges(body: dict, alphabet: Alphabet) -> dict[str, tuple[float, float
     return ranges
 
 
-def _parse_params(text: str) -> dict[str, float]:
+def _parse_params(text: str, lineno: int | None) -> dict[str, float]:
     values = {}
     if not text:
         return values
@@ -180,8 +181,10 @@ def _parse_params(text: str) -> dict[str, float]:
         name, _, val = item.partition("=")
         name = name.strip()
         if not name or not val.strip():
-            raise SystemFileError(f"malformed parameter entry {item!r}")
-        values[name] = _number(float, val)
+            raise SystemFileError(f"malformed parameter entry {item!r}", lineno)
+        values[name] = _number(float, val, lineno)
+        if not math.isfinite(values[name]):
+            raise SystemFileError(f"parameter {name} must be finite, got {val.strip()}", lineno)
     return values
 
 
@@ -201,7 +204,7 @@ def read_system_file(path) -> SystemFile:
                 raise SystemFileError(
                     f"dim = {dim} but {len(coords)} coordinate name(s) given"
                 )
-            params = _parse_params(_get(body, "params", ""))
+            params = _parse_params(*body.get("params", ("", None)))
             alphabet = Alphabet(coords=coords, params=tuple(params))
             L = parse(_require(body, "lagrangian", section), alphabet)
             system = build_system(

@@ -114,6 +114,15 @@ def _free_particle_with(tmp_path, name, entry):
     return str(path)
 
 
+def _oscillator_with(tmp_path, name, k):
+    """An oscillator file with spring constant ``params = k = <k>`` and its energy."""
+    path = tmp_path / f"{name}.sys"
+    path.write_text(f"[system]\ndim = 1\ncoords = q\nparams = k = {k}\n"
+                    "lagrangian = qdot^2/2 - k*q^2/2\n"
+                    "[integral]\nname = energy\nexpr = qdot^2/2 + k*q^2/2\n")
+    return str(path)
+
+
 @pytest.fixture()
 def range_reversed_sys(tmp_path):
     return _free_particle_with(tmp_path, "range_reversed", "range_qdot = 5, 4")
@@ -149,6 +158,22 @@ def threshold_negative_sys(tmp_path):
 def default_threshold_inf_sys(tmp_path):
     return _free_particle_with(tmp_path, "default_threshold_inf",
                                "singular = q\nsingular_threshold = inf")
+
+
+@pytest.fixture()
+def param_nan_sys(tmp_path):
+    return _oscillator_with(tmp_path, "param_nan", "nan")
+
+
+@pytest.fixture()
+def param_inf_sys(tmp_path):
+    return _oscillator_with(tmp_path, "param_inf", "inf")
+
+
+@pytest.fixture()
+def param_huge_sys(tmp_path):
+    """1e999 reads as inf."""
+    return _oscillator_with(tmp_path, "param_huge", "1e999")
 
 
 @pytest.fixture()
@@ -410,6 +435,10 @@ EXIT_TABLE = [
     (["describe", "{threshold_negative}"], cli.EXIT_PARSE),
     (["describe", "{default_threshold_inf}"], cli.EXIT_PARSE),
     (["describe", "{threshold_huge}"], cli.EXIT_REGULARITY),
+    (["describe", "{param_nan}"], cli.EXIT_PARSE),
+    (["solve", "{param_nan}", "energy", "--mode", "strong"], cli.EXIT_PARSE),
+    (["integrate", "{param_inf}", "0,1,0", "--t1", "1", "--monitor", "energy"], cli.EXIT_PARSE),
+    (["describe", "{param_huge}"], cli.EXIT_PARSE),
     (["solve", "{fp}", "energy", "--mode", "strong", "--seed", "-1"], cli.EXIT_PARSE),
     (["describe", "{dirac}"], cli.EXIT_PARSE),
     (["integrate", "{fp}", "0,1,1", "--t1", "1", "--csv", "no-such-dir/x.csv"], cli.EXIT_PARSE),

@@ -1,9 +1,17 @@
 
+import dataclasses
+
 import numpy as np
 import pytest
 import sympy as sp
 
-from noetherkit.expressions import Alphabet, compile_fn
+from noetherkit.expressions import (
+    Alphabet,
+    Exclusion,
+    UndeclaredSymbolError,
+    compile_fn,
+    total_dt,
+)
 from noetherkit import dynamics
 from noetherkit.mechanics import build_system
 from noetherkit.dynamics import (
@@ -93,24 +101,27 @@ def test_blow_up_truncates_at_the_last_finite_state():
     assert np.isfinite(traj.q).all() and np.isfinite(traj.qdot).all()
 
 
-def test_complex_normal_form_truncates():
-    # Lam = I: the first step's state is not finite, so the run stops at the start
+def test_the_imaginary_unit_is_refused():
     ab = Alphabet(coords=("x",))
     (x,), (xd,) = ab.coord_symbols, ab.velocity_symbols
-    traj = integrate(build_system(xd**2 / 2 + sp.I * x, ab), (0.0, [1.0], [0.0]), 1.0, dt=0.01)
-    assert traj.truncated
-    assert len(traj.t) == 1
-    # complex arithmetic with a real result stays legal: Lam = -(1+I)*(1-I)*x/2 = -x
-    L = xd**2 / 2 - (1 + sp.I) * (1 - sp.I) * x**2 / 4
-    traj = integrate(build_system(L, ab), (0.0, [1.0], [0.0]), 1.0, dt=0.01)
-    assert not traj.truncated
-    assert np.allclose(traj.q[:, 0], np.cos(traj.t), atol=1e-9)
-    # a complex-typed Lam = -(1+I)*(1-I)/t divides by zero in NumPy
-    # arithmetic at the first step's midpoint stages, t = 0, and truncates
-    L = xd**2 / 2 - (1 + sp.I) * (1 - sp.I) * x / ab.t
-    traj = integrate(build_system(L, ab), (-5e-4, [1.0], [0.0]), 1.0, dt=1e-3)
-    assert traj.truncated
-    assert len(traj.t) == 1
+    for L in [xd**2 / 2 + sp.I * x, xd**2 / 2 - (1 + sp.I) * (1 - sp.I) * x**2 / 4]:
+        with pytest.raises(UndeclaredSymbolError, match="imaginary unit"):
+            integrate(build_system(L, ab), (0.0, [1.0], [0.0]), 1.0, dt=0.01)
+
+
+def test_stages_the_loop_cannot_run_are_refused():
+    ab = Alphabet(coords=("x",))
+    (x,), (xd,) = ab.coord_symbols, ab.velocity_symbols
+    sysdef = build_system(xd**2 / 2 - x**2 / 2, ab)
+    # Lam = (-1)^(1/3)*x is complex-typed on float64 at every state
+    complex_lam = dataclasses.replace(sysdef, lam=((-1) ** sp.Rational(1, 3) * x,))
+    with pytest.raises(ValueError, match="not real at the start"):
+        integrate(complex_lam, (0.0, [1.0], [0.0]), 1.0, dt=0.01)
+    # the loop's stages run on real floats, a total derivative needs a complex step
+    node = build_system(xd**2 / 2 - x**2 / 2, ab,
+                        exclusions=(Exclusion(total_dt(x**2 + 3, ab, (-x,))),))
+    with pytest.raises(ValueError, match="total derivative"):
+        integrate(node, (0.0, [1.0], [1.0]), 0.5, dt=0.01)
 
 
 def test_step_count_is_bounded(fp):

@@ -200,6 +200,21 @@ def test_sympy_diff_is_called_only_where_the_grammar_ends():
     assert sites == {("expressions.py", "_diff"), ("noether.py", "velocity_independence_check")}
 
 
+def test_every_module_level_import_is_used():
+    for path in sorted(Path(noetherkit.__file__).parent.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text())
+        imported = set()
+        for node in tree.body:
+            if isinstance(node, ast.Import):
+                imported |= {(a.asname or a.name).split(".")[0] for a in node.names}
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                imported |= {a.asname or a.name for a in node.names}
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        assert imported <= used, (path.name, sorted(imported - used))
+
+
 def test_total_dt_generic_vs_onflow():
     e = X * XD + sp.sin(T) * Y
     generic = total_dt(e, AB)
@@ -563,22 +578,24 @@ def test_declared_names_never_hide_compiled_functions(name):
     assert evaluate(a * sp.sign(x) + sp.Abs(x), {name: 2.0, "x": -3.0}, ab) == 1.0
 
 
-def test_complex_values_are_not_finite():
-    # the imaginary part is never dropped: I*x is a domain violation, also
-    # inside a total derivative, and an exclusion that is complex rejects
-    with pytest.raises(DomainViolation):
+def test_the_imaginary_unit_is_refused_at_compile_time():
+    # compiled values are real: I is refused wherever it occurs, also where
+    # the arithmetic would give a real result
+    with pytest.raises(UndeclaredSymbolError, match="imaginary unit"):
         equal_numeric(sp.I * X, 0 * X, AB)
-    with pytest.raises(DomainViolation):
+    with pytest.raises(UndeclaredSymbolError, match="imaginary unit"):
         equal_numeric(X + sp.I, X, AB)
-    with pytest.raises(DomainViolation):
+    with pytest.raises(UndeclaredSymbolError, match="imaginary unit"):
+        evaluate((1 + sp.I) * (1 - sp.I) * X, {"x": 3.0}, AB)
+    with pytest.raises(UndeclaredSymbolError, match="imaginary unit"):
         equal_numeric(total_dt(sp.I * X, AB), 0, AB, include_acc=True)
-    with pytest.raises(DomainViolation):
+    with pytest.raises(UndeclaredSymbolError, match="imaginary unit"):
         evaluate(sp.I * X, {"x": 1.0}, AB)
-    # complex arithmetic with a real result stays legal
-    assert evaluate((1 + sp.I) * (1 - sp.I) * X, {"x": 3.0}, AB) == pytest.approx(6.0)
-    dom = SampleDomain(exclusions=(Exclusion(sp.I * X),))
-    with pytest.raises(SamplingError):
-        draw_points(AB, dom, {}, 1, seed=0)
+    with pytest.raises(UndeclaredSymbolError, match="imaginary unit"):
+        draw_points(AB, SampleDomain(exclusions=(Exclusion(sp.I * X),)), {}, 1, seed=0)
+    # a non-real value from real arithmetic still reads NaN
+    with pytest.raises(DomainViolation):
+        equal_numeric((-1) ** sp.Rational(1, 3) * X, 0 * X, AB)
 
 
 def test_draw_points_deterministic_and_respects_exclusions():

@@ -271,6 +271,12 @@ def test_bad_exclusion_thresholds_are_refused(entry, tmp_path):
         _read(_FP + entry + "\n", tmp_path)
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e999"])
+def test_non_finite_parameters_are_refused(value, tmp_path):
+    with pytest.raises(SystemFileError, match=rf"parameter k must be finite.*\(line 5\)"):
+        _read(_FP + f"params = k = {value}\n", tmp_path)
+
+
 def test_ranges_of_every_variable_kind(tmp_path):
     entries = "range_t = 1, 3\nrange_q = -1, 0.5\nrange_qdot = 2, 2\nrange_qddot = 0, 1\n"
     ranges = _read(_FP + entries, tmp_path).system.var_ranges
