@@ -2,17 +2,20 @@
 
 Subcommands: ``describe``, ``solve``, ``verify``, ``integrate``, and
 ``corpus {list, export}``.  Reports are JSON with the seed recorded, so a
-repeated invocation with the same seed is byte-identical.
+repeated invocation with the same seed is byte-identical.  Triples are
+printed and written as derived.  ``corpus export NAME --out P`` writes the
+system to P (default ``NAME.sys``) and its triples to P with suffix ``.tri``.
 
 Exit codes: 0 success / PASS, 1 verification FAIL, 2 parse error or invalid
 option (including an integration of more than ``dynamics.MAX_STEPS`` steps,
 a system whose derived expressions hold a function outside the compiled
-grammar, and an output path that cannot be written), 3 regularity failure
-(or exclusions that reject every sample point), 4 conservation precheck
-failure, 5 singularity during a solve or verification, an integration
-starting in a singular zone, or a monitored integral not evaluable along
-the trajectory, 6 trajectory truncated at a singular zone or where its
-state stops being finite.  Errors print one line on stderr.
+grammar, a ``[triple]`` section in a system file, and an output path that
+cannot be written or, for ``corpus export``, ends in ``.tri``), 3 regularity
+failure (or exclusions that reject every sample point), 4 conservation
+precheck failure, 5 singularity during a solve or verification, an
+integration starting in a singular zone, or a monitored integral not
+evaluable along the trajectory, 6 trajectory truncated at a singular zone or
+where its state stops being finite.  Errors print one line on stderr.
 """
 
 from __future__ import annotations
@@ -133,7 +136,6 @@ def cmd_solve(args) -> int:
             tr = solve_strong(sysdef, N, tau, seed=args.seed)
         else:  # alt-strong
             tr = solve_alt_strong_trivial_gauge(sysdef, N, c=args.c, seed=args.seed)
-        tr = tr.simplified()
         rep = verify_triple(sysdef, tr, N, k=args.k, tol=args.tol, seed=args.seed)
     except NotConservedError as err:
         return _error(err, EXIT_NOT_CONSERVED)
@@ -234,16 +236,16 @@ def cmd_corpus(args) -> int:
         for name in corpus_mod.CORPUS_NAMES:
             print(name)
         return EXIT_OK
+    out = Path(args.out or f"{args.name}.sys")
+    if out.suffix == ".tri" or not out.name:
+        return _error(f"--out {str(out)!r} must name the system file; its triples go "
+                      "beside it with suffix .tri", EXIT_PARSE)
+    tri = out.with_suffix(".tri")
     entry = corpus_mod.load(args.name)
-    out = args.out or f"{args.name}.sys"
     with _writing():
-        write_system_file(
-            out,
-            entry.system,
-            integrals=entry.integrals,
-            triples={k: tr.simplified() for k, tr in entry.triples.items()},
-        )
-    print(f"wrote {out}")
+        write_system_file(out, entry.system, integrals=entry.integrals)
+        write_triple_file(tri, entry.triples)
+    print(f"wrote {out} and {tri}")
     return EXIT_OK
 
 
@@ -319,7 +321,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("corpus", help="list or export bundled systems")
     p.add_argument("action", choices=["list", "export"])
     p.add_argument("name", nargs="?", choices=list(corpus_mod.CORPUS_NAMES))
-    p.add_argument("--out")
+    p.add_argument("--out", help="system file path (default NAME.sys); the triples go "
+                   "to this path with suffix .tri")
     p.set_defaults(fn=cmd_corpus)
     return ap
 

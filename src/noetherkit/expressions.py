@@ -34,7 +34,7 @@ r1**2 + r2**2 + r3**2 once for its three components and its exclusion.
 Only exact repeats are shared; finding common parts of sums and products,
 as ``sympy.cse`` does, costs more compile time than it saves.  Float
 constants print at full precision.  Compiled values are real: the imaginary
-unit is an UndeclaredSymbolError when it is compiled.
+unit and complex infinity are an UndeclaredSymbolError when compiled.
 Rejection sampling draws candidates in blocks from the same random stream as
 one-at-a-time draws, so a seed gives the same points either way.
 """
@@ -478,8 +478,8 @@ def _print_code(exprs, args):
     within 1e-9, 12*x**(-5)*(c + x**2) does not.
 
     Returns the statements, the output sources, the nodes in slot order and
-    the slots each expression holds.  A function outside the grammar, or
-    the imaginary unit, is an UndeclaredSymbolError naming it.
+    the slots each expression holds.  A function outside the grammar, the
+    imaginary unit or complex infinity is an UndeclaredSymbolError naming it.
     """
     nodes, uses, slots_in, order = {}, {}, {}, []
 
@@ -561,8 +561,9 @@ def _show_atom(e, args):
         return str(e.p), _ADD if e.p < 0 else _ATOM
     if e.is_Rational:
         return f"{e.p}/{e.q}", _ADD if e.p < 0 else _MUL
-    if e is sp.I:
-        raise UndeclaredSymbolError("cannot compile the imaginary unit: compiled values are real")
+    if e is sp.I or e is sp.zoo:
+        name = "the imaginary unit" if e is sp.I else "complex infinity"
+        raise UndeclaredSymbolError(f"cannot compile {name}: compiled values are real")
     value = float(e)
     if not math.isfinite(value):
         return f"float('{value}')", _ATOM
@@ -889,9 +890,9 @@ def equal_numeric(
 
 
 def tidy(e) -> sp.Expr:
-    """Readability pass for emitted expressions, run only by ``Triple.simplified``:
-    correctness decisions go through the numeric oracle, never through
-    simplification, which on kepler3d lengthens the normal form."""
+    """``cancel(together(e))``, run only by ``Triple.simplified``, which the
+    package never calls: verdicts never depend on simplification.  Kept for
+    the benchmark's cli_kepler set-up until Benchmark v2 (ROADMAP item 1)."""
     e = sp.sympify(e)
     try:
         return sp.cancel(sp.together(e))

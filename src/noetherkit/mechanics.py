@@ -4,12 +4,12 @@ From L(t, q, qdot) we derive the momentum gradient p, the velocity Hessian
 g, the Euler-Lagrange right-hand side rhs = d_q L - d2_{qdot,t} L -
 d2_{qdot,q} L * qdot, and the acceleration field Lam of the normal form
 qddot = Lam(t, q, qdot) obtained by solving  g * Lam = rhs.  The system
-also keeps what later steps would otherwise derive again: det g and, for
-n <= 3, adj g, so that every solve of g*v = w is adj(g)*w/det(g), and the
-Euler-Lagrange expression E = g*qddot - rhs that the strong Killing
-equations subtract.  Products with g and adj g sum each row over its
-nonzero entries only, since the DSL refuses infinities.
-Regularity (det g != 0) is checked by sampling, not proven.
+also keeps what later steps would otherwise derive again: det g and adj g,
+so that every solve of g*v = w is adj(g)*w/det(g), and the Euler-Lagrange
+expression E = g*qddot - rhs that the strong Killing equations subtract.
+Products with g and adj g sum each row over its nonzero entries only, since
+the DSL refuses infinities.  Regularity (det g != 0) is checked by
+sampling, not proven.
 """
 
 from __future__ import annotations
@@ -62,8 +62,7 @@ class LagrangianSystem:
     lam: tuple[sp.Expr, ...] = ()
     rhs: tuple[sp.Expr, ...] = ()
     det_g: sp.Expr = None
-    # None for n > 3, where g*v = w is solved by LU decomposition
-    adj_g: sp.Matrix | None = None
+    adj_g: sp.Matrix = None
     E: tuple[sp.Expr, ...] = ()
 
     @property
@@ -100,10 +99,8 @@ def _minus(a: Sequence[sp.Expr], b: Sequence[sp.Expr]) -> list[sp.Expr]:
     return [ai + bi * -1 for ai, bi in zip(a, b, strict=True)]
 
 
-def _solve_linear(g: sp.Matrix, det: sp.Expr, adj: sp.Matrix | None,
-                  w: Sequence[sp.Expr]) -> tuple[sp.Expr, ...]:
-    if adj is None:
-        return tuple(g.LUsolve(sp.Matrix(w)))
+def _solve_linear(det: sp.Expr, adj: sp.Matrix, w: Sequence[sp.Expr]) -> tuple[sp.Expr, ...]:
+    """v = adj(g)*w/det(g), the solution of g*v = w, at every n."""
     if det == 0:
         raise RegularityError({}, 0.0)
     inv = sp.S.One / det
@@ -141,9 +138,8 @@ def build_system(
         for i in range(alphabet.n)
     )
     det = g.det()
-    # adjugate keeps expressions bounded for the n <= 3 systems of interest
-    adj = g.adjugate() if alphabet.n <= 3 else None
-    lam = _solve_linear(g, det, adj, rhs)
+    adj = g.adjugate()
+    lam = _solve_linear(det, adj, rhs)
     E = tuple(_minus(_matvec(g, alphabet.acceleration_symbols), rhs))
 
     sys = LagrangianSystem(
@@ -191,7 +187,7 @@ def invert_g_apply(sys: LagrangianSystem, w: Sequence, *, seed: int = 0) -> tupl
     w = [sp.sympify(wi) for wi in w]
     if len(w) != sys.n:
         raise ValueError(f"vector has length {len(w)}, expected {sys.n}")
-    sol = _solve_linear(sys.g, sys.det_g, sys.adj_g, w)
+    sol = _solve_linear(sys.det_g, sys.adj_g, w)
     # the residual often cancels symbolically, so its compilation is shared
     rep = sys.check(_minus(_matvec(sys.g, sol), w), [0] * sys.n, k=REGULARITY_SAMPLES,
                     tol=1e-8, seed=seed, label="invert_g_apply")

@@ -108,8 +108,8 @@ class Triple:
             raise ValueError(f"unknown form {self.form!r}")
 
     def simplified(self) -> "Triple":
-        """Each component through ``tidy``, for the triples the CLI prints and
-        writes: the one place that readability pass runs."""
+        """Each component through ``tidy``.  Only the benchmark's set-up calls
+        this; it goes with ``tidy`` in Benchmark v2 (ROADMAP item 1)."""
         return replace(self, tau=tidy(self.tau), xi=tuple(map(tidy, self.xi)), f=tidy(self.f))
 
 

@@ -1,4 +1,5 @@
-"""Line-oriented definition files for systems, integrals and triples.
+"""Line-oriented definition files: system files hold a system and its
+integrals, triple files hold triples.
 
 System file layout (key = value within ``[section]`` headers)::
 
@@ -17,10 +18,11 @@ Each ``singular`` entry is ``expr @ threshold`` (sampling rejects
 |expr| < threshold), with a positive finite threshold; one without ``@``
 takes ``singular_threshold`` (default 1e-3), as in older files.  Each
 ``params`` value is finite.  ``range_<var> = lo, hi`` overrides the
-sampling box.  Triple files use a
-``[triple]`` section with ``tau``, ``xi`` (comma-separated components),
-``f``, ``form`` and the ``singular`` entries of the margins its solver
-declared.  All expressions use the grammar of
+sampling box.  A system file holds only ``[system]`` and ``[integral]``
+sections.  Triples live in triple files, read against a system's alphabet:
+one ``[triple]`` section per triple, with ``tau``, ``xi``
+(comma-separated components), ``f``, ``form`` and the ``singular`` entries
+of the margins its solver declared.  All expressions use the grammar of
 :mod:`noetherkit.dsl`.  A key that its section does not read is an error,
 so a misspelt ``singualr`` or ``frm`` cannot drop what it was meant to say.
 """
@@ -53,7 +55,6 @@ class SystemFileError(ValueError):
 class SystemFile:
     system: LagrangianSystem
     integrals: dict[str, "sp.Expr"] = field(default_factory=dict)
-    triples: dict[str, Triple] = field(default_factory=dict)
 
 
 # the keys each section reads; [system] also reads range_<var>
@@ -193,7 +194,6 @@ def read_system_file(path) -> SystemFile:
     text = Path(path).read_text()
     system = None
     integrals = {}
-    triples = {}
     alphabet = None
     for section, body in _sections(text):
         if section == "system":
@@ -218,15 +218,13 @@ def read_system_file(path) -> SystemFile:
             name = _require(body, "name", section)
             integrals[name] = parse(_require(body, "expr", section), alphabet)
         elif section == "triple":
-            if alphabet is None:
-                raise SystemFileError("[triple] section before [system]")
-            name = _get(body, "name", f"triple{len(triples) + 1}")
-            triples[name] = _triple_from_body(body, alphabet)
+            raise SystemFileError("a [triple] section belongs in a triple file, "
+                                  "which verify reads")
         else:
             raise SystemFileError(f"unknown section [{section}]")
     if system is None:
         raise SystemFileError("no [system] section found")
-    return SystemFile(system=system, integrals=integrals, triples=triples)
+    return SystemFile(system=system, integrals=integrals)
 
 
 def _triple_from_body(body: dict, alphabet: Alphabet) -> Triple:
@@ -263,7 +261,6 @@ def write_system_file(
     path,
     system: LagrangianSystem,
     integrals: dict | None = None,
-    triples: dict[str, Triple] | None = None,
 ) -> None:
     """Emit a definition file that round-trips through read_system_file."""
     lines = ["[system]", f"name = {system.name or Path(path).stem}"]
@@ -280,8 +277,6 @@ def write_system_file(
         lines.append(f"range_{var} = {lo!r}, {hi!r}")
     for name, expr in (integrals or {}).items():
         lines += ["[integral]", f"name = {name}", f"expr = {print_expr(expr)}"]
-    for name, tr in (triples or {}).items():
-        lines += _triple_lines(name, tr)
     Path(path).write_text("\n".join(lines) + "\n")
 
 

@@ -11,6 +11,9 @@ import sympy as sp
 import noetherkit
 
 from noetherkit import cli
+from noetherkit.corpus import load
+from noetherkit.dsl import print_expr
+from noetherkit.noether import solve_onflow_simplest, solve_strong
 from noetherkit.sysfile import write_system_file, write_triple_file
 
 
@@ -192,20 +195,27 @@ def bad_number_sys(tmp_path):
 
 @pytest.fixture()
 def bad_xi_sys(tmp_path):
-    """A free particle file whose triple has two xi components for dim = 1."""
-    path = tmp_path / "bad_xi.sys"
-    path.write_text("[system]\ndim = 1\ncoords = q\nlagrangian = qdot^2/2\n"
-                    "[triple]\ntau = 0\nxi = 1, q\nf = 0\nform = strong\n")
+    """A free-particle triple file whose triple has two xi components for dim = 1."""
+    path = tmp_path / "bad_xi.tri"
+    path.write_text("[triple]\ntau = 0\nxi = 1, q\nf = 0\nform = strong\n")
     return str(path)
 
 
 @pytest.fixture()
-def bad_form_sys(fp, tmp_path):
-    """A free particle file whose triple claims a form outside FORMS."""
-    path = tmp_path / "bad_form.sys"
+def bad_form_sys(tmp_path):
+    """A free-particle triple file whose triple claims a form outside FORMS."""
+    path = tmp_path / "bad_form.tri"
+    path.write_text("[triple]\ntau = 0\nxi = 1\nf = 0\nform = weak\n")
+    return str(path)
+
+
+@pytest.fixture()
+def triple_section_sys(fp, tmp_path):
+    """A free-particle system file that also holds a [triple] section."""
+    path = tmp_path / "triple_section.sys"
     write_system_file(path, fp.system, integrals=fp.integrals)
     with path.open("a") as fh:
-        fh.write("[triple]\ntau = 0\nxi = 1\nf = 0\nform = weak\n")
+        fh.write("[triple]\ntau = 0\nxi = 1\nf = 0\nform = strong\n")
     return str(path)
 
 
@@ -267,6 +277,30 @@ def test_triples_with_abs_round_trip(mode, tmp_path, capsys):
     assert "sqrt((q)^2)" in tri.read_text()
     assert cli.main(["verify", path, str(tri)]) == cli.EXIT_OK
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("mode", ["strong", "onflow-simplest"])
+def test_solve_prints_the_triple_as_derived(mode, kepler, kepler_sys, capsys):
+    assert cli.main(["solve", kepler_sys, "lrl_u", "--mode", mode]) == cli.EXIT_OK
+    printed = json.loads(capsys.readouterr().out)["triple"]
+    solve = solve_strong if mode == "strong" else solve_onflow_simplest
+    tr = solve(kepler.system, kepler.integrals["lrl_u"])
+    assert printed == {"tau": print_expr(tr.tau), "xi": [print_expr(x) for x in tr.xi],
+                       "f": print_expr(tr.f), "form": tr.form}
+
+
+@pytest.mark.parametrize("name", ["freeparticle", "isochrony", "kepler3d"])
+def test_corpus_export_writes_a_system_and_a_triple_file(name, tmp_path, capsys):
+    out = tmp_path / f"{name}.sys"
+    assert cli.main(["corpus", "export", name, "--out", str(out)]) == cli.EXIT_OK
+    assert capsys.readouterr().out == f"wrote {out} and {out.with_suffix('.tri')}\n"
+    assert "[triple]" not in out.read_text()
+    report = tmp_path / "report.json"
+    assert cli.main(["verify", str(out), str(out.with_suffix(".tri")),
+                     "--out", str(report)]) == cli.EXIT_OK
+    reports = json.loads(report.read_text())["reports"]
+    assert len(reports) == len(load(name).triples)
+    assert {r["verdict"] for r in reports} == {"PASS"}
 
 
 def test_solved_triple_file_keeps_the_solver_margin(tmp_path, capsys):
@@ -401,8 +435,9 @@ EXIT_TABLE = [
     (["solve", "{fp}", "energy", "--mode", "onflow-R", "--R", "1;2"], cli.EXIT_PARSE),
     (["solve", "{opaque}", "N1", "--mode", "strong"], cli.EXIT_PARSE),
     (["describe", "{bad_number}"], cli.EXIT_PARSE),
-    (["describe", "{bad_xi}"], cli.EXIT_PARSE),
-    (["solve", "{bad_form}", "energy", "--mode", "strong"], cli.EXIT_PARSE),
+    (["verify", "{fp}", "{bad_xi}"], cli.EXIT_PARSE),
+    (["verify", "{fp}", "{bad_form}"], cli.EXIT_PARSE),
+    (["describe", "{triple_section}"], cli.EXIT_PARSE),
     (["solve", "{kepler}", "lrl_u", "--mode", "strong", "--tau", "r1ddot"], cli.EXIT_PARSE),
     (["solve", "{kepler}", "lrl_u", "--mode", "onflow-R", "--R", "r1ddot;0;0"],
      cli.EXIT_PARSE),
@@ -449,6 +484,7 @@ EXIT_TABLE = [
     (["solve", "{fp}", "energy", "--mode", "strong", "--out", "."], cli.EXIT_PARSE),
     (["verify", "{fp}", "{fp_boost_tri}", "--out", "no-such-dir/r.json"], cli.EXIT_PARSE),
     (["corpus", "export", "freeparticle", "--out", "no-such-dir/fp.sys"], cli.EXIT_PARSE),
+    (["corpus", "export", "freeparticle", "--out", "x.tri"], cli.EXIT_PARSE),
 ]
 
 
@@ -475,9 +511,10 @@ def _run_cli(argv, **env):
 def test_reports_are_identical_across_hash_seeds(kepler_sys):
     # string hashing differs per process; the compiled oracle must not
     # depend on it, or the last bits of a residual change between runs
-    argv = ["solve", kepler_sys, "lrl_u", "--mode", "strong", "--seed", "577547"]
-    outs = {_run_cli(argv, PYTHONHASHSEED=str(h)).stdout for h in (1, 2, 3)}
-    assert len(outs) == 1 and '"verdict": "PASS"' in outs.pop()
+    for mode in ("strong", "onflow-simplest"):
+        argv = ["solve", kepler_sys, "lrl_u", "--mode", mode, "--seed", "577547"]
+        outs = {_run_cli(argv, PYTHONHASHSEED=str(h)).stdout for h in (1, 2, 3)}
+        assert len(outs) == 1 and '"verdict": "PASS"' in outs.pop()
 
 
 def test_oracle_error_is_one_line_without_traceback(fp_sys):

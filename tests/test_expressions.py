@@ -200,6 +200,23 @@ def test_sympy_diff_is_called_only_where_the_grammar_ends():
     assert sites == {("expressions.py", "_diff"), ("noether.py", "velocity_independence_check")}
 
 
+def test_triples_are_emitted_as_derived():
+    """``tidy`` is used only inside ``Triple.simplified``, and nothing in the
+    package reaches ``.simplified``, so triples leave the package as derived."""
+    sites = set()
+    for path in sorted(Path(noetherkit.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        scope = {}  # node -> innermost enclosing function (ast.walk is breadth-first)
+        for fn in ast.walk(tree):
+            if isinstance(fn, ast.FunctionDef):
+                scope.update(dict.fromkeys(ast.walk(fn), fn.name))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and node.id == "tidy" or (
+                    isinstance(node, ast.Attribute) and node.attr in ("tidy", "simplified")):
+                sites.add((path.name, scope.get(node), getattr(node, "id", None) or node.attr))
+    assert sites == {("noether.py", "simplified", "tidy")}
+
+
 def test_every_module_level_import_is_used():
     for path in sorted(Path(noetherkit.__file__).parent.glob("*.py")):
         if path.name == "__init__.py":
@@ -593,6 +610,11 @@ def test_the_imaginary_unit_is_refused_at_compile_time():
         evaluate(sp.I * X, {"x": 1.0}, AB)
     with pytest.raises(UndeclaredSymbolError, match="imaginary unit"):
         draw_points(AB, SampleDomain(exclusions=(Exclusion(sp.I * X),)), {}, 1, seed=0)
+    # so is complex infinity, which 1/sympify(0) gives
+    with pytest.raises(UndeclaredSymbolError, match="complex infinity"):
+        evaluate(sp.zoo * X, {"x": 1.0}, AB)
+    with pytest.raises(UndeclaredSymbolError, match="complex infinity"):
+        equal_numeric(sp.zoo * X, X, AB)
     # a non-real value from real arithmetic still reads NaN
     with pytest.raises(DomainViolation):
         equal_numeric((-1) ** sp.Rational(1, 3) * X, 0 * X, AB)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 import sympy as sp
 
+from noetherkit.dynamics import integrate, monitor_drift
 from noetherkit.expressions import Alphabet, UndeclaredSymbolError
 from noetherkit.mechanics import (
     RegularityError,
@@ -22,6 +23,17 @@ def skew():
     (x, y), (xd, yd), (m,) = ab.coord_symbols, ab.velocity_symbols, ab.param_symbols
     L = (1 + x**2) * xd**2 / 2 + x * y * xd * yd + (2 + y**2) * yd**2 / 2 - m * x * y
     return build_system(L, ab, name="skew", param_values={"m": 1.0})
+
+
+@pytest.fixture(scope="module")
+def dense4():
+    """Four coordinates with the dense, position-dependent Hessian
+    g = diag(1 + q_i^2) + q q^T, whose determinant is at least 1."""
+    ab = Alphabet(coords=("w", "x", "y", "z"))
+    qs, vs = ab.coord_symbols, ab.velocity_symbols
+    L = (sum((1 + q**2) * v**2 for q, v in zip(qs, vs)) / 2
+         + sum(q * v for q, v in zip(qs, vs))**2 / 2 - sum(q**2 for q in qs) / 2)
+    return build_system(L, ab, name="dense4")
 
 
 def test_free_particle_structure(fp):
@@ -164,7 +176,7 @@ def test_g_inverse_and_E_are_derived_once(name, request, monkeypatch):
     assert calls == []
 
 
-@pytest.mark.parametrize("name", ["fp", "iso", "kepler", "skew"])
+@pytest.mark.parametrize("name", ["fp", "iso", "kepler", "skew", "dense4"])
 def test_g_products_equal_the_matrix_products(name, request):
     # the row sums over nonzero entries build the trees sympy's Matrix
     # products build, so every derived expression is unchanged
@@ -174,7 +186,8 @@ def test_g_products_equal_the_matrix_products(name, request):
     qs, vs = ab.coord_symbols, ab.velocity_symbols
     rhs = sp.Matrix(sysdef.rhs)
     assert sysdef.E == tuple(g * sp.Matrix(ab.acceleration_symbols) - rhs)
-    assert sysdef.lam == _solve_linear(g, det, adj, sysdef.rhs) == tuple(adj * rhs / det)
+    assert sysdef.lam == _solve_linear(det, adj, sysdef.rhs) == tuple(adj * rhs / det)
+    assert sysdef.check(list(sysdef.lam), list(g.LUsolve(rhs)), k=20).passed
     ws = [vs, sysdef.p, (0,) * (sysdef.n - 1) + (qs[0],),
           [q * v + sp.sin(q) for q, v in zip(qs, reversed(vs))]]
     for w in ws:
@@ -182,6 +195,14 @@ def test_g_products_equal_the_matrix_products(name, request):
         sol = invert_g_apply(sysdef, w)
         assert sol == tuple(adj * sp.Matrix(w) / det)
         assert _minus(_matvec(g, sol), w) == list(g * sp.Matrix(sol) - sp.Matrix(w))
+
+
+def test_four_coordinates_integrate(dense4):
+    traj = integrate(dense4, (0.0, [0.5, -0.3, 0.2, 0.1], [0.1, 0.2, -0.1, 0.3]), 0.5,
+                     dt=0.01)
+    assert not traj.truncated and len(traj.t) == 51
+    energy = sum(p * v for p, v in zip(dense4.p, dense4.alphabet.velocity_symbols)) - dense4.L
+    assert monitor_drift(dense4, traj, energy, "energy").max_rel_drift < 1e-6
 
 
 def test_invert_g_apply_shape_check(fp):

@@ -23,18 +23,22 @@ from noetherkit.sysfile import (
 
 def test_system_round_trip(kepler, tmp_path):
     path = tmp_path / "kepler.sys"
-    write_system_file(path, kepler.system, integrals=kepler.integrals,
-                      triples={k: t.simplified() for k, t in kepler.triples.items()})
+    write_system_file(path, kepler.system, integrals=kepler.integrals)
+    write_triple_file(tmp_path / "kepler.tri", kepler.triples)
     sf = read_system_file(path)
+    triples = read_triple_file(tmp_path / "kepler.tri", sf.system.alphabet)
     assert sf.system.n == 3
     assert sf.system.param_values == kepler.system.param_values
     assert set(sf.integrals) == set(kepler.integrals)
-    assert set(sf.triples) == set(kepler.triples)
+    assert set(triples) == set(kepler.triples)
     for name, N in kepler.integrals.items():
         assert sf.system.check(sf.integrals[name], N, k=20).passed
-    rep = verify_triple(sf.system, sf.triples["strong_b"],
-                        sf.integrals["lrl_u"], k=30)
+    rep = verify_triple(sf.system, triples["strong_b"], sf.integrals["lrl_u"], k=30)
     assert rep.passed
+    # a system file with the triples appended, as corpus export once wrote it
+    path.write_text(path.read_text() + (tmp_path / "kepler.tri").read_text())
+    with pytest.raises(SystemFileError, match=r"\[triple\] section belongs in a triple file"):
+        read_system_file(path)
 
 
 def _same_exclusions(sysdef, got, want):
@@ -93,17 +97,17 @@ def test_round_trip_keeps_verdicts_witnesses_and_exclusions(entries, tmp_path_fa
     form = data.draw(st.sampled_from(FORMS))
 
     path = tmp_path_factory.mktemp("round_trip")
-    write_system_file(path / "s.sys", sysdef, integrals={"N": N}, triples={"T": tr})
+    write_system_file(path / "s.sys", sysdef, integrals={"N": N})
     write_triple_file(path / "t.tri", {"T": tr})
     sf = read_system_file(path / "s.sys")
     assert sf.system.param_values == sysdef.param_values
     assert sf.system.var_ranges == sysdef.var_ranges
     _same_exclusions(sysdef, sf.system.exclusions, sysdef.exclusions)
     want = _verdicts(verify_triple(sysdef, tr, N, form, k=50))
-    for back in (sf.triples["T"], read_triple_file(path / "t.tri", sf.system.alphabet)["T"]):
-        assert back.form == tr.form
-        _same_exclusions(sysdef, back.exclusions, tr.exclusions)
-        assert _verdicts(verify_triple(sf.system, back, sf.integrals["N"], form, k=50)) == want
+    back = read_triple_file(path / "t.tri", sf.system.alphabet)["T"]
+    assert back.form == tr.form
+    _same_exclusions(sysdef, back.exclusions, tr.exclusions)
+    assert _verdicts(verify_triple(sf.system, back, sf.integrals["N"], form, k=50)) == want
 
 
 def test_exclusions_without_their_own_threshold_take_the_file_default(tmp_path):
@@ -184,7 +188,7 @@ def _read(text, tmp_path):
     ("form = weak", "unknown form 'weak'"),
 ])
 def test_malformed_triple_section(entry, message, tmp_path):
-    system = "[system]\ndim = 1\ncoords = q\nlagrangian = qdot^2/2\n"
+    good = "[triple]\nname = boost\ntau = 0\nxi = t\nf = q\n"
     key = entry.partition(" =")[0]
     lines = ["[triple]", "tau = 0", "xi = q", "f = 0", "form = strong"]
     triple = "".join((entry if line.startswith(key + " ") else line) + "\n"
@@ -195,9 +199,11 @@ def test_malformed_triple_section(entry, message, tmp_path):
     with pytest.raises(SystemFileError, match=message) as err:
         read_triple_file(path, Alphabet(coords=("q",)))
     assert str(err.value).endswith(f"(line {lineno})")
+    # after another triple, the line number counts from the top of the file
+    path.write_text(good + triple)
     with pytest.raises(SystemFileError, match=message) as err:
-        _read(system + triple, tmp_path)
-    assert str(err.value).endswith(f"(line {lineno + 4})")
+        read_triple_file(path, Alphabet(coords=("q",)))
+    assert str(err.value).endswith(f"(line {lineno + 5})")
 
 
 def test_missing_system_section(tmp_path):
