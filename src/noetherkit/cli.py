@@ -112,16 +112,19 @@ def cmd_solve(args) -> int:
     sf = _load_system(args.system)
     sysdef = sf.system
     ab = sysdef.alphabet
+    # the file's integrals were checked when it was read
+    given = []
     try:
         if args.integral in sf.integrals:
             N = sf.integrals[args.integral]
         else:
             N = parse(args.integral, ab)
+            given.append(("the integral", N))
         tau = parse(args.tau or "0", ab)
         R = [parse(r, ab) for r in args.R.split(";")] if args.R else None
     except (ExprSyntaxError, UndeclaredSymbolError) as err:
         return _error(err, EXIT_PARSE)
-    for option, e in [("the integral", N), ("--tau", tau), *(("--R", r) for r in R or ())]:
+    for option, e in [*given, ("--tau", tau), *(("--R", r) for r in R or ())]:
         if e.has(*ab.acceleration_symbols):
             return _error(f"{option} {print_expr(e)} must be free of accelerations",
                           EXIT_PARSE)

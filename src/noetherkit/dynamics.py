@@ -181,7 +181,13 @@ def _rk4_loop(compiled, exprs, alphabet):
     :func:`expressions._print_code` over its own locals.  At the new node
     they give Lam, the next step's k1, and the exclusion values, which
     guard the node: each state component must be finite and each exclusion
-    value finite and at least its threshold in magnitude.  An exclusion
+    value finite and at least its threshold in magnitude.  The loop sums
+    the new state, Lam and the exclusion values anyway, to find a complex
+    value, and a sum is finite only where every term is.  So a node passes
+    at once when that sum is finite and each exclusion value is at least
+    its threshold in magnitude; only when the sum is not finite, from an
+    overflow or a term that is not finite, does the guard of each term
+    decide.  It accepts the same nodes either way.  An exclusion
     with total-derivative nodes, which need a complex step, is a
     ValueError.  Each node taken appends t and y to the list ``out``.
     Returns the node after ``steps`` steps, the start node of a step that
@@ -217,6 +223,8 @@ def _rk4_loop(compiled, exprs, alphabet):
     clear = [f"c·{j}" for j in range(m)]
     start = ["t·", *y, *ks[0][n:]]
     node = ", ".join(start)
+    fast = " and ".join(["-inf· < s· < inf·",
+                         *(f"{c} <= abs·({e})" for c, e in zip(clear, excl))])
     guard = " and ".join([*(f"-inf· < {v} < inf·" for v in w),
                           *(f"{c} <= abs·({e}) < inf·" for c, e in zip(clear, excl))])
     signature = ", ".join([*start, *params, *clear, "dt·", "h2·", "h6·", "steps·", "out·"])
@@ -227,11 +235,15 @@ def _rk4_loop(compiled, exprs, alphabet):
         "        try:\n" + "".join(f"            {line}\n" for line in body) +
         "        except (ZeroDivisionError, OverflowError):\n"
         f"            return {node}\n"
-        "        # a sum is complex-typed where any of its terms is\n"
-        f"        if isinstance({' + '.join(w + lam + excl)}, complex):\n"
+        "        # a sum is complex-typed where any of its terms is, and finite\n"
+        "        # only where every term is\n"
+        f"        s· = {' + '.join(w + lam + excl)}\n"
+        "        if isinstance(s·, complex):\n"
         f"            return {node}\n"
-        f"        if not ({guard}):\n"
-        "            return None\n"
+        f"        if not ({fast}):\n"
+        "            # the sum overflowed or a term is not finite\n"
+        f"            if not ({guard}):\n"
+        "                return None\n"
         f"        out· += (t1·, {', '.join(w)})\n"
         f"        {node} = t1·, {', '.join(w + lam)}\n"
         f"    return {node}\n"

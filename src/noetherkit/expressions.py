@@ -30,7 +30,7 @@ log, and the Abs and sign that their derivatives produce.  Any other
 function is a ValueError when it is compiled.  One walk over the tree finds
 the total-derivative nodes and the repeated subtrees, and the code computes
 each repeated subtree once: the kepler3d RK4 stage computes
-r1**2 + r2**2 + r3**2 once for its three components and its exclusion.
+r1*r1 + r2*r2 + r3*r3 once for its three components and its exclusion.
 Only exact repeats are shared; finding common parts of sums and products,
 as ``sympy.cse`` does, costs more compile time than it saves.  Float
 constants print at full precision.  Compiled values are real: the imaginary
@@ -477,6 +477,15 @@ def _print_code(exprs, args):
     split matters: 12*(c + x**2)/x**5 keeps the G-ode residual of x**-3
     within 1e-9, 12*x**(-5)*(c + x**2) does not.
 
+    The one exception to those powers: the square of a name prints as a
+    product, ``x*x`` (see :func:`_show_pow`).  On numpy arrays, real or
+    complex, ``x**2`` is ``np.square``, which gives ``x*x`` bit for bit, so
+    the oracle's values stay put.  On Python floats and numpy scalars
+    ``x**2`` calls libm ``pow``, which is slower and not always correctly
+    rounded, so the RK4 loop, which runs these statements on Python floats,
+    is cheaper, and its trajectories, like the single-point values of
+    :func:`evaluate`, may change at round-off.
+
     Returns the statements, the output sources, the nodes in slot order and
     the slots each expression holds.  A function outside the grammar, the
     imaginary unit or complex infinity is an UndeclaredSymbolError naming it.
@@ -603,6 +612,15 @@ def _show_mul(e, show, uses):
 
 
 def _show_pow(base, exp, show):
+    """Source and precedence of ``base**exp``, ``base`` already shown.
+
+    The square of a name (a symbol, a ``cse·k`` local or a ``Dt·i`` slot)
+    prints as the product ``b*b`` at product precedence, so it is
+    parenthesized as one factor wherever a power would be; any other base
+    keeps ``**2``.
+    """
+    if exp.is_Integer and exp.p == 2 and base[0].isidentifier():
+        return f"{base[0]}*{base[0]}", _MUL
     if exp is sp.S.Half:
         return f"sqrt({base[0]})", _ATOM
     if exp is sp.S.One:

@@ -23,8 +23,10 @@ sections.  Triples live in triple files, read against a system's alphabet:
 one ``[triple]`` section per triple, with ``tau``, ``xi``
 (comma-separated components), ``f``, ``form`` and the ``singular`` entries
 of the margins its solver declared.  All expressions use the grammar of
-:mod:`noetherkit.dsl`.  A key that its section does not read is an error,
-so a misspelt ``singualr`` or ``frm`` cannot drop what it was meant to say.
+:mod:`noetherkit.dsl`; integrals and triple components are functions of
+(t, q, qdot), so an acceleration in one is an error.  A key that its
+section does not read is an error, so a misspelt ``singualr`` or ``frm``
+cannot drop what it was meant to say.
 """
 
 from __future__ import annotations
@@ -141,6 +143,18 @@ def _read_exclusions(body: dict, alphabet: Alphabet) -> tuple[Exclusion, ...]:
     return tuple(exclusions)
 
 
+def _motion_free(body: dict, key: str, section: str, alphabet: Alphabet) -> list:
+    """The expressions of ``key``, comma-separated in [triple] xi, which must
+    be free of accelerations."""
+    text = _require(body, key, section)
+    exprs = [parse(s, alphabet) for s in (_split_top_level(text) if key == "xi" else [text])]
+    for e in exprs:
+        if e.has(*alphabet.acceleration_symbols):
+            raise SystemFileError(f"{key} {print_expr(e)} in [{section}] must be free of "
+                                  f"accelerations", body[key][1])
+    return exprs
+
+
 def _threshold(text: str, lineno: int | None) -> float:
     value = _number(float, text, lineno)
     if not 0 < value < math.inf:
@@ -216,7 +230,7 @@ def read_system_file(path) -> SystemFile:
             if alphabet is None:
                 raise SystemFileError("[integral] section before [system]")
             name = _require(body, "name", section)
-            integrals[name] = parse(_require(body, "expr", section), alphabet)
+            integrals[name], = _motion_free(body, "expr", section, alphabet)
         elif section == "triple":
             raise SystemFileError("a [triple] section belongs in a triple file, "
                                   "which verify reads")
@@ -228,14 +242,12 @@ def read_system_file(path) -> SystemFile:
 
 
 def _triple_from_body(body: dict, alphabet: Alphabet) -> Triple:
-    tau = parse(_require(body, "tau", "triple"), alphabet)
-    xi = tuple(
-        parse(s, alphabet) for s in _split_top_level(_require(body, "xi", "triple"))
-    )
+    tau, = _motion_free(body, "tau", "triple", alphabet)
+    xi = tuple(_motion_free(body, "xi", "triple", alphabet))
     if len(xi) != alphabet.n:
         raise SystemFileError(f"xi has {len(xi)} component(s), the system has "
                               f"dim = {alphabet.n}", body["xi"][1])
-    f = parse(_require(body, "f", "triple"), alphabet)
+    f, = _motion_free(body, "f", "triple", alphabet)
     form = _get(body, "form", "onflow")
     if form not in FORMS:
         raise SystemFileError(f"unknown form {form!r}, expected one of "

@@ -219,6 +219,22 @@ def triple_section_sys(fp, tmp_path):
     return str(path)
 
 
+@pytest.fixture()
+def accel_f_sys(kepler, tmp_path):
+    """The kepler3d triple file with r1ddot added to the first triple's f."""
+    path = tmp_path / "accel_f.tri"
+    write_triple_file(path, kepler.triples)
+    path.write_text(path.read_text().replace("\nf = ", "\nf = r1ddot + ", 1))
+    return str(path)
+
+
+@pytest.fixture()
+def accel_integral_sys(tmp_path):
+    """A free-particle file whose integral holds the acceleration."""
+    return _free_particle_with(tmp_path, "accel_integral",
+                               "[integral]\nname = push\nexpr = q*qddot")
+
+
 def test_corpus_list(capsys):
     assert cli.main(["corpus", "list"]) == cli.EXIT_OK
     out = capsys.readouterr().out.split()
@@ -485,6 +501,11 @@ EXIT_TABLE = [
     (["verify", "{fp}", "{fp_boost_tri}", "--out", "no-such-dir/r.json"], cli.EXIT_PARSE),
     (["corpus", "export", "freeparticle", "--out", "no-such-dir/fp.sys"], cli.EXIT_PARSE),
     (["corpus", "export", "freeparticle", "--out", "x.tri"], cli.EXIT_PARSE),
+    (["verify", "{kepler}", "{accel_f}"], cli.EXIT_PARSE),
+    (["describe", "{accel_integral}"], cli.EXIT_PARSE),
+    (["solve", "{accel_integral}", "push", "--mode", "strong"], cli.EXIT_PARSE),
+    (["integrate", "{accel_integral}", "0,1,1", "--t1", "1", "--monitor", "push"],
+     cli.EXIT_PARSE),
 ]
 
 

@@ -1,5 +1,7 @@
 
+import ast
 import dataclasses
+import inspect
 
 import numpy as np
 import pytest
@@ -99,6 +101,43 @@ def test_blow_up_truncates_at_the_last_finite_state():
     assert traj.truncated
     assert 1 < len(traj.t) < 1001
     assert np.isfinite(traj.q).all() and np.isfinite(traj.qdot).all()
+
+
+def test_an_overflowing_sum_of_finite_terms_takes_the_exact_guard(fp):
+    # the loop accepts a node on one finite sum of its values; here the sum
+    # 1.7e308 + 2e307 overflows, and the guard of each term accepts the node
+    traj = integrate(fp.system, (0.0, [1.7e308], [2e307]), 5e-3, dt=1e-3)
+    assert not traj.truncated and len(traj.t) == 6
+    assert np.isfinite(traj.q).all()
+    # a finite sum still refuses the node whose exclusion value is too small
+    ab = Alphabet(coords=("q",))
+    (q,), (qd,) = ab.coord_symbols, ab.velocity_symbols
+    walled = build_system(qd**2 / 2, ab, exclusions=(Exclusion(q, 0.5005),))
+    traj = integrate(walled, (0.0, [2.0], [-1.0]), 2.0, dt=1e-3)
+    assert traj.truncated and len(traj.t) == 1500
+    assert traj.q[-1, 0] > 0.5005
+
+
+@pytest.mark.parametrize("name", ["kepler", "fp", "iso"])
+def test_rk4_loop_multiplies_squares_and_checks_one_sum_first(name, request):
+    sysdef = request.getfixturevalue(name).system
+    exprs = [*sysdef.lam, *(ex.expr for ex in sysdef.exclusions)]
+    run = dynamics._rk4_loop(compile_fn(exprs, sysdef.alphabet), exprs, sysdef.alphabet)
+    tree = ast.parse(inspect.getsource(run))
+    squares = [node for node in ast.walk(tree)
+               if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow)
+               and isinstance(node.left, ast.Name) and isinstance(node.right, ast.Constant)
+               and node.right.value == 2]
+    assert squares == []
+    compares = [node for node in ast.walk(tree) if isinstance(node, ast.Compare)]
+
+    def names(node):
+        return {a.id for a in ast.walk(node) if isinstance(a, ast.Name)}
+
+    on_sum = [node for node in compares if "s·" in names(node)]
+    on_state = [node for node in compares if names(node) & {f"w·{i}" for i in range(2 * sysdef.n)}]
+    assert len(on_sum) == 1 and len(on_state) == 2 * sysdef.n
+    assert on_sum[0].lineno < min(node.lineno for node in on_state)
 
 
 def test_the_imaginary_unit_is_refused():

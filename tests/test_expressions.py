@@ -438,7 +438,29 @@ def test_compiled_code_shares_repeated_subtrees():
     sysdef = corpus.load("kepler3d").system
     exprs = [*sysdef.lam, *(ex.expr for ex in sysdef.exclusions)]
     fn = compile_fn(exprs, sysdef.alphabet)
-    assert inspect.getsource(fn.positional).count("r1**2 + r2**2 + r3**2") == 1
+    assert inspect.getsource(fn.positional).count("r1*r1 + r2*r2 + r3*r3") == 1
+
+
+@pytest.mark.parametrize("make, text, square", [
+    (lambda x, y, m: -m * x**2, "-m*(x*x)", lambda x, y, m: -m * np.square(x)),
+    (lambda x, y, m: x**2 / y, "(x*x)/y", lambda x, y, m: np.square(x) / y),
+    # a lone 1/x**2 is Pow(x, -2), a float power; as a factor it divides
+    (lambda x, y, m: 1 / x**2, "x**(-2.0)", lambda x, y, m: x**-2.0),
+    (lambda x, y, m: m / x**2, "m/(x*x)", lambda x, y, m: m / np.square(x)),
+    (lambda x, y, m: (x + y)**2, "(x + y)**2", lambda x, y, m: np.square(x + y)),
+])
+def test_the_square_of_a_name_prints_as_one_product_factor(make, text, square):
+    ab = Alphabet(coords=("x", "y"), params=("m",))
+    e = make(*ab.coord_symbols, *ab.param_symbols)
+    lines, outs, _, _ = expressions._print_code([e], {"x": "x", "y": "y", "m": "m"})
+    assert (lines, outs) == ([], [text])
+    fn = compile_fn([e], ab)
+    rng = np.random.default_rng(5)
+    x, y, m = rng.uniform(0.2, 2.0, (3, 1000))
+    # a complex step carries a derivative in the imaginary part
+    for x, y in [(x, y), (x + 1e-30j * y, y - 1e-30j * x)]:
+        got = fn.positional(0.0, x, y, 0.0, 0.0, m)[0]
+        assert np.array_equal(got, square(x, y, m))
 
 
 def test_shared_subtrees_do_not_capture_declared_names():

@@ -186,6 +186,9 @@ def _read(text, tmp_path):
 @pytest.mark.parametrize("entry, message", [
     ("xi = q, q", "xi has 2 component"),
     ("form = weak", "unknown form 'weak'"),
+    ("tau = qddot", r"tau qddot in \[triple\] must be free of accelerations"),
+    ("xi = q*qddot", r"xi q\*qddot in \[triple\] must be free of accelerations"),
+    ("f = qddot + 1", r"f .*qddot.* in \[triple\] must be free of accelerations"),
 ])
 def test_malformed_triple_section(entry, message, tmp_path):
     good = "[triple]\nname = boost\ntau = 0\nxi = t\nf = q\n"
@@ -204,6 +207,13 @@ def test_malformed_triple_section(entry, message, tmp_path):
     with pytest.raises(SystemFileError, match=message) as err:
         read_triple_file(path, Alphabet(coords=("q",)))
     assert str(err.value).endswith(f"(line {lineno + 5})")
+
+
+def test_integrals_must_be_free_of_accelerations(tmp_path):
+    with pytest.raises(SystemFileError, match=r"expr q\*qddot in \[integral\] must be free "
+                                              r"of accelerations \(line 6\)"):
+        _read("[system]\ndim = 1\ncoords = q\nlagrangian = qdot^2/2\n"
+              "[integral]\nexpr = q*qddot\nname = push\n", tmp_path)
 
 
 def test_missing_system_section(tmp_path):
