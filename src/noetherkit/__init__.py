@@ -14,7 +14,6 @@ from .expressions import (
     diff,
     equal_numeric,
     evaluate,
-    substitute,
     tidy,
     total_dt,
 )

@@ -36,7 +36,11 @@ as ``sympy.cse`` does, costs more compile time than it saves.  Float
 constants print at full precision.  Compiled values are real: the imaginary
 unit and complex infinity are an UndeclaredSymbolError when compiled.
 Rejection sampling draws candidates in blocks from the same random stream as
-one-at-a-time draws, so a seed gives the same points either way.
+one-at-a-time draws, so a seed gives the same points either way, and the
+first k points of a larger draw are the k-point draw.  :func:`draw_points`
+keeps the last point set it drew, in one read-only array, and serves a call
+with the same inputs and no larger k from it: a round trip's conservation,
+inversion and identity checks at one seed draw once.
 """
 
 from __future__ import annotations
@@ -67,7 +71,6 @@ __all__ = [
     "STANDARD_FUNCTIONS",
     "diff",
     "total_dt",
-    "substitute",
     "evaluate",
     "compile_fn",
     "draw_points",
@@ -364,16 +367,6 @@ def _occurring(e: sp.Basic, wanted: frozenset) -> frozenset:
     return frozenset(found)
 
 
-def substitute(e, bindings: Mapping, alphabet: Alphabet) -> sp.Expr:
-    """Simultaneous capture-free substitution.
-
-    Keys are declared symbols or their names; values are expressions.
-    """
-    pairs = [(alphabet.lookup(key) if isinstance(key, str) else key, sp.sympify(val))
-             for key, val in bindings.items()]
-    return sp.sympify(e).subs(pairs, simultaneous=True).doit()
-
-
 def compile_fn(exprs: Sequence, alphabet: Alphabet, include_acc: bool = False):
     """Compile expressions into a numeric function of a point mapping.
 
@@ -649,8 +642,16 @@ def _real(values) -> np.ndarray:
 def _eval_rows(fn, columns: Mapping[str, np.ndarray], m: int) -> np.ndarray:
     """A compiled function's values at m points given as numpy columns, one
     row per expression, read through :func:`_real`.  Numpy inputs make
-    singular points read inf or NaN where Python floats would raise."""
-    return _real([np.broadcast_to(v, (m,)) for v in fn(columns)])
+    singular points read inf or NaN where Python floats would raise.
+
+    The values fill one array, complex if any of them is; a constant
+    expression's value fills its whole row."""
+    vals = fn(columns)
+    dtype = complex if any(np.iscomplexobj(v) for v in vals) else float
+    rows = np.empty((len(vals), m), dtype)
+    for row, v in zip(rows, vals):
+        row[...] = v
+    return _real(rows)
 
 
 def evaluate(e, point: Mapping[str, float], alphabet: Alphabet) -> float:
@@ -698,9 +699,9 @@ class SampleDomain:
     exclusions: tuple[Exclusion, ...] = ()
 
 
-def _range_for(name: str, alphabet: Alphabet, domain: SampleDomain):
-    if name in domain.var_ranges:
-        return domain.var_ranges[name]
+def _range_for(name: str, alphabet: Alphabet, var_ranges: Mapping):
+    if name in var_ranges:
+        return var_ranges[name]
     if name == "t":
         return T_RANGE
     if any(name == c + "ddot" for c in alphabet.coords):
@@ -718,7 +719,8 @@ class SamplePoints(Sequence):
     def __init__(self, columns: Mapping[str, np.ndarray]):
         self.columns = dict(columns)
         for col in self.columns.values():
-            col.flags.writeable = False
+            if col.flags.writeable:
+                col.flags.writeable = False
         self._k = len(next(iter(self.columns.values())))
 
     def __len__(self) -> int:
@@ -748,6 +750,29 @@ def _next_block(need: int, drawn: int, accepted: int) -> int:
     return min(m + m // 8 + 16, MAX_BLOCK)
 
 
+@functools.lru_cache(maxsize=64)
+def _box(alphabet: Alphabet, ranges: tuple, include_acc: bool):
+    """The variable names of a draw, and the lower ends and spans of their
+    ranges as read-only columns; ``ranges`` holds the domain's
+    ``var_ranges`` items."""
+    names = tuple(s.name for s in alphabet.variables(include_acc))
+    var_ranges = dict(ranges)
+    lo, hi = np.array([_range_for(name, alphabet, var_ranges) for name in names], dtype=float).T
+    # numpy's uniform(lo, hi) is lo + (hi - lo)*u, and refuses this span
+    with np.errstate(over="ignore", invalid="ignore"):
+        span = (hi - lo)[:, None]
+    if not np.all(np.isfinite(span)):
+        raise OverflowError("Range exceeds valid bounds")
+    lo = lo[:, None]
+    lo.flags.writeable = span.flags.writeable = False
+    return names, lo, span
+
+
+# the last point set drawn: its inputs, its read-only values, one row per
+# name, and the names
+_last_draw = [None]
+
+
 def draw_points(
     alphabet: Alphabet,
     domain: SampleDomain,
@@ -759,42 +784,73 @@ def draw_points(
 ) -> SamplePoints:
     """Draw k points from the box, rejecting those near declared singular sets.
 
-    Candidates are drawn in blocks and all exclusions are tested on a block
-    with one array call.  A point is drawn as a row of one uniform per
-    variable, in order, so the accepted points are those that drawing one
-    candidate at a time from the same seed gives.  ``max_tries`` consecutive
-    rejections raise SamplingError.
+    A point is drawn as a row of one uniform per variable, in order, and is
+    accepted when every exclusion passes, so the accepted points are those
+    that drawing one candidate at a time from the same seed gives, and the
+    first k points of a larger draw are the k-point draw.  Candidates are
+    drawn in blocks and all exclusions are tested on a block with one array
+    call; without exclusions exactly k candidates are drawn.  ``max_tries``
+    consecutive rejections raise SamplingError.
+
+    The last point set drawn at an integer seed is kept: a call with the
+    same alphabet, ranges, exclusions, parameter values, seed,
+    ``include_acc`` and ``max_tries`` and no larger k takes its first k
+    points.  The values of a draw sit in one read-only array, one row per
+    variable and then per parameter, and each call returns its own
+    SamplePoints over views of those rows.
     """
-    rng = np.random.default_rng(seed)
-    var_names = [s.name for s in alphabet.variables(include_acc)]
-    lo, hi = np.array(
-        [_range_for(name, alphabet, domain) for name in var_names], dtype=float
-    ).T
-    # numpy's uniform(lo, hi) is lo + (hi - lo)*u, and refuses this span
-    with np.errstate(over="ignore", invalid="ignore"):
-        span = (hi - lo)[:, None]
-    if not np.all(np.isfinite(span)):
-        raise OverflowError("Range exceeds valid bounds")
-    params = {name: np.float64(v) for name, v in param_values.items()}
-    if domain.exclusions:
-        excl = compile_fn([ex.expr for ex in domain.exclusions], alphabet, include_acc)
-        thresholds = np.array([[ex.threshold] for ex in domain.exclusions])
-    kept = [np.empty((len(var_names), 0))]
+    include_acc = bool(include_acc)
+    ranges = tuple((name, tuple(r)) for name, r in domain.var_ranges.items())
+    params = [(name, np.float64(v)) for name, v in param_values.items()]
+    # parameters by their bits: 0.0 and -0.0 are equal but other points
+    key = (alphabet, ranges, domain.exclusions, tuple((name, v.tobytes()) for name, v in params),
+           seed, include_acc, max_tries)
+    # any other seed, None included, is no fixed stream
+    reusable = isinstance(seed, (int, np.integer))
+    last = _last_draw[0]
+    if reusable and last is not None and last[0] == key and 0 <= k <= last[1].shape[1]:
+        _, values, names = last
+    else:
+        var_names, lo, span = _box(alphabet, ranges, include_acc)
+        names = var_names + tuple(name for name, _ in params)
+        values = np.empty((len(names), k))
+        for row, (_, v) in zip(values[len(var_names):], params):
+            row[...] = v
+        _draw_into(values[:len(var_names)], var_names, lo, span, np.random.default_rng(seed),
+                   domain.exclusions, dict(params), alphabet, include_acc, max_tries)
+        values.flags.writeable = False
+        if reusable:
+            _last_draw[0] = key, values, names
+    return SamplePoints(dict(zip(names, values[:, :k])))
+
+
+def _draw_into(out, var_names, lo, span, rng, exclusions, params, alphabet, include_acc,
+               max_tries) -> None:
+    """Fill ``out``, one row per variable, with the accepted candidates in
+    order: without exclusions the first k candidates, with them each
+    block's accepted candidates, straight into their columns."""
+    k = out.shape[1]
+    if not exclusions:
+        # every candidate is accepted, so only max_tries < 1 ends the draw
+        if k > 0 and max_tries < 1:
+            raise SamplingError(f"could not draw a point outside exclusions in {max_tries} tries")
+        np.multiply(span, rng.random((k, len(var_names))).T, out=out)
+        out += lo
+        return
+    excl = compile_fn([ex.expr for ex in exclusions], alphabet, include_acc)
+    thresholds = np.array([[ex.threshold] for ex in exclusions])
     accepted = drawn = run = 0
     while accepted < k:
         need = k - accepted
         m = _next_block(need, drawn, accepted)
         block = np.empty((len(var_names), m))
         np.multiply(span, rng.random((m, len(var_names))).T, out=block)
-        block += lo[:, None]
+        block += lo
         drawn += m
-        if domain.exclusions:
-            cols = dict(zip(var_names, block))
-            cols.update(params)
-            vals = np.abs(_eval_rows(excl, cols, m))
-            ok = np.all((vals >= thresholds) & np.isfinite(vals), axis=0)
-        else:
-            ok = np.ones(m, dtype=bool)
+        cols = dict(zip(var_names, block))
+        cols.update(params)
+        vals = np.abs(_eval_rows(excl, cols, m))
+        ok = np.all((vals >= thresholds) & np.isfinite(vals), axis=0)
         idx = np.flatnonzero(ok)
         # a run of max_tries rejections, with the run carried in, needs
         # that many in this block
@@ -810,12 +866,8 @@ def draw_points(
                 )
         run = m - 1 - int(idx[-1]) if len(idx) else run + m
         idx = idx[:need]
-        kept.append(block[:, idx])
+        out[:, accepted:accepted + len(idx)] = block[:, idx]
         accepted += len(idx)
-    values = np.concatenate(kept, axis=1)
-    columns = dict(zip(var_names, values))
-    columns.update({name: np.broadcast_to(v, (k,)) for name, v in params.items()})
-    return SamplePoints(columns)
 
 
 @dataclass(frozen=True)

@@ -200,8 +200,9 @@ def _L_times(sys: LagrangianSystem, tau) -> sp.Expr:
 
 
 def _complete(sys: LagrangianSystem, N, tau, eta: Sequence) -> sp.Expr:
-    """Boundary term of the triple with integral N: f = N + L*tau + p . eta."""
-    return N + _L_times(sys, tau) + sum(pi * e for pi, e in zip(sys.p, eta))
+    """Boundary term of the triple with integral N: f = N + L*tau + p . eta,
+    as one sum, which flattens its terms once, not once per term."""
+    return sp.Add(N, _L_times(sys, tau), *[pi * e for pi, e in zip(sys.p, eta)])
 
 
 def killing_lhs(sys: LagrangianSystem, tr: Triple, form: str) -> sp.Expr:
@@ -211,15 +212,23 @@ def killing_lhs(sys: LagrangianSystem, tr: Triple, form: str) -> sp.Expr:
     Strong senses keep the accelerations symbolic, in the total derivatives
     and in E; on-flow senses substitute the normal form, where E = 0.
     """
+    return _killing_terms(sys, tr, form)[0]
+
+
+def _killing_terms(sys: LagrangianSystem, tr: Triple, form: str):
+    """The left-hand side of :func:`killing_lhs`, with the Dt(f) and the N
+    it is built from, so that a verification derives each once."""
     _check_triple_shape(sys, tr)
     strong, convention = _decode(form)
     ab = sys.alphabet
     lam = None if strong else sys.lam
-    lhs = total_dt(tr.f, ab, lam) - total_dt(_integral_expr(sys, tr, convention), ab, lam)
+    N = _integral_expr(sys, tr, convention)
+    dt_f = total_dt(tr.f, ab, lam)
+    lhs = dt_f - total_dt(N, ab, lam)
     if strong:
         eta = _eta(sys, tr.tau, tr.xi, convention)
         lhs -= sum(e * Ei for e, Ei in zip(eta, sys.E, strict=True))
-    return lhs
+    return lhs, dt_f, N
 
 
 def verify_triple(
@@ -242,8 +251,7 @@ def verify_triple(
     """
     form = form or tr.form
     strong, convention = _decode(form)
-    lhs = killing_lhs(sys, tr, form)
-    rhs = total_dt(tr.f, sys.alphabet, None if strong else sys.lam)
+    lhs, rhs, N = _killing_terms(sys, tr, form)
     extras = tuple(extra_exclusions) + tr.exclusions
     rep = sys.check(
         lhs, rhs,
@@ -254,7 +262,7 @@ def verify_triple(
     integral_check = None
     if integral is not None:
         integral_check = sys.check(
-            _integral_expr(sys, tr, convention), _as_expr(integral),
+            N, _as_expr(integral),
             k=k, tol=tol, seed=seed + 1,
             extra_exclusions=extras,
             label=f"noether-integral:{convention}",
@@ -305,9 +313,9 @@ def _g_inv_grad(sys: LagrangianSystem, Nexpr: sp.Expr, seed: int) -> tuple[sp.Ex
 
 
 def _integral_expr(sys: LagrangianSystem, tr: Triple, convention: str) -> sp.Expr:
-    """N = f - L*tau - p . eta."""
+    """N = f - L*tau - p . eta, as one sum (see :func:`_complete`)."""
     eta = _eta(sys, tr.tau, tr.xi, convention)
-    return tr.f - _L_times(sys, tr.tau) - sum(pi * e for pi, e in zip(sys.p, eta))
+    return sp.Add(tr.f, -_L_times(sys, tr.tau), *[-(pi * e) for pi, e in zip(sys.p, eta)])
 
 
 def noether_integral(

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import re
@@ -544,3 +545,48 @@ def test_oracle_error_is_one_line_without_traceback(fp_sys):
     assert proc.stderr.startswith("error: domain violation evaluating")
     assert "Dt(sqrt(q))" in proc.stderr
     assert len(proc.stderr.splitlines()) == 1
+
+
+# Seeded kepler3d reports, pinned byte for byte: a change that moves one bit
+# of a residual, a witness or a printed triple fails here.  Each row is argv,
+# exit code, and the sha256 of stdout and of stderr.
+PINNED_REPORTS = [
+    (["solve", "{kepler}", "lrl_u", "--mode", "strong", "--seed", "3"], cli.EXIT_OK,
+     "4c907ae5ae012010dad7368be00f78b7187754ee9c2bfde7bed360e194585714",
+     "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    (["solve", "{kepler}", "lrl_u", "--mode", "onflow-simplest", "--seed", "3"], cli.EXIT_OK,
+     "80ced9eadd9cd511095bdf3db948efb5e82e2be97425095dae0ffec2fd306af3",
+     "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    (["verify", "{kepler}", "{kepler_tri}", "--seed", "5"], cli.EXIT_OK,
+     "f9357f821fec3acf818a09e48e30cc523dd5e7b493859326beb9809dcb0aebe1",
+     "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    (["verify", "{kepler}", "{kepler_tri}", "--form", "strong", "--seed", "5"], cli.EXIT_FAIL,
+     "24490c112fddcc1ea82838f1036fde3e0342efa4aa97e81d3f28df863b9a670d",
+     "3e0ca717bcd36a5d4248c00e6e524bb999b57924e313105c9c07a41297450a2e"),
+    (["integrate", "{kepler}", KEPLER_ORBIT, "--t1", "2", "--dt", "0.01",
+      "--monitor", "energy", "lrl_u"], cli.EXIT_OK,
+     "b07c322f55b664333c8dae3d0a44d3e5785e1b4c13cb3e7d77f1209d3a3062b6",
+     "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    (["solve", "{kepler}", "r1*r2dot", "--mode", "strong", "--seed", "3"],
+     cli.EXIT_NOT_CONSERVED,
+     "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+     "26e23befcdf21a3b61ea3096925c032129fb1f44260880410e63058d85eb2981"),
+]
+
+
+@pytest.fixture()
+def kepler_tri_sys(kepler, tmp_path):
+    path = tmp_path / "kepler.tri"
+    write_triple_file(path, kepler.triples)
+    return str(path)
+
+
+@pytest.mark.parametrize("argv, code, stdout, stderr", PINNED_REPORTS,
+                         ids=[" ".join(row[0]) for row in PINNED_REPORTS])
+def test_seeded_reports_are_pinned(argv, code, stdout, stderr, request, capsys):
+    argv = [re.sub(r"\{(\w+)\}", lambda m: request.getfixturevalue(m[1] + "_sys"), a)
+            for a in argv]
+    got = cli.main(argv)
+    out, err = capsys.readouterr()
+    digests = [hashlib.sha256(text.encode()).hexdigest() for text in (out, err)]
+    assert (got, *digests) == (code, stdout, stderr), (out, err)

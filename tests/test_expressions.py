@@ -30,7 +30,6 @@ from noetherkit.expressions import (
     draw_points,
     equal_numeric,
     evaluate,
-    substitute,
     tidy,
     total_dt,
 )
@@ -564,11 +563,6 @@ def test_alphabet_builds_its_symbols_once_and_keys_the_memo_by_its_fields():
     assert compile_fn([u * v + a.param_symbols[0]], b) is f
 
 
-def test_substitute_is_simultaneous():
-    out = substitute(X - Y, {"x": Y, "y": X}, AB)
-    assert sp.simplify(out - (Y - X)) == 0
-
-
 def test_evaluate_and_domain_violation():
     assert evaluate(X * XD, {"x": 2.0, "xdot": 3.0}, AB) == pytest.approx(6.0)
     # a name the value depends on is never filled in
@@ -661,6 +655,9 @@ def test_draw_points_exhaustion_raises():
     dom = SampleDomain(exclusions=(Exclusion(sp.Integer(0), 1.0),))
     with pytest.raises(SamplingError):
         draw_points(AB, dom, {}, 1, seed=0)
+    # a budget below one try is spent before the first candidate
+    with pytest.raises(SamplingError):
+        draw_points(AB, SampleDomain(), {}, 1, seed=0, max_tries=0)
 
 
 def _reference_draw(alphabet, domain, param_values, k, seed, include_acc=False,
@@ -708,6 +705,53 @@ def test_draw_points_matches_one_at_a_time_reference():
             assert len(pts) == 40
             assert list(pts) == ref
             assert list(pts.columns) == list(ref[0])
+
+
+@pytest.mark.parametrize("exclusions", [(), (Exclusion(X, 1.0), Exclusion(X * Y - 1, 0.2))],
+                         ids=["box", "exclusions"])
+def test_draw_points_reuses_the_last_point_set(exclusions):
+    ab = Alphabet(coords=("x", "y"), params=("a",))
+    dom = SampleDomain(var_ranges={"y": (0.5, 3.0)}, exclusions=exclusions)
+
+    def draw(k, seed=4, a=0.7, **kw):
+        return draw_points(ab, dom, {"a": a}, k, seed, **kw)
+
+    def fresh(k, seed=4):
+        expressions._last_draw[0] = None
+        return list(draw(k, seed))
+
+    ref = _reference_draw(ab, dom, {"a": 0.7}, 60, 4)
+    assert fresh(60) == ref
+    big = draw(60)
+    again = draw(60)
+    small = draw(25)
+    # served from the last draw, and each a fresh SamplePoints
+    assert np.shares_memory(again.columns["x"], big.columns["x"])
+    assert np.shares_memory(small.columns["x"], big.columns["x"])
+    assert again is not big and again.columns is not big.columns
+    assert list(again) == ref and list(small) == ref[:25] == fresh(25)
+    # the arrays are read-only, and replacing a column touches one result only
+    for pts in (big, again, small):
+        for col in pts.columns.values():
+            assert not col.flags.writeable
+            with pytest.raises(ValueError):
+                col[0] = 0.0
+    small.columns["x"] = np.zeros(25)
+    assert list(draw(25)) == ref[:25]
+    # a larger k, another seed, other parameter values or another max_tries
+    # draw again
+    draw(10)
+    base = draw(60)
+    assert list(base) == ref
+    assert list(draw(30, seed=5)) == fresh(30, seed=5)
+    base = draw(60, a=0.0)
+    got = draw(30, a=-0.0)
+    assert not np.shares_memory(got.columns["x"], base.columns["x"])
+    assert np.signbit(got.columns["a"]).all()
+    base = draw(60)
+    assert not np.shares_memory(draw(30, max_tries=999).columns["x"], base.columns["x"])
+    # a seed of None is fresh entropy at every call
+    assert list(draw(5, seed=None)) != list(draw(5, seed=None))
 
 
 def test_draw_points_refuses_a_non_finite_span():

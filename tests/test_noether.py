@@ -34,6 +34,10 @@ from noetherkit.noether import (
     trivialize,
     velocity_independence_check,
     verify_triple,
+    _complete,
+    _eta,
+    _integral_expr,
+    _L_times,
     _require_conserved,
 )
 
@@ -473,6 +477,31 @@ def test_strong_solutions_are_determined_by_their_integral(systems, data):
     if convention == "alternative":
         again = convert_standard_alternative(sysdef, again)
     assert check([*again.xi, again.f], [*tr.xi, tr.f]).passed
+
+
+def _chained_complete(sysdef, N, tau, eta):
+    """f = N + L*tau + p . eta as a chain of binary sums: the tree that
+    _complete builds in one sum."""
+    return N + _L_times(sysdef, tau) + sum(pi * e for pi, e in zip(sysdef.p, eta))
+
+
+def _chained_integral(sysdef, tr, convention):
+    """N = f - L*tau - p . eta as a chain of binary differences."""
+    eta = _eta(sysdef, tr.tau, tr.xi, convention)
+    return tr.f - _L_times(sysdef, tr.tau) - sum(pi * e for pi, e in zip(sysdef.p, eta))
+
+
+@given(data=st.data())
+def test_triple_sums_are_the_chained_sums(systems, data):
+    sysdef, N, tr = data.draw(_solved(systems))
+    ab = sysdef.alphabet
+    tau = data.draw(_polys(ab))
+    eta = _eta(sysdef, tau, [data.draw(_polys(ab)) for _ in range(sysdef.n)], "standard")
+    assert sp.srepr(_complete(sysdef, N, tau, eta)) == sp.srepr(
+        _chained_complete(sysdef, N, tau, eta))
+    for convention in ("standard", "alternative"):
+        assert sp.srepr(_integral_expr(sysdef, tr, convention)) == sp.srepr(
+            _chained_integral(sysdef, tr, convention))
 
 
 @given(data=st.data(), eps=st.sampled_from((1e-3, 0.1, 1.0)))
