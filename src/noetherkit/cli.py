@@ -9,23 +9,36 @@ system to P (default ``NAME.sys``) and its triples to P with suffix ``.tri``.
 Exit codes: 0 success / PASS, 1 verification FAIL, 2 parse error or invalid
 option (including an integration of more than ``dynamics.MAX_STEPS`` steps,
 a system whose derived expressions hold a function outside the compiled
-grammar, a ``[triple]`` section in a system file, and an output path that
-cannot be written or, for ``corpus export``, ends in ``.tri``), 3 regularity
+grammar, a ``[triple]`` section in a system file, an output path that
+cannot be written or, for ``corpus export``, ends in ``.tri``, and a stdout
+that cannot be written, such as a pipe whose reader has gone), 3 regularity
 failure (or exclusions that reject every sample point), 4 conservation
 precheck failure, 5 singularity during a solve or verification, an
 integration starting in a singular zone, or a monitored integral not
 evaluable along the trajectory, 6 trajectory truncated at a singular zone or
 where its state stops being finite.  Errors print one line on stderr.
+
+The command is a one-shot process (``run``): once its output is flushed it
+ends with ``os._exit``, skipping the interpreter teardown, which frees
+sympy's object graph one object at a time.  Run as the program, the module
+turns the cyclic GC off before sympy and numpy load.  ``main`` returns the
+exit code and is what in-process callers use.
 """
 
 from __future__ import annotations
 
+import gc
+
+if __name__ == "__main__":  # no collections while sympy and numpy load
+    gc.disable()
+
 import argparse
-import contextlib
 import json
 import math
+import os
 import sys as _sys
 from pathlib import Path
+from typing import NoReturn
 
 from . import corpus as corpus_mod
 from .dsl import ExprSyntaxError, parse, print_expr
@@ -60,8 +73,7 @@ EXIT_TRUNCATED = 6
 def _emit(report: dict, out: str | None) -> None:
     text = json.dumps(report, indent=2, sort_keys=True)
     if out:
-        with _writing():
-            Path(out).write_text(text + "\n")
+        Path(out).write_text(text + "\n")
     else:
         print(text)
 
@@ -69,15 +81,6 @@ def _emit(report: dict, out: str | None) -> None:
 def _error(message, code: int) -> int:
     print(f"error: {message}", file=_sys.stderr)
     return code
-
-
-@contextlib.contextmanager
-def _writing():
-    """An output path that cannot be written exits 2 with one line."""
-    try:
-        yield
-    except OSError as err:
-        raise SystemExit(_error(err, EXIT_PARSE))
 
 
 def _load_system(path: str):
@@ -155,8 +158,7 @@ def cmd_solve(args) -> int:
         "verification": rep.to_dict(),
     }
     if args.triple_out:
-        with _writing():
-            write_triple_file(args.triple_out, {args.integral: tr})
+        write_triple_file(args.triple_out, {args.integral: tr})
     _emit(report, args.out)
     return EXIT_OK if rep.passed else EXIT_FAIL
 
@@ -212,8 +214,7 @@ def cmd_integrate(args) -> int:
     except ValueError as err:  # the options ask for more than MAX_STEPS steps
         return _error(err, EXIT_PARSE)
     if args.csv:
-        with _writing():
-            write_trajectory_csv(traj, args.csv, sysdef.alphabet.coords)
+        write_trajectory_csv(traj, args.csv, sysdef.alphabet.coords)
     try:
         drifts = [
             monitor_drift(sysdef, traj, sf.integrals[name], name).to_dict()
@@ -245,9 +246,8 @@ def cmd_corpus(args) -> int:
                       "beside it with suffix .tri", EXIT_PARSE)
     tri = out.with_suffix(".tri")
     entry = corpus_mod.load(args.name)
-    with _writing():
-        write_system_file(out, entry.system, integrals=entry.integrals)
-        write_triple_file(tri, entry.triples)
+    write_system_file(out, entry.system, integrals=entry.integrals)
+    write_triple_file(tri, entry.triples)
     print(f"wrote {out} and {tri}")
     return EXIT_OK
 
@@ -332,14 +332,38 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     try:
-        # argparse exits with code 2 on invalid arguments
-        args = build_parser().parse_args(argv)
-        if args.command == "corpus" and args.action == "export" and not args.name:
-            return _error("corpus export needs a name", EXIT_PARSE)
-        return args.fn(args)
+        try:
+            # argparse exits with code 2 on invalid arguments
+            args = build_parser().parse_args(argv)
+            if args.command == "corpus" and args.action == "export" and not args.name:
+                return _error("corpus export needs a name", EXIT_PARSE)
+            return args.fn(args)
+        finally:
+            if _sys.stdout:  # None in a process started with descriptor 1 closed
+                _sys.stdout.flush()  # so a stdout that cannot be written fails here
     except SystemExit as err:
         return int(err.code or 0)
+    except OSError as err:  # a write: each command catches the errors of its reads
+        return _error(err, EXIT_PARSE)
+
+
+def run() -> NoReturn:
+    """Run ``main`` on the command line and end the process.
+
+    The cyclic GC is off, and once stdout and stderr are flushed the process
+    ends with ``os._exit``, without the interpreter teardown.  That skips
+    freeing sympy's object graph and the ``atexit`` callbacks, none of which
+    writes data.  An exception that escapes ``main`` takes the usual exit.
+    As the installed ``noetherkit`` command the package imports run before
+    the GC is turned off here; ``python -m noetherkit.cli`` turns it off
+    before they run.
+    """
+    gc.disable()
+    code = main()  # main has flushed stdout, or reported that it could not
+    if _sys.stderr:
+        _sys.stderr.flush()
+    os._exit(code)
 
 
 if __name__ == "__main__":
-    raise SystemExit(main())
+    run()

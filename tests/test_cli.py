@@ -1,3 +1,4 @@
+import errno
 import hashlib
 import json
 import os
@@ -510,12 +511,16 @@ EXIT_TABLE = [
 ]
 
 
+def _argv(argv, request):
+    """argv with each {name} replaced by the path of the fixture name_sys."""
+    return [re.sub(r"\{(\w+)\}", lambda m: request.getfixturevalue(m[1] + "_sys"), a)
+            for a in argv]
+
+
 @pytest.mark.parametrize("argv, code", EXIT_TABLE, ids=lambda v: " ".join(v)
                          if isinstance(v, list) else str(v))
 def test_exit_code_table(argv, code, request, capsys):
-    argv = [re.sub(r"\{(\w+)\}", lambda m: request.getfixturevalue(m[1] + "_sys"), a)
-            for a in argv]
-    assert cli.main(argv) == code
+    assert cli.main(_argv(argv, request)) == code
     out, err = capsys.readouterr()
     assert "Traceback" not in err
     if code == cli.EXIT_TRUNCATED:  # a report, not an error
@@ -524,10 +529,10 @@ def test_exit_code_table(argv, code, request, capsys):
         assert "error" in err.splitlines()[-1]
 
 
-def _run_cli(argv, **env):
+def _run_cli(argv, stdout=subprocess.PIPE, **env):
     env = dict(os.environ, PYTHONPATH=str(Path(noetherkit.__file__).parents[1]), **env)
-    return subprocess.run([sys.executable, "-m", "noetherkit.cli", *argv],
-                          capture_output=True, text=True, env=env, timeout=120)
+    return subprocess.run([sys.executable, "-m", "noetherkit.cli", *argv], stdout=stdout,
+                          stderr=subprocess.PIPE, text=True, env=env, timeout=120)
 
 
 def test_reports_are_identical_across_hash_seeds(kepler_sys):
@@ -545,6 +550,43 @@ def test_oracle_error_is_one_line_without_traceback(fp_sys):
     assert proc.stderr.startswith("error: domain violation evaluating")
     assert "Dt(sqrt(q))" in proc.stderr
     assert len(proc.stderr.splitlines()) == 1
+
+
+@pytest.mark.parametrize("argv, code", [row for row in EXIT_TABLE if row[0] in (
+    ["verify", "{fp}", "no-such.tri"],
+    ["integrate", "{fp}", "0,1,1", "--t1", "1", "--out", "no-such-dir/r.json"],
+)], ids=lambda v: " ".join(v) if isinstance(v, list) else str(v))
+def test_errors_of_a_process_are_one_line(argv, code, request):
+    proc = _run_cli(_argv(argv, request))
+    assert proc.returncode == code
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error: ") and len(proc.stderr.splitlines()) == 1
+
+
+@pytest.mark.parametrize("unbuffered", ["1", ""], ids=["PYTHONUNBUFFERED=1", "buffered"])
+def test_closed_stdout_is_one_line_and_exit_2(unbuffered, kepler_sys):
+    # noetherkit solve ... | (exec 0<&-; ...): the report meets a pipe with no
+    # reader, at its write when stdout is unbuffered, at the final flush if not
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        proc = _run_cli(["solve", kepler_sys, "lrl_u", "--mode", "strong", "--seed", "3"],
+                        stdout=write, PYTHONUNBUFFERED=unbuffered)
+    finally:
+        os.close(write)
+    assert proc.returncode == cli.EXIT_PARSE
+    assert proc.stderr == f"error: [Errno {errno.EPIPE}] {os.strerror(errno.EPIPE)}\n"
+
+
+def test_closed_stdout_descriptor_drops_the_report(kepler_sys):
+    # started with descriptor 1 closed, Python has no sys.stdout and print
+    # writes nothing; the command still exits with its verdict
+    env = dict(os.environ, PYTHONPATH=str(Path(noetherkit.__file__).parents[1]))
+    proc = subprocess.run(["sh", "-c", 'exec "$@" >&-', "sh", sys.executable, "-m",
+                           "noetherkit.cli", "solve", kepler_sys, "lrl_u", "--mode", "strong",
+                           "--seed", "3"], stderr=subprocess.PIPE, text=True, env=env,
+                          timeout=120)
+    assert (proc.returncode, proc.stderr) == (cli.EXIT_OK, "")
 
 
 # Seeded kepler3d reports, pinned byte for byte: a change that moves one bit
@@ -581,12 +623,23 @@ def kepler_tri_sys(kepler, tmp_path):
     return str(path)
 
 
-@pytest.mark.parametrize("argv, code, stdout, stderr", PINNED_REPORTS,
-                         ids=[" ".join(row[0]) for row in PINNED_REPORTS])
-def test_seeded_reports_are_pinned(argv, code, stdout, stderr, request, capsys):
-    argv = [re.sub(r"\{(\w+)\}", lambda m: request.getfixturevalue(m[1] + "_sys"), a)
-            for a in argv]
-    got = cli.main(argv)
-    out, err = capsys.readouterr()
+def _in_process(argv, capsys):
+    return (cli.main(argv), *capsys.readouterr())
+
+
+def _in_a_process(argv, capsys):
+    """What ``python -m noetherkit.cli`` leaves on its pipes when it exits,
+    with stdout buffered, so output left unflushed at the exit is lost."""
+    proc = _run_cli(argv, PYTHONUNBUFFERED="")
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+@pytest.mark.parametrize("argv, code, stdout, stderr, run", [
+    *(pytest.param(*row, _in_process, id=" ".join(row[0])) for row in PINNED_REPORTS),
+    *(pytest.param(*row, _in_a_process, id="python -m noetherkit.cli " + " ".join(row[0]))
+      for row in PINNED_REPORTS),
+])
+def test_seeded_reports_are_pinned(argv, code, stdout, stderr, run, request, capsys):
+    got, out, err = run(_argv(argv, request), capsys)
     digests = [hashlib.sha256(text.encode()).hexdigest() for text in (out, err)]
     assert (got, *digests) == (code, stdout, stderr), (out, err)
