@@ -31,7 +31,6 @@ _EXPORTS = {
         "LagrangianSystem",
         "RegularityError",
         "build_system",
-        "el_residual",
         "invert_g_apply",
     ),
     "noether": (

@@ -16,7 +16,8 @@ failure (or exclusions that reject every sample point), 4 conservation
 precheck failure, 5 singularity during a solve or verification, an
 integration starting in a singular zone, or a monitored integral not
 evaluable along the trajectory, 6 trajectory truncated at a singular zone or
-where its state stops being finite.  Errors print one line on stderr.
+where its state stops being finite.  Errors print one line on stderr; a
+stderr that is closed or cannot be written loses the line, not the code.
 
 The command is a one-shot process (``run``): once its output is flushed it
 ends with ``os._exit``, skipping the interpreter teardown, which frees
@@ -33,6 +34,7 @@ if __name__ == "__main__":  # no collections while sympy and numpy load
     gc.disable()
 
 import argparse
+import contextlib
 import json
 import math
 import os
@@ -79,7 +81,11 @@ def _emit(report: dict, out: str | None) -> None:
 
 
 def _error(message, code: int) -> int:
-    print(f"error: {message}", file=_sys.stderr)
+    """Print the error line on stderr and return code, also when stderr is
+    closed or cannot be written: exit 1 stays a verification FAIL."""
+    if _sys.stderr:  # None in a process started with descriptor 2 closed
+        with contextlib.suppress(OSError):
+            print(f"error: {message}", file=_sys.stderr)
     return code
 
 
@@ -361,7 +367,8 @@ def run() -> NoReturn:
     gc.disable()
     code = main()  # main has flushed stdout, or reported that it could not
     if _sys.stderr:
-        _sys.stderr.flush()
+        with contextlib.suppress(OSError):  # the exit code stands without its line
+            _sys.stderr.flush()
     os._exit(code)
 
 

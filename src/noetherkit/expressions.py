@@ -315,6 +315,7 @@ class TotalDerivative(sp.Expr):
         return f"Dt({printer._print(self.expr)})"
 
 
+@sp.cacheit
 def total_dt(e, alphabet: Alphabet, lam: Sequence[sp.Expr] | None = None) -> sp.Expr:
     """Total time derivative of an expression in (t, q, qdot).
 
@@ -324,7 +325,9 @@ def total_dt(e, alphabet: Alphabet, lam: Sequence[sp.Expr] | None = None) -> sp.
     :class:`TotalDerivative` (``.doit()`` expands it), or 0 when ``e`` is
     free of t, q and qdot, which agrees with ``free_symbols`` since the
     grammar binds no symbols.  One walk over ``e`` finds the nodes and
-    symbols that refuse it and the variables.
+    symbols that refuse it and the variables.  Cached in sympy's cache, so
+    the same inputs return the same node, which the compile memo then
+    finds by identity.
     """
     e = sp.sympify(e)
     accs = alphabet.acceleration_symbols

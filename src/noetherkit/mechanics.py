@@ -32,7 +32,7 @@ from .expressions import (
     equal_numeric,
 )
 
-__all__ = ["LagrangianSystem", "RegularityError", "build_system", "el_residual", "invert_g_apply"]
+__all__ = ["LagrangianSystem", "RegularityError", "build_system", "invert_g_apply"]
 
 REGULARITY_SAMPLES = 20
 REGULARITY_MIN_DET = 1e-8
@@ -169,17 +169,6 @@ def _check_regularity(sys: LagrangianSystem, seed: int = 0) -> None:
     if bad.any():
         i = int(np.argmax(bad))
         raise RegularityError(points[i], float(det[i]))
-
-
-def el_residual(sys: LagrangianSystem, point: Mapping[str, float]) -> np.ndarray:
-    """Euler-Lagrange residual d_q L - (d/dt) d_qdot L at a point that also
-    binds the accelerations: -E = rhs - g*qddot, which equals g*(Lam - qddot)."""
-    fn = compile_fn([-e for e in sys.E], sys.alphabet, include_acc=True)
-    # numpy floats make a pole read inf where Python floats raise
-    full = {name: np.float64(v) for name, v in point.items()}
-    for name, v in sys.param_values.items():
-        full.setdefault(name, np.float64(v))
-    return _eval_rows(fn, full, 1)[:, 0]
 
 
 def invert_g_apply(sys: LagrangianSystem, w: Sequence, *, seed: int = 0) -> tuple[sp.Expr, ...]:

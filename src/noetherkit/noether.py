@@ -24,6 +24,14 @@ f = N + L*tau + d_qdot L . eta.  The zero-gauge solvers compose them with
 ``trivialize`` (through ``multiplicity_transform``) and
 ``convert_standard_alternative``, which all keep eta.
 
+A triple keeps its eta (``Triple.eta``): the solvers store the one they
+computed, the gauge transform passes it on where deriving it again would
+build the same tree, and otherwise the first check derives it from xi and
+keeps it.  So the checks read eta, not xi.  The solvers and the gauge
+transform give xi as a recipe that its first read runs, with the same
+sympy operations as building it at once, so printed and written triples
+do not change; a solve and ``noether_integral`` never build it.
+
 The total derivatives (tau_dot, xi_dot, f_dot and N_dot) are lazy
 :class:`~noetherkit.expressions.TotalDerivative` nodes: the oracle
 evaluates them by complex step, and ``.doit()`` expands them symbolically.
@@ -31,7 +39,7 @@ evaluates them by complex step, and ``.doit()`` expands them symbolically.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from functools import partial
 from typing import Sequence
 
@@ -89,28 +97,70 @@ class NotConservedError(ValueError):
         )
 
 
+class _Pending(partial):
+    """A recipe for a triple's xi: the call that builds it, run on first read."""
+
+
+class _BuiltOnRead:
+    """Descriptor of ``Triple.xi``: holds a tuple, or a :class:`_Pending`
+    that its first read runs and replaces with the tuple it builds."""
+
+    def __set_name__(self, owner, name):
+        self.slot = "_" + name
+
+    def __get__(self, obj, owner=None):
+        if obj is None:  # no class-level default: the field stays required
+            raise AttributeError(self.slot)
+        value = obj.__dict__[self.slot]
+        if isinstance(value, _Pending):
+            value = obj.__dict__[self.slot] = value()
+        return value
+
+    def __set__(self, obj, value):  # reached from __init__ only: Triple is frozen
+        obj.__dict__[self.slot] = value
+
+
 @dataclass(frozen=True)
 class Triple:
     """Candidate solution (tau, xi, f) with the interpretation it claims.
 
     ``exclusions`` records denominators introduced by a solver (e.g. 1/L);
     verification sampling keeps away from their zero sets.
+
+    ``eta`` is the characteristic in the convention of ``form``: the one a
+    solver computed, or None until the first check derives it from xi (in
+    the velocities of the system checked against) and keeps it.  ``replace``
+    leaves it unset.  xi may be given as a :class:`_Pending` recipe.
     """
 
     tau: sp.Expr
-    xi: tuple[sp.Expr, ...]
+    xi: tuple[sp.Expr, ...] = _BuiltOnRead()
     f: sp.Expr
     form: str
     exclusions: tuple[Exclusion, ...] = ()
+    eta: tuple[sp.Expr, ...] | None = field(default=None, init=False, repr=False,
+                                             compare=False)
 
     def __post_init__(self):
         if self.form not in FORMS:
             raise ValueError(f"unknown form {self.form!r}")
 
+    def __getstate__(self):
+        # a pending recipe holds the system and a lambda: pickle the tuple
+        return dict(self.__dict__, _xi=self.xi)
+
     def simplified(self) -> "Triple":
         """Each component through ``tidy``.  Only the benchmark's set-up calls
         this; it goes with ``tidy`` in Benchmark v2 (ROADMAP item 1)."""
         return replace(self, tau=tidy(self.tau), xi=tuple(map(tidy, self.xi)), f=tidy(self.f))
+
+
+def _derived(tau, xi, f, form, exclusions, eta) -> Triple:
+    """A solver's or transform's triple, with the eta it computed (or None)
+    and xi as given, possibly a :class:`_Pending` recipe."""
+    tr = Triple(tau=tau, xi=xi, f=f, form=form, exclusions=exclusions)
+    object.__setattr__(tr, "eta", eta)
+    return tr
 
 
 @dataclass(frozen=True)
@@ -164,11 +214,27 @@ def _as_expr(N) -> sp.Expr:
     return N.expr if isinstance(N, FirstIntegral) else sp.sympify(N)
 
 
-def _check_triple_shape(sys: LagrangianSystem, tr: Triple) -> None:
+def _characteristic(sys: LagrangianSystem, tr: Triple, convention: str) -> tuple:
+    """The triple's eta in the convention: the stored one in the convention
+    of its form, which is derived from xi and kept if unset; derived from
+    xi in the other convention."""
+    own = convention == _decode(tr.form)[1]
+    if own and tr.eta is not None:
+        return tr.eta
     if len(tr.xi) != sys.n:
         raise ValueError(f"xi has length {len(tr.xi)}, expected {sys.n}")
+    eta = _eta(sys, tr.tau, tr.xi, convention)
+    if own:
+        object.__setattr__(tr, "eta", eta)
+    return eta
+
+
+def _check_triple_shape(sys: LagrangianSystem, tr: Triple, convention: str) -> None:
+    """n components, and tau, eta and f free of accelerations: with tau free
+    of them, xi is free of them exactly when eta is."""
     accs = frozenset(sys.alphabet.acceleration_symbols)
-    if any(_occurring(sp.sympify(e), accs) for e in (tr.tau, *tr.xi, tr.f)):
+    eta = _characteristic(sys, tr, convention)
+    if any(_occurring(sp.sympify(e), accs) for e in (tr.tau, *eta, tr.f)):
         raise ValueError("triple components must be free of accelerations")
 
 
@@ -218,15 +284,15 @@ def killing_lhs(sys: LagrangianSystem, tr: Triple, form: str) -> sp.Expr:
 def _killing_terms(sys: LagrangianSystem, tr: Triple, form: str):
     """The left-hand side of :func:`killing_lhs`, with the Dt(f) and the N
     it is built from, so that a verification derives each once."""
-    _check_triple_shape(sys, tr)
     strong, convention = _decode(form)
+    _check_triple_shape(sys, tr, convention)
     ab = sys.alphabet
     lam = None if strong else sys.lam
     N = _integral_expr(sys, tr, convention)
     dt_f = total_dt(tr.f, ab, lam)
     lhs = dt_f - total_dt(N, ab, lam)
     if strong:
-        eta = _eta(sys, tr.tau, tr.xi, convention)
+        eta = _characteristic(sys, tr, convention)
         lhs -= sum(e * Ei for e, Ei in zip(eta, sys.E, strict=True))
     return lhs, dt_f, N
 
@@ -314,7 +380,7 @@ def _g_inv_grad(sys: LagrangianSystem, Nexpr: sp.Expr, seed: int) -> tuple[sp.Ex
 
 def _integral_expr(sys: LagrangianSystem, tr: Triple, convention: str) -> sp.Expr:
     """N = f - L*tau - p . eta, as one sum (see :func:`_complete`)."""
-    eta = _eta(sys, tr.tau, tr.xi, convention)
+    eta = _characteristic(sys, tr, convention)
     return sp.Add(tr.f, -_L_times(sys, tr.tau), *[-(pi * e) for pi, e in zip(sys.p, eta)])
 
 
@@ -331,7 +397,7 @@ def noether_integral(
     checked and recorded (an unverified result carries its witness point)."""
     if convention not in ("standard", "alternative"):
         raise ValueError(f"unknown convention {convention!r}")
-    _check_triple_shape(sys, tr)
+    _check_triple_shape(sys, tr, convention)
     return check_conserved(
         sys, _integral_expr(sys, tr, convention), k=k, tol=tol, seed=seed,
         extra_exclusions=tr.exclusions, name=f"noether:{convention}",
@@ -346,8 +412,8 @@ def solve_onflow(sys: LagrangianSystem, N, tau, xi: Sequence, *, seed: int = 0) 
         raise ValueError(f"xi has length {len(xi)}, expected {sys.n}")
     Nexpr = _require_conserved(sys, N, seed).expr
     tau = sp.sympify(tau)
-    f = _complete(sys, Nexpr, tau, _eta(sys, tau, xi, "standard"))
-    return Triple(tau=tau, xi=xi, f=f, form=ONFLOW)
+    eta = _eta(sys, tau, xi, "standard")
+    return _derived(tau, xi, _complete(sys, Nexpr, tau, eta), ONFLOW, (), eta)
 
 
 def solve_onflow_simplest(
@@ -379,8 +445,8 @@ def solve_strong(sys: LagrangianSystem, N, tau=sp.Integer(0), *, seed: int = 0) 
     Nexpr = _require_conserved(sys, N, seed).expr
     tau = sp.sympify(tau)
     eta = tuple(-wi for wi in _g_inv_grad(sys, Nexpr, seed))
-    return Triple(tau=tau, xi=_xi(sys, tau, eta, "standard"),
-                  f=_complete(sys, Nexpr, tau, eta), form=STRONG)
+    return _derived(tau, _Pending(_xi, sys, tau, eta, "standard"),
+                    _complete(sys, Nexpr, tau, eta), STRONG, (), eta)
 
 
 def solve_alt_strong_trivial_gauge(
@@ -400,16 +466,21 @@ def multiplicity_transform(
     """Trade the boundary term for h, preserving form, eta and the first
     integral: tau += s and f = h - c*s with s = (h-f)/(L+c), so that
     xi += qdot*s in the standard convention.  The shift c keeps the
-    denominator off the zero set of L; f = h only at c = 0."""
+    denominator off the zero set of L; f = h only at c = 0.
+
+    The result keeps the stored eta where deriving it from the new xi would
+    give its tree back: in the alternative convention, and where tau is
+    structurally 0, since then (xi + qdot*s) - qdot*s folds to xi."""
     h = sp.sympify(h)
     shift = (h - tr.f) / (sys.L + c)
     _, convention = _decode(tr.form)
     # 0.0*shift folds to 0 only after sympy has asked whether shift is finite,
     # which costs milliseconds on a solver's expressions
     f = h - c * shift if c else h
-    return Triple(
-        tau=tr.tau + shift, xi=_xi(sys, shift, tr.xi, convention), f=f, form=tr.form,
-        exclusions=tr.exclusions + (Exclusion(sys.L + c, DENOM_MARGIN),),
+    eta = tr.eta if convention == "alternative" or sp.S(tr.tau) is sp.S.Zero else None
+    return _derived(
+        tr.tau + shift, _Pending(lambda: _xi(sys, shift, tr.xi, convention)), f, tr.form,
+        tr.exclusions + (Exclusion(sys.L + c, DENOM_MARGIN),), eta,
     )
 
 

@@ -578,14 +578,51 @@ def test_closed_stdout_is_one_line_and_exit_2(unbuffered, kepler_sys):
     assert proc.stderr == f"error: [Errno {errno.EPIPE}] {os.strerror(errno.EPIPE)}\n"
 
 
+def _run_cli_redirected(redirect, argv, stdout=subprocess.PIPE, **env):
+    """``_run_cli`` in a process started through the shell ``redirect``: one
+    that closes a descriptor (Python then has no sys.stdout or sys.stderr)
+    or opens it read-only (its writes fail)."""
+    env = dict(os.environ, PYTHONPATH=str(Path(noetherkit.__file__).parents[1]), **env)
+    return subprocess.run(["sh", "-c", f'exec "$@" {redirect}', "sh", sys.executable, "-m",
+                           "noetherkit.cli", *argv], stdout=stdout, stderr=subprocess.PIPE,
+                          text=True, env=env, timeout=120)
+
+
+STDERR_LOST = pytest.mark.parametrize("redirect", ["2>&-", "2</dev/null"])
+UNBUFFERED = pytest.mark.parametrize("unbuffered", ["1", ""],
+                                     ids=["PYTHONUNBUFFERED=1", "buffered"])
+
+
+@STDERR_LOST
+@UNBUFFERED
+def test_lost_stderr_keeps_the_exit_code(redirect, unbuffered, kepler_sys):
+    # noetherkit verify kepler.sys no-such.tri 2>&-: the error line cannot be
+    # written; exit 2 stands, and the line does not go to stdout instead
+    proc = _run_cli_redirected(redirect, ["verify", kepler_sys, "no-such.tri"],
+                               PYTHONUNBUFFERED=unbuffered)
+    assert (proc.returncode, proc.stdout) == (cli.EXIT_PARSE, "")
+
+
+@STDERR_LOST
+@UNBUFFERED
+def test_lost_stderr_and_stdout_is_exit_2(redirect, unbuffered, kepler_sys):
+    # noetherkit solve ... 2>&- | head -c 0: the report fails, then its error line
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        proc = _run_cli_redirected(redirect, ["solve", kepler_sys, "lrl_u", "--mode",
+                                              "strong", "--seed", "3"], stdout=write,
+                                   PYTHONUNBUFFERED=unbuffered)
+    finally:
+        os.close(write)
+    assert proc.returncode == cli.EXIT_PARSE
+
+
 def test_closed_stdout_descriptor_drops_the_report(kepler_sys):
     # started with descriptor 1 closed, Python has no sys.stdout and print
     # writes nothing; the command still exits with its verdict
-    env = dict(os.environ, PYTHONPATH=str(Path(noetherkit.__file__).parents[1]))
-    proc = subprocess.run(["sh", "-c", 'exec "$@" >&-', "sh", sys.executable, "-m",
-                           "noetherkit.cli", "solve", kepler_sys, "lrl_u", "--mode", "strong",
-                           "--seed", "3"], stderr=subprocess.PIPE, text=True, env=env,
-                          timeout=120)
+    proc = _run_cli_redirected(">&-", ["solve", kepler_sys, "lrl_u", "--mode", "strong",
+                                       "--seed", "3"])
     assert (proc.returncode, proc.stderr) == (cli.EXIT_OK, "")
 
 

@@ -309,6 +309,14 @@ def test_total_dt_is_a_lazy_node():
     assert total_dt(ab.param_symbols[0] ** 2, ab) == 0
 
 
+def test_total_dt_returns_the_same_node_for_the_same_inputs(kepler):
+    # the compile memo then finds the node by identity
+    sysdef, N = kepler.system, kepler.integrals["lrl_u"]
+    ab = sysdef.alphabet
+    assert total_dt(N, ab, sysdef.lam) is total_dt(N, ab, sysdef.lam)
+    assert total_dt(N, ab) is total_dt(N, ab)
+
+
 def test_total_dt_subs_and_diff_act_on_the_expansion():
     node = total_dt(X**2 * YD, AB)
     assert sp.expand(node.subs(X, 3) - node.doit().subs(X, 3)) == 0

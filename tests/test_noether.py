@@ -1,4 +1,8 @@
 import ast
+import copy
+import hashlib
+import json
+import pickle
 from dataclasses import replace
 
 import numpy as np
@@ -15,6 +19,7 @@ from noetherkit.expressions import (
     draw_points,
     total_dt,
 )
+from noetherkit import noether
 from noetherkit.noether import (
     DENOM_MARGIN,
     FORMS,
@@ -412,34 +417,62 @@ _shifts = st.sampled_from((0.0, 1.0, 3.0))
 
 
 @st.composite
-def _solved(draw, systems):
+def _solved_chain(draw, systems):
     """A system with one of its integrals N, drawn from the corpus (the
-    isochrony family G = x at a drawn parameter c), and a triple for N:
-    solve_onflow or solve_strong at a drawn tau (and R), followed by drawn
-    multiplicity transforms to a boundary term h, trivializations, and a
-    conversion to the alternative convention.  The transforms that divide
-    by L + c draw that shift c too (0, 1 or 3), apart from the family's c."""
+    isochrony family G = x at a drawn parameter c), and a chain of triples
+    for N: solve_onflow or solve_strong at a drawn tau (and R), followed by
+    drawn multiplicity transforms to a boundary term h, trivializations, and
+    a conversion to the alternative convention.  The transforms that divide
+    by L + c draw that shift c too (0, 1 or 3), apart from the family's c.
+
+    Each triple comes with the xi that building it at once gives, by the
+    formula of its step, as the reference for the xi its first read builds."""
     name = draw(st.sampled_from(sorted(systems)))
     sysdef, integrals = systems[name]
     if name == "iso":  # G = x solves the family's ODE for every c
         sysdef = replace(sysdef, param_values={"c": draw(st.floats(-2, 2))})
     ab = sysdef.alphabet
+    vs = ab.velocity_symbols
+
+    def alt(tr):
+        return tr.form.startswith("alt")
+
     N = integrals[draw(st.sampled_from(sorted(integrals)))]
     tau = draw(_polys(ab))
     if draw(st.booleans()):
         tr = solve_strong(sysdef, N, tau)
+        xi = tuple(e + v * tau for e, v in zip(tr.eta, vs))
     else:
-        tr = solve_onflow(sysdef, N, tau, [draw(_polys(ab)) for _ in range(sysdef.n)])
+        xi = tuple(draw(_polys(ab)) for _ in range(sysdef.n))
+        tr = solve_onflow(sysdef, N, tau, xi)
+    chain = [(tr, xi)]
     for step in draw(st.lists(st.sampled_from(("h", "time", "gauge")), max_size=2)):
         if step == "h":
-            tr = multiplicity_transform(sysdef, tr, draw(_polys(ab)), c=draw(_shifts))
+            h, c = draw(_polys(ab)), draw(_shifts)
+            new = multiplicity_transform(sysdef, tr, h, c=c)
         elif step == "gauge":
-            tr = trivialize(sysdef, tr, step, c=draw(_shifts))
+            h, c = sp.Integer(0), draw(_shifts)
+            new = trivialize(sysdef, tr, step, c=c)
         else:
-            tr = trivialize(sysdef, tr, step)
+            new = trivialize(sysdef, tr, step)
+        if step == "time":
+            xi = xi if alt(tr) else tuple(x - v * tr.tau for x, v in zip(xi, vs))
+        elif not alt(tr):
+            shift = (h - tr.f) / (sysdef.L + c)
+            xi = tuple(x + v * shift for x, v in zip(xi, vs))
+        tr = new
+        chain.append((tr, xi))
     if draw(st.booleans()):
+        eta = xi if alt(tr) else tuple(x - v * tr.tau for x, v in zip(xi, vs))
+        xi = tuple(e + v * tr.tau for e, v in zip(eta, vs)) if alt(tr) else eta
         tr = convert_standard_alternative(sysdef, tr)
-    return sysdef, N, tr
+        chain.append((tr, xi))
+    return sysdef, N, chain
+
+
+def _solved(systems):
+    """A system, an integral N and the last triple of a chain for N."""
+    return _solved_chain(systems).map(lambda drawn: (drawn[0], drawn[1], drawn[2][-1][0]))
 
 
 @pytest.fixture(scope="module")
@@ -502,6 +535,118 @@ def test_triple_sums_are_the_chained_sums(systems, data):
     for convention in ("standard", "alternative"):
         assert sp.srepr(_integral_expr(sysdef, tr, convention)) == sp.srepr(
             _chained_integral(sysdef, tr, convention))
+
+
+@given(data=st.data())
+def test_triples_keep_the_trees_of_their_xi(systems, data):
+    # a stored eta is the tree that deriving it from xi builds, and the xi
+    # that a first read builds is the tree that building it at once gives
+    sysdef, _, chain = data.draw(_solved_chain(systems))
+    for tr, xi in chain:
+        convention = "alternative" if tr.form.startswith("alt") else "standard"
+        if tr.eta is not None:
+            assert sp.srepr(tr.eta) == sp.srepr(_eta(sysdef, tr.tau, tr.xi, convention))
+        assert sp.srepr(tr.xi) == sp.srepr(xi)
+
+
+def test_replace_derives_eta_again(kepler):
+    # a replaced component or form leaves the solver's eta behind, so the
+    # verdict is that of the same components without a stored eta
+    sysdef, ab = kepler.system, kepler.system.alphabet
+    tr = solve_strong(sysdef, kepler.integrals["lrl_u"], ab.t)
+    assert verify_triple(sysdef, tr).passed
+    r1 = ab.coord_symbols[0]
+    for changed in (replace(tr, tau=r1), replace(tr, xi=tuple(x + r1 for x in tr.xi)),
+                    replace(tr, form="alt_strong")):
+        assert changed.eta is None
+        plain = Triple(changed.tau, changed.xi, changed.f, changed.form, changed.exclusions)
+        rep = verify_triple(sysdef, changed)
+        assert not rep.passed
+        assert rep.to_dict() == verify_triple(sysdef, plain).to_dict()
+
+
+@pytest.mark.parametrize("solve", [
+    lambda sysdef, N: solve_strong(sysdef, N, sysdef.alphabet.t),
+    lambda sysdef, N: solve_onflow_with_R(sysdef, N, sysdef.alphabet.coord_symbols),
+], ids=["strong", "onflow_with_R"])
+def test_integral_of_a_solved_triple_builds_no_xi(kepler, monkeypatch, solve):
+    calls = []
+    real = noether._xi
+
+    def spy(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(noether, "_xi", spy)
+    sysdef = kepler.system
+    tr = solve(sysdef, kepler.integrals["lrl_u"])
+    assert noether_integral(sysdef, tr).verified
+    assert calls == []
+    assert len(tr.xi) == sysdef.n and len(calls) == 1
+
+
+@pytest.mark.parametrize("clone", [lambda tr: pickle.loads(pickle.dumps(tr)), copy.deepcopy],
+                         ids=["pickle", "deepcopy"])
+def test_triples_with_xi_not_built_copy_whole(kepler, clone):
+    sysdef, N = kepler.system, kepler.integrals["lrl_u"]
+    for tr in (solve_strong(sysdef, N, sysdef.alphabet.t),
+               solve_onflow_with_R(sysdef, N, sysdef.alphabet.coord_symbols)):
+        copied = clone(tr)
+        assert copied == tr and hash(copied) == hash(tr)
+        assert noether_integral(sysdef, copied).expr == noether_integral(sysdef, tr).expr
+
+
+# Library round trips at seed 11, pinned by sha256: for each integral of the
+# entry in turn, the srepr of the solved triple's tau, xi and f and of its
+# derived integral, and that integral's conservation residual (float.hex)
+# and witness.  A change that moves one node of a tree or one bit of a
+# residual fails here.
+CHAIN_SOLVERS = {
+    "strong": lambda s, N: (solve_strong(s, N, s.alphabet.t * s.alphabet.coord_symbols[0],
+                                         seed=11), "standard"),
+    "onflow_simplest": lambda s, N: (solve_onflow_simplest(s, N, seed=11), "standard"),
+    "onflow_with_R": lambda s, N: (solve_onflow_with_R(s, N, s.alphabet.coord_symbols,
+                                                       seed=11), "standard"),
+    "alt_strong_trivial_gauge": lambda s, N: (solve_alt_strong_trivial_gauge(s, N, seed=11),
+                                              "alternative"),
+}
+PINNED_CHAINS = {
+    ("kepler", "strong"): "8839ea53e3a3937f2ac6fd3649c7c92c197383fa650eed94671a171bfd38e503",
+    ("kepler", "onflow_simplest"):
+        "486f08307e7915bedf29a7536aa4c5541e3766240e601c716947539fe7f8e767",
+    ("kepler", "onflow_with_R"): "31f7d0d0380bc47cb094137976dd09e11a9b963f158cd0c6c81aa8bcf668f431",
+    ("kepler", "alt_strong_trivial_gauge"):
+        "dde16cafd8925daa0960d39e46ed4333842e2afeee5e7aae042d682d7eeb37b8",
+    ("iso", "strong"): "63b934459ee167e0adac4998f67dfd98da7ee604fcd7e6987bdaf8d4889f8ef2",
+    ("iso", "onflow_simplest"): "c246a6db627d69cf048b89e78ef8e689f404796305961bffb63cec91f0301f5b",
+    ("iso", "onflow_with_R"): "8facbf1dee8dd5371fd77d022e27202d4e221492d0b4bea41ca55fabdfd8d277",
+    ("iso", "alt_strong_trivial_gauge"):
+        "fd843c9a47604bafff8c1e29d1fe63c91d01991bc840896b745a3f1bcb5a3ff5",
+    ("iso_steep", "strong"): "059827a0eba921a5064209d2903bc375bafea1de3035c7a937107d3d5c044299",
+    ("iso_steep", "onflow_simplest"):
+        "863869d6f890c7703c96ea0148652e6cac1f7879b4342e8cf1a1e6be1769d11e",
+    ("iso_steep", "onflow_with_R"):
+        "d5bed5a94d11f36e5de9429cdc2ed32e7960fc3db6e111e91ebedc425d7d4216",
+    ("iso_steep", "alt_strong_trivial_gauge"):
+        "422680e35f53e48e7b971fc58e1cf395d82324971e148f07b857f3b7d9773240",
+}
+
+
+@pytest.mark.parametrize("name", ["kepler", "iso", "iso_steep"])
+def test_library_round_trips_are_pinned(name, request):
+    entry = request.getfixturevalue(name)
+    sysdef = entry.system
+    for solver, solve in CHAIN_SOLVERS.items():
+        digest = hashlib.sha256()
+        for N in entry.integrals.values():
+            tr, convention = solve(sysdef, N)
+            out = noether_integral(sysdef, tr, convention, seed=11)
+            rep = out.conservation
+            for part in (sp.srepr(tr.tau), *map(sp.srepr, tr.xi), sp.srepr(tr.f),
+                         sp.srepr(out.expr), rep.max_residual.hex(),
+                         json.dumps(rep.worst_point, sort_keys=True)):
+                digest.update(part.encode() + b"\n")
+        assert digest.hexdigest() == PINNED_CHAINS[name, solver], solver
 
 
 @given(data=st.data(), eps=st.sampled_from((1e-3, 0.1, 1.0)))
