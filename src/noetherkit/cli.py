@@ -9,15 +9,17 @@ system to P (default ``NAME.sys``) and its triples to P with suffix ``.tri``.
 Exit codes: 0 success / PASS, 1 verification FAIL, 2 parse error or invalid
 option (including an integration of more than ``dynamics.MAX_STEPS`` steps,
 a system whose derived expressions hold a function outside the compiled
-grammar, a ``[triple]`` section in a system file, an output path that
-cannot be written or, for ``corpus export``, ends in ``.tri``, and a stdout
-that cannot be written, such as a pipe whose reader has gone), 3 regularity
+grammar, a ``[triple]`` section in a system file, a system file that no
+system can be built from, an output path that cannot be written or, for
+``corpus export``, ends in ``.tri``, and a stdout that cannot be written,
+such as a pipe whose reader has gone), 3 regularity
 failure (or exclusions that reject every sample point), 4 conservation
 precheck failure, 5 singularity during a solve or verification, an
 integration starting in a singular zone, or a monitored integral not
 evaluable along the trajectory, 6 trajectory truncated at a singular zone or
-where its state stops being finite.  Errors print one line on stderr; a
-stderr that is closed or cannot be written loses the line, not the code.
+where its state stops being finite.  Errors print one line on stderr, and
+``verify`` prints its FAIL lines once the report is out; a stderr that is
+closed or cannot be written loses the lines, not the code.
 
 The command is a one-shot process (``run``): once its output is flushed it
 ends with ``os._exit``, skipping the interpreter teardown, which frees
@@ -43,9 +45,9 @@ from pathlib import Path
 from typing import NoReturn
 
 from . import corpus as corpus_mod
-from .dsl import ExprSyntaxError, parse, print_expr
+from .dsl import parse, print_expr
 from .dynamics import SingularStartError, integrate, monitor_drift, write_trajectory_csv
-from .expressions import DomainViolation, SamplingError, UndeclaredSymbolError
+from .expressions import DomainViolation, SamplingError
 from .mechanics import REGULARITY_SAMPLES, RegularityError
 from .noether import (
     FORMS,
@@ -56,7 +58,6 @@ from .noether import (
     verify_triple,
 )
 from .sysfile import (
-    SystemFileError,
     read_system_file,
     read_triple_file,
     write_system_file,
@@ -76,26 +77,31 @@ def _emit(report: dict, out: str | None) -> None:
     text = json.dumps(report, indent=2, sort_keys=True)
     if out:
         Path(out).write_text(text + "\n")
-    else:
-        print(text)
+    else:  # a stdout that cannot be written fails here, before any stderr line
+        print(text, flush=True)
+
+
+def _note(line: str) -> None:
+    """Print line on stderr, unless stderr is closed or cannot be written."""
+    if _sys.stderr:  # None in a process started with descriptor 2 closed
+        with contextlib.suppress(OSError):
+            print(line, file=_sys.stderr)
 
 
 def _error(message, code: int) -> int:
     """Print the error line on stderr and return code, also when stderr is
     closed or cannot be written: exit 1 stays a verification FAIL."""
-    if _sys.stderr:  # None in a process started with descriptor 2 closed
-        with contextlib.suppress(OSError):
-            print(f"error: {message}", file=_sys.stderr)
+    _note(f"error: {message}")
     return code
 
 
 def _load_system(path: str):
     try:
         return read_system_file(path)
-    except (OSError, SystemFileError, ExprSyntaxError, UndeclaredSymbolError) as err:
-        raise SystemExit(_error(err, EXIT_PARSE))
     except (RegularityError, SamplingError) as err:  # the exclusions may cover the box
         raise SystemExit(_error(err, EXIT_REGULARITY))
+    except (OSError, ValueError) as err:  # the file, its grammar, names or mechanics
+        raise SystemExit(_error(err, EXIT_PARSE))
 
 
 def cmd_describe(args) -> int:
@@ -131,7 +137,7 @@ def cmd_solve(args) -> int:
             given.append(("the integral", N))
         tau = parse(args.tau or "0", ab)
         R = [parse(r, ab) for r in args.R.split(";")] if args.R else None
-    except (ExprSyntaxError, UndeclaredSymbolError) as err:
+    except ValueError as err:
         return _error(err, EXIT_PARSE)
     for option, e in [*given, ("--tau", tau), *(("--R", r) for r in R or ())]:
         if e.has(*ab.acceleration_symbols):
@@ -174,28 +180,25 @@ def cmd_verify(args) -> int:
     sysdef = sf.system
     try:
         triples = read_triple_file(args.triple, sysdef.alphabet)
-    except (OSError, SystemFileError, ExprSyntaxError, UndeclaredSymbolError) as err:
+    except (OSError, ValueError) as err:
         return _error(err, EXIT_PARSE)
     form = args.form.replace("-", "_") if args.form else None
-    all_passed = True
-    reports = []
+    reports, failures = [], []
     try:
         for name, tr in triples.items():
             rep = verify_triple(
                 sysdef, tr, form=form, k=args.k, tol=args.tol, seed=args.seed
             )
             reports.append({"triple": name, **rep.to_dict()})
-            all_passed = all_passed and rep.passed
             if not rep.passed:
-                print(
-                    f"FAIL {name}: residual {rep.max_residual:.3e} "
-                    f"at witness {rep.worst_point}",
-                    file=_sys.stderr,
-                )
+                failures.append(f"FAIL {name}: residual {rep.max_residual:.3e} "
+                                f"at witness {rep.worst_point}")
     except (SamplingError, DomainViolation) as err:
         return _error(err, EXIT_SINGULAR)
     _emit({"reports": reports}, args.out)
-    return EXIT_OK if all_passed else EXIT_FAIL
+    for line in failures:  # once the report is out, so an error stays one line
+        _note(line)
+    return EXIT_FAIL if failures else EXIT_OK
 
 
 def cmd_integrate(args) -> int:

@@ -143,7 +143,10 @@ class _Parser:
         for term in e.args if e.is_Add else (e,):
             coeff = term.as_coeff_Mul()[0]
             if math.isinf(float(coeff)):
-                raise ExprSyntaxError(f"number beyond the float range: {sp.N(coeff, 3)}", pos)
+                # a Float formats through decimal, which refuses an exponent as
+                # large as exp(1e308)'s: print it, in decimal's notation
+                raise ExprSyntaxError(
+                    f"number beyond the float range: {str(sp.N(coeff, 3)).upper()}", pos)
         return e
 
     def prefix(self) -> sp.Expr:

@@ -153,12 +153,18 @@ class Alphabet:
 
     def __post_init__(self):
         names = list(self.coords) + list(self.params)
+        # the names lookup gives to velocities and accelerations
+        derived = {c + d for c in self.coords for d in ("dot", "ddot")}
+        derived |= {f"q{d}{i}" for i, c in enumerate(self.coords, start=1) if c == f"q{i}"
+                    for d in ("dot", "ddot")}
         seen = set()
         for name in names:
             if name in _RESERVED:
                 raise ValueError(f"symbol name {name!r} is reserved")
             if name in seen:
                 raise ValueError(f"symbol name {name!r} declared twice")
+            if name in derived:
+                raise ValueError(f"symbol name {name!r} names a velocity or acceleration")
             seen.add(name)
 
     @property

@@ -24,13 +24,17 @@ f = N + L*tau + d_qdot L . eta.  The zero-gauge solvers compose them with
 ``trivialize`` (through ``multiplicity_transform``) and
 ``convert_standard_alternative``, which all keep eta.
 
-A triple keeps its eta (``Triple.eta``): the solvers store the one they
-computed, the gauge transform passes it on where deriving it again would
-build the same tree, and otherwise the first check derives it from xi and
-keeps it.  So the checks read eta, not xi.  The solvers and the gauge
-transform give xi as a recipe that its first read runs, with the same
-sympy operations as building it at once, so printed and written triples
-do not change; a solve and ``noether_integral`` never build it.
+A triple keeps its eta (``Triple.eta``), the one quantity this module
+derives: the solvers store the one they computed, every transform passes
+it on (the gauge transform where deriving it again would build the same
+tree), and otherwise the first check derives it from xi and keeps it.  So
+the checks read eta, not xi.  Every solver and transform builds its triple
+through ``_derived`` and gives xi as a recipe that its first read runs,
+with the same sympy operations as building it at once, so printed and
+written triples do not change; a solve, its transforms and
+``noether_integral`` never build it.  ``verify_triple`` returns a
+``VerificationReport``, the ``IdentityReport`` of the Killing-equation
+check with the sense checked and the integral's check added.
 
 The total derivatives (tau_dot, xi_dot, f_dot and N_dot) are lazy
 :class:`~noetherkit.expressions.TotalDerivative` nodes: the oracle
@@ -128,9 +132,10 @@ class Triple:
     verification sampling keeps away from their zero sets.
 
     ``eta`` is the characteristic in the convention of ``form``: the one a
-    solver computed, or None until the first check derives it from xi (in
-    the velocities of the system checked against) and keeps it.  ``replace``
-    leaves it unset.  xi may be given as a :class:`_Pending` recipe.
+    solver or transform computed (every transform keeps eta), or None until
+    the first check derives it from xi (in the velocities of the system
+    checked against) and keeps it.  ``replace`` leaves it unset.  xi may be
+    given as a :class:`_Pending` recipe.
     """
 
     tau: sp.Expr
@@ -177,34 +182,20 @@ class FirstIntegral:
 
 
 @dataclass(frozen=True)
-class VerificationReport:
-    """Residual statistics of a Killing-type equation check."""
+class VerificationReport(IdentityReport):
+    """The report of a Killing-type equation check in the sense ``mode``.
+    With an integral supplied, ``integral_check`` is the check of its Noether
+    formula, and ``passed`` holds only if both checks pass."""
 
-    check: str
-    mode: str
-    k: int
-    tol: float
-    max_residual: float
-    worst_point: dict[str, float]
-    passed: bool
-    seed: int
+    mode: str = ""
     integral_check: IdentityReport | None = None
 
     @property
-    def verdict(self) -> str:
-        return "PASS" if self.passed else "FAIL"
+    def check(self) -> str:
+        return self.label
 
     def to_dict(self) -> dict:
-        out = {
-            "check": self.check,
-            "mode": self.mode,
-            "k": self.k,
-            "tol": self.tol,
-            "max_residual": self.max_residual,
-            "worst_point": self.worst_point,
-            "verdict": self.verdict,
-            "seed": self.seed,
-        }
+        out = {"check": self.label, "mode": self.mode} | super().to_dict()
         if self.integral_check is not None:
             out["integral_check"] = self.integral_check.to_dict()
         return out
@@ -221,21 +212,21 @@ def _characteristic(sys: LagrangianSystem, tr: Triple, convention: str) -> tuple
     own = convention == _decode(tr.form)[1]
     if own and tr.eta is not None:
         return tr.eta
-    if len(tr.xi) != sys.n:
-        raise ValueError(f"xi has length {len(tr.xi)}, expected {sys.n}")
     eta = _eta(sys, tr.tau, tr.xi, convention)
     if own:
         object.__setattr__(tr, "eta", eta)
     return eta
 
 
-def _check_triple_shape(sys: LagrangianSystem, tr: Triple, convention: str) -> None:
-    """n components, and tau, eta and f free of accelerations: with tau free
-    of them, xi is free of them exactly when eta is."""
+def _checked_eta(sys: LagrangianSystem, tr: Triple, convention: str) -> tuple:
+    """The triple's eta in the convention, once tau, eta and f are found free
+    of accelerations: with tau free of them, xi is free of them exactly when
+    eta is."""
     accs = frozenset(sys.alphabet.acceleration_symbols)
     eta = _characteristic(sys, tr, convention)
     if any(_occurring(sp.sympify(e), accs) for e in (tr.tau, *eta, tr.f)):
         raise ValueError("triple components must be free of accelerations")
+    return eta
 
 
 def _decode(form: str) -> tuple[bool, str]:
@@ -247,6 +238,8 @@ def _decode(form: str) -> tuple[bool, str]:
 
 def _eta(sys: LagrangianSystem, tau, xi: Sequence, convention: str) -> tuple:
     """The characteristic: xi - qdot*tau (standard) or xi (alternative)."""
+    if len(xi) != sys.n:
+        raise ValueError(f"xi has length {len(xi)}, expected {sys.n}")
     if convention == "alternative":
         return tuple(xi)
     return tuple(x - v * tau for x, v in zip(xi, sys.alphabet.velocity_symbols))
@@ -254,6 +247,8 @@ def _eta(sys: LagrangianSystem, tau, xi: Sequence, convention: str) -> tuple:
 
 def _xi(sys: LagrangianSystem, tau, eta: Sequence, convention: str) -> tuple:
     """Inverse of ``_eta``: xi from the characteristic and the time change."""
+    if len(eta) != sys.n:
+        raise ValueError(f"xi has length {len(eta)}, expected {sys.n}")
     if convention == "alternative":
         return tuple(eta)
     return tuple(e + v * tau for e, v in zip(eta, sys.alphabet.velocity_symbols))
@@ -285,14 +280,13 @@ def _killing_terms(sys: LagrangianSystem, tr: Triple, form: str):
     """The left-hand side of :func:`killing_lhs`, with the Dt(f) and the N
     it is built from, so that a verification derives each once."""
     strong, convention = _decode(form)
-    _check_triple_shape(sys, tr, convention)
+    eta = _checked_eta(sys, tr, convention)
     ab = sys.alphabet
     lam = None if strong else sys.lam
-    N = _integral_expr(sys, tr, convention)
+    N = _integral_expr(sys, tr, eta)
     dt_f = total_dt(tr.f, ab, lam)
     lhs = dt_f - total_dt(N, ab, lam)
     if strong:
-        eta = _characteristic(sys, tr, convention)
         lhs -= sum(e * Ei for e, Ei in zip(eta, sys.E, strict=True))
     return lhs, dt_f, N
 
@@ -334,17 +328,8 @@ def verify_triple(
             label=f"noether-integral:{convention}",
         )
     passed = rep.passed and (integral_check is None or integral_check.passed)
-    return VerificationReport(
-        check=rep.label,
-        mode=form,
-        k=k,
-        tol=tol,
-        max_residual=rep.max_residual,
-        worst_point=rep.worst_point,
-        passed=passed,
-        seed=seed,
-        integral_check=integral_check,
-    )
+    return VerificationReport(**(vars(rep) | {"passed": passed}), mode=form,
+                              integral_check=integral_check)
 
 
 def check_conserved(
@@ -378,9 +363,8 @@ def _g_inv_grad(sys: LagrangianSystem, Nexpr: sp.Expr, seed: int) -> tuple[sp.Ex
     return invert_g_apply(sys, grad, seed=seed)
 
 
-def _integral_expr(sys: LagrangianSystem, tr: Triple, convention: str) -> sp.Expr:
+def _integral_expr(sys: LagrangianSystem, tr: Triple, eta: Sequence) -> sp.Expr:
     """N = f - L*tau - p . eta, as one sum (see :func:`_complete`)."""
-    eta = _characteristic(sys, tr, convention)
     return sp.Add(tr.f, -_L_times(sys, tr.tau), *[-(pi * e) for pi, e in zip(sys.p, eta)])
 
 
@@ -397,9 +381,9 @@ def noether_integral(
     checked and recorded (an unverified result carries its witness point)."""
     if convention not in ("standard", "alternative"):
         raise ValueError(f"unknown convention {convention!r}")
-    _check_triple_shape(sys, tr, convention)
+    eta = _checked_eta(sys, tr, convention)
     return check_conserved(
-        sys, _integral_expr(sys, tr, convention), k=k, tol=tol, seed=seed,
+        sys, _integral_expr(sys, tr, eta), k=k, tol=tol, seed=seed,
         extra_exclusions=tr.exclusions, name=f"noether:{convention}",
     )
 
@@ -408,11 +392,9 @@ def solve_onflow(sys: LagrangianSystem, N, tau, xi: Sequence, *, seed: int = 0) 
     """Complete an arbitrary (tau, xi) to an on-flow triple for integral N:
     f = N + L*tau + d_qdot L . eta with eta = xi - qdot*tau."""
     xi = tuple(sp.sympify(x) for x in xi)
-    if len(xi) != sys.n:
-        raise ValueError(f"xi has length {len(xi)}, expected {sys.n}")
-    Nexpr = _require_conserved(sys, N, seed).expr
     tau = sp.sympify(tau)
     eta = _eta(sys, tau, xi, "standard")
+    Nexpr = _require_conserved(sys, N, seed).expr
     return _derived(tau, xi, _complete(sys, Nexpr, tau, eta), ONFLOW, (), eta)
 
 
@@ -468,16 +450,17 @@ def multiplicity_transform(
     xi += qdot*s in the standard convention.  The shift c keeps the
     denominator off the zero set of L; f = h only at c = 0.
 
-    The result keeps the stored eta where deriving it from the new xi would
-    give its tree back: in the alternative convention, and where tau is
-    structurally 0, since then (xi + qdot*s) - qdot*s folds to xi."""
+    The result keeps eta where deriving it from the new xi would give its
+    tree back: in the alternative convention, and where tau is structurally
+    0, since then (xi + qdot*s) - qdot*s folds to xi."""
     h = sp.sympify(h)
     shift = (h - tr.f) / (sys.L + c)
     _, convention = _decode(tr.form)
     # 0.0*shift folds to 0 only after sympy has asked whether shift is finite,
     # which costs milliseconds on a solver's expressions
     f = h - c * shift if c else h
-    eta = tr.eta if convention == "alternative" or sp.S(tr.tau) is sp.S.Zero else None
+    keep = convention == "alternative" or sp.S(tr.tau) is sp.S.Zero
+    eta = _characteristic(sys, tr, convention) if keep else None
     return _derived(
         tr.tau + shift, _Pending(lambda: _xi(sys, shift, tr.xi, convention)), f, tr.form,
         tr.exclusions + (Exclusion(sys.L + c, DENOM_MARGIN),), eta,
@@ -490,14 +473,9 @@ def trivialize(sys: LagrangianSystem, tr: Triple, which: str, *, c: float = 0.0)
     multiplicity transform to h = 0, which leaves f*c/(L+c), zero only at
     c = 0); the first integral is unchanged."""
     if which == "time":
-        _, convention = _decode(tr.form)
-        return Triple(
-            tau=sp.Integer(0),
-            xi=_eta(sys, tr.tau, tr.xi, convention),
-            f=tr.f - _L_times(sys, tr.tau),
-            form=tr.form,
-            exclusions=tr.exclusions,
-        )
+        eta = _characteristic(sys, tr, _decode(tr.form)[1])
+        return _derived(sp.Integer(0), eta, tr.f - _L_times(sys, tr.tau), tr.form,
+                        tr.exclusions, eta)
     if which == "gauge":
         return multiplicity_transform(sys, tr, 0, c=c)
     raise ValueError(f"unknown trivialization {which!r}")
@@ -513,8 +491,9 @@ def convert_standard_alternative(sys: LagrangianSystem, tr: Triple) -> Triple:
         other, form = "standard", tr.form.removeprefix("alt_")
     else:
         other, form = "alternative", "alt_" + tr.form
-    xi = _xi(sys, tr.tau, _eta(sys, tr.tau, tr.xi, convention), other)
-    return Triple(tau=tr.tau, xi=xi, f=tr.f, form=form, exclusions=tr.exclusions)
+    eta = _characteristic(sys, tr, convention)
+    return _derived(tr.tau, _Pending(_xi, sys, tr.tau, eta, other), tr.f, form,
+                    tr.exclusions, eta)
 
 
 _VI_REASONS = {

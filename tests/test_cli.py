@@ -432,6 +432,19 @@ def test_reports_are_seed_deterministic(fp_sys, tmp_path):
 KEPLER_ORBIT = "0,1,0,0,0,1,0"
 
 # (argv with {name} for the path of the system file fixture name_sys, exit code)
+# [system] bodies the CLI cannot build a system from: reserved, repeated or
+# derived names, and an acceleration in the Lagrangian
+UNBUILDABLE = {
+    "coord_t": "dim = 1\ncoords = t\nlagrangian = tdot^2/2",
+    "coord_sin": "dim = 1\ncoords = sin\nlagrangian = sindot^2/2",
+    "coord_twice": "dim = 2\ncoords = q, q\nlagrangian = qdot^2/2",
+    "param_coord": "dim = 1\ncoords = q\nparams = q = 1\nlagrangian = qdot^2/2",
+    "accel_lagrangian": "dim = 1\ncoords = q\nlagrangian = qdot^2/2 + qddot",
+    "coord_velocity": "dim = 2\ncoords = q, qdot\nlagrangian = qdot^2/2 + qdotdot^2/2",
+    "param_velocity": "dim = 1\ncoords = q\nparams = qdot = 1\nlagrangian = qdot^2/2",
+}
+
+
 EXIT_TABLE = [
     (["solve", "{fp}", "sqrt(q)", "--mode", "strong"], cli.EXIT_SINGULAR),
     (["solve", "{fp}", "log(q)", "--mode", "onflow-simplest"], cli.EXIT_SINGULAR),
@@ -508,13 +521,21 @@ EXIT_TABLE = [
     (["solve", "{accel_integral}", "push", "--mode", "strong"], cli.EXIT_PARSE),
     (["integrate", "{accel_integral}", "0,1,1", "--t1", "1", "--monitor", "push"],
      cli.EXIT_PARSE),
+    *((["describe", "{%s}" % name], cli.EXIT_PARSE) for name in UNBUILDABLE),
 ]
 
 
 def _argv(argv, request):
-    """argv with each {name} replaced by the path of the fixture name_sys."""
-    return [re.sub(r"\{(\w+)\}", lambda m: request.getfixturevalue(m[1] + "_sys"), a)
-            for a in argv]
+    """argv with each {name} replaced by the path of the fixture name_sys, or
+    of a system file written from UNBUILDABLE[name]."""
+    def path(m):
+        if m[1] not in UNBUILDABLE:
+            return request.getfixturevalue(m[1] + "_sys")
+        out = request.getfixturevalue("tmp_path") / f"{m[1]}.sys"
+        out.write_text(f"[system]\n{UNBUILDABLE[m[1]]}\n")
+        return str(out)
+
+    return [re.sub(r"\{(\w+)\}", path, a) for a in argv]
 
 
 @pytest.mark.parametrize("argv, code", EXIT_TABLE, ids=lambda v: " ".join(v)
@@ -578,6 +599,20 @@ def test_closed_stdout_is_one_line_and_exit_2(unbuffered, kepler_sys):
     assert proc.stderr == f"error: [Errno {errno.EPIPE}] {os.strerror(errno.EPIPE)}\n"
 
 
+@pytest.mark.parametrize("unbuffered", ["1", ""], ids=["PYTHONUNBUFFERED=1", "buffered"])
+def test_closed_stdout_after_a_fail_is_one_line(unbuffered, kepler_sys, kepler_tri_sys):
+    # the report fails before the FAIL lines are printed, so only its error shows
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        proc = _run_cli(["verify", kepler_sys, kepler_tri_sys, "--form", "strong", "--seed",
+                         "5"], stdout=write, PYTHONUNBUFFERED=unbuffered)
+    finally:
+        os.close(write)
+    assert proc.returncode == cli.EXIT_PARSE
+    assert proc.stderr == f"error: [Errno {errno.EPIPE}] {os.strerror(errno.EPIPE)}\n"
+
+
 def _run_cli_redirected(redirect, argv, stdout=subprocess.PIPE, **env):
     """``_run_cli`` in a process started through the shell ``redirect``: one
     that closes a descriptor (Python then has no sys.stdout or sys.stderr)
@@ -616,6 +651,25 @@ def test_lost_stderr_and_stdout_is_exit_2(redirect, unbuffered, kepler_sys):
     finally:
         os.close(write)
     assert proc.returncode == cli.EXIT_PARSE
+
+
+@STDERR_LOST
+def test_lost_stderr_keeps_a_fail_and_its_report(redirect, kepler_sys, kepler_tri_sys):
+    # noetherkit verify ... --form strong 2>&-: the FAIL lines cannot be
+    # written; the report on stdout and exit 1 stand
+    proc = _run_cli_redirected(redirect, ["verify", kepler_sys, kepler_tri_sys, "--form",
+                                          "strong", "--seed", "5"])
+    assert proc.returncode == cli.EXIT_FAIL
+    assert "FAIL" in {r["verdict"] for r in json.loads(proc.stdout)["reports"]}
+
+
+def test_a_fail_whose_report_cannot_be_written_is_one_error_line(kepler_sys, kepler_tri_sys,
+                                                                  capsys):
+    # the FAIL lines follow the report, so an error writing it stays alone
+    code, out, err = _in_process(["verify", kepler_sys, kepler_tri_sys, "--form", "strong",
+                                  "--out", "no-such-dir/r.json"], capsys)
+    assert (code, out) == (cli.EXIT_PARSE, "")
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
 
 
 def test_closed_stdout_descriptor_drops_the_report(kepler_sys):

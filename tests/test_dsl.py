@@ -125,3 +125,9 @@ def test_round_trip_on_corpus_expressions(kepler):
             again, expr, sysdef.alphabet,
             param_values=sysdef.param_values, domain=sysdef.domain(), k=20,
         ).passed
+
+
+def test_a_number_beyond_decimal_range_is_a_syntax_error():
+    # exp(1e308) folds to a Float whose exponent decimal cannot format
+    with pytest.raises(ExprSyntaxError, match=r"beyond the float range: 1\.\d\dE\+4342944819"):
+        parse("log(exp(1e308))", AB)

@@ -51,6 +51,15 @@ def test_alphabet_rejects_reserved_and_duplicate_names():
         Alphabet(coords=("x", "x"))
 
 
+@pytest.mark.parametrize("coords, params", [
+    (("q", "qdot"), ()), (("q",), ("qdot",)), (("q",), ("qddot",)), (("q1",), ("qdot1",)),
+])
+def test_alphabet_rejects_the_names_of_velocities_and_accelerations(coords, params):
+    # qdot declared beside q would be the same Symbol as q's velocity
+    with pytest.raises(ValueError, match="names a velocity or acceleration"):
+        Alphabet(coords=coords, params=params)
+
+
 def test_lookup_and_aliases():
     ab = Alphabet(coords=("q1", "q2"))
     assert ab.lookup("q1dot") == ab.velocity_symbols[0]

@@ -39,6 +39,7 @@ from noetherkit.noether import (
     trivialize,
     velocity_independence_check,
     verify_triple,
+    _characteristic,
     _complete,
     _eta,
     _integral_expr,
@@ -533,7 +534,8 @@ def test_triple_sums_are_the_chained_sums(systems, data):
     assert sp.srepr(_complete(sysdef, N, tau, eta)) == sp.srepr(
         _chained_complete(sysdef, N, tau, eta))
     for convention in ("standard", "alternative"):
-        assert sp.srepr(_integral_expr(sysdef, tr, convention)) == sp.srepr(
+        eta = _characteristic(sysdef, tr, convention)
+        assert sp.srepr(_integral_expr(sysdef, tr, eta)) == sp.srepr(
             _chained_integral(sysdef, tr, convention))
 
 
@@ -565,11 +567,9 @@ def test_replace_derives_eta_again(kepler):
         assert rep.to_dict() == verify_triple(sysdef, plain).to_dict()
 
 
-@pytest.mark.parametrize("solve", [
-    lambda sysdef, N: solve_strong(sysdef, N, sysdef.alphabet.t),
-    lambda sysdef, N: solve_onflow_with_R(sysdef, N, sysdef.alphabet.coord_symbols),
-], ids=["strong", "onflow_with_R"])
-def test_integral_of_a_solved_triple_builds_no_xi(kepler, monkeypatch, solve):
+@pytest.fixture()
+def xi_calls(monkeypatch):
+    """The argument tuples of every ``_xi`` call made while the test runs."""
     calls = []
     real = noether._xi
 
@@ -578,11 +578,42 @@ def test_integral_of_a_solved_triple_builds_no_xi(kepler, monkeypatch, solve):
         return real(*args)
 
     monkeypatch.setattr(noether, "_xi", spy)
+    return calls
+
+
+@pytest.mark.parametrize("solve, convention", [
+    (lambda sysdef, N: solve_strong(sysdef, N, sysdef.alphabet.t), "standard"),
+    (lambda sysdef, N: solve_onflow_with_R(sysdef, N, sysdef.alphabet.coord_symbols),
+     "standard"),
+    (solve_alt_strong_trivial_gauge, "alternative"),
+], ids=["strong", "onflow_with_R", "alt_strong_trivial_gauge"])
+def test_integral_of_a_solved_triple_builds_no_xi(kepler, xi_calls, solve, convention):
     sysdef = kepler.system
     tr = solve(sysdef, kepler.integrals["lrl_u"])
+    assert noether_integral(sysdef, tr, convention).verified
+    assert xi_calls == []
+    assert len(tr.xi) == sysdef.n and len(xi_calls) == 1
+
+
+def test_integral_of_a_time_trivialized_triple_builds_no_xi(kepler, xi_calls):
+    # trivialize(..., "time") keeps the solver's eta, which is its xi
+    sysdef = kepler.system
+    tr = trivialize(sysdef, solve_strong(sysdef, kepler.integrals["lrl_u"], sysdef.alphabet.t),
+                    "time")
     assert noether_integral(sysdef, tr).verified
-    assert calls == []
-    assert len(tr.xi) == sysdef.n and len(calls) == 1
+    assert xi_calls == [] and tr.xi is tr.eta
+
+
+@pytest.mark.parametrize("transform", [
+    lambda sysdef, tr: trivialize(sysdef, tr, "time"),
+    convert_standard_alternative,
+    lambda sysdef, tr: multiplicity_transform(sysdef, tr, sysdef.alphabet.t),
+], ids=["trivialize_time", "convert", "multiplicity"])
+def test_transforms_refuse_a_triple_with_extra_xi_components(fp, transform):
+    # a component with no velocity to pair with is refused, not dropped
+    bad = Triple(0, (1, fp.system.alphabet.coord_symbols[0]), 0, "strong")
+    with pytest.raises(ValueError, match="xi has length 2, expected 1"):
+        transform(fp.system, bad)
 
 
 @pytest.mark.parametrize("clone", [lambda tr: pickle.loads(pickle.dumps(tr)), copy.deepcopy],
