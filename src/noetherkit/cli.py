@@ -276,8 +276,17 @@ def _positive(kind):
     return _above(kind, 0, "positive and finite")
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser whose errors are one stderr line and exit 2; its
+    subcommand parsers are of this class too.  ``-h`` still prints the usage
+    on stdout and exits 0."""
+
+    def error(self, message) -> NoReturn:
+        raise SystemExit(_error(message, EXIT_PARSE))
+
+
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="noetherkit",
         description="Build and verify Killing-type solution triples for "
         "Lagrangian systems",
@@ -342,7 +351,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     try:
         try:
-            # argparse exits with code 2 on invalid arguments
+            # an invalid argument exits with code 2
             args = build_parser().parse_args(argv)
             if args.command == "corpus" and args.action == "export" and not args.name:
                 return _error("corpus export needs a name", EXIT_PARSE)

@@ -20,7 +20,7 @@ import re
 import sympy as sp
 from sympy.printing.str import StrPrinter
 
-from .expressions import Alphabet, STANDARD_FUNCTIONS, UndeclaredSymbolError
+from .expressions import IDENTIFIER, Alphabet, STANDARD_FUNCTIONS, UndeclaredSymbolError
 
 __all__ = ["parse", "print_expr", "ExprSyntaxError"]
 
@@ -34,10 +34,10 @@ class ExprSyntaxError(ValueError):
 
 
 _TOKEN_RE = re.compile(
-    r"""
+    rf"""
     (?P<ws>\s+)
   | (?P<number>(\d+\.\d*|\.\d+|\d+)([eE][+-]?\d+)?)
-  | (?P<ident>[A-Za-z_][A-Za-z_0-9]*)
+  | (?P<ident>{IDENTIFIER})
   | (?P<op>[-+*/^(),])
     """,
     re.VERBOSE,

@@ -9,7 +9,8 @@ Partial derivatives (:func:`diff`) walk the grammar's nodes by the chain
 rule and build the tree ``sympy.diff`` builds, without its ``Derivative``
 object at every node and its assumption queries on products with a zero
 factor; only nodes outside sums, products, powers and the standard
-functions go to ``sympy.diff``.
+functions go to ``sympy.diff``.  Derivatives are cached in sympy's cache,
+so the same expression and variable give the same tree without a walk.
 
 Identity between expressions is decided by a randomized numeric oracle
 (:func:`equal_numeric`), never by symbolic zero-testing: a FAIL comes with a
@@ -41,6 +42,13 @@ first k points of a larger draw are the k-point draw.  :func:`draw_points`
 keeps the last point set it drew, in one read-only array, and serves a call
 with the same inputs and no larger k from it: a round trip's conservation,
 inversion and identity checks at one seed draw once.
+
+Each compiled function has a positional core, ``fn.positional``, that
+takes the arguments in ``fn.arg_names`` order; ``fn(point)`` only builds
+that argument list from the point mapping and holds ``np.errstate`` around
+the core.  With total-derivative nodes the core calls the positional core
+of each direction's compiled function, runs the complex step, and masks
+only the outputs that hold a node.
 """
 
 from __future__ import annotations
@@ -50,6 +58,7 @@ import itertools
 import keyword
 import linecache
 import math
+import re
 import weakref
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
@@ -87,6 +96,9 @@ STANDARD_FUNCTIONS = {
 }
 
 _RESERVED = {"t"} | set(STANDARD_FUNCTIONS)
+# a name the DSL tokenizer reads as one identifier; every declared name is one
+IDENTIFIER = r"[A-Za-z_][A-Za-z_0-9]*"
+_IDENTIFIER_RE = re.compile(IDENTIFIER)
 
 # distinct compile_fn inputs kept; a verification touches a few dozen
 COMPILE_MEMO_SIZE = 256
@@ -143,9 +155,11 @@ def _sym(name: str) -> sp.Symbol:
 class Alphabet:
     """Declares the variables a system's expressions may mention.
 
-    Coordinates ``c`` induce velocity symbols ``cdot`` and acceleration
-    symbols ``cddot``.  When coordinates follow the ``q1..qn`` convention the
-    aliases ``qdot<i>`` / ``qddot<i>`` are accepted by :meth:`lookup` too.
+    Every name is one identifier of the DSL, ``[A-Za-z_][A-Za-z_0-9]*``,
+    so that an expression can refer to it.  Coordinates ``c`` induce
+    velocity symbols ``cdot`` and acceleration symbols ``cddot``.  When
+    coordinates follow the ``q1..qn`` convention the aliases ``qdot<i>`` /
+    ``qddot<i>`` are accepted by :meth:`lookup` too.
     """
 
     coords: tuple[str, ...]
@@ -159,6 +173,8 @@ class Alphabet:
                     for d in ("dot", "ddot")}
         seen = set()
         for name in names:
+            if not _IDENTIFIER_RE.fullmatch(name):
+                raise ValueError(f"symbol name {name!r} is not an identifier")
             if name in _RESERVED:
                 raise ValueError(f"symbol name {name!r} is reserved")
             if name in seen:
@@ -232,9 +248,11 @@ def diff(e, var, alphabet: Alphabet) -> sp.Expr:
     return _diff(sp.sympify(e), var)
 
 
+@sp.cacheit
 def _diff(e: sp.Expr, var: sp.Symbol) -> sp.Expr:
     """d e / d var by the chain rule over the grammar's nodes, memoized on
-    the subtrees of e.
+    the subtrees of e.  Cached in sympy's cache, as :func:`total_dt` is: the
+    strong solver differentiates the same integral again and again.
 
     Each rule builds the tree that sympy's rule for the node builds, so the
     result is the one ``sympy.diff`` gives.  But no ``Derivative`` is made
@@ -406,42 +424,48 @@ def _compile(exprs, alphabet, include_acc):
         groups.setdefault(tuple(node.acc), []).append(i)
     # each system compiles its normal form once, through the memo
     directions = [
-        (_compile(acc, alphabet, include_acc), members)
+        (_compile(acc, alphabet, include_acc).positional, members)
         for acc, members in groups.items()
     ]
     names = [s.name for s in syms]
     n, m = alphabet.n, len(exprs)
     h = COMPLEX_STEP
     no_slots = [0.0] * len(nodes)
+    owned = [(j, own) for j, own in enumerate(owners) if own]
+
+    def core(*args):
+        real = [np.asarray(v, dtype=float) for v in args]
+        t, qs, vs = real[0], real[1:1 + n], real[1 + n:1 + 2 * n]
+        rates = [None] * len(nodes)
+        for direction, members in directions:
+            accs = direction(*args)
+            shifted = (
+                [t + 1j * h]
+                + [q + 1j * h * v for q, v in zip(qs, vs)]
+                + [v + 1j * h * a for v, a in zip(vs, accs)]
+                + real[1 + 2 * n:]
+            )
+            vals = raw(*shifted, *no_slots)
+            for i in members:
+                rates[i] = np.imag(vals[m + i]) / h
+        vals = raw(*real, *rates)
+        finite = [np.isfinite(_real(body)) for body in vals[m:]]
+        out = vals[:m]
+        for j, own in owned:
+            out[j] = np.where(np.all([finite[i] for i in own], axis=0), out[j], np.nan)
+        return out
+
+    positional = core if nodes else raw
 
     def fn(point: Mapping[str, float]):
         args = [point[name] for name in names]
         with np.errstate(all="ignore"):
-            if not nodes:
-                return raw(*args)
-            real = [np.asarray(v, dtype=float) for v in args]
-            t, qs, vs = real[0], real[1:1 + n], real[1 + n:1 + 2 * n]
-            rates = [None] * len(nodes)
-            for direction, members in directions:
-                accs = direction(point)
-                shifted = (
-                    [t + 1j * h]
-                    + [q + 1j * h * v for q, v in zip(qs, vs)]
-                    + [v + 1j * h * a for v, a in zip(vs, accs)]
-                    + real[1 + 2 * n:]
-                )
-                vals = raw(*shifted, *no_slots)
-                for i in members:
-                    rates[i] = np.imag(vals[m + i]) / h
-            vals = raw(*real, *rates)
-            finite = [np.isfinite(_real(body)) for body in vals[m:]]
-            return [np.where(np.all([finite[i] for i in own], axis=0), v, np.nan)
-                    for v, own in zip(vals[:m], owners)]
+            return positional(*args)
 
     fn.arg_names = names
-    # fn on arguments in arg_names order; without nodes the lambdified function
-    # itself, which skips the mapping and the errstate (callers hold their own)
-    fn.positional = raw if not nodes else lambda *args: fn(dict(zip(names, args)))
+    # fn on arguments in arg_names order, without the mapping and the
+    # errstate (callers hold their own)
+    fn.positional = positional
     return fn
 
 
@@ -452,10 +476,10 @@ def _generate(syms, exprs):
     Returns the function, the nodes in slot order and the slots each
     expression holds (see :func:`_print_code`).
     """
-    # a name that is no parameter name, or would hide a global, becomes
-    # v·i; like cse·k and Dt·i, that is outside the DSL's ASCII names
-    args = {s.name: s.name if s.name.isidentifier() and not keyword.iskeyword(s.name)
-            and s.name not in _GLOBALS else f"v·{i}" for i, s in enumerate(syms)}
+    # a keyword, or a name that would hide a global, becomes v·i; like
+    # cse·k and Dt·i, that is outside the DSL's ASCII names
+    args = {s.name: s.name if not keyword.iskeyword(s.name) and s.name not in _GLOBALS
+            else f"v·{i}" for i, s in enumerate(syms)}
     lines, outs, nodes, owners = _print_code(exprs, args)
     params = ", ".join([*args.values(), *(f"Dt·{i}" for i in range(len(nodes)))])
     body = "".join(f"    {line}\n" for line in lines)

@@ -433,7 +433,8 @@ KEPLER_ORBIT = "0,1,0,0,0,1,0"
 
 # (argv with {name} for the path of the system file fixture name_sys, exit code)
 # [system] bodies the CLI cannot build a system from: reserved, repeated or
-# derived names, and an acceleration in the Lagrangian
+# derived names, names the DSL cannot read as one identifier, and an
+# acceleration in the Lagrangian
 UNBUILDABLE = {
     "coord_t": "dim = 1\ncoords = t\nlagrangian = tdot^2/2",
     "coord_sin": "dim = 1\ncoords = sin\nlagrangian = sindot^2/2",
@@ -442,6 +443,8 @@ UNBUILDABLE = {
     "accel_lagrangian": "dim = 1\ncoords = q\nlagrangian = qdot^2/2 + qddot",
     "coord_velocity": "dim = 2\ncoords = q, qdot\nlagrangian = qdot^2/2 + qdotdot^2/2",
     "param_velocity": "dim = 1\ncoords = q\nparams = qdot = 1\nlagrangian = qdot^2/2",
+    "param_number": "dim = 1\ncoords = q\nparams = 2.5 = 1\nlagrangian = qdot^2/2",
+    "param_spaced": "dim = 1\ncoords = q\nparams = a b = 2\nlagrangian = qdot^2/2",
 }
 
 
@@ -449,6 +452,9 @@ EXIT_TABLE = [
     (["solve", "{fp}", "sqrt(q)", "--mode", "strong"], cli.EXIT_SINGULAR),
     (["solve", "{fp}", "log(q)", "--mode", "onflow-simplest"], cli.EXIT_SINGULAR),
     (["solve", "{fp}", "energy", "--mode", "strong", "--k", "0"], cli.EXIT_PARSE),
+    (["solve", "{fp}", "energy", "--mode", "sideways"], cli.EXIT_PARSE),
+    (["solve", "{fp}", "--mode", "strong"], cli.EXIT_PARSE),
+    (["describe", "{fp}", "--bogus"], cli.EXIT_PARSE),
     (["verify", "{fp}", "any.tri", "--k", "-3"], cli.EXIT_PARSE),
     (["verify", "{fp}", "no-such.tri"], cli.EXIT_PARSE),
     (["integrate", "{kepler}", KEPLER_ORBIT, "--t1", "1", "--dt", "0"], cli.EXIT_PARSE),
@@ -546,8 +552,14 @@ def test_exit_code_table(argv, code, request, capsys):
     assert "Traceback" not in err
     if code == cli.EXIT_TRUNCATED:  # a report, not an error
         assert json.loads(out)["truncated"] is True
-    elif code != cli.EXIT_OK:
-        assert "error" in err.splitlines()[-1]
+    elif code != cli.EXIT_OK:  # codes 2-5: one error line
+        assert err.startswith("error: ") and len(err.splitlines()) == 1
+
+
+def test_help_is_usage_on_stdout(capsys):
+    assert cli.main(["solve", "-h"]) == cli.EXIT_OK
+    out, err = capsys.readouterr()
+    assert out.startswith("usage: noetherkit solve") and err == ""
 
 
 def _run_cli(argv, stdout=subprocess.PIPE, **env):

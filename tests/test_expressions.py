@@ -52,6 +52,21 @@ def test_alphabet_rejects_reserved_and_duplicate_names():
 
 
 @pytest.mark.parametrize("coords, params", [
+    (("q",), ("2.5",)), (("q",), ("a b",)), (("q.x",), ()), (("2q",), ()), (("q",), ("",)),
+    (("é",), ()), (("q",), ("a-b",)), (("q",), ("a\n",)),
+])
+def test_alphabet_rejects_names_the_dsl_cannot_read(coords, params):
+    # no expression could refer to a name that is not one DSL identifier
+    with pytest.raises(ValueError, match="is not an identifier"):
+        Alphabet(coords=coords, params=params)
+
+
+def test_alphabet_names_are_the_dsl_identifiers():
+    ab = Alphabet(coords=("_a1",), params=("Z_",))
+    assert parse("_a1dot*Z_", ab) == ab.velocity_symbols[0] * ab.param_symbols[0]
+
+
+@pytest.mark.parametrize("coords, params", [
     (("q", "qdot"), ()), (("q",), ("qdot",)), (("q",), ("qddot",)), (("q1",), ("qdot1",)),
 ])
 def test_alphabet_rejects_the_names_of_velocities_and_accelerations(coords, params):
@@ -326,6 +341,13 @@ def test_total_dt_returns_the_same_node_for_the_same_inputs(kepler):
     assert total_dt(N, ab) is total_dt(N, ab)
 
 
+def test_diff_returns_the_same_tree_for_the_same_inputs(kepler):
+    # the strong solver differentiates the same integral again and again
+    N, ab = kepler.integrals["lrl_u"], kepler.system.alphabet
+    for v in ab.variables():
+        assert diff(N, v, ab) is diff(N, v, ab)
+
+
 def test_total_dt_subs_and_diff_act_on_the_expansion():
     node = total_dt(X**2 * YD, AB)
     assert sp.expand(node.subs(X, 3) - node.doit().subs(X, 3)) == 0
@@ -366,6 +388,19 @@ def test_node_domain_violation_survives_complex_step():
         assert "Dt(sqrt(q))" in str(err.value)
         with pytest.raises(DomainViolation):
             evaluate(node, {"t": 0.0, "q": -1.0, "qdot": 1.0, "qddot": 0.5}, ab)
+
+
+def test_a_value_is_nan_where_the_body_of_any_of_its_nodes_is_not():
+    # each output is masked by every node it holds, and only by those
+    ab = Alphabet(coords=("q", "p"))
+    q, p = ab.coord_symbols
+    a, b = total_dt(sp.sqrt(q), ab), total_dt(sp.log(p), ab)
+    fn = compile_fn([a + b, b + 1, b], ab, include_acc=True)
+    point = {"t": 0.0, "q": np.array([-1.0, 1.0]), "p": np.array([1.0, -1.0]),
+             "qdot": 1.0, "pdot": 1.0, "qddot": 0.0, "pddot": 0.0}
+    both, rate_b, only_b = fn(point)
+    assert np.isnan(both).all()
+    assert np.isnan(only_b[1]) and only_b[0] == 1.0 == rate_b[0] - 1
 
 
 def test_nested_total_dt_is_refused():
@@ -722,6 +757,35 @@ def test_draw_points_matches_one_at_a_time_reference():
             assert len(pts) == 40
             assert list(pts) == ref
             assert list(pts.columns) == list(ref[0])
+
+
+def _first_rejected(alphabet, seed, include_acc, k):
+    """The index of the first candidate with |x| < 0.1 among the first k
+    candidates drawn at seed, or k: a candidate is one uniform per
+    variable, in order, and x is the second."""
+    width = len(alphabet.variables(include_acc))
+    lo, hi = expressions.DEFAULT_RANGE
+    x = lo + (hi - lo) * np.random.default_rng(seed).random((k, width))[:, 1]
+    return int(np.argmax(np.abs(x) < 0.1)) if (np.abs(x) < 0.1).any() else k
+
+
+@pytest.mark.parametrize("include_acc", [False, True])
+@pytest.mark.parametrize("case", ["none_rejected", "kth_first_rejected", "earlier_rejected"])
+def test_draw_points_matches_the_reference_around_the_first_rejection(case, include_acc):
+    # |x| >= 0.1 rejects one candidate in twenty, so the first k candidates
+    # of the first block often all pass; the draw takes exactly k, wherever
+    # the first rejection falls
+    k = 8
+    dom = SampleDomain(exclusions=(Exclusion(X, 0.1),))
+    wanted = {"none_rejected": lambda i: i == k, "kth_first_rejected": lambda i: i == k - 1,
+              "earlier_rejected": lambda i: i < k - 1}[case]
+    seed = next(s for s in range(10_000) if wanted(_first_rejected(AB, s, include_acc, k)))
+    expressions._last_draw[0] = None
+    got = draw_points(AB, dom, {}, k, seed, include_acc)
+    assert list(got) == _reference_draw(AB, dom, {}, k, seed, include_acc)
+    # a budget below one try is spent before the first candidate
+    with pytest.raises(SamplingError):
+        draw_points(AB, dom, {}, k, seed, include_acc, max_tries=0)
 
 
 @pytest.mark.parametrize("exclusions", [(), (Exclusion(X, 1.0), Exclusion(X * Y - 1, 0.2))],

@@ -695,3 +695,30 @@ def test_perturbed_solutions_fail_with_a_witness(systems, data, eps):
                     ab, include_acc=strong)
     a, b = fn({name: np.float64(v) for name, v in rep.worst_point.items()})
     assert abs(a - b) / (1 + max(abs(a), abs(b))) > rep.tol
+
+
+# The verify_dense path at k = 2000 and seed 11, pinned by sha256: for each
+# corpus triple in each form, checked against its integral, the verdict and
+# the float.hex residual and witness of the Killing check and of the
+# integral check.  A change to compiled evaluation or to the draws that
+# moves one bit of a residual or one witness coordinate fails here.
+PINNED_DENSE = {
+    "fp": "326ed8f3982bf543ed1869a186b5cf720c386286f3b8800e71318257edca35f2",
+    "iso": "b5e86668084f73d8a9c4cd23150988d2e5c9dffadeeb50704d570030da6c3664",
+    "kepler": "3ce0db040148ab57ec9d0790331d2cf6ca1a012d05c9804803c199b1f8dfd85e",
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_DENSE))
+def test_dense_verifications_are_pinned(name, request):
+    entry = request.getfixturevalue(name)
+    digest = hashlib.sha256()
+    for triple, tr in entry.triples.items():
+        for form in FORMS:
+            rep = verify_triple(entry.system, tr, entry.triple_integrals[triple], form,
+                                k=2000, seed=11)
+            for check in (rep, rep.integral_check):
+                for part in (check.verdict, check.max_residual.hex(),
+                             json.dumps(check.worst_point, sort_keys=True)):
+                    digest.update(part.encode() + b"\n")
+    assert digest.hexdigest() == PINNED_DENSE[name]
