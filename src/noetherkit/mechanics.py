@@ -8,8 +8,8 @@ also keeps what later steps would otherwise derive again: det g and adj g,
 so that every solve of g*v = w is adj(g)*w/det(g), and the Euler-Lagrange
 expression E = g*qddot - rhs that the strong Killing equations subtract.
 Products with g and adj g sum each row over its nonzero entries only, since
-the DSL refuses infinities.  Regularity (det g != 0) is checked by
-sampling, not proven.
+the DSL refuses infinities.  Regularity (det g != 0) is checked once, by
+sampling before adj g and Lam are formed, not proven.
 """
 
 from __future__ import annotations
@@ -23,6 +23,7 @@ import sympy as sp
 from .expressions import (
     Alphabet,
     Exclusion,
+    IdentityReport,
     SampleDomain,
     _diff,
     _eval_rows,
@@ -75,7 +76,7 @@ class LagrangianSystem:
             exclusions=self.exclusions + tuple(extra),
         )
 
-    def check(self, a, b, **kw) -> "IdentityReport":
+    def check(self, a, b, **kw) -> IdentityReport:
         """equal_numeric preconfigured with this system's parameters and
         singular-set exclusions.  ``a`` and ``b`` are two expressions or two
         equal-length lists checked componentwise; ``extra_exclusions`` adds
@@ -101,8 +102,6 @@ def _minus(a: Sequence[sp.Expr], b: Sequence[sp.Expr]) -> list[sp.Expr]:
 
 def _solve_linear(det: sp.Expr, adj: sp.Matrix, w: Sequence[sp.Expr]) -> tuple[sp.Expr, ...]:
     """v = adj(g)*w/det(g), the solution of g*v = w, at every n."""
-    if det == 0:
-        raise RegularityError({}, 0.0)
     inv = sp.S.One / det
     return tuple(e * inv if e else e for e in _matvec(adj, w))
 
@@ -115,13 +114,12 @@ def build_system(
     param_values: Mapping[str, float] | None = None,
     exclusions: Sequence[Exclusion] = (),
     var_ranges: Mapping[str, tuple[float, float]] | None = None,
-    seed: int = 0,
 ) -> LagrangianSystem:
-    """Derive p, g, det g, adj g, the normal form Lam and E; sample-check
-    regularity.
+    """Derive p, g and det g, sample-check regularity, then derive adj g, the
+    normal form Lam and E.
 
-    Raises RegularityError with the witness point when |det g| drops below
-    the regularity floor at any of the sampled points.
+    Raises RegularityError with the witness point when det g is not finite or
+    |det g| is below the regularity floor at any of the sampled points.
     """
     L = sp.sympify(L)
     alphabet.check_declared(L)
@@ -138,17 +136,19 @@ def build_system(
         for i in range(alphabet.n)
     )
     det = g.det()
+    param_values = dict(param_values or {})
+    domain = SampleDomain(var_ranges=dict(var_ranges or {}), exclusions=tuple(exclusions))
+    _check_regularity(det, alphabet, domain, param_values)
     adj = g.adjugate()
     lam = _solve_linear(det, adj, rhs)
     E = tuple(_minus(_matvec(g, alphabet.acceleration_symbols), rhs))
-
-    sys = LagrangianSystem(
+    return LagrangianSystem(
         name=name,
         alphabet=alphabet,
         L=L,
-        param_values=dict(param_values or {}),
-        exclusions=tuple(exclusions),
-        var_ranges=dict(var_ranges or {}),
+        param_values=param_values,
+        exclusions=domain.exclusions,
+        var_ranges=domain.var_ranges,
         p=p,
         g=g,
         lam=lam,
@@ -157,22 +157,21 @@ def build_system(
         adj_g=adj,
         E=E,
     )
-    _check_regularity(sys, seed=seed)
-    return sys
 
 
-def _check_regularity(sys: LagrangianSystem, seed: int = 0) -> None:
-    det_fn = compile_fn([sys.det_g], sys.alphabet)
-    points = draw_points(sys.alphabet, sys.domain(), sys.param_values, REGULARITY_SAMPLES, seed)
-    det = _eval_rows(det_fn, points.columns, REGULARITY_SAMPLES)[0]
-    bad = ~np.isfinite(det) | (np.abs(det) < REGULARITY_MIN_DET)
+def _check_regularity(det, alphabet: Alphabet, domain: SampleDomain, param_values) -> None:
+    det_fn = compile_fn([det], alphabet)
+    points = draw_points(alphabet, domain, param_values, REGULARITY_SAMPLES, 0)
+    values = _eval_rows(det_fn, points.columns, REGULARITY_SAMPLES)[0]
+    bad = ~np.isfinite(values) | (np.abs(values) < REGULARITY_MIN_DET)
     if bad.any():
         i = int(np.argmax(bad))
-        raise RegularityError(points[i], float(det[i]))
+        raise RegularityError(points[i], float(values[i]))
 
 
 def invert_g_apply(sys: LagrangianSystem, w: Sequence, *, seed: int = 0) -> tuple[sp.Expr, ...]:
-    """Symbolic solution v of g*v = w, numerically spot-checked at 20 points."""
+    """Symbolic solution v of g*v = w, numerically spot-checked at 20 points;
+    a failed check raises RegularityError with det g at its witness."""
     w = [sp.sympify(wi) for wi in w]
     if len(w) != sys.n:
         raise ValueError(f"vector has length {len(w)}, expected {sys.n}")
@@ -181,5 +180,7 @@ def invert_g_apply(sys: LagrangianSystem, w: Sequence, *, seed: int = 0) -> tupl
     rep = sys.check(_minus(_matvec(sys.g, sol), w), [0] * sys.n, k=REGULARITY_SAMPLES,
                     tol=1e-8, seed=seed, label="invert_g_apply")
     if not rep.passed:
-        raise RegularityError(rep.worst_point, rep.max_residual)
+        point = {name: np.float64(v) for name, v in rep.worst_point.items()}
+        det = _eval_rows(compile_fn([sys.det_g], sys.alphabet), point, 1)[0, 0]
+        raise RegularityError(rep.worst_point, float(det))
     return sol

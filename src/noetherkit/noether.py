@@ -190,10 +190,6 @@ class VerificationReport(IdentityReport):
     mode: str = ""
     integral_check: IdentityReport | None = None
 
-    @property
-    def check(self) -> str:
-        return self.label
-
     def to_dict(self) -> dict:
         out = {"check": self.label, "mode": self.mode} | super().to_dict()
         if self.integral_check is not None:
@@ -300,10 +296,10 @@ def verify_triple(
     k: int = 100,
     tol: float = 1e-9,
     seed: int = 0,
-    extra_exclusions: Sequence[Exclusion] = (),
-    label: str = "",
 ) -> VerificationReport:
-    """Check the triple against the Killing-type equation by random sampling.
+    """Check the triple against the Killing-type equation in the sense
+    ``form`` (by default its own), labelled ``killing:<form>``, by random
+    sampling away from the system's and the triple's exclusions.
 
     Strong senses sample the accelerations as free variables; if an integral
     is supplied, the Noether formula for the matching convention is checked
@@ -312,19 +308,18 @@ def verify_triple(
     form = form or tr.form
     strong, convention = _decode(form)
     lhs, rhs, N = _killing_terms(sys, tr, form)
-    extras = tuple(extra_exclusions) + tr.exclusions
     rep = sys.check(
         lhs, rhs,
         k=k, tol=tol, seed=seed, include_acc=strong,
-        extra_exclusions=extras,
-        label=label or f"killing:{form}",
+        extra_exclusions=tr.exclusions,
+        label=f"killing:{form}",
     )
     integral_check = None
     if integral is not None:
         integral_check = sys.check(
             N, _as_expr(integral),
             k=k, tol=tol, seed=seed + 1,
-            extra_exclusions=extras,
+            extra_exclusions=tr.exclusions,
             label=f"noether-integral:{convention}",
         )
     passed = rep.passed and (integral_check is None or integral_check.passed)

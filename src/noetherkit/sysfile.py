@@ -35,6 +35,8 @@ import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
+import sympy as sp
+
 from .dsl import parse, print_expr
 from .expressions import Alphabet, Exclusion
 from .mechanics import LagrangianSystem, build_system
@@ -56,7 +58,7 @@ class SystemFileError(ValueError):
 @dataclass
 class SystemFile:
     system: LagrangianSystem
-    integrals: dict[str, "sp.Expr"] = field(default_factory=dict)
+    integrals: dict[str, sp.Expr] = field(default_factory=dict)
 
 
 # the keys each section reads; [system] also reads range_<var>

@@ -1,3 +1,4 @@
+import dataclasses
 import errno
 import hashlib
 import json
@@ -188,6 +189,22 @@ def threshold_huge_sys(tmp_path):
 
 
 @pytest.fixture()
+def degenerate_sys(tmp_path):
+    """lagrangian = qdot: g, and so det g, vanish identically."""
+    path = tmp_path / "degenerate.sys"
+    path.write_text("[system]\ndim = 1\ncoords = q\nlagrangian = qdot\n")
+    return str(path)
+
+
+@pytest.fixture()
+def sqrt_metric_sys(tmp_path):
+    """det g = sqrt(q) is NaN at every sample with q < 0."""
+    path = tmp_path / "sqrt_metric.sys"
+    path.write_text("[system]\ndim = 1\ncoords = q\nlagrangian = sqrt(q)*qdot^2/2\n")
+    return str(path)
+
+
+@pytest.fixture()
 def bad_number_sys(tmp_path):
     path = tmp_path / "bad_number.sys"
     path.write_text("[system]\ndim = 1\ncoords = q\nlagrangian = qdot^2/2\n"
@@ -208,6 +225,14 @@ def bad_form_sys(tmp_path):
     """A free-particle triple file whose triple claims a form outside FORMS."""
     path = tmp_path / "bad_form.tri"
     path.write_text("[triple]\ntau = 0\nxi = 1\nf = 0\nform = weak\n")
+    return str(path)
+
+
+@pytest.fixture()
+def log_f_sys(tmp_path):
+    """A free-particle triple file whose f = log(q) is NaN at every q < 0."""
+    path = tmp_path / "log_f.tri"
+    path.write_text("[triple]\ntau = 0\nxi = 1\nf = log(q)\nform = strong\n")
     return str(path)
 
 
@@ -507,6 +532,9 @@ EXIT_TABLE = [
     (["describe", "{threshold_negative}"], cli.EXIT_PARSE),
     (["describe", "{default_threshold_inf}"], cli.EXIT_PARSE),
     (["describe", "{threshold_huge}"], cli.EXIT_REGULARITY),
+    (["describe", "{degenerate}"], cli.EXIT_REGULARITY),
+    (["describe", "{sqrt_metric}"], cli.EXIT_REGULARITY),
+    (["verify", "{fp}", "{log_f}"], cli.EXIT_SINGULAR),
     (["describe", "{param_nan}"], cli.EXIT_PARSE),
     (["solve", "{param_nan}", "energy", "--mode", "strong"], cli.EXIT_PARSE),
     (["integrate", "{param_inf}", "0,1,0", "--t1", "1", "--monitor", "energy"], cli.EXIT_PARSE),
@@ -554,6 +582,25 @@ def test_exit_code_table(argv, code, request, capsys):
         assert json.loads(out)["truncated"] is True
     elif code != cli.EXIT_OK:  # codes 2-5: one error line
         assert err.startswith("error: ") and len(err.splitlines()) == 1
+
+
+def test_degenerate_system_error_names_a_point(degenerate_sys, capsys):
+    assert cli.main(["describe", degenerate_sys]) == cli.EXIT_REGULARITY
+    err = capsys.readouterr().err
+    assert err.startswith("error: singular Hessian: |det g| = 0.000e+00 at {'t': ")
+    assert "'q': " in err and "'qdot': " in err
+
+
+def test_solve_exits_5_when_the_g_inverse_fails_its_spot_check(kepler_sys, monkeypatch,
+                                                               capsys):
+    # a stored det g twice the true one, which is 1
+    sf = cli.read_system_file(kepler_sys)
+    bad = dataclasses.replace(sf, system=dataclasses.replace(sf.system,
+                                                             det_g=2 * sf.system.det_g))
+    monkeypatch.setattr(cli, "read_system_file", lambda path: bad)
+    assert cli.main(["solve", kepler_sys, "lrl_u", "--mode", "strong"]) == cli.EXIT_SINGULAR
+    err = capsys.readouterr().err
+    assert err.startswith("error: singular Hessian: |det g| = 2.000e+00 at {'t': ")
 
 
 def test_help_is_usage_on_stdout(capsys):

@@ -53,6 +53,17 @@ def test_syntax_errors_carry_positions():
         parse("x $ y", AB)
 
 
+def test_a_trailing_token_is_a_syntax_error():
+    with pytest.raises(ExprSyntaxError, match="unexpected 'y'") as err:
+        parse("x y", AB)
+    assert err.value.position == 2
+
+
+def test_unary_plus_is_the_operand():
+    assert parse("+x", AB) == X
+    assert parse("-+x", AB) == -X
+
+
 @pytest.mark.parametrize("text, position", [
     ("1/0", 1), ("0/0", 1), ("x + y/(x - x)", 5), ("0^-1", 1), ("2*log(0)", 2),
     ("exp(x/0.0)", 5),

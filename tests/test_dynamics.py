@@ -16,6 +16,7 @@ from noetherkit.expressions import (
 )
 from noetherkit import dynamics
 from noetherkit.mechanics import build_system
+from noetherkit.noether import check_conserved
 from noetherkit.dynamics import (
     MAX_STEPS,
     SINGULAR_ABORT,
@@ -35,6 +36,13 @@ def test_free_particle_is_exact(fp):
     assert np.allclose(traj.qdot[:, 0], 0.5)
     rep = monitor_drift(fp.system, traj, fp.integrals["momentum"], "momentum")
     assert rep.max_abs_drift < 1e-14
+
+
+def test_monitor_drift_takes_the_name_of_a_first_integral(fp):
+    traj = integrate(fp.system, (0.0, [1.0], [0.5]), 0.1, dt=0.01)
+    N = check_conserved(fp.system, fp.integrals["momentum"], name="momentum")
+    assert monitor_drift(fp.system, traj, N).name == "momentum"
+    assert monitor_drift(fp.system, traj, N, "p").name == "p"
 
 
 def test_integrate_argument_validation(fp):

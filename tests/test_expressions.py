@@ -84,6 +84,11 @@ def test_lookup_and_aliases():
         ab.lookup("z")
 
 
+def test_compiling_an_undeclared_symbol_is_refused():
+    with pytest.raises(UndeclaredSymbolError, match="undeclared symbol 'z'"):
+        compile_fn([X + sp.Symbol("z", real=True)], AB)
+
+
 def test_check_declared_flags_foreign_symbols():
     ab = Alphabet(coords=("x",), params=("m",))
     ab.check_declared(ab.coord_symbols[0] * ab.param_symbols[0])
@@ -636,6 +641,14 @@ def test_evaluate_and_domain_violation():
         evaluate(X ** sp.Rational(3, 2), {"x": -1.0}, AB)
 
 
+def test_evaluate_turns_an_overflow_into_a_domain_violation():
+    # 10^400 is an exact integer to sympy, and too large for a float
+    with pytest.raises(DomainViolation) as err:
+        evaluate(10**400 * X, {"x": 1.0}, AB)
+    assert isinstance(err.value.__cause__, OverflowError)
+    assert err.value.point == {"x": 1.0}
+
+
 def test_float_constants_compile_at_full_precision():
     ab = Alphabet(coords=("q",))
     assert evaluate(parse("(1/3.0)*q", ab), {"q": 1.0}, ab) == 1 / 3
@@ -912,6 +925,11 @@ def test_equal_numeric_pass_and_conclusive_fail():
     # witnesses are Python floats, so their repr is plain and JSON-stable
     assert type(rep.max_residual) is float
     assert all(type(v) is float for v in w.values())
+
+
+def test_equal_numeric_needs_a_point():
+    with pytest.raises(ValueError, match="k must be >= 1"):
+        equal_numeric(X, X, AB, k=0)
 
 
 def test_equal_numeric_seed_determinism():

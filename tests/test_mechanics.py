@@ -1,9 +1,17 @@
+import dataclasses
+
 import numpy as np
 import pytest
 import sympy as sp
 
 from noetherkit.dynamics import integrate, monitor_drift
-from noetherkit.expressions import Alphabet, UndeclaredSymbolError, _eval_rows, compile_fn
+from noetherkit.expressions import (
+    Alphabet,
+    UndeclaredSymbolError,
+    _eval_rows,
+    compile_fn,
+    evaluate,
+)
 from noetherkit.mechanics import (
     RegularityError,
     _matvec,
@@ -64,8 +72,30 @@ def test_isochrony_offdiagonal_hessian(iso):
 
 def test_build_system_rejects_degenerate_lagrangian():
     ab = Alphabet(coords=("q",))
-    with pytest.raises(RegularityError):
+    with pytest.raises(RegularityError) as err:
         build_system(ab.velocity_symbols[0], ab)  # g vanishes identically
+    # refused by the sampled check, at a real point
+    assert set(err.value.point) == {"t", "q", "qdot"}
+    assert err.value.det == 0
+
+
+def test_build_system_rejects_a_det_that_fails_at_a_sampled_point():
+    # det g = sqrt(q) is NaN wherever a sample has q < 0
+    ab = Alphabet(coords=("q",))
+    (q,), (qd,) = ab.coord_symbols, ab.velocity_symbols
+    with pytest.raises(RegularityError) as err:
+        build_system(sp.sqrt(q) * qd**2 / 2, ab)
+    assert err.value.point["q"] < 0 and np.isnan(err.value.det)
+
+
+def test_invert_g_apply_error_carries_det_g_at_its_witness(kepler):
+    # a stored det g twice the true one makes g*v - w fail the spot check
+    bad = dataclasses.replace(kepler.system, det_g=2 * kepler.system.det_g)
+    with pytest.raises(RegularityError) as err:
+        invert_g_apply(bad, [1, 0, 0])
+    point = err.value.point
+    assert set(point) >= {"r1", "r2", "r3", "mu"}
+    assert err.value.det == evaluate(bad.det_g, point, bad.alphabet) == 2.0
 
 
 def test_build_system_rejects_acceleration_terms():

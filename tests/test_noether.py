@@ -616,6 +616,21 @@ def test_transforms_refuse_a_triple_with_extra_xi_components(fp, transform):
         transform(fp.system, bad)
 
 
+def test_a_pending_xi_checks_the_length_it_is_built_from(fp):
+    # tau != 0, so the gauge transform leaves xi to its recipe, which refuses
+    # on first read the component that has no velocity to pair with
+    ab = fp.system.alphabet
+    bad = Triple(ab.t, (1, ab.coord_symbols[0]), 0, "strong")
+    shifted = multiplicity_transform(fp.system, bad, 0)
+    with pytest.raises(ValueError, match="xi has length 2, expected 1"):
+        shifted.xi
+
+
+def test_verify_triple_refuses_an_unknown_form(fp):
+    with pytest.raises(ValueError, match="unknown form 'sideways'"):
+        verify_triple(fp.system, Triple(0, (1,), 0, "strong"), form="sideways")
+
+
 @pytest.mark.parametrize("clone", [lambda tr: pickle.loads(pickle.dumps(tr)), copy.deepcopy],
                          ids=["pickle", "deepcopy"])
 def test_triples_with_xi_not_built_copy_whole(kepler, clone):

@@ -1,8 +1,12 @@
 import importlib
+import inspect
 import os
+import pkgutil
 import subprocess
 import sys
+import typing
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -65,3 +69,31 @@ def test_unknown_names_raise():
         noetherkit.no_such_name
     with pytest.raises(ImportError):
         exec("from noetherkit import no_such_name", {})
+
+
+MODULES = [m.name for m in pkgutil.iter_modules(noetherkit.__path__)]
+
+
+def _defined(namespace, module_name):
+    """The functions and classes in namespace that module_name defines, with
+    memoizing wrappers unwrapped and properties as their getters."""
+    for value in namespace.values():
+        value = value.fget if isinstance(value, property) else value
+        value = inspect.unwrap(getattr(value, "__func__", value))
+        if (inspect.isfunction(value) or inspect.isclass(value)) \
+                and value.__module__ == module_name:
+            yield value
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_every_annotation_resolves(name):
+    module = importlib.import_module(f"noetherkit.{name}")
+    for obj in _defined(vars(module), module.__name__):
+        if inspect.isfunction(obj):
+            typing.get_type_hints(obj)
+            continue
+        # a class's own annotations only: sympy leaves some inherited ones unresolved
+        own = SimpleNamespace(__annotations__=vars(obj).get("__annotations__", {}))
+        typing.get_type_hints(own, vars(module), dict(vars(obj)))
+        for method in _defined(vars(obj), module.__name__):
+            typing.get_type_hints(method)

@@ -250,6 +250,17 @@ def test_malformed_parameter(tmp_path):
               "lagrangian = m*qdot^2/2\n", tmp_path)
 
 
+def test_a_parameter_without_a_name_is_refused(tmp_path):
+    with pytest.raises(SystemFileError, match="malformed parameter entry '= 1' \\(line 4\\)"):
+        _read("[system]\ndim = 1\ncoords = q\nparams = = 1\nlagrangian = qdot^2/2\n",
+              tmp_path)
+
+
+def test_a_file_without_a_system_section_is_refused(tmp_path):
+    with pytest.raises(SystemFileError, match="no \\[system\\] section found"):
+        _read("# nothing but a comment\n", tmp_path)
+
+
 def test_comments_and_blank_lines_ok(tmp_path):
     sf = _read("# free particle\n\n[system]\nname = fp\ndim = 1\ncoords = q\n"
                "lagrangian = qdot^2/2\n", tmp_path)
