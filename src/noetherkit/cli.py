@@ -7,7 +7,8 @@ printed and written as derived.  ``corpus export NAME --out P`` writes the
 system to P (default ``NAME.sys``) and its triples to P with suffix ``.tri``.
 
 Exit codes: 0 success / PASS, 1 verification FAIL, 2 parse error or invalid
-option (including an integration of more than ``dynamics.MAX_STEPS`` steps,
+option (including a ``solve`` option that its mode does not read, an
+integration of more than ``dynamics.MAX_STEPS`` steps,
 a system whose derived expressions hold a function outside the compiled
 grammar, a ``[triple]`` section in a system file, a system file that no
 system can be built from, an output path that cannot be written or, for
@@ -123,10 +124,24 @@ def cmd_describe(args) -> int:
     return EXIT_OK
 
 
+# the options of ``solve`` that each mode reads; giving another is an error
+SOLVE_OPTIONS = {
+    "onflow-simplest": {"c"},
+    "onflow-R": {"R", "c"},
+    "strong": {"tau"},
+    "alt-strong": {"c"},
+}
+
+
 def cmd_solve(args) -> int:
+    for option in ("tau", "R", "c"):
+        if getattr(args, option) is not None and option not in SOLVE_OPTIONS[args.mode]:
+            return _error(f"--{option} is not read in --mode {args.mode}", EXIT_PARSE)
     sf = _load_system(args.system)
     sysdef = sf.system
     ab = sysdef.alphabet
+    c = 0.0 if args.c is None else args.c
+    tau, R = 0, [0] * sysdef.n
     # the file's integrals were checked when it was read
     given = []
     try:
@@ -135,25 +150,27 @@ def cmd_solve(args) -> int:
         else:
             N = parse(args.integral, ab)
             given.append(("the integral", N))
-        tau = parse(args.tau or "0", ab)
-        R = [parse(r, ab) for r in args.R.split(";")] if args.R else None
+        if args.tau:
+            tau = parse(args.tau, ab)
+            given.append(("--tau", tau))
+        if args.R:
+            R = [parse(r, ab) for r in args.R.split(";")]
+            given += [("--R", r) for r in R]
     except ValueError as err:
         return _error(err, EXIT_PARSE)
-    for option, e in [*given, ("--tau", tau), *(("--R", r) for r in R or ())]:
+    for option, e in given:
         if e.has(*ab.acceleration_symbols):
             return _error(f"{option} {print_expr(e)} must be free of accelerations",
                           EXIT_PARSE)
     try:
         if args.mode.startswith("onflow"):
-            if R is None or args.mode == "onflow-simplest":
-                R = [0] * sysdef.n
             if len(R) != sysdef.n:
                 return _error(f"--R needs {sysdef.n} components, got {len(R)}", EXIT_PARSE)
-            tr = solve_onflow_with_R(sysdef, N, R, c=args.c, seed=args.seed)
+            tr = solve_onflow_with_R(sysdef, N, R, c=c, seed=args.seed)
         elif args.mode == "strong":
             tr = solve_strong(sysdef, N, tau, seed=args.seed)
         else:  # alt-strong
-            tr = solve_alt_strong_trivial_gauge(sysdef, N, c=args.c, seed=args.seed)
+            tr = solve_alt_strong_trivial_gauge(sysdef, N, c=c, seed=args.seed)
         rep = verify_triple(sysdef, tr, N, k=args.k, tol=args.tol, seed=args.seed)
     except NotConservedError as err:
         return _error(err, EXIT_NOT_CONSERVED)
@@ -311,10 +328,10 @@ def build_parser() -> argparse.ArgumentParser:
         choices=["onflow-simplest", "onflow-R", "strong", "alt-strong"],
         required=True,
     )
-    p.add_argument("--tau", help="time-change expression (strong mode)")
-    p.add_argument("--R", help="semicolon-separated vector (onflow-R mode)")
-    p.add_argument("--c", type=_above(float, -math.inf, "finite"), default=0.0,
-                   help="denominator shift L+c")
+    p.add_argument("--tau", help="time-change expression (strong mode; default 0)")
+    p.add_argument("--R", help="semicolon-separated vector (onflow-R mode; default 0)")
+    p.add_argument("--c", type=_above(float, -math.inf, "finite"),
+                   help="denominator shift L+c (every mode but strong; default 0)")
     p.add_argument("--triple-out", help="write the resulting triple file here")
     common(p)
     p.set_defaults(fn=cmd_solve)

@@ -4,11 +4,13 @@ Fixed-step classical RK4 on the first-order system (q, qdot)' = (qdot, Lam).
 The whole run is one generated function per system: its loop takes the RK4
 steps on Python floats, with the printed statements of Lam inline at each
 stage and, at each new node, those of the declared singular sets, which
-guard the node.  A step at which Python floats raise or go complex runs
-again on numpy float64 scalars, which read inf or NaN there, and the loop
-resumes after it.  A trajectory is truncated with a flag when it approaches
-a declared singular set or its state stops being finite.  The step count is
-bounded by ``MAX_STEPS``.
+guard the node.  The negated parameters are computed once per call, before
+the loop.  A step at which Python floats raise or go complex runs again on
+numpy float64 scalars, which read inf or NaN there, and the loop resumes
+after it.  The loop stores the states; the times are derived
+from t0 and dt afterwards.  A trajectory is truncated with a flag when it
+approaches a declared singular set or its state stops being finite.  The
+step count is bounded by ``MAX_STEPS``.
 """
 
 from __future__ import annotations
@@ -101,8 +103,11 @@ def integrate(
     without raising.  So only a step that raises ZeroDivisionError or
     OverflowError, or goes complex, runs again, through the same loop on
     float64 scalars, which read inf or NaN there; the loop then resumes on
-    Python floats.  The run is truncated at the last node before a state that is not
-    finite or within an exclusion margin.  Raises SingularStartError for a
+    Python floats.  The loop stores the state at each node, and the times
+    are the running sums of t0, dt, dt, ..., which is the loop's own
+    t + dt at each step, bit for bit.  The run is truncated at the last node
+    before a state that is not finite or within an exclusion margin.
+    Raises SingularStartError for a
     start in an exclusion zone, and ValueError when t1 is before t0, the
     run needs more than ``MAX_STEPS`` steps, Lam or an exclusion is
     complex-typed at the start, or an exclusion holds a total-derivative
@@ -126,7 +131,7 @@ def integrate(
         )
     steps = int(round(span))
 
-    n, width = sys.n, 1 + 2 * sys.n
+    n, width = sys.n, 2 * sys.n
     exprs = list(sys.lam) + [ex.expr for ex in sys.exclusions]
     compiled = compile_fn(exprs, sys.alphabet)
     params = tuple(float(sys.param_values[p]) for p in sys.alphabet.params)
@@ -138,7 +143,7 @@ def integrate(
 
     t = float(t0)
     y = (*map(float, q0), *map(float, qd0))
-    flat = [t, *y]
+    flat = list(y)
     with np.errstate(all="ignore"):
         start = compiled.positional(np.float64(t), *map(np.float64, y + params))
         # arithmetic on float64 arguments gives complex values at every state
@@ -159,11 +164,14 @@ def integrate(
                 node = node and tuple(map(float, node))
                 taken += 1
     rows = np.array(flat, dtype=float).reshape(-1, width)
+    # the loop's t + dt at each step, in the same order
+    times = np.full(len(rows), dt, dtype=float)
+    times[0] = t
     return Trajectory(
         system=sys.name,
-        t=np.ascontiguousarray(rows[:, 0]),
-        q=np.ascontiguousarray(rows[:, 1:1 + n]),
-        qdot=np.ascontiguousarray(rows[:, 1 + n:]),
+        t=np.add.accumulate(times),
+        q=np.ascontiguousarray(rows[:, :n]),
+        qdot=np.ascontiguousarray(rows[:, n:]),
         dt=dt,
         truncated=node is None,
     )
@@ -178,21 +186,30 @@ def _rk4_loop(compiled, exprs, alphabet):
     Lam), unrolled over the 2n state components.  Each stage state is
     ``y + h*k`` and the new state ``y + dt/6*(k1 + 2*k2 + 2*k3 + k4)``, in
     this order of operations.  Each stage runs the printed statements of
-    :func:`expressions._print_code` over its own locals.  At the new node
-    they give Lam, the next step's k1, and the exclusion values, which
-    guard the node: each state component must be finite and each exclusion
-    value finite and at least its threshold in magnitude.  The loop sums
-    the new state, Lam and the exclusion values anyway, to find a complex
-    value, and a sum is finite only where every term is.  So a node passes
-    at once when that sum is finite and each exclusion value is at least
-    its threshold in magnitude; only when the sum is not finite, from an
-    overflow or a term that is not finite, does the guard of each term
-    decide.  It accepts the same nodes either way.  An exclusion
-    with total-derivative nodes, which need a complex step, is a
-    ValueError.  Each node taken appends t and y to the list ``out``.
-    Returns the node after ``steps`` steps, the start node of a step that
-    raised or went complex, or None at a node the guard refused.  Every
-    local carries a ``·``, outside the DSL's names.
+    :func:`expressions._print_code` over its own locals, with each
+    parameter's negation in a local that the run computes once, before its
+    loop: ``-mu*r1*|r|^-3`` reads ``-mu`` there and negates nothing per
+    step.  The local comes from the call's own parameter, so one loop serves
+    every ``param_values`` of a Lam, and the value is the inline one bit
+    for bit.
+
+    At the new node the statements give Lam, the next step's k1, and the
+    exclusion values, which guard the node: each state component must be
+    finite and each exclusion value finite and at least its threshold in
+    magnitude.  The loop sums the new state, Lam and the exclusion values
+    anyway, to find a complex value, and a sum is finite only where every
+    term is.  So a node passes at once when that sum is finite and each
+    exclusion value e is at least its threshold c or at most -c, which the
+    run also negates once: for a finite real e and c > 0 that is c <= |e|,
+    without a call.  Only when the sum is not finite, from an overflow or a
+    term that is not finite, does the guard of each term decide.  It
+    accepts the same nodes either way.  An exclusion with total-derivative
+    nodes, which need a complex step, is a ValueError.  Each node taken
+    appends its state y to the list ``out``, and the next step starts from
+    it by one plain assignment per local.  Returns the node after ``steps``
+    steps, the start node of a step that raised or went complex, or None at
+    a node the guard refused.  Every local carries a ``·``, outside the
+    DSL's names.
     """
     run = getattr(compiled, "rk4", None)
     if run is not None:
@@ -200,9 +217,11 @@ def _rk4_loop(compiled, exprs, alphabet):
     n, m = alphabet.n, len(exprs) - alphabet.n
     names = [s.name for s in (*alphabet.variables(), *alphabet.param_symbols)]
     params = [f"p·{j}" for j in range(len(alphabet.params))]
+    negated = {p: f"n{p}" for p in params}
 
     def stage(time, state, assigned):
-        lines, outs, nodes, _ = _print_code(exprs, dict(zip(names, [time, *state, *params])))
+        lines, outs, nodes, _ = _print_code(
+            exprs, dict(zip(names, [time, *state, *params])), negated)
         if nodes:
             raise ValueError(f"the RK4 loop cannot run the total derivative {nodes[0]}")
         return lines + [f"{v} = {o}" for v, o in zip(assigned, outs)]
@@ -223,13 +242,15 @@ def _rk4_loop(compiled, exprs, alphabet):
     clear = [f"c·{j}" for j in range(m)]
     start = ["t·", *y, *ks[0][n:]]
     node = ", ".join(start)
+    # for a finite real e and c > 0, c <= |e| is e >= c or e <= -c
     fast = " and ".join(["-inf· < s· < inf·",
-                         *(f"{c} <= abs·({e})" for c, e in zip(clear, excl))])
+                         *(f"({e} >= {c} or {e} <= n{c})" for c, e in zip(clear, excl))])
     guard = " and ".join([*(f"-inf· < {v} < inf·" for v in w),
                           *(f"{c} <= abs·({e}) < inf·" for c, e in zip(clear, excl))])
     signature = ", ".join([*start, *params, *clear, "dt·", "h2·", "h6·", "steps·", "out·"])
     source = (
-        f"def run·({signature}):\n"
+        f"def run·({signature}):\n" +
+        "".join(f"    n{v} = -{v}\n" for v in params + clear) +
         "    for _· in range(steps·):\n"
         "        th·, t1· = t· + h2·, t· + dt·\n"
         "        try:\n" + "".join(f"            {line}\n" for line in body) +
@@ -244,8 +265,8 @@ def _rk4_loop(compiled, exprs, alphabet):
         "            # the sum overflowed or a term is not finite\n"
         f"            if not ({guard}):\n"
         "                return None\n"
-        f"        out· += (t1·, {', '.join(w)})\n"
-        f"        {node} = t1·, {', '.join(w + lam)}\n"
+        f"        out· += ({', '.join(w)})\n" +
+        "".join(f"        {a} = {b}\n" for a, b in zip(start, ["t1·", *w, *lam])) +
         f"    return {node}\n"
     )
     namespace = {**_GLOBALS, "abs·": abs, "inf·": math.inf}

@@ -487,7 +487,7 @@ def _generate(syms, exprs):
     return _define(source, "_compiled", dict(_GLOBALS)), nodes, owners
 
 
-def _print_code(exprs, args):
+def _print_code(exprs, args, negated=None):
     """The statements and the output sources that compute the expressions,
     then the bodies of their total-derivative nodes, over the argument names
     ``args`` gives each symbol name; the statements assign ``cse·k`` locals.
@@ -511,6 +511,12 @@ def _print_code(exprs, args):
     rounded, so the RK4 loop, which runs these statements on Python floats,
     is cheaper, and its trajectories, like the single-point values of
     :func:`evaluate`, may change at round-off.
+
+    ``negated`` maps argument names to the names of locals that hold their
+    negations, such as the RK4 loop's parameters, which it negates once per
+    run.  A product whose sign is minus and whose first factor is such an
+    argument reads the local: ``np*x`` for ``-p*x``.  Python evaluates
+    ``-p*x`` as ``(-p)*x``, so the value is the same bit for bit.
 
     Returns the statements, the output sources, the nodes in slot order and
     the slots each expression holds.  A function outside the grammar, the
@@ -554,7 +560,7 @@ def _print_code(exprs, args):
         if e.is_Add:
             got = _show_add(e, show)
         elif e.is_Mul:
-            got = _show_mul(e, show, uses)
+            got = _show_mul(e, show, uses, negated)
         elif e.is_Pow:
             got = _show_pow(show(e.base), e.exp, show)
         else:
@@ -614,7 +620,7 @@ def _show_add(e, show):
     return "".join(parts), _ADD
 
 
-def _show_mul(e, show, uses):
+def _show_mul(e, show, uses, negated):
     args, sign = e.args, ""
     if args[0].is_Number and args[0].is_negative:
         coeff, sign = -args[0], "-"
@@ -626,6 +632,9 @@ def _show_mul(e, show, uses):
             den.append(_paren(_show_pow(show(a.base), -a.exp, show), _MUL))
         else:
             num.append(show(a))
+    if sign and negated and num and num[0][0] in negated:
+        # -p*x is (-p)*x in Python
+        num[0], sign = (negated[num[0][0]], _ATOM), ""
     if len(num) == 1 and sign:
         text = _paren(num[0], (_POW + _MUL) // 2)
     else:

@@ -556,6 +556,14 @@ EXIT_TABLE = [
     (["integrate", "{accel_integral}", "0,1,1", "--t1", "1", "--monitor", "push"],
      cli.EXIT_PARSE),
     *((["describe", "{%s}" % name], cli.EXIT_PARSE) for name in UNBUILDABLE),
+    # an option the mode does not read
+    (["solve", "{fp}", "energy", "--mode", "strong", "--c", "7"], cli.EXIT_PARSE),
+    (["solve", "{fp}", "energy", "--mode", "strong", "--R", "q"], cli.EXIT_PARSE),
+    (["solve", "{fp}", "energy", "--mode", "onflow-simplest", "--tau", "t"], cli.EXIT_PARSE),
+    (["solve", "{fp}", "energy", "--mode", "onflow-simplest", "--R", "q"], cli.EXIT_PARSE),
+    (["solve", "{fp}", "energy", "--mode", "onflow-R", "--tau", "1/0"], cli.EXIT_PARSE),
+    (["solve", "{fp}", "energy", "--mode", "alt-strong", "--tau", "t"], cli.EXIT_PARSE),
+    (["solve", "{fp}", "energy", "--mode", "alt-strong", "--R", ""], cli.EXIT_PARSE),
 ]
 
 
@@ -582,6 +590,12 @@ def test_exit_code_table(argv, code, request, capsys):
         assert json.loads(out)["truncated"] is True
     elif code != cli.EXIT_OK:  # codes 2-5: one error line
         assert err.startswith("error: ") and len(err.splitlines()) == 1
+
+
+def test_solve_names_the_option_its_mode_does_not_read(fp_sys, capsys):
+    assert cli.main(["solve", fp_sys, "energy", "--mode", "onflow-R", "--tau", "1/0"]) == \
+        cli.EXIT_PARSE
+    assert capsys.readouterr().err == "error: --tau is not read in --mode onflow-R\n"
 
 
 def test_degenerate_system_error_names_a_point(degenerate_sys, capsys):

@@ -130,9 +130,11 @@ def _argv(draw, exports):
     if command == "solve":
         mode = draw(st.sampled_from(("onflow-simplest", "onflow-R", "strong", "alt-strong")))
         integral = draw(st.one_of(st.sampled_from(integrals), exprs))
-        options = _options(draw, ("--tau", exprs),
-                           ("--R", st.lists(exprs, min_size=n, max_size=n + 1).map(";".join)),
-                           ("--c", st.sampled_from(("0", "1", "-2.5"))),
+        # the options the mode reads; EXIT_TABLE holds the refusal of the others
+        read = {"tau": ("--tau", exprs),
+                "R": ("--R", st.lists(exprs, min_size=n, max_size=n + 1).map(";".join)),
+                "c": ("--c", st.sampled_from(("0", "1", "-2.5")))}
+        options = _options(draw, *(read[o] for o in sorted(cli.SOLVE_OPTIONS[mode])),
                            ("--triple-out", _paths(work)), *common)
         return ["solve", f"--mode={mode}", *options, "--", str(sys_path), integral]
     if command == "verify":

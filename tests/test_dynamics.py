@@ -1,5 +1,6 @@
 
 import ast
+import contextlib
 import dataclasses
 import inspect
 
@@ -14,7 +15,7 @@ from noetherkit.expressions import (
     compile_fn,
     total_dt,
 )
-from noetherkit import dynamics
+from noetherkit import corpus, dynamics
 from noetherkit.mechanics import build_system
 from noetherkit.noether import check_conserved
 from noetherkit.dynamics import (
@@ -146,6 +147,25 @@ def test_rk4_loop_multiplies_squares_and_checks_one_sum_first(name, request):
     on_state = [node for node in compares if names(node) & {f"w·{i}" for i in range(2 * sysdef.n)}]
     assert len(on_sum) == 1 and len(on_state) == 2 * sysdef.n
     assert on_sum[0].lineno < min(node.lineno for node in on_state)
+    # the steps negate no parameter, and the check on the sum calls nothing
+    loop = next(node for node in ast.walk(tree) if isinstance(node, ast.For))
+    assert not [node for node in ast.walk(loop) if isinstance(node, ast.UnaryOp)
+                and isinstance(node.operand, ast.Name) and node.operand.id.startswith("p·")]
+    fast, = [node.test for node in ast.walk(loop) if isinstance(node, ast.If)
+             and isinstance(node.test, ast.UnaryOp) and "s·" in names(node.test)]
+    assert not [node for node in ast.walk(fast) if isinstance(node, ast.Call)]
+    # the oracle's code for the same expressions prints as before
+    assert inspect.getsource(compile_fn(exprs, sysdef.alphabet).positional) == COMPILED[name]
+
+
+COMPILED = {
+    "kepler": "def _compiled(t, r1, r2, r3, r1dot, r2dot, r3dot, mu, u1, u2, u3):\n"
+              "    cse·0 = r1*r1 + r2*r2 + r3*r3\n"
+              "    cse·1 = cse·0**(-3/2)\n"
+              "    return [-mu*r1*cse·1, -mu*r2*cse·1, -mu*r3*cse·1, cse·0]\n",
+    "fp": "def _compiled(t, q, qdot):\n    return [0]\n",
+    "iso": "def _compiled(t, x, y, xdot, ydot, c):\n    return [-x, -y]\n",
+}
 
 
 def test_the_imaginary_unit_is_refused():
@@ -231,6 +251,14 @@ def _overflow_window_system():
     return _system_of(lambda t, q, qd: qd**2 / 2 - q**2 / 2 / (1 + (100 * t - 50)**-400))
 
 
+def _param_system(L, k):
+    """A one-coordinate system with one parameter k at the given value, L a
+    function of (q, qdot, k)."""
+    ab = Alphabet(coords=("q",), params=("k",))
+    (q,), (qd,), (ks,) = ab.coord_symbols, ab.velocity_symbols, ab.param_symbols
+    return build_system(L(q, qd, ks), ab, param_values={"k": k})
+
+
 def _reference_integrate(sysdef, initial, t1, dt):
     """RK4 as written before its stages were fused: a numpy state, one
     dict-point call of the compiled Lam per stage, and a separate call of the
@@ -285,7 +313,8 @@ def _reference_integrate(sysdef, initial, t1, dt):
 @pytest.mark.parametrize("case", [
     "kepler_orbit", "radial_plunge", "plunge_to_zone", "iso_steep_fall", "blow_up",
     "pole", "iso_opaque_fall", "fractional_power", "abs_sign", "smooth_pole",
-    "overflow_window",
+    "overflow_window", "kepler_second_mu", "param_subtree", "param_square_divides",
+    "param_quotient_pole", "param_exp_pole",
 ])
 def test_integrate_matches_reference_loop(case, kepler, iso_steep, iso_opaque):
     plunge = (kepler.system, (0.0, [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]), 3.0)
@@ -310,6 +339,24 @@ def test_integrate_matches_reference_loop(case, kepler, iso_steep, iso_opaque):
         "smooth_pole": (_system_of(lambda t, q, qd: qd**2 / 2 + q * sp.exp(-1 / t**2)),
                         (-5e-4, [1.0], [0.0]), 1.0),
         "overflow_window": (_overflow_window_system(), (0.0, [1.0], [0.0]), 1.0),
+        # the loop is kepler3d's, which reads mu from its arguments
+        "kepler_second_mu": (corpus.load("kepler3d", param_values={"mu": 2.0}).system,
+                             (0.0, [1.2, 0.1, -0.3], [0.1, 1.2, 0.2]), 2.0),
+        # Lam = -2*sqrt(k)*q - k - 1: a compound subtree of k, and -k in a sum
+        "param_subtree": (_param_system(lambda q, qd, k: qd**2 / 2 - sp.sqrt(k) * q**2
+                                        - (k + 1) * q, 2.0), (0.0, [1.0], [0.5]), 1.0),
+        # Lam = -q/(1 + k)^2: the square of a sum of k divides
+        "param_square_divides": (_param_system(lambda q, qd, k: qd**2 / 2
+                                               - q**2 / (2 * (1 + k)**2), 0.3),
+                                 (0.0, [1.0], [0.5]), 1.0),
+        # Lam = -q/k at k = 0: the quotient raises inside the step
+        "param_quotient_pole": (_param_system(lambda q, qd, k: qd**2 / 2 - q**2 / (2 * k), 0.0),
+                                (0.0, [1.0], [0.0]), 1.0),
+        # Lam = -q*exp(-1/k^2) at k = 0: 1/k^2 raises on Python floats, and
+        # float64 reads exp(-inf) = 0 there
+        "param_exp_pole": (_param_system(lambda q, qd, k: qd**2 / 2
+                                         - q**2 / 2 * sp.exp(-1 / k**2), 0.0),
+                           (0.0, [1.0], [0.5]), 1.0),
     }[case]
     dt = 1e-3
     if case == "plunge_to_zone":
@@ -317,11 +364,21 @@ def test_integrate_matches_reference_loop(case, kepler, iso_steep, iso_opaque):
         # guard must run at the last node too
         nodes = len(_reference_integrate(sysdef, initial, t1, dt)[0])
         t1 = nodes * dt
-    t, q, qdot, truncated = _reference_integrate(sysdef, initial, t1, dt)
+    if case == "kepler_second_mu":
+        integrate(kepler.system, initial, 0.01, dt=dt)
+    # -q/0 reads inf - inf within a step
+    quiet = case == "param_quotient_pole"
+    with np.errstate(invalid="ignore") if quiet else contextlib.nullcontext():
+        t, q, qdot, truncated = _reference_integrate(sysdef, initial, t1, dt)
     traj = integrate(sysdef, initial, t1, dt=dt)
+    if case == "kepler_second_mu":
+        exprs = [*sysdef.lam, *(ex.expr for ex in sysdef.exclusions)]
+        assert compile_fn(exprs, sysdef.alphabet).rk4 is dynamics._rk4_loop(
+            compile_fn(exprs, kepler.system.alphabet), exprs, kepler.system.alphabet)
     assert truncated == (case not in ("kepler_orbit", "abs_sign", "smooth_pole",
-                                      "overflow_window"))
-    assert (len(t) == 1) == (case == "pole")
+                                      "overflow_window", "kepler_second_mu", "param_subtree",
+                                      "param_square_divides", "param_exp_pole"))
+    assert (len(t) == 1) == (case in ("pole", "param_quotient_pole"))
     if case == "fractional_power":
         assert len(t) == 319
     assert traj.truncated == truncated

@@ -519,6 +519,32 @@ def test_the_square_of_a_name_prints_as_one_product_factor(make, text, square):
         assert np.array_equal(got, square(x, y, m))
 
 
+@pytest.mark.parametrize("make, text", [
+    # the negated first factor of a product reads its local
+    (lambda x, y, k, m: -k * x * y, "nk*x*y"),
+    (lambda x, y, k, m: -m * k * x, "nk*m*x"),
+    (lambda x, y, k, m: -k, "nk"),
+    (lambda x, y, k, m: -k / x, "nk/x"),
+    (lambda x, y, k, m: y - k * x**2, "y + nk*(x*x)"),
+    (lambda x, y, k, m: -(k + 1) * x, "x*(-1 + nk)"),
+    # a positive product, a signed number or a factor that is not a lone
+    # argument stays
+    (lambda x, y, k, m: k * x - y, "-y + k*x"),
+    (lambda x, y, k, m: -2 * k * x, "-2*k*x"),
+    (lambda x, y, k, m: -x / k, "-x/k"),
+    (lambda x, y, k, m: -k**2 * x, "-x*(k*k)"),
+])
+def test_a_negated_argument_reads_the_local_that_holds_its_negation(make, text):
+    ab = Alphabet(coords=("x", "y"), params=("k", "m"))
+    e = make(*ab.coord_symbols, *ab.param_symbols)
+    args = {"x": "x", "y": "y", "k": "k", "m": "m"}
+    assert expressions._print_code([e], args, {"k": "nk", "m": "nm"})[:2] == ([], [text])
+    # the local gives what the inline source gives, bit for bit
+    _, (inline,), _, _ = expressions._print_code([e], args)
+    ns = {**expressions._GLOBALS, "x": 0.3, "y": -1.7, "k": 2.9, "m": 0.6, "nk": -2.9}
+    assert eval(text, ns).hex() == eval(inline, ns).hex()
+
+
 def test_shared_subtrees_do_not_capture_declared_names():
     ab = Alphabet(coords=("x0", "x1"), params=("x2",))
     (x0, x1), (x0d, x1d), (x2,) = ab.coord_symbols, ab.velocity_symbols, ab.param_symbols
