@@ -2,21 +2,23 @@
 
 Fixed-step classical RK4 on the first-order system (q, qdot)' = (qdot, Lam).
 The whole run is one generated function per system: its loop takes the RK4
-steps on Python floats, with the printed statements of Lam inline at each
-stage and, at each new node, those of the declared singular sets, which
-guard the node.  The negated parameters are computed once per call, before
-the loop.  A step at which Python floats raise or go complex runs again on
-numpy float64 scalars, which read inf or NaN there, and the loop resumes
-after it.  The loop stores the states; the times are derived
-from t0 and dt afterwards.  A trajectory is truncated with a flag when it
-approaches a declared singular set or its state stops being finite.  The
-step count is bounded by ``MAX_STEPS``.
+steps on Python floats, two per pass, with the printed statements of Lam
+inline at each stage and, at each new node, those of the declared singular
+sets, which guard the node.  The negated parameters are computed once per
+call, before the loop, and the clock only for a Lam or exclusion that reads
+t.  A step at which Python floats raise or go complex runs again on numpy
+float64 scalars, which read inf or NaN there, and the loop resumes after
+it.  The loop stores the states; the times are derived from t0 and dt
+afterwards.  A trajectory is truncated with a flag when it approaches a
+declared singular set or its state stops being finite.  The step count is
+bounded by ``MAX_STEPS``.
 """
 
 from __future__ import annotations
 
 import csv
 import math
+import re
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -50,6 +52,9 @@ SINGULAR_ABORT = 1e-3
 MAX_STEPS = 1_000_000
 # singular values below this fraction of the largest do not count to the rank
 SVD_RTOL = 1e-8
+# a name in the RK4 loop's source, and a call
+_NAME = re.compile(r"[^\W\d][\w·]*")
+_CALL = re.compile(r"[\w·]\(")
 
 
 class SingularStartError(ValueError):
@@ -104,14 +109,13 @@ def integrate(
     OverflowError, or goes complex, runs again, through the same loop on
     float64 scalars, which read inf or NaN there; the loop then resumes on
     Python floats.  The loop stores the state at each node, and the times
-    are the running sums of t0, dt, dt, ..., which is the loop's own
-    t + dt at each step, bit for bit.  The run is truncated at the last node
-    before a state that is not finite or within an exclusion margin.
-    Raises SingularStartError for a
-    start in an exclusion zone, and ValueError when t1 is before t0, the
-    run needs more than ``MAX_STEPS`` steps, Lam or an exclusion is
-    complex-typed at the start, or an exclusion holds a total-derivative
-    node.
+    are the running sums of t0, dt, dt, ..., which is the clock t + dt that
+    the loop keeps for a Lam or exclusion that reads t, bit for bit.  The
+    run is truncated at the last node before a state that is not finite or
+    within an exclusion margin.  Raises SingularStartError for a start in
+    an exclusion zone, and ValueError when t1 is before t0, the run needs
+    more than ``MAX_STEPS`` steps, Lam or an exclusion is complex-typed at
+    the start, or an exclusion holds a total-derivative node.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
@@ -163,7 +167,7 @@ def integrate(
                 node = run(*map(np.float64, node + params), *tail, 1, flat)
                 node = node and tuple(map(float, node))
                 taken += 1
-    rows = np.array(flat, dtype=float).reshape(-1, width)
+    rows = np.fromiter(flat, float, len(flat)).reshape(-1, width)
     # the loop's t + dt at each step, in the same order
     times = np.full(len(rows), dt, dtype=float)
     times[0] = t
@@ -193,23 +197,33 @@ def _rk4_loop(compiled, exprs, alphabet):
     every ``param_values`` of a Lam, and the value is the inline one bit
     for bit.
 
+    Each pass of the loop takes two steps.  The first maps the node locals
+    (t, y, a) to (t1, w, b) and the second, the same statements with those
+    names swapped, maps them back, so no node is handed on by assignment,
+    and one store appends both new states to the list ``out``.  An odd last
+    step leaves after the first.  The clock t + dt/2, t + dt runs only when
+    Lam or an exclusion reads t; otherwise the t of a node it returns is
+    the start's.
+
     At the new node the statements give Lam, the next step's k1, and the
     exclusion values, which guard the node: each state component must be
     finite and each exclusion value finite and at least its threshold in
-    magnitude.  The loop sums the new state, Lam and the exclusion values
-    anyway, to find a complex value, and a sum is finite only where every
-    term is.  So a node passes at once when that sum is finite and each
-    exclusion value e is at least its threshold c or at most -c, which the
-    run also negates once: for a finite real e and c > 0 that is c <= |e|,
-    without a call.  Only when the sum is not finite, from an overflow or a
-    term that is not finite, does the guard of each term decide.  It
-    accepts the same nodes either way.  An exclusion with total-derivative
-    nodes, which need a complex step, is a ValueError.  Each node taken
-    appends its state y to the list ``out``, and the next step starts from
-    it by one plain assignment per local.  Returns the node after ``steps``
-    steps, the start node of a step that raised or went complex, or None at
-    a node the guard refused.  Every local carries a ``·``, outside the
-    DSL's names.
+    magnitude.  The loop sums the new state, Lam and the exclusion values,
+    and a sum is finite only where every term is.  So a node passes at once
+    when that sum is finite and each exclusion value e is at least its
+    threshold c or at most -c, which the run also negates once: for a
+    finite real e and c > 0 that is c <= |e|, without a call.  Only when
+    the sum is not finite, from an overflow or a term that is not finite,
+    does the guard of each term decide.  It accepts the same nodes either
+    way.  A sum is complex-typed where any of its terms is.  Comparing a
+    Python complex raises TypeError, which the step's handler takes with
+    ZeroDivisionError and OverflowError.  A numpy complex, which a
+    function's value can be, compares without raising, so a stage that
+    calls a function also tests the type of the sum.  An exclusion with
+    total-derivative nodes, which need a complex step, is a ValueError.
+    Returns the node after ``steps`` steps, the start node of a step that
+    raised or went complex, or None at a node the guard refused.  Every
+    local carries a ``·``, outside the DSL's names.
     """
     run = getattr(compiled, "rk4", None)
     if run is not None:
@@ -240,33 +254,59 @@ def _rk4_loop(compiled, exprs, alphabet):
     lam, excl = [f"b·{i}" for i in range(n)], [f"e·{j}" for j in range(m)]
     body += stage("t1·", w, lam + excl)
     clear = [f"c·{j}" for j in range(m)]
-    start = ["t·", *y, *ks[0][n:]]
+    a = ks[0][n:]
+    start = ["t·", *y, *a]
     node = ", ".join(start)
     # for a finite real e and c > 0, c <= |e| is e >= c or e <= -c
     fast = " and ".join(["-inf· < s· < inf·",
                          *(f"({e} >= {c} or {e} <= n{c})" for c, e in zip(clear, excl))])
     guard = " and ".join([*(f"-inf· < {v} < inf·" for v in w),
                           *(f"{c} <= abs·({e}) < inf·" for c, e in zip(clear, excl))])
+    clocked = any(alphabet.t in e.free_symbols for e in exprs)
+    calls = _CALL.search("\n".join(body))
+
+    def step(leave):
+        """The lines of one step from (t·, y·, a·) to (t1·, w·, b·), with
+        the lines ``leave`` before each exit."""
+        return [
+            *(["th·, t1· = t· + h2·, t· + dt·"] if clocked else []),
+            "try:",
+            *(f"    {line}" for line in body),
+            "    # a sum is complex-typed where any of its terms is, and finite",
+            "    # only where every term is; comparing a Python complex raises",
+            f"    s· = {' + '.join(w + lam + excl)}",
+            *(["    if isinstance(s·, complex):", "        raise TypeError"] if calls else []),
+            f"    if not ({fast}):",
+            "        # the sum overflowed or a term is not finite",
+            f"        if not ({guard}):",
+            *(f"            {line}" for line in [*leave, "return None"]),
+            "except (ZeroDivisionError, OverflowError, TypeError):",
+            *(f"    {line}" for line in [*leave, f"return {node}"]),
+        ]
+
+    other = dict(zip(y + a, w + lam))
+    if clocked:
+        other["t·"] = "t1·"
+    other.update({v: k for k, v in other.items()})
+
+    def swap(line):
+        return _NAME.sub(lambda name: other.get(name[0], name[0]), line)
+
+    # the second step, back from (t1·, w·, b·), stores the pass's first node
+    # before it leaves: the y· it names are its w·
+    second = [swap(line) for line in step([f"out· += ({', '.join(y)})"])]
     signature = ", ".join([*start, *params, *clear, "dt·", "h2·", "h6·", "steps·", "out·"])
     source = (
         f"def run·({signature}):\n" +
         "".join(f"    n{v} = -{v}\n" for v in params + clear) +
-        "    for _· in range(steps·):\n"
-        "        th·, t1· = t· + h2·, t· + dt·\n"
-        "        try:\n" + "".join(f"            {line}\n" for line in body) +
-        "        except (ZeroDivisionError, OverflowError):\n"
-        f"            return {node}\n"
-        "        # a sum is complex-typed where any of its terms is, and finite\n"
-        "        # only where every term is\n"
-        f"        s· = {' + '.join(w + lam + excl)}\n"
-        "        if isinstance(s·, complex):\n"
-        f"            return {node}\n"
-        f"        if not ({fast}):\n"
-        "            # the sum overflowed or a term is not finite\n"
-        f"            if not ({guard}):\n"
-        "                return None\n"
-        f"        out· += ({', '.join(w)})\n" +
-        "".join(f"        {a} = {b}\n" for a, b in zip(start, ["t1·", *w, *lam])) +
+        "    last· = steps· // 2\n"
+        "    for _· in range(steps· - last·):\n" +
+        "".join(f"        {line}\n" for line in step([])) +
+        "        if _· == last·:  # an odd last step\n"
+        f"            out· += ({', '.join(w)})\n"
+        f"            return {swap(node)}\n" +
+        "".join(f"        {line}\n" for line in second) +
+        f"        out· += ({', '.join(w + y)})\n"
         f"    return {node}\n"
     )
     namespace = {**_GLOBALS, "abs·": abs, "inf·": math.inf}

@@ -153,7 +153,8 @@ def _sym(name: str) -> sp.Symbol:
 
 @dataclass(frozen=True)
 class Alphabet:
-    """Declares the variables a system's expressions may mention.
+    """Declares the variables a system's expressions may mention: at least
+    one coordinate, and parameters.
 
     Every name is one identifier of the DSL, ``[A-Za-z_][A-Za-z_0-9]*``,
     so that an expression can refer to it.  Coordinates ``c`` induce
@@ -166,6 +167,8 @@ class Alphabet:
     params: tuple[str, ...] = ()
 
     def __post_init__(self):
+        if not self.coords:
+            raise ValueError("a system needs at least one coordinate")
         names = list(self.coords) + list(self.params)
         # the names lookup gives to velocities and accelerations
         derived = {c + d for c in self.coords for d in ("dot", "ddot")}

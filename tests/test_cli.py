@@ -470,6 +470,7 @@ UNBUILDABLE = {
     "param_velocity": "dim = 1\ncoords = q\nparams = qdot = 1\nlagrangian = qdot^2/2",
     "param_number": "dim = 1\ncoords = q\nparams = 2.5 = 1\nlagrangian = qdot^2/2",
     "param_spaced": "dim = 1\ncoords = q\nparams = a b = 2\nlagrangian = qdot^2/2",
+    "no_coords": "dim = 0\ncoords =\nlagrangian = 1",
 }
 
 
@@ -556,6 +557,8 @@ EXIT_TABLE = [
     (["integrate", "{accel_integral}", "0,1,1", "--t1", "1", "--monitor", "push"],
      cli.EXIT_PARSE),
     *((["describe", "{%s}" % name], cli.EXIT_PARSE) for name in UNBUILDABLE),
+    (["integrate", "{no_coords}", "0", "--t1", "0.01"], cli.EXIT_PARSE),
+    (["solve", "{no_coords}", "1", "--mode", "strong"], cli.EXIT_PARSE),
     # an option the mode does not read
     (["solve", "{fp}", "energy", "--mode", "strong", "--c", "7"], cli.EXIT_PARSE),
     (["solve", "{fp}", "energy", "--mode", "strong", "--R", "q"], cli.EXIT_PARSE),

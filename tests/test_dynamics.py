@@ -7,6 +7,7 @@ import inspect
 import numpy as np
 import pytest
 import sympy as sp
+from hypothesis import given, strategies as st
 
 from noetherkit.expressions import (
     Alphabet,
@@ -119,17 +120,15 @@ def test_an_overflowing_sum_of_finite_terms_takes_the_exact_guard(fp):
     assert not traj.truncated and len(traj.t) == 6
     assert np.isfinite(traj.q).all()
     # a finite sum still refuses the node whose exclusion value is too small
-    ab = Alphabet(coords=("q",))
-    (q,), (qd,) = ab.coord_symbols, ab.velocity_symbols
-    walled = build_system(qd**2 / 2, ab, exclusions=(Exclusion(q, 0.5005),))
-    traj = integrate(walled, (0.0, [2.0], [-1.0]), 2.0, dt=1e-3)
+    traj = integrate(_walled_system(), (0.0, [2.0], [-1.0]), 2.0, dt=1e-3)
     assert traj.truncated and len(traj.t) == 1500
     assert traj.q[-1, 0] > 0.5005
 
 
-@pytest.mark.parametrize("name", ["kepler", "fp", "iso"])
+@pytest.mark.parametrize("name", ["kepler", "fp", "iso", "window"])
 def test_rk4_loop_multiplies_squares_and_checks_one_sum_first(name, request):
-    sysdef = request.getfixturevalue(name).system
+    sysdef = (_overflow_window_system() if name == "window"
+              else request.getfixturevalue(name).system)
     exprs = [*sysdef.lam, *(ex.expr for ex in sysdef.exclusions)]
     run = dynamics._rk4_loop(compile_fn(exprs, sysdef.alphabet), exprs, sysdef.alphabet)
     tree = ast.parse(inspect.getsource(run))
@@ -138,22 +137,38 @@ def test_rk4_loop_multiplies_squares_and_checks_one_sum_first(name, request):
                and isinstance(node.left, ast.Name) and isinstance(node.right, ast.Constant)
                and node.right.value == 2]
     assert squares == []
-    compares = [node for node in ast.walk(tree) if isinstance(node, ast.Compare)]
 
     def names(node):
         return {a.id for a in ast.walk(node) if isinstance(a, ast.Name)}
 
-    on_sum = [node for node in compares if "s·" in names(node)]
-    on_state = [node for node in compares if names(node) & {f"w·{i}" for i in range(2 * sysdef.n)}]
-    assert len(on_sum) == 1 and len(on_state) == 2 * sysdef.n
-    assert on_sum[0].lineno < min(node.lineno for node in on_state)
-    # the steps negate no parameter, and the check on the sum calls nothing
+    # a pass takes two steps, (y·, a·) to (w·, b·) and back, each in its own try
     loop = next(node for node in ast.walk(tree) if isinstance(node, ast.For))
+    copies = [node for node in loop.body if isinstance(node, ast.Try)]
+    assert len(copies) == 2
+    for copy, state in zip(copies, ("w·", "y·")):
+        compares = [node for node in ast.walk(copy) if isinstance(node, ast.Compare)]
+        on_sum = [node for node in compares if "s·" in names(node)]
+        on_state = [node for node in compares
+                    if names(node) & {f"{state}{i}" for i in range(2 * sysdef.n)}]
+        assert len(on_sum) == 1 and len(on_state) == 2 * sysdef.n
+        assert on_sum[0].lineno < min(node.lineno for node in on_state)
+        # the check on the sum calls nothing
+        fast, = [node.test for node in ast.walk(copy) if isinstance(node, ast.If)
+                 and isinstance(node.test, ast.UnaryOp) and "s·" in names(node.test)]
+        assert not [node for node in ast.walk(fast) if isinstance(node, ast.Call)]
+    # the steps negate no parameter
     assert not [node for node in ast.walk(loop) if isinstance(node, ast.UnaryOp)
                 and isinstance(node.operand, ast.Name) and node.operand.id.startswith("p·")]
-    fast, = [node.test for node in ast.walk(loop) if isinstance(node, ast.If)
-             and isinstance(node.test, ast.UnaryOp) and "s·" in names(node.test)]
-    assert not [node for node in ast.walk(fast) if isinstance(node, ast.Call)]
+    # no node local is handed to another
+    node_locals = {"t·", "t1·", *(f"{v}{i}" for v in ("y·", "w·", "a·", "b·")
+                                  for i in range(2 * sysdef.n))}
+    handoffs = [node for node in ast.walk(loop) if isinstance(node, ast.Assign)
+                and names(node.value) & node_locals
+                and all(isinstance(v, ast.Name) for v in ast.walk(node.value)
+                        if not isinstance(v, (ast.Tuple, ast.Load)))]
+    assert handoffs == []
+    # the clock runs only for a Lam that reads t
+    assert names(loop) & {"th·", "t1·"} == ({"th·", "t1·"} if name == "window" else set())
     # the oracle's code for the same expressions prints as before
     assert inspect.getsource(compile_fn(exprs, sysdef.alphabet).positional) == COMPILED[name]
 
@@ -165,6 +180,8 @@ COMPILED = {
               "    return [-mu*r1*cse·1, -mu*r2*cse·1, -mu*r3*cse·1, cse·0]\n",
     "fp": "def _compiled(t, q, qdot):\n    return [0]\n",
     "iso": "def _compiled(t, x, y, xdot, ydot, c):\n    return [-x, -y]\n",
+    "window": "def _compiled(t, q, qdot):\n"
+              "    return [-q/(1 + (-50 + 100*t)**(-400.0))]\n",
 }
 
 
@@ -259,6 +276,26 @@ def _param_system(L, k):
     return build_system(L(q, qd, ks), ab, param_values={"k": k})
 
 
+def _walled_system():
+    """The free particle with the exclusion |q| >= 0.5005."""
+    ab = Alphabet(coords=("q",))
+    (q,), (qd,) = ab.coord_symbols, ab.velocity_symbols
+    return build_system(qd**2 / 2, ab, exclusions=(Exclusion(q, 0.5005),))
+
+
+def _exp_cbrt_wall_system():
+    """Lam = -1 with the exclusion exp(q^(1/3))."""
+    ab = Alphabet(coords=("q",))
+    (q,), (qd,) = ab.coord_symbols, ab.velocity_symbols
+    return build_system(qd**2 / 2 - q, ab, exclusions=(Exclusion(sp.exp(q**sp.Rational(1, 3))),))
+
+
+# whether each case's first rerun or refusal falls on the first step of a pass
+ON_FIRST_STEP = {"wall_first": True, "wall_second": False, "smooth_pole": True,
+                 "smooth_pole_second": False, "fractional_power": True,
+                 "fractional_power_second": False}
+
+
 def _reference_integrate(sysdef, initial, t1, dt):
     """RK4 as written before its stages were fused: a numpy state, one
     dict-point call of the compiled Lam per stage, and a separate call of the
@@ -314,11 +351,14 @@ def _reference_integrate(sysdef, initial, t1, dt):
     "kepler_orbit", "radial_plunge", "plunge_to_zone", "iso_steep_fall", "blow_up",
     "pole", "iso_opaque_fall", "fractional_power", "abs_sign", "smooth_pole",
     "overflow_window", "kepler_second_mu", "param_subtree", "param_square_divides",
-    "param_quotient_pole", "param_exp_pole",
+    "param_quotient_pole", "param_exp_pole", "wall_first", "wall_second",
+    "smooth_pole_second", "fractional_power_second", "complex_function",
 ])
-def test_integrate_matches_reference_loop(case, kepler, iso_steep, iso_opaque):
+def test_integrate_matches_reference_loop(case, kepler, iso_steep, iso_opaque, monkeypatch):
     plunge = (kepler.system, (0.0, [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]), 3.0)
     fall = ((0.0, [1.0, 1.0], [0.3, 0.0]), 2.0)
+    fractional = _system_of(lambda t, q, qd: qd**2 / 2 - sp.Rational(3, 4) * q**sp.Rational(4, 3))
+    smooth = _system_of(lambda t, q, qd: qd**2 / 2 + q * sp.exp(-1 / t**2))
     sysdef, initial, t1 = {
         "kepler_orbit": (kepler.system, (0.0, [1.2, 0.1, -0.3], [0.1, 0.8, 0.2]), 2.0),
         "radial_plunge": plunge,
@@ -328,16 +368,13 @@ def test_integrate_matches_reference_loop(case, kepler, iso_steep, iso_opaque):
         "pole": (_pole_system(), (0.0, [1.0], [0.0]), 1.0),
         "iso_opaque_fall": (iso_opaque[0], *fall),
         # Lam = -q^(1/3): complex on Python floats once q < 0, NaN on float64
-        "fractional_power": (_system_of(lambda t, q, qd: qd**2 / 2
-                                        - sp.Rational(3, 4) * q**sp.Rational(4, 3)),
-                             (0.0, [1.0], [-3.0]), 1.0),
+        "fractional_power": (fractional, (0.0, [1.0], [-3.0]), 1.0),
         # Lam = -q*sign(q) - |q|, whose functions return numpy floats
         "abs_sign": (_system_of(lambda t, q, qd: qd**2 / 2 - sp.sqrt(q**2) * q),
                      (0.0, [1.0], [-3.0]), 1.0),
         # Lam = exp(-1/t^2): 1/t^2 raises on Python floats at the midpoint
         # stages of the first step, where float64 reads exp(-inf) = 0
-        "smooth_pole": (_system_of(lambda t, q, qd: qd**2 / 2 + q * sp.exp(-1 / t**2)),
-                        (-5e-4, [1.0], [0.0]), 1.0),
+        "smooth_pole": (smooth, (-5e-4, [1.0], [0.0]), 1.0),
         "overflow_window": (_overflow_window_system(), (0.0, [1.0], [0.0]), 1.0),
         # the loop is kepler3d's, which reads mu from its arguments
         "kepler_second_mu": (corpus.load("kepler3d", param_values={"mu": 2.0}).system,
@@ -357,6 +394,17 @@ def test_integrate_matches_reference_loop(case, kepler, iso_steep, iso_opaque):
         "param_exp_pole": (_param_system(lambda q, qd, k: qd**2 / 2
                                          - q**2 / 2 * sp.exp(-1 / k**2), 0.0),
                            (0.0, [1.0], [0.5]), 1.0),
+        # a pass takes two steps; these put the guard's refusal, a rerun after
+        # a raise and a rerun after a complex value on its first step and on
+        # its second (ON_FIRST_STEP)
+        "wall_first": (_walled_system(), (0.0, [2.001], [-1.0]), 2.0),
+        "wall_second": (_walled_system(), (0.0, [2.0], [-1.0]), 2.0),
+        # the midpoint stages of the second step read t = 0
+        "smooth_pole_second": (smooth, (-1.5e-3, [1.0], [0.0]), 1.0),
+        "fractional_power_second": (fractional, (0.0, [1.0], [-3.01]), 1.0),
+        # a fall through q = 0 with the exclusion exp(q^(1/3)), a numpy
+        # complex once q < 0, which compares without raising
+        "complex_function": (_exp_cbrt_wall_system(), (0.0, [1.0], [0.0]), 2.0),
     }[case]
     dt = 1e-3
     if case == "plunge_to_zone":
@@ -366,6 +414,21 @@ def test_integrate_matches_reference_loop(case, kepler, iso_steep, iso_opaque):
         t1 = nodes * dt
     if case == "kepler_second_mu":
         integrate(kepler.system, initial, 0.01, dt=dt)
+    # the node count at each float64 rerun
+    reruns = []
+    real = dynamics._rk4_loop
+
+    def recording_loop(*args):
+        run = real(*args)
+
+        def call(*node):
+            if type(node[0]) is np.float64:
+                reruns.append(len(node[-1]) // (2 * sysdef.n))
+            return run(*node)
+
+        return call
+
+    monkeypatch.setattr(dynamics, "_rk4_loop", recording_loop)
     # -q/0 reads inf - inf within a step
     quiet = case == "param_quotient_pole"
     with np.errstate(invalid="ignore") if quiet else contextlib.nullcontext():
@@ -373,18 +436,41 @@ def test_integrate_matches_reference_loop(case, kepler, iso_steep, iso_opaque):
     traj = integrate(sysdef, initial, t1, dt=dt)
     if case == "kepler_second_mu":
         exprs = [*sysdef.lam, *(ex.expr for ex in sysdef.exclusions)]
-        assert compile_fn(exprs, sysdef.alphabet).rk4 is dynamics._rk4_loop(
+        assert compile_fn(exprs, sysdef.alphabet).rk4 is real(
             compile_fn(exprs, kepler.system.alphabet), exprs, kepler.system.alphabet)
     assert truncated == (case not in ("kepler_orbit", "abs_sign", "smooth_pole",
                                       "overflow_window", "kepler_second_mu", "param_subtree",
-                                      "param_square_divides", "param_exp_pole"))
+                                      "param_square_divides", "param_exp_pole",
+                                      "smooth_pole_second"))
     assert (len(t) == 1) == (case in ("pole", "param_quotient_pole"))
     if case == "fractional_power":
         assert len(t) == 319
+    if case in ON_FIRST_STEP:
+        # the step of the first rerun or refusal follows an odd number of
+        # nodes where it is the first of its pass
+        nodes = reruns[0] if reruns else len(t)
+        assert nodes % 2 == ON_FIRST_STEP[case]
+    if case == "complex_function":
+        assert reruns == [len(t)]
     assert traj.truncated == truncated
     assert np.array_equal(traj.t, t)
     assert np.array_equal(traj.q, q)
     assert np.array_equal(traj.qdot, qdot)
+
+
+@given(n=st.integers(0, 7), name=st.sampled_from(["kepler", "window"]),
+       shift=st.integers(0, 7))
+def test_a_run_is_a_prefix_of_the_run_one_step_longer(n, name, shift, kepler):
+    # a pass of the loop takes two steps, and an odd last step leaves after
+    # the first; the overflow window's Lam reads t, and from these starts its
+    # float64 steps fall on either step of a pass
+    sysdef, q0, qd0 = {"kepler": (kepler.system, [1.2, 0.1, -0.3], [0.1, 0.8, 0.2]),
+                       "window": (_overflow_window_system(), [1.0], [0.0])}[name]
+    t0, dt = 0.494 + shift * 5e-4, 1e-3
+    short, longer = (integrate(sysdef, (t0, q0, qd0), t0 + k * dt, dt=dt) for k in (n, n + 1))
+    assert len(short.t) == n + 1 and len(longer.t) == n + 2
+    for a, b in [(short.t, longer.t), (short.q, longer.q), (short.qdot, longer.qdot)]:
+        assert np.array_equal(a, b[:n + 1])
 
 
 def test_steps_run_on_python_floats(kepler, monkeypatch):

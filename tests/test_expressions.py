@@ -49,6 +49,8 @@ def test_alphabet_rejects_reserved_and_duplicate_names():
         Alphabet(coords=("x",), params=("sin",))
     with pytest.raises(ValueError):
         Alphabet(coords=("x", "x"))
+    with pytest.raises(ValueError, match="at least one coordinate"):
+        Alphabet(coords=(), params=("m",))
 
 
 @pytest.mark.parametrize("coords, params", [
@@ -631,8 +633,9 @@ def test_rk4_loop_is_the_same_under_every_hash_seed():
         assert proc.returncode == 0, err
         outs.add(out)
     assert len(outs) == 1
-    # kepler3d's four stages each compute |r|^-3 once
-    assert outs.pop().split()[0] == "4"
+    # kepler3d's four stages each compute |r|^-3 once, in each of the two
+    # steps a pass of the loop takes
+    assert outs.pop().split()[0] == "8"
 
 
 def test_alphabet_builds_its_symbols_once_and_keys_the_memo_by_its_fields():
