@@ -1,22 +1,23 @@
 """Numerical integration of the normal form and first-integral drift checks.
 
 Fixed-step classical RK4 on the first-order system (q, qdot)' = (qdot, Lam).
-The whole run is one generated function per system: its loop takes the RK4
-steps on Python floats, two per pass, with the printed statements of Lam
-inline at each stage and, at each new node, those of the declared singular
-sets, which guard the node.  The negated parameters are computed once per
-call, before the loop, and the clock only for a Lam or exclusion that reads
-t.  A step at which Python floats raise or go complex runs again on numpy
-float64 scalars, which read inf or NaN there, and the loop resumes after
-it.  The loop stores the states; the times are derived from t0 and dt
-afterwards.  A trajectory is truncated with a flag when it approaches a
-declared singular set or its state stops being finite.  The step count is
-bounded by ``MAX_STEPS``.
+The whole run is one generated function per system, memoized on Lam and the
+exclusions: its loop takes the RK4 steps on Python floats, two per pass.
+Lam and the declared singular sets, which guard each new node, are printed
+once, at that node; every stage, the pass's second step and its odd exit
+node are renamings of that text, and a second generated function runs it
+once to evaluate the start.  A step at which Python floats raise or go
+complex runs again on numpy float64 scalars, which read inf or NaN there,
+and the loop resumes after it.  The loop stores the states; the times are
+derived from t0 and dt afterwards.  A trajectory is truncated with a flag
+when it approaches a declared singular set or its state stops being
+finite.  The step count is bounded by ``MAX_STEPS``.
 """
 
 from __future__ import annotations
 
 import csv
+import functools
 import math
 import re
 from dataclasses import dataclass
@@ -25,6 +26,7 @@ from typing import Sequence
 import numpy as np
 
 from .expressions import (
+    COMPILE_MEMO_SIZE,
     _GLOBALS,
     _define,
     _diff,
@@ -103,9 +105,10 @@ def integrate(
 ) -> Trajectory:
     """Integrate qddot = Lam(t, q, qdot) from (t0, q0, qdot0) up to t1.
 
-    The steps run in the generated loop of :func:`_rk4_loop` on Python
-    floats, which give float64's value wherever they give a real float
-    without raising.  So only a step that raises ZeroDivisionError or
+    The start is evaluated on float64 scalars by the ``at`` of
+    :func:`_rk4_loop`, and the steps run in its loop on Python floats,
+    which give float64's value wherever they give a real float without
+    raising.  So only a step that raises ZeroDivisionError or
     OverflowError, or goes complex, runs again, through the same loop on
     float64 scalars, which read inf or NaN there; the loop then resumes on
     Python floats.  The loop stores the state at each node, and the times
@@ -136,8 +139,7 @@ def integrate(
     steps = int(round(span))
 
     n, width = sys.n, 2 * sys.n
-    exprs = list(sys.lam) + [ex.expr for ex in sys.exclusions]
-    compiled = compile_fn(exprs, sys.alphabet)
+    run, at = _rk4_loop((*sys.lam, *(ex.expr for ex in sys.exclusions)), sys.alphabet)
     params = tuple(float(sys.param_values[p]) for p in sys.alphabet.params)
     # steep singular sets can be crossed within a single step, so the abort
     # distance follows each declared exclusion margin, never less than the
@@ -149,7 +151,7 @@ def integrate(
     y = (*map(float, q0), *map(float, qd0))
     flat = list(y)
     with np.errstate(all="ignore"):
-        start = compiled.positional(np.float64(t), *map(np.float64, y + params))
+        start = at(np.float64(t), *map(np.float64, y + params))
         # arithmetic on float64 arguments gives complex values at every state
         # or at none, so the start decides; a complex-typed stage would send
         # every step to the float64 rerun, which takes none
@@ -157,7 +159,6 @@ def integrate(
             raise ValueError("Lam or an exclusion is not real at the start")
         if not all(c <= abs(v) < math.inf for c, v in zip(thresholds, start[n:])):
             raise SingularStartError("initial state is inside the singular exclusion zone")
-        run = _rk4_loop(compiled, exprs, sys.alphabet)
         node, taken = (t, *y, *map(float, start[:n])), 0
         while node is not None and taken < steps:
             node = run(*node, *params, *tail, steps - taken, flat)
@@ -181,29 +182,30 @@ def integrate(
     )
 
 
-def _rk4_loop(compiled, exprs, alphabet):
-    """The generated RK4 run for the stage ``compiled`` of ``exprs``, Lam
-    and then the exclusion values; memoized on ``compiled``.
+@functools.lru_cache(maxsize=COMPILE_MEMO_SIZE)
+def _rk4_loop(exprs, alphabet):
+    """The generated RK4 run and start evaluation for ``exprs``, Lam and then
+    the exclusion values: the pair (run, at), memoized on ``(exprs,
+    alphabet)``, so one pair serves every ``param_values`` of a Lam.
+
+    :func:`expressions._print_code` prints Lam and the exclusion values once,
+    at the new node (t1, w), into the locals b and e; a negated parameter
+    reads a local computed once per call, the inline ``(-mu)*x`` bit for
+    bit.  Every other text of the loop renames that one (:func:`_rename`),
+    an inner stage keeping Lam's assignments only, and ``at(t, y, params)``
+    runs it once, returning Lam and the exclusion values.
 
     run(t, y, Lam at (t, y), params, thresholds, dt, dt/2, dt/6, steps,
     out) takes up to ``steps`` classical RK4 steps of (q, qdot)' = (qdot,
     Lam), unrolled over the 2n state components.  Each stage state is
     ``y + h*k`` and the new state ``y + dt/6*(k1 + 2*k2 + 2*k3 + k4)``, in
-    this order of operations.  Each stage runs the printed statements of
-    :func:`expressions._print_code` over its own locals, with each
-    parameter's negation in a local that the run computes once, before its
-    loop: ``-mu*r1*|r|^-3`` reads ``-mu`` there and negates nothing per
-    step.  The local comes from the call's own parameter, so one loop serves
-    every ``param_values`` of a Lam, and the value is the inline one bit
-    for bit.
-
-    Each pass of the loop takes two steps.  The first maps the node locals
-    (t, y, a) to (t1, w, b) and the second, the same statements with those
-    names swapped, maps them back, so no node is handed on by assignment,
-    and one store appends both new states to the list ``out``.  An odd last
-    step leaves after the first.  The clock t + dt/2, t + dt runs only when
-    Lam or an exclusion reads t; otherwise the t of a node it returns is
-    the start's.
+    this order of operations.  Each pass of the loop takes two steps.  The
+    first maps the node locals (t, y, a) to (t1, w, b) and the second, its
+    text with those names swapped, maps them back, so no node is handed on
+    by assignment, and one store appends both new states to the list
+    ``out``.  An odd last step leaves after the first.  The clock t + dt/2,
+    t + dt runs only when Lam or an exclusion reads t; otherwise the t of a
+    node it returns is the start's.
 
     At the new node the statements give Lam, the next step's k1, and the
     exclusion values, which guard the node: each state component must be
@@ -225,34 +227,27 @@ def _rk4_loop(compiled, exprs, alphabet):
     raised or went complex, or None at a node the guard refused.  Every
     local carries a ``·``, outside the DSL's names.
     """
-    run = getattr(compiled, "rk4", None)
-    if run is not None:
-        return run
     n, m = alphabet.n, len(exprs) - alphabet.n
     names = [s.name for s in (*alphabet.variables(), *alphabet.param_symbols)]
     params = [f"p·{j}" for j in range(len(alphabet.params))]
-    negated = {p: f"n{p}" for p in params}
-
-    def stage(time, state, assigned):
-        lines, outs, nodes, _ = _print_code(
-            exprs, dict(zip(names, [time, *state, *params])), negated)
-        if nodes:
-            raise ValueError(f"the RK4 loop cannot run the total derivative {nodes[0]}")
-        return lines + [f"{v} = {o}" for v, o in zip(assigned, outs)]
-
     y = [f"y·{i}" for i in range(2 * n)]
+    w = [f"w·{i}" for i in range(2 * n)]
+    lam, excl = [f"b·{i}" for i in range(n)], [f"e·{j}" for j in range(m)]
+    lines, outs, nodes, _ = _print_code(
+        exprs, dict(zip(names, ["t1·", *w, *params])), {p: f"n{p}" for p in params})
+    if nodes:
+        raise ValueError(f"the RK4 loop cannot run the total derivative {nodes[0]}")
+    at = lines + [f"{v} = {o}" for v, o in zip(lam + excl, outs)]
     ks = [y[n:] + [f"a·{i}" for i in range(n)]]
     body = []
     for s, (h, time) in enumerate([("h2·", "th·"), ("h2·", "th·"), ("dt·", "t1·")], 2):
         z = [f"z{s}·{i}" for i in range(2 * n)]
         body += [f"{zi} = {yi} + {h} * {ki}" for zi, yi, ki in zip(z, y, ks[-1])]
         ks.append(z[n:] + [f"k{s}·{i}" for i in range(n)])
-        body += stage(time, z, ks[-1][n:])
-    w = [f"w·{i}" for i in range(2 * n)]
+        body += _rename(at[:len(at) - m], {"t1·": time, **dict(zip(w + lam, z + ks[-1][n:]))})
     body += [f"{wi} = {yi} + h6· * ({k1} + 2.0 * {k2} + 2.0 * {k3} + {k4})"
              for wi, yi, k1, k2, k3, k4 in zip(w, y, *ks)]
-    lam, excl = [f"b·{i}" for i in range(n)], [f"e·{j}" for j in range(m)]
-    body += stage("t1·", w, lam + excl)
+    body += at
     clear = [f"c·{j}" for j in range(m)]
     a = ks[0][n:]
     start = ["t·", *y, *a]
@@ -288,13 +283,9 @@ def _rk4_loop(compiled, exprs, alphabet):
     if clocked:
         other["t·"] = "t1·"
     other.update({v: k for k, v in other.items()})
-
-    def swap(line):
-        return _NAME.sub(lambda name: other.get(name[0], name[0]), line)
-
     # the second step, back from (t1·, w·, b·), stores the pass's first node
     # before it leaves: the y· it names are its w·
-    second = [swap(line) for line in step([f"out· += ({', '.join(y)})"])]
+    second = _rename(step([f"out· += ({', '.join(y)})"]), other)
     signature = ", ".join([*start, *params, *clear, "dt·", "h2·", "h6·", "steps·", "out·"])
     source = (
         f"def run·({signature}):\n" +
@@ -304,14 +295,22 @@ def _rk4_loop(compiled, exprs, alphabet):
         "".join(f"        {line}\n" for line in step([])) +
         "        if _· == last·:  # an odd last step\n"
         f"            out· += ({', '.join(w)})\n"
-        f"            return {swap(node)}\n" +
+        f"            {_rename([f'return {node}'], other)[0]}\n" +
         "".join(f"        {line}\n" for line in second) +
         f"        out· += ({', '.join(w + y)})\n"
         f"    return {node}\n"
+        f"\n\ndef at·({', '.join(['t1·', *w, *params])}):\n" +
+        "".join(f"    n{v} = -{v}\n" for v in params) +
+        "".join(f"    {line}\n" for line in at) +
+        f"    return [{', '.join(lam + excl)}]\n"
     )
     namespace = {**_GLOBALS, "abs·": abs, "inf·": math.inf}
-    compiled.rk4 = run = _define(source, "run·", namespace)
-    return run
+    return _define(source, "run·", namespace), namespace["at·"]
+
+
+def _rename(lines, names):
+    """``lines`` with each local that ``names`` maps renamed, all at once."""
+    return [_NAME.sub(lambda name: names.get(name[0], name[0]), line) for line in lines]
 
 
 def monitor_drift(

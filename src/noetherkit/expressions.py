@@ -104,6 +104,8 @@ _IDENTIFIER_RE = re.compile(IDENTIFIER)
 COMPILE_MEMO_SIZE = 256
 # largest block of candidates draw_points tests in one array call
 MAX_BLOCK = 1 << 16
+# consecutive rejections at which draw_points gives up
+MAX_TRIES = 1000
 # sampling box of a variable that SampleDomain.var_ranges does not name
 T_RANGE = (0.0, 2.0)
 DEFAULT_RANGE = (-2.0, 2.0)  # coordinates and velocities
@@ -825,7 +827,6 @@ def draw_points(
     k: int,
     seed: int,
     include_acc: bool = False,
-    max_tries: int = 1000,
 ) -> SamplePoints:
     """Draw k points from the box, rejecting those near declared singular sets.
 
@@ -834,22 +835,22 @@ def draw_points(
     that drawing one candidate at a time from the same seed gives, and the
     first k points of a larger draw are the k-point draw.  Candidates are
     drawn in blocks and all exclusions are tested on a block with one array
-    call; without exclusions exactly k candidates are drawn.  ``max_tries``
+    call; without exclusions exactly k candidates are drawn.  ``MAX_TRIES``
     consecutive rejections raise SamplingError.
 
     The last point set drawn at an integer seed is kept: a call with the
-    same alphabet, ranges, exclusions, parameter values, seed,
-    ``include_acc`` and ``max_tries`` and no larger k takes its first k
-    points.  The values of a draw sit in one read-only array, one row per
-    variable and then per parameter, and each call returns its own
-    SamplePoints over views of those rows.
+    same alphabet, ranges, exclusions, parameter values, seed and
+    ``include_acc`` and no larger k takes its first k points.  The values
+    of a draw sit in one read-only array, one row per variable and then per
+    parameter, and each call returns its own SamplePoints over views of
+    those rows.
     """
     include_acc = bool(include_acc)
     ranges = tuple((name, tuple(r)) for name, r in domain.var_ranges.items())
     params = [(name, np.float64(v)) for name, v in param_values.items()]
     # parameters by their bits: 0.0 and -0.0 are equal but other points
     key = (alphabet, ranges, domain.exclusions, tuple((name, v.tobytes()) for name, v in params),
-           seed, include_acc, max_tries)
+           seed, include_acc)
     # any other seed, None included, is no fixed stream
     reusable = isinstance(seed, (int, np.integer))
     last = _last_draw[0]
@@ -862,23 +863,20 @@ def draw_points(
         for row, (_, v) in zip(values[len(var_names):], params):
             row[...] = v
         _draw_into(values[:len(var_names)], var_names, lo, span, np.random.default_rng(seed),
-                   domain.exclusions, dict(params), alphabet, include_acc, max_tries)
+                   domain.exclusions, dict(params), alphabet, include_acc)
         values.flags.writeable = False
         if reusable:
             _last_draw[0] = key, values, names
     return SamplePoints(dict(zip(names, values[:, :k])))
 
 
-def _draw_into(out, var_names, lo, span, rng, exclusions, params, alphabet, include_acc,
-               max_tries) -> None:
+def _draw_into(out, var_names, lo, span, rng, exclusions, params, alphabet,
+               include_acc) -> None:
     """Fill ``out``, one row per variable, with the accepted candidates in
     order: without exclusions the first k candidates, with them each
     block's accepted candidates, straight into their columns."""
     k = out.shape[1]
     if not exclusions:
-        # every candidate is accepted, so only max_tries < 1 ends the draw
-        if k > 0 and max_tries < 1:
-            raise SamplingError(f"could not draw a point outside exclusions in {max_tries} tries")
         np.multiply(span, rng.random((k, len(var_names))).T, out=out)
         out += lo
         return
@@ -897,17 +895,17 @@ def _draw_into(out, var_names, lo, span, rng, exclusions, params, alphabet, incl
         vals = np.abs(_eval_rows(excl, cols, m))
         ok = np.all((vals >= thresholds) & np.isfinite(vals), axis=0)
         idx = np.flatnonzero(ok)
-        # a run of max_tries rejections, with the run carried in, needs
+        # a run of MAX_TRIES rejections, with the run carried in, needs
         # that many in this block
-        if run + m - len(idx) >= max_tries:
+        if run + m - len(idx) >= MAX_TRIES:
             # length of the rejection run ending at each candidate
             pos = np.arange(m)
             last = np.maximum.accumulate(np.where(ok, pos, -1))
             runs = np.where(last < 0, run + pos + 1, pos - last)
             used = idx[need - 1] + 1 if len(idx) >= need else m
-            if np.any(runs[:used] >= max_tries):
+            if np.any(runs[:used] >= MAX_TRIES):
                 raise SamplingError(
-                    f"could not draw a point outside exclusions in {max_tries} tries"
+                    f"could not draw a point outside exclusions in {MAX_TRIES} tries"
                 )
         run = m - 1 - int(idx[-1]) if len(idx) else run + m
         idx = idx[:need]

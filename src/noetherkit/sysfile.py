@@ -26,7 +26,10 @@ of the margins its solver declared.  All expressions use the grammar of
 :mod:`noetherkit.dsl`; integrals and triple components are functions of
 (t, q, qdot), so an acceleration in one is an error.  A key that its
 section does not read is an error, so a misspelt ``singualr`` or ``frm``
-cannot drop what it was meant to say.
+cannot drop what it was meant to say.  A file states each thing once: a
+key repeated within a section, a parameter named twice, a second
+``[system]`` section and a repeated integral or triple name are errors
+naming it and its line, never a silent overwrite.
 """
 
 from __future__ import annotations
@@ -89,7 +92,8 @@ def _split_top_level(text: str) -> list[str]:
     return parts
 
 
-def _sections(text: str) -> list[tuple[str, dict[str, tuple[str, int]]]]:
+def _sections(text: str) -> list[tuple[str, dict[str, tuple[str, int]], int]]:
+    """The sections of ``text``: name, key -> (value, line), header line."""
     sections = []
     current = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -98,7 +102,7 @@ def _sections(text: str) -> list[tuple[str, dict[str, tuple[str, int]]]]:
             continue
         if line.startswith("[") and line.endswith("]"):
             current = (line[1:-1].strip().lower(), {})
-            sections.append(current)
+            sections.append((*current, lineno))
             continue
         if "=" not in line:
             raise SystemFileError(f"expected key = value, got {line!r}", lineno)
@@ -110,6 +114,8 @@ def _sections(text: str) -> list[tuple[str, dict[str, tuple[str, int]]]]:
         if section in _KEYS and key not in _KEYS[section] and not (
                 section == "system" and key.startswith("range_")):
             raise SystemFileError(f"unknown key {key!r} in [{section}] section", lineno)
+        if key in body:
+            raise SystemFileError(f"key {key!r} given twice in [{section}] section", lineno)
         body[key] = (value.strip(), lineno)
     return sections
 
@@ -199,6 +205,8 @@ def _parse_params(text: str, lineno: int | None) -> dict[str, float]:
         name = name.strip()
         if not name or not val.strip():
             raise SystemFileError(f"malformed parameter entry {item!r}", lineno)
+        if name in values:
+            raise SystemFileError(f"parameter {name} given twice", lineno)
         values[name] = _number(float, val, lineno)
         if not math.isfinite(values[name]):
             raise SystemFileError(f"parameter {name} must be finite, got {val.strip()}", lineno)
@@ -211,8 +219,10 @@ def read_system_file(path) -> SystemFile:
     system = None
     integrals = {}
     alphabet = None
-    for section, body in _sections(text):
+    for section, body, lineno in _sections(text):
         if section == "system":
+            if system is not None:
+                raise SystemFileError("a second [system] section", lineno)
             name = _get(body, "name", Path(path).stem)
             dim = _number(int, _require(body, "dim", section), body["dim"][1])
             coords = tuple(_split_top_level(_require(body, "coords", section)))
@@ -230,14 +240,16 @@ def read_system_file(path) -> SystemFile:
             )
         elif section == "integral":
             if alphabet is None:
-                raise SystemFileError("[integral] section before [system]")
+                raise SystemFileError("[integral] section before [system]", lineno)
             name = _require(body, "name", section)
+            if name in integrals:
+                raise SystemFileError(f"integral {name!r} given twice", body["name"][1])
             integrals[name], = _motion_free(body, "expr", section, alphabet)
         elif section == "triple":
             raise SystemFileError("a [triple] section belongs in a triple file, "
-                                  "which verify reads")
+                                  "which verify reads", lineno)
         else:
-            raise SystemFileError(f"unknown section [{section}]")
+            raise SystemFileError(f"unknown section [{section}]", lineno)
     if system is None:
         raise SystemFileError("no [system] section found")
     return SystemFile(system=system, integrals=integrals)
@@ -261,10 +273,13 @@ def _triple_from_body(body: dict, alphabet: Alphabet) -> Triple:
 def read_triple_file(path, alphabet: Alphabet) -> dict[str, Triple]:
     """Parse a standalone triple file against a known alphabet."""
     triples = {}
-    for section, body in _sections(Path(path).read_text()):
+    for section, body, lineno in _sections(Path(path).read_text()):
         if section != "triple":
-            raise SystemFileError(f"unexpected section [{section}] in triple file")
+            raise SystemFileError(f"unexpected section [{section}] in triple file", lineno)
         name = _get(body, "name", f"triple{len(triples) + 1}")
+        if name in triples:
+            raise SystemFileError(f"triple {name!r} given twice",
+                                  body.get("name", (name, lineno))[1])
         triples[name] = _triple_from_body(body, alphabet)
     if not triples:
         raise SystemFileError("no [triple] section found")

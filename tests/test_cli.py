@@ -247,6 +247,14 @@ def triple_section_sys(fp, tmp_path):
 
 
 @pytest.fixture()
+def triple_twice_sys(tmp_path):
+    """A free-particle triple file with two triples named a."""
+    path = tmp_path / "triple_twice.tri"
+    path.write_text("[triple]\nname = a\ntau = 0\nxi = 1\nf = 0\nform = strong\n" * 2)
+    return str(path)
+
+
+@pytest.fixture()
 def accel_f_sys(kepler, tmp_path):
     """The kepler3d triple file with r1ddot added to the first triple's f."""
     path = tmp_path / "accel_f.tri"
@@ -471,6 +479,14 @@ UNBUILDABLE = {
     "param_number": "dim = 1\ncoords = q\nparams = 2.5 = 1\nlagrangian = qdot^2/2",
     "param_spaced": "dim = 1\ncoords = q\nparams = a b = 2\nlagrangian = qdot^2/2",
     "no_coords": "dim = 0\ncoords =\nlagrangian = 1",
+    # a file states each thing once
+    "singular_twice": "dim = 1\ncoords = q\nlagrangian = qdot^2/2\nsingular = q @ 0.5\n"
+                      "singular = q - 3 @ 0.1",
+    "param_twice": "dim = 1\ncoords = q\nparams = k = 1.0, k = 2.0\nlagrangian = k*qdot^2/2",
+    "system_twice": "dim = 1\ncoords = q\nlagrangian = qdot^2/2\n[integral]\nname = e\n"
+                    "expr = q\n[system]\ndim = 1\ncoords = x\nlagrangian = xdot^2/2",
+    "integral_twice": "dim = 1\ncoords = q\nlagrangian = qdot^2/2\n[integral]\nname = e\n"
+                      "expr = qdot\n[integral]\nname = e\nexpr = q",
 }
 
 
@@ -559,6 +575,11 @@ EXIT_TABLE = [
     *((["describe", "{%s}" % name], cli.EXIT_PARSE) for name in UNBUILDABLE),
     (["integrate", "{no_coords}", "0", "--t1", "0.01"], cli.EXIT_PARSE),
     (["solve", "{no_coords}", "1", "--mode", "strong"], cli.EXIT_PARSE),
+    (["integrate", "{singular_twice}", "0,0.2,0", "--t1", "0.01"], cli.EXIT_PARSE),
+    (["solve", "{param_twice}", "energy", "--mode", "strong"], cli.EXIT_PARSE),
+    (["verify", "{fp}", "{triple_twice}"], cli.EXIT_PARSE),
+    # a triple file that holds a [system] section
+    (["verify", "{fp}", "{fp}"], cli.EXIT_PARSE),
     # an option the mode does not read
     (["solve", "{fp}", "energy", "--mode", "strong", "--c", "7"], cli.EXIT_PARSE),
     (["solve", "{fp}", "energy", "--mode", "strong", "--R", "q"], cli.EXIT_PARSE),

@@ -130,7 +130,7 @@ def test_rk4_loop_multiplies_squares_and_checks_one_sum_first(name, request):
     sysdef = (_overflow_window_system() if name == "window"
               else request.getfixturevalue(name).system)
     exprs = [*sysdef.lam, *(ex.expr for ex in sysdef.exclusions)]
-    run = dynamics._rk4_loop(compile_fn(exprs, sysdef.alphabet), exprs, sysdef.alphabet)
+    run, _ = dynamics._rk4_loop(tuple(exprs), sysdef.alphabet)
     tree = ast.parse(inspect.getsource(run))
     squares = [node for node in ast.walk(tree)
                if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow)
@@ -226,9 +226,9 @@ def test_rk4_loop_is_printed_once_per_system(monkeypatch):
     real = dynamics._print_code
     monkeypatch.setattr(dynamics, "_print_code", lambda *a: printed.append(1) or real(*a))
     first = integrate(sysdef, (0.0, [1.0], [0.0]), 0.1, dt=1e-2)
-    assert len(printed) == 4  # one print per stage
+    assert len(printed) == 1  # one print, at the new node
     again = integrate(sysdef, (0.0, [1.0], [0.0]), 0.1, dt=1e-3)
-    assert len(printed) == 4
+    assert len(printed) == 1
     assert len(first.t) == 11 and len(again.t) == 101
 
 
@@ -419,14 +419,14 @@ def test_integrate_matches_reference_loop(case, kepler, iso_steep, iso_opaque, m
     real = dynamics._rk4_loop
 
     def recording_loop(*args):
-        run = real(*args)
+        run, at = real(*args)
 
         def call(*node):
             if type(node[0]) is np.float64:
                 reruns.append(len(node[-1]) // (2 * sysdef.n))
             return run(*node)
 
-        return call
+        return call, at
 
     monkeypatch.setattr(dynamics, "_rk4_loop", recording_loop)
     # -q/0 reads inf - inf within a step
@@ -435,9 +435,11 @@ def test_integrate_matches_reference_loop(case, kepler, iso_steep, iso_opaque, m
         t, q, qdot, truncated = _reference_integrate(sysdef, initial, t1, dt)
     traj = integrate(sysdef, initial, t1, dt=dt)
     if case == "kepler_second_mu":
-        exprs = [*sysdef.lam, *(ex.expr for ex in sysdef.exclusions)]
-        assert compile_fn(exprs, sysdef.alphabet).rk4 is real(
-            compile_fn(exprs, kepler.system.alphabet), exprs, kepler.system.alphabet)
+        # mu = 2 gets the pair that the mu = 1 run above put in the memo
+        exprs = (*sysdef.lam, *(ex.expr for ex in sysdef.exclusions))
+        assert real(exprs, sysdef.alphabet) is real(
+            (*kepler.system.lam, *(ex.expr for ex in kepler.system.exclusions)),
+            kepler.system.alphabet)
     assert truncated == (case not in ("kepler_orbit", "abs_sign", "smooth_pole",
                                       "overflow_window", "kepler_second_mu", "param_subtree",
                                       "param_square_divides", "param_exp_pole",
@@ -480,8 +482,8 @@ def test_steps_run_on_python_floats(kepler, monkeypatch):
     real = dynamics._rk4_loop
 
     def recording_loop(*args):
-        run = real(*args)
-        return lambda *node: calls.append(type(node[0])) or run(*node)
+        run, at = real(*args)
+        return (lambda *node: calls.append(type(node[0])) or run(*node)), at
 
     monkeypatch.setattr(dynamics, "_rk4_loop", recording_loop)
     traj = integrate(kepler.system, (0.0, [1.0, 0.0, 0.0], [0.0, 1.1, 0.2]), 1.0, dt=1e-2)

@@ -209,6 +209,43 @@ def test_malformed_triple_section(entry, message, tmp_path):
     assert str(err.value).endswith(f"(line {lineno + 5})")
 
 
+_TRIPLE = "[triple]\nname = a\ntau = 0\nxi = 1\nf = 0\nform = strong\n"
+
+
+@pytest.mark.parametrize("text, message", [
+    (_FP + "singular = q @ 0.5\nsingular = q - 3 @ 0.1\n",
+     r"key 'singular' given twice in \[system\] section \(line 6\)"),
+    (_FP + "range_q = 0, 1\nrange_q = 0, 2\n",
+     r"key 'range_q' given twice in \[system\] section \(line 6\)"),
+    ("[system]\ndim = 1\ncoords = q\nparams = k = 1.0, k = 2.0\nlagrangian = k*qdot^2/2\n",
+     r"parameter k given twice \(line 4\)"),
+    (_FP + "[integral]\nname = e\nexpr = q\n[system]\ndim = 1\ncoords = x\n"
+     "lagrangian = xdot^2/2\n", r"a second \[system\] section \(line 8\)"),
+    (_FP + "[integral]\nname = e\nexpr = qdot\n[integral]\nname = e\nexpr = q\n",
+     r"integral 'e' given twice \(line 9\)"),
+    (_FP + "[integral]\nname = e\nexpr = qdot\nexpr = q\n",
+     r"key 'expr' given twice in \[integral\] section \(line 8\)"),
+], ids=["singular", "range", "param", "system", "integral", "integral_key"])
+def test_a_system_file_states_each_thing_once(text, message, tmp_path):
+    with pytest.raises(SystemFileError, match=message):
+        _read(text, tmp_path)
+
+
+@pytest.mark.parametrize("text, message", [
+    (_TRIPLE + _TRIPLE, r"triple 'a' given twice \(line 8\)"),
+    # an unnamed triple takes its number, and its header names the line
+    (_TRIPLE.replace("name = a", "name = triple2") + _TRIPLE.replace("name = a\n", ""),
+     r"triple 'triple2' given twice \(line 7\)"),
+    (_TRIPLE + "form = onflow\n", r"key 'form' given twice in \[triple\] section \(line 7\)"),
+    (_FP, r"unexpected section \[system\] in triple file \(line 1\)"),
+], ids=["name", "default_name", "key", "system"])
+def test_a_triple_file_states_each_thing_once(text, message, tmp_path):
+    path = tmp_path / "bad.tri"
+    path.write_text(text)
+    with pytest.raises(SystemFileError, match=message):
+        read_triple_file(path, Alphabet(coords=("q",)))
+
+
 def test_integrals_must_be_free_of_accelerations(tmp_path):
     with pytest.raises(SystemFileError, match=r"expr q\*qddot in \[integral\] must be free "
                                               r"of accelerations \(line 6\)"):
