@@ -9,7 +9,6 @@ with a suitable boundary term.
 
 from noetherkit import corpus
 from noetherkit.dsl import print_expr
-from noetherkit.expressions import tidy
 from noetherkit.noether import noether_integral, verify_triple
 
 entry = corpus.load("freeparticle")
@@ -32,6 +31,6 @@ for name in sorted(entry.triples):
     else:
         print()
     fi = noether_integral(sysdef, tr)
-    print(f"  Noether integral: {print_expr(tidy(fi.expr))}"
+    print(f"  Noether integral: {print_expr(fi.expr)}"
           f"  (conserved: {fi.verified})")
     print()

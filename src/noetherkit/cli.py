@@ -12,8 +12,10 @@ integration of more than ``dynamics.MAX_STEPS`` steps,
 a system whose derived expressions hold a function outside the compiled
 grammar, a ``[triple]`` section in a system file, a system file that no
 system can be built from, an output path that cannot be written or, for
-``corpus export``, ends in ``.tri``, and a stdout that cannot be written,
-such as a pipe whose reader has gone), 3 regularity
+``corpus export``, ends in ``.tri``, an input too large or too deeply
+nested to process, such as a ``--k`` whose sample array cannot be allocated
+or an expression nested thousands deep, and a stdout that cannot be
+written, such as a pipe whose reader has gone), 3 regularity
 failure (or exclusions that reject every sample point), 4 conservation
 precheck failure, 5 singularity during a solve or verification, an
 integration starting in a singular zone, or a monitored integral not
@@ -240,7 +242,7 @@ def cmd_integrate(args) -> int:
     except ValueError as err:  # the options ask for more than MAX_STEPS steps
         return _error(err, EXIT_PARSE)
     if args.csv:
-        write_trajectory_csv(traj, args.csv, sysdef.alphabet.coords)
+        write_trajectory_csv(traj, args.csv, sysdef.alphabet)
     try:
         drifts = [
             monitor_drift(sysdef, traj, sf.integrals[name], name).to_dict()
@@ -325,7 +327,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("integral", help="integral name from the file, or an expression")
     p.add_argument(
         "--mode",
-        choices=["onflow-simplest", "onflow-R", "strong", "alt-strong"],
+        choices=list(SOLVE_OPTIONS),
         required=True,
     )
     p.add_argument("--tau", help="time-change expression (strong mode; default 0)")
@@ -380,6 +382,9 @@ def main(argv=None) -> int:
         return int(err.code or 0)
     except OSError as err:  # a write: each command catches the errors of its reads
         return _error(err, EXIT_PARSE)
+    except (MemoryError, RecursionError) as err:  # an input too large or too deeply nested
+        return _error(f"input too large or too deeply nested ({type(err).__name__}: {err})",
+                      EXIT_PARSE)
 
 
 def run() -> NoReturn:

@@ -16,7 +16,6 @@ finite.  The step count is bounded by ``MAX_STEPS``.
 
 from __future__ import annotations
 
-import csv
 import functools
 import math
 import re
@@ -28,6 +27,7 @@ import numpy as np
 from .expressions import (
     COMPILE_MEMO_SIZE,
     _GLOBALS,
+    Alphabet,
     _define,
     _diff,
     _eval_rows,
@@ -364,16 +364,12 @@ def functional_independence_rank(
     return majority, ranks
 
 
-def write_trajectory_csv(traj: Trajectory, path, coord_names: Sequence[str]) -> None:
-    """Export with header t, q..., qdot... (one row per node)."""
+def write_trajectory_csv(traj: Trajectory, path, alphabet: Alphabet) -> None:
+    """Export one row per node under the header t, q..., qdot... that
+    ``alphabet.variables()`` names, each value at 17 significant digits,
+    so that it reads back to the stored float; lines end in CRLF."""
+    header = ",".join(s.name for s in alphabet.variables())
+    rows = np.column_stack([traj.t, traj.q, traj.qdot])
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["t"] + list(coord_names) + [c + "dot" for c in coord_names]
-        )
-        for i in range(len(traj.t)):
-            writer.writerow(
-                [f"{traj.t[i]:.17g}"]
-                + [f"{v:.17g}" for v in traj.q[i]]
-                + [f"{v:.17g}" for v in traj.qdot[i]]
-            )
+        np.savetxt(fh, rows, fmt="%.17g", delimiter=",", newline="\r\n", header=header,
+                   comments="")

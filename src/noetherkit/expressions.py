@@ -43,12 +43,11 @@ keeps the last point set it drew, in one read-only array, and serves a call
 with the same inputs and no larger k from it: a round trip's conservation,
 inversion and identity checks at one seed draw once.
 
-Each compiled function has a positional core, ``fn.positional``, that
-takes the arguments in ``fn.arg_names`` order; ``fn(point)`` only builds
-that argument list from the point mapping and holds ``np.errstate`` around
-the core.  With total-derivative nodes the core calls the positional core
-of each direction's compiled function, runs the complex step, and masks
-only the outputs that hold a node.
+A compiled function takes its arguments by position, in the order of its
+``arg_names``; :func:`_eval_rows` builds that argument list from a point
+mapping and holds ``np.errstate`` around the call.  With total-derivative
+nodes the function calls each direction's compiled function, runs the
+complex step, and masks only the outputs that hold a node.
 """
 
 from __future__ import annotations
@@ -108,8 +107,7 @@ MAX_BLOCK = 1 << 16
 MAX_TRIES = 1000
 # sampling box of a variable that SampleDomain.var_ranges does not name
 T_RANGE = (0.0, 2.0)
-DEFAULT_RANGE = (-2.0, 2.0)  # coordinates and velocities
-ACC_RANGE = (-2.0, 2.0)  # accelerations, in strong-mode checks
+DEFAULT_RANGE = (-2.0, 2.0)  # coordinates, velocities and accelerations
 # complex-step size: far below the scale of any sampled quantity, so the
 # O(h^2) truncation error vanishes in float64
 COMPLEX_STEP = 1e-30
@@ -400,11 +398,12 @@ def _occurring(e: sp.Basic, wanted: frozenset) -> frozenset:
 
 
 def compile_fn(exprs: Sequence, alphabet: Alphabet, include_acc: bool = False):
-    """Compile expressions into a numeric function of a point mapping.
+    """Compile expressions into a numeric function that takes its arguments
+    by position, in the order of its ``arg_names``, and returns their values.
 
-    The mapping's values may be floats or equal-length numpy arrays, one
-    entry per point.  Structurally equal inputs return the same function
-    object from a memo of the last ``COMPILE_MEMO_SIZE`` distinct inputs.
+    The arguments may be floats or equal-length numpy arrays, one entry per
+    point.  Structurally equal inputs return the same function object from
+    a memo of the last ``COMPILE_MEMO_SIZE`` distinct inputs.
     """
     return _compile(tuple(sp.sympify(e) for e in exprs), alphabet, bool(include_acc))
 
@@ -428,11 +427,8 @@ def _compile(exprs, alphabet, include_acc):
     for i, node in enumerate(nodes):
         groups.setdefault(tuple(node.acc), []).append(i)
     # each system compiles its normal form once, through the memo
-    directions = [
-        (_compile(acc, alphabet, include_acc).positional, members)
-        for acc, members in groups.items()
-    ]
-    names = [s.name for s in syms]
+    directions = [(_compile(acc, alphabet, include_acc), members)
+                  for acc, members in groups.items()]
     n, m = alphabet.n, len(exprs)
     h = COMPLEX_STEP
     no_slots = [0.0] * len(nodes)
@@ -460,17 +456,8 @@ def _compile(exprs, alphabet, include_acc):
             out[j] = np.where(np.all([finite[i] for i in own], axis=0), out[j], np.nan)
         return out
 
-    positional = core if nodes else raw
-
-    def fn(point: Mapping[str, float]):
-        args = [point[name] for name in names]
-        with np.errstate(all="ignore"):
-            return positional(*args)
-
-    fn.arg_names = names
-    # fn on arguments in arg_names order, without the mapping and the
-    # errstate (callers hold their own)
-    fn.positional = positional
+    fn = core if nodes else raw
+    fn.arg_names = [s.name for s in syms]
     return fn
 
 
@@ -687,13 +674,17 @@ def _real(values) -> np.ndarray:
 
 
 def _eval_rows(fn, columns: Mapping[str, np.ndarray], m: int) -> np.ndarray:
-    """A compiled function's values at m points given as numpy columns, one
-    row per expression, read through :func:`_real`.  Numpy inputs make
-    singular points read inf or NaN where Python floats would raise.
+    """A compiled function's values at m points, one row per expression,
+    read through :func:`_real`.  ``columns`` maps each of ``fn.arg_names``
+    to its numpy column or scalar; numpy inputs make singular points read
+    inf or NaN where Python floats would raise, and numpy's warnings are
+    off for the call.
 
     The values fill one array, complex if any of them is; a constant
     expression's value fills its whole row."""
-    vals = fn(columns)
+    args = [columns[name] for name in fn.arg_names]
+    with np.errstate(all="ignore"):
+        vals = fn(*args)
     dtype = complex if any(np.iscomplexobj(v) for v in vals) else float
     rows = np.empty((len(vals), m), dtype)
     for row, v in zip(rows, vals):
@@ -737,23 +728,13 @@ class Exclusion:
 class SampleDomain:
     """Sampling box for the randomized identity oracle.
 
-    Every coordinate and velocity is drawn uniformly from ``DEFAULT_RANGE``,
-    time from ``T_RANGE`` and accelerations (strong-mode checks) from
-    ``ACC_RANGE``, unless ``var_ranges`` names the variable.
+    Time is drawn uniformly from ``T_RANGE`` and every coordinate, velocity
+    and acceleration (strong-mode checks) from ``DEFAULT_RANGE``, unless
+    ``var_ranges`` names the variable.
     """
 
     var_ranges: Mapping[str, tuple[float, float]] = field(default_factory=dict)
     exclusions: tuple[Exclusion, ...] = ()
-
-
-def _range_for(name: str, alphabet: Alphabet, var_ranges: Mapping):
-    if name in var_ranges:
-        return var_ranges[name]
-    if name == "t":
-        return T_RANGE
-    if any(name == c + "ddot" for c in alphabet.coords):
-        return ACC_RANGE
-    return DEFAULT_RANGE
 
 
 class SamplePoints(Sequence):
@@ -803,8 +784,8 @@ def _box(alphabet: Alphabet, ranges: tuple, include_acc: bool):
     ranges as read-only columns; ``ranges`` holds the domain's
     ``var_ranges`` items."""
     names = tuple(s.name for s in alphabet.variables(include_acc))
-    var_ranges = dict(ranges)
-    lo, hi = np.array([_range_for(name, alphabet, var_ranges) for name in names], dtype=float).T
+    var_ranges = {"t": T_RANGE, **dict(ranges)}
+    lo, hi = np.array([var_ranges.get(name, DEFAULT_RANGE) for name in names], dtype=float).T
     # numpy's uniform(lo, hi) is lo + (hi - lo)*u, and refuses this span
     with np.errstate(over="ignore", invalid="ignore"):
         span = (hi - lo)[:, None]

@@ -132,10 +132,13 @@ class Triple:
     verification sampling keeps away from their zero sets.
 
     ``eta`` is the characteristic in the convention of ``form``: the one a
-    solver or transform computed (every transform keeps eta), or None until
-    the first check derives it from xi (in the velocities of the system
-    checked against) and keeps it.  ``replace`` leaves it unset.  xi may be
-    given as a :class:`_Pending` recipe.
+    solver or transform computed (the conversion and the time
+    trivialization keep eta; the multiplicity transform, and so the gauge
+    trivialization, keep it only in the alternative convention or at a
+    structurally zero tau), or None until the first check derives it from
+    xi (in the velocities of the system checked against) and keeps it.
+    ``replace`` leaves it unset.  xi may be given as a :class:`_Pending`
+    recipe.
     """
 
     tau: sp.Expr

@@ -142,7 +142,8 @@ def _number(kind, text: str, lineno: int | None = None):
 def _read_exclusions(body: dict, alphabet: Alphabet) -> tuple[Exclusion, ...]:
     """The ``singular`` entries of a [system] or [triple] section."""
     text, lineno = body.get("singular", ("", None))
-    default = _threshold(*body.get("singular_threshold", ("1e-3", None)))
+    given = body.get("singular_threshold")
+    default = _threshold(*given) if given else Exclusion.threshold
     exclusions = []
     for item in filter(None, _split_top_level(text)):
         expr, at, threshold = item.partition("@")

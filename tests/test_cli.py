@@ -270,6 +270,15 @@ def accel_integral_sys(tmp_path):
                                "[integral]\nname = push\nexpr = q*qddot")
 
 
+@pytest.fixture()
+def deep_sin_sys(tmp_path):
+    """A file whose Lagrangian nests sin 300 deep, too deep for sympy's printer."""
+    path = tmp_path / "deep_sin.sys"
+    path.write_text("[system]\ndim = 1\ncoords = q\n"
+                    f"lagrangian = qdot^2/2 + {'sin(' * 300}q{')' * 300}\n")
+    return str(path)
+
+
 def test_corpus_list(capsys):
     assert cli.main(["corpus", "list"]) == cli.EXIT_OK
     out = capsys.readouterr().out.split()
@@ -588,7 +597,21 @@ EXIT_TABLE = [
     (["solve", "{fp}", "energy", "--mode", "onflow-R", "--tau", "1/0"], cli.EXIT_PARSE),
     (["solve", "{fp}", "energy", "--mode", "alt-strong", "--tau", "t"], cli.EXIT_PARSE),
     (["solve", "{fp}", "energy", "--mode", "alt-strong", "--R", ""], cli.EXIT_PARSE),
+    # an input too large or too deeply nested: a sample array of 78 PiB, which
+    # fails at allocation, a parse 3000 parentheses deep, and a print 300 calls deep
+    (["verify", "{kepler}", "{kepler_tri}", "--k", "1000000000000000"], cli.EXIT_PARSE),
+    (["solve", "{kepler}", "(" * 3000 + "r1" + ")" * 3000, "--mode", "strong"],
+     cli.EXIT_PARSE),
+    (["describe", "{deep_sin}"], cli.EXIT_PARSE),
 ]
+
+
+def _row_id(v):
+    """A table row's id: its argv joined, an argument longer than 40
+    characters shown by its length."""
+    if not isinstance(v, list):
+        return str(v)
+    return " ".join(a if len(a) <= 40 else f"<{len(a)} characters>" for a in v)
 
 
 def _argv(argv, request):
@@ -604,8 +627,7 @@ def _argv(argv, request):
     return [re.sub(r"\{(\w+)\}", path, a) for a in argv]
 
 
-@pytest.mark.parametrize("argv, code", EXIT_TABLE, ids=lambda v: " ".join(v)
-                         if isinstance(v, list) else str(v))
+@pytest.mark.parametrize("argv, code", EXIT_TABLE, ids=_row_id)
 def test_exit_code_table(argv, code, request, capsys):
     assert cli.main(_argv(argv, request)) == code
     out, err = capsys.readouterr()

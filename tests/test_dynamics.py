@@ -1,8 +1,10 @@
 
 import ast
 import contextlib
+import csv
 import dataclasses
 import inspect
+import io
 
 import numpy as np
 import pytest
@@ -170,7 +172,7 @@ def test_rk4_loop_multiplies_squares_and_checks_one_sum_first(name, request):
     # the clock runs only for a Lam that reads t
     assert names(loop) & {"th·", "t1·"} == ({"th·", "t1·"} if name == "window" else set())
     # the oracle's code for the same expressions prints as before
-    assert inspect.getsource(compile_fn(exprs, sysdef.alphabet).positional) == COMPILED[name]
+    assert inspect.getsource(compile_fn(exprs, sysdef.alphabet)) == COMPILED[name]
 
 
 COMPILED = {
@@ -248,12 +250,30 @@ def test_kepler_seven_integral_rank(kepler):
     assert per_point.count(5) >= 9
 
 
-def test_write_trajectory_csv(fp, tmp_path):
-    traj = integrate(fp.system, (0.0, [0.0], [1.0]), 0.1, dt=0.05)
+def _reference_csv(traj, coords) -> bytes:
+    """The trajectory file as a ``csv.writer`` writes it: one row per node,
+    .17g cells and CRLF line endings."""
+    fh = io.StringIO(newline="")
+    writer = csv.writer(fh)
+    writer.writerow(["t", *coords, *(c + "dot" for c in coords)])
+    for t, q, qdot in zip(traj.t, traj.q, traj.qdot):
+        writer.writerow([f"{v:.17g}" for v in (t, *q, *qdot)])
+    return fh.getvalue().encode()
+
+
+@pytest.mark.parametrize("name, start, t1, dt, header", [
+    ("fp", (0.0, [0.0], [1.0]), 0.1, 0.05, "t,q,qdot"),
+    ("kepler", (0.3, [1.0, 0.0, 0.2], [0.0, 1.0, -0.1]), 0.4, 0.01,
+     "t,r1,r2,r3,r1dot,r2dot,r3dot"),
+], ids=["fp", "kepler"])
+def test_write_trajectory_csv(name, start, t1, dt, header, tmp_path, request):
+    sysdef = request.getfixturevalue(name).system
+    traj = integrate(sysdef, start, t1, dt=dt)
     path = tmp_path / "traj.csv"
-    write_trajectory_csv(traj, path, fp.system.alphabet.coords)
+    write_trajectory_csv(traj, path, sysdef.alphabet)
+    assert path.read_bytes() == _reference_csv(traj, sysdef.alphabet.coords)
     lines = path.read_text().strip().splitlines()
-    assert lines[0] == "t,q,qdot"
+    assert lines[0] == header
     assert len(lines) == len(traj.t) + 1
     # every column, t included, reads back to the stored float
     rows = np.array([[float(v) for v in line.split(",")] for line in lines[1:]])
@@ -309,7 +329,9 @@ def _reference_integrate(sysdef, initial, t1, dt):
 
         def at(t, y):
             point = dict(zip(names, [np.float64(t), *y]), **params)
-            return np.atleast_1d(np.asarray(fn(point), dtype=float))
+            with np.errstate(all="ignore"):
+                values = fn(*(point[name] for name in fn.arg_names))
+            return np.atleast_1d(np.asarray(values, dtype=float))
 
         return at
 

@@ -405,7 +405,8 @@ def test_a_value_is_nan_where_the_body_of_any_of_its_nodes_is_not():
     fn = compile_fn([a + b, b + 1, b], ab, include_acc=True)
     point = {"t": 0.0, "q": np.array([-1.0, 1.0]), "p": np.array([1.0, -1.0]),
              "qdot": 1.0, "pdot": 1.0, "qddot": 0.0, "pddot": 0.0}
-    both, rate_b, only_b = fn(point)
+    with np.errstate(all="ignore"):
+        both, rate_b, only_b = fn(*(point[name] for name in fn.arg_names))
     assert np.isnan(both).all()
     assert np.isnan(only_b[1]) and only_b[0] == 1.0 == rate_b[0] - 1
 
@@ -496,7 +497,7 @@ def test_compiled_code_shares_repeated_subtrees():
     sysdef = corpus.load("kepler3d").system
     exprs = [*sysdef.lam, *(ex.expr for ex in sysdef.exclusions)]
     fn = compile_fn(exprs, sysdef.alphabet)
-    assert inspect.getsource(fn.positional).count("r1*r1 + r2*r2 + r3*r3") == 1
+    assert inspect.getsource(fn).count("r1*r1 + r2*r2 + r3*r3") == 1
 
 
 @pytest.mark.parametrize("make, text, square", [
@@ -520,7 +521,7 @@ def test_the_square_of_a_name_prints_as_one_product_factor(make, text, square):
     x, y, m = rng.uniform(0.2, 2.0, (3, 1000))
     # a complex step carries a derivative in the imaginary part
     for x, y in [(x, y), (x + 1e-30j * y, y - 1e-30j * x)]:
-        got = fn.positional(0.0, x, y, 0.0, 0.0, m)[0]
+        got = fn(0.0, x, y, 0.0, 0.0, m)[0]
         assert np.array_equal(got, square(x, y, m))
 
 
@@ -568,7 +569,7 @@ def test_shared_subtrees_do_not_capture_declared_names():
               for form in FORMS]
     pts = draw_points(ab, sysdef.domain(), sysdef.param_values, 8, seed=3,
                       include_acc=True)
-    got = [np.broadcast_to(v, (8,)) for v in compile_fn(exprs, ab, include_acc=True)(pts.columns)]
+    got = expressions._eval_rows(compile_fn(exprs, ab, include_acc=True), pts.columns, 8)
     for e, values in zip(exprs, got):
         want = [evaluate(e, point, ab) for point in pts]
         exact = [float(e.evalf(subs={ab.lookup(k): v for k, v in point.items()}))
@@ -770,8 +771,6 @@ def _reference_draw(alphabet, domain, param_values, k, seed, include_acc=False):
             ranges[s.name] = domain.var_ranges[s.name]
         elif s.name == "t":
             ranges[s.name] = expressions.T_RANGE
-        elif s in alphabet.acceleration_symbols:
-            ranges[s.name] = expressions.ACC_RANGE
         else:
             ranges[s.name] = expressions.DEFAULT_RANGE
     excl = [(compile_fn([ex.expr], alphabet, include_acc), ex.threshold)
@@ -781,7 +780,7 @@ def _reference_draw(alphabet, domain, param_values, k, seed, include_acc=False):
         for _ in range(expressions.MAX_TRIES):
             point = {name: float(rng.uniform(lo, hi)) for name, (lo, hi) in ranges.items()}
             point.update({name: float(v) for name, v in param_values.items()})
-            vals = [float(fn(point)[0]) for fn, _ in excl]
+            vals = [float(expressions._eval_rows(fn, point, 1)[0, 0]) for fn, _ in excl]
             if all(math.isfinite(v) and abs(v) >= th
                    for v, (_, th) in zip(vals, excl)):
                 points.append(point)

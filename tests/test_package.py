@@ -1,3 +1,4 @@
+import ast
 import importlib
 import inspect
 import os
@@ -97,3 +98,35 @@ def test_every_annotation_resolves(name):
         typing.get_type_hints(own, vars(module), dict(vars(obj)))
         for method in _defined(vars(obj), module.__name__):
             typing.get_type_hints(method)
+
+
+SOURCES = sorted(Path(noetherkit.__file__).parent.glob("*.py"))
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_module_imports_a_name_it_never_reads(path):
+    tree = ast.parse(path.read_text())
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                imported[(alias.asname or alias.name).partition(".")[0]] = node.lineno
+    read = {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    assert {name: line for name, line in imported.items() if name not in read} == {}
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_only_the_alphabet_spells_the_velocity_and_acceleration_suffixes(path):
+    # a name such as qdot or qddot is the Alphabet's to form; every other
+    # module asks it for the symbols
+    tree = ast.parse(path.read_text())
+    inside = {id(node) for cls in ast.walk(tree)
+              if isinstance(cls, ast.ClassDef) and cls.name == "Alphabet"
+              for node in ast.walk(cls)}
+    spelled = [node.lineno for node in ast.walk(tree)
+               if isinstance(node, ast.Constant) and node.value in ("dot", "ddot")
+               and id(node) not in inside]
+    assert spelled == []
