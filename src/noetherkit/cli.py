@@ -110,19 +110,20 @@ def _load_system(path: str):
 def cmd_describe(args) -> int:
     sf = _load_system(args.system)
     sysdef = sf.system
-    print(f"system {sysdef.name}: dim n = {sysdef.n}")
-    print(f"  L = {print_expr(sysdef.L)}")
-    for i, pi in enumerate(sysdef.p):
-        print(f"  p[{i}] = {print_expr(pi)}")
     n = sysdef.n
-    for i in range(n):
-        row = ", ".join(print_expr(sysdef.g[i, j]) for j in range(n))
-        print(f"  g[{i}] = [{row}]")
-    for i, li in enumerate(sysdef.lam):
-        print(f"  Lambda[{i}] = {print_expr(li)}")
-    print(f"  regularity: sampled OK (|det g| above floor at {REGULARITY_SAMPLES} points)")
-    for name, expr in sf.integrals.items():
-        print(f"  integral {name} = {print_expr(expr)}")
+    # every line is derived before the first is printed, so an error leaves
+    # stdout empty
+    lines = [
+        f"system {sysdef.name}: dim n = {n}",
+        f"  L = {print_expr(sysdef.L)}",
+        *(f"  p[{i}] = {print_expr(pi)}" for i, pi in enumerate(sysdef.p)),
+        *(f"  g[{i}] = [{', '.join(print_expr(sysdef.g[i, j]) for j in range(n))}]"
+          for i in range(n)),
+        *(f"  Lambda[{i}] = {print_expr(li)}" for i, li in enumerate(sysdef.lam)),
+        f"  regularity: sampled OK (|det g| above floor at {REGULARITY_SAMPLES} points)",
+        *(f"  integral {name} = {print_expr(expr)}" for name, expr in sf.integrals.items()),
+    ]
+    print("\n".join(lines), flush=True)
     return EXIT_OK
 
 

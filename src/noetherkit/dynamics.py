@@ -8,9 +8,10 @@ once, at that node; every stage, the pass's second step and its odd exit
 node are renamings of that text, and a second generated function runs it
 once to evaluate the start.  A step at which Python floats raise or go
 complex runs again on numpy float64 scalars, which read inf or NaN there,
-and the loop resumes after it.  The loop stores the states; the times are
-derived from t0 and dt afterwards.  A trajectory is truncated with a flag
-when it approaches a declared singular set or its state stops being
+and the loop resumes after it.  The loop packs each state straight into
+the trajectory's float64 array, allocated once for every node; the times
+are derived from t0 and dt afterwards.  A trajectory is truncated with a
+flag when it approaches a declared singular set or its state stops being
 finite.  The step count is bounded by ``MAX_STEPS``.
 """
 
@@ -19,6 +20,7 @@ from __future__ import annotations
 import functools
 import math
 import re
+import struct
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -49,8 +51,8 @@ __all__ = [
 ]
 
 SINGULAR_ABORT = 1e-3
-# a run stores every node, so the step count is bounded; 100x the 10k steps
-# of a long monitored orbit
+# a run preallocates (steps + 1)*2n doubles, so the step count is bounded;
+# 100x the 10k steps of a long monitored orbit
 MAX_STEPS = 1_000_000
 # singular values below this fraction of the largest do not count to the rank
 SVD_RTOL = 1e-8
@@ -111,14 +113,17 @@ def integrate(
     raising.  So only a step that raises ZeroDivisionError or
     OverflowError, or goes complex, runs again, through the same loop on
     float64 scalars, which read inf or NaN there; the loop then resumes on
-    Python floats.  The loop stores the state at each node, and the times
-    are the running sums of t0, dt, dt, ..., which is the clock t + dt that
-    the loop keeps for a Lam or exclusion that reads t, bit for bit.  The
-    run is truncated at the last node before a state that is not finite or
-    within an exclusion margin.  Raises SingularStartError for a start in
-    an exclusion zone, and ValueError when t1 is before t0, the run needs
-    more than ``MAX_STEPS`` steps, Lam or an exclusion is complex-typed at
-    the start, or an exclusion holds a total-derivative node.
+    Python floats.  The loop packs the state at each node into one float64
+    array of (steps + 1)*2n doubles and returns the byte offset it has
+    filled to, so the node count is read from that offset and the rows are
+    the filled part.  The times are the running sums of t0, dt, dt, ...,
+    which is the clock t + dt that the loop keeps for a Lam or exclusion
+    that reads t, bit for bit.  The run is truncated at the last node
+    before a state that is not finite or within an exclusion margin.
+    Raises SingularStartError for a start in an exclusion zone, and
+    ValueError when t1 is before t0, the run needs more than ``MAX_STEPS``
+    steps, Lam or an exclusion is complex-typed at the start, or an
+    exclusion holds a total-derivative node.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
@@ -149,7 +154,10 @@ def integrate(
 
     t = float(t0)
     y = (*map(float, q0), *map(float, qd0))
-    flat = list(y)
+    # the run packs each node's doubles at a byte offset into buf
+    buf = np.empty((steps + 1) * width)
+    buf[:width] = y
+    stride, end = 8 * width, buf.nbytes
     with np.errstate(all="ignore"):
         start = at(np.float64(t), *map(np.float64, y + params))
         # arithmetic on float64 arguments gives complex values at every state
@@ -159,16 +167,14 @@ def integrate(
             raise ValueError("Lam or an exclusion is not real at the start")
         if not all(c <= abs(v) < math.inf for c, v in zip(thresholds, start[n:])):
             raise SingularStartError("initial state is inside the singular exclusion zone")
-        node, taken = (t, *y, *map(float, start[:n])), 0
-        while node is not None and taken < steps:
-            node = run(*node, *params, *tail, steps - taken, flat)
-            taken = len(flat) // width - 1
-            if node is not None and taken < steps:
+        node, off = (t, *y, *map(float, start[:n])), stride
+        while node is not None and off < end:
+            node, off = run(*node, *params, *tail, (end - off) // stride, buf, off)
+            if node is not None and off < end:
                 # the step from node raised or went complex on Python floats
-                node = run(*map(np.float64, node + params), *tail, 1, flat)
+                node, off = run(*map(np.float64, node + params), *tail, 1, buf, off)
                 node = node and tuple(map(float, node))
-                taken += 1
-    rows = np.fromiter(flat, float, len(flat)).reshape(-1, width)
+    rows = buf[:off // 8].reshape(-1, width)
     # the loop's t + dt at each step, in the same order
     times = np.full(len(rows), dt, dtype=float)
     times[0] = t
@@ -196,16 +202,18 @@ def _rk4_loop(exprs, alphabet):
     runs it once, returning Lam and the exclusion values.
 
     run(t, y, Lam at (t, y), params, thresholds, dt, dt/2, dt/6, steps,
-    out) takes up to ``steps`` classical RK4 steps of (q, qdot)' = (qdot,
+    out, o) takes up to ``steps`` classical RK4 steps of (q, qdot)' = (qdot,
     Lam), unrolled over the 2n state components.  Each stage state is
     ``y + h*k`` and the new state ``y + dt/6*(k1 + 2*k2 + 2*k3 + k4)``, in
     this order of operations.  Each pass of the loop takes two steps.  The
     first maps the node locals (t, y, a) to (t1, w, b) and the second, its
     text with those names swapped, maps them back, so no node is handed on
-    by assignment, and one store appends both new states to the list
-    ``out``.  An odd last step leaves after the first.  The clock t + dt/2,
-    t + dt runs only when Lam or an exclusion reads t; otherwise the t of a
-    node it returns is the start's.
+    by assignment, and one ``pack_into`` writes both new states into the
+    float64 buffer ``out`` at the byte offset ``o``, which then moves past
+    them.  An odd last step, or a second step that leaves, packs the first
+    step's state alone.  The clock t + dt/2, t + dt runs only when Lam or
+    an exclusion reads t; otherwise the t of a node it returns is the
+    start's.
 
     At the new node the statements give Lam, the next step's k1, and the
     exclusion values, which guard the node: each state component must be
@@ -223,9 +231,10 @@ def _rk4_loop(exprs, alphabet):
     function's value can be, compares without raising, so a stage that
     calls a function also tests the type of the sum.  An exclusion with
     total-derivative nodes, which need a complex step, is a ValueError.
-    Returns the node after ``steps`` steps, the start node of a step that
-    raised or went complex, or None at a node the guard refused.  Every
-    local carries a ``·``, outside the DSL's names.
+    Returns the pair of a node and the offset past the last packed state:
+    the node after ``steps`` steps, the start node of a step that raised
+    or went complex, or None at a node the guard refused.  Every local
+    carries a ``·``, outside the DSL's names.
     """
     n, m = alphabet.n, len(exprs) - alphabet.n
     names = [s.name for s in (*alphabet.variables(), *alphabet.param_symbols)]
@@ -251,7 +260,7 @@ def _rk4_loop(exprs, alphabet):
     clear = [f"c·{j}" for j in range(m)]
     a = ks[0][n:]
     start = ["t·", *y, *a]
-    node = ", ".join(start)
+    node = f"({', '.join(start)}), o·"
     # for a finite real e and c > 0, c <= |e| is e >= c or e <= -c
     fast = " and ".join(["-inf· < s· < inf·",
                          *(f"({e} >= {c} or {e} <= n{c})" for c, e in zip(clear, excl))])
@@ -274,37 +283,44 @@ def _rk4_loop(exprs, alphabet):
             f"    if not ({fast}):",
             "        # the sum overflowed or a term is not finite",
             f"        if not ({guard}):",
-            *(f"            {line}" for line in [*leave, "return None"]),
+            *(f"            {line}" for line in [*leave, "return None, o·"]),
             "except (ZeroDivisionError, OverflowError, TypeError):",
             *(f"    {line}" for line in [*leave, f"return {node}"]),
         ]
+
+    def store(state):
+        """The lines that pack ``state`` at o· and move o· past it."""
+        return [f"pk{len(state) // (2 * n)}·(out·, o·, {', '.join(state)})",
+                f"o· += {8 * len(state)}"]
 
     other = dict(zip(y + a, w + lam))
     if clocked:
         other["t·"] = "t1·"
     other.update({v: k for k, v in other.items()})
-    # the second step, back from (t1·, w·, b·), stores the pass's first node
+    # the second step, back from (t1·, w·, b·), packs the pass's first node
     # before it leaves: the y· it names are its w·
-    second = _rename(step([f"out· += ({', '.join(y)})"]), other)
-    signature = ", ".join([*start, *params, *clear, "dt·", "h2·", "h6·", "steps·", "out·"])
+    second = _rename(step(store(y)), other)
+    signature = ", ".join([*start, *params, *clear, "dt·", "h2·", "h6·", "steps·", "out·", "o·"])
     source = (
         f"def run·({signature}):\n" +
         "".join(f"    n{v} = -{v}\n" for v in params + clear) +
         "    last· = steps· // 2\n"
         "    for _· in range(steps· - last·):\n" +
         "".join(f"        {line}\n" for line in step([])) +
-        "        if _· == last·:  # an odd last step\n"
-        f"            out· += ({', '.join(w)})\n"
+        "        if _· == last·:  # an odd last step\n" +
+        "".join(f"            {line}\n" for line in store(w)) +
         f"            {_rename([f'return {node}'], other)[0]}\n" +
         "".join(f"        {line}\n" for line in second) +
-        f"        out· += ({', '.join(w + y)})\n"
+        "".join(f"        {line}\n" for line in store(w + y)) +
         f"    return {node}\n"
         f"\n\ndef at·({', '.join(['t1·', *w, *params])}):\n" +
         "".join(f"    n{v} = -{v}\n" for v in params) +
         "".join(f"    {line}\n" for line in at) +
         f"    return [{', '.join(lam + excl)}]\n"
     )
-    namespace = {**_GLOBALS, "abs·": abs, "inf·": math.inf}
+    namespace = {**_GLOBALS, "abs·": abs, "inf·": math.inf,
+                 "pk1·": struct.Struct(f"{2 * n}d").pack_into,
+                 "pk2·": struct.Struct(f"{4 * n}d").pack_into}
     return _define(source, "run·", namespace), namespace["at·"]
 
 

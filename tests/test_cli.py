@@ -638,6 +638,13 @@ def test_exit_code_table(argv, code, request, capsys):
         assert err.startswith("error: ") and len(err.splitlines()) == 1
 
 
+def test_describe_prints_nothing_before_an_error(deep_sin_sys, capsys):
+    # the system line derives before the print of L runs out of depth
+    assert cli.main(["describe", deep_sin_sys]) == cli.EXIT_PARSE
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: input too large or too deeply nested")
+
+
 def test_solve_names_the_option_its_mode_does_not_read(fp_sys, capsys):
     assert cli.main(["solve", fp_sys, "energy", "--mode", "onflow-R", "--tau", "1/0"]) == \
         cli.EXIT_PARSE

@@ -5,6 +5,7 @@ import csv
 import dataclasses
 import inspect
 import io
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -169,6 +170,16 @@ def test_rk4_loop_multiplies_squares_and_checks_one_sum_first(name, request):
                 and all(isinstance(v, ast.Name) for v in ast.walk(node.value)
                         if not isinstance(v, (ast.Tuple, ast.Load)))]
     assert handoffs == []
+    # the nodes are packed into the trajectory's array, never added to a list:
+    # both states at the end of a pass, one where the odd last step or the
+    # second step leaves
+    moves = [node for node in ast.walk(tree) if isinstance(node, ast.AugAssign)]
+    assert moves and all(names(node.target) == {"o·"} and isinstance(node.value, ast.Constant)
+                         for node in moves)
+    uses = [node for node in ast.walk(tree) if isinstance(node, ast.Name) and node.id == "out·"]
+    stores = [node.func.id for node in ast.walk(tree) if isinstance(node, ast.Call)
+              and node.args and names(node.args[0]) == {"out·"}]
+    assert len(uses) == len(stores) and sorted(stores) == ["pk1·"] * 3 + ["pk2·"]
     # the clock runs only for a Lam that reads t
     assert names(loop) & {"th·", "t1·"} == ({"th·", "t1·"} if name == "window" else set())
     # the oracle's code for the same expressions prints as before
@@ -445,7 +456,7 @@ def test_integrate_matches_reference_loop(case, kepler, iso_steep, iso_opaque, m
 
         def call(*node):
             if type(node[0]) is np.float64:
-                reruns.append(len(node[-1]) // (2 * sysdef.n))
+                reruns.append(node[-1] // (8 * 2 * sysdef.n))
             return run(*node)
 
         return call, at
@@ -495,6 +506,26 @@ def test_a_run_is_a_prefix_of_the_run_one_step_longer(n, name, shift, kepler):
     assert len(short.t) == n + 1 and len(longer.t) == n + 2
     for a, b in [(short.t, longer.t), (short.q, longer.q), (short.qdot, longer.qdot)]:
         assert np.array_equal(a, b[:n + 1])
+
+
+def test_a_run_holds_little_more_than_the_trajectory_it_returns(kepler):
+    # the loop packs each node into the float64 array the trajectory is cut
+    # from, so a call holds that array and the t, q and qdot copies, and no
+    # Python float for each value
+    start = (0.0, [1.0, 0.0, 0.0], [0.0, 1.1, 0.2])
+    integrate(kepler.system, start, 0.01)  # the loop is printed outside the trace
+    started = not tracemalloc.is_tracing()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        traj = integrate(kepler.system, start, 10.0, dt=1e-3)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        if started:
+            tracemalloc.stop()
+    assert not traj.truncated and len(traj.t) == 10_001
+    assert peak <= 2.5 * (traj.t.nbytes + traj.q.nbytes + traj.qdot.nbytes)
 
 
 def test_steps_run_on_python_floats(kepler, monkeypatch):
