@@ -24,17 +24,18 @@ f = N + L*tau + d_qdot L . eta.  The zero-gauge solvers compose them with
 ``trivialize`` (through ``multiplicity_transform``) and
 ``convert_standard_alternative``, which all keep eta.
 
-A triple keeps its eta (``Triple.eta``), the one quantity this module
-derives: the solvers store the one they computed, every transform passes
-it on (the gauge transform where deriving it again would build the same
-tree), and otherwise the first check derives it from xi and keeps it.  So
-the checks read eta, not xi.  Every solver and transform builds its triple
-through ``_derived`` and gives xi as a recipe that its first read runs,
-with the same sympy operations as building it at once, so printed and
-written triples do not change; a solve, its transforms and
-``noether_integral`` never build it.  ``verify_triple`` returns a
-``VerificationReport``, the ``IdentityReport`` of the Killing-equation
-check with the sense checked and the integral's check added.
+eta is the one quantity this module derives, and one rule keeps it: a
+solver's or transform's triple carries eta (``Triple.eta``) in its system's
+velocities, with xi built from eta on first read (eta + qdot*tau in the
+standard convention; ``solve_onflow`` keeps the xi it was given); a triple
+built from xi derives eta at each check.  Every solver and transform builds
+its triple through ``_derived``; a check on a system with the same
+velocities reads the stored eta, and no check writes into a triple, so a
+triple's verdict does not depend on what it was checked against before.
+A solve, its transforms and ``noether_integral`` never build xi.
+``verify_triple`` returns a ``VerificationReport``, the ``IdentityReport``
+of the Killing-equation check with the sense checked and the integral's
+check added.
 
 The total derivatives (tau_dot, xi_dot, f_dot and N_dot) are lazy
 :class:`~noetherkit.expressions.TotalDerivative` nodes: the oracle
@@ -131,14 +132,11 @@ class Triple:
     ``exclusions`` records denominators introduced by a solver (e.g. 1/L);
     verification sampling keeps away from their zero sets.
 
-    ``eta`` is the characteristic in the convention of ``form``: the one a
-    solver or transform computed (the conversion and the time
-    trivialization keep eta; the multiplicity transform, and so the gauge
-    trivialization, keep it only in the alternative convention or at a
-    structurally zero tau), or None until the first check derives it from
-    xi (in the velocities of the system checked against) and keeps it.
-    ``replace`` leaves it unset.  xi may be given as a :class:`_Pending`
-    recipe.
+    ``eta`` is the characteristic in the convention of ``form``: a solver's
+    or transform's triple carries it in its system's velocities, with xi
+    built from it on first read; a triple built from xi has None, and each
+    check derives eta from xi.  ``replace`` leaves it unset.  xi may be
+    given as a :class:`_Pending` recipe.
     """
 
     tau: sp.Expr
@@ -148,13 +146,15 @@ class Triple:
     exclusions: tuple[Exclusion, ...] = ()
     eta: tuple[sp.Expr, ...] | None = field(default=None, init=False, repr=False,
                                              compare=False)
+    _eta_velocities: tuple[sp.Symbol, ...] | None = field(default=None, init=False,
+                                                          repr=False, compare=False)
 
     def __post_init__(self):
         if self.form not in FORMS:
             raise ValueError(f"unknown form {self.form!r}")
 
     def __getstate__(self):
-        # a pending recipe holds the system and a lambda: pickle the tuple
+        # a pending recipe holds the whole system: pickle the tuple it builds
         return dict(self.__dict__, _xi=self.xi)
 
     def simplified(self) -> "Triple":
@@ -163,11 +163,15 @@ class Triple:
         return replace(self, tau=tidy(self.tau), xi=tuple(map(tidy, self.xi)), f=tidy(self.f))
 
 
-def _derived(tau, xi, f, form, exclusions, eta) -> Triple:
-    """A solver's or transform's triple, with the eta it computed (or None)
-    and xi as given, possibly a :class:`_Pending` recipe."""
+def _derived(sys: LagrangianSystem, tau, eta, f, form, exclusions, xi=None) -> Triple:
+    """A solver's or transform's triple: eta stored with the velocities of
+    ``sys`` it is written in, and xi the :class:`_Pending` recipe that builds
+    it from eta (or, from ``solve_onflow``, the xi its caller gave)."""
+    if xi is None:
+        xi = _Pending(_xi, sys, tau, eta, _decode(form)[1])
     tr = Triple(tau=tau, xi=xi, f=f, form=form, exclusions=exclusions)
     object.__setattr__(tr, "eta", eta)
+    object.__setattr__(tr, "_eta_velocities", sys.alphabet.velocity_symbols)
     return tr
 
 
@@ -205,16 +209,14 @@ def _as_expr(N) -> sp.Expr:
 
 
 def _characteristic(sys: LagrangianSystem, tr: Triple, convention: str) -> tuple:
-    """The triple's eta in the convention: the stored one in the convention
-    of its form, which is derived from xi and kept if unset; derived from
-    xi in the other convention."""
-    own = convention == _decode(tr.form)[1]
-    if own and tr.eta is not None:
+    """The triple's eta in the convention: the stored one of a solver's or
+    transform's triple, in the convention of its form and to a system with
+    the velocities it is written in; otherwise derived from xi, and not
+    kept."""
+    if (tr.eta is not None and convention == _decode(tr.form)[1]
+            and tr._eta_velocities == sys.alphabet.velocity_symbols):
         return tr.eta
-    eta = _eta(sys, tr.tau, tr.xi, convention)
-    if own:
-        object.__setattr__(tr, "eta", eta)
-    return eta
+    return _eta(sys, tr.tau, tr.xi, convention)
 
 
 def _checked_eta(sys: LagrangianSystem, tr: Triple, convention: str) -> tuple:
@@ -393,7 +395,7 @@ def solve_onflow(sys: LagrangianSystem, N, tau, xi: Sequence, *, seed: int = 0) 
     tau = sp.sympify(tau)
     eta = _eta(sys, tau, xi, "standard")
     Nexpr = _require_conserved(sys, N, seed).expr
-    return _derived(tau, xi, _complete(sys, Nexpr, tau, eta), ONFLOW, (), eta)
+    return _derived(sys, tau, eta, _complete(sys, Nexpr, tau, eta), ONFLOW, (), xi)
 
 
 def solve_onflow_simplest(
@@ -425,8 +427,7 @@ def solve_strong(sys: LagrangianSystem, N, tau=sp.Integer(0), *, seed: int = 0) 
     Nexpr = _require_conserved(sys, N, seed).expr
     tau = sp.sympify(tau)
     eta = tuple(-wi for wi in _g_inv_grad(sys, Nexpr, seed))
-    return _derived(tau, _Pending(_xi, sys, tau, eta, "standard"),
-                    _complete(sys, Nexpr, tau, eta), STRONG, (), eta)
+    return _derived(sys, tau, eta, _complete(sys, Nexpr, tau, eta), STRONG, ())
 
 
 def solve_alt_strong_trivial_gauge(
@@ -448,21 +449,16 @@ def multiplicity_transform(
     xi += qdot*s in the standard convention.  The shift c keeps the
     denominator off the zero set of L; f = h only at c = 0.
 
-    The result keeps eta where deriving it from the new xi would give its
-    tree back: in the alternative convention, and where tau is structurally
-    0, since then (xi + qdot*s) - qdot*s folds to xi."""
+    The result carries the triple's eta, and its xi is built from eta on
+    first read: eta + qdot*(tau + s) in the standard convention."""
     h = sp.sympify(h)
     shift = (h - tr.f) / (sys.L + c)
     _, convention = _decode(tr.form)
     # 0.0*shift folds to 0 only after sympy has asked whether shift is finite,
     # which costs milliseconds on a solver's expressions
     f = h - c * shift if c else h
-    keep = convention == "alternative" or sp.S(tr.tau) is sp.S.Zero
-    eta = _characteristic(sys, tr, convention) if keep else None
-    return _derived(
-        tr.tau + shift, _Pending(lambda: _xi(sys, shift, tr.xi, convention)), f, tr.form,
-        tr.exclusions + (Exclusion(sys.L + c, DENOM_MARGIN),), eta,
-    )
+    return _derived(sys, tr.tau + shift, _characteristic(sys, tr, convention), f, tr.form,
+                    tr.exclusions + (Exclusion(sys.L + c, DENOM_MARGIN),))
 
 
 def trivialize(sys: LagrangianSystem, tr: Triple, which: str, *, c: float = 0.0) -> Triple:
@@ -471,9 +467,8 @@ def trivialize(sys: LagrangianSystem, tr: Triple, which: str, *, c: float = 0.0)
     multiplicity transform to h = 0, which leaves f*c/(L+c), zero only at
     c = 0); the first integral is unchanged."""
     if which == "time":
-        eta = _characteristic(sys, tr, _decode(tr.form)[1])
-        return _derived(sp.Integer(0), eta, tr.f - _L_times(sys, tr.tau), tr.form,
-                        tr.exclusions, eta)
+        return _derived(sys, sp.Integer(0), _characteristic(sys, tr, _decode(tr.form)[1]),
+                        tr.f - _L_times(sys, tr.tau), tr.form, tr.exclusions)
     if which == "gauge":
         return multiplicity_transform(sys, tr, 0, c=c)
     raise ValueError(f"unknown trivialization {which!r}")
@@ -485,13 +480,9 @@ def convert_standard_alternative(sys: LagrangianSystem, tr: Triple) -> Triple:
     tau*qdot back.  Round trips are the identity.
     """
     _, convention = _decode(tr.form)
-    if convention == "alternative":
-        other, form = "standard", tr.form.removeprefix("alt_")
-    else:
-        other, form = "alternative", "alt_" + tr.form
-    eta = _characteristic(sys, tr, convention)
-    return _derived(tr.tau, _Pending(_xi, sys, tr.tau, eta, other), tr.f, form,
-                    tr.exclusions, eta)
+    form = tr.form.removeprefix("alt_") if convention == "alternative" else "alt_" + tr.form
+    return _derived(sys, tr.tau, _characteristic(sys, tr, convention), tr.f, form,
+                    tr.exclusions)
 
 
 _VI_REASONS = {
@@ -526,10 +517,11 @@ def velocity_independence_check(
     w = _g_inv_grad(sys, _as_expr(N), seed)
     n = sys.n
     check = partial(sys.check, k=k, tol=tol, seed=seed)
-    second = [sp.diff(w[i], vs[j], vs[l]) for i in range(n) for j in range(n) for l in range(j, n)]
+    jac = [_diff(w[i], vs[j]) for i in range(n) for j in range(n)]
+    second = [_diff(jac[i * n + j], vs[l]) for i in range(n) for j in range(n)
+              for l in range(j, n)]
     rep = check(second, [0] * len(second), label="affine-in-velocity")
     if rep.passed:
-        jac = [_diff(w[i], vs[j]) for i in range(n) for j in range(n)]
         scalar = [jac[0] if i == j else 0 for i in range(n) for j in range(n)]
         rep = check(jac, scalar, label="jacobian-scalar-multiple")
     if rep.passed:

@@ -215,9 +215,8 @@ def test_diff_builds_no_derivative_objects(kepler, monkeypatch):
 
 
 def test_sympy_diff_is_called_only_where_the_grammar_ends():
-    """One differentiation route: sympy differentiates at the fallback of
-    the structural kernel, and the mixed second derivatives of the
-    velocity-independence check, which sympy simplifies, stay with it."""
+    """One differentiation route: sympy differentiates only at the fallback
+    of the structural kernel."""
     sites = set()
     for path in sorted(Path(noetherkit.__file__).parent.glob("*.py")):
         for top in ast.parse(path.read_text()).body:
@@ -227,7 +226,7 @@ def test_sympy_diff_is_called_only_where_the_grammar_ends():
                 if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
                         and node.func.attr == "diff"):
                     sites.add((path.name, getattr(top, "name", None)))
-    assert sites == {("expressions.py", "_diff"), ("noether.py", "velocity_independence_check")}
+    assert sites == {("expressions.py", "_diff")}
 
 
 def test_triples_are_emitted_as_derived():

@@ -12,6 +12,7 @@ from hypothesis import given, strategies as st
 from sympy.printing.str import StrPrinter
 
 from noetherkit.expressions import (
+    Alphabet,
     TotalDerivative,
     _eval_rows,
     compile_fn,
@@ -20,6 +21,7 @@ from noetherkit.expressions import (
     total_dt,
 )
 from noetherkit import noether
+from noetherkit.mechanics import LagrangianSystem, build_system
 from noetherkit.noether import (
     DENOM_MARGIN,
     FORMS,
@@ -42,6 +44,7 @@ from noetherkit.noether import (
     _characteristic,
     _complete,
     _eta,
+    _g_inv_grad,
     _integral_expr,
     _L_times,
     _require_conserved,
@@ -394,6 +397,28 @@ def test_velocity_independence_cubic_fails(fp):
     assert "second velocity derivative" in verdict.reason
 
 
+@pytest.mark.parametrize("name", CORPUS_FIXTURES)
+def test_velocity_independence_builds_the_second_derivatives_sympy_builds(
+        name, request, monkeypatch):
+    # each second velocity derivative is the _diff of a Jacobian entry, and
+    # so the tree that sympy.diff builds from w in one call
+    entry = request.getfixturevalue(name)
+    sysdef = entry.system
+    vs, n = sysdef.alphabet.velocity_symbols, sysdef.n
+    checked = []
+    real = LagrangianSystem.check
+    monkeypatch.setattr(LagrangianSystem, "check",
+                        lambda self, a, b, **kw: checked.append((kw["label"], a))
+                        or real(self, a, b, **kw))
+    for N in entry.integrals.values():
+        checked.clear()
+        velocity_independence_check(sysdef, N)
+        w = _g_inv_grad(sysdef, sp.sympify(N), 0)
+        want = [sp.diff(wi, vs[j], vs[l]) for wi in w for j in range(n) for l in range(j, n)]
+        second = dict(checked)["affine-in-velocity"]
+        assert list(map(sp.srepr, second)) == list(map(sp.srepr, want))
+
+
 def test_forms_constant():
     assert FORMS == ("onflow", "strong", "alt_onflow", "alt_strong")
 
@@ -426,8 +451,9 @@ def _solved_chain(draw, systems):
     a conversion to the alternative convention.  The transforms that divide
     by L + c draw that shift c too (0, 1 or 3), apart from the family's c.
 
-    Each triple comes with the xi that building it at once gives, by the
-    formula of its step, as the reference for the xi its first read builds."""
+    Each triple comes with the xi that building it at once gives, from the
+    eta of the step before (eta + qdot*tau in the standard convention), as
+    the reference for the xi its first read builds."""
     name = draw(st.sampled_from(sorted(systems)))
     sysdef, integrals = systems[name]
     if name == "iso":  # G = x solves the family's ODE for every c
@@ -449,18 +475,14 @@ def _solved_chain(draw, systems):
     chain = [(tr, xi)]
     for step in draw(st.lists(st.sampled_from(("h", "time", "gauge")), max_size=2)):
         if step == "h":
-            h, c = draw(_polys(ab)), draw(_shifts)
-            new = multiplicity_transform(sysdef, tr, h, c=c)
+            new = multiplicity_transform(sysdef, tr, draw(_polys(ab)), c=draw(_shifts))
         elif step == "gauge":
-            h, c = sp.Integer(0), draw(_shifts)
-            new = trivialize(sysdef, tr, step, c=c)
+            new = trivialize(sysdef, tr, step, c=draw(_shifts))
         else:
             new = trivialize(sysdef, tr, step)
-        if step == "time":
-            xi = xi if alt(tr) else tuple(x - v * tr.tau for x, v in zip(xi, vs))
-        elif not alt(tr):
-            shift = (h - tr.f) / (sysdef.L + c)
-            xi = tuple(x + v * shift for x, v in zip(xi, vs))
+        if not alt(tr):
+            eta = tuple(x - v * tr.tau for x, v in zip(xi, vs))
+            xi = tuple(e + v * new.tau for e, v in zip(eta, vs))
         tr = new
         chain.append((tr, xi))
     if draw(st.booleans()):
@@ -541,13 +563,13 @@ def test_triple_sums_are_the_chained_sums(systems, data):
 
 @given(data=st.data())
 def test_triples_keep_the_trees_of_their_xi(systems, data):
-    # a stored eta is the tree that deriving it from xi builds, and the xi
-    # that a first read builds is the tree that building it at once gives
+    # every solved or transformed triple stores an eta, the tree that deriving
+    # it from xi builds, and the xi that a first read builds is the tree that
+    # building it at once gives
     sysdef, _, chain = data.draw(_solved_chain(systems))
     for tr, xi in chain:
         convention = "alternative" if tr.form.startswith("alt") else "standard"
-        if tr.eta is not None:
-            assert sp.srepr(tr.eta) == sp.srepr(_eta(sysdef, tr.tau, tr.xi, convention))
+        assert sp.srepr(tr.eta) == sp.srepr(_eta(sysdef, tr.tau, tr.xi, convention))
         assert sp.srepr(tr.xi) == sp.srepr(xi)
 
 
@@ -565,6 +587,69 @@ def test_replace_derives_eta_again(kepler):
         rep = verify_triple(sysdef, changed)
         assert not rep.passed
         assert rep.to_dict() == verify_triple(sysdef, plain).to_dict()
+
+
+@pytest.fixture(scope="module")
+def free_particles():
+    """The free particle in the coordinate q and in x, each with its
+    kinetic energy as the integral."""
+    out = {}
+    for coord in ("q", "x"):
+        ab = Alphabet(coords=(coord,))
+        energy = ab.velocity_symbols[0] ** 2 / 2
+        out[coord] = build_system(energy, ab, name=f"free particle in {coord}"), energy
+    return out
+
+
+def _outcome(sysdef, N, tr):
+    """The report of tr checked with N on sysdef, and its Noether integral
+    with that integral's report."""
+    fi = noether_integral(sysdef, tr)
+    return verify_triple(sysdef, tr, N).to_dict(), sp.srepr(fi.expr), fi.conservation.to_dict()
+
+
+@pytest.mark.parametrize("make", [
+    lambda sysdef, N: Triple(1, (0,), 0, "strong"),
+    lambda sysdef, N: solve_strong(sysdef, N, 1),
+], ids=["built_from_xi", "solved"])
+def test_a_triple_gets_the_verdicts_of_a_fresh_copy_in_either_order(free_particles, make):
+    # (1, (0,), 0) solves the free particle in any coordinate; checked on one
+    # system and then on the other, it gets on each what a fresh copy gets
+    fresh = {coord: _outcome(*pair, make(*free_particles["q"]))
+             for coord, pair in free_particles.items()}
+    assert all(rep["verdict"] == "PASS" for rep, _, _ in fresh.values())
+    for order in (("q", "x"), ("x", "q")):
+        tr = make(*free_particles["q"])
+        for coord in order:
+            assert _outcome(*free_particles[coord], tr) == fresh[coord], order
+
+
+@pytest.mark.parametrize("name", CORPUS_FIXTURES)
+def test_checks_write_nothing_into_a_triple(name, request):
+    entry = request.getfixturevalue(name)
+    sysdef = entry.system
+    for tr in entry.triples.values():
+        tr = replace(tr)  # a copy that no other test has checked
+        before = dict(vars(tr))
+        verify_triple(sysdef, tr, k=20)
+        for convention in ("standard", "alternative"):
+            noether_integral(sysdef, tr, convention, k=20)
+        for form in FORMS:
+            killing_lhs(sysdef, tr, form)
+        assert vars(tr) == before
+
+
+@given(data=st.data())
+def test_solved_and_transformed_triples_keep_their_eta_through_copies(systems, data):
+    sysdef, _, chain = data.draw(_solved_chain(systems))
+    vs = sysdef.alphabet.velocity_symbols
+    for tr, _ in chain:
+        convention = "alternative" if tr.form.startswith("alt") else "standard"
+        assert tr.eta is not None and tr._eta_velocities == vs
+        for copied in (pickle.loads(pickle.dumps(tr)), copy.deepcopy(tr)):
+            assert sp.srepr(copied.eta) == sp.srepr(tr.eta)
+            assert copied._eta_velocities == vs
+            assert _characteristic(sysdef, copied, convention) is copied.eta
 
 
 @pytest.fixture()
@@ -601,29 +686,21 @@ def test_integral_of_a_time_trivialized_triple_builds_no_xi(kepler, xi_calls):
     tr = trivialize(sysdef, solve_strong(sysdef, kepler.integrals["lrl_u"], sysdef.alphabet.t),
                     "time")
     assert noether_integral(sysdef, tr).verified
-    assert xi_calls == [] and tr.xi is tr.eta
+    assert xi_calls == [] and sp.srepr(tr.xi) == sp.srepr(tr.eta)
 
 
-@pytest.mark.parametrize("transform", [
-    lambda sysdef, tr: trivialize(sysdef, tr, "time"),
-    convert_standard_alternative,
-    lambda sysdef, tr: multiplicity_transform(sysdef, tr, sysdef.alphabet.t),
-], ids=["trivialize_time", "convert", "multiplicity"])
-def test_transforms_refuse_a_triple_with_extra_xi_components(fp, transform):
-    # a component with no velocity to pair with is refused, not dropped
-    bad = Triple(0, (1, fp.system.alphabet.coord_symbols[0]), 0, "strong")
+@pytest.mark.parametrize("transform, tau", [
+    (lambda sysdef, tr: trivialize(sysdef, tr, "time"), 0),
+    (convert_standard_alternative, 0),
+    (lambda sysdef, tr: multiplicity_transform(sysdef, tr, sysdef.alphabet.t), 0),
+    (lambda sysdef, tr: multiplicity_transform(sysdef, tr, 0), "t"),
+], ids=["trivialize_time", "convert", "multiplicity", "multiplicity_at_tau_t"])
+def test_transforms_refuse_a_triple_with_extra_xi_components(fp, transform, tau):
+    # a component with no velocity to pair with is refused at once, not
+    # dropped, whether or not tau is structurally 0
+    bad = Triple(sp.sympify(tau), (1, fp.system.alphabet.coord_symbols[0]), 0, "strong")
     with pytest.raises(ValueError, match="xi has length 2, expected 1"):
         transform(fp.system, bad)
-
-
-def test_a_pending_xi_checks_the_length_it_is_built_from(fp):
-    # tau != 0, so the gauge transform leaves xi to its recipe, which refuses
-    # on first read the component that has no velocity to pair with
-    ab = fp.system.alphabet
-    bad = Triple(ab.t, (1, ab.coord_symbols[0]), 0, "strong")
-    shifted = multiplicity_transform(fp.system, bad, 0)
-    with pytest.raises(ValueError, match="xi has length 2, expected 1"):
-        shifted.xi
 
 
 def test_verify_triple_refuses_an_unknown_form(fp):
@@ -655,6 +732,22 @@ CHAIN_SOLVERS = {
                                                        seed=11), "standard"),
     "alt_strong_trivial_gauge": lambda s, N: (solve_alt_strong_trivial_gauge(s, N, seed=11),
                                               "alternative"),
+    # the gauge trivializations and conversions that the CLI's solve modes
+    # reach, all at a structurally zero tau, and a time trivialization
+    "onflow_with_R_c3": lambda s, N: (solve_onflow_with_R(s, N, s.alphabet.coord_symbols,
+                                                          c=3, seed=11), "standard"),
+    "gauge_strong": lambda s, N: (trivialize(s, solve_strong(s, N, seed=11), "gauge"),
+                                  "standard"),
+    "gauge_strong_c3": lambda s, N: (trivialize(s, solve_strong(s, N, seed=11), "gauge", c=3),
+                                     "standard"),
+    "alt_onflow_with_R": lambda s, N: (convert_standard_alternative(
+        s, solve_onflow_with_R(s, N, s.alphabet.coord_symbols, seed=11)), "alternative"),
+    "alt_onflow_with_R_c3": lambda s, N: (convert_standard_alternative(
+        s, solve_onflow_with_R(s, N, s.alphabet.coord_symbols, c=3, seed=11)), "alternative"),
+    "alt_strong_trivial_gauge_c3": lambda s, N: (
+        solve_alt_strong_trivial_gauge(s, N, c=3, seed=11), "alternative"),
+    "time_strong": lambda s, N: (trivialize(s, solve_strong(
+        s, N, s.alphabet.t * s.alphabet.coord_symbols[0], seed=11), "time"), "standard"),
 }
 PINNED_CHAINS = {
     ("kepler", "strong"): "8839ea53e3a3937f2ac6fd3649c7c92c197383fa650eed94671a171bfd38e503",
@@ -675,6 +768,43 @@ PINNED_CHAINS = {
         "d5bed5a94d11f36e5de9429cdc2ed32e7960fc3db6e111e91ebedc425d7d4216",
     ("iso_steep", "alt_strong_trivial_gauge"):
         "422680e35f53e48e7b971fc58e1cf395d82324971e148f07b857f3b7d9773240",
+    ("kepler", "onflow_with_R_c3"):
+        "1091dfca246a3ad603fa0a1a2c627b416f4ed417078aaaabe50b9687894bf894",
+    ("kepler", "gauge_strong"): "c0e494726a391818845fab926d2bcd94d94c2859cb065685d11f80573ca72a6b",
+    ("kepler", "gauge_strong_c3"):
+        "b739ce09e66eb14b34ca0e41703237ba6e47d87f63d4826836c093f3182c0951",
+    ("kepler", "alt_onflow_with_R"):
+        "6582797fed2dc38d2aa444bd8a95e97ae840bc1df9dc76444b9d6eae977817a4",
+    ("kepler", "alt_onflow_with_R_c3"):
+        "7db5a286070594e26c01ca16f6e39497b604e1aeccddab6399f5ce59991c663e",
+    ("kepler", "alt_strong_trivial_gauge_c3"):
+        "9d173e1ab3bdf9834f86050e31a1e6b9a2eb871ad47523df2a30c0eaeff37e85",
+    ("kepler", "time_strong"): "d11efeaf611dce7d952c3b259dbb7768acfabe6162fa08821661421658358b95",
+    ("iso", "onflow_with_R_c3"):
+        "32dc1aeb17048e3df6afba0196b03e831bda46f929532c86994af62f22bf47f2",
+    ("iso", "gauge_strong"): "6b58ba8977badbc0e2aede4daea5a6532319e4458b7f44c1dfdeb81ca1aa4a8c",
+    ("iso", "gauge_strong_c3"): "eb147ae6906f966f32b65b39cf2eb655dd7bbb2f02e64a32acc9192d4462c7dd",
+    ("iso", "alt_onflow_with_R"):
+        "9d8e200e741af59e4863450156ff45157f0e65524f3c2db5a998ebff94193caf",
+    ("iso", "alt_onflow_with_R_c3"):
+        "a23c5e3593a30483fd3853623d7bb13fcc831b3488944ad131544a18473e4dac",
+    ("iso", "alt_strong_trivial_gauge_c3"):
+        "0a0927dee7d1668b3a4a31930753331f3c1e4cf3a0d227b9e7761794c7f13bde",
+    ("iso", "time_strong"): "7419f0111449911b1f5384fb91b723056931a0923790f95fc56677035638dd2e",
+    ("iso_steep", "onflow_with_R_c3"):
+        "9d35347fe4207025c39a4cde424225bd4eeb8c42d5689f23644861aa2b9ddeb8",
+    ("iso_steep", "gauge_strong"):
+        "494c4076f2b22a1a56853c570ef922df709b5fe84ffebff710a837f006d476e2",
+    ("iso_steep", "gauge_strong_c3"):
+        "6d51359b42b870e37e35f27f984c06016eb613f4d1986a0d0b89d67011e7e77c",
+    ("iso_steep", "alt_onflow_with_R"):
+        "f0e48f29f1ce79fa5b9d3ce898e1e61557b3617f1489e2cc100018c27dca131d",
+    ("iso_steep", "alt_onflow_with_R_c3"):
+        "d53ee896ca6e4200a1eca3add7400b6d2d65f5b3c984ac26f960c3580aa74dd7",
+    ("iso_steep", "alt_strong_trivial_gauge_c3"):
+        "2642ca5f750609e28efc23dcdfb85c0d5e331811780efc4faf2ace65b7dfad26",
+    ("iso_steep", "time_strong"):
+        "eadedc081f7835f326b0ba309a23a206a94b421b365167ad4bbd859878d6a6b6",
 }
 
 

@@ -118,6 +118,17 @@ def test_no_module_imports_a_name_it_never_reads(path):
     assert {name: line for name, line in imported.items() if name not in read} == {}
 
 
+def test_only_derived_writes_into_a_frozen_value():
+    # a frozen dataclass is set at construction only: noether._derived adds
+    # the eta it was built with, and nothing else writes into one later
+    sites = set()
+    for path in SOURCES:
+        for top in ast.parse(path.read_text()).body:
+            sites |= {(path.name, getattr(top, "name", None)) for node in ast.walk(top)
+                      if isinstance(node, ast.Attribute) and node.attr == "__setattr__"}
+    assert sites <= {("noether.py", "_derived")}
+
+
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
 def test_only_the_alphabet_spells_the_velocity_and_acceleration_suffixes(path):
     # a name such as qdot or qddot is the Alphabet's to form; every other
