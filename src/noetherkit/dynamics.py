@@ -120,6 +120,8 @@ def integrate(
     which is the clock t + dt that the loop keeps for a Lam or exclusion
     that reads t, bit for bit.  The run is truncated at the last node
     before a state that is not finite or within an exclusion margin.
+    A float64 rerun that returns a node without packing one is an internal
+    error, a RuntimeError, so the loop cannot repeat it without end.
     Raises SingularStartError for a start in an exclusion zone, and
     ValueError when t1 is before t0, the run needs more than ``MAX_STEPS``
     steps, Lam or an exclusion is complex-typed at the start, or an
@@ -172,8 +174,10 @@ def integrate(
             node, off = run(*node, *params, *tail, (end - off) // stride, buf, off)
             if node is not None and off < end:
                 # the step from node raised or went complex on Python floats
-                node, off = run(*map(np.float64, node + params), *tail, 1, buf, off)
-                node = node and tuple(map(float, node))
+                node, moved = run(*map(np.float64, node + params), *tail, 1, buf, off)
+                if node is not None and moved == off:
+                    raise RuntimeError("the float64 rerun of a step packed no node")
+                node, off = node and tuple(map(float, node)), moved
     rows = buf[:off // 8].reshape(-1, width)
     # the loop's t + dt at each step, in the same order
     times = np.full(len(rows), dt, dtype=float)

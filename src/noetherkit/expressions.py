@@ -905,10 +905,22 @@ class IdentityReport:
     tol: float
     seed: int
     label: str = ""
+    # what the check holds: its points, and each component's residuals,
+    # finiteness and sides, one row per component, read by component()
+    _sample: tuple | None = field(default=None, repr=False, compare=False)
 
     @property
     def verdict(self) -> str:
         return "PASS" if self.passed else "FAIL"
+
+    def component(self, i: int, label: str) -> "IdentityReport":
+        """The report of component i of a componentwise check, labelled
+        ``label``: the report that checking that component alone at the same
+        points gives, or the DomainViolation it raises."""
+        points, resid, finite, lhs, rhs = self._sample
+        part = slice(i, i + 1)
+        return _report(points, resid[part], finite[part], lhs[part], rhs[part],
+                       self.tol, self.seed, label)
 
     def to_dict(self) -> dict:
         return {
@@ -943,6 +955,9 @@ def equal_numeric(
     component order, the first with a non-finite value raises
     DomainViolation and the first that fails gives the report, as checking
     the pairs one at a time would; a PASS reports the largest residual.
+    ``report.component(i, label)`` gives component i's own report at the
+    same points, so several questions share one check: a component after
+    one that fails may still raise there.
 
     FAIL carries the worst point as a conclusive witness; PASS is strong
     probabilistic evidence only.  Deterministic for a fixed seed.
@@ -963,6 +978,12 @@ def equal_numeric(
     finite = np.isfinite(va) & np.isfinite(vb)
     with np.errstate(invalid="ignore"):
         resid = np.abs(va - vb) / (1.0 + np.maximum(np.abs(va), np.abs(vb)))
+    return _report(points, resid, finite, lhs, rhs, tol, seed, label)
+
+
+def _report(points, resid, finite, lhs, rhs, tol, seed, label) -> IdentityReport:
+    """The report of a check from its residuals and finiteness, one row per
+    component, scanned in component order as :func:`equal_numeric` says."""
     peak = resid.max(axis=1)
     for i in range(len(lhs)):
         if not finite[i].all():
@@ -976,10 +997,11 @@ def equal_numeric(
         passed=bool(peak[i] <= tol),
         max_residual=float(peak[i]),
         worst_point=points[int(np.argmax(resid[i]))],
-        k=k,
+        k=len(points),
         tol=tol,
         seed=seed,
         label=label,
+        _sample=(points, resid, finite, lhs, rhs),
     )
 
 

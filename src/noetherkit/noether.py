@@ -35,7 +35,7 @@ triple's verdict does not depend on what it was checked against before.
 A solve, its transforms and ``noether_integral`` never build xi.
 ``verify_triple`` returns a ``VerificationReport``, the ``IdentityReport``
 of the Killing-equation check with the sense checked and the integral's
-check added.
+check added; both are components of one oracle call.
 
 The total derivatives (tau_dot, xi_dot, f_dot and N_dot) are lazy
 :class:`~noetherkit.expressions.TotalDerivative` nodes: the oracle
@@ -192,7 +192,8 @@ class FirstIntegral:
 class VerificationReport(IdentityReport):
     """The report of a Killing-type equation check in the sense ``mode``.
     With an integral supplied, ``integral_check`` is the check of its Noether
-    formula, and ``passed`` holds only if both checks pass."""
+    formula, at the same seed and points, and ``passed`` holds only if both
+    checks pass."""
 
     mode: str = ""
     integral_check: IdentityReport | None = None
@@ -306,27 +307,28 @@ def verify_triple(
     ``form`` (by default its own), labelled ``killing:<form>``, by random
     sampling away from the system's and the triple's exclusions.
 
-    Strong senses sample the accelerations as free variables; if an integral
-    is supplied, the Noether formula for the matching convention is checked
-    at the same tolerance.
+    Strong senses sample the accelerations as free variables.  If an
+    integral is supplied, the Noether formula N = f - L*tau - d_qdot L . eta
+    for the matching convention is checked against it, labelled
+    ``noether-integral:<convention>``, in the same oracle call: one compiled
+    function of both questions, whose N shares the subtrees of N_dot's body,
+    one draw at ``seed`` and one array call.  So the integral's check reads
+    the Killing check's points, accelerations included in a strong sense.
+    A non-finite Killing value raises DomainViolation first; a non-finite
+    integral value raises after a Killing PASS or FAIL alike.
     """
     form = form or tr.form
     strong, convention = _decode(form)
     lhs, rhs, N = _killing_terms(sys, tr, form)
-    rep = sys.check(
-        lhs, rhs,
-        k=k, tol=tol, seed=seed, include_acc=strong,
-        extra_exclusions=tr.exclusions,
-        label=f"killing:{form}",
-    )
-    integral_check = None
-    if integral is not None:
-        integral_check = sys.check(
-            N, _as_expr(integral),
-            k=k, tol=tol, seed=seed + 1,
-            extra_exclusions=tr.exclusions,
-            label=f"noether-integral:{convention}",
-        )
+    killing = f"killing:{form}"
+    check = partial(sys.check, k=k, tol=tol, seed=seed, include_acc=strong,
+                    extra_exclusions=tr.exclusions)
+    if integral is None:
+        rep, integral_check = check(lhs, rhs, label=killing), None
+    else:
+        both = check([lhs, N], [rhs, _as_expr(integral)])
+        rep = both.component(0, killing)
+        integral_check = both.component(1, f"noether-integral:{convention}")
     passed = rep.passed and (integral_check is None or integral_check.passed)
     return VerificationReport(**(vars(rep) | {"passed": passed}), mode=form,
                               integral_check=integral_check)

@@ -811,10 +811,10 @@ def test_closed_stdout_descriptor_drops_the_report(kepler_sys):
 # exit code, and the sha256 of stdout and of stderr.
 PINNED_REPORTS = [
     (["solve", "{kepler}", "lrl_u", "--mode", "strong", "--seed", "3"], cli.EXIT_OK,
-     "4c907ae5ae012010dad7368be00f78b7187754ee9c2bfde7bed360e194585714",
+     "a104fb78dd75e100ac10402abeae765a7923941bfc721b5436fc279e09008b71",
      "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     (["solve", "{kepler}", "lrl_u", "--mode", "onflow-simplest", "--seed", "3"], cli.EXIT_OK,
-     "80ced9eadd9cd511095bdf3db948efb5e82e2be97425095dae0ffec2fd306af3",
+     "8d0f87409321e8fae0bdd903aabcbcccc3b3f50bf2484af767f0726f74eafa81",
      "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     (["verify", "{kepler}", "{kepler_tri}", "--seed", "5"], cli.EXIT_OK,
      "f9357f821fec3acf818a09e48e30cc523dd5e7b493859326beb9809dcb0aebe1",

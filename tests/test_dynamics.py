@@ -528,6 +528,26 @@ def test_a_run_holds_little_more_than_the_trajectory_it_returns(kepler):
     assert peak <= 2.5 * (traj.t.nbytes + traj.q.nbytes + traj.qdot.nbytes)
 
 
+def test_a_rerun_that_packs_no_node_raises(fp, monkeypatch):
+    # a run whose odd-step exit packs nothing returns its node with the
+    # offset unmoved, and so does the float64 rerun of that step: an
+    # internal error, where the loop would otherwise repeat it without end
+    real = dynamics._rk4_loop
+
+    def mutant(*args):
+        run, at = real(*args)
+        head, odd = inspect.getsource(run).split("# an odd last step\n")
+        exit_lines = odd.splitlines(True)
+        assert exit_lines[0].lstrip().startswith("pk1·(") and "o· +=" in exit_lines[1]
+        namespace = dict(run.__globals__)
+        exec(head + "# an odd last step\n" + "".join(exit_lines[2:]), namespace)
+        return namespace["run·"], at
+
+    monkeypatch.setattr(dynamics, "_rk4_loop", mutant)
+    with pytest.raises(RuntimeError, match="packed no node"):
+        integrate(fp.system, (0.0, [0.0], [1.0]), 0.5, dt=0.1)
+
+
 def test_steps_run_on_python_floats(kepler, monkeypatch):
     # numpy scalars cost several times as much per operation; a step runs
     # on them only where Python floats raise or go complex

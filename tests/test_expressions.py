@@ -1015,6 +1015,24 @@ def test_componentwise_oracle_matches_sequential_calls(name):
     assert got.passed == (name == "pass")
 
 
+@pytest.mark.parametrize("name", COMPONENTWISE_CASES)
+def test_each_component_reports_as_its_check_alone(name):
+    # at the same points, component i's report is that of its pair checked
+    # alone, or the DomainViolation that check raises, even after a FAIL
+    pairs = COMPONENTWISE_CASES[name]
+    both = equal_numeric(*zip(*pairs), AB, k=50, seed=3)
+    for i, (a, b) in enumerate(pairs):
+        label = f"component {i}"
+        try:
+            alone = equal_numeric(a, b, AB, k=50, seed=3, label=label)
+        except DomainViolation as want:
+            with pytest.raises(DomainViolation) as got:
+                both.component(i, label)
+            assert (str(got.value), got.value.point) == (str(want), want.point)
+        else:
+            assert both.component(i, label).to_dict() == alone.to_dict()
+
+
 def test_componentwise_oracle_raises_at_first_singular_component():
     pairs = [(X, X), (sp.sqrt(X), sp.sqrt(X)), (X**2, X)]
     with pytest.raises(DomainViolation) as want:

@@ -13,6 +13,7 @@ from sympy.printing.str import StrPrinter
 
 from noetherkit.expressions import (
     Alphabet,
+    DomainViolation,
     TotalDerivative,
     _eval_rows,
     compile_fn,
@@ -20,7 +21,7 @@ from noetherkit.expressions import (
     draw_points,
     total_dt,
 )
-from noetherkit import noether
+from noetherkit import expressions, noether
 from noetherkit.mechanics import LagrangianSystem, build_system
 from noetherkit.noether import (
     DENOM_MARGIN,
@@ -46,6 +47,7 @@ from noetherkit.noether import (
     _eta,
     _g_inv_grad,
     _integral_expr,
+    _killing_terms,
     _L_times,
     _require_conserved,
 )
@@ -848,22 +850,110 @@ def test_perturbed_solutions_fail_with_a_witness(systems, data, eps):
 # integral check.  A change to compiled evaluation or to the draws that
 # moves one bit of a residual or one witness coordinate fails here.
 PINNED_DENSE = {
-    "fp": "326ed8f3982bf543ed1869a186b5cf720c386286f3b8800e71318257edca35f2",
-    "iso": "b5e86668084f73d8a9c4cd23150988d2e5c9dffadeeb50704d570030da6c3664",
-    "kepler": "3ce0db040148ab57ec9d0790331d2cf6ca1a012d05c9804803c199b1f8dfd85e",
+    "fp": "87aeb10710f2a42e48b3f58c83c687f9f2fa6a3deae39647a6b2378ab789391c",
+    "iso": "b45d9689f35da40af70d6eebfc2ebd2ec83014e29ec07c5799bce00621754b3a",
+    "kepler": "6a927bfbab5840902426e82bd3da64e5387e7549a511851e377fde3a4e567109",
+}
+
+# The verdicts under those digests, "<Killing> <integral>" in the order of
+# FORMS (onflow, strong, alt_onflow, alt_strong), so that a re-pinned digest
+# cannot carry a changed verdict.
+DENSE_VERDICTS = {
+    ("fp", "gamma1"): ("PASS PASS", "PASS PASS", "PASS PASS", "PASS PASS"),
+    ("fp", "gamma2"): ("PASS PASS", "PASS PASS", "PASS PASS", "PASS PASS"),
+    ("fp", "gamma3"): ("PASS PASS", "PASS PASS", "FAIL FAIL", "FAIL FAIL"),
+    ("fp", "gamma4"): ("PASS PASS", "PASS PASS", "FAIL FAIL", "FAIL FAIL"),
+    ("fp", "gamma5"): ("PASS PASS", "PASS PASS", "FAIL FAIL", "FAIL FAIL"),
+    ("fp", "gamma6"): ("PASS PASS", "FAIL PASS", "PASS PASS", "FAIL PASS"),
+    ("fp", "gamma7"): ("PASS PASS", "FAIL PASS", "FAIL FAIL", "FAIL FAIL"),
+    ("fp", "gamma8"): ("PASS PASS", "FAIL PASS", "FAIL FAIL", "FAIL FAIL"),
+    ("iso", "strong_N1"): ("PASS PASS", "PASS PASS", "FAIL FAIL", "FAIL FAIL"),
+    ("iso", "onflow_N3"): ("PASS PASS", "FAIL PASS", "PASS PASS", "FAIL PASS"),
+    ("iso", "strong_N3"): ("PASS PASS", "PASS PASS", "PASS PASS", "PASS PASS"),
+    ("kepler", "onflow_simple"): ("PASS PASS", "FAIL PASS", "FAIL FAIL", "FAIL FAIL"),
+    ("kepler", "levy_leblond"): ("PASS PASS", "FAIL PASS", "PASS PASS", "FAIL PASS"),
+    ("kepler", "lrl_gauge"): ("PASS PASS", "FAIL PASS", "PASS PASS", "FAIL PASS"),
+    ("kepler", "family_h0"): ("PASS PASS", "FAIL PASS", "FAIL FAIL", "FAIL FAIL"),
+    ("kepler", "strong_b"): ("PASS PASS", "PASS PASS", "FAIL FAIL", "FAIL FAIL"),
 }
 
 
+@pytest.fixture(scope="module")
+def dense_checks():
+    """The verify_dense checks of a corpus entry, made once: the report of
+    each (triple, form) at k = 2000 and seed 11, with its integral."""
+    memo = {}
+
+    def checks(entry):
+        if entry.system.name not in memo:
+            memo[entry.system.name] = {
+                (triple, form): verify_triple(entry.system, tr, entry.triple_integrals[triple],
+                                              form, k=2000, seed=11)
+                for triple, tr in entry.triples.items() for form in FORMS}
+        return memo[entry.system.name]
+
+    return checks
+
+
 @pytest.mark.parametrize("name", sorted(PINNED_DENSE))
-def test_dense_verifications_are_pinned(name, request):
+def test_dense_verdicts_are_pinned(name, request, dense_checks):
     entry = request.getfixturevalue(name)
+    checks = dense_checks(entry)
+    got = {(name, triple): tuple(f"{checks[triple, form].verdict} "
+                                 f"{checks[triple, form].integral_check.verdict}"
+                                 for form in FORMS)
+           for triple in entry.triples}
+    assert got == {key: row for key, row in DENSE_VERDICTS.items() if key[0] == name}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_DENSE))
+def test_dense_verifications_are_pinned(name, request, dense_checks):
     digest = hashlib.sha256()
-    for triple, tr in entry.triples.items():
-        for form in FORMS:
-            rep = verify_triple(entry.system, tr, entry.triple_integrals[triple], form,
-                                k=2000, seed=11)
-            for check in (rep, rep.integral_check):
-                for part in (check.verdict, check.max_residual.hex(),
-                             json.dumps(check.worst_point, sort_keys=True)):
-                    digest.update(part.encode() + b"\n")
+    for rep in dense_checks(request.getfixturevalue(name)).values():
+        for check in (rep, rep.integral_check):
+            for part in (check.verdict, check.max_residual.hex(),
+                         json.dumps(check.worst_point, sort_keys=True)):
+                digest.update(part.encode() + b"\n")
     assert digest.hexdigest() == PINNED_DENSE[name]
+
+
+@pytest.mark.parametrize("form", FORMS)
+def test_a_verification_with_its_integral_is_one_oracle_call(kepler, form, monkeypatch):
+    # from cold memos, the Killing equation and the Noether formula are one
+    # draw and one compiled function, beside the exclusion and direction
+    # functions that a Killing check alone compiles too
+    sysdef, tr = kepler.system, kepler.triples["strong_b"]
+    N = kepler.triple_integrals["strong_b"]
+    draws, compiled = [], []
+    draw_into, generate = expressions._draw_into, expressions._generate
+    monkeypatch.setattr(expressions, "_draw_into", lambda *a: draws.append(a) or draw_into(*a))
+    monkeypatch.setattr(expressions, "_generate",
+                        lambda syms, exprs: compiled.append(exprs) or generate(syms, exprs))
+    expressions._last_draw[0] = None
+    expressions._compile.cache_clear()
+    rep = verify_triple(sysdef, tr, N, form, seed=7)
+    helpers = {tuple(sysdef.lam), sysdef.alphabet.acceleration_symbols,
+               tuple(ex.expr for ex in sysdef.domain(tr.exclusions).exclusions)}
+    lhs, dt_f, integral = _killing_terms(sysdef, tr, form)
+    assert len(draws) == 1
+    assert [exprs for exprs in compiled if exprs not in helpers] == [(lhs, dt_f, integral, N)]
+    # the integral's check reads the Killing check's points
+    check = rep.integral_check
+    assert (check.seed, check.k, check.worst_point.keys()) == (
+        rep.seed, rep.k, rep.worst_point.keys())
+    accs = {s.name for s in sysdef.alphabet.acceleration_symbols}
+    assert (accs <= check.worst_point.keys()) == form.endswith("strong")
+
+
+def test_a_non_finite_integral_raises_after_a_killing_fail(fp):
+    # gamma6 fails the strong equation and log(q) is NaN for q < 0: the
+    # integral's check raises, as it does when asked alone, and no FAIL is
+    # returned
+    sysdef, tr = fp.system, fp.triples["gamma6"]
+    log_q = sp.log(sysdef.alphabet.coord_symbols[0])
+    assert verify_triple(sysdef, tr, form="strong").verdict == "FAIL"
+    with pytest.raises(DomainViolation) as err:
+        verify_triple(sysdef, tr, log_q, form="strong")
+    N = _killing_terms(sysdef, tr, "strong")[2]
+    assert err.value.expr == sp.Eq(N, log_q, evaluate=False)
+    assert err.value.point["q"] < 0
