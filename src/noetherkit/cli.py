@@ -14,7 +14,7 @@ grammar, a ``[triple]`` section in a system file, a system file that no
 system can be built from, an output path that cannot be written or, for
 ``corpus export``, ends in ``.tri``, an input too large or too deeply
 nested to process, such as a ``--k`` whose sample array cannot be allocated
-or an expression nested thousands deep, and a stdout that cannot be
+or an expression nested past ``dsl.MAX_DEPTH``, and a stdout that cannot be
 written, such as a pipe whose reader has gone), 3 regularity
 failure (or exclusions that reject every sample point), 4 conservation
 precheck failure, 5 singularity during a solve or verification, an

@@ -2,9 +2,11 @@
 
 Grammar: ``+ - * / ^`` with usual precedence (``^`` right-associative),
 parentheses, the standard functions ``sqrt sin cos exp log`` of one
-argument, numbers, and declared names.  Velocity names carry the ``dot``
-suffix (``xdot``), accelerations ``ddot``; for coordinates named ``q1..qn``
-the prefix aliases ``qdot1`` / ``qddot1`` are accepted as well.
+argument, numbers, and declared names, each read only as the package
+prints it: velocities carry the suffix ``dot`` (``q1dot``), accelerations
+``ddot``.  Input nested more than ``MAX_DEPTH`` levels deep is a syntax error
+at the token past the limit; a parenthesis, a call's argument and the right
+operand of a sign or an operator each nest one frame of the parser's recursion.
 
 Constants fold as they are parsed.  A fold to a value that float64 cannot
 hold is a syntax error at its operator: a non-finite value (``1/0``), a
@@ -23,6 +25,9 @@ from sympy.printing.str import StrPrinter
 from .expressions import IDENTIFIER, Alphabet, STANDARD_FUNCTIONS, UndeclaredSymbolError
 
 __all__ = ["parse", "print_expr", "ExprSyntaxError"]
+
+# the corpus's files, and the triples the solvers write for kepler3d, reach 13 at most
+MAX_DEPTH = 64
 
 
 class ExprSyntaxError(ValueError):
@@ -74,6 +79,7 @@ class _Parser:
         self.alphabet = alphabet
         self.tokens = _tokenize(text)
         self.i = 0
+        self.depth = 0
 
     def peek(self):
         return self.tokens[self.i]
@@ -96,6 +102,10 @@ class _Parser:
         return e
 
     def expression(self, min_bp: int) -> sp.Expr:
+        if self.depth == MAX_DEPTH:  # before sympy builds anything that deep
+            raise ExprSyntaxError(f"input too large or too deeply nested: more than "
+                                  f"{MAX_DEPTH} levels", self.peek()[2])
+        self.depth += 1
         left = self.prefix()
         while True:
             kind, val, pos = self.peek()
@@ -117,6 +127,7 @@ class _Parser:
             else:
                 left = self.real(self.finite(left ** right, left, pos), pos)
             left = self.in_range(left, pos)
+        self.depth -= 1
         return left
 
     def finite(self, e: sp.Expr, operand: sp.Expr, pos: int) -> sp.Expr:

@@ -158,9 +158,8 @@ class Alphabet:
 
     Every name is one identifier of the DSL, ``[A-Za-z_][A-Za-z_0-9]*``,
     so that an expression can refer to it.  Coordinates ``c`` induce
-    velocity symbols ``cdot`` and acceleration symbols ``cddot``.  When
-    coordinates follow the ``q1..qn`` convention the aliases ``qdot<i>`` /
-    ``qddot<i>`` are accepted by :meth:`lookup` too.
+    velocity symbols ``cdot`` and acceleration symbols ``cddot``.
+    :meth:`lookup` reads a name only as one of these symbols prints it.
     """
 
     coords: tuple[str, ...]
@@ -172,8 +171,6 @@ class Alphabet:
         names = list(self.coords) + list(self.params)
         # the names lookup gives to velocities and accelerations
         derived = {c + d for c in self.coords for d in ("dot", "ddot")}
-        derived |= {f"q{d}{i}" for i, c in enumerate(self.coords, start=1) if c == f"q{i}"
-                    for d in ("dot", "ddot")}
         seen = set()
         for name in names:
             if not _IDENTIFIER_RE.fullmatch(name):
@@ -218,13 +215,7 @@ class Alphabet:
 
     @functools.cached_property
     def _name_table(self) -> dict[str, sp.Symbol]:
-        table = {"t": self.t, **dict(zip(self.params, self.param_symbols))}
-        symbols = zip(self.coord_symbols, self.velocity_symbols, self.acceleration_symbols)
-        for i, (c, (q, qd, qdd)) in enumerate(zip(self.coords, symbols), start=1):
-            table.update({c: q, c + "dot": qd, c + "ddot": qdd})
-            if c == f"q{i}":
-                table.update({f"qdot{i}": qd, f"qddot{i}": qdd})
-        return table
+        return {s.name: s for s in (*self.variables(include_acc=True), *self.param_symbols)}
 
     def lookup(self, name: str) -> sp.Symbol:
         if name not in self._name_table:

@@ -16,20 +16,19 @@ System file layout (key = value within ``[section]`` headers)::
 
 Each ``singular`` entry is ``expr @ threshold`` (sampling rejects
 |expr| < threshold), with a positive finite threshold; one without ``@``
-takes ``singular_threshold`` (default 1e-3), as in older files.  Each
-``params`` value is finite.  ``range_<var> = lo, hi`` overrides the
-sampling box.  A system file holds only ``[system]`` and ``[integral]``
-sections.  Triples live in triple files, read against a system's alphabet:
-one ``[triple]`` section per triple, with ``tau``, ``xi``
-(comma-separated components), ``f``, ``form`` and the ``singular`` entries
-of the margins its solver declared.  All expressions use the grammar of
-:mod:`noetherkit.dsl`; integrals and triple components are functions of
-(t, q, qdot), so an acceleration in one is an error.  A key that its
-section does not read is an error, so a misspelt ``singualr`` or ``frm``
-cannot drop what it was meant to say.  A file states each thing once: a
-key repeated within a section, a parameter named twice, a second
-``[system]`` section and a repeated integral or triple name are errors
-naming it and its line, never a silent overwrite.
+takes the default of 1e-3.  Each ``params`` value is finite.
+``range_<var> = lo, hi`` overrides the sampling box.  A system file holds
+only ``[system]`` and ``[integral]`` sections.  Triples live in triple
+files, read against a system's alphabet: one ``[triple]`` section per
+triple, with ``tau``, ``xi`` (comma-separated components), ``f``, ``form``
+and the ``singular`` entries of the margins its solver declared.  All
+expressions use the grammar of :mod:`noetherkit.dsl`; integrals and triple
+components are functions of (t, q, qdot), so an acceleration in one is an
+error.  A key that its section does not read is an error, so a misspelt
+``singualr`` or ``frm`` cannot drop what it was meant to say.  A file
+states each thing once: a key repeated within a section, a parameter named
+twice, a second ``[system]`` section and a repeated integral or triple name
+are errors naming it and its line, never a silent overwrite.
 """
 
 from __future__ import annotations
@@ -66,10 +65,9 @@ class SystemFile:
 
 # the keys each section reads; [system] also reads range_<var>
 _KEYS = {
-    "system": {"name", "dim", "coords", "params", "lagrangian", "singular",
-               "singular_threshold"},
+    "system": {"name", "dim", "coords", "params", "lagrangian", "singular"},
     "integral": {"name", "expr"},
-    "triple": {"name", "tau", "xi", "f", "form", "singular", "singular_threshold"},
+    "triple": {"name", "tau", "xi", "f", "form", "singular"},
 }
 
 
@@ -142,12 +140,10 @@ def _number(kind, text: str, lineno: int | None = None):
 def _read_exclusions(body: dict, alphabet: Alphabet) -> tuple[Exclusion, ...]:
     """The ``singular`` entries of a [system] or [triple] section."""
     text, lineno = body.get("singular", ("", None))
-    given = body.get("singular_threshold")
-    default = _threshold(*given) if given else Exclusion.threshold
     exclusions = []
     for item in filter(None, _split_top_level(text)):
         expr, at, threshold = item.partition("@")
-        threshold = _threshold(threshold, lineno) if at else default
+        threshold = _threshold(threshold, lineno) if at else Exclusion.threshold
         exclusions.append(Exclusion(parse(expr, alphabet), threshold))
     return tuple(exclusions)
 

@@ -15,7 +15,7 @@ import noetherkit
 
 from noetherkit import cli
 from noetherkit.corpus import load
-from noetherkit.dsl import print_expr
+from noetherkit.dsl import MAX_DEPTH, print_expr
 from noetherkit.noether import solve_onflow_simplest, solve_strong
 from noetherkit.sysfile import write_system_file, write_triple_file
 
@@ -161,6 +161,12 @@ def threshold_negative_sys(tmp_path):
 
 
 @pytest.fixture()
+def threshold_key_sys(tmp_path):
+    """A threshold for every entry at once: a key no section reads."""
+    return _free_particle_with(tmp_path, "threshold_key", "singular = q\nsingular_threshold = 0.2")
+
+
+@pytest.fixture()
 def default_threshold_inf_sys(tmp_path):
     return _free_particle_with(tmp_path, "default_threshold_inf",
                                "singular = q\nsingular_threshold = inf")
@@ -208,7 +214,7 @@ def sqrt_metric_sys(tmp_path):
 def bad_number_sys(tmp_path):
     path = tmp_path / "bad_number.sys"
     path.write_text("[system]\ndim = 1\ncoords = q\nlagrangian = qdot^2/2\n"
-                    "singular = q\nsingular_threshold = small\n")
+                    "singular = q @ small\n")
     return str(path)
 
 
@@ -270,13 +276,30 @@ def accel_integral_sys(tmp_path):
                                "[integral]\nname = push\nexpr = q*qddot")
 
 
+def _sin_nested(tmp_path, name, calls):
+    """A free-particle file whose Lagrangian adds sin nested ``calls`` deep,
+    which the parser reads calls + 2 levels deep: the sum, its right operand
+    and each call open one."""
+    path = tmp_path / f"{name}.sys"
+    path.write_text("[system]\ndim = 1\ncoords = q\n"
+                    f"lagrangian = qdot^2/2 + {'sin(' * calls}q{')' * calls}\n")
+    return str(path)
+
+
 @pytest.fixture()
 def deep_sin_sys(tmp_path):
     """A file whose Lagrangian nests sin 300 deep, too deep for sympy's printer."""
-    path = tmp_path / "deep_sin.sys"
-    path.write_text("[system]\ndim = 1\ncoords = q\n"
-                    f"lagrangian = qdot^2/2 + {'sin(' * 300}q{')' * 300}\n")
-    return str(path)
+    return _sin_nested(tmp_path, "deep_sin", 300)
+
+
+@pytest.fixture()
+def sin_at_limit_sys(tmp_path):
+    return _sin_nested(tmp_path, "sin_at_limit", MAX_DEPTH - 2)
+
+
+@pytest.fixture()
+def sin_past_limit_sys(tmp_path):
+    return _sin_nested(tmp_path, "sin_past_limit", MAX_DEPTH - 1)
 
 
 def test_corpus_list(capsys):
@@ -557,6 +580,7 @@ EXIT_TABLE = [
     (["describe", "{threshold_nan}"], cli.EXIT_PARSE),
     (["describe", "{threshold_negative}"], cli.EXIT_PARSE),
     (["describe", "{default_threshold_inf}"], cli.EXIT_PARSE),
+    (["describe", "{threshold_key}"], cli.EXIT_PARSE),
     (["describe", "{threshold_huge}"], cli.EXIT_REGULARITY),
     (["describe", "{degenerate}"], cli.EXIT_REGULARITY),
     (["describe", "{sqrt_metric}"], cli.EXIT_REGULARITY),
@@ -598,11 +622,18 @@ EXIT_TABLE = [
     (["solve", "{fp}", "energy", "--mode", "alt-strong", "--tau", "t"], cli.EXIT_PARSE),
     (["solve", "{fp}", "energy", "--mode", "alt-strong", "--R", ""], cli.EXIT_PARSE),
     # an input too large or too deeply nested: a sample array of 78 PiB, which
-    # fails at allocation, a parse 3000 parentheses deep, and a print 300 calls deep
+    # fails at allocation, and expressions 3000 parentheses or 300 calls deep;
+    # then expressions at the parser's MAX_DEPTH levels, and one level past it
     (["verify", "{kepler}", "{kepler_tri}", "--k", "1000000000000000"], cli.EXIT_PARSE),
     (["solve", "{kepler}", "(" * 3000 + "r1" + ")" * 3000, "--mode", "strong"],
      cli.EXIT_PARSE),
     (["describe", "{deep_sin}"], cli.EXIT_PARSE),
+    (["describe", "{sin_at_limit}"], cli.EXIT_OK),
+    (["describe", "{sin_past_limit}"], cli.EXIT_PARSE),
+    (["solve", "{kepler}", "(" * (MAX_DEPTH - 1) + "r1" + ")" * (MAX_DEPTH - 1), "--mode",
+      "strong"], cli.EXIT_NOT_CONSERVED),
+    (["solve", "{kepler}", "(" * MAX_DEPTH + "r1" + ")" * MAX_DEPTH, "--mode", "strong"],
+     cli.EXIT_PARSE),
 ]
 
 
@@ -639,7 +670,7 @@ def test_exit_code_table(argv, code, request, capsys):
 
 
 def test_describe_prints_nothing_before_an_error(deep_sin_sys, capsys):
-    # the system line derives before the print of L runs out of depth
+    # the parser refuses L past MAX_DEPTH levels, before any line is derived
     assert cli.main(["describe", deep_sin_sys]) == cli.EXIT_PARSE
     out, err = capsys.readouterr()
     assert out == "" and err.startswith("error: input too large or too deeply nested")

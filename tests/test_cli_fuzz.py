@@ -3,10 +3,13 @@
 is one line on stderr.
 
 The inputs are the corpus's exported files, mutated line by line with the
-grammar's tokens, the files' section headers and keys, ``@`` thresholds and
-names that a declaration may or may not use, and argv built from the same
-pools.  Options are passed as ``--opt=value`` and positionals after ``--``,
-so every argv gets past argparse and reaches the commands."""
+grammar's tokens, calls nested about as deep as the parser reads, the files'
+section headers and keys, ``@`` thresholds and names that a declaration may
+or may not use, and argv built from the same pools.  The pools keep
+spellings the package never writes, such as ``qdot1`` and the
+``singular_threshold`` key, which draw refusals.  Options are passed as
+``--opt=value`` and positionals after ``--``, so every argv gets past
+argparse and reaches the commands."""
 
 import contextlib
 import io
@@ -15,6 +18,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from noetherkit import cli
+from noetherkit.dsl import MAX_DEPTH
 
 NAMES = ("q", "x", "y", "c", "t", "sin", "log", "qdot", "qddot", "xdot", "yddot", "q1",
          "qdot1", "z")
@@ -29,13 +33,20 @@ FORMS = ("strong", "onflow", "alt_strong", "alt_onflow", "sideways")
 
 
 
+def _nested(functions, leaf):
+    return "".join(f + "(" for f in functions) + leaf + ")" * len(functions)
+
+
 def _exprs_over(names):
-    """Small expressions of the grammar in names and NUMBERS."""
-    return st.recursive(st.sampled_from(names + NUMBERS), lambda inner: st.one_of(
+    """Small expressions of the grammar in names and NUMBERS, and calls
+    nested to either side of the parser's depth limit."""
+    leaves = st.sampled_from(names + NUMBERS)
+    deep = st.lists(st.sampled_from(FUNCTIONS), min_size=MAX_DEPTH - 3, max_size=MAX_DEPTH + 1)
+    return st.one_of(st.recursive(leaves, lambda inner: st.one_of(
         st.tuples(inner, st.sampled_from("+-*/^"), inner).map(" ".join),
         st.tuples(st.sampled_from(FUNCTIONS), inner).map("{0[0]}({0[1]})".format),
         inner.map("-{}".format),
-    ), max_leaves=4)
+    ), max_leaves=4), st.builds(_nested, deep, leaves))
 
 
 _exprs = _exprs_over(NAMES)

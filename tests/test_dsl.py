@@ -98,9 +98,24 @@ def test_undeclared_names_rejected():
         parse("H(x)", AB)
 
 
-def test_qdot_alias():
-    ab = Alphabet(coords=("q1", "q2"))
-    assert parse("qdot1 + q2dot", ab) == ab.velocity_symbols[0] + ab.velocity_symbols[1]
+@pytest.mark.parametrize("coords, params", [
+    (("q1", "q2"), ("m",)), (("x",), ()), (("q1", "q2"), ("qdot1", "qddot2")),
+])
+def test_every_name_the_parser_reads_prints_back(coords, params):
+    # a name reads only as one of the alphabet's symbols prints it: q1dot,
+    # never qdot1, which is undeclared, or else a parameter of its own
+    ab = Alphabet(coords=coords, params=params)
+    candidates = {"t", "z", *params, *(f"{c}{d}" for c in coords for d in ("", "dot", "ddot")),
+                  *(f"q{d}{i}" for i in (1, 2) for d in ("dot", "ddot"))}
+    read = set()
+    for name in sorted(candidates):
+        try:
+            e = parse(name, ab)
+        except UndeclaredSymbolError:
+            continue
+        assert print_expr(e) == name
+        read.add(name)
+    assert read == {s.name for s in (*ab.variables(include_acc=True), *ab.param_symbols)}
 
 
 @pytest.mark.parametrize(

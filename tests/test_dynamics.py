@@ -3,6 +3,7 @@ import ast
 import contextlib
 import csv
 import dataclasses
+import hashlib
 import inspect
 import io
 import tracemalloc
@@ -491,6 +492,109 @@ def test_integrate_matches_reference_loop(case, kepler, iso_steep, iso_opaque, m
     assert np.array_equal(traj.t, t)
     assert np.array_equal(traj.q, q)
     assert np.array_equal(traj.qdot, qdot)
+
+
+def _fractional_power_system():
+    """Lam = -q^(1/3): complex on Python floats once q < 0, NaN on float64."""
+    return _system_of(lambda t, q, qd: qd**2 / 2 - sp.Rational(3, 4) * q**sp.Rational(4, 3))
+
+
+def _smooth_pole_system():
+    """Lam = exp(-1/t^2): 1/t^2 raises on Python floats at t = 0, where
+    float64 reads exp(-inf) = 0."""
+    return _system_of(lambda t, q, qd: qd**2 / 2 + q * sp.exp(-1 / t**2))
+
+
+# The integrate parity set: for each guard path of the RK4 loop, a system, a
+# start (t0, q0, qdot0), a step dt and an even step count, each run for that
+# count and one more.  "first" and "second" name the step of a pass on which
+# the guard refuses a node, or on which a step raises or goes complex and
+# runs again on float64 scalars (the same starts as ON_FIRST_STEP's cases).
+PARITY_SET = {
+    "kepler_orbit": ("kepler", (0.0, [1.2, 0.1, -0.3], [0.1, 0.8, 0.2]), 1e-3, 2000),
+    "radial_plunge": ("kepler", (0.0, [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]), 1e-3, 3000),
+    "singular_start": ("kepler", (0.0, [0.1, 0.0, 0.0], [0.0, 1.0, 0.0]), 1e-3, 1000),
+    "refusal_first": ("walled", (0.0, [2.001], [-1.0]), 1e-3, 2000),
+    "refusal_second": ("walled", (0.0, [2.0], [-1.0]), 1e-3, 2000),
+    "raise_first": ("smooth_pole", (-5e-4, [1.0], [0.0]), 1e-3, 1000),
+    "raise_second": ("smooth_pole", (-1.5e-3, [1.0], [0.0]), 1e-3, 1000),
+    "complex_first": ("fractional_power", (0.0, [1.0], [-3.0]), 1e-3, 1000),
+    "complex_second": ("fractional_power", (0.0, [1.0], [-3.01]), 1e-3, 1000),
+    "complex_function": ("exp_cbrt_wall", (0.0, [1.0], [0.0]), 1e-3, 2000),
+    "overflow_window": ("overflow_window", (0.0, [1.0], [0.0]), 1e-3, 1000),
+    "blow_up": ("blow_up", (0.0, [10.0], [0.0]), 1e-3, 1000),
+    "param_zero_quotient": ("param_quotient_pole", (0.0, [1.0], [0.0]), 1e-3, 1000),
+    "param_zero_exp": ("param_exp_pole", (0.0, [1.0], [0.5]), 1e-3, 1000),
+}
+PARITY_SYSTEMS = {
+    "walled": _walled_system,
+    "smooth_pole": _smooth_pole_system,
+    "fractional_power": _fractional_power_system,
+    "exp_cbrt_wall": _exp_cbrt_wall_system,
+    "overflow_window": _overflow_window_system,
+    "blow_up": _blow_up_system,
+    # a parameter at 0: Lam = -q/k raises inside the step, and
+    # Lam = -q*exp(-1/k^2) reads exp(-inf) = 0 on float64
+    "param_quotient_pole": lambda: _param_system(lambda q, qd, k: qd**2 / 2
+                                                 - q**2 / (2 * k), 0.0),
+    "param_exp_pole": lambda: _param_system(lambda q, qd, k: qd**2 / 2
+                                            - q**2 / 2 * sp.exp(-1 / k**2), 0.0),
+}
+# the sha256 of each run's bytes (_parity_digest), pinned from the code as it
+# stood before the set was committed
+PINNED_RUNS = {
+    "kepler_orbit": ["ab27ad5308b67991a352ff0d0b9c0cba6ba6c9047ce5a44e845a8b18bd941aa2",
+                    "13510fc5f0518640c2f2fe5e4cbb72aee05b2e007aab67367eba26c9c09e2869"],
+    "radial_plunge": ["75875f0876b208107f83cc379a9c822330ee4591d6be437183871589c08e9cd1",
+                     "75875f0876b208107f83cc379a9c822330ee4591d6be437183871589c08e9cd1"],
+    "singular_start": ["7ef6c675f5702bfc072bff563ec3bd1ead0307861c1c0f5ba232330a2950a54f",
+                      "7ef6c675f5702bfc072bff563ec3bd1ead0307861c1c0f5ba232330a2950a54f"],
+    "refusal_first": ["f311bcdc46636f033bdd7e6a86cd5b68f24cf1f0bab97288373aefe402ad81d2",
+                     "f311bcdc46636f033bdd7e6a86cd5b68f24cf1f0bab97288373aefe402ad81d2"],
+    "refusal_second": ["d97656dc61642c7176d3c8e61f66a5e74bb4859a4e99d5dfb42b20ee1f669e04",
+                      "d97656dc61642c7176d3c8e61f66a5e74bb4859a4e99d5dfb42b20ee1f669e04"],
+    "raise_first": ["b9b296da331d38653cba18c076ee26247e0952dbfb8af9044860c876bf927ce1",
+                   "3cb39bf6742ce915538cea5040b43c103804c8d664afa7ea67dc13209fdeb34c"],
+    "raise_second": ["831c04b6c75bd74f338d463aac9e5e5bbec8982b905c95e82ac149adfa98da0c",
+                    "d0aad578f113585f9534c7ad0a38c6b48a300105b43a98e5edcb3a071dad806a"],
+    "complex_first": ["5bf222761374fb6dc8e1e148d1c2af8546873a37f1b62d25a18bc6187721d761",
+                     "5bf222761374fb6dc8e1e148d1c2af8546873a37f1b62d25a18bc6187721d761"],
+    "complex_second": ["825e5b1461a27bbb96510f90f0244d32f0d0159fab1773d45f1dd7d4846e3565",
+                      "825e5b1461a27bbb96510f90f0244d32f0d0159fab1773d45f1dd7d4846e3565"],
+    "complex_function": ["b73d87fd45fb132842b225f88e830648fd487e8156bda2a0b17024a2fcc35505",
+                        "b73d87fd45fb132842b225f88e830648fd487e8156bda2a0b17024a2fcc35505"],
+    "overflow_window": ["e5351db7e4dd1772a096ae281b4c593b435d4f1f6bc7410a7e3ed2581469fcbb",
+                       "09672f49d93b3fe0db7114e7dfb8441fb7fb79733bc21b58bb5b81dfa802feef"],
+    "blow_up": ["b026f6bc810522ed9b82040b0fa7f904d7411ac1b271f595fd82e29929cdb522",
+               "b026f6bc810522ed9b82040b0fa7f904d7411ac1b271f595fd82e29929cdb522"],
+    "param_zero_quotient": ["9e9b140c91e7dfad645bc90dfc6c98548321d7a23baf77e76ec00cda06fa27d6",
+                           "9e9b140c91e7dfad645bc90dfc6c98548321d7a23baf77e76ec00cda06fa27d6"],
+    "param_zero_exp": ["74dcce084d8051969e6dd3fb554d4ab1d56c2383ab5a28145a258e5a795674a3",
+                      "e460bc5ee82f708fee9426d9ac9a9a93df4b64538aeb3371da20d74080b4e450"],
+}
+
+
+def _parity_digest(sysdef, start, dt, steps):
+    """The sha256 of the t, q and qdot bytes, the node count and the
+    truncated flag of ``steps`` steps from ``start``, or of the name of the
+    error the run raises."""
+    try:
+        traj = integrate(sysdef, start, start[0] + steps * dt, dt=dt)
+    except ValueError as err:
+        return hashlib.sha256(type(err).__name__.encode()).hexdigest()
+    h = hashlib.sha256()
+    for array in (traj.t, traj.q, traj.qdot):
+        h.update(array.tobytes())
+    h.update(f"{len(traj.t)} {traj.truncated}".encode())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("case", PARITY_SET)
+def test_integrate_parity_set_is_pinned(case, kepler):
+    name, start, dt, steps = PARITY_SET[case]
+    sysdef = kepler.system if name == "kepler" else PARITY_SYSTEMS[name]()
+    digests = [_parity_digest(sysdef, start, dt, n) for n in (steps, steps + 1)]
+    assert digests == PINNED_RUNS[case]
 
 
 @given(n=st.integers(0, 7), name=st.sampled_from(["kepler", "window"]),

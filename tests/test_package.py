@@ -73,6 +73,42 @@ def test_unknown_names_raise():
 
 
 MODULES = [m.name for m in pkgutil.iter_modules(noetherkit.__path__)]
+PERFBENCH = Path(__file__).parents[1] / "perfbench"
+
+
+def _assigned(path, name):
+    """The literal that ``path`` assigns to ``name`` at its top level."""
+    for node in ast.parse(path.read_text()).body:
+        targets = [getattr(target, "id", None) for target in getattr(node, "targets", ())]
+        if targets == [name]:
+            return ast.literal_eval(node.value)
+    raise LookupError(f"{path.name} assigns no {name}")
+
+
+def _traced(name):
+    """Whether the benchmark's tracer wraps ``name``, ``layer.function``: a
+    public function that its noetherkit module defines."""
+    layer, _, attr = name.partition(".")
+    module = importlib.import_module(f"noetherkit.{layer}")
+    obj = getattr(module, attr, None)
+    return (not attr.startswith("_") and inspect.isfunction(obj)
+            and obj.__module__ == module.__name__)
+
+
+def test_the_traced_benchmarks_dominant_metrics_read_traced_functions():
+    # a traced run is refused when a metric of DOMINANT reads zero; the tracer
+    # counts calls of a group's first member and sums the other figures over
+    # its members, so a rename or an inlining fails here, not at benchmark time
+    dominant = _assigned(PERFBENCH / "run.py", "DOMINANT")
+    groups = _assigned(PERFBENCH / "layertrace.py", "GROUPS")
+    unread = []
+    for metric in sorted({m for metrics in dominant.values() for m in metrics}):
+        prefix, _, key = metric.rpartition(".")
+        members = groups.get(prefix, (prefix,))
+        if metric != "cli.import_s" and not any(
+                map(_traced, members[:1] if key == "calls" else members)):
+            unread.append(metric)
+    assert unread == []
 
 
 def _defined(namespace, module_name):

@@ -110,13 +110,9 @@ def test_round_trip_keeps_verdicts_witnesses_and_exclusions(entries, tmp_path_fa
     assert _verdicts(verify_triple(sf.system, back, sf.integrals["N"], form, k=50)) == want
 
 
-def test_exclusions_without_their_own_threshold_take_the_file_default(tmp_path):
-    # files that predate per-entry thresholds give all entries one threshold
-    text = "[system]\ndim = 1\ncoords = q\nlagrangian = qdot^2/2\nsingular = q, q - 1\n"
-    sf = _read(text + "singular_threshold = 0.2\n", tmp_path)
-    assert [ex.threshold for ex in sf.system.exclusions] == [0.2, 0.2]
-    sf = _read(text.replace("q, q - 1", "q @ 0.3, q - 1"), tmp_path)
-    assert [ex.threshold for ex in sf.system.exclusions] == [0.3, 1e-3]
+def test_exclusions_without_their_own_threshold_take_the_default(tmp_path):
+    sf = _read(_FP + "singular = q @ 0.3, q - 1\n", tmp_path)
+    assert [ex.threshold for ex in sf.system.exclusions] == [0.3, Exclusion.threshold]
 
 
 def test_triple_file_keeps_the_solver_margin(iso, tmp_path):
@@ -144,7 +140,12 @@ _FP = "[system]\ndim = 1\ncoords = q\nlagrangian = qdot^2/2\n"
     (_FP + "[integral]\nname = energy\nexpr = qdot^2/2\nsingular = q\n", "singular", 8),
     (_FP + "[triple]\ntau = 0\nxi = t\nf = q\nfrm = strong\n", "frm", 9),
     (_FP + "[triple]\ntau = 0\nxi = t\nf = q\nrange_q = 0, 1\n", "range_q", 9),
-], ids=["system", "integral", "triple", "triple_range"])
+    # a threshold is stated once, after its entry's @
+    (_FP + "singular = q\nsingular_threshold = 0.2\n", "singular_threshold", 6),
+    (_FP + "[triple]\ntau = 0\nxi = 1\nf = 0\nsingular = q\nsingular_threshold = 0.2\n",
+     "singular_threshold", 10),
+], ids=["system", "integral", "triple", "triple_range", "system_threshold",
+        "triple_threshold"])
 def test_unknown_keys_are_refused(text, key, line, fp, tmp_path):
     with pytest.raises(SystemFileError, match=rf"unknown key '{key}'.*\(line {line}\)"):
         _read(text, tmp_path)
@@ -157,8 +158,7 @@ def test_unknown_keys_are_refused(text, key, line, fp, tmp_path):
             read_triple_file(path, fp.system.alphabet)
 
 
-@pytest.mark.parametrize("entry", ["dim = x", "singular = q @ abc", "singular_threshold = abc",
-                                   "range_q = 0, z"])
+@pytest.mark.parametrize("entry", ["dim = x", "singular = q @ abc", "range_q = 0, z"])
 def test_malformed_number(entry, tmp_path):
     text = "[system]\ndim = 1\ncoords = q\nlagrangian = qdot^2/2\nsingular = q\n"
     key = entry.partition(" =")[0]
@@ -328,7 +328,6 @@ def test_bad_ranges_are_refused(entry, message, tmp_path):
 
 @pytest.mark.parametrize("entry", [
     "singular = q @ inf", "singular = q @ nan", "singular = q @ -1", "singular = q @ 0",
-    "singular_threshold = inf\nsingular = q",
 ])
 def test_bad_exclusion_thresholds_are_refused(entry, tmp_path):
     with pytest.raises(SystemFileError, match=r"positive and finite.*\(line 5\)"):
