@@ -12,11 +12,12 @@ integration of more than ``dynamics.MAX_STEPS`` steps,
 a system whose derived expressions hold a function outside the compiled
 grammar, a ``[triple]`` section in a system file, a system file that no
 system can be built from, an output path that cannot be written or, for
-``corpus export``, ends in ``.tri``, an input too large or too deeply
-nested to process, such as a ``--k`` whose sample array cannot be allocated
-or an expression nested past ``dsl.MAX_DEPTH``, and a stdout that cannot be
-written, such as a pipe whose reader has gone), 3 regularity
-failure (or exclusions that reject every sample point), 4 conservation
+``corpus export``, ends in ``.tri``, a ``solve --triple-out`` triple whose
+file would not read back, refused before anything is written, an input too
+large or too deeply nested to process, such as a ``--k`` whose sample array
+cannot be allocated or an expression nested past ``dsl.MAX_DEPTH``, and a
+stdout that cannot be written, such as a pipe whose reader has gone), 3
+regularity failure (or exclusions that reject every sample point), 4 conservation
 precheck failure, 5 singularity during a solve or verification, an
 integration starting in a singular zone, or a monitored integral not
 evaluable along the trajectory, 6 trajectory truncated at a singular zone or
@@ -61,6 +62,8 @@ from .noether import (
     verify_triple,
 )
 from .sysfile import (
+    _read_triples,
+    _triple_text,
     read_system_file,
     read_triple_file,
     write_system_file,
@@ -179,6 +182,12 @@ def cmd_solve(args) -> int:
         return _error(err, EXIT_NOT_CONSERVED)
     except (RegularityError, SamplingError, DomainViolation, ZeroDivisionError) as err:
         return _error(err, EXIT_SINGULAR)
+    if args.triple_out:  # a triple nested past dsl.MAX_DEPTH would not read back
+        text = _triple_text({args.integral: tr})
+        try:
+            _read_triples(text, ab)
+        except ValueError as err:
+            return _error(f"--triple-out: the triple does not read back: {err}", EXIT_PARSE)
     report = {
         "solver": args.mode,
         "triple": {
@@ -190,7 +199,7 @@ def cmd_solve(args) -> int:
         "verification": rep.to_dict(),
     }
     if args.triple_out:
-        write_triple_file(args.triple_out, {args.integral: tr})
+        Path(args.triple_out).write_text(text)
     _emit(report, args.out)
     return EXIT_OK if rep.passed else EXIT_FAIL
 

@@ -32,7 +32,9 @@ built from xi derives eta at each check.  Every solver and transform builds
 its triple through ``_derived``; a check on a system with the same
 velocities reads the stored eta, and no check writes into a triple, so a
 triple's verdict does not depend on what it was checked against before.
-A solve, its transforms and ``noether_integral`` never build xi.
+A solve, its transforms and ``noether_integral`` never build xi: each
+reads eta in the convention its triple's form names, and only a check in
+a sense of the other convention derives that convention's eta, from xi.
 ``verify_triple`` returns a ``VerificationReport``, the ``IdentityReport``
 of the Killing-equation check with the sense checked and the integral's
 check added; both are components of one oracle call.
@@ -88,6 +90,7 @@ FORMS = (ONFLOW, STRONG, "alt_onflow", "alt_strong")
 
 # Sampling keeps |L+c| above this margin wherever a solver divides by L+c;
 # wide enough that float64 cancellation stays below the 1e-9 check tolerance.
+# A triple transformed again at the same c widens it (multiplicity_transform).
 DENOM_MARGIN = 0.05
 
 
@@ -338,7 +341,9 @@ def check_conserved(
     sys: LagrangianSystem, N, *, k: int = 100, tol: float = 1e-9, seed: int = 0,
     extra_exclusions: Sequence[Exclusion] = (), name: str = "",
 ) -> FirstIntegral:
-    """Verify d/dt N = 0 along the flow; returns N with its status attached."""
+    """Verify d/dt N = 0 along the flow; returns N with its status attached,
+    labelled ``conserved:<name>``, ``name`` being by default a FirstIntegral's own."""
+    name = name or (N.name if isinstance(N, FirstIntegral) else "")
     expr = _as_expr(N)
     rep = sys.check(
         total_dt(expr, sys.alphabet, sys.lam), 0,
@@ -352,8 +357,7 @@ def check_conserved(
 def _require_conserved(sys, N, seed, extra_exclusions=()) -> FirstIntegral:
     if isinstance(N, FirstIntegral) and N.verified:
         return N
-    name = N.name if isinstance(N, FirstIntegral) else ""
-    fi = check_conserved(sys, N, seed=seed, extra_exclusions=extra_exclusions, name=name)
+    fi = check_conserved(sys, N, seed=seed, extra_exclusions=extra_exclusions)
     if not fi.verified:
         raise NotConservedError(fi.conservation)
     return fi
@@ -371,18 +375,13 @@ def _integral_expr(sys: LagrangianSystem, tr: Triple, eta: Sequence) -> sp.Expr:
 
 
 def noether_integral(
-    sys: LagrangianSystem,
-    tr: Triple,
-    convention: str = "standard",
-    *,
-    k: int = 100,
-    tol: float = 1e-9,
-    seed: int = 0,
+    sys: LagrangianSystem, tr: Triple, *, k: int = 100, tol: float = 1e-9, seed: int = 0,
 ) -> FirstIntegral:
-    """First integral of a triple, as derived (not tidied); conservation is
-    checked and recorded (an unverified result carries its witness point)."""
-    if convention not in ("standard", "alternative"):
-        raise ValueError(f"unknown convention {convention!r}")
+    """First integral N = f - L*tau - d_qdot L . eta of a triple, with eta in
+    the convention its form names, as derived (not tidied); conservation is
+    checked and recorded, labelled ``noether:<convention>`` (an unverified
+    result carries its witness point)."""
+    _, convention = _decode(tr.form)
     eta = _checked_eta(sys, tr, convention)
     return check_conserved(
         sys, _integral_expr(sys, tr, eta), k=k, tol=tol, seed=seed,
@@ -454,13 +453,19 @@ def multiplicity_transform(
     The result carries the triple's eta, and its xi is built from eta on
     first read: eta + qdot*(tau + s) in the standard convention."""
     h = sp.sympify(h)
-    shift = (h - tr.f) / (sys.L + c)
+    denom = sys.L + c
+    shift = (h - tr.f) / denom
     _, convention = _decode(tr.form)
     # 0.0*shift folds to 0 only after sympy has asked whether shift is finite,
     # which costs milliseconds on a solver's expressions
     f = h - c * shift if c else h
+    # at c != 0, f divides by L+c once per earlier transform at this c and the
+    # result once more; at the p-th power, the margin DENOM_MARGIN**(2/(p+1))
+    # bounds the float cancellation as DENOM_MARGIN bounds it at the first
+    earlier = sum(ex.expr == denom for ex in tr.exclusions) if c else 0
+    margin = DENOM_MARGIN ** (2 / (earlier + 2))
     return _derived(sys, tr.tau + shift, _characteristic(sys, tr, convention), f, tr.form,
-                    tr.exclusions + (Exclusion(sys.L + c, DENOM_MARGIN),))
+                    tr.exclusions + (Exclusion(denom, margin),))
 
 
 def trivialize(sys: LagrangianSystem, tr: Triple, which: str, *, c: float = 0.0) -> Triple:

@@ -269,8 +269,13 @@ def _triple_from_body(body: dict, alphabet: Alphabet) -> Triple:
 
 def read_triple_file(path, alphabet: Alphabet) -> dict[str, Triple]:
     """Parse a standalone triple file against a known alphabet."""
+    return _read_triples(Path(path).read_text(), alphabet)
+
+
+def _read_triples(text: str, alphabet: Alphabet) -> dict[str, Triple]:
+    """The triples of a triple file's text, read as ``read_triple_file`` reads them."""
     triples = {}
-    for section, body, lineno in _sections(Path(path).read_text()):
+    for section, body, lineno in _sections(text):
         if section != "triple":
             raise SystemFileError(f"unexpected section [{section}] in triple file", lineno)
         name = _get(body, "name", f"triple{len(triples) + 1}")
@@ -319,7 +324,12 @@ def _triple_lines(name: str, tr: Triple) -> list[str]:
 
 
 def write_triple_file(path, triples: dict[str, Triple]) -> None:
-    lines = []
-    for name, tr in triples.items():
-        lines += _triple_lines(name, tr)
-    Path(path).write_text("\n".join(lines) + "\n")
+    """Write ``triples`` as a triple file.  The text is not read back:
+    ``solve --triple-out``, whose triple may nest past ``dsl.MAX_DEPTH``,
+    reads its ``_triple_text`` back with ``_read_triples`` before writing it."""
+    Path(path).write_text(_triple_text(triples))
+
+
+def _triple_text(triples: dict[str, Triple]) -> str:
+    lines = [line for name, tr in triples.items() for line in _triple_lines(name, tr)]
+    return "\n".join(lines) + "\n"

@@ -195,7 +195,7 @@ def test_criterion_8_alternative_form(fp, kepler, report):
     for label, N in kepler.integrals.items():
         tr = solve_alt_strong_trivial_gauge(sysdef, N)
         rep = verify_triple(sysdef, tr, k=K, tol=TOL)
-        fi = noether_integral(sysdef, tr, convention="alternative", k=K, tol=TOL)
+        fi = noether_integral(sysdef, tr, k=K, tol=TOL)
         same = sysdef.check(fi.expr, N, k=K, tol=TOL,
                             extra_exclusions=tr.exclusions)
         ok = ok and rep.passed and fi.verified and same.passed

@@ -634,6 +634,12 @@ EXIT_TABLE = [
       "strong"], cli.EXIT_NOT_CONSERVED),
     (["solve", "{kepler}", "(" * MAX_DEPTH + "r1" + ")" * MAX_DEPTH, "--mode", "strong"],
      cli.EXIT_PARSE),
+    # solve writes only a triple file that reads back: the strong triple of
+    # sin nested 62 deep around qdot is within MAX_DEPTH, that of 63 past it
+    (["solve", "{fp}", "sin(" * 62 + "qdot" + ")" * 62, "--mode", "strong", "--triple-out",
+      "t.tri"], cli.EXIT_OK),
+    (["solve", "{fp}", "sin(" * 63 + "qdot" + ")" * 63, "--mode", "strong", "--triple-out",
+      "t.tri"], cli.EXIT_PARSE),
 ]
 
 
@@ -646,22 +652,30 @@ def _row_id(v):
 
 
 def _argv(argv, request):
-    """argv with each {name} replaced by the path of the fixture name_sys, or
-    of a system file written from UNBUILDABLE[name]."""
+    """argv with each {name} replaced by the path, relative to the working
+    directory, of the fixture name_sys, or of a system file written from
+    UNBUILDABLE[name]."""
     def path(m):
         if m[1] not in UNBUILDABLE:
-            return request.getfixturevalue(m[1] + "_sys")
+            return os.path.relpath(request.getfixturevalue(m[1] + "_sys"))
         out = request.getfixturevalue("tmp_path") / f"{m[1]}.sys"
         out.write_text(f"[system]\n{UNBUILDABLE[m[1]]}\n")
-        return str(out)
+        return os.path.relpath(out)
 
     return [re.sub(r"\{(\w+)\}", path, a) for a in argv]
 
 
+# the sha256 of each EXIT_TABLE row's stderr, by row id, run in the
+# directory that holds the row's files
+EXIT_STDERR = json.loads((Path(__file__).parent / "cli_pins.json").read_text())["exit_table"]
+
+
 @pytest.mark.parametrize("argv, code", EXIT_TABLE, ids=_row_id)
-def test_exit_code_table(argv, code, request, capsys):
+def test_exit_code_table(argv, code, request, capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
     assert cli.main(_argv(argv, request)) == code
     out, err = capsys.readouterr()
+    assert hashlib.sha256(err.encode()).hexdigest() == EXIT_STDERR[request.node.callspec.id], err
     assert "Traceback" not in err
     if code == cli.EXIT_TRUNCATED:  # a report, not an error
         assert json.loads(out)["truncated"] is True
@@ -680,6 +694,23 @@ def test_solve_names_the_option_its_mode_does_not_read(fp_sys, capsys):
     assert cli.main(["solve", fp_sys, "energy", "--mode", "onflow-R", "--tau", "1/0"]) == \
         cli.EXIT_PARSE
     assert capsys.readouterr().err == "error: --tau is not read in --mode onflow-R\n"
+
+
+@pytest.mark.parametrize("calls", [62, 63])
+def test_solve_writes_only_a_triple_that_reads_back(calls, fp_sys, tmp_path, capsys):
+    # the strong triple of sin nested 63 deep around qdot nests past
+    # MAX_DEPTH: solve refuses it before writing the triple or the report
+    tri, report = tmp_path / "t.tri", tmp_path / "r.json"
+    argv = ["solve", fp_sys, "sin(" * calls + "qdot" + ")" * calls, "--mode", "strong",
+            "--triple-out", str(tri), "--out", str(report)]
+    code, out, err = _in_process(argv, capsys)
+    if calls < 63:
+        assert (code, out, err) == (cli.EXIT_OK, "", "")
+        assert cli.main(["verify", fp_sys, str(tri)]) == cli.EXIT_OK
+        return
+    assert (code, out, tri.exists(), report.exists()) == (cli.EXIT_PARSE, "", False, False)
+    assert err == ("error: --triple-out: the triple does not read back: input too large or "
+                   "too deeply nested: more than 64 levels (at position 10328)\n")
 
 
 def test_degenerate_system_error_names_a_point(degenerate_sys, capsys):
