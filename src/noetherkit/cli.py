@@ -6,24 +6,24 @@ repeated invocation with the same seed is byte-identical.  Triples are
 printed and written as derived.  ``corpus export NAME --out P`` writes the
 system to P (default ``NAME.sys``) and its triples to P with suffix ``.tri``.
 
-Exit codes: 0 success / PASS, 1 verification FAIL, 2 parse error or invalid
-option (including a ``solve`` option that its mode does not read, an
-integration of more than ``dynamics.MAX_STEPS`` steps,
-a system whose derived expressions hold a function outside the compiled
-grammar, a ``[triple]`` section in a system file, a system file that no
-system can be built from, an output path that cannot be written or, for
-``corpus export``, ends in ``.tri``, a ``solve --triple-out`` triple whose
-file would not read back, refused before anything is written, an input too
-large or too deeply nested to process, such as a ``--k`` whose sample array
-cannot be allocated or an expression nested past ``dsl.MAX_DEPTH``, and a
-stdout that cannot be written, such as a pipe whose reader has gone), 3
-regularity failure (or exclusions that reject every sample point), 4 conservation
-precheck failure, 5 singularity during a solve or verification, an
-integration starting in a singular zone, or a monitored integral not
-evaluable along the trajectory, 6 trajectory truncated at a singular zone or
-where its state stops being finite.  Errors print one line on stderr, and
-``verify`` prints its FAIL lines once the report is out; a stderr that is
-closed or cannot be written loses the lines, not the code.
+Exit codes: 0 success / PASS, 1 verification FAIL, 2 parse error (an
+acceleration's name among them; in a file, with its line) or invalid option
+(including a ``solve`` option that its mode does not read, an integration of
+more than ``dynamics.MAX_STEPS`` steps, a system whose derived expressions
+hold a function outside the compiled grammar, a ``[triple]`` section in a
+system file, a system file that no system can be built from, an output path
+that cannot be written or, for ``corpus export``, ends in ``.tri``, a
+``solve --triple-out`` triple whose file would not read back, refused before
+anything is written, an input too large or too deeply nested to process, such
+as a ``--k`` whose sample array cannot be allocated or an expression nested
+past ``dsl.MAX_DEPTH``, and a stdout that cannot be written, such as a pipe
+whose reader has gone), 3 regularity failure (or exclusions that reject every
+sample point), 4 conservation precheck failure, 5 singularity during a solve
+or verification, an integration starting in a singular zone, or a monitored
+integral not evaluable along the trajectory, 6 trajectory truncated at a
+singular zone or where its state stops being finite.  Errors print one line on
+stderr, and ``verify`` prints its FAIL lines once the report is out; a stderr
+that is closed or cannot be written loses the lines, not the code.
 
 The command is a one-shot process (``run``): once its output is flushed it
 ends with ``os._exit``, skipping the interpreter teardown, which frees
@@ -148,26 +148,17 @@ def cmd_solve(args) -> int:
     ab = sysdef.alphabet
     c = 0.0 if args.c is None else args.c
     tau, R = 0, [0] * sysdef.n
-    # the file's integrals were checked when it was read
-    given = []
     try:
         if args.integral in sf.integrals:
             N = sf.integrals[args.integral]
         else:
             N = parse(args.integral, ab)
-            given.append(("the integral", N))
         if args.tau:
             tau = parse(args.tau, ab)
-            given.append(("--tau", tau))
         if args.R:
             R = [parse(r, ab) for r in args.R.split(";")]
-            given += [("--R", r) for r in R]
     except ValueError as err:
         return _error(err, EXIT_PARSE)
-    for option, e in given:
-        if e.has(*ab.acceleration_symbols):
-            return _error(f"{option} {print_expr(e)} must be free of accelerations",
-                          EXIT_PARSE)
     try:
         if args.mode.startswith("onflow"):
             if len(R) != sysdef.n:

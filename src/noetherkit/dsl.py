@@ -3,10 +3,12 @@
 Grammar: ``+ - * / ^`` with usual precedence (``^`` right-associative),
 parentheses, the standard functions ``sqrt sin cos exp log`` of one
 argument, numbers, and declared names, each read only as the package
-prints it: velocities carry the suffix ``dot`` (``q1dot``), accelerations
-``ddot``.  Input nested more than ``MAX_DEPTH`` levels deep is a syntax error
-at the token past the limit; a parenthesis, a call's argument and the right
-operand of a sign or an operator each nest one frame of the parser's recursion.
+prints it: velocities carry the suffix ``dot`` (``q1dot``).  A written
+expression is a function of (t, q, qdot) and the parameters, so the name of
+an acceleration (``q1ddot``) is a syntax error at its token.  Input nested
+more than ``MAX_DEPTH`` levels deep is a syntax error at the token past the
+limit; a parenthesis, a call's argument and the right operand of a sign or
+an operator each nest one frame of the parser's recursion.
 
 Constants fold as they are parsed.  A fold to a value that float64 cannot
 hold is a syntax error at its operator: a non-finite value (``1/0``), a
@@ -78,6 +80,7 @@ class _Parser:
         self.text = text
         self.alphabet = alphabet
         self.tokens = _tokenize(text)
+        self.accelerations = {s.name for s in alphabet.acceleration_symbols}
         self.i = 0
         self.depth = 0
 
@@ -179,6 +182,9 @@ class _Parser:
 
     def name_or_call(self, name: str, pos: int) -> sp.Expr:
         if self.peek()[1] != "(":
+            if name in self.accelerations:
+                raise ExprSyntaxError(f"acceleration {name!r}: a written expression is a "
+                                      f"function of t, q and qdot", pos)
             return self.alphabet.lookup(name)
         self.next()
         args = [self.expression(0)]
@@ -197,10 +203,10 @@ class _Parser:
 def parse(text: str, alphabet: Alphabet) -> sp.Expr:
     """Parse DSL text into an expression over the declared alphabet.
 
-    Raises ExprSyntaxError with a position for malformed input and
-    UndeclaredSymbolError (naming the symbol) for foreign names: the parser
-    reaches names only through ``Alphabet.lookup`` and functions only through
-    ``STANDARD_FUNCTIONS``, so the result holds nothing undeclared.
+    Raises ExprSyntaxError with a position for malformed input or an
+    acceleration's name, and UndeclaredSymbolError for a foreign name: the
+    parser reaches names only through ``Alphabet.lookup`` and functions only
+    through ``STANDARD_FUNCTIONS``, so the result holds nothing undeclared.
     """
     return _Parser(text, alphabet).parse()
 

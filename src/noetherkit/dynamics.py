@@ -122,10 +122,10 @@ def integrate(
     before a state that is not finite or within an exclusion margin.
     A float64 rerun that returns a node without packing one is an internal
     error, a RuntimeError, so the loop cannot repeat it without end.
-    Raises SingularStartError for a start in an exclusion zone, and
-    ValueError when t1 is before t0, the run needs more than ``MAX_STEPS``
-    steps, Lam or an exclusion is complex-typed at the start, or an
-    exclusion holds a total-derivative node.
+    Raises SingularStartError for a start in an exclusion zone, and ValueError
+    when the start is not finite, t1 is before t0, the run needs more than
+    ``MAX_STEPS`` steps, Lam or an exclusion is complex-typed at the start, or
+    an exclusion holds a total-derivative node.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
@@ -134,6 +134,9 @@ def integrate(
     qd0 = np.asarray(qd0, dtype=float)
     if q0.shape != (sys.n,) or qd0.shape != (sys.n,):
         raise ValueError(f"initial state must have dimension {sys.n}")
+    if not (math.isfinite(t0) and np.isfinite(q0).all() and np.isfinite(qd0).all()):
+        raise ValueError(f"initial state must be finite, got t0 = {t0}, "
+                         f"q0 = {q0.tolist()}, qdot0 = {qd0.tolist()}")
     if t1 < t0:
         raise ValueError(f"t1 = {t1:g} is before t0 = {t0:g}")
 

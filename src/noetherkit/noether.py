@@ -27,11 +27,11 @@ f = N + L*tau + d_qdot L . eta.  The zero-gauge solvers compose them with
 eta is the one quantity this module derives, and one rule keeps it: a
 solver's or transform's triple carries eta (``Triple.eta``) in its system's
 velocities, with xi built from eta on first read (eta + qdot*tau in the
-standard convention; ``solve_onflow`` keeps the xi it was given); a triple
-built from xi derives eta at each check.  Every solver and transform builds
-its triple through ``_derived``; a check on a system with the same
-velocities reads the stored eta, and no check writes into a triple, so a
-triple's verdict does not depend on what it was checked against before.
+standard convention); a triple built from xi derives eta at each check.
+Every solver and transform builds its triple through ``_derived``; a check
+on a system with the same velocities reads the stored eta, and no check
+writes into a triple, so a triple's verdict does not depend on what it was
+checked against before.
 A solve, its transforms and ``noether_integral`` never build xi: each
 reads eta in the convention its triple's form names, and only a check in
 a sense of the other convention derives that convention's eta, from xi.
@@ -56,7 +56,6 @@ from .expressions import (
     Exclusion,
     IdentityReport,
     _diff,
-    _occurring,
     diff,
     tidy,
     total_dt,
@@ -166,12 +165,10 @@ class Triple:
         return replace(self, tau=tidy(self.tau), xi=tuple(map(tidy, self.xi)), f=tidy(self.f))
 
 
-def _derived(sys: LagrangianSystem, tau, eta, f, form, exclusions, xi=None) -> Triple:
+def _derived(sys: LagrangianSystem, tau, eta, f, form, exclusions) -> Triple:
     """A solver's or transform's triple: eta stored with the velocities of
-    ``sys`` it is written in, and xi the :class:`_Pending` recipe that builds
-    it from eta (or, from ``solve_onflow``, the xi its caller gave)."""
-    if xi is None:
-        xi = _Pending(_xi, sys, tau, eta, _decode(form)[1])
+    ``sys`` it is written in, and xi the :class:`_Pending` recipe built from it."""
+    xi = _Pending(_xi, sys, tau, eta, _decode(form)[1])
     tr = Triple(tau=tau, xi=xi, f=f, form=form, exclusions=exclusions)
     object.__setattr__(tr, "eta", eta)
     object.__setattr__(tr, "_eta_velocities", sys.alphabet.velocity_symbols)
@@ -221,17 +218,6 @@ def _characteristic(sys: LagrangianSystem, tr: Triple, convention: str) -> tuple
             and tr._eta_velocities == sys.alphabet.velocity_symbols):
         return tr.eta
     return _eta(sys, tr.tau, tr.xi, convention)
-
-
-def _checked_eta(sys: LagrangianSystem, tr: Triple, convention: str) -> tuple:
-    """The triple's eta in the convention, once tau, eta and f are found free
-    of accelerations: with tau free of them, xi is free of them exactly when
-    eta is."""
-    accs = frozenset(sys.alphabet.acceleration_symbols)
-    eta = _characteristic(sys, tr, convention)
-    if any(_occurring(sp.sympify(e), accs) for e in (tr.tau, *eta, tr.f)):
-        raise ValueError("triple components must be free of accelerations")
-    return eta
 
 
 def _decode(form: str) -> tuple[bool, str]:
@@ -285,7 +271,7 @@ def _killing_terms(sys: LagrangianSystem, tr: Triple, form: str):
     """The left-hand side of :func:`killing_lhs`, with the Dt(f) and the N
     it is built from, so that a verification derives each once."""
     strong, convention = _decode(form)
-    eta = _checked_eta(sys, tr, convention)
+    eta = _characteristic(sys, tr, convention)
     ab = sys.alphabet
     lam = None if strong else sys.lam
     N = _integral_expr(sys, tr, eta)
@@ -382,7 +368,7 @@ def noether_integral(
     checked and recorded, labelled ``noether:<convention>`` (an unverified
     result carries its witness point)."""
     _, convention = _decode(tr.form)
-    eta = _checked_eta(sys, tr, convention)
+    eta = _characteristic(sys, tr, convention)
     return check_conserved(
         sys, _integral_expr(sys, tr, eta), k=k, tol=tol, seed=seed,
         extra_exclusions=tr.exclusions, name=f"noether:{convention}",
@@ -396,7 +382,7 @@ def solve_onflow(sys: LagrangianSystem, N, tau, xi: Sequence, *, seed: int = 0) 
     tau = sp.sympify(tau)
     eta = _eta(sys, tau, xi, "standard")
     Nexpr = _require_conserved(sys, N, seed).expr
-    return _derived(sys, tau, eta, _complete(sys, Nexpr, tau, eta), ONFLOW, (), xi)
+    return _derived(sys, tau, eta, _complete(sys, Nexpr, tau, eta), ONFLOW, ())
 
 
 def solve_onflow_simplest(

@@ -21,14 +21,14 @@ takes the default of 1e-3.  Each ``params`` value is finite.
 only ``[system]`` and ``[integral]`` sections.  Triples live in triple
 files, read against a system's alphabet: one ``[triple]`` section per
 triple, with ``tau``, ``xi`` (comma-separated components), ``f``, ``form``
-and the ``singular`` entries of the margins its solver declared.  All
-expressions use the grammar of :mod:`noetherkit.dsl`; integrals and triple
-components are functions of (t, q, qdot), so an acceleration in one is an
-error.  A key that its section does not read is an error, so a misspelt
-``singualr`` or ``frm`` cannot drop what it was meant to say.  A file
-states each thing once: a key repeated within a section, a parameter named
-twice, a second ``[system]`` section and a repeated integral or triple name
-are errors naming it and its line, never a silent overwrite.
+and the ``singular`` entries of the margins its solver declared.  Every
+expression is read by :mod:`noetherkit.dsl`, which refuses an
+acceleration's name, and its parse error names the line.  A key that its
+section does not read is an error, so a misspelt ``singualr`` or ``frm``
+cannot drop what it was meant to say.  A file states each thing once: a key
+repeated within a section, a parameter named twice, a second ``[system]``
+section and a repeated integral or triple name are errors naming it and its
+line, never a silent overwrite.
 """
 
 from __future__ import annotations
@@ -39,8 +39,8 @@ from pathlib import Path
 
 import sympy as sp
 
-from .dsl import parse, print_expr
-from .expressions import Alphabet, Exclusion
+from .dsl import ExprSyntaxError, parse, print_expr
+from .expressions import Alphabet, Exclusion, UndeclaredSymbolError
 from .mechanics import LagrangianSystem, build_system
 from .noether import FORMS, Triple
 
@@ -144,20 +144,23 @@ def _read_exclusions(body: dict, alphabet: Alphabet) -> tuple[Exclusion, ...]:
     for item in filter(None, _split_top_level(text)):
         expr, at, threshold = item.partition("@")
         threshold = _threshold(threshold, lineno) if at else Exclusion.threshold
-        exclusions.append(Exclusion(parse(expr, alphabet), threshold))
+        exclusions.append(Exclusion(_parse(expr, alphabet, lineno), threshold))
     return tuple(exclusions)
 
 
-def _motion_free(body: dict, key: str, section: str, alphabet: Alphabet) -> list:
-    """The expressions of ``key``, comma-separated in [triple] xi, which must
-    be free of accelerations."""
+def _parse(text: str, alphabet: Alphabet, lineno: int | None) -> sp.Expr:
+    """``text`` parsed, a parse error raised as a SystemFileError naming the line."""
+    try:
+        return parse(text, alphabet)
+    except (ExprSyntaxError, UndeclaredSymbolError) as err:
+        raise SystemFileError(str(err), lineno) from err
+
+
+def _expressions(body: dict, key: str, section: str, alphabet: Alphabet) -> list:
+    """The expressions of ``key``, comma-separated in [triple] xi."""
     text = _require(body, key, section)
-    exprs = [parse(s, alphabet) for s in (_split_top_level(text) if key == "xi" else [text])]
-    for e in exprs:
-        if e.has(*alphabet.acceleration_symbols):
-            raise SystemFileError(f"{key} {print_expr(e)} in [{section}] must be free of "
-                                  f"accelerations", body[key][1])
-    return exprs
+    return [_parse(s, alphabet, body[key][1])
+            for s in (_split_top_level(text) if key == "xi" else [text])]
 
 
 def _threshold(text: str, lineno: int | None) -> float:
@@ -229,7 +232,7 @@ def read_system_file(path) -> SystemFile:
                 )
             params = _parse_params(*body.get("params", ("", None)))
             alphabet = Alphabet(coords=coords, params=tuple(params))
-            L = parse(_require(body, "lagrangian", section), alphabet)
+            L, = _expressions(body, "lagrangian", section, alphabet)
             system = build_system(
                 L, alphabet, name=name, param_values=params,
                 exclusions=_read_exclusions(body, alphabet),
@@ -241,7 +244,7 @@ def read_system_file(path) -> SystemFile:
             name = _require(body, "name", section)
             if name in integrals:
                 raise SystemFileError(f"integral {name!r} given twice", body["name"][1])
-            integrals[name], = _motion_free(body, "expr", section, alphabet)
+            integrals[name], = _expressions(body, "expr", section, alphabet)
         elif section == "triple":
             raise SystemFileError("a [triple] section belongs in a triple file, "
                                   "which verify reads", lineno)
@@ -253,12 +256,12 @@ def read_system_file(path) -> SystemFile:
 
 
 def _triple_from_body(body: dict, alphabet: Alphabet) -> Triple:
-    tau, = _motion_free(body, "tau", "triple", alphabet)
-    xi = tuple(_motion_free(body, "xi", "triple", alphabet))
+    tau, = _expressions(body, "tau", "triple", alphabet)
+    xi = tuple(_expressions(body, "xi", "triple", alphabet))
     if len(xi) != alphabet.n:
         raise SystemFileError(f"xi has {len(xi)} component(s), the system has "
                               f"dim = {alphabet.n}", body["xi"][1])
-    f, = _motion_free(body, "f", "triple", alphabet)
+    f, = _expressions(body, "f", "triple", alphabet)
     form = _get(body, "form", "onflow")
     if form not in FORMS:
         raise SystemFileError(f"unknown form {form!r}, expected one of "

@@ -276,6 +276,17 @@ def accel_integral_sys(tmp_path):
                                "[integral]\nname = push\nexpr = q*qddot")
 
 
+@pytest.fixture()
+def accel_singular_sys(fp, tmp_path):
+    """The free-particle triple file with the exclusion qddot - 5 given to its
+    last triple, gamma8, of form onflow."""
+    path = tmp_path / "accel_singular.tri"
+    write_triple_file(path, fp.triples)
+    with path.open("a") as fh:
+        fh.write("singular = qddot - 5\n")
+    return str(path)
+
+
 def _sin_nested(tmp_path, name, calls):
     """A free-particle file whose Lagrangian adds sin nested ``calls`` deep,
     which the parser reads calls + 2 levels deep: the sum, its right operand
@@ -601,6 +612,8 @@ EXIT_TABLE = [
     (["corpus", "export", "freeparticle", "--out", "no-such-dir/fp.sys"], cli.EXIT_PARSE),
     (["corpus", "export", "freeparticle", "--out", "x.tri"], cli.EXIT_PARSE),
     (["verify", "{kepler}", "{accel_f}"], cli.EXIT_PARSE),
+    (["verify", "{fp}", "{accel_singular}"], cli.EXIT_PARSE),
+    (["verify", "{fp}", "{accel_singular}", "--form", "strong"], cli.EXIT_PARSE),
     (["describe", "{accel_integral}"], cli.EXIT_PARSE),
     (["solve", "{accel_integral}", "push", "--mode", "strong"], cli.EXIT_PARSE),
     (["integrate", "{accel_integral}", "0,1,1", "--t1", "1", "--monitor", "push"],
@@ -710,7 +723,7 @@ def test_solve_writes_only_a_triple_that_reads_back(calls, fp_sys, tmp_path, cap
         return
     assert (code, out, tri.exists(), report.exists()) == (cli.EXIT_PARSE, "", False, False)
     assert err == ("error: --triple-out: the triple does not read back: input too large or "
-                   "too deeply nested: more than 64 levels (at position 10328)\n")
+                   "too deeply nested: more than 64 levels (at position 10328) (line 4)\n")
 
 
 def test_degenerate_system_error_names_a_point(degenerate_sys, capsys):

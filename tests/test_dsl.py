@@ -103,19 +103,40 @@ def test_undeclared_names_rejected():
 ])
 def test_every_name_the_parser_reads_prints_back(coords, params):
     # a name reads only as one of the alphabet's symbols prints it: q1dot,
-    # never qdot1, which is undeclared, or else a parameter of its own
+    # never qdot1, which is undeclared, or else a parameter of its own; an
+    # acceleration's name is refused at its position
     ab = Alphabet(coords=coords, params=params)
     candidates = {"t", "z", *params, *(f"{c}{d}" for c in coords for d in ("", "dot", "ddot")),
                   *(f"q{d}{i}" for i in (1, 2) for d in ("dot", "ddot"))}
-    read = set()
+    read, refused = set(), set()
     for name in sorted(candidates):
         try:
             e = parse(name, ab)
         except UndeclaredSymbolError:
             continue
+        except ExprSyntaxError as err:
+            assert err.position == 0 and str(err).startswith(f"acceleration {name!r}")
+            refused.add(name)
+            continue
         assert print_expr(e) == name
         read.add(name)
-    assert read == {s.name for s in (*ab.variables(include_acc=True), *ab.param_symbols)}
+    assert read == {s.name for s in (*ab.variables(), *ab.param_symbols)}
+    assert refused == {s.name for s in ab.acceleration_symbols}
+
+
+@pytest.mark.parametrize("text, position", [
+    ("x + xddot", 4),
+    ("sin(1 + yddot)", 8),
+    ("x^xddot", 2),
+    ("(x + 1)^(2*yddot)", 11),
+    ("sqrt(sin(xddot))^2", 9),
+])
+def test_an_acceleration_is_refused_at_its_position(text, position):
+    # a written expression is a function of t, q and qdot: inside a call or a
+    # power too
+    with pytest.raises(ExprSyntaxError, match="acceleration '[xy]ddot'") as err:
+        parse(text, AB)
+    assert err.value.position == position
 
 
 @pytest.mark.parametrize(

@@ -85,6 +85,21 @@ def test_radial_plunge_truncates(kepler):
     assert rep.truncated
 
 
+@pytest.mark.parametrize("name, start", [
+    ("fp", (0.0, [np.nan], [0.0])),
+    ("fp", (np.nan, [0.0], [0.0])),
+    ("fp", (0.0, [1.0], [np.inf])),
+    ("kepler", (0.0, [np.nan, 0.0, 0.0], [0.0, 1.0, 0.0])),
+    ("kepler", (-np.inf, [1.0, 0.0, 0.0], [0.0, 1.0, 0.0])),
+])
+def test_integrate_refuses_a_start_that_is_not_finite(name, start, request, monkeypatch):
+    # refused before Lam or an exclusion is evaluated, on every system
+    sysdef = request.getfixturevalue(name).system
+    monkeypatch.setattr(dynamics, "_rk4_loop", None)
+    with pytest.raises(ValueError, match=r"^initial state must be finite, got t0 = "):
+        integrate(sysdef, start, 1.0, dt=0.1)
+
+
 def test_integrate_rejects_singular_start(kepler):
     with pytest.raises(ValueError):
         integrate(kepler.system, (0.0, [0.1, 0.0, 0.0], [0.0, 1.0, 0.0]), 1.0)

@@ -59,10 +59,26 @@ def test_triple_validation(fp):
         Triple(0, (1,), 0, "sideways")
     qdd = fp.system.alphabet.acceleration_symbols[0]
     bad = Triple(0, (qdd,), 0, "strong")
-    with pytest.raises(ValueError, match="triple components must be free of accelerations"):
+    # N = f - L*tau - p . eta carries eta's acceleration into total_dt's refusal
+    with pytest.raises(ValueError, match="total_dt input must be free of qddot"):
         killing_lhs(fp.system, bad, "strong")
     with pytest.raises(ValueError):
         killing_lhs(fp.system, Triple(0, (1, 1), 0, "strong"), "strong")
+
+
+@pytest.mark.parametrize("component", ["tau", "xi", "f"])
+def test_a_triple_holding_an_acceleration_is_refused_by_total_dt(fp, component):
+    # the library's guard for sympy input: N = f - L*tau - p . eta carries
+    # the acceleration of any component
+    qdd = fp.system.alphabet.acceleration_symbols[0]
+    parts = {"tau": 0, "xi": (1,), "f": 0}
+    parts[component] = (qdd,) if component == "xi" else qdd
+    for form in FORMS:
+        bad = Triple(parts["tau"], parts["xi"], parts["f"], form)
+        with pytest.raises(ValueError, match="total_dt input must be free of qddot"):
+            verify_triple(fp.system, bad)
+        with pytest.raises(ValueError, match="total_dt input must be free of qddot"):
+            noether_integral(fp.system, bad)
 
 
 def test_killing_lhs_translation_symmetry(fp):
@@ -722,6 +738,17 @@ def test_integral_of_a_solved_triple_builds_no_xi(kepler, xi_calls, solve):
     assert noether_integral(sysdef, tr).verified
     assert xi_calls == []
     assert len(tr.xi) == sysdef.n and len(xi_calls) == 1
+
+
+def test_solve_onflow_builds_xi_from_eta(kepler, xi_calls):
+    # like every solver: xi is the recipe eta + qdot*tau, run on first read,
+    # and it builds the tree it was given
+    sysdef, ab = kepler.system, kepler.system.alphabet
+    r1, r2, r3 = ab.coord_symbols
+    xi = (r1 * ab.t, r2 + ab.velocity_symbols[2], sp.Integer(0))
+    tr = solve_onflow(sysdef, kepler.integrals["energy"], r3 * ab.t, xi)
+    assert xi_calls == []
+    assert sp.srepr(tr.xi) == sp.srepr(xi) and len(xi_calls) == 1
 
 
 def test_integral_of_a_time_trivialized_triple_builds_no_xi(kepler, xi_calls):

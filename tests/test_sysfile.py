@@ -183,12 +183,20 @@ def _read(text, tmp_path):
     return read_system_file(path)
 
 
+_ACCELERATION = r"^acceleration 'qddot': a written expression is a function of t, q and qdot"
+
+
+# the ids of the acceleration rows keep the messages the reader gave before the
+# parser refused an acceleration's name
 @pytest.mark.parametrize("entry, message", [
     ("xi = q, q", "xi has 2 component"),
     ("form = weak", "unknown form 'weak'"),
-    ("tau = qddot", r"tau qddot in \[triple\] must be free of accelerations"),
-    ("xi = q*qddot", r"xi q\*qddot in \[triple\] must be free of accelerations"),
-    ("f = qddot + 1", r"f .*qddot.* in \[triple\] must be free of accelerations"),
+    pytest.param("tau = qddot", _ACCELERATION + r" \(at position 0\)",
+                 id=r"tau = qddot-tau qddot in \[triple\] must be free of accelerations"),
+    pytest.param("xi = q*qddot", _ACCELERATION + r" \(at position 2\)",
+                 id=r"xi = q*qddot-xi q\*qddot in \[triple\] must be free of accelerations"),
+    pytest.param("f = qddot + 1", _ACCELERATION + r" \(at position 0\)",
+                 id=r"f = qddot + 1-f .*qddot.* in \[triple\] must be free of accelerations"),
 ])
 def test_malformed_triple_section(entry, message, tmp_path):
     good = "[triple]\nname = boost\ntau = 0\nxi = t\nf = q\n"
@@ -247,10 +255,42 @@ def test_a_triple_file_states_each_thing_once(text, message, tmp_path):
 
 
 def test_integrals_must_be_free_of_accelerations(tmp_path):
-    with pytest.raises(SystemFileError, match=r"expr q\*qddot in \[integral\] must be free "
-                                              r"of accelerations \(line 6\)"):
+    with pytest.raises(SystemFileError, match=_ACCELERATION + r" \(at position 2\) \(line 6\)$"):
         _read("[system]\ndim = 1\ncoords = q\nlagrangian = qdot^2/2\n"
               "[integral]\nexpr = q*qddot\nname = push\n", tmp_path)
+
+
+_SYSTEM = ("[system]\ndim = 1\ncoords = q\nlagrangian = qdot^2/2\nsingular = q - 3\n"
+           "[integral]\nname = p\nexpr = qdot\n")
+_PARSE_ERRORS = {
+    "undeclared": ("z", r"undeclared symbol 'z'"),
+    "zero_division": ("1/0", r"not a finite expression: zoo \(at position 1\)"),
+    "nested": ("(" * 65 + "q" + ")" * 65, r"more than 64 levels \(at position 64\)"),
+    "acceleration": ("qddot", _ACCELERATION + r" \(at position 0\)"),
+}
+
+
+@pytest.mark.parametrize("error", _PARSE_ERRORS)
+@pytest.mark.parametrize("text, key, line", [
+    (_SYSTEM, "lagrangian", 4),
+    (_SYSTEM, "singular", 5),
+    (_SYSTEM, "expr", 8),
+    (_TRIPLE + "singular = q - 3\n", "tau", 3),
+    (_TRIPLE + "singular = q - 3\n", "xi", 4),
+    (_TRIPLE + "singular = q - 3\n", "f", 5),
+    (_TRIPLE + "singular = q - 3\n", "singular", 7),
+], ids=["lagrangian", "system_singular", "integral", "tau", "xi", "f", "triple_singular"])
+def test_a_parse_error_in_a_file_names_its_line(text, key, line, error, tmp_path):
+    expr, message = _PARSE_ERRORS[error]
+    lines = text.splitlines()
+    lines[line - 1] = f"{key} = {expr}"
+    path = tmp_path / "bad"
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(SystemFileError, match=f"{message} \\(line {line}\\)$"):
+        if text is _SYSTEM:
+            read_system_file(path)
+        else:
+            read_triple_file(path, Alphabet(coords=("q",)))
 
 
 def test_missing_system_section(tmp_path):
