@@ -129,17 +129,19 @@ def free_particle() -> CorpusEntry:
 ISOCHRONY_G_CHOICES = ("x", "1/x^3", "sqrt_pos", "sqrt_neg")
 
 
-def _isochrony_G(choice: str, c: float, x: sp.Symbol) -> tuple[sp.Expr, tuple, dict]:
+def _isochrony_G(choice: str, c: float, x: sp.Symbol) -> tuple[sp.Expr, sp.Expr, tuple, dict]:
+    """G, its antiderivative in x, and the exclusions and sampling ranges
+    that G needs."""
     if choice == "x":
-        return x, (), {}
+        return x, x**2 / 2, (), {}
     if choice == "1/x^3":
         if c != 0:
             raise ValueError("G = 1/x^3 belongs to the c = 0 family")
-        return x**-3, (Exclusion(x, STEEP_SINGULAR_MARGIN),), {}
+        return x**-3, -1 / (2 * x**2), (Exclusion(x, STEEP_SINGULAR_MARGIN),), {}
     if choice == "sqrt_pos":
         if c <= 0:
             raise ValueError("G = (c+2x^2)/sqrt(c+x^2) needs c > 0")
-        return (c + 2 * x**2) / sp.sqrt(c + x**2), (), {}
+        return (c + 2 * x**2) / sp.sqrt(c + x**2), x * sp.sqrt(c + x**2), (), {}
     if choice == "sqrt_neg":
         if c >= 0:
             raise ValueError("G = (-c-2x^2)/sqrt(-c-x^2) needs c < 0")
@@ -147,6 +149,7 @@ def _isochrony_G(choice: str, c: float, x: sp.Symbol) -> tuple[sp.Expr, tuple, d
         bound = 0.9 * float(sp.sqrt(-c))
         return (
             (-c - 2 * x**2) / sp.sqrt(-c - x**2),
+            x * sp.sqrt(-c - x**2),
             (Exclusion(-c - x**2, 0.05),),
             {"x": (-bound, bound)},
         )
@@ -159,7 +162,7 @@ def isochrony(G: str = "x", c: float = 0.0) -> CorpusEntry:
     xd, yd = ab.velocity_symbols
     cs = ab.param_symbols[0]
 
-    Gx, exclusions, var_ranges = _isochrony_G(G, c, x)
+    Gx, Gint, exclusions, var_ranges = _isochrony_G(G, c, x)
     L = xd * yd - Gx * y
     sys = build_system(
         L, ab,
@@ -171,7 +174,7 @@ def isochrony(G: str = "x", c: float = 0.0) -> CorpusEntry:
 
     Gp = _diff(Gx, x)
     N1 = xd * yd + Gx * y
-    N2 = xd**2 / 2 + sp.integrate(Gx, x)
+    N2 = xd**2 / 2 + Gint
     N3 = (cs + x**2) * Gp * xd * y - (cs + x**2) * Gx * yd - x * xd**2 * yd + xd**3 * y
 
     h = (cs + x**2) * Gx + x * xd**2

@@ -380,7 +380,7 @@ def functional_independence_rank(
     jac_entries = [_diff(e, s) for e in exprs for s in state]
     fn = compile_fn(jac_entries, ab)
     pts = draw_points(ab, sys.domain(), sys.param_values, points, seed)
-    J = _eval_rows(fn, pts.columns, points).T.reshape(points, len(exprs), len(state))
+    J = _eval_rows(fn, pts, points).T.reshape(points, len(exprs), len(state))
     sv = np.linalg.svd(J, compute_uv=False)
     ranks = [int(n) for n in np.sum(sv > SVD_RTOL * sv[:, :1], axis=1)]
     majority = max(set(ranks), key=ranks.count)

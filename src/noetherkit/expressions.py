@@ -39,8 +39,9 @@ unit and complex infinity are an UndeclaredSymbolError when compiled.
 Rejection sampling draws candidates in blocks from the same random stream as
 one-at-a-time draws, so a seed gives the same points either way, and the
 first k points of a larger draw are the k-point draw.  :func:`draw_points`
-keeps the last point set it drew, in one read-only array, and serves a call
-with the same inputs and no larger k from it: a round trip's conservation,
+returns a draw as its columns, a dict of one read-only array of k values
+per name.  It keeps the last point set it drew and serves a call with the
+same inputs and no larger k from it: a round trip's conservation,
 inversion and identity checks at one seed draw once.
 
 A compiled function takes its arguments by position, in the order of its
@@ -70,7 +71,6 @@ __all__ = [
     "Alphabet",
     "Exclusion",
     "SampleDomain",
-    "SamplePoints",
     "IdentityReport",
     "UndeclaredSymbolError",
     "DomainViolation",
@@ -202,6 +202,10 @@ class Alphabet:
     @functools.cached_property
     def acceleration_symbols(self) -> tuple[sp.Symbol, ...]:
         return tuple(_sym(c + "ddot") for c in self.coords)
+
+    @functools.cached_property
+    def _acceleration_set(self) -> frozenset:
+        return frozenset(self.acceleration_symbols)
 
     @functools.cached_property
     def param_symbols(self) -> tuple[sp.Symbol, ...]:
@@ -728,33 +732,9 @@ class SampleDomain:
     exclusions: tuple[Exclusion, ...] = ()
 
 
-class SamplePoints(Sequence):
-    """Read-only sequence of sample points backed by one array per name.
-
-    Indexing and iteration yield point dicts of Python floats; ``columns``
-    maps each name to its read-only array of k values.
-    """
-
-    def __init__(self, columns: Mapping[str, np.ndarray]):
-        self.columns = dict(columns)
-        for col in self.columns.values():
-            if col.flags.writeable:
-                col.flags.writeable = False
-        self._k = len(next(iter(self.columns.values())))
-
-    def __len__(self) -> int:
-        return self._k
-
-    def __getitem__(self, i: int) -> dict[str, float]:
-        i = range(self._k)[i]  # negative indices, IndexError past the end
-        return {name: float(col[i]) for name, col in self.columns.items()}
-
-    def __eq__(self, other):
-        if not isinstance(other, Sequence):
-            return NotImplemented
-        return list(self) == list(other)
-
-    __hash__ = None
+def _point_at(columns: Mapping[str, np.ndarray], i: int) -> dict[str, float]:
+    """Point i of a draw's columns, as Python floats under the columns' names."""
+    return {name: float(col[i]) for name, col in columns.items()}
 
 
 def _next_block(need: int, drawn: int, accepted: int) -> int:
@@ -799,7 +779,7 @@ def draw_points(
     k: int,
     seed: int,
     include_acc: bool = False,
-) -> SamplePoints:
+) -> dict[str, np.ndarray]:
     """Draw k points from the box, rejecting those near declared singular sets.
 
     A point is drawn as a row of one uniform per variable, in order, and is
@@ -810,12 +790,13 @@ def draw_points(
     call; without exclusions exactly k candidates are drawn.  ``MAX_TRIES``
     consecutive rejections raise SamplingError.
 
-    The last point set drawn at an integer seed is kept: a call with the
-    same alphabet, ranges, exclusions, parameter values, seed and
-    ``include_acc`` and no larger k takes its first k points.  The values
-    of a draw sit in one read-only array, one row per variable and then per
-    parameter, and each call returns its own SamplePoints over views of
-    those rows.
+    Returns the draw's columns: a dict that maps each variable's name, in
+    ``alphabet.variables(include_acc)`` order, and then each parameter's to
+    a read-only array of its k values.  The last point set drawn at an
+    integer seed is kept, in one read-only array, one row per name: a call
+    with the same alphabet, ranges, exclusions, parameter values, seed and
+    ``include_acc`` and no larger k returns a new dict of views of its
+    rows' first k values.
     """
     include_acc = bool(include_acc)
     ranges = tuple((name, tuple(r)) for name, r in domain.var_ranges.items())
@@ -839,7 +820,7 @@ def draw_points(
         values.flags.writeable = False
         if reusable:
             _last_draw[0] = key, values, names
-    return SamplePoints(dict(zip(names, values[:, :k])))
+    return dict(zip(names, values[:, :k]))
 
 
 def _draw_into(out, var_names, lo, span, rng, exclusions, params, alphabet,
@@ -964,7 +945,7 @@ def equal_numeric(
     exprs = [e for pair in zip(lhs, rhs) for e in pair]
     fn = compile_fn(exprs, alphabet, include_acc)
     points = draw_points(alphabet, domain, param_values or {}, k, seed, include_acc)
-    vals = _eval_rows(fn, points.columns, k)
+    vals = _eval_rows(fn, points, k)
     va, vb = vals[0::2], vals[1::2]
     finite = np.isfinite(va) & np.isfinite(vb)
     with np.errstate(invalid="ignore"):
@@ -978,7 +959,7 @@ def _report(points, resid, finite, lhs, rhs, tol, seed, label) -> IdentityReport
     peak = resid.max(axis=1)
     for i in range(len(lhs)):
         if not finite[i].all():
-            bad = points[int(np.argmin(finite[i]))]
+            bad = _point_at(points, int(np.argmin(finite[i])))
             raise DomainViolation(sp.Eq(lhs[i], rhs[i], evaluate=False), bad)
         if peak[i] > tol:
             break
@@ -987,8 +968,8 @@ def _report(points, resid, finite, lhs, rhs, tol, seed, label) -> IdentityReport
     return IdentityReport(
         passed=bool(peak[i] <= tol),
         max_residual=float(peak[i]),
-        worst_point=points[int(np.argmax(resid[i]))],
-        k=len(points),
+        worst_point=_point_at(points, int(np.argmax(resid[i]))),
+        k=resid.shape[1],
         tol=tol,
         seed=seed,
         label=label,

@@ -28,6 +28,7 @@ from .expressions import (
     _diff,
     _eval_rows,
     _occurring,
+    _point_at,
     compile_fn,
     draw_points,
     equal_numeric,
@@ -123,7 +124,7 @@ def build_system(
     """
     L = sp.sympify(L)
     alphabet.check_declared(L)
-    if _occurring(L, frozenset(alphabet.acceleration_symbols)):
+    if _occurring(L, alphabet._acceleration_set):
         raise ValueError("Lagrangian must be free of acceleration symbols")
     qs = alphabet.coord_symbols
     vs = alphabet.velocity_symbols
@@ -162,11 +163,11 @@ def build_system(
 def _check_regularity(det, alphabet: Alphabet, domain: SampleDomain, param_values) -> None:
     det_fn = compile_fn([det], alphabet)
     points = draw_points(alphabet, domain, param_values, REGULARITY_SAMPLES, 0)
-    values = _eval_rows(det_fn, points.columns, REGULARITY_SAMPLES)[0]
+    values = _eval_rows(det_fn, points, REGULARITY_SAMPLES)[0]
     bad = ~np.isfinite(values) | (np.abs(values) < REGULARITY_MIN_DET)
     if bad.any():
         i = int(np.argmax(bad))
-        raise RegularityError(points[i], float(values[i]))
+        raise RegularityError(_point_at(points, i), float(values[i]))
 
 
 def invert_g_apply(sys: LagrangianSystem, w: Sequence, *, seed: int = 0) -> tuple[sp.Expr, ...]:

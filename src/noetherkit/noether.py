@@ -56,6 +56,7 @@ from .expressions import (
     Exclusion,
     IdentityReport,
     _diff,
+    _occurring,
     diff,
     tidy,
     total_dt,
@@ -251,9 +252,22 @@ def _L_times(sys: LagrangianSystem, tau) -> sp.Expr:
     return sys.L * tau if tau else sp.S.Zero
 
 
+def _acceleration_free(sys: LagrangianSystem, tau, eta: Sequence) -> None:
+    """Refuse a tau or eta that holds an acceleration: L*tau and p . eta may
+    cancel it in N or f, out of total_dt's sight.  f needs no walk: with tau
+    and eta free of accelerations, total_dt(f) or total_dt(N) refuses one in f."""
+    for i, e in enumerate((tau, *eta)):
+        found = _occurring(sp.sympify(e), sys.alphabet._acceleration_set)
+        if found:
+            name = "tau" if i == 0 else f"eta[{i - 1}]"
+            raise ValueError(f"{name} holds the acceleration {min(map(str, found))}: "
+                             "a triple is a function of t, q and qdot")
+
+
 def _complete(sys: LagrangianSystem, N, tau, eta: Sequence) -> sp.Expr:
     """Boundary term of the triple with integral N: f = N + L*tau + p . eta,
     as one sum, which flattens its terms once, not once per term."""
+    _acceleration_free(sys, tau, eta)
     return sp.Add(N, _L_times(sys, tau), *[pi * e for pi, e in zip(sys.p, eta)])
 
 
@@ -328,7 +342,11 @@ def check_conserved(
     extra_exclusions: Sequence[Exclusion] = (), name: str = "",
 ) -> FirstIntegral:
     """Verify d/dt N = 0 along the flow; returns N with its status attached,
-    labelled ``conserved:<name>``, ``name`` being by default a FirstIntegral's own."""
+    labelled ``conserved:<name>``, ``name`` being by default a FirstIntegral's own.
+
+    N_dot is compared with 0, so the residual |N_dot|/(1 + |N_dot|) is
+    absolute, while the float error of N_dot grows with the size of N's
+    terms: an integral written with large cancelling terms can FAIL."""
     name = name or (N.name if isinstance(N, FirstIntegral) else "")
     expr = _as_expr(N)
     rep = sys.check(
@@ -357,6 +375,7 @@ def _g_inv_grad(sys: LagrangianSystem, Nexpr: sp.Expr, seed: int) -> tuple[sp.Ex
 
 def _integral_expr(sys: LagrangianSystem, tr: Triple, eta: Sequence) -> sp.Expr:
     """N = f - L*tau - p . eta, as one sum (see :func:`_complete`)."""
+    _acceleration_free(sys, tr.tau, eta)
     return sp.Add(tr.f, -_L_times(sys, tr.tau), *[-(pi * e) for pi, e in zip(sys.p, eta)])
 
 

@@ -4,12 +4,14 @@ import sympy as sp
 from noetherkit.corpus import (
     CORPUS_NAMES,
     ISOCHRONY_G_CHOICES,
+    _isochrony_G,
     check_G_ode,
     isochrony_strong_triple,
     kepler_family_triple,
     kepler_strong_triple,
     load,
 )
+from noetherkit.expressions import diff
 from noetherkit.noether import check_conserved, verify_triple
 
 
@@ -48,6 +50,26 @@ def test_isochrony_family_members(G, c):
     rep = verify_triple(entry.system, entry.triples["strong_N3"],
                         entry.triple_integrals["strong_N3"], k=30)
     assert rep.passed
+
+
+@pytest.mark.parametrize("G,c", [("x", 0.0), ("1/x^3", 0.0),
+                                 ("sqrt_pos", 1.0), ("sqrt_neg", -1.0)])
+def test_isochrony_N2_holds_an_antiderivative_of_G(G, c):
+    sysdef = load("isochrony", G=G, c=c).system
+    x = sysdef.alphabet.coord_symbols[0]
+    Gx, Gint, _, _ = _isochrony_G(G, c, x)
+    assert sysdef.check(diff(Gint, x, sysdef.alphabet), Gx).passed
+
+
+def test_isochrony_N2_keeps_its_tree():
+    # the corpus export and the CLI list print these integrals
+    half_xdot2 = "Mul(Rational(1, 2), Pow(Symbol('xdot', real=True), Integer(2)))"
+    want = {"x": "Add(Mul(Rational(1, 2), Pow(Symbol('x', real=True), Integer(2))), "
+                 f"{half_xdot2})",
+            "1/x^3": f"Add({half_xdot2}, "
+                     "Mul(Integer(-1), Rational(1, 2), Pow(Symbol('x', real=True), Integer(-2))))"}
+    for G, tree in want.items():
+        assert sp.srepr(load("isochrony", G=G, c=0.0).integrals["N2"]) == tree
 
 
 def test_isochrony_rejects_inconsistent_constants():

@@ -321,7 +321,7 @@ def _node_residual(e, alphabet, domain=SampleDomain(), k=200, include_acc=False,
     complex-step value of e and its symbolic expansion at k points."""
     pts = draw_points(alphabet, domain, param_values or {}, k, 5, include_acc)
     a, b = (expressions._eval_rows(compile_fn([x], alphabet, include_acc),
-                                   pts.columns, k)[0]
+                                   pts, k)[0]
             for x in (e, _expand(e)))
     assert np.isfinite(a).all() and np.isfinite(b).all()
     return float(np.max(np.abs(a - b) / (1 + np.maximum(np.abs(a), np.abs(b)))))
@@ -378,7 +378,7 @@ def test_complex_step_through_abs_and_sign():
     dom = SampleDomain(exclusions=(Exclusion(X, 0.1),))
     pts = draw_points(AB, dom, {}, 200, 5, include_acc=True)
     got, want = expressions._eval_rows(
-        compile_fn([total_dt(e, AB), expected], AB, include_acc=True), pts.columns, 200)
+        compile_fn([total_dt(e, AB), expected], AB, include_acc=True), pts, 200)
     assert np.max(np.abs(got - want) / (1 + np.abs(want))) < 1e-12
 
 
@@ -462,16 +462,16 @@ def test_compiled_code_matches_stock_lambdify():
         pts = draw_points(alphabet, sysdef.domain(), sysdef.param_values, 4, seed=1,
                           include_acc=True)
         fn = compile_fn([e], alphabet, include_acc=True)
-        got = expressions._eval_rows(fn, pts.columns, 4)[0]
+        got = expressions._eval_rows(fn, pts, 4)[0]
         stock = sp.lambdify([alphabet.lookup(name) for name in fn.arg_names], e,
                             modules=[expressions._COMPLEX_STEP_FUNCS, "numpy", {"math": math}])
-        want = np.broadcast_to(stock(*(pts.columns[name] for name in fn.arg_names)), (4,))
+        want = np.broadcast_to(stock(*(pts[name] for name in fn.arg_names)), (4,))
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12, err_msg=str(e))
         # 30 digits from the sampled doubles, which they hold exactly
         # (evalf(subs=...) takes a minute on a kepler3d identity)
         exact = [float(e.xreplace({alphabet.lookup(k): sp.Float(v, 30)
                                    for k, v in point.items()}).evalf(30))
-                 for point in pts]
+                 for point in _points(pts)]
         np.testing.assert_allclose(got, exact, rtol=1e-12, atol=1e-12, err_msg=str(e))
 
 
@@ -568,11 +568,11 @@ def test_shared_subtrees_do_not_capture_declared_names():
               for form in FORMS]
     pts = draw_points(ab, sysdef.domain(), sysdef.param_values, 8, seed=3,
                       include_acc=True)
-    got = expressions._eval_rows(compile_fn(exprs, ab, include_acc=True), pts.columns, 8)
+    got = expressions._eval_rows(compile_fn(exprs, ab, include_acc=True), pts, 8)
     for e, values in zip(exprs, got):
-        want = [evaluate(e, point, ab) for point in pts]
+        want = [evaluate(e, point, ab) for point in _points(pts)]
         exact = [float(e.evalf(subs={ab.lookup(k): v for k, v in point.items()}))
-                 for point in pts]
+                 for point in _points(pts)]
         np.testing.assert_allclose(values, want, rtol=1e-12, atol=1e-12)
         np.testing.assert_allclose(values, exact, rtol=1e-12, atol=1e-12)
 
@@ -739,19 +739,24 @@ def test_the_imaginary_unit_is_refused_at_compile_time():
         equal_numeric((-1) ** sp.Rational(1, 3) * X, 0 * X, AB)
 
 
+def _points(columns):
+    """A draw's columns as point dicts of Python floats, one per index."""
+    return [dict(zip(columns, map(float, row))) for row in zip(*columns.values())]
+
+
 def test_draw_points_deterministic_and_respects_exclusions():
     dom = SampleDomain(exclusions=(Exclusion(X, 0.5),))
     p1 = draw_points(AB, dom, {}, 25, seed=3)
     p2 = draw_points(AB, dom, {}, 25, seed=3)
-    assert p1 == p2
-    assert all(abs(p["x"]) >= 0.5 for p in p1)
-    assert all(0.0 <= p["t"] <= 2.0 for p in p1)
+    assert _points(p1) == _points(p2)
+    assert all(abs(p["x"]) >= 0.5 for p in _points(p1))
+    assert all(0.0 <= p["t"] <= 2.0 for p in _points(p1))
 
 
 def test_draw_points_var_range_override():
     dom = SampleDomain(var_ranges={"x": (5.0, 6.0)})
     pts = draw_points(AB, dom, {}, 10, seed=0)
-    assert all(5.0 <= p["x"] <= 6.0 for p in pts)
+    assert all(5.0 <= p["x"] <= 6.0 for p in _points(pts))
 
 
 def test_draw_points_exhaustion_raises():
@@ -799,9 +804,9 @@ def test_draw_points_matches_one_at_a_time_reference():
         for include_acc in (False, True):
             ref = _reference_draw(ab, dom, {"a": 0.7}, 40, seed, include_acc)
             pts = draw_points(ab, dom, {"a": 0.7}, 40, seed, include_acc)
-            assert len(pts) == 40
-            assert list(pts) == ref
-            assert list(pts.columns) == list(ref[0])
+            assert all(len(col) == 40 for col in pts.values())
+            assert _points(pts) == ref
+            assert list(pts) == list(ref[0])
 
 
 def _first_rejected(alphabet, seed, include_acc, k):
@@ -827,7 +832,7 @@ def test_draw_points_matches_the_reference_around_the_first_rejection(case, incl
     seed = next(s for s in range(10_000) if wanted(_first_rejected(AB, s, include_acc, k)))
     expressions._last_draw[0] = None
     got = draw_points(AB, dom, {}, k, seed, include_acc)
-    assert list(got) == _reference_draw(AB, dom, {}, k, seed, include_acc)
+    assert _points(got) == _reference_draw(AB, dom, {}, k, seed, include_acc)
 
 
 @pytest.mark.parametrize("exclusions", [(), (Exclusion(X, 1.0), Exclusion(X * Y - 1, 0.2))],
@@ -841,37 +846,37 @@ def test_draw_points_reuses_the_last_point_set(exclusions):
 
     def fresh(k, seed=4):
         expressions._last_draw[0] = None
-        return list(draw(k, seed))
+        return _points(draw(k, seed))
 
     ref = _reference_draw(ab, dom, {"a": 0.7}, 60, 4)
     assert fresh(60) == ref
     big = draw(60)
     again = draw(60)
     small = draw(25)
-    # served from the last draw, and each a fresh SamplePoints
-    assert np.shares_memory(again.columns["x"], big.columns["x"])
-    assert np.shares_memory(small.columns["x"], big.columns["x"])
-    assert again is not big and again.columns is not big.columns
-    assert list(again) == ref and list(small) == ref[:25] == fresh(25)
+    # served from the last draw, and each a fresh dict
+    assert np.shares_memory(again["x"], big["x"])
+    assert np.shares_memory(small["x"], big["x"])
+    assert again is not big
+    assert _points(again) == ref and _points(small) == ref[:25] == fresh(25)
     # the arrays are read-only, and replacing a column touches one result only
     for pts in (big, again, small):
-        for col in pts.columns.values():
+        for col in pts.values():
             assert not col.flags.writeable
             with pytest.raises(ValueError):
                 col[0] = 0.0
-    small.columns["x"] = np.zeros(25)
-    assert list(draw(25)) == ref[:25]
+    small["x"] = np.zeros(25)
+    assert _points(draw(25)) == ref[:25]
     # a larger k, another seed or other parameter values draw again
     draw(10)
     base = draw(60)
-    assert list(base) == ref
-    assert list(draw(30, seed=5)) == fresh(30, seed=5)
+    assert _points(base) == ref
+    assert _points(draw(30, seed=5)) == fresh(30, seed=5)
     base = draw(60, a=0.0)
     got = draw(30, a=-0.0)
-    assert not np.shares_memory(got.columns["x"], base.columns["x"])
-    assert np.signbit(got.columns["a"]).all()
+    assert not np.shares_memory(got["x"], base["x"])
+    assert np.signbit(got["a"]).all()
     # a seed of None is fresh entropy at every call
-    assert list(draw(5, seed=None)) != list(draw(5, seed=None))
+    assert _points(draw(5, seed=None)) != _points(draw(5, seed=None))
 
 
 def test_draw_points_refuses_a_non_finite_span():
@@ -888,7 +893,7 @@ def test_draw_points_rejection_run_across_blocks(monkeypatch):
     first_block = expressions._next_block(2, 0, 0)
     seed = 5
     ref = _reference_draw(AB, dom, {}, 2, seed)
-    assert list(draw_points(AB, dom, {}, 2, seed)) == ref
+    assert _points(draw_points(AB, dom, {}, 2, seed)) == ref
     # replay the stream to find the rejection run before each accepted point
     rng = np.random.default_rng(seed)
     runs, run = [], 0
@@ -909,7 +914,7 @@ def test_draw_points_rejection_run_across_blocks(monkeypatch):
     with pytest.raises(SamplingError):
         draw_points(AB, dom, {}, 2, seed)
     monkeypatch.setattr(expressions, "MAX_TRIES", longest + 1)
-    assert list(draw_points(AB, dom, {}, 2, seed)) == ref
+    assert _points(draw_points(AB, dom, {}, 2, seed)) == ref
 
 
 def test_draw_points_refuses_a_run_of_exactly_max_tries(monkeypatch):
@@ -926,7 +931,7 @@ def test_draw_points_refuses_a_run_of_exactly_max_tries(monkeypatch):
             except SamplingError:
                 ref = None
             try:
-                got = list(draw_points(AB, dom, {}, 5, seed))
+                got = _points(draw_points(AB, dom, {}, 5, seed))
             except SamplingError:
                 got = None
             assert got == ref
@@ -975,7 +980,7 @@ def test_equal_numeric_raises_on_singular_point():
     # sqrt goes non-finite on the negative half of the sampling box
     with pytest.raises(DomainViolation) as err:
         equal_numeric(sp.sqrt(X), sp.sqrt(X), AB, k=50)
-    first_bad = next(p for p in draw_points(AB, SampleDomain(), {}, 50, 0)
+    first_bad = next(p for p in _points(draw_points(AB, SampleDomain(), {}, 50, 0))
                      if p["x"] < 0)
     assert err.value.point == first_bad
     assert all(type(v) is float for v in err.value.point.values())

@@ -59,26 +59,51 @@ def test_triple_validation(fp):
         Triple(0, (1,), 0, "sideways")
     qdd = fp.system.alphabet.acceleration_symbols[0]
     bad = Triple(0, (qdd,), 0, "strong")
-    # N = f - L*tau - p . eta carries eta's acceleration into total_dt's refusal
-    with pytest.raises(ValueError, match="total_dt input must be free of qddot"):
+    # eta is refused before N = f - L*tau - p . eta is formed
+    with pytest.raises(ValueError, match="eta\\[0\\] holds the acceleration qddot"):
         killing_lhs(fp.system, bad, "strong")
     with pytest.raises(ValueError):
         killing_lhs(fp.system, Triple(0, (1, 1), 0, "strong"), "strong")
 
 
 @pytest.mark.parametrize("component", ["tau", "xi", "f"])
-def test_a_triple_holding_an_acceleration_is_refused_by_total_dt(fp, component):
-    # the library's guard for sympy input: N = f - L*tau - p . eta carries
-    # the acceleration of any component
+def test_a_triple_holding_an_acceleration_is_refused(fp, component):
+    # the library's guard for sympy input: tau and eta are walked before N
+    # is formed, and N = f - L*tau - p . eta carries f's acceleration into
+    # total_dt's refusal
     qdd = fp.system.alphabet.acceleration_symbols[0]
     parts = {"tau": 0, "xi": (1,), "f": 0}
     parts[component] = (qdd,) if component == "xi" else qdd
+    message = {"tau": "tau holds the acceleration qddot",
+               "xi": "eta\\[0\\] holds the acceleration qddot",
+               "f": "total_dt input must be free of qddot"}[component]
     for form in FORMS:
         bad = Triple(parts["tau"], parts["xi"], parts["f"], form)
-        with pytest.raises(ValueError, match="total_dt input must be free of qddot"):
+        with pytest.raises(ValueError, match=message):
             verify_triple(fp.system, bad)
-        with pytest.raises(ValueError, match="total_dt input must be free of qddot"):
+        with pytest.raises(ValueError, match=message):
             noether_integral(fp.system, bad)
+
+
+@pytest.mark.parametrize("form", FORMS)
+def test_accelerations_that_cancel_in_the_integral_are_refused(fp, form):
+    # L*tau and p . eta cancel here, so N = 0 holds no acceleration and
+    # total_dt cannot see one: tau is refused before N is formed
+    qd, qdd = fp.system.alphabet.velocity_symbols[0], fp.system.alphabet.acceleration_symbols[0]
+    bad = Triple(qdd, (qd * qdd / 2,), 0, form)
+    for call in (lambda: killing_lhs(fp.system, bad, form),
+                 lambda: verify_triple(fp.system, bad),
+                 lambda: noether_integral(fp.system, bad)):
+        with pytest.raises(ValueError, match="tau holds the acceleration qddot"):
+            call()
+
+
+def test_a_solver_refuses_an_acceleration_in_its_inputs(fp):
+    qd, qdd = fp.system.alphabet.velocity_symbols[0], fp.system.alphabet.acceleration_symbols[0]
+    with pytest.raises(ValueError, match="tau holds the acceleration qddot"):
+        solve_strong(fp.system, qd, tau=qdd)
+    with pytest.raises(ValueError, match="eta\\[0\\] holds the acceleration qddot"):
+        solve_onflow(fp.system, qd, 0, (qdd,))
 
 
 def test_killing_lhs_translation_symmetry(fp):
@@ -112,7 +137,7 @@ def _assert_nodes_match_expansion(sysdef, e, include_acc, exclusions=(), k=200):
     in the oracle's residual |a - b| / (1 + max(|a|, |b|)) at k points."""
     ab = sysdef.alphabet
     pts = draw_points(ab, sysdef.domain(exclusions), sysdef.param_values, k, 7, include_acc)
-    a, b = (_eval_rows(compile_fn([x], ab, include_acc), pts.columns, k)[0]
+    a, b = (_eval_rows(compile_fn([x], ab, include_acc), pts, k)[0]
             for x in (e, _expand(e)))
     assert np.isfinite(a).all() and np.isfinite(b).all()
     resid = np.abs(a - b) / (1 + np.maximum(np.abs(a), np.abs(b)))

@@ -137,10 +137,15 @@ def test_every_annotation_resolves(name):
 
 
 SOURCES = sorted(Path(noetherkit.__file__).parent.glob("*.py"))
+# the package's modules, then the scripts beside it
+IMPORTERS = SOURCES + sorted(p for d in ("tools", "demos")
+                             for p in (Path(__file__).parents[1] / d).glob("*.py"))
 
 
-@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+@pytest.mark.parametrize("path", IMPORTERS,
+                         ids=lambda p: p.name if p in SOURCES else f"{p.parent.name}/{p.name}")
 def test_no_module_imports_a_name_it_never_reads(path):
+    # a name counts as used when the module reads it or lists it in __all__
     tree = ast.parse(path.read_text())
     imported = {}
     for node in ast.walk(tree):
@@ -151,6 +156,9 @@ def test_no_module_imports_a_name_it_never_reads(path):
                 imported[(alias.asname or alias.name).partition(".")[0]] = node.lineno
     read = {node.id for node in ast.walk(tree)
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    read |= {elt.value for node in tree.body if isinstance(node, ast.Assign)
+             and [getattr(t, "id", None) for t in node.targets] == ["__all__"]
+             for elt in getattr(node.value, "elts", ()) if isinstance(elt, ast.Constant)}
     assert {name: line for name, line in imported.items() if name not in read} == {}
 
 
