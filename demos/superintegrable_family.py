@@ -49,4 +49,4 @@ rank, per_point = functional_independence_rank(
     sysdef, [entry.integrals[n] for n in ("N1", "N2", "N3")]
 )
 print(f"functional independence rank of (N1, N2, N3): {rank} "
-      f"({per_point.count(rank)}/10 sample points)")
+      f"({per_point.count(rank)}/{len(per_point)} sample points)")

@@ -13,7 +13,7 @@ Three systems, each with named first integrals and named solution triples:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import sympy as sp
 
@@ -51,8 +51,7 @@ class CorpusEntry:
     system: LagrangianSystem
     integrals: dict[str, sp.Expr]
     triples: dict[str, Triple]
-    triple_integrals: dict[str, sp.Expr] = field(default_factory=dict)
-    notes: dict[str, str] = field(default_factory=dict)
+    triple_integrals: dict[str, sp.Expr]
 
 
 def load(name: str, **kwargs) -> CorpusEntry:
@@ -81,6 +80,8 @@ def free_particle() -> CorpusEntry:
     qd, = ab.velocity_symbols
     sys = build_system(qd**2 / 2, ab, name="freeparticle")
 
+    # integrals not quadratic in qdot, such as (q - t*qdot)^3, cannot come
+    # from velocity-independent triples
     integrals = {
         "momentum": -qd,
         "boost": q - t * qd,
@@ -90,7 +91,9 @@ def free_particle() -> CorpusEntry:
     }
 
     # the three symmetries that do not complete strongly get their on-flow
-    # boundary terms relative to N = q - t*qdot
+    # boundary terms relative to N = q - t*qdot: the point symmetries q*d_q
+    # (its Killing left-hand side qdot^2 is not linear in qdot), q*d_t and
+    # qt*d_t + q^2*d_q
     N = q - t * qd
     triples = {
         "gamma1": Triple(sp.Integer(0), (sp.Integer(1),), sp.Integer(0), STRONG),
@@ -112,15 +115,7 @@ def free_particle() -> CorpusEntry:
         "gamma7": N,
         "gamma8": N,
     }
-    notes = {
-        "gamma6": "point symmetry q*d_q; no strong completion, the Killing "
-        "left-hand side qdot^2 is not linear in qdot",
-        "gamma7": "point symmetry q*d_t; no strong completion",
-        "gamma8": "point symmetry qt*d_t + q^2*d_q; no strong completion",
-        "cubic": "integrals not quadratic in qdot, e.g. (q - t*qdot)^3, "
-        "cannot come from velocity-independent triples",
-    }
-    return CorpusEntry(sys, integrals, triples, triple_integrals, notes)
+    return CorpusEntry(sys, integrals, triples, triple_integrals)
 
 
 # ---------------------------------------------------------------------------
@@ -174,12 +169,17 @@ def isochrony(G: str = "x", c: float = 0.0) -> CorpusEntry:
 
     Gp = _diff(Gx, x)
     N1 = xd * yd + Gx * y
+    # g^{-1} d_qdot N2 = (0, xdot), so its velocity Jacobian is [[0,0],[1,0]];
+    # sign conventions for this matrix differ across sources
     N2 = xd**2 / 2 + Gint
     N3 = (cs + x**2) * Gp * xd * y - (cs + x**2) * Gx * yd - x * xd**2 * yd + xd**3 * y
 
     h = (cs + x**2) * Gx + x * xd**2
     # on-flow total derivative of h: xdot*d_x h - G*d_xdot h
     h_dot = xd * _diff(h, x) - Gx * _diff(h, xd)
+    # onflow_N3 is not a strong solution: xi - (tau*qdot - g^{-1} d_qdot N3)
+    # = (0, (c+x^2)G'(x)y + (3*xdot*y - 2*x*ydot)*xdot) is nonzero at
+    # generic points
     triples = {
         "strong_N1": Triple(sp.Integer(1), (sp.Integer(0), sp.Integer(0)),
                             sp.Integer(0), STRONG),
@@ -187,21 +187,7 @@ def isochrony(G: str = "x", c: float = 0.0) -> CorpusEntry:
         "strong_N3": isochrony_strong_triple(sys, sp.Integer(0)),
     }
     triple_integrals = {"strong_N1": N1, "onflow_N3": N3, "strong_N3": N3}
-    notes = {
-        "N2": "direct computation gives g^{-1} d_qdot N2 = (0, xdot), i.e. "
-        "the velocity Jacobian [[0,0],[1,0]]; recorded here because sign "
-        "conventions for this matrix differ across sources",
-        "onflow_N3": "not a strong solution: xi - (tau*qdot - g^{-1} d_qdot N3) "
-        "= (0, (c+x^2)G'(x)y + (3*xdot*y - 2*x*ydot)*xdot) is nonzero at "
-        "generic points",
-    }
-    return CorpusEntry(
-        sys,
-        {"N1": N1, "N2": N2, "N3": N3},
-        triples,
-        triple_integrals,
-        notes,
-    )
+    return CorpusEntry(sys, {"N1": N1, "N2": N2, "N3": N3}, triples, triple_integrals)
 
 
 def isochrony_strong_triple(sys: LagrangianSystem, T) -> Triple:
@@ -222,16 +208,10 @@ def isochrony_strong_triple(sys: LagrangianSystem, T) -> Triple:
     return Triple(T, xi, f, STRONG)
 
 
-def check_G_ode(
-    G_expr,
-    c: float,
-    *,
-    k: int = 100,
-    tol: float = 1e-9,
-    seed: int = 0,
-) -> IdentityReport:
-    """Check (c + x^2) G'' + 3 x G' - 3 G = 0 on random x samples, kept off
-    the zero set of the residual's denominator."""
+def check_G_ode(G_expr, c: float) -> IdentityReport:
+    """Check (c + x^2) G'' + 3 x G' - 3 G = 0 with ``equal_numeric``'s own
+    k = 100 x samples at seed 0 and tolerance 1e-9, kept off the zero set of
+    the residual's denominator."""
     ab = Alphabet(coords=("x",), params=("c",))
     x, = ab.coord_symbols
     cs = ab.param_symbols[0]
@@ -244,7 +224,6 @@ def check_G_ode(
         residual, 0, ab,
         param_values={"c": float(c)},
         domain=SampleDomain(exclusions=exclusions),
-        k=k, tol=tol, seed=seed,
         label=f"G-ode[{G_expr}, c={c}]",
     )
 
@@ -296,6 +275,8 @@ def kepler3d(param_values: dict | None = None) -> CorpusEntry:
         "lrl1": A[0],
         "lrl2": A[1],
         "lrl3": A[2],
+        # cannot come from a velocity-independent triple: g^{-1} d_qdot N is
+        # quadratic in the velocities
         "lrl_u": -_dot(u, A),
     }
 
@@ -312,17 +293,13 @@ def kepler3d(param_values: dict | None = None) -> CorpusEntry:
         "onflow_simple": Triple(tau0, tuple(tau0 * vi for vi in v), f0, ONFLOW),
         "levy_leblond": Triple(sp.Integer(0), xi_L, f0, ONFLOW),
         "lrl_gauge": Triple(sp.Integer(0), xi_Z, f0, ONFLOW),
+        # the member h = 0 of the one-parameter boundary-term family around
+        # the lrl_gauge triple; the zero choice trivializes the gauge
         "family_h0": kepler_family_triple(sys, sp.Integer(0)),
         "strong_b": kepler_strong_triple(sys, sp.Integer(0)),
     }
     triple_integrals = {name: integrals["lrl_u"] for name in triples}
-    notes = {
-        "lrl_u": "cannot come from a velocity-independent triple: "
-        "g^{-1} d_qdot N is quadratic in the velocities",
-        "family_h0": "member h = 0 of the one-parameter boundary-term family "
-        "around the lrl_gauge triple; the zero choice trivializes the gauge",
-    }
-    return CorpusEntry(sys, integrals, triples, triple_integrals, notes)
+    return CorpusEntry(sys, integrals, triples, triple_integrals)
 
 
 def kepler_family_triple(sys: LagrangianSystem, h) -> Triple:

@@ -56,6 +56,8 @@ SINGULAR_ABORT = 1e-3
 MAX_STEPS = 1_000_000
 # singular values below this fraction of the largest do not count to the rank
 SVD_RTOL = 1e-8
+# the rank is majority-voted over this many sample points
+RANK_POINTS = 10
 # a name in the RK4 loop's source, and a call
 _NAME = re.compile(r"[^\W\d][\w·]*")
 _CALL = re.compile(r"[\w·]\(")
@@ -74,7 +76,7 @@ class Trajectory:
     q: np.ndarray  # shape (m, n)
     qdot: np.ndarray  # shape (m, n)
     dt: float
-    truncated: bool = False
+    truncated: bool
 
 
 @dataclass(frozen=True)
@@ -105,7 +107,10 @@ def integrate(
     t1: float,
     dt: float = 1e-3,
 ) -> Trajectory:
-    """Integrate qddot = Lam(t, q, qdot) from (t0, q0, qdot0) up to t1.
+    """Integrate qddot = Lam(t, q, qdot) from (t0, q0, qdot0) over
+    round((t1 - t0)/dt) steps of dt, so the last node may lie up to dt/2
+    past t1 or before it: t1 = 1 ends at 1.05 with dt = 0.35 and at 0.9
+    with dt = 0.3.
 
     The start is evaluated on float64 scalars by the ``at`` of
     :func:`_rk4_loop`, and the steps run in its loop on Python floats,
@@ -363,14 +368,11 @@ def monitor_drift(
 
 
 def functional_independence_rank(
-    sys: LagrangianSystem,
-    integrals: Sequence,
-    *,
-    points: int = 10,
-    seed: int = 0,
+    sys: LagrangianSystem, integrals: Sequence
 ) -> tuple[int, list[int]]:
     """Numeric rank of the Jacobian of the integrals with respect to
-    (q, qdot), majority-voted over sample points.
+    (q, qdot), majority-voted over RANK_POINTS = 10 sample points drawn at
+    seed 0.
 
     Returns (majority rank, per-point ranks).
     """
@@ -379,8 +381,8 @@ def functional_independence_rank(
     state = ab.coord_symbols + ab.velocity_symbols
     jac_entries = [_diff(e, s) for e in exprs for s in state]
     fn = compile_fn(jac_entries, ab)
-    pts = draw_points(ab, sys.domain(), sys.param_values, points, seed)
-    J = _eval_rows(fn, pts, points).T.reshape(points, len(exprs), len(state))
+    pts = draw_points(ab, sys.domain(), sys.param_values, RANK_POINTS, 0)
+    J = _eval_rows(fn, pts, RANK_POINTS).T.reshape(RANK_POINTS, len(exprs), len(state))
     sv = np.linalg.svd(J, compute_uv=False)
     ranks = [int(n) for n in np.sum(sv > SVD_RTOL * sv[:, :1], axis=1)]
     majority = max(set(ranks), key=ranks.count)

@@ -122,8 +122,9 @@ _COMPLEX_STEP_FUNCS = {
 # the functions the compiled grammar holds, by the name compiled code calls
 _FUNCTION_NAMES = {sp.sin: "sin", sp.cos: "cos", sp.exp: "exp", sp.log: "log",
                    sp.Abs: "abs", sp.sign: "sign"}
+# every name compiled code calls: float prints a non-finite number
 _GLOBALS = {"sqrt": np.sqrt, "sin": np.sin, "cos": np.cos, "exp": np.exp, "log": np.log,
-            **_COMPLEX_STEP_FUNCS}
+            "float": float, **_COMPLEX_STEP_FUNCS}
 # precedence of printed code, ranked as sympy's printers rank it
 _ADD, _MUL, _POW, _ATOM = 40, 50, 60, 1000
 _sources = itertools.count()

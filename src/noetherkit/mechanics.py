@@ -14,7 +14,7 @@ sampling before adj g and Lam are formed, not proven.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -56,16 +56,16 @@ class LagrangianSystem:
     name: str
     alphabet: Alphabet
     L: sp.Expr
-    param_values: dict[str, float] = field(default_factory=dict)
-    exclusions: tuple[Exclusion, ...] = ()
-    var_ranges: dict[str, tuple[float, float]] = field(default_factory=dict)
-    p: tuple[sp.Expr, ...] = ()
-    g: sp.Matrix = None
-    lam: tuple[sp.Expr, ...] = ()
-    rhs: tuple[sp.Expr, ...] = ()
-    det_g: sp.Expr = None
-    adj_g: sp.Matrix = None
-    E: tuple[sp.Expr, ...] = ()
+    param_values: dict[str, float]
+    exclusions: tuple[Exclusion, ...]
+    var_ranges: dict[str, tuple[float, float]]
+    p: tuple[sp.Expr, ...]
+    g: sp.Matrix
+    lam: tuple[sp.Expr, ...]
+    rhs: tuple[sp.Expr, ...]
+    det_g: sp.Expr
+    adj_g: sp.Matrix
+    E: tuple[sp.Expr, ...]
 
     @property
     def n(self) -> int:

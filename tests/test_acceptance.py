@@ -148,10 +148,10 @@ def test_criterion_5_multiplicity_invariance(fp, iso, kepler, report):
 def test_criterion_6_superintegrable_family(iso_steep, report):
     x = sp.Symbol("x", real=True)
     ode_ok = (
-        check_G_ode(x, 0.0, k=K, tol=TOL).passed
-        and check_G_ode(x**-3, 0.0, k=K, tol=TOL).passed
-        and check_G_ode((1 + 2 * x**2) / sp.sqrt(1 + x**2), 1.0, k=K, tol=TOL).passed
-        and not check_G_ode(x**2, 1.0, k=K, tol=TOL).passed
+        check_G_ode(x, 0.0).passed
+        and check_G_ode(x**-3, 0.0).passed
+        and check_G_ode((1 + 2 * x**2) / sp.sqrt(1 + x**2), 1.0).passed
+        and not check_G_ode(x**2, 1.0).passed
     )
     sysdef = iso_steep.system
     traj = integrate(sysdef, (0.0, [1.0, 1.0], [0.3, 0.0]), 10.0, dt=1e-3)

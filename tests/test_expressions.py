@@ -705,13 +705,15 @@ def test_functions_outside_the_grammar_fail_at_compile_time():
         evaluate(e, {"q": 1.0}, ab)
 
 
-@pytest.mark.parametrize("name", ["sign", "abs", "lambda"])
+@pytest.mark.parametrize("name", ["sign", "abs", "lambda", "float"])
 def test_declared_names_never_hide_compiled_functions(name):
     # a coordinate may be named like a function the compiled code calls,
-    # or like a Python keyword
+    # or like a Python keyword; an infinity prints as a call of float
     ab = Alphabet(coords=(name, "x"))
     a, x = ab.coord_symbols
     assert evaluate(a * sp.sign(x) + sp.Abs(x), {name: 2.0, "x": -3.0}, ab) == 1.0
+    assert evaluate(1 / (sp.oo * x + 1), {name: 2.0, "x": -3.0}, ab) == 0.0
+    assert equal_numeric(1 / (sp.oo * a + 1), 0, ab, k=5).passed
 
 
 def test_the_imaginary_unit_is_refused_at_compile_time():

@@ -1,4 +1,5 @@
 import ast
+import dataclasses
 import importlib
 import inspect
 import os
@@ -63,6 +64,54 @@ def test_star_import_and_dir_list_the_exported_names():
     assert set(EXPORTS) <= namespace.keys()
     assert set(EXPORTS) <= set(dir(noetherkit))
     assert sorted(noetherkit.__all__) == sorted(EXPORTS)
+
+
+# The optional settings of every exported name that has one: the defaulted
+# parameters and **kwargs of a function, the defaulted init fields of a
+# dataclass.  A name that is not listed has none.
+OPTIONS = {
+    "Alphabet": ("params",),
+    "Exclusion": ("threshold",),
+    "IdentityReport": ("label", "_sample"),
+    "SampleDomain": ("var_ranges", "exclusions"),
+    "equal_numeric": ("param_values", "domain", "k", "tol", "seed", "include_acc", "label"),
+    "total_dt": ("lam",),
+    "build_system": ("name", "param_values", "exclusions", "var_ranges"),
+    "invert_g_apply": ("seed",),
+    "FirstIntegral": ("name", "conservation"),
+    "Triple": ("exclusions",),
+    "VerificationReport": ("label", "_sample", "mode", "integral_check"),
+    "check_conserved": ("k", "tol", "seed", "extra_exclusions", "name"),
+    "multiplicity_transform": ("c",),
+    "noether_integral": ("k", "tol", "seed"),
+    "solve_alt_strong_trivial_gauge": ("c", "seed"),
+    "solve_onflow": ("seed",),
+    "solve_onflow_simplest": ("c", "seed"),
+    "solve_onflow_with_R": ("c", "seed"),
+    "solve_strong": ("tau", "seed"),
+    "trivialize": ("c",),
+    "verify_triple": ("integral", "form", "k", "tol", "seed"),
+    "integrate": ("dt",),
+    "monitor_drift": ("name",),
+    "load": ("**kwargs",),
+}
+
+
+def _options(obj) -> tuple[str, ...]:
+    if dataclasses.is_dataclass(obj):
+        return tuple(f.name for f in dataclasses.fields(obj) if f.init and (
+            f.default is not dataclasses.MISSING or f.default_factory is not dataclasses.MISSING))
+    if inspect.isfunction(obj):
+        params = inspect.signature(obj).parameters.values()
+        return tuple(f"**{p.name}" if p.kind is p.VAR_KEYWORD else p.name for p in params
+                     if p.default is not p.empty or p.kind is p.VAR_KEYWORD)
+    return ()
+
+
+def test_every_optional_setting_of_the_exported_names_is_listed():
+    found = {name: _options(getattr(noetherkit, name)) for name in noetherkit.__all__}
+    assert {name: opts for name, opts in found.items() if opts} == OPTIONS
+    assert sum(map(len, OPTIONS.values())) == 53
 
 
 def test_unknown_names_raise():

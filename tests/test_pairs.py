@@ -97,3 +97,24 @@ def test_a_run_that_prints_no_record_fails_the_comparison(tmp_path, capsys):
     # the pair without a child value is left out of the comparison
     ops = json.loads(out.read_text())["workloads"]["integrate"]["metrics"]["ops_per_s"]
     assert ops["pairs"] == 1 and ops["child_median"] == 105.0
+
+
+def test_trees_are_named_by_their_sources(tmp_path, capsys):
+    out = tmp_path / "pairs.json"
+    argv = _trees(tmp_path) + ["--workload", "integrate", "--pairs", "1", "--out", str(out)]
+    for side, text in (("parent", "x = 1\n"), ("child", "x = 2\n")):
+        (tmp_path / side / "src" / "pkg").mkdir(parents=True)
+        (tmp_path / side / "src" / "pkg" / "mod.py").write_text(text)
+    names = {side: pairs.source_name(tmp_path / side) for side in ("parent", "child")}
+    assert names["parent"] != names["child"]
+    assert all(name.startswith("src-sha256:") and len(name) == 27 for name in names.values())
+    # the name reads the files' bytes only, not the tree's place
+    (tmp_path / "copy" / "src" / "pkg").mkdir(parents=True)
+    (tmp_path / "copy" / "src" / "pkg" / "mod.py").write_text("x = 1\n")
+    assert pairs.source_name(tmp_path / "copy") == names["parent"]
+
+    assert pairs.main(argv) == 0
+    assert json.loads(out.read_text())["source"] == names
+    printed = capsys.readouterr().out
+    assert f"# parent: {names['parent']} python=3 side=parent" in printed
+    assert f"# child: {names['child']} python=3 side=child" in printed

@@ -16,15 +16,19 @@ child first in odd ones.
 For every end-to-end metric that the child's ``BENCHMARK.json`` names, it
 prints the parent's median [quartiles], the child's median and the child's
 wins out of N, a win being a pair in which the child's value is better in
-the metric's direction.  ``--out`` writes the same as JSON, with the seeds,
-each tree's environment line (the first comment line of run.py's output)
-and every run's record.  The exit code is 1 if any run is not ``correct``,
+the metric's direction.  Each tree is named by the sha256 of its
+``src/**/*.py`` files, as run.py names a tree that is not a git checkout,
+so an uncommitted child is not reported under its parent's commit.
+``--out`` writes the same as JSON, with the seeds, each tree's name and
+environment line (the first comment line of run.py's output) and every
+run's record.  The exit code is 1 if any run is not ``correct``,
 a run that prints no record included, and 0 otherwise.
 """
 
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import statistics
 import subprocess
@@ -33,6 +37,16 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SIDES = ("parent", "child")
+
+
+def source_name(tree: Path) -> str:
+    """``src-sha256:`` and the first 16 hex digits of the sha256 over the
+    sorted ``src/**/*.py`` files, each as its POSIX path relative to the tree,
+    a NUL byte and its bytes."""
+    h = hashlib.sha256()
+    for path in sorted((tree / "src").rglob("*.py")):
+        h.update(path.relative_to(tree).as_posix().encode() + b"\0" + path.read_bytes())
+    return "src-sha256:" + h.hexdigest()[:16]
 
 
 def run_once(tree: Path, workload: str, seed: int, seconds: int) -> tuple[str, dict]:
@@ -115,9 +129,10 @@ def main(argv: list[str] | None = None) -> int:
     metrics = json.loads((trees["child"] / "BENCHMARK.json").read_text())["end_to_end"]
 
     environment = dict.fromkeys(SIDES, "")
+    source = {side: source_name(tree) for side, tree in trees.items()}
     report = {"pairs": args.pairs, "seconds": args.seconds,
               "trees": {side: str(tree) for side, tree in trees.items()},
-              "environment": environment, "workloads": {}}
+              "source": source, "environment": environment, "workloads": {}}
     correct = True
     for workload in args.workload:
         seeds = [args.seed + i for i in range(args.pairs)]
@@ -135,7 +150,7 @@ def main(argv: list[str] | None = None) -> int:
         report["workloads"][workload] = {"seeds": seeds, "metrics": table, "runs": runs}
     report["correct"] = correct
     for side in SIDES:
-        print(f"# {side}: {environment[side]}")
+        print(f"# {side}: {source[side]} {environment[side]}")
     if args.out:
         args.out.write_text(json.dumps(report, indent=1) + "\n")
     return 0 if correct else 1
