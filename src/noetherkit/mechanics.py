@@ -77,15 +77,13 @@ class LagrangianSystem:
             exclusions=self.exclusions + tuple(extra),
         )
 
-    def check(self, a, b, **kw) -> IdentityReport:
-        """equal_numeric preconfigured with this system's parameters and
+    def check(self, a, b, *, extra_exclusions=(), **kw) -> IdentityReport:
+        """equal_numeric at this system's parameters and away from its
         singular-set exclusions.  ``a`` and ``b`` are two expressions or two
         equal-length lists checked componentwise; ``extra_exclusions`` adds
         to the system's exclusions."""
-        extra = kw.pop("extra_exclusions", ())
-        kw.setdefault("param_values", self.param_values)
-        kw.setdefault("domain", self.domain(extra))
-        return equal_numeric(a, b, self.alphabet, **kw)
+        return equal_numeric(a, b, self.alphabet, param_values=self.param_values,
+                             domain=self.domain(extra_exclusions), **kw)
 
 
 def _matvec(m: sp.Matrix, v: Sequence[sp.Expr]) -> list[sp.Expr]:

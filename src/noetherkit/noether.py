@@ -26,12 +26,13 @@ f = N + L*tau + d_qdot L . eta.  The zero-gauge solvers compose them with
 
 eta is the one quantity this module derives, and one rule keeps it: a
 solver's or transform's triple carries eta (``Triple.eta``) in its system's
-velocities, with xi built from eta on first read (eta + qdot*tau in the
-standard convention); a triple built from xi derives eta at each check.
-Every solver and transform builds its triple through ``_derived``; a check
-on a system with the same velocities reads the stored eta, and no check
-writes into a triple, so a triple's verdict does not depend on what it was
-checked against before.
+velocities, with xi built from that eta alone on first read (eta +
+qdot*tau in the standard convention), so a triple holds no system; a
+triple built from xi derives eta at each check.  Every solver and
+transform builds its triple through ``_derived``; a check on a system with
+the same velocities reads the stored eta, and no check writes into a
+triple, so a triple's verdict does not depend on what it was checked
+against before.
 A solve, its transforms and ``noether_integral`` never build xi: each
 reads eta in the convention its triple's form names, and only a check in
 a sense of the other convention derives that convention's eta, from xi.
@@ -105,27 +106,22 @@ class NotConservedError(ValueError):
         )
 
 
-class _Pending(partial):
-    """A recipe for a triple's xi: the call that builds it, run on first read."""
-
-
 class _BuiltOnRead:
-    """Descriptor of ``Triple.xi``: holds a tuple, or a :class:`_Pending`
-    that its first read runs and replaces with the tuple it builds."""
-
-    def __set_name__(self, owner, name):
-        self.slot = "_" + name
+    """Descriptor of ``Triple.xi``, held in the slot ``_xi``: a derived
+    triple's slot holds None until its first read builds xi from the stored
+    eta, its velocities, tau and the convention of its form."""
 
     def __get__(self, obj, owner=None):
         if obj is None:  # no class-level default: the field stays required
-            raise AttributeError(self.slot)
-        value = obj.__dict__[self.slot]
-        if isinstance(value, _Pending):
-            value = obj.__dict__[self.slot] = value()
-        return value
+            raise AttributeError("_xi")
+        xi = obj.__dict__["_xi"]
+        if xi is None and obj.eta is not None:
+            xi = obj.__dict__["_xi"] = _xi(obj._eta_velocities, obj.tau, obj.eta,
+                                           _decode(obj.form)[1])
+        return xi
 
     def __set__(self, obj, value):  # reached from __init__ only: Triple is frozen
-        obj.__dict__[self.slot] = value
+        obj.__dict__["_xi"] = value
 
 
 @dataclass(frozen=True)
@@ -138,8 +134,8 @@ class Triple:
     ``eta`` is the characteristic in the convention of ``form``: a solver's
     or transform's triple carries it in its system's velocities, with xi
     built from it on first read; a triple built from xi has None, and each
-    check derives eta from xi.  ``replace`` leaves it unset.  xi may be
-    given as a :class:`_Pending` recipe.
+    check derives eta from xi.  ``replace`` leaves it unset.  A triple
+    holds no system, and a copy of a derived triple keeps xi unbuilt.
     """
 
     tau: sp.Expr
@@ -153,12 +149,7 @@ class Triple:
                                                           repr=False, compare=False)
 
     def __post_init__(self):
-        if self.form not in FORMS:
-            raise ValueError(f"unknown form {self.form!r}")
-
-    def __getstate__(self):
-        # a pending recipe holds the whole system: pickle the tuple it builds
-        return dict(self.__dict__, _xi=self.xi)
+        _decode(self.form)
 
     def simplified(self) -> "Triple":
         """Each component through ``tidy``.  Only the benchmark's set-up calls
@@ -168,9 +159,8 @@ class Triple:
 
 def _derived(sys: LagrangianSystem, tau, eta, f, form, exclusions) -> Triple:
     """A solver's or transform's triple: eta stored with the velocities of
-    ``sys`` it is written in, and xi the :class:`_Pending` recipe built from it."""
-    xi = _Pending(_xi, sys, tau, eta, _decode(form)[1])
-    tr = Triple(tau=tau, xi=xi, f=f, form=form, exclusions=exclusions)
+    ``sys`` it is written in, and xi None until its first read builds it."""
+    tr = Triple(tau=tau, xi=None, f=f, form=form, exclusions=exclusions)
     object.__setattr__(tr, "eta", eta)
     object.__setattr__(tr, "_eta_velocities", sys.alphabet.velocity_symbols)
     return tr
@@ -237,11 +227,12 @@ def _eta(sys: LagrangianSystem, tau, xi: Sequence, convention: str) -> tuple:
     return tuple(x - v * tau for x, v in zip(xi, sys.alphabet.velocity_symbols))
 
 
-def _xi(sys: LagrangianSystem, tau, eta: Sequence, convention: str) -> tuple:
-    """Inverse of ``_eta``: xi from the characteristic and the time change."""
+def _xi(velocities: Sequence, tau, eta: Sequence, convention: str) -> tuple:
+    """Inverse of ``_eta``: xi from the characteristic, written in the
+    velocity symbols ``velocities``, and the time change."""
     if convention == "alternative":
         return tuple(eta)
-    return tuple(e + v * tau for e, v in zip(eta, sys.alphabet.velocity_symbols, strict=True))
+    return tuple(e + v * tau for e, v in zip(eta, velocities, strict=True))
 
 
 def _L_times(sys: LagrangianSystem, tau) -> sp.Expr:
@@ -262,11 +253,16 @@ def _acceleration_free(sys: LagrangianSystem, tau, eta: Sequence) -> None:
                              "a triple is a function of t, q and qdot")
 
 
-def _complete(sys: LagrangianSystem, N, tau, eta: Sequence) -> sp.Expr:
-    """Boundary term of the triple with integral N: f = N + L*tau + p . eta,
-    as one sum, which flattens its terms once, not once per term."""
+def _noether_sum(sys: LagrangianSystem, head, tau, eta: Sequence, sign: int) -> sp.Expr:
+    """head + sign*(L*tau + p . eta) as one sum, which flattens its terms
+    once, not once per term: the boundary term f = N + L*tau + p . eta of
+    the triple with integral N at sign 1, and the integral N = f - L*tau -
+    p . eta of a triple at sign -1, whose terms are negated one by one."""
     _acceleration_free(sys, tau, eta)
-    return sp.Add(N, _L_times(sys, tau), *[pi * e for pi, e in zip(sys.p, eta)])
+    terms = [_L_times(sys, tau), *[pi * e for pi, e in zip(sys.p, eta)]]
+    if sign < 0:
+        terms = [-term for term in terms]
+    return sp.Add(head, *terms)
 
 
 def killing_lhs(sys: LagrangianSystem, tr: Triple, form: str) -> sp.Expr:
@@ -286,7 +282,7 @@ def _killing_terms(sys: LagrangianSystem, tr: Triple, form: str):
     eta = _characteristic(sys, tr, convention)
     ab = sys.alphabet
     lam = None if strong else sys.lam
-    N = _integral_expr(sys, tr, eta)
+    N = _noether_sum(sys, tr.f, tr.tau, eta, -1)
     dt_f = total_dt(tr.f, ab, lam)
     lhs = dt_f - total_dt(N, ab, lam)
     if strong:
@@ -371,12 +367,6 @@ def _g_inv_grad(sys: LagrangianSystem, Nexpr: sp.Expr, seed: int) -> tuple[sp.Ex
     return invert_g_apply(sys, grad, seed=seed)
 
 
-def _integral_expr(sys: LagrangianSystem, tr: Triple, eta: Sequence) -> sp.Expr:
-    """N = f - L*tau - p . eta, as one sum (see :func:`_complete`)."""
-    _acceleration_free(sys, tr.tau, eta)
-    return sp.Add(tr.f, -_L_times(sys, tr.tau), *[-(pi * e) for pi, e in zip(sys.p, eta)])
-
-
 def noether_integral(
     sys: LagrangianSystem, tr: Triple, *, k: int = 100, tol: float = 1e-9, seed: int = 0,
 ) -> FirstIntegral:
@@ -387,7 +377,7 @@ def noether_integral(
     _, convention = _decode(tr.form)
     eta = _characteristic(sys, tr, convention)
     return check_conserved(
-        sys, _integral_expr(sys, tr, eta), k=k, tol=tol, seed=seed,
+        sys, _noether_sum(sys, tr.f, tr.tau, eta, -1), k=k, tol=tol, seed=seed,
         extra_exclusions=tr.exclusions, name=f"noether:{convention}",
     )
 
@@ -399,7 +389,7 @@ def solve_onflow(sys: LagrangianSystem, N, tau, xi: Sequence, *, seed: int = 0) 
     tau = sp.sympify(tau)
     eta = _eta(sys, tau, xi, "standard")
     Nexpr = _require_conserved(sys, N, seed).expr
-    return _derived(sys, tau, eta, _complete(sys, Nexpr, tau, eta), ONFLOW, ())
+    return _derived(sys, tau, eta, _noether_sum(sys, Nexpr, tau, eta, 1), ONFLOW, ())
 
 
 def solve_onflow_simplest(
@@ -431,7 +421,7 @@ def solve_strong(sys: LagrangianSystem, N, tau=sp.Integer(0), *, seed: int = 0) 
     Nexpr = _require_conserved(sys, N, seed).expr
     tau = sp.sympify(tau)
     eta = tuple(-wi for wi in _g_inv_grad(sys, Nexpr, seed))
-    return _derived(sys, tau, eta, _complete(sys, Nexpr, tau, eta), STRONG, ())
+    return _derived(sys, tau, eta, _noether_sum(sys, Nexpr, tau, eta, 1), STRONG, ())
 
 
 def solve_alt_strong_trivial_gauge(
@@ -468,15 +458,18 @@ def multiplicity_transform(
     earlier = sum(ex.expr == denom for ex in tr.exclusions) if c else 0
     margin = DENOM_MARGIN ** (2 / (earlier + 2))
     return _derived(sys, tr.tau + shift, _characteristic(sys, tr, convention), f, tr.form,
-                    tr.exclusions + (Exclusion(denom, margin),))
+                    (*tr.exclusions, Exclusion(denom, margin)))
 
 
 def trivialize(sys: LagrangianSystem, tr: Triple, which: str, *, c: float = 0.0) -> Triple:
     """Equivalent triple with zero time change (``which='time'``: xi = eta,
     f -= L*tau) or zero boundary term (``which='gauge'``: the
     multiplicity transform to h = 0, which leaves f*c/(L+c), zero only at
-    c = 0); the first integral is unchanged."""
+    c = 0); the first integral is unchanged.  c is the gauge's shift, so a
+    time trivialization refuses a nonzero one."""
     if which == "time":
+        if c:
+            raise ValueError(f"c = {c!r} shifts the gauge: a time trivialization takes none")
         return _derived(sys, sp.Integer(0), _characteristic(sys, tr, _decode(tr.form)[1]),
                         tr.f - _L_times(sys, tr.tau), tr.form, tr.exclusions)
     if which == "gauge":

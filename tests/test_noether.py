@@ -15,6 +15,7 @@ from sympy.printing.str import StrPrinter
 from noetherkit.expressions import (
     Alphabet,
     DomainViolation,
+    Exclusion,
     TotalDerivative,
     _eval_rows,
     compile_fn,
@@ -44,12 +45,11 @@ from noetherkit.noether import (
     velocity_independence_check,
     verify_triple,
     _characteristic,
-    _complete,
     _eta,
     _g_inv_grad,
-    _integral_expr,
     _killing_terms,
     _L_times,
+    _noether_sum,
     _require_conserved,
 )
 
@@ -624,7 +624,7 @@ def test_strong_solutions_are_determined_by_their_integral(systems, data):
 
 def _chained_complete(sysdef, N, tau, eta):
     """f = N + L*tau + p . eta as a chain of binary sums: the tree that
-    _complete builds in one sum."""
+    _noether_sum builds in one sum."""
     return N + _L_times(sysdef, tau) + sum(pi * e for pi, e in zip(sysdef.p, eta))
 
 
@@ -640,11 +640,11 @@ def test_triple_sums_are_the_chained_sums(systems, data):
     ab = sysdef.alphabet
     tau = data.draw(_polys(ab))
     eta = _eta(sysdef, tau, [data.draw(_polys(ab)) for _ in range(sysdef.n)], "standard")
-    assert sp.srepr(_complete(sysdef, N, tau, eta)) == sp.srepr(
+    assert sp.srepr(_noether_sum(sysdef, N, tau, eta, 1)) == sp.srepr(
         _chained_complete(sysdef, N, tau, eta))
     for convention in ("standard", "alternative"):
         eta = _characteristic(sysdef, tr, convention)
-        assert sp.srepr(_integral_expr(sysdef, tr, eta)) == sp.srepr(
+        assert sp.srepr(_noether_sum(sysdef, tr.f, tr.tau, eta, -1)) == sp.srepr(
             _chained_integral(sysdef, tr, convention))
 
 
@@ -813,6 +813,36 @@ def test_triples_with_xi_not_built_copy_whole(kepler, clone):
         copied = clone(tr)
         assert copied == tr and hash(copied) == hash(tr)
         assert noether_integral(sysdef, copied).expr == noether_integral(sysdef, tr).expr
+
+
+def test_copies_of_a_derived_triple_build_no_xi(kepler, xi_calls):
+    # a derived triple holds eta, not its system, so a copy carries the
+    # unbuilt slot and builds on its own first read the xi of the original
+    sysdef = kepler.system
+    tr = solve_strong(sysdef, kepler.integrals["lrl_u"], sysdef.alphabet.t)
+    copies = [pickle.loads(pickle.dumps(tr)), copy.deepcopy(tr)]
+    assert xi_calls == []
+    for copied in copies:
+        assert sp.srepr(copied.xi) == sp.srepr(tr.xi)
+    assert "xi=None" in repr(Triple(0, None, 0, "strong"))
+
+
+def test_a_time_trivialization_refuses_a_gauge_shift(fp):
+    tr = next(iter(fp.triples.values()))
+    with pytest.raises(ValueError, match="c = 5 shifts the gauge"):
+        trivialize(fp.system, tr, "time", c=5)
+    assert trivialize(fp.system, tr, "time", c=0).tau == 0
+
+
+def test_a_gauge_trivialization_takes_exclusions_given_as_a_list(fp):
+    # a library triple may list its exclusions; the transform appends its
+    # denominator to them
+    q = fp.system.alphabet.coord_symbols[0]
+    tr = Triple(1, (0,), 0, "strong", exclusions=[Exclusion(q, 0.1)])
+    assert verify_triple(fp.system, tr).passed
+    gauged = trivialize(fp.system, tr, "gauge")
+    assert gauged.exclusions == (Exclusion(q, 0.1), Exclusion(fp.system.L, DENOM_MARGIN))
+    assert verify_triple(fp.system, gauged).passed
 
 
 # Library round trips at seed 11, pinned by sha256: for each integral of the
