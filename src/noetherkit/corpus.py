@@ -14,6 +14,7 @@ Three systems, each with named first integrals and named solution triples:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import sympy as sp
 
@@ -198,7 +199,7 @@ def isochrony_strong_triple(sys: LagrangianSystem, T) -> Triple:
     x, y = ab.coord_symbols
     xd, yd = ab.velocity_symbols
     cs = ab.param_symbols[0]
-    Gx = -sys.lam[0]  # L = xdot*ydot - G(x)*y has normal form (-G, -G'y)
+    Gx = -_diff(sys.L, y)  # L = xdot*ydot - G(x)*y
     Gp = _diff(Gx, x)
     xi = (
         (cs + x**2) * Gx + (T + x * xd) * xd,
@@ -247,31 +248,37 @@ def _dot(a, b):
 KEPLER_DEFAULTS = {"mu": 1.0, "u1": 0.3, "u2": -0.2, "u3": 0.5}
 
 
-def kepler3d(param_values: dict | None = None) -> CorpusEntry:
-    ab = Alphabet(coords=("r1", "r2", "r3"), params=("mu", "u1", "u2", "u3"))
+def _kepler_terms(ab: Alphabet) -> SimpleNamespace:
+    """The symbols r, v, mu, u of the Kepler alphabet and the terms its
+    builders share: |r|, r x v, v x (r x v), f0 = mu u.r/|r| and
+    xi_Z = (r x v) x u."""
     r = ab.coord_symbols
     v = ab.velocity_symbols
     mu = ab.param_symbols[0]
     u = ab.param_symbols[1:]
     rnorm = sp.sqrt(_dot(r, r))
+    ang = _cross(r, v)
+    return SimpleNamespace(r=r, v=v, mu=mu, u=u, rnorm=rnorm, ang=ang, v_ang=_cross(v, ang),
+                           f0=mu * _dot(r, u) / rnorm, xi_Z=_cross(ang, u))
 
-    L = _dot(v, v) / 2 + mu / rnorm
+
+def kepler3d(param_values: dict | None = None) -> CorpusEntry:
+    ab = Alphabet(coords=("r1", "r2", "r3"), params=("mu", "u1", "u2", "u3"))
+    k = _kepler_terms(ab)
+    r, v, mu, u = k.r, k.v, k.mu, k.u
     sys = build_system(
-        L, ab,
+        _dot(v, v) / 2 + mu / k.rnorm, ab,
         name="kepler3d",
         param_values={**KEPLER_DEFAULTS, **(param_values or {})},
         exclusions=(Exclusion(_dot(r, r), STEEP_SINGULAR_MARGIN),),
     )
 
-    A = tuple(
-        ci - mu * ri / rnorm for ci, ri in zip(_cross(v, _cross(r, v)), r)
-    )
-    ang = _cross(r, v)
+    A = tuple(ci - mu * ri / k.rnorm for ci, ri in zip(k.v_ang, r))
     integrals = {
-        "energy": _dot(v, v) / 2 - mu / rnorm,
-        "angmom1": ang[0],
-        "angmom2": ang[1],
-        "angmom3": ang[2],
+        "energy": _dot(v, v) / 2 - mu / k.rnorm,
+        "angmom1": k.ang[0],
+        "angmom2": k.ang[1],
+        "angmom3": k.ang[2],
         "lrl1": A[0],
         "lrl2": A[1],
         "lrl3": A[2],
@@ -280,19 +287,17 @@ def kepler3d(param_values: dict | None = None) -> CorpusEntry:
         "lrl_u": -_dot(u, A),
     }
 
-    f0 = mu * _dot(r, u) / rnorm
-    tau0 = _dot(u, _cross(v, _cross(r, v))) / L
+    tau0 = _dot(u, k.v_ang) / sys.L
     xi_L = tuple(
         _dot(r, u) * vi - sp.Rational(1, 2) * _dot(v, u) * ri
         - sp.Rational(1, 2) * _dot(v, r) * ui
         for vi, ri, ui in zip(v, r, u)
     )
-    xi_Z = _cross(_cross(r, v), u)
 
     triples = {
-        "onflow_simple": Triple(tau0, tuple(tau0 * vi for vi in v), f0, ONFLOW),
-        "levy_leblond": Triple(sp.Integer(0), xi_L, f0, ONFLOW),
-        "lrl_gauge": Triple(sp.Integer(0), xi_Z, f0, ONFLOW),
+        "onflow_simple": Triple(tau0, tuple(tau0 * vi for vi in v), k.f0, ONFLOW),
+        "levy_leblond": Triple(sp.Integer(0), xi_L, k.f0, ONFLOW),
+        "lrl_gauge": Triple(sp.Integer(0), k.xi_Z, k.f0, ONFLOW),
         # the member h = 0 of the one-parameter boundary-term family around
         # the lrl_gauge triple; the zero choice trivializes the gauge
         "family_h0": kepler_family_triple(sys, sp.Integer(0)),
@@ -306,16 +311,9 @@ def kepler_family_triple(sys: LagrangianSystem, h) -> Triple:
     """On-flow family around the zero-time-change LRL triple, parameterized
     by an arbitrary boundary term h(t, r, v)."""
     h = sp.sympify(h)
-    ab = sys.alphabet
-    r = ab.coord_symbols
-    v = ab.velocity_symbols
-    mu = ab.param_symbols[0]
-    u = ab.param_symbols[1:]
-    rnorm = sp.sqrt(_dot(r, r))
-    f0 = mu * _dot(r, u) / rnorm
-    tau = (h - f0) / sys.L
-    xi_Z = _cross(_cross(r, v), u)
-    xi = tuple(zi + tau * vi for zi, vi in zip(xi_Z, v))
+    k = _kepler_terms(sys.alphabet)
+    tau = (h - k.f0) / sys.L
+    xi = tuple(zi + tau * vi for zi, vi in zip(k.xi_Z, k.v))
     return Triple(tau, xi, h, ONFLOW)
 
 
@@ -323,20 +321,16 @@ def kepler_strong_triple(sys: LagrangianSystem, h) -> Triple:
     """Strong-sense triple for the projected LRL integral, built from the
     auxiliary vector b = -u(r.v) - r(v.u) + v(u.r)."""
     h = sp.sympify(h)
-    ab = sys.alphabet
-    r = ab.coord_symbols
-    v = ab.velocity_symbols
-    mu = ab.param_symbols[0]
-    u = ab.param_symbols[1:]
-    rnorm = sp.sqrt(_dot(r, r))
+    k = _kepler_terms(sys.alphabet)
+    r, v, u = k.r, k.v, k.u
     b = tuple(
         -ui * _dot(r, v) - ri * _dot(v, u) + vi * _dot(u, r)
         for ui, ri, vi in zip(u, r, v)
     )
-    tau = (h - _dot(u, _cross(v, _cross(r, v))) - mu * _dot(u, r) / rnorm) / sys.L
+    tau = (h - _dot(u, k.v_ang) - k.f0) / sys.L
     vxbxv = _cross(v, _cross(b, v))
     xi = tuple(
-        (h * vi + ci / 2 + mu * bi / rnorm) / sys.L
+        (h * vi + ci / 2 + k.mu * bi / k.rnorm) / sys.L
         for vi, ci, bi in zip(v, vxbxv, b)
     )
     return Triple(tau, xi, h, STRONG)

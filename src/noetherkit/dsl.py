@@ -77,7 +77,6 @@ def _tokenize(text: str):
 
 class _Parser:
     def __init__(self, text: str, alphabet: Alphabet):
-        self.text = text
         self.alphabet = alphabet
         self.tokens = _tokenize(text)
         self.accelerations = {s.name for s in alphabet.acceleration_symbols}

@@ -71,7 +71,6 @@ class SingularStartError(ValueError):
 class Trajectory:
     """Uniform-step trajectory of a Lagrangian system."""
 
-    system: str
     t: np.ndarray
     q: np.ndarray  # shape (m, n)
     qdot: np.ndarray  # shape (m, n)
@@ -191,7 +190,6 @@ def integrate(
     times = np.full(len(rows), dt, dtype=float)
     times[0] = t
     return Trajectory(
-        system=sys.name,
         t=np.add.accumulate(times),
         q=np.ascontiguousarray(rows[:, :n]),
         qdot=np.ascontiguousarray(rows[:, n:]),

@@ -167,6 +167,9 @@ class Alphabet:
     params: tuple[str, ...] = ()
 
     def __post_init__(self):
+        for name in ("coords", "params"):
+            if not isinstance(getattr(self, name), tuple):
+                raise ValueError(f"{name} must be a tuple of names, not {getattr(self, name)!r}")
         if not self.coords:
             raise ValueError("a system needs at least one coordinate")
         names = list(self.coords) + list(self.params)
@@ -877,10 +880,10 @@ class IdentityReport:
     k: int
     tol: float
     seed: int
-    label: str = ""
+    label: str
     # what the check holds: its points, and each component's residuals,
     # finiteness and sides, one row per component, read by component()
-    _sample: tuple | None = field(default=None, repr=False, compare=False)
+    _sample: tuple = field(repr=False, compare=False)
 
     @property
     def verdict(self) -> str:

@@ -94,11 +94,6 @@ def _matvec(m: sp.Matrix, v: Sequence[sp.Expr]) -> list[sp.Expr]:
     return [sp.Add(*[a * b for a, b in zip(row, v) if a and b]) for row in m.tolist()]
 
 
-def _minus(a: Sequence[sp.Expr], b: Sequence[sp.Expr]) -> list[sp.Expr]:
-    """a - b entry by entry, as sympy's Matrix difference forms it."""
-    return [ai + bi * -1 for ai, bi in zip(a, b, strict=True)]
-
-
 def _solve_linear(det: sp.Expr, adj: sp.Matrix, w: Sequence[sp.Expr]) -> tuple[sp.Expr, ...]:
     """v = adj(g)*w/det(g), the solution of g*v = w, at every n."""
     inv = sp.S.One / det
@@ -140,7 +135,7 @@ def build_system(
     _check_regularity(det, alphabet, domain, param_values)
     adj = g.adjugate()
     lam = _solve_linear(det, adj, rhs)
-    E = tuple(_minus(_matvec(g, alphabet.acceleration_symbols), rhs))
+    E = tuple(a - b for a, b in zip(_matvec(g, alphabet.acceleration_symbols), rhs, strict=True))
     return LagrangianSystem(
         name=name,
         alphabet=alphabet,
@@ -176,8 +171,9 @@ def invert_g_apply(sys: LagrangianSystem, w: Sequence, *, seed: int = 0) -> tupl
         raise ValueError(f"vector has length {len(w)}, expected {sys.n}")
     sol = _solve_linear(sys.det_g, sys.adj_g, w)
     # the residual often cancels symbolically, so its compilation is shared
-    rep = sys.check(_minus(_matvec(sys.g, sol), w), [0] * sys.n, k=REGULARITY_SAMPLES,
-                    tol=1e-8, seed=seed, label="invert_g_apply")
+    residual = [a - b for a, b in zip(_matvec(sys.g, sol), w, strict=True)]
+    rep = sys.check(residual, [0] * sys.n, k=REGULARITY_SAMPLES, tol=1e-8, seed=seed,
+                    label="invert_g_apply")
     if not rep.passed:
         point = {name: np.float64(v) for name, v in rep.worst_point.items()}
         det = _eval_rows(compile_fn([sys.det_g], sys.alphabet), point, 1)[0, 0]

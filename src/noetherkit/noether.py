@@ -160,7 +160,7 @@ class Triple:
 def _derived(sys: LagrangianSystem, tau, eta, f, form, exclusions) -> Triple:
     """A solver's or transform's triple: eta stored with the velocities of
     ``sys`` it is written in, and xi None until its first read builds it."""
-    tr = Triple(tau=tau, xi=None, f=f, form=form, exclusions=exclusions)
+    tr = Triple(tau=tau, xi=None, f=f, form=form, exclusions=tuple(exclusions))
     object.__setattr__(tr, "eta", eta)
     object.__setattr__(tr, "_eta_velocities", sys.alphabet.velocity_symbols)
     return tr
@@ -186,11 +186,11 @@ class VerificationReport(IdentityReport):
     formula, at the same seed and points, and ``passed`` holds only if both
     checks pass."""
 
-    mode: str = ""
-    integral_check: IdentityReport | None = None
+    mode: str
+    integral_check: IdentityReport | None
 
     def to_dict(self) -> dict:
-        out = {"check": self.label, "mode": self.mode} | super().to_dict()
+        out = {"mode": self.mode} | super().to_dict()
         if self.integral_check is not None:
             out["integral_check"] = self.integral_check.to_dict()
         return out

@@ -34,7 +34,7 @@ line, never a silent overwrite.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import sympy as sp
@@ -60,7 +60,7 @@ class SystemFileError(ValueError):
 @dataclass
 class SystemFile:
     system: LagrangianSystem
-    integrals: dict[str, sp.Expr] = field(default_factory=dict)
+    integrals: dict[str, sp.Expr]
 
 
 # the keys each section reads; [system] also reads range_<var>

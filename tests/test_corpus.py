@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 import sympy as sp
 
@@ -130,3 +132,37 @@ def test_kepler_parameter_override():
     assert entry.system.param_values["mu"] == 2.0
     fi = check_conserved(entry.system, entry.integrals["lrl_u"], k=30)
     assert fi.verified
+
+
+# sha256 over the srepr of each tree below, one per line, computed before the
+# Kepler terms were shared between their builders
+CORPUS_TREES = "c2f03db2e8545fce891e4ded8b36212a3d6ef247dbab0fb2d42e24251963c9e0"
+
+
+def test_every_corpus_tree_is_pinned():
+    # the CLI pins hold only printed exports, and the printer orders terms
+    # for display, so this pins the trees themselves
+    digest = hashlib.sha256()
+
+    def add(tree):
+        digest.update(sp.srepr(tree).encode() + b"\n")
+
+    def add_triple(tr):
+        for part in (tr.tau, tr.xi, tr.f, tr.form, tr.exclusions):
+            add(part)
+
+    kepler, *isos = [load("kepler3d")] + [
+        load("isochrony", G=G, c=c)
+        for G, c in [("x", 0.0), ("1/x^3", 0.0), ("sqrt_pos", 1.0), ("sqrt_neg", -1.0)]]
+    entries = [load("freeparticle"), kepler, load("kepler3d", param_values={"mu": 2.0}), *isos]
+    for entry in entries:
+        for name in sorted(entry.integrals):
+            add(entry.integrals[name])
+        for name in sorted(entry.triples):
+            add_triple(entry.triples[name])
+    t = kepler.system.alphabet.t
+    add_triple(kepler_family_triple(kepler.system, t))
+    add_triple(kepler_strong_triple(kepler.system, t))
+    for entry in isos:
+        add_triple(isochrony_strong_triple(entry.system, t))
+    assert digest.hexdigest() == CORPUS_TREES

@@ -53,6 +53,14 @@ def test_alphabet_rejects_reserved_and_duplicate_names():
         Alphabet(coords=(), params=("m",))
 
 
+
+@pytest.mark.parametrize("field, kw", [("coords", {"coords": ["q"]}),
+                                       ("params", {"coords": ("q",), "params": ["m"]})])
+def test_alphabet_takes_its_names_as_tuples(field, kw):
+    # the compile memo hashes the alphabet, which a list would make unhashable
+    with pytest.raises(ValueError, match=f"^{field} must be a tuple"):
+        Alphabet(**kw)
+
 @pytest.mark.parametrize("coords, params", [
     (("q",), ("2.5",)), (("q",), ("a b",)), (("q.x",), ()), (("2q",), ()), (("q",), ("",)),
     (("é",), ()), (("q",), ("a-b",)), (("q",), ("a\n",)),

@@ -845,6 +845,17 @@ def test_a_gauge_trivialization_takes_exclusions_given_as_a_list(fp):
     assert verify_triple(fp.system, gauged).passed
 
 
+
+def test_derived_triples_hold_listed_exclusions_as_a_tuple(fp):
+    # a frozen triple is hashable, also one derived from a triple whose
+    # exclusions are a list
+    q = fp.system.alphabet.coord_symbols[0]
+    tr = Triple(1, (0,), 0, "strong", exclusions=[Exclusion(q, 0.1)])
+    for derived in (trivialize(fp.system, tr, "time"),
+                    convert_standard_alternative(fp.system, tr)):
+        assert derived.exclusions == (Exclusion(q, 0.1),)
+        hash(derived)
+
 # Library round trips at seed 11, pinned by sha256: for each integral of the
 # entry in turn, the srepr of the solved triple's tau, xi and f and of its
 # derived integral, and that integral's conservation residual (float.hex)
@@ -1035,6 +1046,29 @@ def test_dense_verifications_are_pinned(name, request, dense_checks):
                          json.dumps(check.worst_point, sort_keys=True)):
                 digest.update(part.encode() + b"\n")
     assert digest.hexdigest() == PINNED_DENSE[name]
+
+
+def _exact_residual(a, b, point):
+    """The oracle's residual of a and b at the point, in 30-digit arithmetic."""
+    values = {sym: sp.Float(point[sym.name], 30)
+              for sym in sp.sympify(a).free_symbols | sp.sympify(b).free_symbols}
+    a, b = (sp.N(sp.sympify(side).xreplace(values), 30) for side in (a, b))
+    return abs(a - b) / (1 + max(abs(a), abs(b)))
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_DENSE))
+def test_dense_fail_witnesses_fail_in_exact_arithmetic(name, request, dense_checks):
+    # a FAIL's witness is a point where the two sides differ, not one where
+    # float64 roundoff alone exceeds the tolerance; the Killing component is
+    # read from its own residual, since the report's verdict covers both
+    entry = request.getfixturevalue(name)
+    for (triple, form), rep in dense_checks(entry).items():
+        lhs, dt_f, N = _killing_terms(entry.system, entry.triples[triple], form)
+        sides = [(rep, lhs.doit(), dt_f.doit()),
+                 (rep.integral_check, N, entry.triple_integrals[triple])]
+        for check, a, b in sides:
+            if check.max_residual > check.tol:
+                assert _exact_residual(a, b, check.worst_point) > check.tol, (triple, form)
 
 
 @pytest.mark.parametrize("form", FORMS)

@@ -72,7 +72,6 @@ def test_star_import_and_dir_list_the_exported_names():
 OPTIONS = {
     "Alphabet": ("params",),
     "Exclusion": ("threshold",),
-    "IdentityReport": ("label", "_sample"),
     "SampleDomain": ("var_ranges", "exclusions"),
     "equal_numeric": ("param_values", "domain", "k", "tol", "seed", "include_acc", "label"),
     "total_dt": ("lam",),
@@ -80,7 +79,6 @@ OPTIONS = {
     "invert_g_apply": ("seed",),
     "FirstIntegral": ("name", "conservation"),
     "Triple": ("exclusions",),
-    "VerificationReport": ("label", "_sample", "mode", "integral_check"),
     "check_conserved": ("k", "tol", "seed", "extra_exclusions", "name"),
     "multiplicity_transform": ("c",),
     "noether_integral": ("k", "tol", "seed"),
@@ -111,7 +109,7 @@ def _options(obj) -> tuple[str, ...]:
 def test_every_optional_setting_of_the_exported_names_is_listed():
     found = {name: _options(getattr(noetherkit, name)) for name in noetherkit.__all__}
     assert {name: opts for name, opts in found.items() if opts} == OPTIONS
-    assert sum(map(len, OPTIONS.values())) == 53
+    assert sum(map(len, OPTIONS.values())) == 47
 
 
 def test_unknown_names_raise():
