@@ -24,6 +24,8 @@ integral not evaluable along the trajectory, 6 trajectory truncated at a
 singular zone or where its state stops being finite.  Errors print one line on
 stderr, and ``verify`` prints its FAIL lines once the report is out; a stderr
 that is closed or cannot be written loses the lines, not the code.
+``solve``'s ``--k`` and ``--tol`` set only the verification: the
+conservation precheck (exit 4) runs at k = 100 and tol = 1e-9.
 
 The command is a one-shot process (``run``): once its output is flushed it
 ends with ``os._exit``, skipping the interpreter teardown, which frees
@@ -153,9 +155,9 @@ def cmd_solve(args) -> int:
             N = sf.integrals[args.integral]
         else:
             N = parse(args.integral, ab)
-        if args.tau:
+        if args.tau is not None:
             tau = parse(args.tau, ab)
-        if args.R:
+        if args.R is not None:
             R = [parse(r, ab) for r in args.R.split(";")]
     except ValueError as err:
         return _error(err, EXIT_PARSE)

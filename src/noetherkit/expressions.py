@@ -47,7 +47,7 @@ inversion and identity checks at one seed draw once.
 A compiled function takes its arguments by position, in the order of its
 ``arg_names``; :func:`_eval_rows` builds that argument list from a point
 mapping and holds ``np.errstate`` around the call.  With total-derivative
-nodes the function calls each direction's compiled function, runs the
+nodes the function calls its direction's compiled function, runs the
 complex step, and masks only the outputs that hold a node.
 """
 
@@ -412,22 +412,25 @@ def _compile(exprs, alphabet, include_acc):
     """One generated function of (variables, one slot per total-derivative
     node) returning the expressions, with the nodes read from their slots,
     then the node bodies.  Without nodes it is called once at the point.
-    With nodes it is called once at the complex-shifted point of each
-    direction, which gives the node values, then once at the real point with
-    the slots bound to them.  An expression is NaN where the body of one of
-    its nodes is not finite at the real point, so branch cuts of sqrt and log
-    cannot hide a domain violation behind a finite complex-step value.
+    With nodes, which all differentiate along one acceleration field (free
+    accelerations or a normal form; two are a ValueError), it is called once
+    at the complex-shifted point of that direction, which gives the node
+    values, then once at the real point with the slots bound to them.  An
+    expression is NaN where the body of one of its nodes is not finite at
+    the real point, so branch cuts of sqrt and log cannot hide a domain
+    violation behind a finite complex-step value.
 
     :func:`_generate` prints the function's source; it computes each
     repeated subtree once."""
     syms = alphabet.variables(include_acc) + alphabet.param_symbols
     raw, nodes, owners = _generate(syms, exprs)
-    groups = {}
-    for i, node in enumerate(nodes):
-        groups.setdefault(tuple(node.acc), []).append(i)
+    raw.arg_names = [s.name for s in syms]
+    if not nodes:
+        return raw
+    if any(node.acc != nodes[0].acc for node in nodes):
+        raise ValueError("total derivatives along two acceleration fields in one function")
     # each system compiles its normal form once, through the memo
-    directions = [(_compile(acc, alphabet, include_acc), members)
-                  for acc, members in groups.items()]
+    direction = _compile(tuple(nodes[0].acc), alphabet, include_acc)
     n, m = alphabet.n, len(exprs)
     h = COMPLEX_STEP
     no_slots = [0.0] * len(nodes)
@@ -436,18 +439,13 @@ def _compile(exprs, alphabet, include_acc):
     def core(*args):
         real = [np.asarray(v, dtype=float) for v in args]
         t, qs, vs = real[0], real[1:1 + n], real[1 + n:1 + 2 * n]
-        rates = [None] * len(nodes)
-        for direction, members in directions:
-            accs = direction(*args)
-            shifted = (
-                [t + 1j * h]
-                + [q + 1j * h * v for q, v in zip(qs, vs)]
-                + [v + 1j * h * a for v, a in zip(vs, accs)]
-                + real[1 + 2 * n:]
-            )
-            vals = raw(*shifted, *no_slots)
-            for i in members:
-                rates[i] = np.imag(vals[m + i]) / h
+        shifted = (
+            [t + 1j * h]
+            + [q + 1j * h * v for q, v in zip(qs, vs)]
+            + [v + 1j * h * a for v, a in zip(vs, direction(*args))]
+            + real[1 + 2 * n:]
+        )
+        rates = [np.imag(body) / h for body in raw(*shifted, *no_slots)[m:]]
         vals = raw(*real, *rates)
         finite = [np.isfinite(_real(body)) for body in vals[m:]]
         out = vals[:m]
@@ -455,9 +453,8 @@ def _compile(exprs, alphabet, include_acc):
             out[j] = np.where(np.all([finite[i] for i in own], axis=0), out[j], np.nan)
         return out
 
-    fn = core if nodes else raw
-    fn.arg_names = [s.name for s in syms]
-    return fn
+    core.arg_names = raw.arg_names
+    return core
 
 
 def _generate(syms, exprs):
@@ -814,6 +811,9 @@ def draw_points(
     if reusable and last is not None and last[0] == key and 0 <= k <= last[1].shape[1]:
         _, values, names = last
     else:
+        missing = [name for name in alphabet.params if name not in param_values]
+        if missing:
+            raise ValueError(f"no value for the parameter {', '.join(map(repr, missing))}")
         var_names, lo, span = _box(alphabet, ranges, include_acc)
         names = var_names + tuple(name for name, _ in params)
         values = np.empty((len(names), k))
@@ -855,12 +855,10 @@ def _draw_into(out, var_names, lo, span, rng, exclusions, params, alphabet,
         # a run of MAX_TRIES rejections, with the run carried in, needs
         # that many in this block
         if run + m - len(idx) >= MAX_TRIES:
-            # length of the rejection run ending at each candidate
-            pos = np.arange(m)
-            last = np.maximum.accumulate(np.where(ok, pos, -1))
-            runs = np.where(last < 0, run + pos + 1, pos - last)
-            used = idx[need - 1] + 1 if len(idx) >= need else m
-            if np.any(runs[:used] >= MAX_TRIES):
+            # the acceptances the draw uses, and the block's end when they
+            # do not finish it: each ends a run of one less than its gap
+            ends = idx[:need] if len(idx) >= need else np.append(idx, m)
+            if (ends - np.append(-1 - run, ends[:-1])).max() > MAX_TRIES:
                 raise SamplingError(
                     f"could not draw a point outside exclusions in {MAX_TRIES} tries"
                 )

@@ -112,11 +112,19 @@ def build_system(
     """Derive p, g and det g, sample-check regularity, then derive adj g, the
     normal form Lam and E.
 
-    Raises RegularityError with the witness point when det g is not finite or
-    |det g| is below the regularity floor at any of the sampled points.
+    Raises ValueError unless ``param_values`` names exactly the alphabet's
+    parameters, and RegularityError with the witness point when det g is not
+    finite or |det g| is below the regularity floor at any of the sampled
+    points.
     """
     L = sp.sympify(L)
     alphabet.check_declared(L)
+    param_values = dict(param_values or {})
+    if set(param_values) != set(alphabet.params):
+        missing = [name for name in alphabet.params if name not in param_values]
+        undeclared = [name for name in param_values if name not in alphabet.params]
+        raise ValueError(f"parameter values must be the alphabet's parameters: missing "
+                         f"{missing}, undeclared {undeclared}")
     if _occurring(L, alphabet._acceleration_set):
         raise ValueError("Lagrangian must be free of acceleration symbols")
     qs = alphabet.coord_symbols
@@ -130,7 +138,6 @@ def build_system(
         for i in range(alphabet.n)
     )
     det = g.det()
-    param_values = dict(param_values or {})
     domain = SampleDomain(var_ranges=dict(var_ranges or {}), exclusions=tuple(exclusions))
     _check_regularity(det, alphabet, domain, param_values)
     adj = g.adjugate()

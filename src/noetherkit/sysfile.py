@@ -262,7 +262,7 @@ def _triple_from_body(body: dict, alphabet: Alphabet) -> Triple:
         raise SystemFileError(f"xi has {len(xi)} component(s), the system has "
                               f"dim = {alphabet.n}", body["xi"][1])
     f, = _expressions(body, "f", "triple", alphabet)
-    form = _get(body, "form", "onflow")
+    form = _require(body, "form", "triple")
     if form not in FORMS:
         raise SystemFileError(f"unknown form {form!r}, expected one of "
                               f"{', '.join(FORMS)}", body["form"][1])

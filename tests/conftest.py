@@ -53,3 +53,11 @@ def iso_opaque():
         "N3": (c + x**2) * Gp * xd * y - (c + x**2) * G * yd - x * xd**2 * yd + xd**3 * y,
     }
     return sysdef, integrals
+
+
+def _exact_residual(a, b, point):
+    """The oracle's residual of a and b at the point, in 30-digit arithmetic."""
+    values = {sym: sp.Float(point[sym.name], 30)
+              for sym in sp.sympify(a).free_symbols | sp.sympify(b).free_symbols}
+    a, b = (sp.N(sp.sympify(side).xreplace(values), 30) for side in (a, b))
+    return abs(a - b) / (1 + max(abs(a), abs(b)))

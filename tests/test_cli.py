@@ -919,6 +919,14 @@ def _in_process(argv, capsys):
     return (cli.main(argv), *capsys.readouterr())
 
 
+@pytest.mark.parametrize("mode, option", [("strong", "--tau="), ("onflow-R", "--R=")])
+def test_an_empty_expression_option_is_a_parse_error(mode, option, fp_sys, capsys):
+    # an empty --tau or --R is not 0
+    code, out, err = _in_process(["solve", fp_sys, "energy", "--mode", mode, option], capsys)
+    assert (code, out) == (cli.EXIT_PARSE, "")
+    assert err == "error: unexpected 'end of input' (at position 0)\n"
+
+
 def _in_a_process(argv, capsys):
     """What ``python -m noetherkit.cli`` leaves on its pipes when it exits,
     with stdout buffered, so output left unflushed at the exit is lost."""

@@ -9,6 +9,7 @@ triple, a trajectory or a message fails here.  The same file pins the
 stderr of each ``EXIT_TABLE`` row of ``test_cli.py``.
 """
 
+import ast
 import contextlib
 import hashlib
 import io
@@ -16,7 +17,15 @@ import json
 import shlex
 from pathlib import Path
 
+import pytest
+
 from noetherkit import cli
+from noetherkit.dsl import parse
+from noetherkit.expressions import total_dt
+from noetherkit.noether import _killing_terms
+from noetherkit.sysfile import read_system_file, read_triple_file
+
+from conftest import _exact_residual
 
 
 def _sha(data: bytes) -> str:
@@ -26,7 +35,7 @@ def _sha(data: bytes) -> str:
 def _run(commands) -> dict:
     """Run each command line in the working directory, in order: for each,
     its exit code and the sha256 of its stdout, its stderr and each file it
-    wrote."""
+    wrote, then its stdout and its stderr."""
     def files():
         return {p.name: _sha(p.read_bytes()) for p in Path().iterdir() if p.is_file()}
 
@@ -40,7 +49,7 @@ def _run(commands) -> dict:
             "exit": code, "stdout": _sha(out.getvalue().encode()),
             "stderr": _sha(err.getvalue().encode()),
             "files": {name: sha for name, sha in files().items() if before.get(name) != sha},
-        }
+        }, out.getvalue(), err.getvalue()
     return results
 
 
@@ -99,9 +108,46 @@ COMMANDS = [
 ]
 
 
-def test_the_cli_command_list_is_pinned(tmp_path, monkeypatch):
+@pytest.fixture(scope="module")
+def command_list(tmp_path_factory):
+    """The directory the command list ran in, once, and what ``_run`` gave."""
+    path = tmp_path_factory.mktemp("cli_list")
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        monkeypatch.chdir(path)
+        return path, _run(COMMANDS)
+
+
+def test_the_cli_command_list_is_pinned(command_list):
     pinned = json.loads((Path(__file__).parent / "cli_pins.json").read_text())["commands"]
     assert list(pinned) == COMMANDS
-    monkeypatch.chdir(tmp_path)
-    got = _run(COMMANDS)
+    got = {command: record for command, (record, _, _) in command_list[1].items()}
     assert [command for command in COMMANDS if got[command] != pinned[command]] == []
+
+
+def test_the_fail_witnesses_of_the_list_fail_in_exact_arithmetic(command_list):
+    # each FAIL's witness is a point where the two sides differ, read from
+    # its report (verify) or its error line (the conservation precheck)
+    path, runs = command_list
+    checked = []
+    for command, (record, out, err) in runs.items():
+        words = shlex.split(command)
+        if record["exit"] == cli.EXIT_FAIL:
+            sysdef = read_system_file(path / words[1]).system
+            triples = read_triple_file(path / words[2], sysdef.alphabet)
+            form = words[words.index("--form") + 1].replace("-", "_")
+            for rep in json.loads(out)["reports"]:
+                if rep["verdict"] == "FAIL":
+                    lhs, dt_f, _ = _killing_terms(sysdef, triples[rep["triple"]], form)
+                    exact = _exact_residual(lhs.doit(), dt_f.doit(), rep["worst_point"])
+                    checked.append((command, rep["triple"], exact > rep["tol"]))
+        elif record["exit"] == cli.EXIT_NOT_CONSERVED:
+            sf = read_system_file(path / words[1])
+            ab = sf.system.alphabet
+            N = sf.integrals[words[2]] if words[2] in sf.integrals else parse(words[2], ab)
+            witness = ast.literal_eval(err.partition(" at ")[2])
+            exact = _exact_residual(total_dt(N, ab, sf.system.lam).doit(), 0, witness)
+            checked.append((command, words[2], exact > 1e-9))  # the precheck's tol
+    assert {command for command, _, _ in checked} == {
+        command for command, (record, _, _) in runs.items()
+        if record["exit"] in (cli.EXIT_FAIL, cli.EXIT_NOT_CONSERVED)}
+    assert [entry for entry in checked if not entry[2]] == []

@@ -444,6 +444,14 @@ def test_several_nodes_cost_one_generated_function(monkeypatch):
     assert len(calls) == 1
 
 
+def test_a_compiled_function_differentiates_along_one_direction():
+    # strong and on-flow derivatives are two checks, never one function
+    ab = Alphabet(coords=("u",))
+    u, = ab.coord_symbols
+    with pytest.raises(ValueError, match="two acceleration fields"):
+        compile_fn([total_dt(u**2, ab), total_dt(u**2, ab, (-u,))], ab, include_acc=True)
+
+
 def _corpus_compile_inputs():
     """(alphabet, expression) for every normal form, integral and expanded
     Killing identity of the corpus."""
@@ -894,6 +902,20 @@ def test_draw_points_refuses_a_non_finite_span():
     for lo, hi in [(-1e308, 1e308), (0.0, math.inf), (math.nan, 1.0)]:
         with pytest.raises(OverflowError, match="Range exceeds valid bounds"):
             draw_points(AB, SampleDomain(var_ranges={"x": (lo, hi)}), {}, 5, 0)
+
+
+def test_a_draw_needs_a_value_for_each_parameter():
+    ab = Alphabet(coords=("q",), params=("k",))
+    q, = ab.coord_symbols
+    k, = ab.param_symbols
+    with pytest.raises(ValueError, match="^no value for the parameter 'k'$"):
+        draw_points(ab, SampleDomain(), {}, 5, 0)
+    with pytest.raises(ValueError, match="^no value for the parameter 'k'$"):
+        equal_numeric(k * q, q * k, ab)
+    # the columns follow the alphabet's variables, then param_values' order
+    ab = Alphabet(coords=("q",), params=("a", "b"))
+    assert list(draw_points(ab, SampleDomain(), {"b": 1.0, "a": 2.0}, 5, 0)) == [
+        "t", "q", "qdot", "b", "a"]
 
 
 def test_draw_points_rejection_run_across_blocks(monkeypatch):

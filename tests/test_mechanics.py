@@ -111,6 +111,19 @@ def test_build_system_rejects_foreign_symbols():
         build_system(sp.Symbol("z", real=True) ** 2, ab)
 
 
+@pytest.mark.parametrize("values, names", [
+    ({}, r"missing \['k'\], undeclared \[\]"),
+    ({"k": 1.0, "z": 2.0}, r"missing \[\], undeclared \['z'\]"),
+], ids=["missing", "undeclared"])
+def test_build_system_takes_exactly_the_alphabets_parameters(values, names):
+    # an extra value would be written to a system file and read back as a
+    # parameter of another alphabet
+    ab = Alphabet(coords=("q",), params=("k",))
+    (q,), (qd,), (k,) = ab.coord_symbols, ab.velocity_symbols, ab.param_symbols
+    with pytest.raises(ValueError, match=names):
+        build_system(qd**2 / 2 - k * q**2 / 2, ab, param_values=values)
+
+
 def _E_at(sysdef, point):
     """The stored E = g*qddot - rhs at a point that binds the accelerations;
     numpy floats make a pole read inf where Python floats raise."""

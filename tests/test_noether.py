@@ -53,6 +53,8 @@ from noetherkit.noether import (
     _require_conserved,
 )
 
+from conftest import _exact_residual
+
 
 def test_triple_validation(fp):
     with pytest.raises(ValueError):
@@ -966,13 +968,12 @@ def test_perturbed_solutions_fail_with_a_witness(systems, data, eps):
     bad = replace(tr, f=tr.f + eps * bump)
     rep = verify_triple(sysdef, bad)
     assert not rep.passed
-    # the witness reproduces the FAIL through the term-by-term sums
+    # the witness reproduces the FAIL through the term-by-term sums, in
+    # exact arithmetic
     strong = bad.form.endswith("strong")
-    fn = compile_fn([_reference_killing_lhs(sysdef, bad, bad.form),
-                     total_dt(bad.f, ab, None if strong else sysdef.lam)],
-                    ab, include_acc=strong)
-    a, b = _eval_rows(fn, {name: np.float64(v) for name, v in rep.worst_point.items()}, 1)[:, 0]
-    assert abs(a - b) / (1 + max(abs(a), abs(b))) > rep.tol
+    lhs = _reference_killing_lhs(sysdef, bad, bad.form).doit()
+    dt_f = total_dt(bad.f, ab, None if strong else sysdef.lam).doit()
+    assert _exact_residual(lhs, dt_f, rep.worst_point) > rep.tol
 
 
 # The verify_dense path at k = 2000 and seed 11, pinned by sha256: for each
@@ -1046,14 +1047,6 @@ def test_dense_verifications_are_pinned(name, request, dense_checks):
                          json.dumps(check.worst_point, sort_keys=True)):
                 digest.update(part.encode() + b"\n")
     assert digest.hexdigest() == PINNED_DENSE[name]
-
-
-def _exact_residual(a, b, point):
-    """The oracle's residual of a and b at the point, in 30-digit arithmetic."""
-    values = {sym: sp.Float(point[sym.name], 30)
-              for sym in sp.sympify(a).free_symbols | sp.sympify(b).free_symbols}
-    a, b = (sp.N(sp.sympify(side).xreplace(values), 30) for side in (a, b))
-    return abs(a - b) / (1 + max(abs(a), abs(b)))
 
 
 @pytest.mark.parametrize("name", sorted(PINNED_DENSE))

@@ -199,7 +199,7 @@ _ACCELERATION = r"^acceleration 'qddot': a written expression is a function of t
                  id=r"f = qddot + 1-f .*qddot.* in \[triple\] must be free of accelerations"),
 ])
 def test_malformed_triple_section(entry, message, tmp_path):
-    good = "[triple]\nname = boost\ntau = 0\nxi = t\nf = q\n"
+    good = "[triple]\nform = onflow\ntau = 0\nxi = t\nf = q\n"
     key = entry.partition(" =")[0]
     lines = ["[triple]", "tau = 0", "xi = q", "f = 0", "form = strong"]
     triple = "".join((entry if line.startswith(key + " ") else line) + "\n"
@@ -215,6 +215,14 @@ def test_malformed_triple_section(entry, message, tmp_path):
     with pytest.raises(SystemFileError, match=message) as err:
         read_triple_file(path, Alphabet(coords=("q",)))
     assert str(err.value).endswith(f"(line {lineno + 5})")
+
+
+def test_a_triple_states_its_form(tmp_path):
+    # read as on-flow, a strong claim whose form line was lost would pass
+    path = tmp_path / "noform.tri"
+    path.write_text("[triple]\ntau = 0\nxi = q\nf = 0\n")
+    with pytest.raises(SystemFileError, match=r"^missing key 'form' in \[triple\] section$"):
+        read_triple_file(path, Alphabet(coords=("q",)))
 
 
 _TRIPLE = "[triple]\nname = a\ntau = 0\nxi = 1\nf = 0\nform = strong\n"
