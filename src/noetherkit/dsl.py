@@ -10,15 +10,14 @@ more than ``MAX_DEPTH`` levels deep is a syntax error at the token past the
 limit; a parenthesis, a call's argument and the right operand of a sign or
 an operator each nest one frame of the parser's recursion.
 
-Constants fold as they are parsed.  A fold to a value that float64 cannot
-hold is a syntax error at its operator: a non-finite value (``1/0``), a
-number beyond the float range (``10^400``) or a non-real value
-(``sqrt(-1)``, ``(-8)^(1/3)``).
+Constants fold as they are parsed; ``_Parser.folded`` states which folds
+are syntax errors, and where.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import re
 
 import sympy as sp
@@ -50,12 +49,12 @@ _TOKEN_RE = re.compile(
     re.VERBOSE,
 )
 
-_BINARY = {
-    "+": (10, 11),
-    "-": (10, 11),
-    "*": (20, 21),
-    "/": (20, 21),
-    "^": (30, 29),  # right-associative
+_BINARY = {  # binding powers and the fold
+    "+": (10, 11, operator.add),
+    "-": (10, 11, operator.sub),
+    "*": (20, 21, operator.mul),
+    "/": (20, 21, operator.truediv),
+    "^": (30, 29, operator.pow),  # right-associative
 }
 _UNARY_BP = 25  # -x^2 parses as -(x^2); -x*y as (-x)*y
 _NON_FINITE = (sp.zoo, sp.oo, -sp.oo, sp.nan)
@@ -113,60 +112,64 @@ class _Parser:
             kind, val, pos = self.peek()
             if kind != "op" or val not in _BINARY:
                 break
-            lbp, rbp = _BINARY[val]
+            lbp, rbp, fold = _BINARY[val]
             if lbp < min_bp:
                 break
             self.next()
             right = self.expression(rbp)
-            if val == "+":
-                left = left + right
-            elif val == "-":
-                left = left - right
-            elif val == "*":
-                left = left * right
-            elif val == "/":
-                left = self.finite(left / right, right, pos)
-            else:
-                left = self.real(self.finite(left ** right, left, pos), pos)
-            left = self.in_range(left, pos)
+            left = self.folded(fold(left, right), pos,
+                               operand={"/": right, "^": left}.get(val), real=val == "^")
         self.depth -= 1
         return left
 
-    def finite(self, e: sp.Expr, operand: sp.Expr, pos: int) -> sp.Expr:
-        """``e``, unless a zero ``operand`` folded it to zoo, oo or nan, as
-        in 1/0, 0/0, 0^-1 or log(0); these are the only sources."""
-        if operand.is_Number and e.has(*_NON_FINITE):
+    def folded(self, e: sp.Expr, pos: int, operand: sp.Expr | None = None,
+               real: bool = False) -> sp.Expr:
+        """``e``, the fold of the operator, number or call at ``pos``, unless
+        float64 cannot hold it.  Each test, in this order, is a syntax error
+        at ``pos``:
+
+        1. A zero Number ``operand`` (a divisor, a base or a call's argument)
+           folded ``e`` to zoo, oo or nan, as in 1/0, 0/0, 0^-1 or log(0);
+           these are the only sources.
+        2. For a power or a call (``real``), the only sources, real operands
+           folded ``e`` to a non-real value, as in sqrt(-1), log(-1),
+           sqrt(-x^2) = I*Abs(x) or (-8)^(1/3) = 2*(-1)^(1/3).  Symbolic
+           forms such as sqrt(-x^2 - 1) stay: they evaluate to NaN.
+        3. A constant overflows float64, as in 1e999, 10^400 or exp(1000):
+           sympy keeps it finite, NumPy reads it as inf or cannot convert it.
+           Folding makes new constants only in each term's Number
+           coefficient, named first, then in the sum of the constant terms
+           and in each other term's product of constant factors.  Those
+           inside passed where they were made, so no tower such as
+           exp(exp(exp(100))) is evaluated whole.  A constant that sympy
+           cannot prove real stays.
+        """
+        if operand is not None and operand.is_Number and e.has(*_NON_FINITE):
             raise ExprSyntaxError(f"not a finite expression: {e}", pos)
-        return e
-
-    def real(self, e: sp.Expr, pos: int) -> sp.Expr:
-        """``e``, unless real operands folded it to a non-real value, as in
-        sqrt(-1), log(-1), sqrt(-x^2) = I*Abs(x) or (-8)^(1/3) = 2*(-1)^(1/3);
-        powers and function calls are the only sources.  Symbolic forms such
-        as sqrt(-x^2 - 1) stay: they evaluate to NaN."""
-        if e.has(sp.I) or (e.is_number and e.is_extended_real is False):
+        if real and (e.has(sp.I) or (e.is_number and e.is_extended_real is False)):
             raise ExprSyntaxError(f"not a real expression: {e}", pos)
-        return e
-
-    def in_range(self, e: sp.Expr, pos: int) -> sp.Expr:
-        """``e``, unless a number in it overflows float64, as in 1e999,
-        1e308*10 or 10^400: sympy keeps such a number finite, NumPy reads it
-        as inf or cannot convert it.  Folding puts new numbers only in ``e``
-        itself, its coefficient or the coefficients of its terms."""
-        for term in e.args if e.is_Add else (e,):
-            coeff = term.as_coeff_Mul()[0]
-            if math.isinf(float(coeff)):
+        terms = sp.Add.make_args(e)
+        constants = [term.as_coeff_Mul()[0] for term in terms]
+        constants.append(sp.Add(*[term for term in terms if term.is_number]))
+        constants += [sp.Mul(*[f for f in sp.Mul.make_args(term) if f.is_number])
+                      for term in terms if not term.is_number]
+        for constant in constants:
+            try:
+                overflows = math.isinf(float(constant))
+            except TypeError:
+                continue
+            if overflows:
                 # a Float formats through decimal, which refuses an exponent as
                 # large as exp(1e308)'s: print it, in decimal's notation
                 raise ExprSyntaxError(
-                    f"number beyond the float range: {str(sp.N(coeff, 3)).upper()}", pos)
+                    f"number beyond the float range: {str(sp.N(constant, 3)).upper()}", pos)
         return e
 
     def prefix(self) -> sp.Expr:
         kind, val, pos = self.next()
         if kind == "number":
             number = sp.Integer(int(val)) if re.fullmatch(r"\d+", val) else sp.Float(val)
-            return self.in_range(number, pos)
+            return self.folded(number, pos)
         if kind == "ident":
             return self.name_or_call(val, pos)
         if val == "(":
@@ -195,8 +198,7 @@ class _Parser:
             raise UndeclaredSymbolError(f"undeclared function {name!r}")
         if len(args) != 1:
             raise ExprSyntaxError(f"{name} takes one argument", pos)
-        value = self.finite(STANDARD_FUNCTIONS[name](args[0]), args[0], pos)
-        return self.in_range(self.real(value, pos), pos)
+        return self.folded(STANDARD_FUNCTIONS[name](args[0]), pos, operand=args[0], real=True)
 
 
 def parse(text: str, alphabet: Alphabet) -> sp.Expr:

@@ -181,10 +181,12 @@ class FirstIntegral:
 
 @dataclass(frozen=True)
 class VerificationReport(IdentityReport):
-    """The report of a Killing-type equation check in the sense ``mode``.
-    With an integral supplied, ``integral_check`` is the check of its Noether
+    """The report of a Killing-type equation check in the sense ``mode``:
+    every inherited field is the Killing check's, except ``passed``.  With an
+    integral supplied, ``integral_check`` is the check of its Noether
     formula, at the same seed and points, and ``passed`` holds only if both
-    checks pass."""
+    checks pass, so an integral FAIL's residual and witness are in
+    ``integral_check`` alone."""
 
     mode: str
     integral_check: IdentityReport | None
@@ -312,7 +314,10 @@ def verify_triple(
     one draw at ``seed`` and one array call.  So the integral's check reads
     the Killing check's points, accelerations included in a strong sense.
     A non-finite Killing value raises DomainViolation first; a non-finite
-    integral value raises after a Killing PASS or FAIL alike.
+    integral value raises after a Killing PASS or FAIL alike.  The report's
+    top-level fields are the Killing check's, but ``passed`` also needs the
+    integral's check to pass, whose FAIL has its witness in
+    ``integral_check``.
     """
     form = form or tr.form
     strong, convention = _decode(form)

@@ -575,6 +575,9 @@ EXIT_TABLE = [
     (["solve", "{kepler}", "lrl_u", "--mode", "strong", "--tau", "sqrt(-1)"], cli.EXIT_PARSE),
     (["solve", "{kepler}", "lrl_u", "--mode", "strong", "--tau", "log(-1)"], cli.EXIT_PARSE),
     (["solve", "{kepler}", "lrl_u", "--mode", "strong", "--tau", "(-8)^(1/3)"], cli.EXIT_PARSE),
+    # an exact constant beyond the float range, refused where it is written
+    (["solve", "{kepler}", "-mu/sqrt(r1^2 + r2^2 + r3^2) + r1dot^2/2 + r2dot^2/2 + r3dot^2/2"
+      " + exp(1000)", "--mode", "strong"], cli.EXIT_PARSE),
     (["integrate", "{complex}", "0,1,0", "--t1", "1"], cli.EXIT_PARSE),
     (["describe", "{range_reversed}"], cli.EXIT_PARSE),
     (["describe", "{range_infinite}"], cli.EXIT_PARSE),

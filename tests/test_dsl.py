@@ -77,10 +77,13 @@ def test_non_finite_constants_are_syntax_errors(text, position):
 @pytest.mark.parametrize("text, position", [
     ("1e999", 0), pytest.param("x + 1" + "0" * 400, 4, id="x + 10...0 (401 digits)"), ("1e308*10", 5), ("-1e308 - 1e308", 7),
     ("10^400", 2), ("x*10^400", 4), ("x/1e-400", 1), ("10^200*(x + 10^200*y)", 6),
-    ("exp(1000.0)", 0),
+    ("exp(1000.0)", 0), ("exp(1000)", 0), ("exp(10^3)", 0), ("2*exp(800)", 2),
+    ("3*exp(709)", 1), ("exp(400)*exp(400)", 8), ("x*exp(1000)", 2),
+    ("exp(exp(exp(100)))", 4), ("x*exp(400)*exp(400)", 10), ("x + exp(709) + 1.7e308", 13),
 ])
 def test_numbers_beyond_the_float_range_are_syntax_errors(text, position):
-    # sympy keeps these finite; NumPy reads them as inf or cannot convert them
+    # sympy keeps these finite; NumPy reads them as inf or cannot convert them.
+    # An exact constant is refused where it is made, as its Float twin is
     with pytest.raises(ExprSyntaxError, match="beyond the float range") as err:
         parse(text, AB)
     assert err.value.position == position
@@ -89,6 +92,24 @@ def test_numbers_beyond_the_float_range_are_syntax_errors(text, position):
 def test_numbers_below_the_float_range_stay_legal():
     assert parse("x + 1e-400", AB) == X + sp.Float("1e-400")
     assert parse("10^-400*y", AB) == sp.Rational(1, 10**400) * Y
+    assert parse("exp(709)", AB) == sp.exp(709)
+    assert parse("exp(-1000)", AB) == sp.exp(-1000)
+    assert parse("cos(10^300)", AB) == sp.cos(sp.Integer(10)**300)
+
+
+@pytest.mark.parametrize("text, message, position", [
+    # where two refusals meet, the first in the fold rule's order wins
+    ("0^(-1/2)", "not a finite expression: zoo", 1),
+    ("(-10^300)^(3/2)", "not a real expression", 9),
+    # one of each at its operator
+    ("x + 1/0", "not a finite expression: zoo", 5),
+    ("x + (-8)^(1/3)", "not a real expression: 2*(-1)**(1/3)", 8),
+    ("x + 1e200*1e200", "number beyond the float range: 1.00E+400", 9),
+])
+def test_the_fold_rule_refuses_in_its_order(text, message, position):
+    with pytest.raises(ExprSyntaxError) as err:
+        parse(text, AB)
+    assert str(err.value).startswith(message) and err.value.position == position
 
 
 def test_undeclared_names_rejected():

@@ -2,6 +2,8 @@ import importlib.util
 import json
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parent.parent
 _spec = importlib.util.spec_from_file_location("pairs", ROOT / "tools" / "pairs.py")
 pairs = importlib.util.module_from_spec(_spec)
@@ -9,7 +11,8 @@ _spec.loader.exec_module(pairs)
 
 # a run.py that logs its side and seed and prints canned result lines: the
 # parent's ops_per_s is 100 + seed and its setup_s 1.0; the child's ops_per_s
-# 103 + seed, and its setup_s 0.9 at even seeds and 1.1 at odd ones
+# 100 + seed + shift (3 by default), and its setup_s 0.9 at even seeds and 1.1
+# at odd ones
 STUB = '''import argparse, json
 from pathlib import Path
 
@@ -23,7 +26,7 @@ with open(Path(__file__).resolve().parents[2] / "order.log", "a") as log:
     log.write(f"{side} {args.workload} {seed} {args.seconds} {args.trace}\\n")
 if side == "child" and seed == {crash}:
     raise SystemExit("no record")
-ops = 100.0 + seed + (3.0 if side == "child" else 0.0)
+ops = 100.0 + seed + ({shift} if side == "child" else 0.0)
 setup = 1.0 if side == "parent" else (0.9 if seed % 2 == 0 else 1.1)
 print(f"# python=3 side={side}")
 print(f"# workload={args.workload} seed={seed}")
@@ -34,15 +37,17 @@ print(json.dumps({"correct": correct, "attempted": 10, "failed": 0,
                               "setup_s": {"value": setup, "unit": "s"}}}))
 '''
 
-BENCHMARK = {"end_to_end": [{"name": "setup_s", "unit": "s", "better": "lower"},
-                            {"name": "ops_per_s", "unit": "1/s", "better": "higher"}]}
+BENCHMARK = {"end_to_end": [
+    {"name": "setup_s", "unit": "s", "better": "lower", "bound": 0.25},
+    {"name": "ops_per_s", "unit": "1/s", "better": "higher", "bound": 0.2}]}
 
 
-def _trees(tmp_path, crash=-1, wrong=-1):
+def _trees(tmp_path, crash=-1, wrong=-1, shift=3.0):
     for side in ("parent", "child"):
         (tmp_path / side / "perfbench").mkdir(parents=True)
         (tmp_path / side / "perfbench" / "run.py").write_text(
-            STUB.replace("{crash}", str(crash)).replace("{wrong}", str(wrong)))
+            STUB.replace("{crash}", str(crash)).replace("{wrong}", str(wrong))
+            .replace("{shift}", repr(shift)))
     (tmp_path / "child" / "BENCHMARK.json").write_text(json.dumps(BENCHMARK))
     return ["--parent", str(tmp_path / "parent"), "--child", str(tmp_path / "child")]
 
@@ -68,16 +73,43 @@ def test_pairs_alternate_and_compare(tmp_path, capsys):
     ops = rt["metrics"]["ops_per_s"]
     assert ops["parent_median"] == 108.5 and ops["child_median"] == 111.5
     assert ops["parent_quartiles"] == [107.75, 109.25]
-    assert ops["child_wins"] == 4 and ops["pairs"] == 4
+    assert ops["child_wins"] == 4 and ops["pairs"] == 4 and ops["verdict"] == "gain"
     setup = rt["metrics"]["setup_s"]
     assert setup["parent_median"] == 1.0 and setup["parent_quartiles"] == [1.0, 1.0]
     assert setup["child_wins"] == 2  # lower is better: the even seeds
+    assert setup["verdict"] == "within bound"
     assert list(rt["metrics"]) == ["setup_s", "ops_per_s"]
 
     printed = capsys.readouterr().out
     assert "ops_per_s  parent 108.5 [107.75-109.25]  child 111.5 (+2.8%)  " \
-           "child better in 4/4" in printed
+           "child better in 4/4  gain" in printed
     assert "child: 4/4 correct, 0 failed operations" in printed
+
+
+def test_a_child_beyond_the_bound_reads_worse(tmp_path, capsys):
+    # the child's ops_per_s is 100 + seed - 40, beyond the bound of 20% below
+    # the parent's
+    out = tmp_path / "pairs.json"
+    argv = _trees(tmp_path, shift=-40.0) + ["--workload", "integrate", "--pairs", "4",
+                                            "--seed", "7", "--out", str(out)]
+    assert pairs.main(argv) == 0
+    metrics = json.loads(out.read_text())["workloads"]["integrate"]["metrics"]
+    assert metrics["ops_per_s"]["verdict"] == "worse"
+    assert metrics["setup_s"]["verdict"] == "within bound"
+    assert "child 68.5 (-36.9%)  child better in 0/4  worse" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("parent, child, wins, sign, verdict", [
+    # the parent's spread, 1.75-3.25, is wider than 20% of its median, 2.5
+    ([1.0, 2.0, 3.0, 4.0], [2.0, 2.5, 3.0, 3.5], 2, 1, "unresolved"),
+    # lower is better, and the child's median is 80% above the parent's
+    ([1.0, 2.0, 3.0, 4.0], [4.5, 4.5, 4.5, 4.5], 4, -1, "worse"),
+    # every child run beats every parent run, but in 3 pairs of 4 only
+    ([1.0, 2.0, 3.0, 4.0], [4.5, 4.5, 4.5, 4.5], 3, 1, "within bound"),
+    ([1.0, 2.0, 3.0, 4.0], [4.5, 4.5, 4.5, 4.5], 4, 1, "gain"),
+])
+def test_the_verdict_of_one_metric(parent, child, wins, sign, verdict):
+    assert pairs._verdict(parent, child, wins, 4, sign, 0.2) == verdict
 
 
 def test_a_run_that_is_not_correct_fails_the_comparison(tmp_path, capsys):

@@ -14,12 +14,24 @@ each tree, from that tree's directory: the parent first in even pairs, the
 child first in odd ones.
 
 For every end-to-end metric that the child's ``BENCHMARK.json`` names, it
-prints the parent's median [quartiles], the child's median and the child's
+prints the parent's median [quartiles], the child's median, the child's
 wins out of N, a win being a pair in which the child's value is better in
-the metric's direction.  Each tree is named by the sha256 of its
-``src/**/*.py`` files, as run.py names a tree that is not a git checkout,
-so an uncommitted child is not reported under its parent's commit.
-``--out`` writes the same as JSON, with the seeds, each tree's name and
+the metric's direction, and a verdict, the metric's ``bound`` read as a
+fraction of the parent's median:
+
+- ``gain``: the child is better in at least 9 of 10 pairs (ties count for
+  neither side), and its median is better by more than the parent's
+  quartile spread;
+- ``worse``: the child's median is worse than the parent's by more than
+  the bound;
+- ``unresolved``: the parent's quartile spread is wider than the bound, and
+  not every child run beats every parent run;
+- ``within bound``: anything else.
+
+Each tree is named by the sha256 of its ``src/**/*.py`` files, as run.py
+names a tree that is not a git checkout, so an uncommitted child is not
+reported under its parent's commit.  ``--out`` writes the same as JSON,
+each metric's row with its verdict, and the seeds, each tree's name and
 environment line (the first comment line of run.py's output) and every
 run's record.  The exit code is 1 if any run is not ``correct``,
 a run that prints no record included, and 0 otherwise.
@@ -75,9 +87,25 @@ def _quartiles(xs: list[float]) -> list[float]:
     return [q1, q3]
 
 
+def _verdict(parent: list[float], child: list[float], wins: int, pairs: int, sign: int,
+             bound: float) -> str:
+    """One metric's verdict, as the module docstring states it; ``sign`` is
+    1 where higher is better and -1 where lower is."""
+    median, (q1, q3) = statistics.median(parent), _quartiles(parent)
+    better_by = sign * (statistics.median(child) - median)
+    if 10 * wins >= 9 * pairs > 0 and better_by > q3 - q1:
+        return "gain"
+    if -better_by > bound * abs(median):
+        return "worse"
+    if (q3 - q1 > bound * abs(median)
+            and min(sign * c for c in child) <= max(sign * p for p in parent)):
+        return "unresolved"
+    return "within bound"
+
+
 def compare(runs: list[dict], metrics: list[dict]) -> dict:
-    """Per metric: the medians and quartiles of both sides, and the child's
-    wins over the pairs in which both sides report it."""
+    """Per metric: the medians and quartiles of both sides, the child's
+    wins over the pairs in which both sides report it, and the verdict."""
     out = {}
     for m in metrics:
         name, sign = m["name"], (1 if m["better"] == "higher" else -1)
@@ -86,12 +114,14 @@ def compare(runs: list[dict], metrics: list[dict]) -> dict:
         pairs = [(p, c) for p, c in zip(values["parent"], values["child"])
                  if p is not None and c is not None]
         row = {"unit": m["unit"], "better": m["better"]}
+        xs = {side: [x for x in values[side] if x is not None] for side in SIDES}
         for side in SIDES:
-            xs = [x for x in values[side] if x is not None]
-            row[f"{side}_median"] = statistics.median(xs) if xs else None
-            row[f"{side}_quartiles"] = _quartiles(xs)
+            row[f"{side}_median"] = statistics.median(xs[side]) if xs[side] else None
+            row[f"{side}_quartiles"] = _quartiles(xs[side])
         row["child_wins"] = sum(sign * (c - p) > 0 for p, c in pairs)
         row["pairs"] = len(pairs)
+        row["verdict"] = (_verdict(xs["parent"], xs["child"], row["child_wins"], len(pairs),
+                                   sign, m["bound"]) if all(xs.values()) else None)
         out[name] = row
     return out
 
@@ -107,7 +137,7 @@ def _print_workload(workload: str, seeds: list[int], table: dict, runs: list[dic
         change = row["child_median"] / row["parent_median"] - 1 if row["parent_median"] else 0
         print(f"  {name:<{width}}  parent {row['parent_median']:.6g} [{q1:.6g}-{q3:.6g}]"
               f"  child {row['child_median']:.6g} ({change:+.1%})"
-              f"  child better in {row['child_wins']}/{row['pairs']}")
+              f"  child better in {row['child_wins']}/{row['pairs']}  {row['verdict']}")
     for side in SIDES:
         records = [r[side] for r in runs]
         bad = sum(not rec["correct"] for rec in records)
