@@ -218,6 +218,15 @@ class _Printer(StrPrinter):
         # this back as Abs(x)
         return f"sqrt(({self._print(e.args[0])})**2)"
 
+    def _print_Exp1(self, e):
+        return "exp(1)"
+
+    def _print_sign(self, e):
+        # the derivative of Abs(x); the parser reads this back as
+        # x/Abs(x), which is sign(x) wherever x != 0
+        arg = self._print(e.args[0])
+        return f"(({arg})/sqrt(({arg})**2))"
+
     def _print_Float(self, e):
         # the shortest text that reads back as the same double
         return repr(float(e))

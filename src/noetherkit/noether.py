@@ -21,8 +21,9 @@ verdict is the conservation verdict of its integral.
 
 ``solve_onflow`` and ``solve_strong`` invert N for a verified integral:
 f = N + L*tau + d_qdot L . eta.  The zero-gauge solvers compose them with
-``trivialize`` (through ``multiplicity_transform``) and
-``convert_standard_alternative``, which all keep eta.
+``multiplicity_transform`` to h = 0 (the gauge trivialization) and
+``convert_standard_alternative``, which both keep eta, as does
+``trivialize``, the zero time change.
 
 eta is the one quantity this module derives, and one rule keeps it: a
 solver's or transform's triple carries eta (``Triple.eta``) in its system's
@@ -401,7 +402,7 @@ def solve_onflow_simplest(
     sys: LagrangianSystem, N, c: float = 0.0, *, seed: int = 0
 ) -> Triple:
     """``solve_onflow_with_R`` with R = 0, that is
-    ``trivialize(solve_onflow(N, 0, 0), "gauge", c)``: tau = -N/(L+c),
+    ``multiplicity_transform(solve_onflow(N, 0, 0), 0, c)``: tau = -N/(L+c),
     xi = tau*qdot, f = c*N/(L+c), which is 0 at c = 0.
 
     The shift constant c moves the working domain off the zero set of L.
@@ -413,11 +414,11 @@ def solve_onflow_with_R(
     sys: LagrangianSystem, N, R: Sequence, *, c: float = 0.0, seed: int = 0
 ) -> Triple:
     """On-flow triple with free vector shape R and boundary term zero at
-    c = 0: ``trivialize(solve_onflow(N, 0, R), "gauge", c)``."""
+    c = 0: ``multiplicity_transform(solve_onflow(N, 0, R), 0, c)``."""
     # check conservation away from L + c = 0, where the result divides by it
     denom = Exclusion(sys.L + c, DENOM_MARGIN)
     fi = _require_conserved(sys, N, seed, extra_exclusions=(denom,))
-    return trivialize(sys, solve_onflow(sys, fi, 0, R, seed=seed), "gauge", c=c)
+    return multiplicity_transform(sys, solve_onflow(sys, fi, 0, R, seed=seed), 0, c=c)
 
 
 def solve_strong(sys: LagrangianSystem, N, tau=sp.Integer(0), *, seed: int = 0) -> Triple:
@@ -433,10 +434,10 @@ def solve_alt_strong_trivial_gauge(
     sys: LagrangianSystem, N, *, c: float = 0.0, seed: int = 0
 ) -> Triple:
     """Alternative-convention strong triple with boundary term zero at c = 0:
-    ``convert_standard_alternative(trivialize(solve_strong(N, 0), "gauge", c))``."""
+    ``convert_standard_alternative(multiplicity_transform(solve_strong(N, 0), 0, c))``."""
     denom = Exclusion(sys.L + c, DENOM_MARGIN)
     fi = _require_conserved(sys, N, seed, extra_exclusions=(denom,))
-    gauged = trivialize(sys, solve_strong(sys, fi, seed=seed), "gauge", c=c)
+    gauged = multiplicity_transform(sys, solve_strong(sys, fi, seed=seed), 0, c=c)
     return convert_standard_alternative(sys, gauged)
 
 
@@ -446,7 +447,8 @@ def multiplicity_transform(
     """Trade the boundary term for h, preserving form, eta and the first
     integral: tau += s and f = h - c*s with s = (h-f)/(L+c), so that
     xi += qdot*s in the standard convention.  The shift c keeps the
-    denominator off the zero set of L; f = h only at c = 0.
+    denominator off the zero set of L; f = h only at c = 0.  h = 0 is the
+    gauge trivialization: it leaves f*c/(L+c), zero only at c = 0.
 
     The result carries the triple's eta, and its xi is built from eta on
     first read: eta + qdot*(tau + s) in the standard convention."""
@@ -466,20 +468,12 @@ def multiplicity_transform(
                     (*tr.exclusions, Exclusion(denom, margin)))
 
 
-def trivialize(sys: LagrangianSystem, tr: Triple, which: str, *, c: float = 0.0) -> Triple:
-    """Equivalent triple with zero time change (``which='time'``: xi = eta,
-    f -= L*tau) or zero boundary term (``which='gauge'``: the
-    multiplicity transform to h = 0, which leaves f*c/(L+c), zero only at
-    c = 0); the first integral is unchanged.  c is the gauge's shift, so a
-    time trivialization refuses a nonzero one."""
-    if which == "time":
-        if c:
-            raise ValueError(f"c = {c!r} shifts the gauge: a time trivialization takes none")
-        return _derived(sys, sp.Integer(0), _characteristic(sys, tr, _decode(tr.form)[1]),
-                        tr.f - _L_times(sys, tr.tau), tr.form, tr.exclusions)
-    if which == "gauge":
-        return multiplicity_transform(sys, tr, 0, c=c)
-    raise ValueError(f"unknown trivialization {which!r}")
+def trivialize(sys: LagrangianSystem, tr: Triple) -> Triple:
+    """Equivalent triple with zero time change: xi = eta, f -= L*tau; the
+    first integral is unchanged.  The zero boundary term is
+    ``multiplicity_transform(sys, tr, 0, c=c)``."""
+    return _derived(sys, sp.Integer(0), _characteristic(sys, tr, _decode(tr.form)[1]),
+                    tr.f - _L_times(sys, tr.tau), tr.form, tr.exclusions)
 
 
 def convert_standard_alternative(sys: LagrangianSystem, tr: Triple) -> Triple:

@@ -373,6 +373,17 @@ def test_triples_with_abs_round_trip(mode, tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("integral", ["exp(1)*qdot", "sqrt(qdot^2)"])
+def test_triples_with_euler_s_number_or_a_sign_round_trip(integral, fp_sys, tmp_path, capsys):
+    # the strong xi is -E and -sign(qdot), which print as exp(1) and as
+    # qdot/sqrt(qdot^2)
+    tri = tmp_path / "n.tri"
+    assert cli.main(["solve", fp_sys, integral, "--mode", "strong",
+                     "--triple-out", str(tri)]) == cli.EXIT_OK
+    assert cli.main(["verify", fp_sys, str(tri)]) == cli.EXIT_OK
+    capsys.readouterr()
+
+
 @pytest.mark.parametrize("mode", ["strong", "onflow-simplest"])
 def test_solve_prints_the_triple_as_derived(mode, kepler, kepler_sys, capsys):
     assert cli.main(["solve", kepler_sys, "lrl_u", "--mode", mode]) == cli.EXIT_OK

@@ -167,6 +167,8 @@ def test_an_acceleration_is_refused_at_its_position(text, position):
         "m/sqrt(x^2 + y^2) + (xdot^2 + ydot^2)/2",
         "-x^2/2 + sin(t)*xdot",
         "(x - t*xdot)^3",
+        "exp(1)*x",
+        "exp(x + 1)",
     ],
 )
 def test_print_parse_round_trip(text):
@@ -183,6 +185,17 @@ def test_print_parse_round_trip_keeps_float_constants(text):
     assert isinstance(again, sp.Float) and float(again) == float(e)
     scaled = parse(f"x^2*{text}", AB)
     assert float(parse(print_expr(scaled), AB).subs(X, 1)) == float(e)
+
+
+@pytest.mark.parametrize("e", [
+    sp.sign(XD), sp.sign(XD) ** 2, -X * sp.sign(XD), 1 / sp.sign(XD), sp.sin(sp.sign(X - Y)),
+    sp.diff(parse("sqrt(xdot^2)", AB), XD),
+], ids=["sign", "squared", "times", "reciprocal", "argument", "derivative_of_abs"])
+def test_a_sign_prints_as_text_that_parses(e):
+    # sign cannot be written, but sympy builds it as the derivative of Abs;
+    # it prints as x/sqrt(x^2), equal to it wherever x != 0
+    again = parse(print_expr(e), AB)
+    assert equal_numeric(again, e, AB, param_values={"m": 1.0}, k=20).passed
 
 
 def test_round_trip_on_corpus_expressions(kepler):

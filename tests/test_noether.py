@@ -415,7 +415,7 @@ def test_a_triple_gauged_twice_at_one_shift_keeps_a_checkable_integral(iso_steep
     sysdef = iso_steep.system
     tr = solve_strong(sysdef, iso_steep.integrals["N3"])
     for _ in range(2):
-        tr = trivialize(sysdef, tr, "gauge", c=3)
+        tr = multiplicity_transform(sysdef, tr, 0, c=3)
     assert [ex.threshold for ex in tr.exclusions] == [DENOM_MARGIN, DENOM_MARGIN ** (2 / 3)]
     fi = noether_integral(sysdef, tr)
     assert fi.verified, fi.conservation.to_dict()
@@ -426,14 +426,12 @@ def test_trivialize_time_and_gauge(fp):
     sysdef = fp.system
     tr = fp.triples["gamma5"]
     N = fp.triple_integrals["gamma5"]
-    t_triv = trivialize(sysdef, tr, "time")
+    t_triv = trivialize(sysdef, tr)
     assert t_triv.tau == 0
     assert verify_triple(sysdef, t_triv, N).passed
-    g_triv = trivialize(sysdef, tr, "gauge")
+    g_triv = multiplicity_transform(sysdef, tr, 0)
     assert g_triv.f == 0
     assert verify_triple(sysdef, g_triv, N).passed
-    with pytest.raises(ValueError):
-        trivialize(sysdef, tr, "both")
 
 
 def test_transforms_of_alternative_triples_keep_the_integral(fp):
@@ -443,7 +441,7 @@ def test_transforms_of_alternative_triples_keep_the_integral(fp):
     t = sysdef.alphabet.t
     for name in ("gamma4", "gamma5", "gamma7"):
         alt = convert_standard_alternative(sysdef, fp.triples[name])
-        timeless = trivialize(sysdef, alt, "time")
+        timeless = trivialize(sysdef, alt)
         assert timeless.xi == alt.xi and timeless.form == alt.form
         for tr in (timeless, multiplicity_transform(sysdef, alt, sp.sin(t))):
             assert verify_triple(sysdef, tr, fp.triple_integrals[name]).passed
@@ -484,6 +482,17 @@ def test_velocity_independence_cubic_fails(fp):
     assert not verdict.admissible
     assert verdict.witness is not None
     assert "second velocity derivative" in verdict.reason
+
+
+@pytest.mark.parametrize("name, integral", [("iso", "N2"), ("kepler", "lrl_u")])
+def test_velocity_independence_jacobian_fails(name, integral, request):
+    # affine in the velocities, but with a Jacobian that is no multiple of
+    # the identity; the cubic above fails the check before this one
+    entry = request.getfixturevalue(name)
+    verdict = velocity_independence_check(entry.system, entry.integrals[integral])
+    assert not verdict.admissible
+    assert verdict.witness is not None and verdict.a is verdict.b is None
+    assert verdict.reason == "velocity Jacobian is not a scalar multiple of the identity"
 
 
 @pytest.mark.parametrize("name", CORPUS_FIXTURES)
@@ -566,9 +575,9 @@ def _solved_chain(draw, systems):
         if step == "h":
             new = multiplicity_transform(sysdef, tr, draw(_polys(ab)), c=draw(_shifts))
         elif step == "gauge":
-            new = trivialize(sysdef, tr, step, c=draw(_shifts))
+            new = multiplicity_transform(sysdef, tr, 0, c=draw(_shifts))
         else:
-            new = trivialize(sysdef, tr, step)
+            new = trivialize(sysdef, tr)
         if not alt(tr):
             eta = tuple(x - v * tr.tau for x, v in zip(xi, vs))
             xi = tuple(e + v * new.tau for e, v in zip(eta, vs))
@@ -779,16 +788,15 @@ def test_solve_onflow_builds_xi_from_eta(kepler, xi_calls):
 
 
 def test_integral_of_a_time_trivialized_triple_builds_no_xi(kepler, xi_calls):
-    # trivialize(..., "time") keeps the solver's eta, which is its xi
+    # trivialize keeps the solver's eta, which is its xi
     sysdef = kepler.system
-    tr = trivialize(sysdef, solve_strong(sysdef, kepler.integrals["lrl_u"], sysdef.alphabet.t),
-                    "time")
+    tr = trivialize(sysdef, solve_strong(sysdef, kepler.integrals["lrl_u"], sysdef.alphabet.t))
     assert noether_integral(sysdef, tr).verified
     assert xi_calls == [] and sp.srepr(tr.xi) == sp.srepr(tr.eta)
 
 
 @pytest.mark.parametrize("transform, tau", [
-    (lambda sysdef, tr: trivialize(sysdef, tr, "time"), 0),
+    (trivialize, 0),
     (convert_standard_alternative, 0),
     (lambda sysdef, tr: multiplicity_transform(sysdef, tr, sysdef.alphabet.t), 0),
     (lambda sysdef, tr: multiplicity_transform(sysdef, tr, 0), "t"),
@@ -829,20 +837,13 @@ def test_copies_of_a_derived_triple_build_no_xi(kepler, xi_calls):
     assert "xi=None" in repr(Triple(0, None, 0, "strong"))
 
 
-def test_a_time_trivialization_refuses_a_gauge_shift(fp):
-    tr = next(iter(fp.triples.values()))
-    with pytest.raises(ValueError, match="c = 5 shifts the gauge"):
-        trivialize(fp.system, tr, "time", c=5)
-    assert trivialize(fp.system, tr, "time", c=0).tau == 0
-
-
 def test_a_gauge_trivialization_takes_exclusions_given_as_a_list(fp):
     # a library triple may list its exclusions; the transform appends its
     # denominator to them
     q = fp.system.alphabet.coord_symbols[0]
     tr = Triple(1, (0,), 0, "strong", exclusions=[Exclusion(q, 0.1)])
     assert verify_triple(fp.system, tr).passed
-    gauged = trivialize(fp.system, tr, "gauge")
+    gauged = multiplicity_transform(fp.system, tr, 0)
     assert gauged.exclusions == (Exclusion(q, 0.1), Exclusion(fp.system.L, DENOM_MARGIN))
     assert verify_triple(fp.system, gauged).passed
 
@@ -853,7 +854,7 @@ def test_derived_triples_hold_listed_exclusions_as_a_tuple(fp):
     # exclusions are a list
     q = fp.system.alphabet.coord_symbols[0]
     tr = Triple(1, (0,), 0, "strong", exclusions=[Exclusion(q, 0.1)])
-    for derived in (trivialize(fp.system, tr, "time"),
+    for derived in (trivialize(fp.system, tr),
                     convert_standard_alternative(fp.system, tr)):
         assert derived.exclusions == (Exclusion(q, 0.1),)
         hash(derived)
@@ -873,8 +874,9 @@ CHAIN_SOLVERS = {
     # reach, all at a structurally zero tau, and a time trivialization
     "onflow_with_R_c3": lambda s, N: solve_onflow_with_R(s, N, s.alphabet.coord_symbols,
                                                          c=3, seed=11),
-    "gauge_strong": lambda s, N: trivialize(s, solve_strong(s, N, seed=11), "gauge"),
-    "gauge_strong_c3": lambda s, N: trivialize(s, solve_strong(s, N, seed=11), "gauge", c=3),
+    "gauge_strong": lambda s, N: multiplicity_transform(s, solve_strong(s, N, seed=11), 0),
+    "gauge_strong_c3": lambda s, N: multiplicity_transform(s, solve_strong(s, N, seed=11), 0,
+                                                           c=3),
     "alt_onflow_with_R": lambda s, N: convert_standard_alternative(
         s, solve_onflow_with_R(s, N, s.alphabet.coord_symbols, seed=11)),
     "alt_onflow_with_R_c3": lambda s, N: convert_standard_alternative(
@@ -882,7 +884,7 @@ CHAIN_SOLVERS = {
     "alt_strong_trivial_gauge_c3": lambda s, N: solve_alt_strong_trivial_gauge(s, N, c=3,
                                                                                seed=11),
     "time_strong": lambda s, N: trivialize(s, solve_strong(
-        s, N, s.alphabet.t * s.alphabet.coord_symbols[0], seed=11), "time"),
+        s, N, s.alphabet.t * s.alphabet.coord_symbols[0], seed=11)),
 }
 PINNED_CHAINS = {
     ("kepler", "strong"): "8839ea53e3a3937f2ac6fd3649c7c92c197383fa650eed94671a171bfd38e503",

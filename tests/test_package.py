@@ -87,7 +87,6 @@ OPTIONS = {
     "solve_onflow_simplest": ("c", "seed"),
     "solve_onflow_with_R": ("c", "seed"),
     "solve_strong": ("tau", "seed"),
-    "trivialize": ("c",),
     "verify_triple": ("integral", "form", "k", "tol", "seed"),
     "integrate": ("dt",),
     "monitor_drift": ("name",),
@@ -109,7 +108,7 @@ def _options(obj) -> tuple[str, ...]:
 def test_every_optional_setting_of_the_exported_names_is_listed():
     found = {name: _options(getattr(noetherkit, name)) for name in noetherkit.__all__}
     assert {name: opts for name, opts in found.items() if opts} == OPTIONS
-    assert sum(map(len, OPTIONS.values())) == 47
+    assert sum(map(len, OPTIONS.values())) == 46
 
 
 def test_unknown_names_raise():

@@ -131,6 +131,16 @@ def test_a_run_that_prints_no_record_fails_the_comparison(tmp_path, capsys):
     assert ops["pairs"] == 1 and ops["child_median"] == 105.0
 
 
+@pytest.mark.parametrize("count", ["0", "-3"])
+def test_fewer_than_one_pair_is_refused(count, tmp_path, capsys):
+    argv = _trees(tmp_path) + ["--workload", "integrate", "--pairs", count]
+    with pytest.raises(SystemExit) as exit_:
+        pairs.main(argv)
+    assert exit_.value.code == 2
+    assert f"argument --pairs: must be at least 1, not {int(count)}" in capsys.readouterr().err
+    assert not (tmp_path / "order.log").exists()
+
+
 def test_trees_are_named_by_their_sources(tmp_path, capsys):
     out = tmp_path / "pairs.json"
     argv = _trees(tmp_path) + ["--workload", "integrate", "--pairs", "1", "--out", str(out)]

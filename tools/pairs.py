@@ -145,12 +145,19 @@ def _print_workload(workload: str, seeds: list[int], table: dict, runs: list[dic
         print(f"  {side}: {len(records) - bad}/{len(records)} correct, {failed} failed operations")
 
 
+def _at_least_one(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, not {value}")
+    return value
+
+
 def main(argv: list[str] | None = None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--parent", type=Path, required=True)
     ap.add_argument("--child", type=Path, default=ROOT)
     ap.add_argument("--workload", nargs="+", required=True)
-    ap.add_argument("--pairs", type=int, default=10)
+    ap.add_argument("--pairs", type=_at_least_one, default=10)
     ap.add_argument("--seed", type=int, default=1, help="the first pair's seed")
     ap.add_argument("--seconds", type=int, default=12)
     ap.add_argument("--out", type=Path)
