@@ -283,7 +283,7 @@ def kepler3d(param_values: dict | None = None) -> CorpusEntry:
         "lrl2": A[1],
         "lrl3": A[2],
         # cannot come from a velocity-independent triple: g^{-1} d_qdot N is
-        # quadratic in the velocities
+        # affine in the velocities, with a Jacobian no multiple of the identity
         "lrl_u": -_dot(u, A),
     }
 

@@ -159,7 +159,9 @@ class Alphabet:
 
     Every name is one identifier of the DSL, ``[A-Za-z_][A-Za-z_0-9]*``,
     so that an expression can refer to it.  Coordinates ``c`` induce
-    velocity symbols ``cdot`` and acceleration symbols ``cddot``.
+    velocity symbols ``cdot`` and acceleration symbols ``cddot``, so no
+    declared name is one of these, and no coordinate is another's name
+    followed by ``d``.
     :meth:`lookup` reads a name only as one of these symbols prints it.
     """
 
@@ -186,6 +188,11 @@ class Alphabet:
             if name in derived:
                 raise ValueError(f"symbol name {name!r} names a velocity or acceleration")
             seen.add(name)
+        coords = set(self.coords)
+        for c in self.coords:
+            if c + "d" in coords:
+                raise ValueError(f"coordinates {c!r} and {c + 'd'!r} give the name "
+                                 f"{c}ddot to an acceleration and a velocity")
 
     @property
     def n(self) -> int:

@@ -488,9 +488,10 @@ def convert_standard_alternative(sys: LagrangianSystem, tr: Triple) -> Triple:
 
 
 _VI_REASONS = {
+    # with tau = b = d w_0/d qdot_0, d tau/d qdot_j is a second velocity
+    # derivative of w; with tau free of the velocities, d xi/d qdot = b*I - J
     "affine-in-velocity": "second velocity derivative does not vanish",
     "jacobian-scalar-multiple": "velocity Jacobian is not a scalar multiple of the identity",
-    "affine-extraction": "extracted affine form does not reproduce g^{-1} d_qdot N",
 }
 
 
@@ -498,40 +499,33 @@ _VI_REASONS = {
 class VelocityIndependenceVerdict:
     """Whether N can come from a triple independent of the velocities.
 
-    Admissible iff g^{-1} d_qdot N = a(t,q) + b(t,q)*qdot with scalar b; the
-    witness point documents the failure otherwise.
+    Admissible iff w = g^{-1} d_qdot N = a(t,q) + b(t,q)*qdot with scalar
+    b; ``triple`` is then that point symmetry, ``solve_strong`` at tau = b,
+    whose xi is -a.  The witness point documents the failure otherwise.
     """
 
     admissible: bool
-    a: tuple[sp.Expr, ...] | None = None
-    b: sp.Expr | None = None
+    triple: Triple | None = None
     witness: dict[str, float] | None = None
     reason: str = ""
 
 
 def velocity_independence_check(sys: LagrangianSystem, N) -> VelocityIndependenceVerdict:
-    """Test affineness of w = g^{-1} d_qdot N in the velocities and that its
-    velocity Jacobian is a scalar multiple of the identity; extract (a, b)
-    on success.  Each of the three checks samples k = 20 points at seed 0
-    with tolerance 1e-8, and w is spot-checked at seed 0."""
+    """``solve_strong`` at tau = b = d w_0/d qdot_0, checked free of the
+    velocities: first d tau/d qdot, then d xi/d qdot, each sampled at k = 20
+    points at seed 0 with tolerance 1e-8.  N must pass the solver's
+    conservation check (else NotConservedError), and w is spot-checked at
+    seed 0."""
+    fi = _require_conserved(sys, N, 0)
     vs = sys.alphabet.velocity_symbols
-    w = _g_inv_grad(sys, _as_expr(N), 0)
-    n = sys.n
+    tr = solve_strong(sys, fi, _diff(_g_inv_grad(sys, fi.expr, 0)[0], vs[0]))
     check = partial(sys.check, k=20, tol=1e-8, seed=0)
-    jac = [_diff(w[i], vs[j]) for i in range(n) for j in range(n)]
-    second = [_diff(jac[i * n + j], vs[l]) for i in range(n) for j in range(n)
-              for l in range(j, n)]
-    rep = check(second, [0] * len(second), label="affine-in-velocity")
+    rep = check([_diff(tr.tau, v) for v in vs], [0] * sys.n, label="affine-in-velocity")
     if rep.passed:
-        scalar = [jac[0] if i == j else 0 for i in range(n) for j in range(n)]
-        rep = check(jac, scalar, label="jacobian-scalar-multiple")
+        jac = [_diff(x, v) for x in tr.xi for v in vs]
+        rep = check(jac, [0] * len(jac), label="jacobian-scalar-multiple")
     if rep.passed:
-        b = jac[0]
-        a = tuple(wi.subs({v: 0 for v in vs}) for wi in w)
-        # cross-check the extraction against w itself
-        rep = check(list(w), [ai + b * v for ai, v in zip(a, vs)], label="affine-extraction")
-    if rep.passed:
-        return VelocityIndependenceVerdict(admissible=True, a=a, b=b)
+        return VelocityIndependenceVerdict(admissible=True, triple=tr)
     return VelocityIndependenceVerdict(
         admissible=False, witness=rep.worst_point, reason=_VI_REASONS[rep.label]
     )

@@ -174,7 +174,7 @@ def test_criterion_7_velocity_independence(fp, iso, kepler, report):
     lrl = velocity_independence_check(kepler.system, kepler.integrals["lrl_u"])
     ok = (
         admissible.admissible
-        and admissible.a is not None and admissible.b is not None
+        and admissible.triple is not None
         and not cubic.admissible and cubic.witness is not None
         and not lrl.admissible and lrl.witness is not None
     )

@@ -345,6 +345,15 @@ def test_describe_missing_file(capsys):
     assert cli.main(["describe", "no-such-file.sys"]) == cli.EXIT_PARSE
 
 
+def test_describe_refuses_a_velocity_named_as_an_acceleration(tmp_path, capsys):
+    # qd's velocity and q's acceleration would be one Symbol, qddot
+    path = tmp_path / "clash.sys"
+    path.write_text("[system]\ndim = 2\ncoords = q, qd\nlagrangian = qdot^2/2 + q*qd\n")
+    assert cli.main(["describe", str(path)]) == cli.EXIT_PARSE
+    assert capsys.readouterr().err == ("error: coordinates 'q' and 'qd' give the name qddot "
+                                       "to an acceleration and a velocity\n")
+
+
 def test_solve_strong_and_verify(fp_sys, tmp_path, capsys):
     tri = tmp_path / "boost.tri"
     code = cli.main(["solve", fp_sys, "boost", "--mode", "strong",

@@ -121,6 +121,13 @@ def _paths(work):
                             str(work / "no-such-dir" / "x")))
 
 
+def _write(path, text):
+    """Write text to path as a new file: on some file systems, truncating a
+    file that holds data waits for its writeback, a new file does not."""
+    path.unlink(missing_ok=True)
+    path.write_text(text)
+
+
 @st.composite
 def _argv(draw, exports):
     """A command on mutated copies of an exported system and triple file."""
@@ -131,8 +138,8 @@ def _argv(draw, exports):
     exprs = st.one_of(_exprs_over(names), _exprs)
     sys_path, tri_path = work / "fuzz.sys", work / "fuzz.tri"
     mutate_system = draw(st.booleans())
-    sys_path.write_text(draw(_mutated(system)) if mutate_system else system)
-    tri_path.write_text(triples if mutate_system else draw(_mutated(triples)))
+    _write(sys_path, draw(_mutated(system)) if mutate_system else system)
+    _write(tri_path, triples if mutate_system else draw(_mutated(triples)))
     common = [("--k", st.sampled_from(("5", "20"))), ("--seed", st.sampled_from(("0", "3"))),
               ("--tol", st.sampled_from(("1e-9", "1e-3"))), ("--out", _paths(work))]
     command = draw(st.sampled_from(("describe", "solve", "verify", "integrate", "corpus")))
@@ -174,8 +181,8 @@ class _Appended:
     def argv(self, exports):
         work, texts = exports
         system, triples = texts["freeparticle"]
-        (work / "fuzz.sys").write_text(system)
-        (work / "fuzz.tri").write_text(f"{triples}{self.line}\n")
+        _write(work / "fuzz.sys", system)
+        _write(work / "fuzz.tri", f"{triples}{self.line}\n")
         return ["verify", *self.options, "--", str(work / "fuzz.sys"), str(work / "fuzz.tri")]
 
 

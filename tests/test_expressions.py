@@ -77,11 +77,13 @@ def test_alphabet_names_are_the_dsl_identifiers():
 
 
 @pytest.mark.parametrize("coords, params", [
-    (("q", "qdot"), ()), (("q",), ("qdot",)), (("q",), ("qddot",)),
+    (("q", "qdot"), ()), (("q",), ("qdot",)), (("q",), ("qddot",)), (("q", "qd"), ()),
 ])
 def test_alphabet_rejects_the_names_of_velocities_and_accelerations(coords, params):
-    # qdot declared beside q would be the same Symbol as q's velocity
-    with pytest.raises(ValueError, match="names a velocity or acceleration"):
+    # qdot declared beside q would be the same Symbol as q's velocity, and
+    # qd's velocity the same Symbol as q's acceleration
+    with pytest.raises(ValueError, match="names a velocity or acceleration|"
+                                         "to an acceleration and a velocity"):
         Alphabet(coords=coords, params=params)
 
 

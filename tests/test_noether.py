@@ -469,8 +469,8 @@ def test_velocity_independence_boost(fp):
     verdict = velocity_independence_check(sysdef, fp.integrals["boost"])
     assert verdict.admissible
     t = sysdef.alphabet.t
-    assert sp.simplify(verdict.a[0] + t) == 0
-    assert sp.simplify(verdict.b) == 0
+    assert sp.simplify(verdict.triple.xi[0] - t) == 0
+    assert sp.simplify(verdict.triple.tau) == 0
 
 
 def test_velocity_independence_cubic_fails(fp):
@@ -491,18 +491,18 @@ def test_velocity_independence_jacobian_fails(name, integral, request):
     entry = request.getfixturevalue(name)
     verdict = velocity_independence_check(entry.system, entry.integrals[integral])
     assert not verdict.admissible
-    assert verdict.witness is not None and verdict.a is verdict.b is None
+    assert verdict.witness is not None and verdict.triple is None
     assert verdict.reason == "velocity Jacobian is not a scalar multiple of the identity"
 
 
 @pytest.mark.parametrize("name", CORPUS_FIXTURES)
 def test_velocity_independence_builds_the_second_derivatives_sympy_builds(
         name, request, monkeypatch):
-    # each second velocity derivative is the _diff of a Jacobian entry, and
-    # so the tree that sympy.diff builds from w in one call
+    # the first check differentiates tau = d w_0/d qdot_0 once more, and so
+    # builds the tree that sympy.diff builds from w in one call
     entry = request.getfixturevalue(name)
     sysdef = entry.system
-    vs, n = sysdef.alphabet.velocity_symbols, sysdef.n
+    vs = sysdef.alphabet.velocity_symbols
     checked = []
     real = LagrangianSystem.check
     monkeypatch.setattr(LagrangianSystem, "check",
@@ -512,9 +512,46 @@ def test_velocity_independence_builds_the_second_derivatives_sympy_builds(
         checked.clear()
         velocity_independence_check(sysdef, N)
         w = _g_inv_grad(sysdef, sp.sympify(N), 0)
-        want = [sp.diff(wi, vs[j], vs[l]) for wi in w for j in range(n) for l in range(j, n)]
+        want = [sp.diff(w[0], vs[0], v) for v in vs]
         second = dict(checked)["affine-in-velocity"]
         assert list(map(sp.srepr, second)) == list(map(sp.srepr, want))
+
+
+@pytest.mark.parametrize("name", ["gamma1", "gamma2", "gamma3", "gamma4", "gamma5"])
+def test_a_velocity_independent_integral_yields_the_library_triple(fp, name):
+    # the classical Noether correspondence: momentum, boost, energy,
+    # dilation and boost_squared come from the point symmetries gamma1-5
+    sysdef, want = fp.system, fp.triples[name]
+    got = velocity_independence_check(sysdef, fp.triple_integrals[name]).triple
+    assert got.form == want.form
+    assert sysdef.check([got.tau, *got.xi, got.f], [want.tau, *want.xi, want.f], k=20).passed
+
+
+def test_time_translation_and_rotations_yield_their_integrals(kepler, iso):
+    r1, r2, r3 = kepler.system.alphabet.coord_symbols
+    want = {"energy": (1, (0, 0, 0)), "angmom1": (0, (0, r3, -r2)),
+            "angmom2": (0, (-r3, 0, r1)), "angmom3": (0, (r2, -r1, 0))}
+    cases = [(kepler.system, kepler.integrals[name], tau, xi)
+             for name, (tau, xi) in want.items()]
+    cases.append((iso.system, iso.integrals["N1"], 1, (0, 0)))
+    for sysdef, N, tau, xi in cases:
+        got = velocity_independence_check(sysdef, N).triple
+        assert sysdef.check([got.tau, *got.xi], [tau, *xi], k=20).passed
+
+
+@pytest.mark.parametrize("name", CORPUS_FIXTURES)
+def test_every_admissible_verdict_carries_a_triple_of_its_integral(name, request):
+    entry = request.getfixturevalue(name)
+    sysdef = entry.system
+    for N in entry.integrals.values():
+        verdict = velocity_independence_check(sysdef, N)
+        if verdict.admissible:
+            assert verify_triple(sysdef, verdict.triple, N, k=20, tol=1e-8, seed=0).passed
+
+
+def test_velocity_independence_needs_a_first_integral(fp):
+    with pytest.raises(NotConservedError):
+        velocity_independence_check(fp.system, fp.system.alphabet.coord_symbols[0])
 
 
 def test_forms_constant():
