@@ -58,6 +58,7 @@ import itertools
 import keyword
 import linecache
 import math
+import numbers
 import re
 import weakref
 from collections.abc import Mapping, Sequence
@@ -586,23 +587,30 @@ def _paren(shown, level) -> str:
     return f"({text})" if precedence <= level else text
 
 
+def _show_float(value: float) -> str:
+    """Source of a float: a finite one's repr, which reads back exactly, or
+    ``float('inf')``, ``float('-inf')`` or ``float('nan')``."""
+    return repr(value) if math.isfinite(value) else f"float('{value}')"
+
+
 def _show_atom(e, args):
-    """Source and precedence of a symbol or a number: a finite float prints
-    as its repr, which reads back exactly."""
+    """Source and precedence of a symbol or a number: an integer or a
+    rational prints exactly, unless it is beyond float64 and prints as an
+    infinity, and a float as :func:`_show_float` prints it."""
     if e.is_Symbol:
         if e.name not in args:
             raise UndeclaredSymbolError(f"cannot compile the undeclared symbol {e.name!r}")
         return args[e.name], _ATOM
-    if e.is_Integer:
-        return str(e.p), _ADD if e.p < 0 else _ATOM
-    if e.is_Rational:
-        return f"{e.p}/{e.q}", _ADD if e.p < 0 else _MUL
     if e is sp.I or e is sp.zoo:
         name = "the imaginary unit" if e is sp.I else "complex infinity"
         raise UndeclaredSymbolError(f"cannot compile {name}: compiled values are real")
     value = float(e)
     if not math.isfinite(value):
-        return f"float('{value}')", _ATOM
+        return _show_float(value), _ATOM
+    if e.is_Integer:
+        return str(e.p), _ADD if e.p < 0 else _ATOM
+    if e.is_Rational:
+        return f"{e.p}/{e.q}", _ADD if e.p < 0 else _MUL
     return repr(value), _ADD if value < 0 else _ATOM
 
 
@@ -661,7 +669,7 @@ def _show_pow(base, exp, show):
         return f"1/{_paren(base, _POW)}", _MUL
     if exp.is_Integer and exp.is_negative:
         # a float exponent: NumPy refuses negative integer powers of integers
-        power = f"({float(exp.p)!r})"
+        power = f"({_show_float(float(exp))})"
     else:
         power = _paren(show(exp), _POW)
     return f"{_paren(base, _POW)}**{power}", _POW
@@ -699,7 +707,9 @@ def evaluate(e, point: Mapping[str, float], alphabet: Alphabet) -> float:
     """IEEE double evaluation at a sample point.
 
     The point must bind every variable and parameter the value depends on
-    (ValueError names the missing ones); the others may be left out.
+    (ValueError names the missing ones); the others may be left out.  A
+    value that is not finite, or a constant beyond float64, raises
+    DomainViolation.
     """
     e = sp.sympify(e)
     fn = compile_fn([e], alphabet, include_acc=True)
@@ -711,6 +721,10 @@ def evaluate(e, point: Mapping[str, float], alphabet: Alphabet) -> float:
     # numpy floats give inf or NaN where Python floats raise or go complex
     full = {name: np.float64(point.get(name, 0.0)) for name in fn.arg_names}
     try:
+        # a constant beyond float64 compiles as an infinity, and is refused
+        # with the OverflowError of its own conversion
+        for c in e.atoms(sp.Rational):
+            c.p / c.q
         val = float(_eval_rows(fn, full, 1)[0, 0])
     except (ZeroDivisionError, ValueError, OverflowError) as err:
         raise DomainViolation(e, point) from err
@@ -941,10 +955,17 @@ def equal_numeric(
     one that fails may still raise there.
 
     FAIL carries the worst point as a conclusive witness; PASS is strong
-    probabilistic evidence only.  Deterministic for a fixed seed.
+    probabilistic evidence only.  Deterministic for a fixed seed.  ``k``
+    must be an integer of at least 1 and ``tol`` positive and finite, else
+    ValueError: a NaN or negative tol would FAIL with no witness, and an
+    infinite one PASS anything.
     """
+    if not isinstance(k, numbers.Integral):
+        raise ValueError(f"k must be an integer, not {k!r}")
     if k < 1:
         raise ValueError("k must be >= 1")
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValueError(f"tol must be positive and finite, not {tol!r}")
     lhs, rhs = (
         [sp.sympify(x) for x in (v if isinstance(v, (list, tuple)) else [v])]
         for v in (a, b)

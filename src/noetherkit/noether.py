@@ -19,11 +19,11 @@ builds them so, reading E from ``LagrangianSystem.E``, derived once per
 system by ``build_system``.  E vanishes on the flow, so a triple's on-flow
 verdict is the conservation verdict of its integral.
 
-``solve_onflow`` and ``solve_strong`` invert N for a verified integral:
-f = N + L*tau + d_qdot L . eta.  The zero-gauge solvers compose them with
-``multiplicity_transform`` to h = 0 (the gauge trivialization) and
-``convert_standard_alternative``, which both keep eta, as does
-``trivialize``, the zero time change.
+``solve_onflow`` and ``solve_strong`` invert N for an integral verified on
+their system: f = N + L*tau + d_qdot L . eta.  The zero-gauge solvers
+compose them with ``multiplicity_transform`` to h = 0 (the gauge
+trivialization) and ``convert_standard_alternative``, which both keep eta,
+as does ``trivialize``, the zero time change.
 
 eta is the one quantity this module derives, and one rule keeps it: a
 solver's or transform's triple carries eta (``Triple.eta``) in its system's
@@ -169,15 +169,18 @@ def _derived(sys: LagrangianSystem, tau, eta, f, form, exclusions) -> Triple:
 
 @dataclass(frozen=True)
 class FirstIntegral:
-    """Scalar function N(t, q, qdot) with its conservation-check status."""
+    """The verdict of ``check_conserved`` on a scalar function N(t, q, qdot):
+    its conservation report on ``system``, the one system on which the
+    solvers take it as checked."""
 
     expr: sp.Expr
-    name: str = ""
-    conservation: IdentityReport | None = None
+    name: str
+    conservation: IdentityReport
+    system: LagrangianSystem = field(repr=False, compare=False)
 
     @property
     def verified(self) -> bool:
-        return self.conservation is not None and self.conservation.passed
+        return self.conservation.passed
 
 
 @dataclass(frozen=True)
@@ -341,8 +344,9 @@ def check_conserved(
     sys: LagrangianSystem, N, *, k: int = 100, tol: float = 1e-9, seed: int = 0,
     extra_exclusions: Sequence[Exclusion] = (), name: str = "",
 ) -> FirstIntegral:
-    """Verify d/dt N = 0 along the flow; returns N with its status attached,
-    labelled ``conserved:<name>``, ``name`` being by default a FirstIntegral's own.
+    """Verify d/dt N = 0 along the flow of ``sys``; returns the verdict as a
+    FirstIntegral of ``sys``, its report labelled ``conserved:<name>``,
+    ``name`` being by default a given FirstIntegral's own.
 
     N_dot is compared with 0, so the residual |N_dot|/(1 + |N_dot|) is
     absolute, while the float error of N_dot grows with the size of N's
@@ -355,11 +359,13 @@ def check_conserved(
         extra_exclusions=extra_exclusions,
         label=f"conserved:{name}" if name else "conserved",
     )
-    return FirstIntegral(expr=expr, name=name, conservation=rep)
+    return FirstIntegral(expr=expr, name=name, conservation=rep, system=sys)
 
 
 def _require_conserved(sys, N, seed, extra_exclusions=()) -> FirstIntegral:
-    if isinstance(N, FirstIntegral) and N.verified:
+    """N as a verified FirstIntegral of ``sys``: a verdict of ``sys`` itself
+    is taken as it is, anything else is checked (else NotConservedError)."""
+    if isinstance(N, FirstIntegral) and N.system is sys and N.verified:
         return N
     fi = check_conserved(sys, N, seed=seed, extra_exclusions=extra_exclusions)
     if not fi.verified:

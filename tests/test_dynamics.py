@@ -132,6 +132,13 @@ def test_blow_up_truncates_at_the_last_finite_state():
     assert np.isfinite(traj.q).all() and np.isfinite(traj.qdot).all()
 
 
+def test_a_force_beyond_float64_truncates_the_run_at_its_start():
+    # qddot = 10^400 printed as exact digits raised OverflowError at the start
+    sysdef = _system_of(lambda t, q, qd: qd**2 / 2 + sp.Integer(10**400) * q)
+    traj = integrate(sysdef, (0.0, [0.0], [0.0]), 1.0)
+    assert traj.truncated and len(traj.t) == 1
+
+
 def test_an_overflowing_sum_of_finite_terms_takes_the_exact_guard(fp):
     # the loop accepts a node on one finite sum of its values; here the sum
     # 1.7e308 + 2e307 overflows, and the guard of each term accepts the node

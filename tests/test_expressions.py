@@ -1002,6 +1002,33 @@ def test_equal_numeric_needs_a_point():
         equal_numeric(X, X, AB, k=0)
 
 
+@pytest.mark.parametrize("setting, message", [
+    ({"tol": math.nan}, "tol must be positive and finite, not nan"),
+    ({"tol": -1.0}, "tol must be positive and finite, not -1.0"),
+    ({"tol": 0.0}, "tol must be positive and finite, not 0.0"),
+    ({"tol": math.inf}, "tol must be positive and finite, not inf"),
+    ({"k": 1.5}, "k must be an integer, not 1.5"),
+], ids=["tol=nan", "tol=-1", "tol=0", "tol=inf", "k=1.5"])
+def test_equal_numeric_refuses_a_tol_or_k_it_cannot_use(setting, message):
+    # a NaN or negative tol FAILed x against x with no witness, an infinite
+    # one PASSed x against x + 1, and k = 1.5 raised TypeError in the draw
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        equal_numeric(X, X + 1, AB, **setting)
+
+
+def test_a_constant_beyond_float64_compiles_as_an_infinity():
+    # such a constant printed as exact digits, which overflow in float code
+    huge = sp.Integer(10**400)
+    with pytest.raises(DomainViolation):
+        equal_numeric(X * huge, 0, AB)
+    for e, shown in ((X * huge, "float('inf')*x"),
+                     (X * sp.Rational(-(10**400), 3), "-float('inf')*x")):
+        assert shown in inspect.getsource(compile_fn([e], AB))
+    power = compile_fn([X**-huge], AB)
+    assert "x**(float('-inf'))" in inspect.getsource(power)
+    assert power(0.0, 2.0, 0.0, 0.0, 0.0) == [0.0]
+
+
 def test_equal_numeric_seed_determinism():
     a, b = sp.sin(X) * XD, XD * sp.sin(X) + sp.Float(1e-7)
     r1 = equal_numeric(a, b, AB, seed=11)

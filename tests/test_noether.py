@@ -28,7 +28,6 @@ from noetherkit.mechanics import LagrangianSystem, build_system
 from noetherkit.noether import (
     DENOM_MARGIN,
     FORMS,
-    FirstIntegral,
     NotConservedError,
     Triple,
     check_conserved,
@@ -249,7 +248,7 @@ def test_conservation_labels_name_the_integral_without_printing_it(kepler, monke
     sysdef = kepler.system
     N = kepler.integrals["lrl_u"] + sysdef.alphabet.coord_symbols[0]
     with pytest.raises(NotConservedError) as err:
-        _require_conserved(sysdef, FirstIntegral(N, name="lrl_u + r1"), 0)
+        _require_conserved(sysdef, check_conserved(sysdef, N, name="lrl_u + r1"), 0)
     assert err.value.report.label == "conserved:lrl_u + r1"
     printed = []
     real = StrPrinter.doprint
@@ -259,6 +258,12 @@ def test_conservation_labels_name_the_integral_without_printing_it(kepler, monke
     assert err.value.report.label == "conserved"
     assert check_conserved(sysdef, N).conservation.label == "conserved"
     assert printed == []
+
+
+def test_verify_triple_refuses_a_nan_tolerance(fp):
+    # it FAILed with a max residual of 0.0, a witness that is not real
+    with pytest.raises(ValueError, match="tol must be positive and finite, not nan"):
+        verify_triple(fp.system, fp.triples["gamma1"], tol=float("nan"))
 
 
 def test_noether_integral_matches_table(fp):
@@ -294,7 +299,7 @@ def test_noether_integral_takes_no_convention():
 
 
 def test_a_first_integral_is_checked_under_its_own_name(fp):
-    N = FirstIntegral(fp.integrals["momentum"], name="x")
+    N = check_conserved(fp.system, fp.integrals["momentum"], name="x")
     fi = check_conserved(fp.system, N)
     assert (fi.conservation.label, fi.name) == ("conserved:x", "x")
     assert check_conserved(fp.system, N, name="y").conservation.label == "conserved:y"
@@ -552,6 +557,42 @@ def test_every_admissible_verdict_carries_a_triple_of_its_integral(name, request
 def test_velocity_independence_needs_a_first_integral(fp):
     with pytest.raises(NotConservedError):
         velocity_independence_check(fp.system, fp.system.alphabet.coord_symbols[0])
+
+
+# Every entry point that takes an integral N, called with N alone.
+TAKES_AN_INTEGRAL = {
+    "solve_strong": solve_strong,
+    "solve_onflow": lambda sysdef, N: solve_onflow(sysdef, N, 0, [0] * sysdef.n),
+    "solve_onflow_simplest": solve_onflow_simplest,
+    "solve_onflow_with_R": lambda sysdef, N: solve_onflow_with_R(sysdef, N, [0] * sysdef.n),
+    "solve_alt_strong_trivial_gauge": solve_alt_strong_trivial_gauge,
+    "velocity_independence_check": velocity_independence_check,
+}
+
+
+@pytest.mark.parametrize("entry", TAKES_AN_INTEGRAL)
+def test_a_first_integral_of_another_system_is_checked_again(entry, iso, iso_steep):
+    # N1 of G = x is conserved there and not at G = 1/x^3
+    fi = check_conserved(iso.system, iso.integrals["N1"], name="N1")
+    assert fi.verified
+    with pytest.raises(NotConservedError) as err:
+        TAKES_AN_INTEGRAL[entry](iso_steep.system, fi)
+    assert err.value.report.label == "conserved:N1"
+
+
+def test_a_first_integral_of_its_own_system_is_not_checked_again(iso, monkeypatch):
+    sysdef, R = iso.system, [0] * iso.system.n
+    calls = []
+    real = noether.check_conserved
+    monkeypatch.setattr(noether, "check_conserved",
+                        lambda *args, **kw: calls.append(args) or real(*args, **kw))
+    fi = real(sysdef, iso.integrals["N1"])
+    assert fi.verified and fi.system is sysdef
+    solve_onflow_with_R(sysdef, fi, R)
+    assert calls == []
+    # an expression is checked once, and its verdict passed on unchecked
+    solve_onflow_with_R(sysdef, fi.expr, R)
+    assert len(calls) == 1
 
 
 def test_forms_constant():

@@ -77,7 +77,6 @@ OPTIONS = {
     "total_dt": ("lam",),
     "build_system": ("name", "param_values", "exclusions", "var_ranges"),
     "invert_g_apply": ("seed",),
-    "FirstIntegral": ("name", "conservation"),
     "Triple": ("exclusions",),
     "check_conserved": ("k", "tol", "seed", "extra_exclusions", "name"),
     "multiplicity_transform": ("c",),
@@ -108,7 +107,7 @@ def _options(obj) -> tuple[str, ...]:
 def test_every_optional_setting_of_the_exported_names_is_listed():
     found = {name: _options(getattr(noetherkit, name)) for name in noetherkit.__all__}
     assert {name: opts for name, opts in found.items() if opts} == OPTIONS
-    assert sum(map(len, OPTIONS.values())) == 46
+    assert sum(map(len, OPTIONS.values())) == 44
 
 
 def test_unknown_names_raise():

@@ -141,6 +141,17 @@ def test_fewer_than_one_pair_is_refused(count, tmp_path, capsys):
     assert not (tmp_path / "order.log").exists()
 
 
+@pytest.mark.parametrize("count", ["0", "-3"])
+def test_fewer_than_one_second_is_refused(count, tmp_path, capsys):
+    # run.py refuses such a run, and every pair read "no value"
+    argv = _trees(tmp_path) + ["--workload", "integrate", "--seconds", count]
+    with pytest.raises(SystemExit) as exit_:
+        pairs.main(argv)
+    assert exit_.value.code == 2
+    assert f"argument --seconds: must be at least 1, not {int(count)}" in capsys.readouterr().err
+    assert not (tmp_path / "order.log").exists()
+
+
 def test_trees_are_named_by_their_sources(tmp_path, capsys):
     out = tmp_path / "pairs.json"
     argv = _trees(tmp_path) + ["--workload", "integrate", "--pairs", "1", "--out", str(out)]

@@ -11,7 +11,8 @@ parent is any other tree with ``perfbench/run.py``, for example a
 ``git archive`` of the parent commit.  Pair i of a workload runs
 ``perfbench/run.py --workload W --seed S+i --seconds T --trace 0`` once in
 each tree, from that tree's directory: the parent first in even pairs, the
-child first in odd ones.
+child first in odd ones.  ``--pairs`` and ``--seconds`` are integers of at
+least 1; a smaller one is refused before any run.
 
 For every end-to-end metric that the child's ``BENCHMARK.json`` names, it
 prints the parent's median [quartiles], the child's median, the child's
@@ -159,7 +160,7 @@ def main(argv: list[str] | None = None) -> int:
     ap.add_argument("--workload", nargs="+", required=True)
     ap.add_argument("--pairs", type=_at_least_one, default=10)
     ap.add_argument("--seed", type=int, default=1, help="the first pair's seed")
-    ap.add_argument("--seconds", type=int, default=12)
+    ap.add_argument("--seconds", type=_at_least_one, default=12)
     ap.add_argument("--out", type=Path)
     args = ap.parse_args(argv)
     trees = {"parent": args.parent.resolve(), "child": args.child.resolve()}
